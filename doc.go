@@ -20,7 +20,8 @@
 //     device (one rank) and its two failure mechanisms, plus
 //     dram.Topology describing channel/rank shape. Both fault models
 //     use dense flat-slice indexes with batched dispatch — hammer
-//     bursts (dram.HammerFaultModel) and whole-bank refresh storms
+//     cycles up to a fault-model horizon (dram.CycleFaultModel,
+//     Device.HammerCycle) and whole-bank refresh storms
 //     (dram.BankRefreshFaultModel, Device.RefreshBankAll) — with the
 //     seed implementations retained as equivalence oracles
 //     (disturb.Reference, retention.Reference); see README.md for the

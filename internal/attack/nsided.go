@@ -54,27 +54,13 @@ func DecoyRows(rows, count int) []int {
 // NSidedRanked hammers the aggressor rows in round-robin for the given
 // number of rounds, visiting every decoy row once per round after the
 // aggressors. Every access row-conflicts (distinct rows in one bank),
-// so each is an activation, matching the pair kernels' behaviour.
-//
-// The two-sided, decoy-free case is exactly the double-sided pattern,
-// so it reuses the batched HammerPairs hot path (one round = one
-// pair); wider patterns and decoy schedules dispatch per access, which
-// is also what the batched path itself falls back to whenever an
-// observing mitigation is attached — the very situation these kernels
-// exist to attack.
+// so each is an activation, matching the pair kernels' behaviour. It
+// is one Controller.HammerRowsRanked call over the aggressors followed
+// by the decoys.
 func NSidedRanked(c *memctrl.Controller, rank, bank int, aggressors, decoys []int, rounds int) {
-	if len(aggressors) == 2 && len(decoys) == 0 {
-		c.HammerPairsRanked(rank, bank, aggressors[0], aggressors[1], rounds)
-		return
-	}
-	for r := 0; r < rounds; r++ {
-		for _, row := range aggressors {
-			c.AccessRanked(rank, memctrl.Coord{Bank: bank, Row: row}, false, 0)
-		}
-		for _, row := range decoys {
-			c.AccessRanked(rank, memctrl.Coord{Bank: bank, Row: row}, false, 0)
-		}
-	}
+	var buf [16]int
+	rows := append(append(buf[:0], aggressors...), decoys...)
+	c.HammerRowsRanked(rank, bank, rows, rounds)
 }
 
 // CrossBankNSided runs the N-sided pattern anchored at every base

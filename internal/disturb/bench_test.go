@@ -7,7 +7,7 @@ package disturb
 //     per-activation dispatch (the "old" loop).
 //   - Flat: the flat-index model driven per-activation.
 //   - Batched: the flat-index model driven through the batched
-//     HammerN / HammerPairConflict device APIs.
+//     Device.HammerCycle API.
 //
 // All three execute identical device command sequences; see
 // equiv_test.go for the proof that they produce identical physics.
@@ -60,32 +60,13 @@ func sweepPerActivation(d *dram.Device) {
 	}
 }
 
-// sweepBatched performs the equivalent sweep through
-// HammerPairConflict (one warm-up pair opens the bank, the rest of the
-// burst is batched), falling back to per-activation commands when the
-// model declines.
+// sweepBatched performs the equivalent sweep through closed-page
+// Device.HammerCycle bursts.
 func sweepBatched(d *dram.Device) {
 	now := dram.Time(0)
 	for v := 1; v < benchGeom.Rows-1; v += 8 {
-		d.Activate(0, v-1, now)
-		d.Precharge(0)
-		now += 49
-		d.Activate(0, v+1, now) // leave open: conflict-path precondition
-		now += 49
-		if last, ok := d.HammerPairConflict(0, v-1, v+1, benchPairs-1, now, 49); ok {
-			now = last + 49
-			d.Precharge(0)
-			continue
-		}
-		for i := 1; i < benchPairs; i++ {
-			d.Precharge(0)
-			d.Activate(0, v-1, now)
-			now += 49
-			d.Precharge(0)
-			d.Activate(0, v+1, now)
-			now += 49
-		}
-		d.Precharge(0)
+		hammerCycle(d, dram.Cycle{Rows: []int{v - 1, v + 1}, N: 2 * benchPairs, Start: now, Period: 49, ClosedPage: true})
+		now += 2 * benchPairs * 49
 	}
 }
 
@@ -136,6 +117,7 @@ func BenchmarkHammerNBatched(b *testing.B) {
 	b.ResetTimer()
 	now := dram.Time(0)
 	for i := 0; i < b.N; i++ {
-		now = d.HammerN(0, 100, 1000, now, 49) + 49
+		hammerCycle(d, dram.Cycle{Rows: []int{100}, N: 1000, Start: now, Period: 49, ClosedPage: true})
+		now += 1000 * 49
 	}
 }

@@ -30,10 +30,10 @@
 // weak-cell and influence indexes are dense flat slices keyed by
 // bank*Rows+physRow, so an activation of a row with no coupled cells —
 // the overwhelmingly common case — costs two slice loads. The model
-// also implements dram.HammerFaultModel, letting the device apply a
-// whole burst of activations in one call; batched application is
-// bit-identical to the per-activation path (see the batching contract
-// on OnActivateBatch and OnHammerPairBatch). The seed's map-indexed
+// also implements dram.CycleFaultModel, letting the device apply a
+// many-row hammer burst up to the model's horizon in one call; batched
+// application is bit-identical to the per-activation path (see the
+// notes above HammerHorizon). The seed's map-indexed
 // per-activation implementation is retained in reference.go as the
 // equivalence oracle.
 package disturb
@@ -41,6 +41,7 @@ package disturb
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/rng"
@@ -181,6 +182,7 @@ type Model struct {
 var (
 	_ dram.FaultModel            = (*Model)(nil)
 	_ dram.HammerFaultModel      = (*Model)(nil)
+	_ dram.CycleFaultModel       = (*Model)(nil)
 	_ dram.BankRefreshFaultModel = (*Model)(nil)
 )
 
@@ -290,53 +292,190 @@ func (m *Model) restoreRow(bank, physRow int) {
 	}
 }
 
-// --- Batched hammer dispatch (dram.HammerFaultModel) ---
+// --- Batched hammer dispatch (dram.CycleFaultModel) ---
 //
-// Batching contract: a batched call must leave the model, the device
-// bits and every counter in exactly the state the equivalent sequence
-// of per-activation OnActivate calls would. Three properties make this
-// possible for single-row and alternating-pair bursts:
+// A hammer cycle activates k distinct rows in cyclic order. A weak cell
+// is coupled to at most two rows (physRow±dist), so whatever k is, each
+// cell sees at most two of the hammered rows and its pressure additions
+// over a burst form a fixed one- or two-weight sequence that the
+// per-activation path would apply in the same float order. Three facts
+// make a batched burst exact within the horizon:
 //
-//  1. Flips land only in victim rows, never in the hammered row(s)
-//     themselves (a cell is never its own aggressor, and pair batching
-//     declines when a hammered row hosts a cell coupled to the other
-//     hammered row). The aggressor rows' bits — and with them the
-//     data-pattern-dependent weights — are therefore constant across
-//     the burst.
-//  2. Cells residing in a hammered row receive no pressure during the
-//     burst, so restoring them once up front is identical to restoring
-//     them on every activation.
-//  3. Distinct cells are independent: each cell's pressure additions
-//     form the same float sequence whether interleaved with other
-//     cells' or not. Only duplicate (bank,row,bit) cells (possible via
-//     InjectWeakCell) break this, and they disable batching.
+//  1. Cells residing outside the hammered rows only accumulate: one
+//     coupled hammered row gives accumulate, two give alternating
+//     additions in cycle order. Their flips land outside the hammered
+//     rows.
+//  2. Cells residing in a hammered row are restored whenever their row
+//     is activated. The horizon ends before any of them could reach its
+//     threshold, so no flip lands in a hammered row, the hammered rows'
+//     bits — and with them the data-pattern-dependent weights — stay
+//     constant, and each such cell's final state is the additions after
+//     its row's last activation.
+//  3. Distinct cells are independent: only duplicate (bank,row,bit)
+//     cells (possible via InjectWeakCell) make flip observability
+//     order-dependent, and they hold the horizon at 0.
+
+// activationsAt returns how many of the first n activations of a cycle
+// of length k land on position pos.
+func activationsAt(pos, n, k int) int {
+	if pos >= n {
+		return 0
+	}
+	return (n - pos + k - 1) / k
+}
+
+// coupling is one hammered row a resident cell is coupled to: its cycle
+// position and effective weight.
+type coupling struct {
+	pos int
+	w   float64
+}
+
+// residentCouplings returns the hammered rows (at most two) a cell
+// residing in a hammered row is coupled to, in no particular order.
+func (m *Model) residentCouplings(d *dram.Device, wc *weakCell, physRows []int) (cs [2]coupling, n int) {
+	if p := slices.Index(physRows, wc.physRow-wc.dist); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(d, wc.bank, physRows[p], wc, wc.upWeight)}
+		n++
+	}
+	if p := slices.Index(physRows, wc.physRow+wc.dist); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(d, wc.bank, physRows[p], wc, wc.downWeight)}
+		n++
+	}
+	return cs, n
+}
+
+// inOrder returns the couplings sorted by their first activation index
+// at or after from in a cycle of length k, with those indices.
+func inOrder(cs [2]coupling, n, from, k int) ([2]coupling, [2]int) {
+	var at [2]int
+	for i := 0; i < n; i++ {
+		at[i] = from + (cs[i].pos-from%k+k)%k
+	}
+	if n == 2 && at[1] < at[0] {
+		cs[0], cs[1] = cs[1], cs[0]
+		at[0], at[1] = at[1], at[0]
+	}
+	return cs, at
+}
+
+// HammerHorizon implements dram.CycleFaultModel: unbounded unless
+// duplicate cells exist or a cell residing in a hammered row could
+// reach its threshold before its own row is next activated.
+func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, period dram.Time) int {
+	if m.dup {
+		return 0
+	}
+	k := len(physRows)
+	h := math.MaxInt
+	base := bank * m.geom.Rows
+	for c, r := range physRows {
+		for _, wc := range m.victimIdx[base+r] {
+			cs, n := m.residentCouplings(d, wc, physRows)
+			if n == 0 {
+				continue
+			}
+			// Before the row's first activation (index c) the cell keeps
+			// accumulating from its current pressure.
+			if !wc.flipped {
+				ord, at := inOrder(cs, n, 0, k)
+				p := wc.pressure
+				for i := 0; i < n && at[i] < c; i++ {
+					if p += ord[i].w; p >= wc.threshold {
+						h = min(h, at[i])
+					}
+				}
+			}
+			// After each activation of its row it restarts from zero and
+			// sees the same additions every round.
+			ord, at := inOrder(cs, n, c+1, k)
+			p := 0.0
+			for i := 0; i < n; i++ {
+				if p += ord[i].w; p >= wc.threshold {
+					h = min(h, at[i])
+					break
+				}
+			}
+		}
+	}
+	return h
+}
+
+// OnHammerCycle implements dram.CycleFaultModel: semantically identical
+// to n per-activation OnActivate calls over the cycle, in O(coupled
+// cells + pressure additions).
+func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, start, period dram.Time) {
+	k := len(physRows)
+	base := bank * m.geom.Rows
+	for c, r := range physRows {
+		na := activationsAt(c, n, k)
+		if na == 0 {
+			break
+		}
+		for _, inf := range m.aggIdx[base+r] {
+			wc := inf.cell
+			if wc.flipped || slices.Index(physRows, wc.physRow) >= 0 {
+				continue // flipped until restored, or resident (below)
+			}
+			w := m.effWeight(d, bank, r, wc, inf.weight)
+			other := 2*wc.physRow - r
+			po := slices.Index(physRows, other)
+			if po < 0 {
+				m.accumulate(d, wc, w, w, na)
+				continue
+			}
+			if po < c {
+				continue // handled from the earlier position
+			}
+			wo := wc.upWeight
+			if other > wc.physRow {
+				wo = wc.downWeight
+			}
+			wo = m.effWeight(d, bank, other, wc, wo)
+			m.accumulate(d, wc, w, wo, na+activationsAt(po, n, k))
+		}
+	}
+	for c, r := range physRows {
+		for _, wc := range m.victimIdx[base+r] {
+			cs, nc := m.residentCouplings(d, wc, physRows)
+			from := 0
+			if c < n {
+				// Restored at the row's last activation in the burst.
+				from = c + k*((n-1-c)/k)
+				wc.pressure, wc.flipped = 0, false
+				from++
+			} else if wc.flipped {
+				continue
+			}
+			ord, at := inOrder(cs, nc, from, k)
+			p := wc.pressure
+			for i := 0; i < nc && at[i] < n; i++ {
+				p += ord[i].w
+			}
+			wc.pressure = p
+		}
+	}
+}
+
+// --- Legacy batched dispatch (dram.HammerFaultModel) ---
+//
+// The device dispatches through CycleFaultModel. These methods remain
+// for wrappers that forward the older interface; the bursts they apply
+// are one- and two-row cycles.
 
 // BatchableRow implements dram.HammerFaultModel. Single-row bursts
 // batch exactly unless duplicate cells were injected.
 func (m *Model) BatchableRow(bank, physRow int) bool { return !m.dup }
 
-// OnActivateBatch implements dram.HammerFaultModel: semantically
-// identical to n consecutive OnActivate(bank, physRow) calls, in
-// O(coupled cells + pressure additions) instead of n full dispatches.
+// OnActivateBatch implements dram.HammerFaultModel: n consecutive
+// activations of physRow.
 func (m *Model) OnActivateBatch(d *dram.Device, bank, physRow, n int, start, period dram.Time) {
-	idx := bank*m.geom.Rows + physRow
-	// Restoring once is exact: cells residing in physRow receive no
-	// pressure during the burst, so later restores would be no-ops.
-	m.restoreRow(bank, physRow)
-	for _, inf := range m.aggIdx[idx] {
-		wc := inf.cell
-		if wc.flipped {
-			continue
-		}
-		m.accumulate(d, wc, m.effWeight(d, bank, physRow, wc, inf.weight), n)
-	}
+	m.OnHammerCycle(d, bank, []int{physRow}, n, start, period)
 }
 
 // BatchablePair implements dram.HammerFaultModel: an alternating
-// rowA/rowB burst batches exactly unless a cell residing in one of the
-// hammered rows is coupled to either of them (its per-pair
-// restore/accumulate interleaving, and the mid-burst flips it could
-// place into a hammered row, are order-dependent), or duplicates exist.
+// rowA/rowB burst batches unless a cell residing in one of the hammered
+// rows is coupled to either of them, or duplicates exist.
 func (m *Model) BatchablePair(bank, rowA, rowB int) bool {
 	if m.dup || rowA == rowB {
 		return false
@@ -355,53 +494,15 @@ func (m *Model) BatchablePair(bank, rowA, rowB int) bool {
 	return true
 }
 
-// OnHammerPairBatch implements dram.HammerFaultModel: semantically
-// identical to n repetitions of {OnActivate(rowA); OnActivate(rowB)}.
+// OnHammerPairBatch implements dram.HammerFaultModel: n repetitions of
+// {OnActivate(rowA); OnActivate(rowB)}.
 func (m *Model) OnHammerPairBatch(d *dram.Device, bank, rowA, rowB, n int, start, period dram.Time) {
-	base := bank * m.geom.Rows
-	m.restoreRow(bank, rowA)
-	m.restoreRow(bank, rowB)
-	aggA, aggB := m.aggIdx[base+rowA], m.aggIdx[base+rowB]
-	for _, inf := range aggA {
-		wc := inf.cell
-		if wB, both := influenceWeight(aggB, wc); both {
-			// Coupled to both sides: alternating additions.
-			if wc.flipped {
-				continue
-			}
-			m.accumulatePair(d, wc,
-				m.effWeight(d, bank, rowA, wc, inf.weight),
-				m.effWeight(d, bank, rowB, wc, wB), n)
-		} else if !wc.flipped {
-			m.accumulate(d, wc, m.effWeight(d, bank, rowA, wc, inf.weight), n)
-		}
-	}
-	for _, inf := range aggB {
-		wc := inf.cell
-		if _, both := influenceWeight(aggA, wc); both {
-			continue // handled in the rowA pass
-		}
-		if wc.flipped {
-			continue
-		}
-		m.accumulate(d, wc, m.effWeight(d, bank, rowB, wc, inf.weight), n)
-	}
-}
-
-// influenceWeight returns the weight with which list couples wc, if any.
-func influenceWeight(list []influence, wc *weakCell) (float64, bool) {
-	for i := range list {
-		if list[i].cell == wc {
-			return list[i].weight, true
-		}
-	}
-	return 0, false
+	m.OnHammerCycle(d, bank, []int{rowA, rowB}, 2*n, start, period)
 }
 
 // effWeight applies data-pattern dependence for one aggressor row. The
-// result is constant for a whole batched burst of that row: flips land
-// only in victim rows, so the aggressor row's bits cannot change
-// mid-burst.
+// result is constant for a whole batched burst of that row: no flip
+// lands in a hammered row within a horizon.
 func (m *Model) effWeight(d *dram.Device, bank, aggRow int, wc *weakCell, w float64) float64 {
 	if m.params.DPDFactor > 0 && m.params.DPDFactor < 1 {
 		if d.PhysBit(bank, aggRow, wc.bit) == wc.chargedVal {
@@ -411,34 +512,22 @@ func (m *Model) effWeight(d *dram.Device, bank, aggRow int, wc *weakCell, w floa
 	return w
 }
 
-// accumulate applies n pressure additions of constant weight w. The
-// additions replicate the per-activation float sequence exactly (p += w
-// n times, stopping at the threshold crossing) so batched results stay
+// accumulate applies n pressure additions alternating between wA and
+// wB, starting with wA (pass the same weight twice for one coupled
+// row). The additions replicate the per-activation float sequence
+// exactly, stopping at the threshold crossing, so batched results stay
 // bit-identical to the naive path.
-func (m *Model) accumulate(d *dram.Device, wc *weakCell, w float64, n int) {
+func (m *Model) accumulate(d *dram.Device, wc *weakCell, wA, wB float64, n int) {
 	p, th := wc.pressure, wc.threshold
-	for ; n > 0; n-- {
-		p += w
-		if p >= th {
-			wc.pressure = p
-			m.applyFlip(d, wc)
-			return
-		}
-	}
-	wc.pressure = p
-}
-
-// accumulatePair applies n alternating (wA, wB) pressure additions for
-// a cell coupled to both hammered rows, preserving the exact per-pair
-// float sequence of the naive path.
-func (m *Model) accumulatePair(d *dram.Device, wc *weakCell, wA, wB float64, n int) {
-	p, th := wc.pressure, wc.threshold
-	for ; n > 0; n-- {
+	for ; n > 0; n -= 2 {
 		p += wA
 		if p >= th {
 			wc.pressure = p
 			m.applyFlip(d, wc)
 			return
+		}
+		if n == 1 {
+			break
 		}
 		p += wB
 		if p >= th {

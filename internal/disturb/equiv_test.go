@@ -7,6 +7,8 @@ package disturb
 // contents under identical command sequences.
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dram"
@@ -124,6 +126,35 @@ func TestFlatIndexMatchesReferencePerActivation(t *testing.T) {
 	compareState(t, dm, m, dr, r, "mixed history")
 }
 
+// hammerCycle applies a whole burst through Device.HammerCycle and
+// returns how many device calls it took.
+func hammerCycle(d *dram.Device, cy dram.Cycle) (calls int) {
+	for done := 0; done < cy.N; calls++ {
+		step := cy
+		step.Pos = (cy.Pos + done) % len(cy.Rows)
+		step.N = cy.N - done
+		step.Start = cy.Start + dram.Time(done)*cy.Period
+		done += d.HammerCycle(step)
+	}
+	return calls
+}
+
+// perActivation issues the burst as explicit Precharge/Activate
+// commands, the shape HammerCycle must reproduce.
+func perActivation(d *dram.Device, cy dram.Cycle) {
+	for j := 0; j < cy.N; j++ {
+		if !cy.ClosedPage {
+			d.Precharge(cy.Bank)
+		}
+		d.Activate(cy.Bank, cy.Rows[(cy.Pos+j)%len(cy.Rows)], cy.Start+dram.Time(j)*cy.Period)
+		if cy.ClosedPage {
+			d.Precharge(cy.Bank)
+		}
+	}
+}
+
+// TestHammerNMatchesPerActivation pins single-row closed-page cycles
+// (the burst shape of the former HammerN) against the reference.
 func TestHammerNMatchesPerActivation(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 	dm, m, dr, r := twin(t, g, denseParams(), 99)
@@ -131,24 +162,19 @@ func TestHammerNMatchesPerActivation(t *testing.T) {
 	const period = 49
 	for row := 1; row < g.Rows-1; row += 3 {
 		n := 100 + (row%7)*57
-		dm.HammerN(0, row, n, now, period)
-		tt := now
-		for i := 0; i < n; i++ {
-			dr.Activate(0, row, tt)
-			dr.Precharge(0)
-			tt += period
+		cy := dram.Cycle{Rows: []int{row}, N: n, Start: now, Period: period, ClosedPage: true}
+		if calls := hammerCycle(dm, cy); calls != 1 {
+			t.Fatalf("row %d: single-row burst took %d device calls, want 1", row, calls)
 		}
+		perActivation(dr, cy)
 		now += dram.Time(n) * period
 	}
 	if m.TotalFlips() == 0 {
 		t.Fatal("no flips; test is vacuous")
 	}
-	compareState(t, dm, m, dr, r, "HammerN")
-	if dm.Stats.Activates != dr.Stats.Activates || dm.Stats.Precharges != dr.Stats.Precharges {
+	compareState(t, dm, m, dr, r, "single-row cycle")
+	if dm.Stats != dr.Stats {
 		t.Fatalf("stats: model %+v, reference %+v", dm.Stats, dr.Stats)
-	}
-	if dm.Stats.OpEnergyPJ != dr.Stats.OpEnergyPJ {
-		t.Fatalf("energy: model %v, reference %v", dm.Stats.OpEnergyPJ, dr.Stats.OpEnergyPJ)
 	}
 	for row := 0; row < g.Rows; row++ {
 		if dm.LastRestore(0, row) != dr.LastRestore(0, row) {
@@ -157,63 +183,138 @@ func TestHammerNMatchesPerActivation(t *testing.T) {
 	}
 }
 
+// TestHammerPairConflictMatchesPerActivation pins open-page two-row
+// cycles (the row-conflict shape of the former HammerPairConflict)
+// against the reference. Pairs whose rows host cells coupled to the
+// other row used to decline batching; under the horizon they batch.
 func TestHammerPairConflictMatchesPerActivation(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 	dm, m, dr, r := twin(t, g, denseParams(), 1234)
 	now := dram.Time(0)
 	const period = 49
-	// Enter the open state the conflict path requires.
+	// Enter the open state the conflict path starts from.
 	dm.Activate(0, 0, now)
 	dr.Activate(0, 0, now)
-	batched := 0
+	hazards := 0
 	for v := 1; v < g.Rows-1; v += 2 {
 		n := 200 + (v%5)*130
-		last, ok := dm.HammerPairConflict(0, v-1, v+1, n, now, period)
-		if ok {
-			batched++
-		} else {
-			// A dist-2 cell residing in v-1 or v+1 is coupled to the
-			// other hammered row; the model correctly declines and the
-			// caller issues the commands per-activation.
-			tt := now
-			for i := 0; i < 2*n; i++ {
-				row := v - 1
-				if i%2 == 1 {
-					row = v + 1
-				}
-				dm.Precharge(0)
-				dm.Activate(0, row, tt)
-				tt += period
-			}
-			last = tt - period
+		if !m.BatchablePair(0, v-1, v+1) {
+			hazards++
 		}
-		tt := now
-		for i := 0; i < 2*n; i++ {
-			row := v - 1
-			if i%2 == 1 {
-				row = v + 1
-			}
-			dr.Precharge(0)
-			dr.Activate(0, row, tt)
-			tt += period
-		}
-		if want := tt - period; last != want {
-			t.Fatalf("victim %d: last activation %d, want %d", v, last, want)
-		}
-		now = last + period
+		cy := dram.Cycle{Rows: []int{v - 1, v + 1}, N: 2 * n, Start: now + period, Period: period}
+		hammerCycle(dm, cy)
+		perActivation(dr, cy)
+		now += dram.Time(2*n) * period
 	}
-	if batched == 0 {
-		t.Fatal("no pair was batched; test is vacuous")
+	if hazards == 0 {
+		t.Fatal("no pair hosts a cell coupled to the other row; test is vacuous")
 	}
 	if m.TotalFlips() == 0 {
 		t.Fatal("no flips; test is vacuous")
 	}
-	compareState(t, dm, m, dr, r, "HammerPairConflict")
+	compareState(t, dm, m, dr, r, "two-row open-page cycle")
 	if dm.OpenRow(0) != dr.OpenRow(0) {
 		t.Fatalf("open row: model %d, reference %d", dm.OpenRow(0), dr.OpenRow(0))
 	}
-	if dm.Stats.Activates != dr.Stats.Activates || dm.Stats.OpEnergyPJ != dr.Stats.OpEnergyPJ {
+	if dm.Stats != dr.Stats {
 		t.Fatalf("stats: model %+v, reference %+v", dm.Stats, dr.Stats)
+	}
+}
+
+// TestHammerCycleMatchesReference drives many-sided cycles — aggressors
+// two apart, so distance-2 cells reside in hammered rows coupled to
+// other hammered rows, plus decoys — at random cycle positions and
+// lengths, both page policies, and requires the reference's state.
+func TestHammerCycleMatchesReference(t *testing.T) {
+	g := dram.Geometry{Banks: 2, Rows: 96, Cols: 4}
+	for _, seed := range []uint64{1, 5, 77} {
+		dm, m, dr, r := twin(t, g, denseParams(), seed)
+		src := rng.New(seed ^ 0xc1c1e)
+		now := dram.Time(0)
+		batched := 0
+		for iter := 0; iter < 300; iter++ {
+			b := src.Intn(g.Banks)
+			sides := 2 + src.Intn(4)
+			base := src.Intn(g.Rows - 2*sides)
+			var rows []int
+			for i := 0; i < sides; i++ {
+				rows = append(rows, base+2*i)
+			}
+			for d := src.Intn(3); d > 0; d-- {
+				if row := src.Intn(g.Rows); !slices.Contains(rows, row) {
+					rows = append(rows, row)
+				}
+			}
+			cy := dram.Cycle{
+				Bank: b, Rows: rows, Pos: src.Intn(len(rows)), N: 1 + src.Intn(400),
+				Start: now, Period: 49, ClosedPage: iter%2 == 0,
+			}
+			if cy.ClosedPage {
+				dm.Precharge(b)
+				dr.Precharge(b)
+			}
+			if hammerCycle(dm, cy) < cy.N {
+				batched++
+			}
+			perActivation(dr, cy)
+			now += dram.Time(cy.N)*cy.Period + 49
+			if iter%7 == 0 {
+				row := src.Intn(g.Rows)
+				dm.RefreshPhysRow(b, row, now)
+				dr.RefreshPhysRow(b, row, now)
+			}
+		}
+		if m.TotalFlips() == 0 || batched == 0 {
+			t.Fatalf("seed %d: flips %d, batched bursts %d; test is vacuous", seed, m.TotalFlips(), batched)
+		}
+		compareState(t, dm, m, dr, r, "many-sided cycles")
+		if dm.Stats != dr.Stats {
+			t.Fatalf("seed %d: stats: model %+v, reference %+v", seed, dm.Stats, dr.Stats)
+		}
+		for b := 0; b < g.Banks; b++ {
+			if dm.OpenRow(b) != dr.OpenRow(b) {
+				t.Fatalf("seed %d bank %d: open row: model %d, reference %d", seed, b, dm.OpenRow(b), dr.OpenRow(b))
+			}
+			for row := 0; row < g.Rows; row++ {
+				if dm.LastRestore(b, row) != dr.LastRestore(b, row) {
+					t.Fatalf("seed %d bank %d row %d: lastRestore model %d, reference %d",
+						seed, b, row, dm.LastRestore(b, row), dr.LastRestore(b, row))
+				}
+			}
+		}
+	}
+}
+
+// TestHammerHorizonResidentCell pins where the horizon ends for a cell
+// residing in a hammered row: unbounded while the pressure it gathers
+// between its own row's activations stays below threshold, and just
+// before the activation that would flip it otherwise.
+func TestHammerHorizonResidentCell(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
+	d := dram.NewDevice(g)
+	m := NewModel(g, Invulnerable(), rng.New(1))
+	d.AttachFault(m)
+	// A dist-2 cell in row 10, coupled to rows 8 and 12 with weight 1
+	// each: one round of the cycle {10, 12, 8} adds 2 after restoring.
+	m.InjectWeakCell(0, 10, 5, 3, 1, 2, 1, 1)
+	if h := m.HammerHorizon(d, 0, []int{10, 12, 8}, 0, 49); h != math.MaxInt {
+		t.Errorf("threshold 3, two additions per round: horizon %d, want unbounded", h)
+	}
+	m.InjectWeakCell(0, 20, 5, 2, 1, 2, 1, 1)
+	// Cycle {20, 22, 18}: after row 20's activation (index 0), index 1
+	// adds 1 and index 2 reaches the threshold of 2.
+	if h := m.HammerHorizon(d, 0, []int{20, 22, 18}, 0, 49); h != 2 {
+		t.Errorf("threshold 2: horizon %d, want 2", h)
+	}
+	// Starting mid-cycle, the pressure already gathered counts: 1 from
+	// row 22 leaves the cell one addition from the threshold, which
+	// row 18 at index 0 delivers before row 20 restores it.
+	d.Activate(0, 20, 0)
+	d.Precharge(0)
+	d.Activate(0, 22, 49)
+	d.Precharge(0)
+	if h := m.HammerHorizon(d, 0, []int{18, 20, 22}, 98, 49); h != 0 {
+		t.Errorf("one addition from threshold: horizon %d, want 0", h)
 	}
 }
 
@@ -241,9 +342,10 @@ func TestPairBatchingDeclinesHazards(t *testing.T) {
 	}
 }
 
+// TestHammerNFallbackStillEquivalent injects duplicate cells, which
+// hold the horizon at 0: HammerCycle must step one activation at a
+// time and still match the reference.
 func TestHammerNFallbackStillEquivalent(t *testing.T) {
-	// With duplicates injected, HammerN must take the per-activation
-	// fallback and still match the reference.
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
 	dm := dram.NewDevice(g)
 	dr := dram.NewDevice(g)
@@ -263,13 +365,11 @@ func TestHammerNFallbackStillEquivalent(t *testing.T) {
 			dr.FillPhysRow(b, row, 0xffffffffffffffff)
 		}
 	}
-	dm.HammerN(0, 9, 200, 0, 49)
-	tt := dram.Time(0)
-	for i := 0; i < 200; i++ {
-		dr.Activate(0, 9, tt)
-		dr.Precharge(0)
-		tt += 49
+	cy := dram.Cycle{Rows: []int{9}, N: 200, Period: 49, ClosedPage: true}
+	if calls := hammerCycle(dm, cy); calls != cy.N {
+		t.Fatalf("duplicates: %d device calls, want %d single steps", calls, cy.N)
 	}
+	perActivation(dr, cy)
 	if m.TotalFlips() != r.TotalFlips() {
 		t.Fatalf("flips: model %d, reference %d", m.TotalFlips(), r.TotalFlips())
 	}

@@ -14,7 +14,7 @@ import (
 // Model. Experiments never use it; equivalence tests drive a Reference
 // and a Model with identical command sequences and require identical
 // flip sets, counters and cell contents. It intentionally implements
-// only dram.FaultModel, not dram.HammerFaultModel, so a device driving
+// only dram.FaultModel, not dram.CycleFaultModel, so a device driving
 // it always falls back to per-activation dispatch.
 type Reference struct {
 	params       Params

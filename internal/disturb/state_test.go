@@ -22,7 +22,8 @@ func hammerHalf(d *dram.Device, m *Model) {
 	now := dram.Time(0)
 	for b := 0; b < g.Banks; b++ {
 		for r := 2; r+2 < g.Rows; r += 7 {
-			now = d.HammerN(b, r, 40_000, now, 50) + 50
+			hammerCycle(d, dram.Cycle{Bank: b, Rows: []int{r}, N: 40_000, Start: now, Period: 50, ClosedPage: true})
+			now += 40_000 * 50
 		}
 	}
 }
@@ -32,7 +33,8 @@ func hammerRest(d *dram.Device) {
 	now := dram.Time(1 << 40)
 	for b := 0; b < g.Banks; b++ {
 		for r := 3; r+3 < g.Rows; r += 5 {
-			now = d.HammerN(b, r, 120_000, now, 50) + 50
+			hammerCycle(d, dram.Cycle{Bank: b, Rows: []int{r}, N: 120_000, Start: now, Period: 50, ClosedPage: true})
+			now += 120_000 * 50
 		}
 	}
 }

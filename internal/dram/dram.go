@@ -131,9 +131,10 @@ type FaultModel interface {
 	OnRefresh(d *Device, bank, physRow int, now Time)
 }
 
-// HammerFaultModel is the optional batched-dispatch extension of
-// FaultModel used by the HammerN/HammerPairConflict hot paths. A model
-// implementing it can apply a whole burst of activations in one call.
+// HammerFaultModel is the pair-and-row batching extension of FaultModel
+// that predates CycleFaultModel. The device no longer dispatches
+// through it; it stays because instrumentation that wraps fault models
+// forwards these methods.
 //
 // Batching contract: OnActivateBatch(bank, row, n, start, period) must
 // leave the model and the device bits in exactly the state n
@@ -141,12 +142,8 @@ type FaultModel interface {
 // ..., start+(n-1)*period would — bit-identical floats included.
 // OnHammerPairBatch(bank, rowA, rowB, n, ...) must equal n repetitions
 // of {OnActivate(rowA); OnActivate(rowB)} with the same activation
-// spacing. When a model cannot guarantee that for a particular row (or
-// pair), BatchableRow (or BatchablePair) must return false and leave
-// all state untouched; the device then falls back to per-activation
-// dispatch for every attached model, preserving cross-model
-// interleaving exactly. Batchable* must be side-effect free: the device
-// queries every model before dispatching to any.
+// spacing. BatchableRow (or BatchablePair) reports whether the model
+// can guarantee that; both must be side-effect free.
 type HammerFaultModel interface {
 	FaultModel
 	// BatchableRow reports whether a single-row burst of physRow can be
@@ -159,6 +156,33 @@ type HammerFaultModel interface {
 	BatchablePair(bank, rowA, rowB int) bool
 	// OnHammerPairBatch applies n alternating activation pairs.
 	OnHammerPairBatch(d *Device, bank, rowA, rowB, n int, start, period Time)
+}
+
+// CycleFaultModel is the optional batched-dispatch extension of
+// FaultModel used by HammerCycle. A hammer cycle activates a list of
+// distinct physical rows in cyclic order: activation i hits
+// physRows[i%len(physRows)] at time start+i*period.
+//
+// Horizon contract: HammerHorizon returns how many leading activations
+// of the cycle the model can apply in one OnHammerCycle call (any
+// value >= the burst length means "all of them"), and must be
+// side-effect free. Applying h <= horizon activations through
+// OnHammerCycle must leave the model and the device bits in exactly
+// the state h consecutive OnActivate calls would — bit-identical floats
+// and random draws included — and, because the device dispatches the
+// chunk model by model instead of activation by activation, the model
+// may within a horizon change bits only outside the cycle's rows and
+// let no bit it reads outside them change its decisions. A horizon of
+// 0 makes the device apply the next activation through plain
+// per-model OnActivate dispatch and ask again; a model must report a
+// positive horizon again within one round of the cycle.
+type CycleFaultModel interface {
+	FaultModel
+	// HammerHorizon returns how many leading activations of the cycle
+	// can be applied batched.
+	HammerHorizon(d *Device, bank int, physRows []int, start, period Time) int
+	// OnHammerCycle applies the first n activations of the cycle.
+	OnHammerCycle(d *Device, bank int, physRows []int, n int, start, period Time)
 }
 
 // Device is one DRAM rank: banks of rows of real bits plus fault
@@ -176,6 +200,10 @@ type Device struct {
 	remap  *RemapTable
 
 	refreshPtr int // next row group for auto-refresh
+
+	// cycle is HammerCycle's scratch for the physical rows of a burst,
+	// rebuilt on every call.
+	cycle []int `snapshot:"derived"`
 }
 
 type bank struct {
@@ -290,140 +318,120 @@ func (d *Device) Precharge(b int) {
 func (d *Device) OpenRow(b int) int { return d.bank(b).openPhysRow }
 
 // --- Batched hammer path ---
+
+// Cycle describes a hammer burst for HammerCycle: N activations of the
+// distinct logical rows Rows in cyclic order, starting with Rows[Pos]
+// at time Start, each Period after the previous one.
+type Cycle struct {
+	Bank  int
+	Rows  []int
+	Pos   int
+	N     int
+	Start Time
+	// Period is the spacing of consecutive activations; it is unused
+	// when N is 1.
+	Period Time
+	// ClosedPage precharges after every activation, the shape of the
+	// SoftMC kernel {ACT a; PRE; ACT b; PRE}: the bank must be
+	// precharged on entry and is left precharged. Otherwise every
+	// activation first precharges the open row, if any, the way an
+	// open-page controller's row-conflict path does, and the bank is
+	// left open on the last activated row.
+	ClosedPage bool
+	// Read accounts one column-read burst after every activation. The
+	// data is not transferred; callers that need it read the row words.
+	Read bool
+}
+
+// HammerCycle applies the leading activations of a hammer burst and
+// returns how many it applied: at least one when cy.N > 0, so callers
+// loop until the burst is consumed. The result is behaviourally
+// identical to issuing each activation through Precharge/Activate (and
+// Read) in order — bits, fault-model state, restore clocks, stats and
+// energy. Batched energy accounting adds n*cost in one operation, which
+// is bit-identical to n separate additions as long as the Energy
+// constants are integral picojoules (the defaults are) and the running
+// total stays below 2^53.
 //
-// HammerN and HammerPairConflict apply a whole burst of activations in
-// one call, amortizing per-activation bookkeeping (stats, energy,
-// open-row checks, fault dispatch) across the burst. Both are
-// behaviourally identical to the equivalent per-command loops; when an
-// attached fault model cannot guarantee batched semantics for the
-// requested rows they fall back to (or report the need for) exact
-// per-activation dispatch. Batched energy accounting adds n*cost in
-// one operation, which is bit-identical to n separate additions as
-// long as the Energy constants are integral picojoules (the defaults
-// are) and the running total stays below 2^53.
-
-// hammerBatchable reports whether every attached fault model supports
-// batched single-row dispatch for physRow.
-func (d *Device) hammerBatchable(b, physRow int) bool {
+// When every attached fault model implements CycleFaultModel the call
+// applies as many activations as the smallest horizon allows in one
+// dispatch per model. A horizon of 0, or a model without the
+// extension, makes it apply exactly one activation through the
+// per-activation path.
+func (d *Device) HammerCycle(cy Cycle) int {
+	if cy.N <= 0 {
+		return 0
+	}
+	bk := d.bank(cy.Bank)
+	if cy.ClosedPage && bk.openPhysRow != -1 {
+		panic(fmt.Sprintf("dram: closed-page HammerCycle on bank %d with row %d open", cy.Bank, bk.openPhysRow))
+	}
+	k := len(cy.Rows)
+	phys := d.cycle[:0]
+	for i := 0; i < k; i++ {
+		r := cy.Rows[(cy.Pos+i)%k]
+		if r < 0 || r >= d.Geom.Rows {
+			panic(fmt.Sprintf("dram: HammerCycle row %d out of range", r))
+		}
+		p := d.remap.Phys(r)
+		for _, q := range phys {
+			if q == p {
+				panic(fmt.Sprintf("dram: HammerCycle rows alias physical row %d", p))
+			}
+		}
+		phys = append(phys, p)
+	}
+	d.cycle = phys
+	h := cy.N
 	for _, f := range d.faults {
-		hf, ok := f.(HammerFaultModel)
-		if !ok || !hf.BatchableRow(b, physRow) {
-			return false
+		cf, ok := f.(CycleFaultModel)
+		if !ok {
+			h = 0
+			break
+		}
+		if fh := cf.HammerHorizon(d, cy.Bank, phys, cy.Start, cy.Period); fh < h {
+			h = fh
+		}
+		if h == 0 {
+			break
 		}
 	}
-	return true
-}
-
-// HammerN performs n consecutive activate+precharge cycles of one
-// logical row, with activation i occurring at time start+i*period. It
-// is behaviourally identical to n repetitions of Activate followed by
-// Precharge — the bank must start precharged and ends precharged — and
-// returns the time of the last activation. When every attached fault
-// model supports batching, the whole burst costs O(coupled weak cells)
-// instead of O(n) dispatches.
-func (d *Device) HammerN(b, logRow, n int, start, period Time) Time {
-	if n <= 0 {
-		return start
-	}
-	bk := d.bank(b)
-	if bk.openPhysRow != -1 {
-		panic(fmt.Sprintf("dram: HammerN on bank %d with row %d open", b, bk.openPhysRow))
-	}
-	if logRow < 0 || logRow >= d.Geom.Rows {
-		panic(fmt.Sprintf("dram: HammerN row %d out of range", logRow))
-	}
-	phys := d.remap.Phys(logRow)
-	if !d.hammerBatchable(b, phys) {
-		t := start
-		for i := 0; i < n; i++ {
-			d.Activate(b, logRow, t)
-			d.Precharge(b)
-			t += period
+	if h == 0 {
+		if !cy.ClosedPage {
+			d.Precharge(cy.Bank)
 		}
-		return t - period
-	}
-	for _, f := range d.faults {
-		f.(HammerFaultModel).OnActivateBatch(d, b, phys, n, start, period)
-	}
-	last := start + Time(n-1)*period
-	bk.lastRestore[phys] = last
-	d.Stats.Activates += int64(n)
-	d.Stats.Precharges += int64(n)
-	d.Stats.OpEnergyPJ += d.Energy.ACT * float64(n)
-	return last
-}
-
-// hammerPairDispatch is the shared core of the pair-burst APIs:
-// fault-model negotiation and dispatch, lastRestore and
-// activate/precharge/energy accounting for 2n alternating activations
-// of rowA and rowB (rowA first) at times start, start+period, ...
-// Callers handle the open-row precondition and end state. Returns the
-// time of the last (rowB) activation, or false with no state touched
-// when the rows are out of range, alias the same physical row, or a
-// fault model declines batching.
-func (d *Device) hammerPairDispatch(b, rowA, rowB, n int, start, period Time) (Time, bool) {
-	if rowA < 0 || rowA >= d.Geom.Rows || rowB < 0 || rowB >= d.Geom.Rows {
-		return 0, false
-	}
-	physA, physB := d.remap.Phys(rowA), d.remap.Phys(rowB)
-	if physA == physB {
-		return 0, false
-	}
-	for _, f := range d.faults {
-		hf, ok := f.(HammerFaultModel)
-		if !ok || !hf.BatchablePair(b, physA, physB) {
-			return 0, false
+		d.Activate(cy.Bank, cy.Rows[cy.Pos], cy.Start)
+		if cy.Read {
+			d.Stats.Reads++
+			d.Stats.OpEnergyPJ += d.Energy.RD
 		}
+		if cy.ClosedPage {
+			d.Precharge(cy.Bank)
+		}
+		return 1
 	}
 	for _, f := range d.faults {
-		f.(HammerFaultModel).OnHammerPairBatch(d, b, physA, physB, n, start, period)
+		f.(CycleFaultModel).OnHammerCycle(d, cy.Bank, phys, h, cy.Start, cy.Period)
 	}
-	bk := d.banks[b]
-	lastB := start + Time(2*n-1)*period
-	bk.lastRestore[physA] = start + Time(2*n-2)*period
-	bk.lastRestore[physB] = lastB
-	d.Stats.Activates += int64(2 * n)
-	d.Stats.Precharges += int64(2 * n)
-	d.Stats.OpEnergyPJ += d.Energy.ACT * float64(2*n)
-	return lastB, true
-}
-
-// HammerPairConflict performs 2n alternating activations of rowA and
-// rowB (rowA first) the way an open-page controller's row-conflict path
-// does: each access precharges the currently open row, then activates
-// the next, so the bank must be open on entry and is left open on the
-// final rowB activation. Activation j occurs at time start+j*period.
-// It is behaviourally identical to the equivalent
-// {Precharge; Activate} loop. It returns the time of the last
-// activation and whether the burst was applied; false means no state
-// was touched because a fault model declined batching (or the rows
-// alias the same physical row), and the caller must issue the commands
-// per-activation instead.
-func (d *Device) HammerPairConflict(b, rowA, rowB, n int, start, period Time) (Time, bool) {
-	bk := d.bank(b)
-	if n <= 0 || bk.openPhysRow == -1 {
-		return 0, false
+	for i := 0; i < k && i < h; i++ {
+		last := i + k*((h-1-i)/k)
+		bk.lastRestore[phys[i]] = cy.Start + Time(last)*cy.Period
 	}
-	last, ok := d.hammerPairDispatch(b, rowA, rowB, n, start, period)
-	if !ok {
-		return 0, false
+	precharges := h
+	if !cy.ClosedPage {
+		if bk.openPhysRow == -1 {
+			precharges--
+		}
+		bk.openPhysRow = phys[(h-1)%k]
 	}
-	bk.openPhysRow = d.remap.Phys(rowB)
-	return last, true
-}
-
-// HammerPairCycles performs n alternating activate+precharge cycles of
-// rowA and rowB (2n activations, rowA first), starting and ending
-// precharged — the closed-page analogue of HammerPairConflict and the
-// shape of the canonical SoftMC hammer kernel {ACT A; PRE; ACT B; PRE}.
-// Activation j occurs at time start+j*period. It is behaviourally
-// identical to the equivalent {Activate; Precharge} loop, with the
-// same decline semantics as HammerPairConflict.
-func (d *Device) HammerPairCycles(b, rowA, rowB, n int, start, period Time) (Time, bool) {
-	if n <= 0 || d.bank(b).openPhysRow != -1 {
-		return 0, false
+	d.Stats.Activates += int64(h)
+	d.Stats.Precharges += int64(precharges)
+	d.Stats.OpEnergyPJ += d.Energy.ACT * float64(h)
+	if cy.Read {
+		d.Stats.Reads += int64(h)
+		d.Stats.OpEnergyPJ += d.Energy.RD * float64(h)
 	}
-	return d.hammerPairDispatch(b, rowA, rowB, n, start, period)
+	return h
 }
 
 // --- Batched refresh path ---
@@ -484,17 +492,6 @@ func (d *Device) RefreshBankAll(b int, now Time) {
 	}
 	d.Stats.RowRefreshes += int64(rows)
 	d.Stats.OpEnergyPJ += d.Energy.REFPerRow * float64(rows)
-}
-
-// BatchReads accounts n column-read bursts against the open row of
-// bank b without transferring data. It is the bookkeeping half of n
-// Read calls whose data is discarded, used by batched hammer sweeps.
-func (d *Device) BatchReads(b, n int) {
-	if d.bank(b).openPhysRow == -1 {
-		panic(fmt.Sprintf("dram: BatchReads on precharged bank %d", b))
-	}
-	d.Stats.Reads += int64(n)
-	d.Stats.OpEnergyPJ += d.Energy.RD * float64(n)
 }
 
 // Read returns the 64-bit word at the given column of the open row.

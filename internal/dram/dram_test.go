@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -304,4 +305,154 @@ func TestSetRemapWrongSizePanics(t *testing.T) {
 		}
 	}()
 	d.SetRemap(IdentityRemap(10))
+}
+
+// horizonFault is a CycleFaultModel with a scripted horizon that
+// records how the device dispatched to it.
+type horizonFault struct {
+	recordingFault
+	horizon int
+	chunks  []int // n of every OnHammerCycle call
+	firsts  []int // physRows[0] of every OnHammerCycle call
+}
+
+func (h *horizonFault) HammerHorizon(d *Device, b int, physRows []int, start, period Time) int {
+	return h.horizon
+}
+
+func (h *horizonFault) OnHammerCycle(d *Device, b int, physRows []int, n int, start, period Time) {
+	h.chunks = append(h.chunks, n)
+	h.firsts = append(h.firsts, physRows[0])
+}
+
+// commandLoop issues a burst as explicit commands.
+func commandLoop(d *Device, cy Cycle) {
+	for j := 0; j < cy.N; j++ {
+		if !cy.ClosedPage {
+			d.Precharge(cy.Bank)
+		}
+		d.Activate(cy.Bank, cy.Rows[(cy.Pos+j)%len(cy.Rows)], cy.Start+Time(j)*cy.Period)
+		if cy.Read {
+			d.Read(cy.Bank, 0)
+		}
+		if cy.ClosedPage {
+			d.Precharge(cy.Bank)
+		}
+	}
+}
+
+func compareDevices(t *testing.T, a, b *Device) {
+	t.Helper()
+	if a.Stats != b.Stats {
+		t.Fatalf("stats: %+v vs %+v", a.Stats, b.Stats)
+	}
+	for bank := 0; bank < a.Geom.Banks; bank++ {
+		if a.OpenRow(bank) != b.OpenRow(bank) {
+			t.Fatalf("bank %d open row: %d vs %d", bank, a.OpenRow(bank), b.OpenRow(bank))
+		}
+		for r := 0; r < a.Geom.Rows; r++ {
+			if a.LastRestore(bank, r) != b.LastRestore(bank, r) {
+				t.Fatalf("bank %d row %d lastRestore: %d vs %d", bank, r, a.LastRestore(bank, r), b.LastRestore(bank, r))
+			}
+		}
+	}
+}
+
+func TestHammerCycleMatchesCommandLoop(t *testing.T) {
+	rt := IdentityRemap(64)
+	rt.swap(3, 40)
+	for _, cy := range []Cycle{
+		{Bank: 1, Rows: []int{3, 5, 9}, Pos: 1, N: 10, Start: 100, Period: 49, Read: true},
+		{Bank: 0, Rows: []int{7, 3}, N: 9, Start: 7, Period: 50, ClosedPage: true},
+		{Bank: 0, Rows: []int{12}, N: 4, Start: 0, Period: 60, ClosedPage: true},
+	} {
+		for _, withModel := range []bool{false, true} {
+			fast, slow := NewDevice(smallGeom()), NewDevice(smallGeom())
+			fast.SetRemap(rt)
+			slow.SetRemap(rt)
+			recFast, recSlow := &recordingFault{}, &recordingFault{}
+			var scripted *horizonFault
+			if withModel {
+				scripted = &horizonFault{horizon: 4}
+				fast.AttachFault(scripted)
+				slow.AttachFault(&horizonFault{})
+			} else {
+				fast.AttachFault(recFast)
+				slow.AttachFault(recSlow)
+			}
+			if !cy.ClosedPage {
+				// Open-page bursts start from whatever row is open.
+				fast.Activate(cy.Bank, 20, 0)
+				slow.Activate(cy.Bank, 20, 0)
+			}
+			calls := 0
+			for done := 0; done < cy.N; calls++ {
+				step := cy
+				step.Pos = (cy.Pos + done) % len(cy.Rows)
+				step.N, step.Start = cy.N-done, cy.Start+Time(done)*cy.Period
+				done += fast.HammerCycle(step)
+			}
+			commandLoop(slow, cy)
+			compareDevices(t, fast, slow)
+			if withModel {
+				// Horizon 4 chunks the burst; the model sees every chunk
+				// rotated to its first activation.
+				want := (cy.N + 3) / 4
+				if calls != want || len(scripted.chunks) != want {
+					t.Fatalf("%+v: %d calls, %d chunks, want %d", cy, calls, len(scripted.chunks), want)
+				}
+				for i, first := range scripted.firsts {
+					if wantRow := fast.PhysRow(cy.Rows[(cy.Pos+4*i)%len(cy.Rows)]); first != wantRow {
+						t.Fatalf("%+v: chunk %d starts at physical row %d, want %d", cy, i, first, wantRow)
+					}
+				}
+			} else {
+				// A model without the extension is stepped per activation,
+				// with the same hooks as the command loop.
+				if calls != cy.N || !slices.Equal(recFast.acts, recSlow.acts) {
+					t.Fatalf("%+v: %d calls, hooks %v vs %v", cy, calls, recFast.acts, recSlow.acts)
+				}
+			}
+		}
+	}
+}
+
+func TestHammerCycleZeroHorizonSteps(t *testing.T) {
+	d := NewDevice(smallGeom())
+	a, b := &horizonFault{horizon: 0}, &horizonFault{horizon: 1000}
+	d.AttachFault(a)
+	d.AttachFault(b)
+	if n := d.HammerCycle(Cycle{Rows: []int{4, 6}, N: 50, Period: 49}); n != 1 {
+		t.Fatalf("horizon 0: applied %d, want 1", n)
+	}
+	if len(a.acts) != 1 || len(b.acts) != 1 || len(a.chunks)+len(b.chunks) != 0 {
+		t.Fatalf("horizon 0 must dispatch one OnActivate per model: acts %v/%v chunks %v/%v", a.acts, b.acts, a.chunks, b.chunks)
+	}
+	a.horizon = 7
+	if n := d.HammerCycle(Cycle{Rows: []int{4, 6}, Pos: 1, N: 50, Start: 49, Period: 49}); n != 7 {
+		t.Fatalf("horizons 7 and 1000: applied %d, want the minimum 7", n)
+	}
+	if n := d.HammerCycle(Cycle{Rows: []int{4, 6}, N: 3, Start: 400, Period: 49}); n != 3 {
+		t.Fatalf("burst shorter than every horizon: applied %d, want 3", n)
+	}
+}
+
+func TestHammerCycleRejectsBadBursts(t *testing.T) {
+	for name, f := range map[string]func(d *Device){
+		"closed page on open bank": func(d *Device) {
+			d.Activate(0, 1, 0)
+			d.HammerCycle(Cycle{Rows: []int{2, 4}, N: 2, Period: 49, ClosedPage: true})
+		},
+		"repeated row":     func(d *Device) { d.HammerCycle(Cycle{Rows: []int{2, 2}, N: 2, Period: 49}) },
+		"row out of range": func(d *Device) { d.HammerCycle(Cycle{Rows: []int{2, 64}, N: 2, Period: 49}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f(NewDevice(smallGeom()))
+		}()
+	}
 }

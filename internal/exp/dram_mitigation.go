@@ -31,6 +31,16 @@ func init() {
 
 func coord(bank, row int) memctrl.Coord { return memctrl.Coord{Bank: bank, Row: row} }
 
+// pairRows lists the aggressor rows v-1, v+1 of each victim in order:
+// one round of it double-side hammers every victim once.
+func pairRows(victims []int) []int {
+	rows := make([]int, 0, 2*len(victims))
+	for _, v := range victims {
+		rows = append(rows, v-1, v+1)
+	}
+	return rows
+}
+
 // attackRig builds a small, threshold-scaled system for mitigation
 // experiments: real module physics with thresholds divided by `scale`
 // so attacks complete in simulation time. The scaling preserves who
@@ -50,10 +60,7 @@ func attackRig(pop []modules.Module, year int, scale float64, opt core.Options) 
 func standardAttack(s *core.System, pairs int) {
 	rows := s.Device.Geom.Rows
 	for v := 17; v < rows-1; v += 16 {
-		for k := 0; k < pairs; k++ {
-			s.Ctrl.AccessCoord(coord(0, v-1), false, 0)
-			s.Ctrl.AccessCoord(coord(0, v+1), false, 0)
-		}
+		s.Ctrl.HammerPairs(0, v-1, v+1, pairs)
 	}
 }
 
@@ -212,10 +219,7 @@ func runE7(seed uint64) *stats.Table {
 		s.Device.FillPhysRow(0, r, pattern)
 	}
 	for v := 1; v < g.Rows-1; v += 2 {
-		for k := 0; k < 15000; k++ {
-			s.Ctrl.AccessCoord(coord(0, v-1), false, 0)
-			s.Ctrl.AccessCoord(coord(0, v+1), false, 0)
-		}
+		s.Ctrl.HammerPairs(0, v-1, v+1, 15000)
 	}
 	// Histogram flips per 64-bit word and decode each corrupted word.
 	hist := map[int]int{}
@@ -423,13 +427,7 @@ func runE22(seed uint64) *stats.Table {
 			}
 			ctrl := memctrl.New(dev, memctrl.Config{})
 			ctrl.Attach(memctrl.NewTRR(entries, 0.005, rng.New(seed^uint64(entries))))
-			active := victims[:nAggr]
-			for i := 0; i < 5000; i++ {
-				for _, v := range active {
-					ctrl.AccessCoord(coord(0, v-1), false, 0)
-					ctrl.AccessCoord(coord(0, v+1), false, 0)
-				}
-			}
+			ctrl.HammerRowsRanked(0, 0, pairRows(victims[:nAggr]), 5000)
 			flipped := 0
 			for _, v := range victims {
 				if dev.PhysBit(0, v, 3) != 1 {

@@ -109,10 +109,7 @@ func runE26(seed uint64) *stats.Table {
 		para := memctrl.NewPARA(0.03, memctrl.InDRAM, nil, rng.New(seed^uint64(radius)))
 		para.Radius = radius
 		ctrl.Attach(para)
-		for i := 0; i < 50000; i++ {
-			ctrl.AccessCoord(coord(0, 59), false, 0)
-			ctrl.AccessCoord(coord(0, 61), false, 0)
-		}
+		ctrl.HammerPairs(0, 59, 61, 50000)
 		d1 := 1 - int(dev.PhysBit(0, 60, 3))
 		d2 := 1 - int(dev.PhysBit(0, 63, 4))
 		t.AddRowf(radius, d1, d2)
@@ -149,10 +146,7 @@ func runE27(seed uint64) *stats.Table {
 			}
 			ctrl := memctrl.New(dev, memctrl.Config{})
 			for v := 1; v < g.Rows-1; v += 4 {
-				for i := 0; i < 3000; i++ {
-					ctrl.AccessCoord(coord(0, v-1), false, 0)
-					ctrl.AccessCoord(coord(0, v+1), false, 0)
-				}
+				ctrl.HammerPairs(0, v-1, v+1, 3000)
 			}
 			return m.TotalFlips()
 		}
@@ -184,12 +178,7 @@ func runE28(seed uint64) *stats.Table {
 		if p > 0 {
 			ctrl.Attach(memctrl.NewTRR(8, p, rng.New(seed^uint64(p*1e4))))
 		}
-		for i := 0; i < 4000; i++ {
-			for _, v := range victims {
-				ctrl.AccessCoord(coord(0, v-1), false, 0)
-				ctrl.AccessCoord(coord(0, v+1), false, 0)
-			}
-		}
+		ctrl.HammerRowsRanked(0, 0, pairRows(victims), 4000)
 		flipped := 0
 		for _, v := range victims {
 			if dev.PhysBit(0, v, 3) != 1 {

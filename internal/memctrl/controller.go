@@ -21,6 +21,7 @@ package memctrl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 )
@@ -147,7 +148,11 @@ type Controller struct {
 	// (multi-rate refresh). It aliases an entry of mitigations, which
 	// SaveState serializes.
 	refPolicy autoRefreshPolicy `snapshot:"derived"`
-	Stats     Stats
+	// run is the hammer kernel's pending device work. It is flushed
+	// before the kernel returns, so it is always empty between calls
+	// and never part of a snapshot.
+	run   hammerRun `snapshot:"derived"`
+	Stats Stats
 }
 
 // New creates a controller over one device (a single-rank channel).
@@ -234,8 +239,9 @@ type refreshScaler interface{ RefreshFactor() float64 }
 
 // passiveMitigation marks mitigations that neither observe activations
 // nor act on refreshes (their effect, if any, is applied at attach
-// time). The batched hammer hot path stays enabled when only passive
-// mitigations are attached.
+// time). With only passive mitigations attached the hammer kernel
+// skips the per-access hooks and extends runs to the next REF in
+// closed form.
 type passiveMitigation interface{ Passive() }
 
 // autoRefreshPolicy is the hook through which an attached mitigation
@@ -306,9 +312,10 @@ func (c *Controller) PhysRowAt(flatBank, logRow int) int {
 // solution's performance overhead arises. Ranks refresh in lockstep:
 // one REF event services every rank.
 func (c *Controller) serviceRefresh() {
-	if c.cfg.DisableRefresh {
+	if c.cfg.DisableRefresh || c.now < c.nextRefDue {
 		return
 	}
+	c.flushHammer()
 	for c.now >= c.nextRefDue {
 		// REF requires all banks precharged.
 		for _, dev := range c.ranks {
@@ -419,105 +426,235 @@ func (c *Controller) activate(rank, bank, logRow int) {
 
 // HammerPairs performs `pairs` alternating single-word read accesses to
 // (bank,rowA,col 0) and (bank,rowB,col 0) on rank 0 — the double-sided
-// hammer access pattern — through the normal access path. See
-// HammerPairsRanked for the contract.
+// hammer access pattern. See HammerRowsRanked for the contract.
 func (c *Controller) HammerPairs(bank, rowA, rowB, pairs int) {
-	c.HammerPairsRanked(0, bank, rowA, rowB, pairs)
+	c.HammerRowsRanked(0, bank, []int{rowA, rowB}, pairs)
 }
 
-// HammerPairsRanked is HammerPairs on an explicit rank. It is
-// behaviourally identical to the equivalent AccessRanked loop (same
-// timing, refresh interleaving, stats and fault physics, bit for bit)
-// but batches whole refresh-free runs of the sweep into single device
-// calls, amortizing per-activation bookkeeping across each run.
-//
-// The fast path applies only while no observing mitigation is attached
-// (observers see, and may act on, every individual activation; passive
-// mitigations such as RefreshScaling do not disable it), the controller
-// has no ECC layer (ECC classifies the data of every read, and
-// BatchReads transfers none — a previously corrupted aggressor word
-// must count an ECC event per read), and every attached fault model
-// accepts batching for the hammered row pair; otherwise the loop falls
-// back to per-access dispatch, which is exact by construction.
+// HammerPairsRanked is HammerPairs on an explicit rank: the two-row
+// call of HammerRowsRanked.
 func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
-	coA := Coord{Bank: bank, Row: rowA}
-	coB := Coord{Bank: bank, Row: rowB}
-	naivePair := func() {
-		c.AccessRanked(rank, coA, false, 0)
-		c.AccessRanked(rank, coB, false, 0)
-	}
-	if c.observers > 0 || c.ecc != nil || rowA == rowB ||
-		rowA < 0 || rowA >= c.cfg.Geom.Rows || rowB < 0 || rowB >= c.cfg.Geom.Rows {
-		for i := 0; i < pairs; i++ {
-			naivePair()
+	c.HammerRowsRanked(rank, bank, []int{rowA, rowB}, pairs)
+}
+
+// HammerRowsRanked performs `rounds` rounds of single-word read
+// accesses to col 0 of each of rows in order, in one bank of one rank —
+// the many-sided hammer access pattern. It is behaviourally identical
+// to the equivalent AccessRanked loop (same timing, refresh
+// interleaving, mitigation hooks and random draws, stats, ECC triage
+// and fault physics, bit for bit).
+//
+// The controller side of every access — timing, tRC, REF-due checks,
+// Stats, and each mitigation's OnActivate at the exact c.now — runs per
+// access. Only the device and fault-model work is deferred: consecutive
+// activations at a uniform period join a pending run, which
+// Device.HammerCycle applies, one call per fault-model horizon, when
+// something needs the device state: a REF, a mitigation's targeted
+// refresh, or the kernel's return. With no observing mitigation attached a run extends to the
+// next REF in closed form. Inputs the kernel does not batch — fewer
+// than two rows, a repeated row, out-of-range rows — run the plain
+// AccessRanked loop.
+func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
+	if !c.cycleRows(rank, rows) {
+		for i := 0; i < rounds; i++ {
+			for _, row := range rows {
+				c.AccessRanked(rank, Coord{Bank: bank, Row: row}, false, 0)
+			}
 		}
 		return
 	}
+	r := &c.run
+	r.rank, r.bank = rank, bank
 	dev := c.ranks[rank]
 	flat := rank*c.cfg.Geom.Banks + bank
-	physB := dev.PhysRow(rowB)
 	t := dev.Timing
 	// In the steady row-conflict state every access activates exactly
 	// max(tRC, tRP+tRCD+tCL+tBURST) after the previous activation and
-	// occupies the bus for the same period.
+	// occupies the bus for tRP+tRCD+tCL+tBURST after it.
 	s := t.TRP + t.TRCD + t.TCL + t.TBURST
-	period := t.TRC
-	if s > period {
-		period = s
+	period := max(t.TRC, s)
+	k := len(rows)
+	open := dev.OpenRow(bank) // as of the pending run's last activation
+	// lastAct[flat] lives in a local for the kernel's duration: only
+	// the access path reads it, and a store per access to a slice
+	// shared in cache with other channels' controllers is slow.
+	lastAct := c.lastAct[flat]
+	for i, left := 0, k*rounds; left > 0; {
+		if !c.cfg.DisableRefresh && c.now >= c.nextRefDue {
+			c.serviceRefresh()
+			open = dev.OpenRow(bank)
+		}
+		if c.observers == 0 && open != -1 && open != r.phys[i] {
+			// Closed form up to the access whose REF-due check fires:
+			// access j of the chunk starts at act0+(j-1)*period+s.
+			act0 := max(c.now, lastAct+t.TRC)
+			m := left
+			if !c.cfg.DisableRefresh {
+				fit := 1
+				if act0+s < c.nextRefDue {
+					fit = int(uint64(c.nextRefDue-1-(act0+s))/uint64(period)) + 2
+				}
+				m = min(m, fit)
+			}
+			c.addToRun(i, act0, period, m)
+			r.reads = r.n
+			lastAct = act0 + dram.Time(m-1)*period
+			c.Stats.Accesses += int64(m)
+			c.Stats.RowConflicts += int64(m)
+			c.Stats.BusyTime += lastAct + s - c.now
+			c.now = lastAct + s
+			i = (i + m) % k
+			open = r.phys[(i+k-1)%k]
+			left -= m
+			continue
+		}
+		if open == r.phys[i] {
+			// Only the first access can hit; the hit path has no device
+			// work to defer.
+			c.flushHammer()
+			c.lastAct[flat] = lastAct
+			c.AccessRanked(rank, Coord{Bank: bank, Row: r.rows[i]}, false, 0)
+			lastAct = c.lastAct[flat]
+		} else {
+			start := c.now
+			if open == -1 {
+				c.Stats.RowMisses++
+			} else {
+				c.Stats.RowConflicts++
+				c.now = max(c.now, lastAct+t.TRC)
+			}
+			lastAct = c.now
+			c.hammerActivate(dev, flat, i)
+			if open == -1 {
+				c.now += t.TRCD + t.TCL + t.TBURST
+			} else {
+				c.now += s
+			}
+			c.Stats.Accesses++
+			c.Stats.BusyTime += c.now - start
+			open = r.phys[i]
+		}
+		if i++; i == k {
+			i = 0
+		}
+		left--
 	}
-	done := 0
-	for done < pairs {
-		c.serviceRefresh()
-		// The batched chunk assumes both accesses of every pair take
-		// the row-conflict branch, which holds once the bank is open on
-		// rowB; until then (first pair, or after a refresh precharged
-		// the bank) issue exact individual accesses.
-		if dev.OpenRow(bank) != physB {
-			naivePair()
-			done++
-			continue
+	c.lastAct[flat] = lastAct
+	c.flushHammer()
+}
+
+// cycleRows loads the kernel's rows into the pending run and reports
+// whether the kernel can batch them: at least two distinct in-range
+// rows.
+func (c *Controller) cycleRows(rank int, rows []int) bool {
+	if len(rows) < 2 {
+		return false
+	}
+	r := &c.run
+	r.rows = append(r.rows[:0], rows...)
+	r.phys = r.phys[:0]
+	for _, row := range rows {
+		if row < 0 || row >= c.cfg.Geom.Rows {
+			return false
 		}
-		// First activation time, mirroring the conflict branch's tRC
-		// enforcement.
-		act0 := c.now
-		if since := c.now - c.lastAct[flat]; since < t.TRC {
-			act0 += t.TRC - since
+		p := c.ranks[rank].PhysRow(row)
+		if slices.Contains(r.phys, p) {
+			return false
 		}
-		// Access j of the chunk starts (and its refresh-due check
-		// happens) at act0+(j-1)*period+s; cap the chunk so no refresh
-		// comes due inside it. The j=0 check already ran above.
-		maxAccesses := 2 * (pairs - done)
-		if !c.cfg.DisableRefresh {
-			if act0+s >= c.nextRefDue {
-				naivePair()
-				done++
-				continue
+		r.phys = append(r.phys, p)
+	}
+	return true
+}
+
+// hammerActivate is the kernel's form of activate: the activation of
+// cycle position i at c.now joins the pending run, and every
+// mitigation observes it exactly as it would on the access path. The
+// access's read is accounted with the run unless a mitigation flushed
+// the run; then the device is current and the read is classified now,
+// after the mitigation's refreshes, as the access path orders it.
+func (c *Controller) hammerActivate(dev *dram.Device, flat, i int) {
+	r := &c.run
+	c.addToRun(i, c.now, 0, 1)
+	for _, m := range c.mitigations {
+		m.OnActivate(c, flat, r.rows[i])
+	}
+	if r.n > 0 {
+		r.reads = r.n
+	} else if c.ecc != nil {
+		c.ecc.onReads(&c.Stats, r.rank, r.bank, r.phys[i], 0, dev.PhysRowWords(r.bank, r.phys[i])[0], 1)
+	}
+}
+
+// flushHammer applies the pending run to the device and classifies its
+// reads through the ECC layer. Within each HammerCycle chunk the
+// hammered rows' words cannot change, so each row's col-0 word is
+// classified once per chunk and counted once per read.
+func (c *Controller) flushHammer() {
+	r := &c.run
+	if r.n == 0 {
+		return
+	}
+	dev := c.ranks[r.rank]
+	k := len(r.rows)
+	for done := 0; done < r.n; {
+		pos := (r.pos + done) % k
+		m := dev.HammerCycle(dram.Cycle{
+			Bank: r.bank, Rows: r.rows, Pos: pos, N: r.n - done,
+			Start: r.start + dram.Time(done)*r.period, Period: r.period, Read: true,
+		})
+		if c.ecc != nil {
+			reads := min(m, r.reads-done)
+			for j := 0; j < k && j < reads; j++ {
+				p := r.phys[(pos+j)%k]
+				n := (reads - j + k - 1) / k
+				c.ecc.onReads(&c.Stats, r.rank, r.bank, p, 0, dev.PhysRowWords(r.bank, p)[0], int64(n))
 			}
-			fit := uint64(c.nextRefDue-1-(act0+s))/uint64(period) + 2
-			if fit < uint64(maxAccesses) {
-				maxAccesses = int(fit)
-			}
 		}
-		k := maxAccesses / 2
-		if k == 0 {
-			naivePair()
-			done++
-			continue
+		done += m
+	}
+	r.n, r.reads = 0, 0
+}
+
+// hammerRun is the hammer kernel's pending device work: n activations
+// of rows in cyclic order, the first at cycle position pos at time
+// start, each period after the previous; next is the cycle position
+// that continues it. The first `reads` of them have had their col-0
+// read issued.
+type hammerRun struct {
+	rank, bank    int
+	rows, phys    []int // logical and physical rows of the cycle
+	pos, n, next  int
+	reads         int
+	start, period dram.Time
+}
+
+// addToRun appends m activations to the pending run, the first of
+// cycle position i at time at and the rest period apart. A run holds
+// one period, set by its second activation; activations that do not
+// continue it flush it and start a new one.
+func (c *Controller) addToRun(i int, at, period dram.Time, m int) {
+	r := &c.run
+	if r.n > 0 {
+		step := r.period
+		if r.n == 1 {
+			step = at - r.start
 		}
-		last, ok := dev.HammerPairConflict(bank, rowA, rowB, k, act0, period)
-		if !ok {
-			naivePair()
-			done++
-			continue
+		if i == r.next && step > 0 && at == r.start+dram.Time(r.n)*step && (m == 1 || period == step) {
+			r.period = step
+			r.n += m
+			r.advance(m)
+			return
 		}
-		dev.BatchReads(bank, 2*k)
-		end := last + s
-		c.Stats.Accesses += int64(2 * k)
-		c.Stats.RowConflicts += int64(2 * k)
-		c.Stats.BusyTime += end - c.now
-		c.lastAct[flat] = last
-		c.now = end
-		done += k
+		c.flushHammer()
+	}
+	r.pos, r.start, r.period, r.n, r.next = i, at, period, m, i
+	r.advance(m)
+}
+
+// advance moves the continuing cycle position m activations on.
+func (r *hammerRun) advance(m int) {
+	if r.next += m; r.next >= len(r.rows) {
+		r.next %= len(r.rows)
 	}
 }
 
@@ -534,6 +671,7 @@ func (c *Controller) AdvanceTo(t dram.Time) {
 // mitigation, charging the targeted-refresh time cost. flatBank is the
 // flat rank*Banks+bank index mitigations observe.
 func (c *Controller) RefreshLogRows(flatBank int, logRows []int) {
+	c.flushHammer()
 	rank, bank := c.splitFlatBank(flatBank)
 	dev := c.ranks[rank]
 	for _, r := range logRows {
@@ -549,6 +687,7 @@ func (c *Controller) RefreshLogRows(flatBank int, logRows []int) {
 // DRAM-side mitigation that knows true adjacency. flatBank is the flat
 // rank*Banks+bank index mitigations observe.
 func (c *Controller) RefreshPhysRows(flatBank int, physRows []int) {
+	c.flushHammer()
 	rank, bank := c.splitFlatBank(flatBank)
 	dev := c.ranks[rank]
 	for _, r := range physRows {

@@ -170,15 +170,30 @@ func (l *eccLayer) onRead(st *Stats, rank, bank, physRow, col int, got uint64) u
 		return got
 	}
 	val, oc := l.classify(want, got)
+	st.countECC(oc, 1)
+	return val
+}
+
+// onReads is onRead for n reads of one unchanged word whose data is
+// discarded (the hammer kernel's reads): one classification, counted
+// n times.
+func (l *eccLayer) onReads(st *Stats, rank, bank, physRow, col int, got uint64, n int64) {
+	if want := l.shadow[rank][bank][physRow*l.rowWords+col]; got != want {
+		_, oc := l.classify(want, got)
+		st.countECC(oc, n)
+	}
+}
+
+// countECC adds n events of one triage outcome.
+func (s *Stats) countECC(oc eccOutcome, n int64) {
 	switch oc {
 	case eccCorrected:
-		st.ECCCorrected++
+		s.ECCCorrected += n
 	case eccDetected:
-		st.ECCDetected++
+		s.ECCDetected += n
 	default:
-		st.ECCSilent++
+		s.ECCSilent += n
 	}
-	return val
 }
 
 // classify triages a corrupted word (got != want) under the configured
@@ -416,7 +431,7 @@ func (s *Scrubber) StorageBits() int64 {
 }
 
 // Passive implements the passiveMitigation hook: scrubbing observes no
-// activations, so the batched hammer hot path stays enabled.
+// activations, so the hammer kernel skips it per access.
 func (s *Scrubber) Passive() {}
 
 // SaveState implements StatefulMitigation.

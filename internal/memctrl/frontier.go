@@ -328,8 +328,8 @@ func (m *RefreshScaling) StorageBits() int64 { return 0 }
 // recognizes.
 func (m *RefreshScaling) RefreshFactor() float64 { return m.Factor }
 
-// Passive implements the passiveMitigation hook: attaching
-// RefreshScaling must not disable the batched hammer hot path.
+// Passive implements the passiveMitigation hook: RefreshScaling
+// observes no activations, so the hammer kernel skips it per access.
 func (m *RefreshScaling) Passive() {}
 
 var (

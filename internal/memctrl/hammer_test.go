@@ -1,9 +1,11 @@
 package memctrl
 
-// Equivalence tests for Controller.HammerPairs: the batched sweep must
-// be bit-identical to the naive AccessCoord loop — same timing, same
-// auto-refresh interleaving, same stats, same energy, same fault
-// physics.
+// Equivalence tests for Controller.HammerPairs, the two-row call of
+// the hammer kernel: the batched sweep must be bit-identical to the
+// naive AccessCoord loop — same timing, same auto-refresh
+// interleaving, same stats, same energy, same fault physics. The
+// many-row kernel under every mitigation, ECC and remap is fuzzed in
+// kernel_test.go.
 
 import (
 	"testing"
@@ -152,8 +154,8 @@ func TestHammerPairsWithMitigationFallsBack(t *testing.T) {
 		fast.ctrl.HammerPairs(0, v-1, v+1, 800)
 		naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 800)
 	}
-	// With a mitigation attached both sides take the identical naive
-	// path, RNG draws included.
+	// With an observing mitigation attached the kernel still batches the
+	// device work, and must reproduce every hook call and RNG draw.
 	compareSystems(t, fast, slow, "PARA attached")
 	if fast.ctrl.Stats.MitRefreshes == 0 {
 		t.Fatal("PARA never fired; test is vacuous")

@@ -18,6 +18,13 @@ import (
 // RefreshLogRows/RefreshPhysRows/PhysRowAt) is the controller's flat
 // rank*Banks+bank index, which equals the plain bank index on
 // single-rank channels.
+//
+// Contract the hammer kernel (Controller.HammerRowsRanked) relies on:
+// OnActivate may use PhysRowAt and may act only through Controller
+// methods; it must not read cell contents or device stats. During a
+// kernel call the device lags the controller by the pending run of
+// activations, which those methods flush before they touch the
+// device.
 type Mitigation interface {
 	// Name identifies the mitigation in result tables.
 	Name() string

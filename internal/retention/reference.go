@@ -13,7 +13,7 @@ import (
 // stay bit-identical to it — same decays, same cell bits, same VRT
 // draw sequence — under any interleaving of activations and refreshes
 // (equiv_test.go and experiment E53 prove it). It intentionally
-// implements neither dram.HammerFaultModel nor
+// implements neither dram.CycleFaultModel nor
 // dram.BankRefreshFaultModel, so devices carrying a Reference always
 // take the exact per-operation dispatch paths.
 type Reference struct {

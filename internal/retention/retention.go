@@ -181,6 +181,7 @@ type Model struct {
 var (
 	_ dram.FaultModel            = (*Model)(nil)
 	_ dram.HammerFaultModel      = (*Model)(nil)
+	_ dram.CycleFaultModel       = (*Model)(nil)
 	_ dram.BankRefreshFaultModel = (*Model)(nil)
 )
 
@@ -221,16 +222,80 @@ func (m *Model) OnRefresh(d *dram.Device, bank, physRow int, now dram.Time) {
 	m.applyDecay(d, bank, physRow, now)
 }
 
-// --- Batched hammer dispatch (dram.HammerFaultModel) ---
+// --- Batched hammer dispatch (dram.CycleFaultModel) ---
 //
-// The retention model participates in batched hammer bursts only for
-// rows that hold none of its weak cells — the overwhelmingly common
-// case for hammer sweeps. applyDecay is then a no-op for every
-// activation of the burst, so skipping the per-activation calls is
-// exact. Rows that do hold weak cells decline batching: their decay
-// checks depend on the per-activation restore times (and may consume
-// VRT random draws), so the device falls back to per-activation
-// dispatch for them.
+// Within a hammer cycle's horizon the retention model does nothing:
+// the horizon ends before any activation of a hammered row that could
+// decay one of its weak cells or advance a VRT cell's state (which
+// draws from the model's shared stream, so the draw order across cells
+// must stay that of the per-activation path). Applying a chunk is then
+// a no-op, and the device advances the restore clocks.
+
+// HammerHorizon implements dram.CycleFaultModel: 0 while a hammered
+// row with weak cells could decay at its next activation, otherwise the
+// number of activations until the first one that could decay a cell or
+// passes a VRT cell's next toggle.
+func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, period dram.Time) int {
+	k := len(physRows)
+	h := math.MaxInt
+	round := dram.Time(k) * period
+	for i, r := range physRows {
+		cells := m.byRow[bank*m.geom.Rows+r]
+		if len(cells) == 0 {
+			continue
+		}
+		// The row's first activation sees the gap since its last
+		// restore (none if the clock does not advance); every later one
+		// sees one round.
+		first := start + dram.Time(i)*period
+		last := d.LastRestore(bank, r)
+		for _, wc := range cells {
+			ret := m.minRetention(wc)
+			if first > last && (timeToSec(first-last) > ret || wc.vrt && wc.vrtNext < first) {
+				return min(h, i)
+			}
+			if round == 0 {
+				continue
+			}
+			if timeToSec(round) > ret {
+				h = min(h, i+k)
+			}
+			if wc.vrt {
+				rounds := 1
+				if wc.vrtNext >= first {
+					rounds = int((wc.vrtNext-first)/round) + 1
+				}
+				h = min(h, i+k*rounds)
+			}
+		}
+	}
+	return h
+}
+
+// minRetention returns a lower bound on the cell's retention time while
+// its VRT state holds: the data-pattern reduction is taken as engaged,
+// whatever the neighbours store.
+func (m *Model) minRetention(wc *weakCell) float64 {
+	ret := wc.baseSec * m.tempScale
+	if wc.vrt && wc.vrtLong {
+		ret *= m.params.VRTRatio
+	}
+	if wc.dpd {
+		ret = math.Min(ret, ret*m.params.DPDReduction)
+	}
+	return ret
+}
+
+// OnHammerCycle implements dram.CycleFaultModel. Only invoked within
+// the horizon, where the activations decay nothing and draw nothing.
+func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, start, period dram.Time) {
+}
+
+// --- Legacy batched dispatch (dram.HammerFaultModel) ---
+//
+// The device dispatches through CycleFaultModel. These methods remain
+// for wrappers that forward the older interface: rows holding none of
+// the model's weak cells batch, where every activation is a no-op.
 
 // BatchableRow implements dram.HammerFaultModel.
 func (m *Model) BatchableRow(bank, physRow int) bool {

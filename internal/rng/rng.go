@@ -21,6 +21,9 @@ type Stream struct {
 	// spare Gaussian for the polar method.
 	haveSpare bool
 	spare     float64
+	// Pad to a full cache line: streams drawn on every activation by
+	// channel shards running in parallel must not share one.
+	_ [2]uint64 `snapshot:"derived"`
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output.

@@ -212,30 +212,29 @@ func (e *Engine) Run(p *Program) Result {
 			if loopsLeft[pc] == 0 {
 				// First arrival: the canonical hammer kernel
 				// {ACT a; PRE; ACT b; PRE} × n is fast-forwarded
-				// through the device's batched pair dispatch. The body
-				// already ran once interpreted, so activations proceed
-				// at the kernel's uniform period max(tRAS+tRP, tRC);
-				// the first batched activation honours the same
-				// tRP/tRC constraints the interpreter would.
+				// through the device's closed-page hammer cycle. The
+				// body already ran once interpreted, so activations
+				// proceed at the kernel's uniform period
+				// max(tRAS+tRP, tRC); the first batched activation
+				// honours the same tRP/tRC constraints the interpreter
+				// would.
 				if n, bank, rowA, rowB, isKernel := hammerKernel(p.Ins, pc); isKernel && n > 0 {
-					period := t.TRAS + t.TRP
-					if t.TRC > period {
-						period = t.TRC
+					period := max(t.TRAS+t.TRP, t.TRC)
+					act0 := max(e.now, e.lastPRE[bank]+t.TRP, e.lastACT[bank]+t.TRC)
+					rows := [2]int{rowA, rowB}
+					acts := 2 * int(n)
+					for done := 0; done < acts; {
+						done += e.dev.HammerCycle(dram.Cycle{
+							Bank: bank, Rows: rows[:], Pos: done % 2, N: acts - done,
+							Start: act0 + dram.Time(done)*period, Period: period, ClosedPage: true,
+						})
 					}
-					act0 := e.now
-					if v := e.lastPRE[bank] + t.TRP; v > act0 {
-						act0 = v
-					}
-					if v := e.lastACT[bank] + t.TRC; v > act0 {
-						act0 = v
-					}
-					if last, applied := e.dev.HammerPairCycles(bank, rowA, rowB, int(n), act0, period); applied {
-						e.lastACT[bank] = last
-						e.advanceTo(last + t.TRAS) // final precharge
-						e.lastPRE[bank] = e.now
-						res.Cycles += int64(n) * 5 // 4 body ins + LOOP per iteration
-						continue                   // loop fully consumed
-					}
+					last := act0 + dram.Time(acts-1)*period
+					e.lastACT[bank] = last
+					e.advanceTo(last + t.TRAS) // final precharge
+					e.lastPRE[bank] = e.now
+					res.Cycles += int64(n) * 5 // 4 body ins + LOOP per iteration
+					continue                   // loop fully consumed
 				}
 				loopsLeft[pc] = ins.Imm + 1 // first arrival: set count
 			}

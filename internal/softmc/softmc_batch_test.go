@@ -3,9 +3,9 @@ package softmc
 // Equivalence tests for the engine's batched hammer-kernel fast path:
 // a HammerProgram executed against a batch-capable model must leave
 // engine, device and physics in exactly the state the instruction-by-
-// instruction interpretation leaves. disturb.Reference does not
-// implement dram.HammerFaultModel, so driving it forces the fully
-// interpreted path and serves as the oracle.
+// instruction interpretation leaves. The oracle runs the same command
+// stream with a zero WAIT appended to each loop body, which the kernel
+// recognizer rejects, against disturb.Reference.
 
 import (
 	"testing"
@@ -50,25 +50,38 @@ func TestHammerKernelBatchedMatchesInterpreted(t *testing.T) {
 
 	// A mixed session: hammer kernels interleaved with refresh and a
 	// retention-style wait, across banks, plus a second program on the
-	// same engine to check state continuity after the fast path.
-	progs := func() []*Program {
-		var ps []*Program
+	// same engine to check state continuity after the fast path. With
+	// interpreted set, every loop body carries a zero WAIT, adding one
+	// executed instruction per iteration (waits) and nothing else.
+	progs := func(interpreted bool) (ps []*Program, waits []int64) {
+		kernel := func(p *Program, bank, rowA, rowB int, times uint64) {
+			p.ACT(bank, rowA).PRE(bank).ACT(bank, rowB).PRE(bank)
+			if interpreted {
+				p.WAIT(0).Loop(5, times)
+			} else {
+				p.Loop(4, times)
+			}
+			waits = append(waits, int64(times)+1)
+		}
 		for v := 21; v < 40; v += 6 {
-			ps = append(ps, HammerProgram(0, v-1, v+1, 4000))
+			p := &Program{}
+			kernel(p, 0, v-1, v+1, 3999)
+			ps = append(ps, p)
 		}
 		mixed := &Program{}
 		mixed.REF().WAIT(1000)
-		mixed.ACT(1, 50).PRE(1).ACT(1, 52).PRE(1)
-		mixed.Loop(4, 3000)
+		kernel(mixed, 1, 50, 52, 3000)
 		mixed.REF()
 		ps = append(ps, mixed)
-		return ps
+		return ps, waits
 	}
 	var fastResults, slowResults []Result
-	for _, p := range progs() {
+	fastProgs, _ := progs(false)
+	for _, p := range fastProgs {
 		fastResults = append(fastResults, engFast.Run(p))
 	}
-	for _, p := range progs() {
+	slowProgs, waits := progs(true)
+	for _, p := range slowProgs {
 		slowResults = append(slowResults, engSlow.Run(p))
 	}
 
@@ -77,7 +90,7 @@ func TestHammerKernelBatchedMatchesInterpreted(t *testing.T) {
 	}
 	for i := range fastResults {
 		f, s := fastResults[i], slowResults[i]
-		if f.EndTime != s.EndTime || f.Cycles != s.Cycles || len(f.Reads) != len(s.Reads) {
+		if f.EndTime != s.EndTime || f.Cycles+waits[i] != s.Cycles || len(f.Reads) != len(s.Reads) {
 			t.Fatalf("program %d: results differ: batched %+v, interpreted %+v", i, f, s)
 		}
 	}
