@@ -458,15 +458,30 @@ func (s *Service) viewLocked(c *Campaign, includeResult bool) View {
 
 // EventsSince returns events with Seq >= from and whether the
 // campaign is terminal. With wait, it blocks until there is something
-// new past from (or the campaign turns terminal).
-func (s *Service) EventsSince(id string, from int, wait bool) ([]Event, bool, error) {
+// new past from, the campaign turns terminal, or ctx is done; then it
+// returns ctx's error.
+func (s *Service) EventsSince(ctx context.Context, id string, from int, wait bool) ([]Event, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.campaigns[id]
 	if !ok {
 		return nil, false, fmt.Errorf("campaign: no campaign %q", id)
 	}
+	if wait {
+		// Wake this waiter (and, harmlessly, the others) when ctx ends:
+		// a streamer whose client left must not stay parked until some
+		// campaign emits an event.
+		stop := context.AfterFunc(ctx, func() {
+			s.mu.Lock()
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		})
+		defer stop()
+	}
 	for wait && len(c.Events) <= from && !c.Status.Terminal() {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
 		s.cond.Wait()
 	}
 	evs := append([]Event(nil), c.Events[min(from, len(c.Events)):]...)

@@ -77,7 +77,7 @@ func TestConcurrentCampaignsComplete(t *testing.T) {
 
 	// The event stream carried incremental progress, not just
 	// lifecycle bookends.
-	evs, terminal, err := s.EventsSince(fleet.ID, 0, false)
+	evs, terminal, err := s.EventsSince(context.Background(), fleet.ID, 0, false)
 	if err != nil || !terminal {
 		t.Fatalf("EventsSince: %v terminal=%v", err, terminal)
 	}
@@ -178,7 +178,7 @@ func TestTransientShardFailureRetriesWithBackoff(t *testing.T) {
 	if fv.Attempts != 2 {
 		t.Fatalf("attempts=%d, want 2", fv.Attempts)
 	}
-	evs, _, err := s.EventsSince(v.ID, 0, false)
+	evs, _, err := s.EventsSince(context.Background(), v.ID, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,10 +106,11 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
+	ctx := r.Context()
 	for {
-		evs, terminal, err := s.EventsSince(id, from, true)
+		evs, terminal, err := s.EventsSince(ctx, id, from, true)
 		if err != nil {
-			if from == 0 {
+			if from == 0 && ctx.Err() == nil {
 				writeError(w, http.StatusNotFound, err)
 			}
 			return
@@ -128,14 +129,12 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if terminal {
 			// Drain any events appended while writing, then stop.
-			if evs, _, err := s.EventsSince(id, from, false); err == nil && len(evs) == 0 {
+			if evs, _, err := s.EventsSince(ctx, id, from, false); err == nil && len(evs) == 0 {
 				return
 			}
 		}
-		select {
-		case <-r.Context().Done():
+		if ctx.Err() != nil {
 			return
-		default:
 		}
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -162,6 +163,65 @@ func TestHTTPResultBeforeTerminalConflicts(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("result while running: %d, want 409", resp.StatusCode)
+	}
+	_ = s.Cancel(v.ID)
+	waitTerminal(t, s, v.ID)
+}
+
+// TestHTTPEventStreamEndsWhenClientLeaves pins the stream handler's
+// lifetime to its client: on an idle running campaign, cancelling the
+// request must end the handler promptly, not leave it parked until
+// some campaign emits another event.
+func TestHTTPEventStreamEndsWhenClientLeaves(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Reset()
+	s := NewService(t.TempDir())
+	h := s.Handler()
+	returned := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			returned <- struct{}{}
+		}
+	}))
+	defer srv.Close()
+	// The first simulated block stalls, so the campaign runs with no
+	// new events for the length of the test.
+	faultinject.Arm(fieldstudy.FirePoint, faultinject.Plan{Kind: faultinject.Delay, Delay: 3 * time.Second, Times: 1})
+	v, err := s.Submit(Spec{Kind: "fieldstudy", Seed: 1, Workers: 1, Fleet: testFleet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/campaigns/"+v.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if !bufio.NewScanner(resp.Body).Scan() {
+		t.Fatal("stream carried no first event")
+	}
+	before, err := s.Get(v.ID, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("events handler still running 1s after its client left")
+	}
+	after, err := s.Get(v.ID, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Events != before.Events || after.Status.Terminal() {
+		t.Fatalf("campaign moved while the stream ended (%d -> %d events, status %s): the handler may have been woken by an event", before.Events, after.Events, after.Status)
 	}
 	_ = s.Cancel(v.ID)
 	waitTerminal(t, s, v.ID)

@@ -143,7 +143,6 @@ type Controller struct {
 	ecc *eccLayer
 
 	mitigations []Mitigation
-	observers   int `snapshot:"derived"` // attached mitigations that are not passive
 	// refPolicy, when attached, replaces the uniform per-REF row sweep
 	// (multi-rate refresh). It aliases an entry of mitigations, which
 	// SaveState serializes.
@@ -153,7 +152,27 @@ type Controller struct {
 	// and never part of a snapshot.
 	run   hammerRun `snapshot:"derived"`
 	Stats Stats
+	// kernel counts how the hammer kernel served its accesses. It is
+	// observability, not simulation state: outside Stats, every table
+	// and every snapshot.
+	kernel KernelCounters `snapshot:"counters"`
 }
+
+// KernelCounters count how the hammer kernel (HammerRowsRanked) served
+// its accesses. They are deterministic, like Stats, but describe the
+// simulator rather than the simulated system, so they stay out of
+// Stats and out of snapshots.
+type KernelCounters struct {
+	// Batched accesses were served in closed-form chunks.
+	Batched int64
+	// Stepped accesses were served one at a time: row hits and misses,
+	// activations a mitigation acts on or that a mitigation without a
+	// horizon observes, and row lists the kernel does not batch.
+	Stepped int64
+}
+
+// KernelCounters returns the hammer kernel's counters.
+func (c *Controller) KernelCounters() KernelCounters { return c.kernel }
 
 // New creates a controller over one device (a single-rank channel).
 // Config.Geom is derived from the device; see Config.
@@ -237,13 +256,6 @@ func (c *Controller) ECCEnabled() bool { return c.ecc != nil }
 // it).
 type refreshScaler interface{ RefreshFactor() float64 }
 
-// passiveMitigation marks mitigations that neither observe activations
-// nor act on refreshes (their effect, if any, is applied at attach
-// time). With only passive mitigations attached the hammer kernel
-// skips the per-access hooks and extends runs to the next REF in
-// closed form.
-type passiveMitigation interface{ Passive() }
-
 // autoRefreshPolicy is the hook through which an attached mitigation
 // replaces the controller's uniform per-REF row sweep with its own row
 // schedule (MultiRateRefresh implements it). bind is called at attach
@@ -267,9 +279,6 @@ type autoRefreshPolicy interface {
 // multiplier up front.
 func (c *Controller) Attach(m Mitigation) {
 	c.mitigations = append(c.mitigations, m)
-	if _, ok := m.(passiveMitigation); !ok {
-		c.observers++
-	}
 	if sc, ok := m.(*Scrubber); ok {
 		sc.bind(c)
 	}
@@ -444,18 +453,24 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 // interleaving, mitigation hooks and random draws, stats, ECC triage
 // and fault physics, bit for bit).
 //
-// The controller side of every access — timing, tRC, REF-due checks,
-// Stats, and each mitigation's OnActivate at the exact c.now — runs per
-// access. Only the device and fault-model work is deferred: consecutive
-// activations at a uniform period join a pending run, which
-// Device.HammerCycle applies, one call per fault-model horizon, when
-// something needs the device state: a REF, a mitigation's targeted
-// refresh, or the kernel's return. With no observing mitigation attached a run extends to the
-// next REF in closed form. Inputs the kernel does not batch — fewer
-// than two rows, a repeated row, out-of-range rows — run the plain
-// AccessRanked loop.
+// In the steady row-conflict state the kernel serves accesses in
+// closed-form chunks: timing, Stats and the ECC reads advance by
+// arithmetic, each mitigation applies the chunk's activations in bulk
+// (HorizonMitigation.OnActivateCycle), and the activations join a
+// pending device run. A chunk ends at the access whose REF-due check
+// fires or at the minimum activation horizon over the attached
+// mitigations, whichever comes first; a mitigation without a horizon
+// has horizon 0. The access after a chunk — a row hit or miss, the
+// activation a mitigation acts on — steps through the access path,
+// with every mitigation's OnActivate at the exact c.now. The pending
+// run is applied by Device.HammerCycle, one call per fault-model
+// horizon, when something needs the device state: a REF, a
+// mitigation's targeted refresh, or the kernel's return. Inputs the
+// kernel does not batch — fewer than two rows, a repeated row,
+// out-of-range rows — run the plain AccessRanked loop.
 func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 	if !c.cycleRows(rank, rows) {
+		c.kernel.Stepped += int64(len(rows) * max(rounds, 0))
 		for i := 0; i < rounds; i++ {
 			for _, row := range rows {
 				c.AccessRanked(rank, Coord{Bank: bank, Row: row}, false, 0)
@@ -484,9 +499,10 @@ func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 			c.serviceRefresh()
 			open = dev.OpenRow(bank)
 		}
-		if c.observers == 0 && open != -1 && open != r.phys[i] {
-			// Closed form up to the access whose REF-due check fires:
-			// access j of the chunk starts at act0+(j-1)*period+s.
+		if open != -1 && open != r.phys[i] {
+			// Closed form up to the access whose REF-due check fires
+			// (access j of the chunk starts at act0+(j-1)*period+s) and
+			// the mitigations' quiet horizon.
 			act0 := max(c.now, lastAct+t.TRC)
 			m := left
 			if !c.cfg.DisableRefresh {
@@ -496,18 +512,25 @@ func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 				}
 				m = min(m, fit)
 			}
-			c.addToRun(i, act0, period, m)
-			r.reads = r.n
-			lastAct = act0 + dram.Time(m-1)*period
-			c.Stats.Accesses += int64(m)
-			c.Stats.RowConflicts += int64(m)
-			c.Stats.BusyTime += lastAct + s - c.now
-			c.now = lastAct + s
-			i = (i + m) % k
-			open = r.phys[(i+k-1)%k]
-			left -= m
-			continue
+			if m = c.quietHorizon(flat, i, m); m > 0 {
+				c.addToRun(i, act0, period, m)
+				r.reads = r.n
+				for _, mit := range c.mitigations {
+					mit.(HorizonMitigation).OnActivateCycle(c, flat, r.rows, i, m)
+				}
+				lastAct = act0 + dram.Time(m-1)*period
+				c.Stats.Accesses += int64(m)
+				c.Stats.RowConflicts += int64(m)
+				c.Stats.BusyTime += lastAct + s - c.now
+				c.now = lastAct + s
+				c.kernel.Batched += int64(m)
+				i = (i + m) % k
+				open = r.phys[(i+k-1)%k]
+				left -= m
+				continue
+			}
 		}
+		c.kernel.Stepped++
 		if open == r.phys[i] {
 			// Only the first access can hit; the hit path has no device
 			// work to defer.
@@ -541,6 +564,23 @@ func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 	}
 	c.lastAct[flat] = lastAct
 	c.flushHammer()
+}
+
+// quietHorizon returns how many of the kernel's next activations, at
+// most max and starting at cycle position i, every attached mitigation
+// observes quietly: the minimum of their activation horizons, 0 if one
+// lacks the interface.
+func (c *Controller) quietHorizon(flat, i, max int) int {
+	for _, m := range c.mitigations {
+		hm, ok := m.(HorizonMitigation)
+		if !ok {
+			return 0
+		}
+		if max = min(max, hm.ActivateHorizon(c, flat, c.run.rows, i, max)); max <= 0 {
+			return 0
+		}
+	}
+	return max
 }
 
 // cycleRows loads the kernel's rows into the pending run and reports

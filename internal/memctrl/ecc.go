@@ -342,6 +342,8 @@ type Scrubber struct {
 	ctrl *Controller `snapshot:"derived"` // bound channel (one per Scrubber)
 }
 
+var _ HorizonMitigation = (*Scrubber)(nil)
+
 // NewScrubber returns a patrol scrubber scanning wordsPerREF words per
 // REF command. Attach panics if the controller has no ECC layer.
 func NewScrubber(wordsPerREF int) *Scrubber {
@@ -430,9 +432,14 @@ func (s *Scrubber) StorageBits() int64 {
 	return int64(bits.Len(uint(total)))
 }
 
-// Passive implements the passiveMitigation hook: scrubbing observes no
-// activations, so the hammer kernel skips it per access.
-func (s *Scrubber) Passive() {}
+// ActivateHorizon implements HorizonMitigation: scrubbing observes no
+// activations, so every activation is quiet.
+func (s *Scrubber) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	return max
+}
+
+// OnActivateCycle implements HorizonMitigation.
+func (s *Scrubber) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {}
 
 // SaveState implements StatefulMitigation.
 func (s *Scrubber) SaveState(w *snapshot.Writer) {

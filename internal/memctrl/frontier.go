@@ -90,12 +90,10 @@ func (m *Graphene) Name() string { return "Graphene(top-k)" }
 func (m *Graphene) OnActivate(c *Controller, bank, logRow int) {
 	tb := &m.tables[bank]
 	phys := c.PhysRowAt(bank, logRow)
-	for i := 0; i < tb.used; i++ {
-		if tb.entries[i].row == phys {
-			tb.entries[i].count++
-			m.fire(c, bank, tb, i)
-			return
-		}
+	if i := tb.find(phys); i >= 0 {
+		tb.entries[i].count++
+		m.fire(c, bank, tb, i)
+		return
 	}
 	if tb.used < len(tb.entries) {
 		tb.entries[tb.used] = m.newEntry(phys, tb.spill+1)
@@ -119,6 +117,45 @@ func (m *Graphene) OnActivate(c *Controller, bank, logRow int) {
 		evicted := tb.entries[min].count
 		tb.entries[min] = m.newEntry(phys, tb.spill+1)
 		tb.spill = evicted
+	}
+}
+
+// find returns the slot tracking physical row phys, or -1.
+func (tb *mgTable) find(phys int) int {
+	for i := 0; i < tb.used; i++ {
+		if tb.entries[i].row == phys {
+			return i
+		}
+	}
+	return -1
+}
+
+// ActivateHorizon implements HorizonMitigation: once every cycle row
+// is tracked, a row's activations are quiet until its estimate reaches
+// its next trigger. An untracked row is inserted, or spills and may
+// evict, on the access path, so it ends the horizon at once.
+func (m *Graphene) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	tb := &m.tables[flat]
+	for idx, row := range rows {
+		i := tb.find(c.PhysRowAt(flat, row))
+		if i < 0 {
+			return 0
+		}
+		e := tb.entries[i]
+		if max = counterHorizon(len(rows), pos, idx, e.next-e.count-1, max); max == 0 {
+			break
+		}
+	}
+	return max
+}
+
+// OnActivateCycle implements HorizonMitigation.
+func (m *Graphene) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	tb := &m.tables[flat]
+	for idx, row := range rows {
+		if hits := cycleHits(len(rows), pos, idx, n); hits > 0 {
+			tb.entries[tb.find(c.PhysRowAt(flat, row))].count += int64(hits)
+		}
 	}
 }
 
@@ -217,20 +254,58 @@ func (m *TWiCe) Name() string { return "TWiCe(pruned)" }
 func (m *TWiCe) OnActivate(c *Controller, bank, logRow int) {
 	phys := c.PhysRowAt(bank, logRow)
 	tb := m.tables[bank]
-	for i := range tb {
-		if tb[i].row == phys {
-			tb[i].count++
-			if tb[i].count >= (m.Threshold+1)/2 {
-				c.RefreshPhysRows(bank, []int{phys - 2, phys - 1, phys + 1, phys + 2})
-				tb[i].count = 0
-				tb[i].life = 0
-			}
-			return
+	if i := m.find(bank, phys); i >= 0 {
+		tb[i].count++
+		if tb[i].count >= (m.Threshold+1)/2 {
+			c.RefreshPhysRows(bank, []int{phys - 2, phys - 1, phys + 1, phys + 2})
+			tb[i].count = 0
+			tb[i].life = 0
 		}
+		return
 	}
 	m.tables[bank] = append(tb, twEntry{row: phys, count: 1})
 	if n := m.liveEntries(); n > m.peak {
 		m.peak = n
+	}
+}
+
+// find returns the index of physical row phys in a bank's table, or -1.
+func (m *TWiCe) find(flat, phys int) int {
+	for i, e := range m.tables[flat] {
+		if e.row == phys {
+			return i
+		}
+	}
+	return -1
+}
+
+// ActivateHorizon implements HorizonMitigation: once every cycle row
+// has a live counter, a row's activations are quiet until its count
+// reaches the trigger. An untracked row allocates a counter (and may
+// raise the peak) on the access path, so it ends the horizon at once.
+func (m *TWiCe) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	trigger := (m.Threshold + 1) / 2
+	tb := m.tables[flat]
+	for idx, row := range rows {
+		i := m.find(flat, c.PhysRowAt(flat, row))
+		if i < 0 {
+			return 0
+		}
+		if max = counterHorizon(len(rows), pos, idx, trigger-tb[i].count-1, max); max == 0 {
+			break
+		}
+	}
+	return max
+}
+
+// OnActivateCycle implements HorizonMitigation. No counter is
+// allocated, so the peak stays exact.
+func (m *TWiCe) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	tb := m.tables[flat]
+	for idx, row := range rows {
+		if hits := cycleHits(len(rows), pos, idx, n); hits > 0 {
+			tb[m.find(flat, c.PhysRowAt(flat, row))].count += int64(hits)
+		}
 	}
 }
 
@@ -290,9 +365,9 @@ func (m *TWiCe) PeakEntries() int { return m.peak }
 // solution as an attachable Mitigation: Controller.Attach recognizes
 // it and multiplies the controller's REF rate by Factor (stacking with
 // Config.RefreshMultiplier). It keeps no state and observes no
-// activations — it is a passive mitigation, so the batched hammer hot
-// path stays enabled and the sweeps pay only the simulated refresh
-// cost, not a simulation slowdown.
+// activations — its activation horizon is unbounded, so the hammer
+// kernel stays in closed form and the sweeps pay only the simulated
+// refresh cost, not a simulation slowdown.
 type RefreshScaling struct {
 	// Factor multiplies the controller's refresh rate; 2 halves the
 	// refresh window, 7 is the paper's elimination multiplier for the
@@ -328,12 +403,17 @@ func (m *RefreshScaling) StorageBits() int64 { return 0 }
 // recognizes.
 func (m *RefreshScaling) RefreshFactor() float64 { return m.Factor }
 
-// Passive implements the passiveMitigation hook: RefreshScaling
-// observes no activations, so the hammer kernel skips it per access.
-func (m *RefreshScaling) Passive() {}
+// ActivateHorizon implements HorizonMitigation: refresh scaling
+// observes nothing, so every activation is quiet.
+func (m *RefreshScaling) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	return max
+}
+
+// OnActivateCycle implements HorizonMitigation.
+func (m *RefreshScaling) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {}
 
 var (
-	_ Mitigation = (*Graphene)(nil)
-	_ Mitigation = (*TWiCe)(nil)
-	_ Mitigation = (*RefreshScaling)(nil)
+	_ HorizonMitigation = (*Graphene)(nil)
+	_ HorizonMitigation = (*TWiCe)(nil)
+	_ HorizonMitigation = (*RefreshScaling)(nil)
 )

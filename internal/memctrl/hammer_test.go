@@ -154,8 +154,9 @@ func TestHammerPairsWithMitigationFallsBack(t *testing.T) {
 		fast.ctrl.HammerPairs(0, v-1, v+1, 800)
 		naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 800)
 	}
-	// With an observing mitigation attached the kernel still batches the
-	// device work, and must reproduce every hook call and RNG draw.
+	// With PARA attached the kernel runs its quiet stretches in closed
+	// form and steps the activations it acts on; every RNG draw and
+	// refresh must match the access loop.
 	compareSystems(t, fast, slow, "PARA attached")
 	if fast.ctrl.Stats.MitRefreshes == 0 {
 		t.Fatal("PARA never fired; test is vacuous")

@@ -66,7 +66,9 @@ var kernelRoster = []struct {
 	{"refresh-x2", func(c *Controller, src *rng.Stream) Mitigation { return NewRefreshScaling(2) }},
 }
 
-func newKernelRig(s kernelSpec) *kernelRig {
+// newKernelRig builds a twin. With edges non-nil, every observing
+// mitigation is attached behind a horizonProbe that records into it.
+func newKernelRig(s kernelSpec, edges kernelEdges) *kernelRig {
 	g := dram.Geometry{Banks: 2, Rows: 64, Cols: 2}
 	dp := disturb.DefaultParams()
 	dp.WeakCellFraction = 0.04
@@ -105,7 +107,11 @@ func newKernelRig(s kernelSpec) *kernelRig {
 		if s.roster&(1<<i) == 0 || m.name == "scrub" && s.ecc == ECCNone {
 			continue
 		}
-		rig.ctrl.Attach(m.make(rig.ctrl, src.Split()))
+		mit := m.make(rig.ctrl, src.Split())
+		if hm, ok := mit.(HorizonMitigation); ok && edges != nil && m.name != "refresh-x2" && m.name != "scrub" && m.name != "multirate" {
+			mit = &horizonProbe{HorizonMitigation: hm, name: m.name, edges: edges}
+		}
+		rig.ctrl.Attach(mit)
 	}
 	if s.ecc != ECCNone {
 		// Record the stripes in the ECC shadow through the controller.
@@ -152,11 +158,66 @@ func kernelRows(src *rng.Stream, rows int) []int {
 	return out
 }
 
+// kernelEdges is the set of horizon edges a kernel twin reached, keyed
+// "<mitigation>@<edge>".
+type kernelEdges map[string]bool
+
+// horizonProbe forwards an observing mitigation unchanged (saved state
+// included, so the twins still compare byte for byte) and records
+// which horizon edges the kernel drove it through:
+//
+//   - first: the activation that starts a chunk acts (horizon 0)
+//   - last: the last activation the chunk could hold acts
+//   - mid: the horizon cuts the chunk short
+//   - overfull: the cycle has more rows than the Graphene table
+//   - before-ref: the mitigation acts on the access just before a REF
+type horizonProbe struct {
+	HorizonMitigation
+	name  string
+	edges kernelEdges
+}
+
+func (p *horizonProbe) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	h := p.HorizonMitigation.ActivateHorizon(c, flat, rows, pos, max)
+	switch {
+	case h == 0 && max > 1:
+		p.edges[p.name+"@first"] = true
+	case h == max-1 && h > 0:
+		p.edges[p.name+"@last"] = true
+	}
+	if h > 0 && h < max {
+		p.edges[p.name+"@mid"] = true
+	}
+	if g, ok := p.HorizonMitigation.(*Graphene); ok && len(rows) > g.Entries {
+		p.edges[p.name+"@overfull"] = true
+	}
+	return h
+}
+
+func (p *horizonProbe) OnActivate(c *Controller, bank, logRow int) {
+	before := c.Stats.MitRefreshes
+	p.HorizonMitigation.OnActivate(c, bank, logRow)
+	t := c.Rank(0).Timing
+	if c.Stats.MitRefreshes > before && c.Now()+t.TRP+t.TRCD+t.TCL+t.TBURST >= c.NextRefreshDue() {
+		p.edges[p.name+"@before-ref"] = true
+	}
+}
+
+func (p *horizonProbe) SaveState(w *snapshot.Writer) {
+	p.HorizonMitigation.(StatefulMitigation).SaveState(w)
+}
+
+func (p *horizonProbe) LoadState(r *snapshot.Reader) error {
+	return p.HorizonMitigation.(StatefulMitigation).LoadState(r)
+}
+
 // runKernelTwins drives a kernel twin and an access-loop twin through
-// the same phases and fails on the first divergence.
-func runKernelTwins(t *testing.T, s kernelSpec, phases int) {
+// the same phases and fails on the first divergence. It returns the
+// horizon edges the kernel twin reached.
+func runKernelTwins(t *testing.T, s kernelSpec, phases int) kernelEdges {
 	t.Helper()
-	kern, loop := newKernelRig(s), newKernelRig(s)
+	edges := kernelEdges{}
+	kern, loop := newKernelRig(s, edges), newKernelRig(s, nil)
 	src := rng.New(s.seed ^ 0x6b65726e656c)
 	for ph := 0; ph < phases; ph++ {
 		rank, bank := src.Intn(2), src.Intn(2)
@@ -185,6 +246,10 @@ func runKernelTwins(t *testing.T, s kernelSpec, phases int) {
 		kern.ctrl.AccessRanked(rank, co, false, 0)
 		loop.ctrl.AccessRanked(rank, co, false, 0)
 	}
+	if kern.ctrl.KernelCounters().Batched > 0 {
+		edges["kernel@batched"] = true
+	}
+	return edges
 }
 
 func FuzzHammerRowsMatchesAccessLoop(f *testing.F) {
@@ -194,16 +259,58 @@ func FuzzHammerRowsMatchesAccessLoop(f *testing.F) {
 	f.Add(uint64(4), uint16(1<<4|1<<6|1<<8), uint8(0x2b))
 	f.Add(uint64(5), uint16(0x3ff), uint8(0x3d))
 	f.Add(uint64(6), uint16(1<<1|1<<9), uint8(0x0e))
+	for _, e := range kernelEdgeSeeds {
+		f.Add(e.seed, e.roster, e.flags)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, roster uint16, flags uint8) {
-		s := kernelSpec{
-			seed:   seed,
-			roster: roster,
-			ecc:    ECCKind(flags & 3),
-			mult:   []float64{1, 2, 4, 1.5}[flags>>2&3],
-			remap:  flags&0x10 != 0,
-		}
-		runKernelTwins(t, s, 4)
+		runKernelTwins(t, fuzzKernelSpec(seed, roster, flags), 4)
 	})
+}
+
+func fuzzKernelSpec(seed uint64, roster uint16, flags uint8) kernelSpec {
+	return kernelSpec{
+		seed:   seed,
+		roster: roster,
+		ecc:    ECCKind(flags & 3),
+		mult:   []float64{1, 2, 4, 1.5}[flags>>2&3],
+		remap:  flags&0x10 != 0,
+	}
+}
+
+// kernelEdgeSeeds are fuzz corpus entries at the mitigation horizon
+// edges, each with the edges it reaches (TestKernelEdgeSeedsReachEdges
+// keeps them honest when the harness or the kernel changes).
+var kernelEdgeSeeds = []struct {
+	seed   uint64
+	roster uint16
+	flags  uint8
+	want   []string
+}{
+	// PARA acting on the first and on the last activation of a chunk,
+	// in the device and (under remap, with RAIDR) in the controller.
+	{1003, 1 << 0, 0x00, []string{"para@first", "para@last"}},
+	{1037, 1<<1 | 1<<9, 0x14, []string{"para-ctrl@first", "para-ctrl@last"}},
+	// Graphene over a cycle with more rows than table entries.
+	{1078, 1 << 3, 0x01, []string{"graphene@overfull", "graphene@mid"}},
+	// TWiCe and CRA acting on the access just before a REF.
+	{1111, 1 << 4, 0x04, []string{"twice@before-ref"}},
+	{1148, 1 << 6, 0x12, []string{"cra@before-ref"}},
+	// An ANVIL window that fills mid-chunk.
+	{1185, 1 << 5, 0x0c, []string{"anvil@mid"}},
+	// All six observers together, under SECDED and remap.
+	{1222, 1<<0 | 1<<2 | 1<<3 | 1<<4 | 1<<5 | 1<<6, 0x11,
+		[]string{"kernel@batched", "para@first", "graphene@mid", "twice@mid", "anvil@mid", "cra@mid"}},
+}
+
+func TestKernelEdgeSeedsReachEdges(t *testing.T) {
+	for _, e := range kernelEdgeSeeds {
+		edges := runKernelTwins(t, fuzzKernelSpec(e.seed, e.roster, e.flags), 4)
+		for _, w := range e.want {
+			if !edges[w] {
+				t.Errorf("seed %d roster %#x flags %#x: edge %s not reached (reached %v)", e.seed, e.roster, e.flags, w, edges)
+			}
+		}
+	}
 }
 
 // TestHammerRowsKernelBatches guards the differential test against
@@ -211,7 +318,7 @@ func FuzzHammerRowsMatchesAccessLoop(f *testing.F) {
 // apply its device work in multi-activation chunks, and ineligible
 // row lists must still fall back to the access loop.
 func TestHammerRowsKernelBatches(t *testing.T) {
-	rig := newKernelRig(kernelSpec{seed: 9, roster: 1 << 3, ecc: ECCSECDED72, mult: 1})
+	rig := newKernelRig(kernelSpec{seed: 9, roster: 1 << 3, ecc: ECCSECDED72, mult: 1}, nil)
 	dev := rig.ctrl.Rank(0)
 	before := dev.Stats.Activates
 	rig.ctrl.HammerRowsRanked(0, 0, []int{10, 12, 14, 16, 60, 58}, 500)
@@ -227,6 +334,40 @@ func TestHammerRowsKernelBatches(t *testing.T) {
 	for _, rows := range [][]int{{7}, {7, 7}, {3, 64}, {-1, 5}} {
 		if rig.ctrl.cycleRows(0, rows) {
 			t.Errorf("rows %v accepted for batching", rows)
+		}
+	}
+}
+
+// TestKernelBatchesUnderEachDefence guards the mitigation horizons
+// against vacuity: a horizon stuck at 0 still passes every
+// equivalence test, so under each hammer-campaign defence most of a
+// 2-row and a 6-row kernel call must be served in closed form.
+func TestKernelBatchesUnderEachDefence(t *testing.T) {
+	defences := []struct {
+		name string
+		make func() Mitigation
+	}{
+		{"para", func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(11)) }},
+		{"trr", func() Mitigation { return NewTRR(4, 0.05, rng.New(12)) }},
+		{"graphene", func() Mitigation { return NewGraphene(8, 1000, 4) }},
+		{"twice", func() Mitigation { return NewTWiCe(1000, 4) }},
+		{"anvil", func() Mitigation { return NewANVIL() }},
+		{"cra", func() Mitigation { return NewCRA(1000, 4, 64) }},
+	}
+	for _, d := range defences {
+		for _, rows := range [][]int{{10, 12}, {10, 12, 14, 16, 60, 58}} {
+			rig := newKernelRig(kernelSpec{seed: 9, mult: 1}, nil)
+			rig.ctrl.Attach(d.make())
+			rig.ctrl.HammerRowsRanked(1, 1, rows, 3000)
+			kc := rig.ctrl.KernelCounters()
+			if total := kc.Batched + kc.Stepped; total != int64(3000*len(rows)) {
+				t.Fatalf("%s %d rows: counted %d accesses, want %d", d.name, len(rows), total, 3000*len(rows))
+			}
+			share := float64(kc.Batched) / float64(3000*len(rows))
+			t.Logf("%s %d rows: %.1f%% closed form %+v", d.name, len(rows), 100*share, kc)
+			if share < 0.9 {
+				t.Errorf("%s %d rows: %.1f%% of accesses in closed form (%+v), want >= 90%%", d.name, len(rows), 100*share, kc)
+			}
 		}
 	}
 }

@@ -25,6 +25,15 @@ import (
 // kernel call the device lags the controller by the pending run of
 // activations, which those methods flush before they touch the
 // device.
+//
+// The horizon contract (HorizonMitigation), for mitigations that let
+// the kernel run their quiet stretches in closed form: an activation is
+// quiet when OnActivate calls no Controller method other than PhysRowAt
+// and does not depend on c.Now; ActivateHorizon is pure, advancing no
+// random stream and changing no table; OnActivateCycle leaves the
+// mitigation exactly as that many OnActivate calls would. Without the
+// interface, every activation the kernel issues steps one at a time
+// through OnActivate.
 type Mitigation interface {
 	// Name identifies the mitigation in result tables.
 	Name() string
@@ -35,6 +44,58 @@ type Mitigation interface {
 	// StorageBits returns the mitigation's hardware state cost,
 	// the axis on which the paper rejects the counter-based solution.
 	StorageBits() int64
+}
+
+// HorizonMitigation is the optional batch form of Mitigation, shaped
+// like dram.CycleFaultModel. The hammer kernel activates rows of one
+// flat bank in cyclic order: activation j of a stretch that starts at
+// cycle position pos is of logical row rows[(pos+j)%len(rows)].
+//
+// An activation is quiet when the mitigation's OnActivate for it calls
+// no Controller method other than PhysRowAt and does not depend on
+// c.Now. The kernel asks every attached mitigation for its horizon,
+// takes the minimum, applies that many activations to each mitigation
+// in turn through OnActivateCycle and steps the next one through
+// OnActivate. Because quiet activations touch only the mitigation's
+// own state, applying one mitigation's stretch before another's equals
+// interleaving them. That holds while each instance is attached once
+// and no two attached mitigations share a random stream. A horizon
+// smaller than the true one is always correct; 0 makes the kernel step
+// the next activation.
+type HorizonMitigation interface {
+	Mitigation
+	// ActivateHorizon returns how many leading activations of the cycle
+	// from pos, at most max, the mitigation observes quietly. It must be
+	// pure: no random stream advances and no table changes (it may
+	// remember its own result for OnActivateCycle).
+	ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int
+	// OnActivateCycle applies the first n activations of the cycle from
+	// pos, n at most the horizon just reported, leaving the mitigation
+	// exactly as n OnActivate calls would.
+	OnActivateCycle(c *Controller, flat int, rows []int, pos, n int)
+}
+
+// cycleHits returns how many of the first n activations of a k-row
+// cycle from pos activate the row at cycle index idx.
+func cycleHits(k, pos, idx, n int) int {
+	o := (idx - pos + k) % k
+	if o >= n {
+		return 0
+	}
+	return (n-o-1)/k + 1
+}
+
+// counterHorizon bounds a horizon by the row at cycle index idx when
+// that row's next q activations are quiet and the one after acts: the
+// acting activation sits q full cycles past the row's first position.
+func counterHorizon(k, pos, idx int, q int64, max int) int {
+	if q < 0 {
+		q = 0
+	}
+	if q >= int64(max) {
+		return max
+	}
+	return min(max, (idx-pos+k)%k+int(q)*k)
 }
 
 // Placement says where PARA logic lives, which determines what
@@ -95,6 +156,16 @@ type PARA struct {
 	Radius int `snapshot:"config"`
 
 	src *rng.Stream
+	// ahead remembers the last horizon's draw-ahead: from stream state
+	// `from`, n quiet activations leave the stream at `to`. It is a
+	// pure function of the stream state, so it is never saved; a stale
+	// entry simply fails to match.
+	ahead paraAhead `snapshot:"derived"`
+}
+
+type paraAhead struct {
+	from, to rng.Stream
+	n        int
 }
 
 // NewPARA builds a PARA instance with its own random stream and the
@@ -112,8 +183,9 @@ func (p *PARA) OnActivate(c *Controller, bank, logRow int) {
 	if radius < 1 {
 		radius = 1
 	}
+	draw := rng.NewBernoulli(p.P / 2)
 	for side := 0; side < 2; side++ {
-		if !p.src.Bool(p.P / 2) {
+		if !p.src.Bernoulli(draw) {
 			continue
 		}
 		dir := 1
@@ -145,6 +217,27 @@ func (p *PARA) OnActivate(c *Controller, bank, logRow int) {
 			}
 		}
 	}
+}
+
+// ActivateHorizon implements HorizonMitigation: an activation is quiet
+// when both of its side draws miss, so the horizon is found by drawing
+// ahead on a copy of the stream. Where the draw-ahead ends is kept for
+// OnActivateCycle; the stream itself does not move.
+func (p *PARA) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	n, to := p.src.PeekMisses(rng.NewBernoulli(p.P/2), 2, max)
+	p.ahead = paraAhead{from: *p.src, to: to, n: n}
+	return n
+}
+
+// OnActivateCycle implements HorizonMitigation: n quiet activations
+// are 2n missed draws. When they are exactly the stretch the last
+// horizon drew ahead over, the stream jumps to where that ended.
+func (p *PARA) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	to := p.ahead.to
+	if p.ahead.n != n || p.ahead.from != *p.src {
+		_, to = p.src.PeekMisses(rng.NewBernoulli(p.P/2), 2, n)
+	}
+	*p.src = to
 }
 
 // OnAutoRefresh implements Mitigation (PARA needs no refresh hook).
@@ -222,6 +315,30 @@ func (m *CRA) OnActivate(c *Controller, bank, logRow int) {
 	}
 }
 
+// ActivateHorizon implements HorizonMitigation: a row's activations
+// are quiet until its counter reaches the trigger.
+func (m *CRA) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	trigger := (m.Threshold + 1) / 2
+	for idx, row := range rows {
+		count := m.counters[[2]int{flat, c.PhysRowAt(flat, row)}]
+		if max = counterHorizon(len(rows), pos, idx, trigger-count-1, max); max == 0 {
+			break
+		}
+	}
+	return max
+}
+
+// OnActivateCycle implements HorizonMitigation.
+func (m *CRA) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	for idx, row := range rows {
+		// A row the stretch does not reach gets no counter, as it would
+		// get none without an activation.
+		if hits := cycleHits(len(rows), pos, idx, n); hits > 0 {
+			m.counters[[2]int{flat, c.PhysRowAt(flat, row)}] += int64(hits)
+		}
+	}
+}
+
 // OnAutoRefresh implements Mitigation: counters reset every full
 // retention window, since pressure cannot span windows. The window is
 // derived from the controller's refresh config unless WindowREFs pins
@@ -268,15 +385,39 @@ func (m *TRR) Name() string { return "TRR(in-DRAM)" }
 
 // OnActivate implements Mitigation.
 func (m *TRR) OnActivate(c *Controller, bank, logRow int) {
-	if !m.src.Bool(m.SampleP) {
-		return
+	if m.src.Bernoulli(rng.NewBernoulli(m.SampleP)) {
+		m.sample(bank, c.PhysRowAt(bank, logRow))
 	}
-	// Round-robin eviction: a new sample overwrites the oldest slot.
-	m.sampler[m.nextSlot] = [2]int{bank, c.PhysRowAt(bank, logRow)}
+}
+
+// sample records an activated row; round-robin eviction overwrites
+// the oldest slot.
+func (m *TRR) sample(bank, physRow int) {
+	m.sampler[m.nextSlot] = [2]int{bank, physRow}
 	if m.filled < m.Entries {
 		m.filled++
 	}
 	m.nextSlot = (m.nextSlot + 1) % m.Entries
+}
+
+// ActivateHorizon implements HorizonMitigation: TRR acts only at REF,
+// so every activation is quiet.
+func (m *TRR) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	return max
+}
+
+// OnActivateCycle implements HorizonMitigation: one sampling draw per
+// activation, in activation order.
+func (m *TRR) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	draw := rng.NewBernoulli(m.SampleP)
+	for j := 0; j < n; j++ {
+		if m.src.Bernoulli(draw) {
+			m.sample(flat, c.PhysRowAt(flat, rows[pos]))
+		}
+		if pos++; pos == len(rows) {
+			pos = 0
+		}
+	}
 }
 
 // OnAutoRefresh implements Mitigation: refresh neighbours of all
@@ -373,6 +514,32 @@ func (m *ANVIL) OnActivate(c *Controller, bank, logRow int) {
 	m.window = m.window[:0]
 }
 
+// ActivateHorizon implements HorizonMitigation: activations are quiet
+// until the one whose sample fills the interval window, which analyses
+// it.
+func (m *ANVIL) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	rate := int64(m.SampleRate)
+	need := int64(m.IntervalSamples - len(m.window))
+	if need < 1 {
+		need = 1
+	}
+	// The first-th activation from now takes the next sample.
+	first := rate - m.sampleCount%rate
+	fill := first + (need-1)*rate
+	return int(min(int64(max), fill-1))
+}
+
+// OnActivateCycle implements HorizonMitigation: every SampleRate-th
+// activation joins the window.
+func (m *ANVIL) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	rate := int64(m.SampleRate)
+	k := int64(len(rows))
+	for j := rate - m.sampleCount%rate; j <= int64(n); j += rate {
+		m.window = append(m.window, rowKey{flat, rows[(int64(pos)+j-1)%k]})
+	}
+	m.sampleCount += int64(n)
+}
+
 // OnAutoRefresh implements Mitigation.
 func (m *ANVIL) OnAutoRefresh(c *Controller) {}
 
@@ -381,3 +548,10 @@ func (m *ANVIL) StorageBits() int64 { return 0 }
 
 // Flagged reports whether ANVIL ever flagged the given row.
 func (m *ANVIL) Flagged(bank, logRow int) bool { return m.flagged[rowKey{bank, logRow}] }
+
+var (
+	_ HorizonMitigation = (*PARA)(nil)
+	_ HorizonMitigation = (*CRA)(nil)
+	_ HorizonMitigation = (*TRR)(nil)
+	_ HorizonMitigation = (*ANVIL)(nil)
+)

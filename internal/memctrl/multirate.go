@@ -46,7 +46,7 @@ type MultiRateRefresh struct {
 }
 
 var (
-	_ Mitigation        = (*MultiRateRefresh)(nil)
+	_ HorizonMitigation = (*MultiRateRefresh)(nil)
 	_ autoRefreshPolicy = (*MultiRateRefresh)(nil)
 )
 
@@ -164,9 +164,14 @@ func (m *MultiRateRefresh) StorageBits() int64 {
 	return total
 }
 
-// Passive implements the passiveMitigation hook: attaching
-// MultiRateRefresh must not disable the batched hammer hot path.
-func (m *MultiRateRefresh) Passive() {}
+// ActivateHorizon implements HorizonMitigation: the policy observes no
+// activations, so attaching it keeps the hammer kernel in closed form.
+func (m *MultiRateRefresh) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
+	return max
+}
+
+// OnActivateCycle implements HorizonMitigation.
+func (m *MultiRateRefresh) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {}
 
 // SavedFraction returns the fraction of scheduled row refreshes the
 // policy skipped so far.

@@ -121,6 +121,83 @@ func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
+// Bernoulli is a precomputed Stream.Bool(p) draw for hot loops that
+// draw with one probability many times. Float64() < p holds exactly
+// when u>>11 < ceil(p·2^53), so the draw compares integers and never
+// converts; it consumes the stream exactly as Bool does.
+type Bernoulli struct {
+	// thresh is ceil(p·2^53): a draw u succeeds when u>>11 < thresh.
+	thresh uint64
+	// fixed marks p <= 0 and p >= 1, where Bool draws nothing and
+	// returns thresh != 0.
+	fixed bool
+}
+
+// NewBernoulli precomputes the draw for probability p.
+func NewBernoulli(p float64) Bernoulli {
+	switch {
+	case p <= 0:
+		return Bernoulli{fixed: true}
+	case p >= 1:
+		return Bernoulli{thresh: 1, fixed: true}
+	case p > 0:
+		// p·2^53 is exact: scaling by a power of two.
+		return Bernoulli{thresh: uint64(math.Ceil(p * (1 << 53)))}
+	}
+	return Bernoulli{} // NaN: Bool draws and never succeeds
+}
+
+// Bernoulli draws once with the precomputed probability; it returns
+// what Bool(p) returns and advances the stream identically.
+func (s *Stream) Bernoulli(b Bernoulli) bool {
+	if b.fixed {
+		return b.thresh != 0
+	}
+	return s.Uint64()>>11 < b.thresh
+}
+
+// PeekMisses draws ahead without advancing s: it returns how many
+// leading groups of `group` draws with b, at most max groups, miss
+// every draw, and the stream as it would stand after exactly those
+// groups. The draws run on registers, so a long run of misses costs
+// a few cycles per draw.
+func (s *Stream) PeekMisses(b Bernoulli, group, max int) (int, Stream) {
+	after := *s
+	if b.fixed {
+		if b.thresh != 0 {
+			return 0, after
+		}
+		return max, after
+	}
+	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
+	n := 0
+	for ; n < max; n++ {
+		t0, t1, t2, t3 := s0, s1, s2, s3
+		hit := false
+		for g := 0; g < group; g++ {
+			// One Uint64 step, on locals.
+			u := rotl(t1*5, 7) * 9
+			t := t1 << 17
+			t2 ^= t0
+			t3 ^= t1
+			t1 ^= t2
+			t0 ^= t3
+			t2 ^= t
+			t3 = rotl(t3, 45)
+			if u>>11 < b.thresh {
+				hit = true
+				break
+			}
+		}
+		if hit {
+			break
+		}
+		s0, s1, s2, s3 = t0, t1, t2, t3
+	}
+	after.s0, after.s1, after.s2, after.s3 = s0, s1, s2, s3
+	return n, after
+}
+
 // Normal returns a sample from the normal distribution with the given
 // mean and standard deviation, using the Marsaglia polar method.
 func (s *Stream) Normal(mean, stddev float64) float64 {

@@ -122,6 +122,90 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// bernoulliProbs are the probabilities the Bernoulli tests cover: the
+// edges, the mitigation rates, and values where p·2^53 is an integer,
+// so a draw can land exactly on the threshold.
+var bernoulliProbs = []float64{
+	0, math.Ldexp(1, -60), 0.005, 0.01, 0.5, 1 - math.Ldexp(1, -53), 1,
+	math.Ldexp(1, -53), math.Ldexp(3, -53), math.Ldexp(12345, -53), 0.25,
+	0.5 + math.Ldexp(1, -53), math.Ldexp(1<<52-1, -53),
+}
+
+func TestBernoulliMatchesBool(t *testing.T) {
+	for _, p := range bernoulliProbs {
+		a, b := New(77), New(77)
+		bern := NewBernoulli(p)
+		for i := 0; i < 1_000_000; i++ {
+			if got, want := b.Bernoulli(bern), a.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: Bernoulli %v, Bool %v", p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%v: streams out of lockstep after 1e6 draws", p)
+		}
+	}
+}
+
+// TestBernoulliThresholdEdges checks the integer comparison against
+// Bool's float comparison on the draws either side of the threshold,
+// which a random stream almost never produces.
+func TestBernoulliThresholdEdges(t *testing.T) {
+	for _, p := range append(bernoulliProbs, math.NaN()) {
+		bern := NewBernoulli(p)
+		if bern.fixed {
+			continue
+		}
+		for _, x := range []uint64{0, 1, bern.thresh - 1, bern.thresh, bern.thresh + 1, 1<<53 - 1} {
+			if x >= 1<<53 {
+				continue
+			}
+			u := x<<11 | 0x7ff
+			if got, want := u>>11 < bern.thresh, float64(u>>11)/(1<<53) < p; got != want {
+				t.Errorf("p=%v x=%d: integer draw %v, float draw %v", p, x, got, want)
+			}
+		}
+	}
+}
+
+// TestBernoulliPeekMatchesDrawing checks the register peek against
+// drawing group-wise on a copy: the same run length, the same stream
+// after the run, and the peeked stream untouched.
+func TestBernoulliPeekMatchesDrawing(t *testing.T) {
+	for _, p := range bernoulliProbs {
+		bern := NewBernoulli(p)
+		for _, group := range []int{1, 2, 3} {
+			src := New(91)
+			for trial := 0; trial < 2000; trial++ {
+				max := trial % 300
+				before := *src
+				n, after := src.PeekMisses(bern, group, max)
+				if *src != before {
+					t.Fatalf("p=%v group %d: PeekMisses advanced the stream", p, group)
+				}
+				want, ref := 0, *src
+				for ; want < max; want++ {
+					next := ref
+					hit := false
+					for g := 0; g < group && !hit; g++ {
+						hit = next.Bernoulli(bern)
+					}
+					if hit {
+						break
+					}
+					ref = next
+				}
+				if n != want || after != ref {
+					t.Fatalf("p=%v group %d max %d: PeekMisses %d, drawing %d (states equal: %v)", p, group, max, n, want, after == ref)
+				}
+				// Move on past the run (and its hit) for the next trial.
+				for i := 0; i <= group*n; i++ {
+					src.Uint64()
+				}
+			}
+		}
+	}
+}
+
 func TestNormalMoments(t *testing.T) {
 	s := New(9)
 	const draws = 200000
