@@ -32,24 +32,22 @@ import (
 	"repro/internal/modules"
 )
 
+// writeAll writes pattern to every word of the system in flat address
+// order, through the memory controllers.
 func writeAll(s *core.System, pattern uint64) {
-	g := s.Device.Geom
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			s.Ctrl.AccessCoord(memctrl.Coord{Bank: 0, Row: r, Col: c}, true, pattern)
-		}
+	for addr := uint64(0); addr < s.Topo.Bytes(); addr += 8 {
+		s.Mem.Access(addr, true, pattern)
 	}
 }
 
+// verifyAll reads every word back and counts the bits that differ from
+// pattern.
 func verifyAll(s *core.System, pattern uint64) int {
-	g := s.Device.Geom
 	errs := 0
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			got, _ := s.Ctrl.AccessCoord(memctrl.Coord{Bank: 0, Row: r, Col: c}, false, 0)
-			for d := got ^ pattern; d != 0; d &= d - 1 {
-				errs++
-			}
+	for addr := uint64(0); addr < s.Topo.Bytes(); addr += 8 {
+		got, _ := s.Mem.Access(addr, false, 0)
+		for d := got ^ pattern; d != 0; d &= d - 1 {
+			errs++
 		}
 	}
 	return errs
@@ -120,8 +118,9 @@ func run() (total int, err error) {
 	}
 	g := dram.Geometry{Banks: 1, Rows: 512, Cols: 8}
 	s := core.Build(&m, core.Options{Geom: g, ECC: eccCfg})
+	ctrl := s.Mem.Controller(0)
 	if *scrub > 0 {
-		s.Ctrl.Attach(memctrl.NewScrubber(*scrub))
+		ctrl.Attach(memctrl.NewScrubber(*scrub))
 	}
 	fmt.Printf("memtest: module %s, %d rows x %d bits, ecc=%s\n", m.ID, g.Rows, g.BitsPerRow(), eccCfg.Kind)
 
@@ -146,12 +145,12 @@ func run() (total int, err error) {
 		case "rowhammer":
 			// The post-2014 addition: hammer every third row and
 			// check the whole array for disturbance flips.
-			before := s.Disturb.TotalFlips()
+			before := s.TotalFlips()
 			writeAll(s, ^uint64(0))
 			for v := 2; v < g.Rows-1; v += 3 {
-				attack.DoubleSided(s.Ctrl, 0, v, 20000)
+				attack.DoubleSided(ctrl, 0, v, 20000)
 			}
-			errs = int(s.Disturb.TotalFlips() - before)
+			errs = int(s.TotalFlips() - before)
 		}
 		status := "PASS"
 		if errs > 0 {
@@ -161,7 +160,7 @@ func run() (total int, err error) {
 		total += errs
 	}
 	if eccCfg.Kind != memctrl.ECCNone {
-		st := s.Ctrl.Stats
+		st := ctrl.Stats
 		fmt.Printf("memtest: ecc words corrected=%d detected=%d silent=%d\n",
 			st.ECCCorrected, st.ECCDetected, st.ECCSilent)
 		// Silent miscorrections defeat the tester: the verify passes read

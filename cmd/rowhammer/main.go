@@ -19,8 +19,7 @@
 // -mode nsided runs the TRRespass-style N-sided pattern (-sides
 // aggressors plus -decoys sampler-burning decoy rows per bank region);
 // -mode adaptive first probes the sidedness sweep on channel 0 and
-// then attacks the whole topology with the winner. -mitigate remains
-// as a deprecated alias of -mitigation.
+// then attacks the whole topology with the winner.
 //
 // The three system modes run whole exploit chains instead of a raw
 // hammer sweep, and close with a single RESULT verdict line
@@ -84,7 +83,6 @@ func run() (err error) {
 		"hammer mode: double, single, many, nsided, adaptive, privesc, crossvm, tournament")
 	mitigation := flag.String("mitigation", "none",
 		"mitigation: none, para, cra, trr, anvil, graphene, twice, refresh2, refresh7, raidr4, raidr8")
-	mitigate := flag.String("mitigate", "", "deprecated alias of -mitigation")
 	sides := flag.Int("sides", 4, "aggressor rows per N-sided region (nsided mode)")
 	decoys := flag.Int("decoys", 2, "decoy rows per bank (nsided/adaptive modes)")
 	strategy := flag.String("strategy", "double",
@@ -97,19 +95,6 @@ func run() (err error) {
 	eccName := flag.String("ecc", "none", "ECC configuration: none, secded, indram, chipkill")
 	scrub := flag.Int("scrub", 0, "patrol scrub words per REF (requires -ecc)")
 	flag.Parse()
-	mitigationSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "mitigation" {
-			mitigationSet = true
-		}
-	})
-	if *mitigate != "" {
-		if mitigationSet && *mitigate != *mitigation {
-			return fmt.Errorf("-mitigate %q conflicts with -mitigation %q; drop the deprecated alias",
-				*mitigate, *mitigation)
-		}
-		*mitigation = *mitigate
-	}
 	if (*mode == "nsided" || *mode == "adaptive") && *sides < 2 {
 		return fmt.Errorf("-sides %d: an N-sided pattern needs at least 2 aggressors", *sides)
 	}
@@ -171,6 +156,7 @@ func run() (err error) {
 	}
 	s := core.Build(&m, cfg)
 	g := topo.Geom
+	threshold := int64(s.Disturbs[0][0].MinThreshold())
 	attachEach := func(build func(ch int) memctrl.Mitigation) {
 		for ch := 0; ch < topo.Channels; ch++ {
 			s.Mem.Controller(ch).Attach(build(ch))
@@ -184,7 +170,7 @@ func run() (err error) {
 		s.AttachPARAEachChannel(0.01, rng.New(*seed^2))
 	case "cra":
 		attachEach(func(int) memctrl.Mitigation {
-			return memctrl.NewCRA(int64(s.Disturb.MinThreshold()), topo.Ranks*g.Banks, g.Rows)
+			return memctrl.NewCRA(threshold, topo.Ranks*g.Banks, g.Rows)
 		})
 	case "trr":
 		trrSrc := rng.New(*seed ^ 3)
@@ -202,11 +188,11 @@ func run() (err error) {
 			if entries < 8 {
 				entries = 8
 			}
-			return memctrl.NewGraphene(entries, int64(s.Disturb.MinThreshold()), topo.Ranks*g.Banks)
+			return memctrl.NewGraphene(entries, threshold, topo.Ranks*g.Banks)
 		})
 	case "twice":
 		attachEach(func(int) memctrl.Mitigation {
-			return memctrl.NewTWiCe(int64(s.Disturb.MinThreshold()), topo.Ranks*g.Banks)
+			return memctrl.NewTWiCe(threshold, topo.Ranks*g.Banks)
 		})
 	case "anvil":
 		attachEach(func(int) memctrl.Mitigation { return memctrl.NewANVIL() })
@@ -282,16 +268,17 @@ func run() (err error) {
 		s.Mem.ShardChannels(*shards, func(ch int, c *memctrl.Controller) {
 			for rk := 0; rk < topo.Ranks; rk++ {
 				for b := 0; b < g.Banks; b++ {
-					attack.ManySidedRanked(c, rk, b, rows, *pairs)
+					c.HammerRowsRanked(rk, b, rows, *pairs)
 				}
 			}
 		})
 	case "nsided":
 		attack.CrossBankNSided(s.Mem, nsidedBases(topo, *sides, *decoys), *sides, *decoys, *pairs, *shards)
 	case "adaptive":
-		best, probes := attack.AdaptiveNSided(s.Mem.Controller(0), 0, 0,
-			[]int{2, 4, 8, 16}, *decoys, 120000, 0xaaaaaaaaaaaaaaaa)
-		for _, p := range probes {
+		adaptive := &attack.AdaptiveStrategy{Sweep: []int{2, 4, 8, 16}, Decoys: *decoys, Budget: 120000}
+		adaptive.Probe(attack.Target{Ctrl: s.Mem.Controller(0), Pattern: 0xaaaaaaaaaaaaaaaa})
+		best := adaptive.BestSides()
+		for _, p := range adaptive.Probes() {
 			fmt.Printf("probe: %2d-sided -> %d flips (%d activations)\n", p.Sides, p.Flips, p.Activations)
 		}
 		fmt.Printf("adaptive attacker chose %d sides\n", best)

@@ -34,8 +34,10 @@
 //     tracking, TWiCe pruned counters, attachable RefreshScaling) —
 //     the controller-integrated RAIDR multi-rate refresh policy
 //     (MultiRateRefresh driving raidr.Plan bins through the refresh
-//     engine), and batched HammerPairs sweep path, and the
-//     multi-channel MemorySystem with channel-sharded execution.
+//     engine), the one hammer kernel (Controller.HammerRowsRanked,
+//     closed-form chunks up to the mitigations' activation horizons),
+//     and the multi-channel MemorySystem with channel-sharded
+//     execution; a single device is its 1-channel 1-rank case.
 //   - internal/ecc, internal/spd: SECDED(72,64) and the adjacency ROM
 //   - internal/modules: the 129-module population behind Figure 1,
 //     with per-device RNG substreams for multi-device topologies
@@ -43,8 +45,8 @@
 //     adaptive N-sided family with decoy rows), mapping-aware
 //     adjacency probing, topology-wide templating, cross-bank parallel
 //     hammering, privilege escalation, cross-VM
-//   - internal/workload: Coord-based and flat-address access-stream
-//     generators (the latter decoded by the active mapping policy)
+//   - internal/workload: flat-address access-stream generators,
+//     decoded by the active mapping policy
 //   - internal/flash, internal/ftl: MLC NAND in the threshold-voltage
 //     domain plus FCR, RFR, NAC and read-disturb management
 //   - internal/pcm: Start-Gap wear leveling under write attack

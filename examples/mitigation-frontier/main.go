@@ -39,33 +39,33 @@ func main() {
 		name   string
 		attach func(s *core.System)
 	}
-	threshold := func(s *core.System) int64 { return int64(s.Disturb.MinThreshold()) }
+	threshold := func(s *core.System) int64 { return int64(s.Disturbs[0][0].MinThreshold()) }
 	defences := []defence{
 		{"none", nil},
-		{"refresh x2", func(s *core.System) { s.Ctrl.Attach(memctrl.NewRefreshScaling(2)) }},
-		{"refresh x7", func(s *core.System) { s.Ctrl.Attach(memctrl.NewRefreshScaling(7)) }},
+		{"refresh x2", func(s *core.System) { s.Mem.Controller(0).Attach(memctrl.NewRefreshScaling(2)) }},
+		{"refresh x7", func(s *core.System) { s.Mem.Controller(0).Attach(memctrl.NewRefreshScaling(7)) }},
 		{"PARA p=0.01", func(s *core.System) { s.AttachPARA(0.01, memctrl.InDRAM, rng.New(3)) }},
-		{"CRA", func(s *core.System) { s.Ctrl.Attach(memctrl.NewCRA(threshold(s), 1, g.Rows)) }},
-		{"TRR 8-entry", func(s *core.System) { s.Ctrl.Attach(memctrl.NewTRR(8, 0.01, rng.New(4))) }},
+		{"CRA", func(s *core.System) { s.Mem.Controller(0).Attach(memctrl.NewCRA(threshold(s), 1, g.Rows)) }},
+		{"TRR 8-entry", func(s *core.System) { s.Mem.Controller(0).Attach(memctrl.NewTRR(8, 0.01, rng.New(4))) }},
 		{"Graphene 24-entry", func(s *core.System) {
-			s.Ctrl.Attach(memctrl.NewGraphene(24, threshold(s), 1))
+			s.Mem.Controller(0).Attach(memctrl.NewGraphene(24, threshold(s), 1))
 		}},
-		{"TWiCe", func(s *core.System) { s.Ctrl.Attach(memctrl.NewTWiCe(threshold(s), 1)) }},
+		{"TWiCe", func(s *core.System) { s.Mem.Controller(0).Attach(memctrl.NewTWiCe(threshold(s), 1)) }},
 	}
 
 	attacks := []struct {
 		name string
-		run  func(s *core.System)
+		run  func(c *memctrl.Controller)
 	}{
-		{"double-sided", func(s *core.System) {
+		{"double-sided", func(c *memctrl.Controller) {
 			for v := 17; v < g.Rows-33; v += 16 {
-				attack.DoubleSided(s.Ctrl, 0, v, 12000)
+				attack.DoubleSided(c, 0, v, 12000)
 			}
 		}},
-		{"8-sided+decoys", func(s *core.System) {
+		{"8-sided+decoys", func(c *memctrl.Controller) {
 			decoys := attack.DecoyRows(g.Rows, 4)
 			for v := 17; v+16 < g.Rows-33; v += 32 {
-				attack.NSidedRanked(s.Ctrl, 0, 0, attack.NSidedAggressors(v, 8), decoys, 6000)
+				attack.NSidedRanked(c, 0, 0, attack.NSidedAggressors(v, 8), decoys, 6000)
 			}
 		}},
 	}
@@ -80,16 +80,16 @@ func main() {
 				d.attach(s)
 			}
 			for r := 0; r < g.Rows; r++ {
-				s.Device.FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
+				s.Devices[0][0].FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
 			}
-			a.run(s)
+			c := s.Mem.Controller(0)
+			a.run(c)
 			var bits int64
-			for _, mit := range s.Ctrl.Mitigations() {
+			for _, mit := range c.Mitigations() {
 				bits += mit.StorageBits()
 			}
 			fmt.Printf("%-18s %-16s %10d %12d %12d %14d\n",
-				d.name, a.name, s.Disturb.TotalFlips(), bits,
-				s.Ctrl.Stats.MitRefreshes, s.Ctrl.Stats.AutoRefreshes)
+				d.name, a.name, s.TotalFlips(), bits, c.Stats.MitRefreshes, c.Stats.AutoRefreshes)
 		}
 	}
 	fmt.Println("\nreading: every defence buys its security margin with a different currency —")

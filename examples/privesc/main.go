@@ -40,7 +40,7 @@ func build(withPARA bool) *core.System {
 
 func campaign(label string, withPARA bool) {
 	s := build(withPARA)
-	res := attack.RunPrivEsc(s.Ctrl, attack.PrivEscConfig{
+	res := attack.RunPrivEsc(s.Mem.Controller(0), attack.PrivEscConfig{
 		Bank:            0,
 		SprayFraction:   0.4,
 		PairsPerAttempt: 12000,

@@ -35,17 +35,15 @@ func main() {
 			s.AttachPARA(0.01, memctrl.InDRAM, rng.New(42))
 		}
 		// The "victim" fills its memory.
-		for r := 0; r < 512; r++ {
-			for c := 0; c < 8; c++ {
-				s.Ctrl.AccessCoord(memctrl.Coord{Bank: 0, Row: r, Col: c}, true, ^uint64(0))
-			}
+		for addr := uint64(0); addr < s.Topo.Bytes(); addr += 8 {
+			s.Mem.Access(addr, true, ^uint64(0))
 		}
 		// The attacker repeatedly opens two rows. It never writes.
 		// Reads alone violate memory isolation on vulnerable DRAM.
 		for v := 9; v < 503; v += 16 {
-			attack.DoubleSided(s.Ctrl, 0, v, 30000)
+			attack.DoubleSided(s.Mem.Controller(0), 0, v, 30000)
 		}
-		return s.Disturb.TotalFlips()
+		return s.TotalFlips()
 	}
 
 	fmt.Println("== RowHammer quickstart ==")

@@ -43,15 +43,16 @@ func TestIntegrationRetentionSafeUnderAutoRefresh(t *testing.T) {
 	// so the assertion covers the non-DPD population.
 	m := pick2013(t, 1)
 	s := core.Build(&m, core.Options{Geom: dram.Geometry{Banks: 1, Rows: 512, Cols: 8}})
-	for _, c := range s.Retention.Cells() {
-		s.Device.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
+	dev, rm := s.Devices[0][0], s.Retentions[0][0]
+	for _, c := range rm.Cells() {
+		dev.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
 	}
-	s.Ctrl.AdvanceTo(1 * dram.Second)
-	for _, c := range s.Retention.Cells() {
+	s.Mem.Controller(0).AdvanceTo(1 * dram.Second)
+	for _, c := range rm.Cells() {
 		if c.DPD {
 			continue
 		}
-		if s.Device.PhysBit(c.Bank, c.PhysRow, c.Bit) != c.ChargedVal {
+		if dev.PhysBit(c.Bank, c.PhysRow, c.Bit) != c.ChargedVal {
 			t.Fatalf("non-DPD cell %+v decayed under nominal auto-refresh", c)
 		}
 	}
@@ -63,19 +64,20 @@ func TestIntegrationRetentionFailsWithoutRefresh(t *testing.T) {
 		Geom:           dram.Geometry{Banks: 1, Rows: 512, Cols: 8},
 		DisableRefresh: true,
 	})
-	cells := s.Retention.Cells()
+	dev, ctrl, rm := s.Devices[0][0], s.Mem.Controller(0), s.Retentions[0][0]
+	cells := rm.Cells()
 	if len(cells) == 0 {
 		t.Skip("no weak retention cells in this instantiation")
 	}
 	for _, c := range cells {
-		s.Device.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
+		dev.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
 	}
-	s.Ctrl.AdvanceTo(100 * dram.Second)
+	ctrl.AdvanceTo(100 * dram.Second)
 	// Touch every row so lazy decay is applied and locked in.
 	for r := 0; r < 512; r++ {
-		s.Device.RefreshPhysRow(0, r, s.Ctrl.Now())
+		dev.RefreshPhysRow(0, r, ctrl.Now())
 	}
-	if s.Retention.Decays() == 0 {
+	if rm.Decays() == 0 {
 		t.Fatal("no decays after 100 s without refresh")
 	}
 }
@@ -115,10 +117,10 @@ func TestIntegrationSECDEDStopsSingleBitHammer(t *testing.T) {
 	dev.AttachFault(dm)
 	ctrl := memctrl.New(dev, memctrl.Config{})
 	data := uint64(0xfeedfacecafef00d) | (1 << 7) // charged at the weak bit
-	ctrl.AccessCoord(memctrl.Coord{Bank: 0, Row: 30, Col: 0}, true, data)
+	ctrl.AccessRanked(0, memctrl.Coord{Bank: 0, Row: 30, Col: 0}, true, data)
 	codeword := ecc.Encode(data) // check bits held in a separate device
 	attack.DoubleSided(ctrl, 0, 30, 2000)
-	got, _ := ctrl.AccessCoord(memctrl.Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
+	got, _ := ctrl.AccessRanked(0, memctrl.Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
 	if got == data {
 		t.Fatal("hammer did not flip the stored word")
 	}
@@ -183,17 +185,17 @@ func TestIntegrationWorkloadsLeaveDataIntactOnCleanModule(t *testing.T) {
 	}
 	s := core.Build(&clean, core.Options{Geom: dram.Geometry{Banks: 2, Rows: 128, Cols: 8}})
 	src := rng.New(11)
-	shadow := map[memctrl.Coord]uint64{}
-	gen := workload.NewRandom(s.Ctrl.Map(), 0.5, src)
+	shadow := map[uint64]uint64{}
+	gen := workload.NewFlatRandom(s.Mem.Policy(), 0.5, src)
 	for i := 0; i < 30000; i++ {
-		a := gen.Next()
+		a := gen.NextFlat()
 		if a.Write {
-			s.Ctrl.AccessCoord(a.Coord, true, a.Data)
-			shadow[a.Coord] = a.Data
-		} else if want, ok := shadow[a.Coord]; ok {
-			got, _ := s.Ctrl.AccessCoord(a.Coord, false, 0)
+			s.Mem.Access(a.Addr, true, a.Data)
+			shadow[a.Addr] = a.Data
+		} else if want, ok := shadow[a.Addr]; ok {
+			got, _ := s.Mem.Access(a.Addr, false, 0)
 			if got != want {
-				t.Fatalf("isolation violated at %+v: got %x want %x", a.Coord, got, want)
+				t.Fatalf("isolation violated at %+v: got %x want %x", s.Mem.Policy().Decode(a.Addr), got, want)
 			}
 		}
 	}
@@ -206,7 +208,11 @@ func TestIntegrationCrossVMThenMitigated(t *testing.T) {
 		if para {
 			s.AttachPARA(0.02, memctrl.InDRAM, rng.New(13))
 		}
-		res := attack.RunCrossVM(s.Ctrl, 0, 64, 192, 40000, ^uint64(0))
+		// One bank of 256 rows: flat frame i is row i, so the attacker
+		// owns rows [64, 192) and hammers rows 64 and 191.
+		res := attack.RunCrossVMSystem(s.Mem, attack.SysCrossVMConfig{
+			FrameLo: 64, FrameHi: 192, Pairs: 40000, VictimPattern: ^uint64(0),
+		})
 		return res.VictimFlips
 	}
 	unprotected := run(false)

@@ -1,5 +1,5 @@
 // Package attack implements the offensive side of the paper: the
-// user-level hammer kernels (single-, double- and many-sided), the
+// user-level hammer kernels (single-, double- and N-sided), the
 // flip-templating scan an attacker runs to find exploitable bits, and
 // an end-to-end simulation of the Project-Zero-style page-table-entry
 // privilege escalation, plus the cross-VM covictim scenario. All of it
@@ -13,38 +13,20 @@ import (
 	"repro/internal/memctrl"
 )
 
-// DoubleSided hammers the two rows sandwiching victimRow with the
-// given number of activation pairs. Alternating two rows in the same
-// bank defeats the row buffer, so every access is an activation —
-// exactly the trick the user-level test program relies on instead of
-// cache flushes. The controller batches refresh-free runs of the sweep
-// when no mitigation is watching.
+// DoubleSided hammers the two rows sandwiching victimRow, in one bank
+// of rank 0, with the given number of activation pairs. Alternating
+// two rows in the same bank defeats the row buffer, so every access is
+// an activation — exactly the trick the user-level test program relies
+// on instead of cache flushes.
 func DoubleSided(c *memctrl.Controller, bank, victimRow, pairs int) {
-	c.HammerPairs(bank, victimRow-1, victimRow+1, pairs)
+	c.HammerPairsRanked(0, bank, victimRow-1, victimRow+1, pairs)
 }
 
-// SingleSided hammers aggrRow against a distant dummy row (the
-// original test program's pattern: the dummy forces row-buffer
+// SingleSided hammers aggrRow against a distant dummy row on rank 0
+// (the original test program's pattern: the dummy forces row-buffer
 // conflicts without disturbing the victim's other side).
 func SingleSided(c *memctrl.Controller, bank, aggrRow, dummyRow, pairs int) {
-	c.HammerPairs(bank, aggrRow, dummyRow, pairs)
-}
-
-// ManySided cycles through many aggressor rows, the pattern that
-// defeats sampler-based in-DRAM mitigations (TRR) by exceeding the
-// sampler's capacity. rounds is the number of full cycles.
-func ManySided(c *memctrl.Controller, bank int, aggressors []int, rounds int) {
-	ManySidedRanked(c, 0, bank, aggressors, rounds)
-}
-
-// ManySidedRanked is ManySided on an explicit rank of a multi-rank
-// channel.
-func ManySidedRanked(c *memctrl.Controller, rank, bank int, aggressors []int, rounds int) {
-	for r := 0; r < rounds; r++ {
-		for _, row := range aggressors {
-			c.AccessRanked(rank, memctrl.Coord{Bank: bank, Row: row}, false, 0)
-		}
-	}
+	c.HammerPairsRanked(0, bank, aggrRow, dummyRow, pairs)
 }
 
 // FlipTemplate records one reproducible bit flip found by scanning:
@@ -59,36 +41,20 @@ type FlipTemplate struct {
 	AggrDown  int
 }
 
-// writeRow fills a logical row with a pattern through the controller.
-func writeRow(c *memctrl.Controller, bank, row int, pattern uint64) {
-	for col := 0; col < c.Map().Geom.Cols; col++ {
-		c.AccessCoord(memctrl.Coord{Bank: bank, Row: row, Col: col}, true, pattern)
-	}
-}
-
-// readRow reads a logical row through the controller.
-func readRow(c *memctrl.Controller, bank, row int) []uint64 {
-	out := make([]uint64, c.Map().Geom.Cols)
-	for col := range out {
-		out[col], _ = c.AccessCoord(memctrl.Coord{Bank: bank, Row: row, Col: col}, false, 0)
-	}
-	return out
-}
-
-// Scan is the templating pass: for every interior victim row, fill the
-// victim with the given pattern and the aggressors with its complement
-// (the row-stripe configuration that maximizes coupling), double-side
-// hammer for pairsPerRow pairs, and record every flipped bit as a
-// template.
+// Scan is the templating pass over one bank of rank 0: for every
+// interior victim row, fill the victim with the given pattern and the
+// aggressors with its complement (the row-stripe configuration that
+// maximizes coupling), double-side hammer for pairsPerRow pairs, and
+// record every flipped bit as a template.
 func Scan(c *memctrl.Controller, bank int, pattern uint64, pairsPerRow int) []FlipTemplate {
-	rows := c.Map().Geom.Rows
+	rows := c.Rank(0).Geom.Rows
 	var out []FlipTemplate
 	for v := 1; v < rows-1; v++ {
-		writeRow(c, bank, v-1, ^pattern)
-		writeRow(c, bank, v, pattern)
-		writeRow(c, bank, v+1, ^pattern)
+		writeRowRanked(c, 0, bank, v-1, ^pattern)
+		writeRowRanked(c, 0, bank, v, pattern)
+		writeRowRanked(c, 0, bank, v+1, ^pattern)
 		DoubleSided(c, bank, v, pairsPerRow)
-		got := readRow(c, bank, v)
+		got := readRowRanked(c, 0, bank, v)
 		for col, word := range got {
 			diff := word ^ pattern
 			for diff != 0 {
@@ -103,7 +69,7 @@ func Scan(c *memctrl.Controller, bank int, pattern uint64, pairsPerRow int) []Fl
 			}
 		}
 		// Repair the victim for the next iteration.
-		writeRow(c, bank, v, pattern)
+		writeRowRanked(c, 0, bank, v, pattern)
 	}
 	return out
 }

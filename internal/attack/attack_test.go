@@ -74,7 +74,7 @@ func TestManySidedTouchesAllVictims(t *testing.T) {
 	for _, v := range victims {
 		aggrs = append(aggrs, v-1, v+1)
 	}
-	ManySided(r.ctrl, 0, aggrs, 600)
+	r.ctrl.HammerRowsRanked(0, 0, aggrs, 600)
 	for _, v := range victims {
 		if r.dev.PhysBit(0, v, 1) != 0 {
 			t.Fatalf("victim %d survived many-sided attack", v)
@@ -202,22 +202,34 @@ func TestPrivEscFailsUnderPARA(t *testing.T) {
 	}
 }
 
+// crossVMRig is the single-device cross-VM setting on the system
+// chain: one channel, one rank, one bank of 64 rows, where flat frame
+// i is row i.
+func crossVMRig(inject func(m *disturb.Model)) *memctrl.MemorySystem {
+	topo := dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 64, Cols: 4})
+	return sysRig(topo, memctrl.RowInterleaved{Topo: topo}, false, func(_ int, m *disturb.Model) { inject(m) })
+}
+
 func TestCrossVMBreachesIsolation(t *testing.T) {
-	r := newRig(64, func(m *disturb.Model) {
+	ms := crossVMRig(func(m *disturb.Model) {
 		// Victim rows 19 and 40 sit just outside the attacker range
 		// [20, 40); their aggressors include attacker rows 20 and 39.
 		m.InjectWeakCell(0, 19, 8, 1000, 1, 1, 1, 1)
 		m.InjectWeakCell(0, 40, 9, 1000, 1, 1, 1, 1)
 	})
-	res := RunCrossVM(r.ctrl, 0, 20, 40, 2500, ^uint64(0))
+	res := RunCrossVMSystem(ms, SysCrossVMConfig{FrameLo: 20, FrameHi: 40, Pairs: 2500, VictimPattern: ^uint64(0)})
+	if res.AttackerRows != 20 || res.ContestedRows != 0 {
+		t.Fatalf("row split %d/%d/%d, want 20 attacker rows, none contested",
+			res.AttackerRows, res.VictimRows, res.ContestedRows)
+	}
 	if res.VictimFlips == 0 {
 		t.Fatal("no victim corruption; VM isolation held unexpectedly")
 	}
 }
 
 func TestCrossVMCleanDeviceNoFlips(t *testing.T) {
-	r := newRig(64, func(m *disturb.Model) {})
-	res := RunCrossVM(r.ctrl, 0, 20, 40, 1000, 0xaaaaaaaaaaaaaaaa)
+	ms := crossVMRig(func(m *disturb.Model) {})
+	res := RunCrossVMSystem(ms, SysCrossVMConfig{FrameLo: 20, FrameHi: 40, Pairs: 1000, VictimPattern: 0xaaaaaaaaaaaaaaaa})
 	if res.VictimFlips != 0 {
 		t.Fatalf("phantom flips: %d", res.VictimFlips)
 	}

@@ -99,14 +99,14 @@ type SysFlipTemplate struct {
 // writeRowRanked fills a logical row on one rank through the
 // controller.
 func writeRowRanked(c *memctrl.Controller, rank, bank, row int, pattern uint64) {
-	for col := 0; col < c.Map().Geom.Cols; col++ {
+	for col := 0; col < c.Rank(0).Geom.Cols; col++ {
 		c.AccessRanked(rank, memctrl.Coord{Bank: bank, Row: row, Col: col}, true, pattern)
 	}
 }
 
 // readRowRanked reads a logical row on one rank through the controller.
 func readRowRanked(c *memctrl.Controller, rank, bank, row int) []uint64 {
-	out := make([]uint64, c.Map().Geom.Cols)
+	out := make([]uint64, c.Rank(0).Geom.Cols)
 	for col := range out {
 		out[col], _ = c.AccessRanked(rank, memctrl.Coord{Bank: bank, Row: row, Col: col}, false, 0)
 	}

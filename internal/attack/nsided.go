@@ -91,33 +91,3 @@ type SidednessProbe struct {
 	// Activations is the probe's activation budget actually spent.
 	Activations int64
 }
-
-// AdaptiveNSided is the adaptive attacker: it probes each candidate
-// sidedness on its own disjoint region of the bank — row-striping the
-// victims, hammering with an equal activation budget, reading the
-// victims back — and returns the winning sidedness (most flips; ties
-// go to fewer sides, which costs fewer activations per victim row)
-// plus the full probe record. budget is the per-probe activation
-// budget; decoys rows ride along in every round without counting
-// against the comparison (they are part of the pattern under test).
-//
-// Probe regions are packed from row 1 upward, 2*sides(max)+2 rows
-// apart, so every probe faces the defence with fresh victims, and
-// successive probes are separated by one idle retention window so each
-// pattern meets the defence's steady state rather than the previous
-// probe's leftover tracker contents — the TRRespass discipline of
-// testing patterns across refresh windows. Everything the probe does
-// goes through the ordinary access path (hammering, reading, waiting):
-// no simulator-side knowledge leaks into the decision.
-// It panics when the bank cannot hold the probe regions plus the decoy
-// rows: the bank needs 1 + len(sweep)*(2*max(sweep)+2) rows at the
-// bottom and 2*decoys+2 rows at the top.
-// It delegates to AdaptiveStrategy.Probe (the strategy form of this
-// attacker); the equivalence test in strategy_test.go pins the
-// delegation bit-for-bit against a verbatim copy of the seed-era
-// probe loop.
-func AdaptiveNSided(c *memctrl.Controller, rank, bank int, sweep []int, decoys, budget int, pattern uint64) (int, []SidednessProbe) {
-	s := &AdaptiveStrategy{Sweep: sweep, Decoys: decoys, Budget: budget}
-	s.Probe(Target{Ctrl: c, Rank: rank, Bank: bank, Pattern: pattern})
-	return s.BestSides(), s.Probes()
-}

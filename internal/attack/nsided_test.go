@@ -32,7 +32,7 @@ func TestNSidedPatternShape(t *testing.T) {
 
 // TestNSidedTwoSidedMatchesHammerPairs pins the hot-path reuse: the
 // decoy-free two-sided kernel must be bit-identical to the batched
-// HammerPairs sweep — stats, clock and flips.
+// HammerPairsRanked sweep — stats, clock and flips.
 func TestNSidedTwoSidedMatchesHammerPairs(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 	build := func() (*memctrl.Controller, *disturb.Model) {
@@ -45,7 +45,7 @@ func TestNSidedTwoSidedMatchesHammerPairs(t *testing.T) {
 	}
 	a, dmA := build()
 	b, dmB := build()
-	a.HammerPairs(0, 60, 62, 5000)
+	a.HammerPairsRanked(0, 0, 60, 62, 5000)
 	NSidedRanked(b, 0, 0, NSidedAggressors(60, 2), nil, 5000)
 	if a.Stats != b.Stats || a.Now() != b.Now() {
 		t.Fatalf("2-sided NSided diverged from HammerPairs:\n%+v t=%d\n%+v t=%d",
@@ -84,7 +84,9 @@ func nsidedRig(entries int, sampleP float64, threshold float64) (*memctrl.Contro
 func TestAdaptiveNSidedDefeatsSampler(t *testing.T) {
 	run := func() (int, []SidednessProbe) {
 		ctrl, _ := nsidedRig(2, 0.1, 300)
-		return AdaptiveNSided(ctrl, 0, 0, []int{2, 4, 8, 16}, 2, 120000, 0xaaaaaaaaaaaaaaaa)
+		s := &AdaptiveStrategy{Sweep: []int{2, 4, 8, 16}, Decoys: 2, Budget: 120000}
+		s.Probe(Target{Ctrl: ctrl, Pattern: 0xaaaaaaaaaaaaaaaa})
+		return s.BestSides(), s.Probes()
 	}
 	best, probes := run()
 	best2, probes2 := run()

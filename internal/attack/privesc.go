@@ -82,7 +82,7 @@ type PrivEscResult struct {
 // The src stream models OS allocator nondeterminism.
 func RunPrivEsc(c *memctrl.Controller, cfg PrivEscConfig, src *rng.Stream) PrivEscResult {
 	var res PrivEscResult
-	rows := c.Map().Geom.Rows
+	rows := c.Rank(0).Geom.Rows
 
 	// Phase 1: templating. The attacker scans both polarities, as the
 	// real templating attacks do: true-cells reveal themselves under
@@ -151,12 +151,12 @@ func RunPrivEsc(c *memctrl.Controller, cfg PrivEscConfig, src *rng.Stream) PrivE
 		if tmpl.From == 1 {
 			target |= 1 << bitInPTE
 		}
-		for col := 0; col < c.Map().Geom.Cols; col++ {
+		for col := 0; col < c.Rank(0).Geom.Cols; col++ {
 			pfn := target
 			if col != pteIndex {
 				pfn = uint64(src.Intn(rows)) & PFNMask
 			}
-			c.AccessCoord(memctrl.Coord{Bank: cfg.Bank, Row: tmpl.VictimRow, Col: col},
+			c.AccessRanked(0, memctrl.Coord{Bank: cfg.Bank, Row: tmpl.VictimRow, Col: col},
 				true, MakePTE(pfn))
 		}
 		// Hammer the template's aggressors.
@@ -166,7 +166,7 @@ func RunPrivEsc(c *memctrl.Controller, cfg PrivEscConfig, src *rng.Stream) PrivE
 		// Phase 4: check. Read the PTE back; if its PFN changed and
 		// now points into a page-table frame, the attacker has a
 		// writable mapping of a page table.
-		word, _ := c.AccessCoord(memctrl.Coord{Bank: cfg.Bank, Row: tmpl.VictimRow, Col: pteIndex}, false, 0)
+		word, _ := c.AccessRanked(0, memctrl.Coord{Bank: cfg.Bank, Row: tmpl.VictimRow, Col: pteIndex}, false, 0)
 		newPFN := word & PFNMask
 		if newPFN != target {
 			res.FlipInduced = true
@@ -174,43 +174,6 @@ func RunPrivEsc(c *memctrl.Controller, cfg PrivEscConfig, src *rng.Stream) PrivE
 				res.Escalated = true
 				return res
 			}
-		}
-	}
-	return res
-}
-
-// CrossVMResult reports the covictim scenario outcome.
-type CrossVMResult struct {
-	VictimFlips int
-	HammerPairs int64
-}
-
-// RunCrossVM simulates the Flip-Feng-Shui-style covictim scenario:
-// the attacker VM owns rows [attackerLo, attackerHi), the victim VM
-// owns the rest of the bank. The attacker hammers only rows it owns;
-// any flip observed in victim-owned rows is a breach of VM isolation.
-// victimPattern is what the victim stored.
-func RunCrossVM(c *memctrl.Controller, bank, attackerLo, attackerHi, pairs int, victimPattern uint64) CrossVMResult {
-	rows := c.Map().Geom.Rows
-	// Victim fills its rows.
-	for r := 0; r < rows; r++ {
-		if r >= attackerLo && r < attackerHi {
-			continue
-		}
-		writeRow(c, bank, r, victimPattern)
-	}
-	// Attacker hammers the two rows at each edge of its allocation,
-	// disturbing the adjacent victim rows.
-	var res CrossVMResult
-	c.HammerPairs(bank, attackerLo, attackerHi-1, pairs)
-	res.HammerPairs = int64(pairs)
-	// Count corruption in victim rows.
-	for r := 0; r < rows; r++ {
-		if r >= attackerLo && r < attackerHi {
-			continue
-		}
-		for _, w := range readRow(c, bank, r) {
-			res.VictimFlips += popcount(w ^ victimPattern)
 		}
 	}
 	return res

@@ -10,9 +10,8 @@ package attack
 // resumes exactly like the rest of the simulator. The tournament
 // driver (tournament.go, experiments E80-E84) pits every Strategy
 // against every mitigation and mapping policy from one templated
-// snapshot; the legacy entry points (DoubleSided, SingleSided,
-// AdaptiveNSided) delegate to or are pinned bit-identical against
-// their strategy forms.
+// snapshot; the legacy entry points (DoubleSided, SingleSided) are
+// pinned bit-identical against their strategy forms.
 
 import (
 	"fmt"
@@ -166,7 +165,7 @@ func (*SingleSidedStrategy) Plan() Plan { return Plan{Sides: 1} }
 
 // HammerRound implements Strategy.
 func (*SingleSidedStrategy) HammerRound(t Target, victimRow, rounds int) {
-	rows := t.Ctrl.Map().Geom.Rows
+	rows := t.Ctrl.Rank(0).Geom.Rows
 	aggr := victimRow + 1
 	dummy := (victimRow + rows/2) % rows
 	t.Ctrl.HammerPairsRanked(t.Rank, t.Bank, aggr, dummy, rounds)
@@ -205,7 +204,7 @@ func (s *NSidedDecoyStrategy) Plan() Plan { return Plan{Sides: s.Sides, Decoys: 
 
 // HammerRound implements Strategy.
 func (s *NSidedDecoyStrategy) HammerRound(t Target, victimRow, rounds int) {
-	rows := t.Ctrl.Map().Geom.Rows
+	rows := t.Ctrl.Rank(0).Geom.Rows
 	base := nsidedBaseFor(victimRow, s.Sides, rows)
 	NSidedRanked(t.Ctrl, t.Rank, t.Bank,
 		NSidedAggressors(base, s.Sides), DecoyRows(rows, s.Decoys), rounds)
@@ -237,8 +236,8 @@ func (s *NSidedDecoyStrategy) LoadState(r *snapshot.Reader) error {
 // --- Adaptive (TRRespass probe-and-commit) ---
 
 // AdaptiveStrategy is the adaptive attacker as a Strategy: Probe runs
-// the sidedness sweep of the seed-era AdaptiveNSided entry point —
-// which now delegates here, pinned bit-identical by
+// the sidedness sweep of the seed-era adaptive N-sided attacker —
+// pinned bit-identical to a verbatim copy of the seed loop by
 // TestAdaptiveNSidedMatchesStrategy — and commits to the winning
 // sidedness; HammerRound then drives the winner with the configured
 // decoys. Until Probe has run, the plan falls back to double-sided.
@@ -268,9 +267,22 @@ func (s *AdaptiveStrategy) Probes() []SidednessProbe { return s.probes }
 // its own disjoint region of the target bank — row-striping the
 // victims, hammering with an equal activation budget, reading the
 // victims back — and commits to the winner (most flips; ties go to
-// fewer sides). Probe regions pack from row 1 upward, separated by
-// one idle retention window, exactly the discipline documented on
-// AdaptiveNSided (whose body this is).
+// fewer sides, which costs fewer activations per victim row). Budget
+// is the per-probe activation budget; the decoy rows ride along in
+// every round without counting against the comparison (they are part
+// of the pattern under test).
+//
+// Probe regions are packed from row 1 upward, 2*max(Sweep)+2 rows
+// apart, so every probe faces the defence with fresh victims, and
+// successive probes are separated by one idle retention window so each
+// pattern meets the defence's steady state rather than the previous
+// probe's leftover tracker contents — the TRRespass discipline of
+// testing patterns across refresh windows. Everything the probe does
+// goes through the ordinary access path (hammering, reading, waiting):
+// no simulator-side knowledge leaks into the decision. It panics when
+// the bank cannot hold the probe regions plus the decoy rows: the bank
+// needs 1 + len(Sweep)*(2*max(Sweep)+2) rows at the bottom and
+// 2*Decoys+2 rows at the top.
 func (s *AdaptiveStrategy) Probe(t Target) {
 	c, rank, bank, pattern := t.Ctrl, t.Rank, t.Bank, t.Pattern
 	maxSides := 0
@@ -279,9 +291,9 @@ func (s *AdaptiveStrategy) Probe(t Target) {
 			maxSides = sd
 		}
 	}
-	rows := c.Map().Geom.Rows
+	rows := c.Rank(0).Geom.Rows
 	if need := 1 + len(s.Sweep)*(2*maxSides+2) + 2*s.Decoys + 2; rows < need {
-		panic(fmt.Sprintf("attack: AdaptiveNSided needs %d rows for sweep %v with %d decoys; bank has %d",
+		panic(fmt.Sprintf("attack: adaptive probe needs %d rows for sweep %v with %d decoys; bank has %d",
 			need, s.Sweep, s.Decoys, rows))
 	}
 	decoyRows := DecoyRows(rows, s.Decoys)
@@ -314,7 +326,7 @@ func (s *AdaptiveStrategy) Probe(t Target) {
 			bestFlips, bestSides = flips, sides
 		}
 		base += 2*maxSides + 2
-		c.AdvanceTo(c.Now() + c.Device().Timing.RetentionWindow())
+		c.AdvanceTo(c.Now() + c.Rank(0).Timing.RetentionWindow())
 	}
 	s.probed = true
 	s.best = bestSides
@@ -333,7 +345,7 @@ func (s *AdaptiveStrategy) Plan() Plan {
 // victimRow is one of its victims.
 func (s *AdaptiveStrategy) HammerRound(t Target, victimRow, rounds int) {
 	p := s.Plan()
-	rows := t.Ctrl.Map().Geom.Rows
+	rows := t.Ctrl.Rank(0).Geom.Rows
 	base := nsidedBaseFor(victimRow, p.Sides, rows)
 	NSidedRanked(t.Ctrl, t.Rank, t.Bank,
 		NSidedAggressors(base, p.Sides), DecoyRows(rows, p.Decoys), rounds)
@@ -418,10 +430,10 @@ func (s *RefreshSyncStrategy) Plan() Plan { return Plan{Sides: s.Sides} }
 // HammerRound implements Strategy.
 func (s *RefreshSyncStrategy) HammerRound(t Target, victimRow, rounds int) {
 	c := t.Ctrl
-	rows := c.Map().Geom.Rows
+	rows := c.Rank(0).Geom.Rows
 	base := nsidedBaseFor(victimRow, s.Sides, rows)
 	aggr := NSidedAggressors(base, s.Sides)
-	costPerRound := c.Device().Timing.TRC * dram.Time(s.Sides)
+	costPerRound := c.Rank(0).Timing.TRC * dram.Time(s.Sides)
 	if costPerRound < 1 {
 		costPerRound = 1
 	}

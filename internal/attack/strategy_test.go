@@ -13,10 +13,11 @@ import (
 )
 
 // legacyAdaptiveNSided is a verbatim test-only copy of the seed-era
-// AdaptiveNSided body, kept here as the reference the delegating entry
-// point (and therefore AdaptiveStrategy.Probe) is pinned bit-identical
-// against. Do not "fix" or restyle this function: its whole value is
-// that it never changes.
+// AdaptiveNSided body, kept here as the reference AdaptiveStrategy.Probe
+// is pinned bit-identical against. Only its controller accessors
+// moved (c.Rank(0) for the retired rank-0 Map and Device). Do not
+// "fix" or restyle this function: its whole value is that it never
+// changes.
 func legacyAdaptiveNSided(c *memctrl.Controller, rank, bank int, sweep []int, decoys, budget int, pattern uint64) (int, []SidednessProbe) {
 	maxSides := 0
 	for _, s := range sweep {
@@ -24,7 +25,7 @@ func legacyAdaptiveNSided(c *memctrl.Controller, rank, bank int, sweep []int, de
 			maxSides = s
 		}
 	}
-	rows := c.Map().Geom.Rows
+	rows := c.Rank(0).Geom.Rows
 	if need := 1 + len(sweep)*(2*maxSides+2) + 2*decoys + 2; rows < need {
 		panic(fmt.Sprintf("attack: AdaptiveNSided needs %d rows for sweep %v with %d decoys; bank has %d",
 			need, sweep, decoys, rows))
@@ -59,21 +60,22 @@ func legacyAdaptiveNSided(c *memctrl.Controller, rank, bank int, sweep []int, de
 			bestFlips, bestSides = flips, sides
 		}
 		base += 2*maxSides + 2
-		c.AdvanceTo(c.Now() + c.Device().Timing.RetentionWindow())
+		c.AdvanceTo(c.Now() + c.Rank(0).Timing.RetentionWindow())
 	}
 	return bestSides, probes
 }
 
-// TestAdaptiveNSidedMatchesStrategy pins the tentpole delegation: the
-// AdaptiveNSided entry point (now a thin wrapper over
-// AdaptiveStrategy.Probe) must be bit-identical to the seed-era body —
-// same winner, same probe transcript, same controller stats and clock.
+// TestAdaptiveNSidedMatchesStrategy pins AdaptiveStrategy.Probe to the
+// seed-era adaptive N-sided body — same winner, same probe transcript,
+// same controller stats and clock.
 func TestAdaptiveNSidedMatchesStrategy(t *testing.T) {
 	legacyCtrl, _ := nsidedRig(2, 0.1, 300)
 	stratCtrl, _ := nsidedRig(2, 0.1, 300)
 	sweep := []int{2, 4, 8, 16}
 	bestL, probesL := legacyAdaptiveNSided(legacyCtrl, 0, 0, sweep, 2, 120000, 0xaaaaaaaaaaaaaaaa)
-	bestS, probesS := AdaptiveNSided(stratCtrl, 0, 0, sweep, 2, 120000, 0xaaaaaaaaaaaaaaaa)
+	s := &AdaptiveStrategy{Sweep: sweep, Decoys: 2, Budget: 120000}
+	s.Probe(Target{Ctrl: stratCtrl, Rank: 0, Bank: 0, Pattern: 0xaaaaaaaaaaaaaaaa})
+	bestS, probesS := s.BestSides(), s.Probes()
 	if bestL != bestS {
 		t.Fatalf("best sides: legacy %d, strategy %d", bestL, bestS)
 	}
@@ -156,7 +158,7 @@ func TestDoubleSidedStrategyMatchesLegacy(t *testing.T) {
 func TestSingleSidedStrategyMatchesLegacy(t *testing.T) {
 	legacyCtrl, _ := nsidedRig(2, 0.1, 300)
 	stratCtrl, _ := nsidedRig(2, 0.1, 300)
-	rows := legacyCtrl.Map().Geom.Rows
+	rows := legacyCtrl.Rank(0).Geom.Rows
 	victim := 60
 	SingleSided(legacyCtrl, 0, victim+1, (victim+rows/2)%rows, 5000)
 	s := &SingleSidedStrategy{}

@@ -54,7 +54,8 @@ type Spec struct {
 	// Negative means 0.
 	MaxRetries int `json:"max_retries,omitempty"`
 	// RetryBackoffMS is the base backoff; attempt n waits
-	// RetryBackoffMS << n. <= 0 means 100ms.
+	// RetryBackoffMS << n, capped at one minute. <= 0 means 100ms;
+	// more than 60000 is rejected.
 	RetryBackoffMS int64 `json:"retry_backoff_ms,omitempty"`
 	// Fleet configures the fieldstudy kind; nil means
 	// fieldstudy.DefaultConfig.
@@ -170,6 +171,9 @@ func validateSpec(spec *Spec) error {
 	if spec.MaxRetries < 0 {
 		spec.MaxRetries = 0
 	}
+	if spec.RetryBackoffMS > maxRetryBackoff.Milliseconds() {
+		return fmt.Errorf("campaign: retry_backoff_ms %d exceeds the %v cap", spec.RetryBackoffMS, maxRetryBackoff)
+	}
 	if spec.RetryBackoffMS <= 0 {
 		spec.RetryBackoffMS = 100
 	}
@@ -247,7 +251,7 @@ func (s *Service) run(ctx context.Context, cancel context.CancelFunc, c *Campaig
 			s.finish(c, StatusFailed, err.Error(), nil)
 			return
 		}
-		backoff := time.Duration(c.Spec.RetryBackoffMS) * time.Millisecond << uint(attempt)
+		backoff := retryBackoff(c.Spec.RetryBackoffMS, attempt)
 		s.mu.Lock()
 		s.appendEventLocked(c, "retry", fmt.Sprintf("attempt %d failed (%v); retrying in %v", attempt+1, err, backoff))
 		s.mu.Unlock()
@@ -258,6 +262,21 @@ func (s *Service) run(ctx context.Context, cancel context.CancelFunc, c *Campaig
 		case <-time.After(backoff):
 		}
 	}
+}
+
+// maxRetryBackoff caps one retry wait, and with it Spec.RetryBackoffMS.
+const maxRetryBackoff = time.Minute
+
+// retryBackoff returns the wait after failed attempt n (0-based):
+// baseMS milliseconds, at most the cap as validateSpec enforces,
+// doubled n times and capped at maxRetryBackoff. The doubling stops at
+// the cap, so no attempt count overflows it.
+func retryBackoff(baseMS int64, attempt int) time.Duration {
+	d := time.Duration(baseMS) * time.Millisecond
+	for i := 0; i < attempt && d < maxRetryBackoff; i++ {
+		d <<= 1
+	}
+	return min(d, maxRetryBackoff)
 }
 
 // attempt executes one try of the campaign's engine. The injected

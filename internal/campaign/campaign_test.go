@@ -364,10 +364,33 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: "experiments", Seed: 1, Experiments: []string{"E99999"}},
 		{Kind: "fieldstudy", Seed: 1, Checkpoint: "../escape.ckpt"},
 		{Kind: "fieldstudy", Seed: 1, Checkpoint: ".hidden"},
+		{Kind: "fieldstudy", Seed: 1, RetryBackoffMS: maxRetryBackoff.Milliseconds() + 1},
 	}
 	for _, spec := range cases {
 		if _, err := s.Submit(spec); err == nil {
 			t.Fatalf("spec %+v accepted", spec)
 		}
+	}
+}
+
+// TestRetryBackoffBounded pins the retry wait: positive, non-decreasing
+// in the attempt count and never above the cap, long after a plain
+// base<<attempt would have overflowed.
+func TestRetryBackoffBounded(t *testing.T) {
+	for _, base := range []int64{1, 100, maxRetryBackoff.Milliseconds()} {
+		prev := time.Duration(0)
+		for attempt := 0; attempt <= 200; attempt++ {
+			d := retryBackoff(base, attempt)
+			if d <= 0 || d < prev || d > maxRetryBackoff {
+				t.Fatalf("base %dms attempt %d: backoff %v after %v", base, attempt, d, prev)
+			}
+			prev = d
+		}
+		if prev != maxRetryBackoff {
+			t.Fatalf("base %dms: backoff %v never reached the cap", base, prev)
+		}
+	}
+	if d := retryBackoff(100, 0); d != 100*time.Millisecond {
+		t.Fatalf("first backoff %v, want 100ms", d)
 	}
 }

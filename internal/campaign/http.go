@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,7 +10,8 @@ import (
 
 // Handler returns the service's HTTP/JSON API:
 //
-//	POST   /campaigns             submit a Spec, returns the campaign view
+//	POST   /campaigns             submit a Spec (at most 1 MiB, no unknown
+//	                              fields), returns the campaign view
 //	GET    /campaigns             list campaigns
 //	GET    /campaigns/{id}        one campaign (status, attempts, error)
 //	GET    /campaigns/{id}/result campaign view including the result
@@ -43,10 +45,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a POST /campaigns body.
+const maxSpecBytes = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad spec: %w", err))
 		return
 	}
 	view, err := s.Submit(spec)

@@ -226,3 +226,43 @@ func TestHTTPEventStreamEndsWhenClientLeaves(t *testing.T) {
 	_ = s.Cancel(v.ID)
 	waitTerminal(t, s, v.ID)
 }
+
+// TestHTTPSubmitRejectsUnknownFields pins strict decoding: a misspelt
+// key is a 400, not a silently defaulted field.
+func TestHTTPSubmitRejectsUnknownFields(t *testing.T) {
+	s := NewService(t.TempDir())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/campaigns", "application/json",
+		strings.NewReader(`{"kind":"fieldstudy","seed":1,"max_retry":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("%d campaigns started from a rejected spec", n)
+	}
+}
+
+// TestHTTPSubmitRejectsOversizeBody pins the body bound: a spec past
+// maxSpecBytes is refused before any campaign starts.
+func TestHTTPSubmitRejectsOversizeBody(t *testing.T) {
+	s := NewService(t.TempDir())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := `{"kind":"fieldstudy","seed":1,"checkpoint":"` + strings.Repeat("a", maxSpecBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("%d campaigns started from an oversize body", n)
+	}
+}

@@ -51,11 +51,9 @@ func DefaultGeom() dram.Geometry {
 
 // System is one instantiated memory system: a topology of devices
 // built from one module's physics, per-channel controllers behind a
-// mapping policy, and the ground-truth fault models.
-//
-// Device, Ctrl, Disturb and Retention alias channel 0 / rank 0, so
-// code written against the single-device stack keeps working unchanged
-// (and is exactly equivalent on single-channel systems).
+// mapping policy, and the ground-truth fault models. A single-device
+// system is the 1-channel 1-rank case: Mem.Controller(0),
+// Devices[0][0], Disturbs[0][0] and Retentions[0][0].
 type System struct {
 	Module *modules.Module
 	Topo   dram.Topology
@@ -67,14 +65,6 @@ type System struct {
 	Devices    [][]*dram.Device `snapshot:"derived"`
 	Disturbs   [][]*disturb.Model
 	Retentions [][]*retention.Model
-
-	// Device/Ctrl/Disturb/Retention are channel-0/rank-0 aliases kept
-	// for the single-device API; their state rides through Mem,
-	// Disturbs and Retentions above.
-	Device    *dram.Device        `snapshot:"derived"`
-	Ctrl      *memctrl.Controller `snapshot:"derived"`
-	Disturb   *disturb.Model      `snapshot:"derived"`
-	Retention *retention.Model    `snapshot:"derived"`
 }
 
 // Build instantiates a module as a simulated system. Each device of a
@@ -117,10 +107,6 @@ func Build(m *modules.Module, opt Options) *System {
 		DisableRefresh:    opt.DisableRefresh,
 		ECC:               opt.ECC,
 	})
-	s.Device = s.Devices[0][0]
-	s.Ctrl = s.Mem.Controller(0)
-	s.Disturb = s.Disturbs[0][0]
-	s.Retention = s.Retentions[0][0]
 	return s
 }
 
@@ -140,14 +126,14 @@ func (s *System) TotalFlips() int64 {
 func (s *System) AttachPARA(p float64, where memctrl.Placement, src *rng.Stream) *memctrl.PARA {
 	var oracle *spd.AdjacencyOracle
 	if where == memctrl.InControllerWithSPD {
-		rt, err := spd.Decode(spd.Encode(s.Device.Remap()))
+		rt, err := spd.Decode(spd.Encode(s.Devices[0][0].Remap()))
 		if err != nil {
 			panic(err) // encoding our own table cannot fail
 		}
 		oracle = spd.NewOracle(rt)
 	}
 	para := memctrl.NewPARA(p, where, oracle, src)
-	s.Ctrl.Attach(para)
+	s.Mem.Controller(0).Attach(para)
 	return para
 }
 

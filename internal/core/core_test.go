@@ -24,17 +24,17 @@ func vulnerableModule(t *testing.T) *modules.Module {
 
 func TestBuildDefaults(t *testing.T) {
 	s := Build(vulnerableModule(t), Options{})
-	if s.Device.Geom != DefaultGeom() {
+	if s.Topo != dram.SingleChannel(DefaultGeom()) || s.Devices[0][0].Geom != DefaultGeom() {
 		t.Fatal("default geometry not applied")
 	}
-	if s.Ctrl == nil || s.Disturb == nil || s.Retention == nil {
+	if s.Mem.Controller(0) == nil || s.Disturbs[0][0] == nil || s.Retentions[0][0] == nil {
 		t.Fatal("incomplete system")
 	}
 }
 
 func TestBuildWithRemap(t *testing.T) {
 	s := Build(vulnerableModule(t), Options{RemapFraction: 0.1})
-	if s.Device.Remap().IsIdentity() {
+	if s.Devices[0][0].Remap().IsIdentity() {
 		t.Fatal("remap fraction ignored")
 	}
 }
@@ -45,7 +45,7 @@ func TestAttachPARAWithSPD(t *testing.T) {
 	if para.Oracle == nil {
 		t.Fatal("SPD oracle not wired")
 	}
-	if len(s.Ctrl.Mitigations()) != 1 {
+	if len(s.Mem.Controller(0).Mitigations()) != 1 {
 		t.Fatal("mitigation not attached")
 	}
 }
@@ -153,17 +153,20 @@ func TestFITConversion(t *testing.T) {
 	}
 }
 
-// TestBuildTopologyAliases checks the channel-0/rank-0 compatibility
-// aliases and the shape of a multi-channel build.
+// TestBuildTopologyAliases checks the shape of a multi-channel build
+// and that Devices aliases the controllers' rank sets.
 func TestBuildTopologyAliases(t *testing.T) {
 	topo := dram.Topology{Channels: 2, Ranks: 2, Geom: dram.Geometry{Banks: 2, Rows: 64, Cols: 4}}
 	s := Build(vulnerableModule(t), Options{Topology: topo, Mapping: "xor"})
 	if s.Mem.Channels() != 2 || len(s.Devices) != 2 || len(s.Devices[0]) != 2 {
 		t.Fatalf("topology shape wrong: %d channels, %v devices", s.Mem.Channels(), len(s.Devices))
 	}
-	if s.Device != s.Devices[0][0] || s.Ctrl != s.Mem.Controller(0) ||
-		s.Disturb != s.Disturbs[0][0] || s.Retention != s.Retentions[0][0] {
-		t.Fatal("channel-0/rank-0 aliases broken")
+	for ch := range s.Devices {
+		for rk, dev := range s.Devices[ch] {
+			if dev != s.Mem.Device(ch, rk) {
+				t.Fatalf("Devices[%d][%d] is not the controller's rank", ch, rk)
+			}
+		}
 	}
 	if s.Mem.Policy().Name() != "xor-bank-hash" {
 		t.Fatalf("mapping not applied: %s", s.Mem.Policy().Name())
@@ -196,24 +199,25 @@ func TestBuildSingleChannelBitIdentical(t *testing.T) {
 	g := dram.Geometry{Banks: 2, Rows: 128, Cols: 4}
 	legacy := Build(m, Options{Geom: g, RemapFraction: 0.2})
 	topo := Build(m, Options{Topology: dram.SingleChannel(g), RemapFraction: 0.2, Mapping: "row"})
-	if legacy.Disturb.WeakCellCount() != topo.Disturb.WeakCellCount() {
+	if legacy.Disturbs[0][0].WeakCellCount() != topo.Disturbs[0][0].WeakCellCount() {
 		t.Fatalf("weak cells differ: %d vs %d",
-			legacy.Disturb.WeakCellCount(), topo.Disturb.WeakCellCount())
+			legacy.Disturbs[0][0].WeakCellCount(), topo.Disturbs[0][0].WeakCellCount())
 	}
 	for r := 0; r < g.Rows; r++ {
-		if legacy.Device.PhysRow(r) != topo.Device.PhysRow(r) {
+		if legacy.Devices[0][0].PhysRow(r) != topo.Devices[0][0].PhysRow(r) {
 			t.Fatalf("remap differs at row %d", r)
 		}
 	}
 	// Same hammer campaign, bit-identical flips.
+	lc, tc := legacy.Mem.Controller(0), topo.Mem.Controller(0)
 	for v := 3; v < g.Rows-1; v += 11 {
-		legacy.Ctrl.HammerPairs(0, v-1, v+1, 2000)
-		topo.Ctrl.HammerPairs(0, v-1, v+1, 2000)
+		lc.HammerPairsRanked(0, 0, v-1, v+1, 2000)
+		tc.HammerPairsRanked(0, 0, v-1, v+1, 2000)
 	}
-	if a, b := legacy.Disturb.TotalFlips(), topo.Disturb.TotalFlips(); a != b {
+	if a, b := legacy.Disturbs[0][0].TotalFlips(), topo.Disturbs[0][0].TotalFlips(); a != b {
 		t.Fatalf("flips differ: %d vs %d", a, b)
 	}
-	if legacy.Ctrl.Stats != topo.Ctrl.Stats {
+	if lc.Stats != tc.Stats {
 		t.Fatal("controller stats differ")
 	}
 }

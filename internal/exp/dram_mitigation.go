@@ -29,8 +29,6 @@ func init() {
 		"discussion: DDR4 TRR \"might continue\" to be vulnerable", runE22)
 }
 
-func coord(bank, row int) memctrl.Coord { return memctrl.Coord{Bank: bank, Row: row} }
-
 // pairRows lists the aggressor rows v-1, v+1 of each victim in order:
 // one round of it double-side hammers every victim once.
 func pairRows(victims []int) []int {
@@ -58,9 +56,9 @@ func attackRig(pop []modules.Module, year int, scale float64, opt core.Options) 
 
 // standardAttack double-side hammers every 16th row for `pairs` pairs.
 func standardAttack(s *core.System, pairs int) {
-	rows := s.Device.Geom.Rows
-	for v := 17; v < rows-1; v += 16 {
-		s.Ctrl.HammerPairs(0, v-1, v+1, pairs)
+	c := s.Mem.Controller(0)
+	for v := 17; v < s.Topo.Geom.Rows-1; v += 16 {
+		c.HammerPairsRanked(0, 0, v-1, v+1, pairs)
 	}
 }
 
@@ -71,10 +69,9 @@ func benignOverhead(pop []modules.Module, setup func(s *core.System), mult float
 	if setup != nil {
 		setup(s)
 	}
-	src := rng.New(0xbe)
-	gen := workload.NewZipfRows(s.Ctrl.Map(), 1.1, src)
-	lat := workload.Run(s.Ctrl, gen, 120000)
-	return lat, s.Ctrl.EnergyPJ()
+	gen := workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, rng.New(0xbe))
+	lat := workload.RunSystem(s.Mem, gen, 120000)
+	return lat, s.Mem.Controller(0).EnergyPJ()
 }
 
 // runE5 compares the countermeasures of Section II-C on an identical
@@ -103,15 +100,15 @@ func runE5(seed uint64) *stats.Table {
 			s.AttachPARA(0.01, memctrl.InDRAM, rng.New(6))
 		}, func(*core.System) int64 { return 0 }},
 		{"CRA counters", 1, func(s *core.System) {
-			s.Ctrl.Attach(memctrl.NewCRA(int64(s.Disturb.MinThreshold()), 1, rows))
+			s.Mem.Controller(0).Attach(memctrl.NewCRA(int64(s.Disturbs[0][0].MinThreshold()), 1, rows))
 		}, func(s *core.System) int64 {
 			return memctrl.NewCRA(1000, 1, rows).StorageBits()
 		}},
 		{"TRR 8-entry sampler", 1, func(s *core.System) {
-			s.Ctrl.Attach(memctrl.NewTRR(8, 0.01, rng.New(7)))
+			s.Mem.Controller(0).Attach(memctrl.NewTRR(8, 0.01, rng.New(7)))
 		}, func(*core.System) int64 { return memctrl.NewTRR(8, 0.01, rng.New(0)).StorageBits() }},
 		{"ANVIL (software)", 1, func(s *core.System) {
-			s.Ctrl.Attach(memctrl.NewANVIL())
+			s.Mem.Controller(0).Attach(memctrl.NewANVIL())
 		}, func(*core.System) int64 { return 0 }},
 	}
 	baseLat, baseEn := benignOverhead(pop, nil, 1)
@@ -124,7 +121,7 @@ func runE5(seed uint64) *stats.Table {
 		standardAttack(s, 30000)
 		lat, en := benignOverhead(pop, c.setup, c.mult)
 		t.AddRow(c.name,
-			fmt.Sprintf("%d", s.Disturb.TotalFlips()),
+			fmt.Sprintf("%d", s.TotalFlips()),
 			fmt.Sprintf("%+.2f%%", 100*(lat/baseLat-1)),
 			fmt.Sprintf("%+.2f%%", 100*(en/baseEn-1)),
 			fmt.Sprintf("%d", c.bits(s)))
@@ -145,7 +142,7 @@ func runE5(seed uint64) *stats.Table {
 			Geom: dram.Geometry{Banks: 1, Rows: rows, Cols: 8}})
 		standardAttack(s, 30000)
 		t.AddRow("better chips (invulnerable)",
-			fmt.Sprintf("%d", s.Disturb.TotalFlips()), "+0.00%", "+0.00%", "0")
+			fmt.Sprintf("%d", s.TotalFlips()), "+0.00%", "+0.00%", "0")
 	}
 
 	// Solutions 4/5: retire RowHammer-prone rows found by profiling.
@@ -156,12 +153,12 @@ func runE5(seed uint64) *stats.Table {
 		scratch := attackRig(pop, 2013, 50, core.Options{
 			Geom: dram.Geometry{Banks: 1, Rows: rows, Cols: 8}})
 		for r := 0; r < rows; r++ {
-			scratch.Device.FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
+			scratch.Devices[0][0].FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
 		}
 		standardAttack(scratch, 30000)
 		retired := map[int]bool{}
 		for r := 0; r < rows; r++ {
-			for _, w := range scratch.Device.PhysRowWords(0, r) {
+			for _, w := range scratch.Devices[0][0].PhysRowWords(0, r) {
 				if w != 0xaaaaaaaaaaaaaaaa {
 					retired[r] = true
 					break
@@ -171,7 +168,7 @@ func runE5(seed uint64) *stats.Table {
 		s := attackRig(pop, 2013, 50, core.Options{
 			Geom: dram.Geometry{Banks: 1, Rows: rows, Cols: 8}})
 		for r := 0; r < rows; r++ {
-			s.Device.FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
+			s.Devices[0][0].FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
 		}
 		standardAttack(s, 30000)
 		visible := 0
@@ -179,7 +176,7 @@ func runE5(seed uint64) *stats.Table {
 			if retired[r] {
 				continue
 			}
-			for _, w := range s.Device.PhysRowWords(0, r) {
+			for _, w := range s.Devices[0][0].PhysRowWords(0, r) {
 				visible += popcount(w ^ 0xaaaaaaaaaaaaaaaa)
 			}
 		}
@@ -216,10 +213,10 @@ func runE7(seed uint64) *stats.Table {
 	s := core.Build(&m, core.Options{Geom: g})
 	pattern := ^uint64(0)
 	for r := 0; r < g.Rows; r++ {
-		s.Device.FillPhysRow(0, r, pattern)
+		s.Devices[0][0].FillPhysRow(0, r, pattern)
 	}
 	for v := 1; v < g.Rows-1; v += 2 {
-		s.Ctrl.HammerPairs(0, v-1, v+1, 15000)
+		s.Mem.Controller(0).HammerPairsRanked(0, 0, v-1, v+1, 15000)
 	}
 	// Histogram flips per 64-bit word and decode each corrupted word.
 	hist := map[int]int{}
@@ -228,7 +225,7 @@ func runE7(seed uint64) *stats.Table {
 	bch2 := ecc.BlockCode{DataBits: 64, T: 2}
 	bch4 := ecc.BlockCode{DataBits: 64, T: 4}
 	for r := 0; r < g.Rows; r++ {
-		words := s.Device.PhysRowWords(0, r)
+		words := s.Devices[0][0].PhysRowWords(0, r)
 		for _, w := range words {
 			flips := popcount(w ^ pattern)
 			hist[flips]++
@@ -330,18 +327,19 @@ func runE9(seed uint64) *stats.Table {
 	for _, share := range []float64{0.05, 0.1, 0.2, 0.4, 0.8} {
 		s := attackRig(pop, 2013, 50, core.Options{})
 		anvil := memctrl.NewANVIL()
-		s.Ctrl.Attach(anvil)
+		s.Mem.Controller(0).Attach(anvil)
 		src := rng.New(seed ^ uint64(share*1000))
-		rows := s.Device.Geom.Rows
-		mix := workload.NewMix("attack-mix", src,
-			[]workload.Generator{
-				workload.NewHammer(0, rows/2-1, rows/2+1),
-				workload.NewZipfRows(s.Ctrl.Map(), 1.1, src),
+		rows := s.Topo.Geom.Rows
+		p := s.Mem.Policy()
+		mix := workload.NewFlatMix("attack-mix", src,
+			[]workload.FlatGenerator{
+				workload.NewFlatHammer(p, memctrl.Loc{Row: rows/2 - 1}, memctrl.Loc{Row: rows/2 + 1}),
+				workload.NewFlatZipfRows(p, 1.1, src),
 			}, []float64{share, 1 - share})
 		firstDetect := int64(-1)
 		for i := 0; i < 400000; i++ {
-			a := mix.Next()
-			s.Ctrl.AccessCoord(a.Coord, a.Write, a.Data)
+			a := mix.NextFlat()
+			s.Mem.Access(a.Addr, a.Write, a.Data)
 			if firstDetect < 0 && anvil.Detections > 0 {
 				firstDetect = int64(i)
 			}
@@ -352,15 +350,15 @@ func runE9(seed uint64) *stats.Table {
 		}
 		t.AddRow(fmt.Sprintf("%.0f%%", share*100), det,
 			fmt.Sprintf("%d", firstDetect),
-			fmt.Sprintf("%d", s.Disturb.TotalFlips()),
-			fmt.Sprintf("%d", s.Ctrl.Stats.MitRefreshes))
+			fmt.Sprintf("%d", s.TotalFlips()),
+			fmt.Sprintf("%d", s.Mem.Controller(0).Stats.MitRefreshes))
 	}
 	// False positive check on pure benign traffic.
 	s := attackRig(pop, 2013, 50, core.Options{})
 	anvil := memctrl.NewANVIL()
-	s.Ctrl.Attach(anvil)
+	s.Mem.Controller(0).Attach(anvil)
 	src := rng.New(seed ^ 0x99)
-	workload.Run(s.Ctrl, workload.NewZipfRows(s.Ctrl.Map(), 1.1, src), 400000)
+	workload.RunSystem(s.Mem, workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, src), 400000)
 	t.AddNote("false positives on pure Zipf traffic: %d detections", anvil.Detections)
 	t.AddNote("paper verdict: software detection works but is statistical and intrusive")
 	return t
@@ -400,7 +398,7 @@ func runE19(seed uint64) *stats.Table {
 			pl.setup(s)
 		}
 		standardAttack(s, 30000)
-		t.AddRow(pl.name, fmt.Sprintf("%d", s.Disturb.TotalFlips()), notes[pl.name])
+		t.AddRow(pl.name, fmt.Sprintf("%d", s.TotalFlips()), notes[pl.name])
 	}
 	t.AddNote("expected: no-SPD placement leaks flips on remapped victims; SPD and in-DRAM do not")
 	return t

@@ -127,15 +127,15 @@ func runE3(seed uint64) *stats.Table {
 			if r%2 == 1 {
 				pat = 0x5555555555555555
 			}
-			sys.Device.FillPhysRow(0, r, pat)
+			sys.Devices[0][0].FillPhysRow(0, r, pat)
 		}
 		for v := 1; v < g.Rows-1; v += 8 {
-			sys.Ctrl.HammerPairs(0, v-1, v+1, pairs)
+			sys.Mem.Controller(0).HammerPairsRanked(0, 0, v-1, v+1, pairs)
 		}
 		if i == 0 {
-			low = sys.Disturb.TotalFlips()
+			low = sys.TotalFlips()
 		} else {
-			high = sys.Disturb.TotalFlips()
+			high = sys.TotalFlips()
 		}
 	}
 	t.AddNote("simulated spot check (thresholds scaled /10): %d flips at 8k pairs, %d at 80k pairs", low, high)

@@ -72,16 +72,16 @@ func injectE70Clusters(dm *disturb.Model, v int, threshold float64) {
 // fillRow writes a row through the controller (populating the ECC
 // shadow alongside the array).
 func fillRow(c *memctrl.Controller, bank, row int, pattern uint64) {
-	for col := 0; col < c.Map().Geom.Cols; col++ {
-		c.AccessCoord(memctrl.Coord{Bank: bank, Row: row, Col: col}, true, pattern)
+	for col := 0; col < c.Rank(0).Geom.Cols; col++ {
+		c.AccessRanked(0, memctrl.Coord{Bank: bank, Row: row, Col: col}, true, pattern)
 	}
 }
 
 // readRow reads a row back through the controller (classifying every
 // corrupted word once).
 func readRow(c *memctrl.Controller, bank, row int) {
-	for col := 0; col < c.Map().Geom.Cols; col++ {
-		c.AccessCoord(memctrl.Coord{Bank: bank, Row: row, Col: col}, false, 0)
+	for col := 0; col < c.Rank(0).Geom.Cols; col++ {
+		c.AccessRanked(0, memctrl.Coord{Bank: bank, Row: row, Col: col}, false, 0)
 	}
 }
 
@@ -125,7 +125,7 @@ func runE70(seed uint64) *stats.Table {
 				fillRow(ctrl, 0, v, ^uint64(0))
 			}
 			for _, v := range victims {
-				ctrl.HammerPairs(0, v-1, v+1, 125000)
+				ctrl.HammerPairsRanked(0, 0, v-1, v+1, 125000)
 			}
 			// One readback pass classifies every corrupted word once:
 			// the hammer itself reads only clean aggressor words, so the
@@ -185,14 +185,14 @@ func runE71(seed uint64) *stats.Table {
 		}
 		// Wave 1: distance-1 hammering flips the first bit of each word.
 		for _, v := range victims {
-			ctrl.HammerPairs(0, v-1, v+1, 3000)
+			ctrl.HammerPairsRanked(0, 0, v-1, v+1, 3000)
 		}
 		// Scrub window: 2048 REFs of idle time. A patrol at W words/REF
 		// sweeps the bank's 8192 words in 8192/W REFs.
 		ctrl.AdvanceTo(ctrl.Now() + 2048*dev.Timing.TREFI)
 		// Wave 2: distance-2 hammering lands the partner flips.
 		for _, v := range victims {
-			ctrl.HammerPairs(0, v-2, v+2, 3000)
+			ctrl.HammerPairsRanked(0, 0, v-2, v+2, 3000)
 		}
 		pre := ctrl.Stats
 		for _, v := range victims {

@@ -109,7 +109,7 @@ func runE26(seed uint64) *stats.Table {
 		para := memctrl.NewPARA(0.03, memctrl.InDRAM, nil, rng.New(seed^uint64(radius)))
 		para.Radius = radius
 		ctrl.Attach(para)
-		ctrl.HammerPairs(0, 59, 61, 50000)
+		ctrl.HammerPairsRanked(0, 0, 59, 61, 50000)
 		d1 := 1 - int(dev.PhysBit(0, 60, 3))
 		d2 := 1 - int(dev.PhysBit(0, 63, 4))
 		t.AddRowf(radius, d1, d2)
@@ -146,7 +146,7 @@ func runE27(seed uint64) *stats.Table {
 			}
 			ctrl := memctrl.New(dev, memctrl.Config{})
 			for v := 1; v < g.Rows-1; v += 4 {
-				ctrl.HammerPairs(0, v-1, v+1, 3000)
+				ctrl.HammerPairsRanked(0, 0, v-1, v+1, 3000)
 			}
 			return m.TotalFlips()
 		}

@@ -52,7 +52,7 @@ func frontierBanks(topo dram.Topology) int { return topo.Ranks * topo.Geom.Banks
 // channel carries an identical instance).
 func attachedBits(s *core.System) int64 {
 	var total int64
-	for _, m := range s.Ctrl.Mitigations() {
+	for _, m := range s.Mem.Controller(0).Mitigations() {
 		total += m.StorageBits()
 	}
 	return total
@@ -115,7 +115,7 @@ func runE40(seed uint64) *stats.Table {
 	// The untouched first build doubles as the threshold probe and the
 	// unmitigated row's system (build() is a pure function of the seed).
 	base := build()
-	threshold := int64(base.Disturb.MinThreshold())
+	threshold := int64(base.Disturbs[0][0].MinThreshold())
 	var baseEnergy float64
 	for i, d := range frontierDefenses(seed, topo, threshold, 8) {
 		s := base
@@ -125,20 +125,20 @@ func runE40(seed uint64) *stats.Table {
 		if d.attach != nil {
 			d.attach(s, 0)
 		}
+		c := s.Mem.Controller(0)
 		for v := 17; v < topo.Geom.Rows-1; v += 16 {
-			attack.NSidedRanked(s.Ctrl, 0, 0, attack.NSidedAggressors(v-1, 2), nil, 12000)
+			attack.NSidedRanked(c, 0, 0, attack.NSidedAggressors(v-1, 2), nil, 12000)
 		}
-		gen := workload.NewZipfRows(s.Ctrl.Map(), 1.1, rng.New(seed^0xbe))
-		workload.Run(s.Ctrl, gen, 40000)
-		energy := s.Ctrl.EnergyPJ()
+		workload.RunSystem(s.Mem, workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, rng.New(seed^0xbe)), 40000)
+		energy := c.EnergyPJ()
 		if i == 0 {
 			baseEnergy = energy
 		}
 		t.AddRow(d.name,
 			fmt.Sprintf("%d", s.TotalFlips()),
 			fmt.Sprintf("%d", d.bits(s)),
-			fmt.Sprintf("%d", s.Ctrl.Stats.MitRefreshes),
-			fmt.Sprintf("%d", s.Ctrl.Stats.AutoRefreshes),
+			fmt.Sprintf("%d", c.Stats.MitRefreshes),
+			fmt.Sprintf("%d", c.Stats.AutoRefreshes),
 			fmt.Sprintf("%+.2f%%", 100*(energy/baseEnergy-1)))
 	}
 	t.AddNote("identical double-sided attack (63 victims x 12k pairs) + identical Zipf tail per row;")
@@ -155,8 +155,8 @@ type nsidedDefense struct {
 }
 
 // runE41 sweeps attacker sidedness and decoy count against the
-// capacity-limited trackers, driving the attack through the
-// workload.NSided stream. TRR's sampler dilutes as the pattern widens;
+// capacity-limited trackers, driving the attack as one many-row
+// hammer cycle of aggressors then decoys. TRR's sampler dilutes as the pattern widens;
 // Graphene's spillover and TWiCe's exact counts convert the same
 // pressure into refresh overhead instead of flips.
 func runE41(seed uint64) *stats.Table {
@@ -193,8 +193,11 @@ func runE41(seed uint64) *stats.Table {
 				}
 				ctrl := memctrl.New(dev, memctrl.Config{})
 				d.attach(ctrl)
-				gen := workload.NewNSided(0, attack.NSidedAggressors(base, sides), attack.DecoyRows(g.Rows, decoys))
-				workload.Run(ctrl, gen, 90000)
+				// 90k accesses of the aggressors-then-decoys cycle: whole
+				// rounds, then the leading rows of one more.
+				rows := append(attack.NSidedAggressors(base, sides), attack.DecoyRows(g.Rows, decoys)...)
+				ctrl.HammerRowsRanked(0, 0, rows, 90000/len(rows))
+				ctrl.HammerRowsRanked(0, 0, rows[:90000%len(rows)], 1)
 				flipped := 0
 				for _, v := range victims {
 					if dev.PhysBit(0, v, 1) != 1 {
@@ -233,7 +236,7 @@ func runE42(seed uint64) *stats.Table {
 	} {
 		scratch := m
 		scratch.Seed = m.Seed + seed
-		threshold := int64(core.Build(&scratch, core.Options{Topology: topo}).Disturb.MinThreshold())
+		threshold := int64(core.Build(&scratch, core.Options{Topology: topo}).Disturbs[0][0].MinThreshold())
 		// 16 entries cover the campaign's 14 active rows per bank
 		// (3 bases x 4 aggressors + 2 decoys).
 		for _, d := range frontierDefenses(seed, topo, threshold, 16) {
@@ -294,7 +297,7 @@ func runE43(seed uint64) *stats.Table {
 			ctrl.Attach(memctrl.NewRefreshScaling(factor))
 		}
 		for _, v := range victims {
-			ctrl.HammerPairs(0, v-1, v+1, 130000)
+			ctrl.HammerPairsRanked(0, 0, v-1, v+1, 130000)
 		}
 		flipped := 0
 		for _, v := range victims {
@@ -366,7 +369,9 @@ func runE44(seed uint64) *stats.Table {
 		}
 		ctrl := memctrl.New(dev, memctrl.Config{})
 		d.attach(ctrl)
-		best, probes := attack.AdaptiveNSided(ctrl, 0, 0, []int{2, 4, 8, 16}, 2, 120000, 0xaaaaaaaaaaaaaaaa)
+		adaptive := &attack.AdaptiveStrategy{Sweep: []int{2, 4, 8, 16}, Decoys: 2, Budget: 120000}
+		adaptive.Probe(attack.Target{Ctrl: ctrl, Pattern: 0xaaaaaaaaaaaaaaaa})
+		best, probes := adaptive.BestSides(), adaptive.Probes()
 		var at2, atBest int
 		for _, p := range probes {
 			if p.Sides == 2 {

@@ -26,44 +26,9 @@ import (
 	"repro/internal/dram"
 )
 
-// AddressMap translates flat physical byte addresses to within-rank
-// DRAM coordinates. The layout is row:bank:col:offset (row-interleaved,
-// open-page friendly): consecutive cache lines hit the same row. It is
-// the single-device ancestor of MappingPolicy; RowInterleaved over a
-// 1-channel 1-rank topology decodes bit-identically.
-type AddressMap struct {
-	Geom dram.Geometry
-}
-
 // Coord is a decoded within-rank DRAM coordinate.
 type Coord struct {
 	Bank, Row, Col int
-}
-
-// Decode maps a byte address to its DRAM coordinate. The low 3 bits
-// (byte-in-word) are dropped. Addresses beyond the device wrap, which
-// keeps workload generators simple.
-func (a AddressMap) Decode(addr uint64) Coord {
-	w := addr >> 3
-	col := int(w % uint64(a.Geom.Cols))
-	w /= uint64(a.Geom.Cols)
-	bank := int(w % uint64(a.Geom.Banks))
-	w /= uint64(a.Geom.Banks)
-	row := int(w % uint64(a.Geom.Rows))
-	return Coord{Bank: bank, Row: row, Col: col}
-}
-
-// Encode maps a DRAM coordinate back to the canonical byte address.
-func (a AddressMap) Encode(c Coord) uint64 {
-	w := uint64(c.Row)
-	w = w*uint64(a.Geom.Banks) + uint64(c.Bank)
-	w = w*uint64(a.Geom.Cols) + uint64(c.Col)
-	return w << 3
-}
-
-// Bytes returns the addressable capacity in bytes.
-func (a AddressMap) Bytes() uint64 {
-	return uint64(a.Geom.TotalCells() / 8)
 }
 
 // Config parameterizes a controller.
@@ -124,13 +89,9 @@ func (s *Stats) Add(other Stats) {
 
 // Controller drives one channel: a set of identical ranks sharing the
 // channel's command bus, refresh engine and mitigation registry.
-// Coord-based methods address rank 0, which keeps the original
-// single-device API (and its results) intact; rank-aware callers use
-// AccessRanked/AccessLoc.
 type Controller struct {
 	cfg   Config `snapshot:"config"`
 	ranks []*dram.Device
-	amap  AddressMap `snapshot:"config"`
 
 	now        dram.Time
 	nextRefDue dram.Time
@@ -203,7 +164,6 @@ func NewMultiRank(devs []*dram.Device, cfg Config) *Controller {
 	c := &Controller{
 		cfg:     cfg,
 		ranks:   devs,
-		amap:    AddressMap{Geom: g},
 		lastAct: make([]dram.Time, len(devs)*g.Banks),
 	}
 	if cfg.ECC.Kind != ECCNone {
@@ -218,18 +178,11 @@ func NewMultiRank(devs []*dram.Device, cfg Config) *Controller {
 	return c
 }
 
-// Device returns rank 0 (experiment instrumentation; the whole device
-// for single-rank channels).
-func (c *Controller) Device() *dram.Device { return c.ranks[0] }
-
 // Rank returns the device behind the given rank index.
 func (c *Controller) Rank(i int) *dram.Device { return c.ranks[i] }
 
 // NumRanks returns how many ranks the controller drives.
 func (c *Controller) NumRanks() int { return len(c.ranks) }
-
-// Map returns the controller's rank-0 address map.
-func (c *Controller) Map() AddressMap { return c.amap }
 
 // Now returns the current simulated time.
 func (c *Controller) Now() dram.Time { return c.now }
@@ -357,19 +310,6 @@ func (c *Controller) serviceRefresh() {
 	}
 }
 
-// Access performs one 64-bit read or write at a flat byte address on
-// rank 0 and returns the read data (reads echo the stored word; writes
-// return the written word) plus the access latency.
-func (c *Controller) Access(addr uint64, write bool, data uint64) (uint64, dram.Time) {
-	return c.AccessCoord(c.amap.Decode(addr), write, data)
-}
-
-// AccessCoord is Access with a pre-decoded rank-0 coordinate; attack
-// kernels use it to hammer specific rows.
-func (c *Controller) AccessCoord(co Coord, write bool, data uint64) (uint64, dram.Time) {
-	return c.AccessRanked(0, co, write, data)
-}
-
 // AccessLoc routes a system-level location to its rank. The location's
 // Channel field is ignored: the MemorySystem has already routed the
 // request to this channel's controller.
@@ -378,7 +318,8 @@ func (c *Controller) AccessLoc(l Loc, write bool, data uint64) (uint64, dram.Tim
 }
 
 // AccessRanked performs one 64-bit read or write at a coordinate on the
-// given rank.
+// given rank and returns the read data (reads echo the stored word;
+// writes return the written word) plus the access latency.
 func (c *Controller) AccessRanked(rank int, co Coord, write bool, data uint64) (uint64, dram.Time) {
 	c.serviceRefresh()
 	start := c.now
@@ -433,15 +374,10 @@ func (c *Controller) activate(rank, bank, logRow int) {
 	}
 }
 
-// HammerPairs performs `pairs` alternating single-word read accesses to
-// (bank,rowA,col 0) and (bank,rowB,col 0) on rank 0 — the double-sided
-// hammer access pattern. See HammerRowsRanked for the contract.
-func (c *Controller) HammerPairs(bank, rowA, rowB, pairs int) {
-	c.HammerRowsRanked(0, bank, []int{rowA, rowB}, pairs)
-}
-
-// HammerPairsRanked is HammerPairs on an explicit rank: the two-row
-// call of HammerRowsRanked.
+// HammerPairsRanked performs `pairs` alternating single-word read
+// accesses to col 0 of rowA and rowB in one bank of one rank — the
+// double-sided hammer access pattern: the two-row call of
+// HammerRowsRanked.
 func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 	c.HammerRowsRanked(rank, bank, []int{rowA, rowB}, pairs)
 }

@@ -15,41 +15,64 @@ func newCtrl(cfg Config) *Controller {
 	return New(dev, cfg)
 }
 
+// singleMap is the single-device address layout: RowInterleaved over
+// one channel of one rank decodes row : bank : col : offset.
+func singleMap() RowInterleaved {
+	return RowInterleaved{Topo: dram.SingleChannel(testGeom())}
+}
+
 func TestAddressMapBijective(t *testing.T) {
-	am := AddressMap{Geom: testGeom()}
+	am := singleMap()
 	if err := quick.Check(func(raw uint32) bool {
 		addr := (uint64(raw) << 3) % am.Bytes()
-		c := am.Decode(addr)
-		return am.Encode(c) == addr
+		return am.Encode(am.Decode(addr)) == addr
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAddressMapCoordsInRange(t *testing.T) {
-	am := AddressMap{Geom: testGeom()}
+	am := singleMap()
 	if err := quick.Check(func(addr uint64) bool {
-		c := am.Decode(addr)
-		return c.Bank >= 0 && c.Bank < 2 && c.Row >= 0 && c.Row < 256 && c.Col >= 0 && c.Col < 8
+		l := am.Decode(addr)
+		return l.Channel == 0 && l.Rank == 0 &&
+			l.Bank >= 0 && l.Bank < 2 && l.Row >= 0 && l.Row < 256 && l.Col >= 0 && l.Col < 8
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestAddressMapRowInterleaved pins the single-device layout with
+// literal addresses: row : bank : col : offset, 8 cols and 2 banks.
 func TestAddressMapRowInterleaved(t *testing.T) {
-	am := AddressMap{Geom: testGeom()}
-	// Consecutive words in the same bank stay in the same row until
-	// the column wraps: addresses 0 and 8 differ only in column.
-	a, b := am.Decode(0), am.Decode(8)
-	if a.Row != b.Row || a.Bank != b.Bank || a.Col+1 != b.Col {
-		t.Fatalf("not row-interleaved: %+v then %+v", a, b)
+	am := singleMap()
+	for _, tc := range []struct {
+		addr uint64
+		want Loc
+	}{
+		{0x0, Loc{}},
+		{0x7, Loc{}},                             // byte-in-word dropped
+		{0x8, Loc{Col: 1}},                       // next word, same row
+		{0x38, Loc{Col: 7}},                      // last column of bank 0
+		{0x40, Loc{Bank: 1}},                     // bank above column
+		{0x80, Loc{Row: 1}},                      // row above bank
+		{0x100, Loc{Row: 2}},                     //
+		{0x7ff8, Loc{Bank: 1, Row: 255, Col: 7}}, // last word
+	} {
+		if got := am.Decode(tc.addr); got != tc.want {
+			t.Errorf("Decode(%#x) = %+v, want %+v", tc.addr, got, tc.want)
+		}
+		if got := am.Encode(tc.want); got != tc.addr&^7 {
+			t.Errorf("Encode(%+v) = %#x, want %#x", tc.want, got, tc.addr&^7)
+		}
 	}
 }
 
 func TestAccessReadWrite(t *testing.T) {
 	c := newCtrl(Config{})
-	c.Access(0x100, true, 0xabcdef)
-	got, _ := c.Access(0x100, false, 0)
+	co := Coord{Bank: 0, Row: 2, Col: 0}
+	c.AccessRanked(0, co, true, 0xabcdef)
+	got, _ := c.AccessRanked(0, co, false, 0)
 	if got != 0xabcdef {
 		t.Fatalf("read back %x", got)
 	}
@@ -60,13 +83,9 @@ func TestAccessReadWrite(t *testing.T) {
 
 func TestRowHitMissConflictAccounting(t *testing.T) {
 	c := newCtrl(Config{DisableRefresh: true})
-	am := c.Map()
-	rowA := am.Encode(Coord{Bank: 0, Row: 10, Col: 0})
-	rowA2 := am.Encode(Coord{Bank: 0, Row: 10, Col: 3})
-	rowB := am.Encode(Coord{Bank: 0, Row: 20, Col: 0})
-	c.Access(rowA, false, 0)  // miss (bank closed)
-	c.Access(rowA2, false, 0) // hit
-	c.Access(rowB, false, 0)  // conflict
+	c.AccessRanked(0, Coord{Bank: 0, Row: 10, Col: 0}, false, 0) // miss (bank closed)
+	c.AccessRanked(0, Coord{Bank: 0, Row: 10, Col: 3}, false, 0) // hit
+	c.AccessRanked(0, Coord{Bank: 0, Row: 20, Col: 0}, false, 0) // conflict
 	if c.Stats.RowMisses != 1 || c.Stats.RowHits != 1 || c.Stats.RowConflicts != 1 {
 		t.Fatalf("hit/miss/conflict = %d/%d/%d", c.Stats.RowHits, c.Stats.RowMisses, c.Stats.RowConflicts)
 	}
@@ -74,10 +93,9 @@ func TestRowHitMissConflictAccounting(t *testing.T) {
 
 func TestLatencyOrdering(t *testing.T) {
 	c := newCtrl(Config{DisableRefresh: true})
-	am := c.Map()
-	_, missLat := c.Access(am.Encode(Coord{0, 10, 0}), false, 0)
-	_, hitLat := c.Access(am.Encode(Coord{0, 10, 1}), false, 0)
-	_, confLat := c.Access(am.Encode(Coord{0, 20, 0}), false, 0)
+	_, missLat := c.AccessRanked(0, Coord{0, 10, 0}, false, 0)
+	_, hitLat := c.AccessRanked(0, Coord{0, 10, 1}, false, 0)
+	_, confLat := c.AccessRanked(0, Coord{0, 20, 0}, false, 0)
 	if !(hitLat < missLat && missLat < confLat) {
 		t.Fatalf("latency ordering violated: hit=%d miss=%d conflict=%d", hitLat, missLat, confLat)
 	}
@@ -132,25 +150,23 @@ func TestAccessServicesDueRefresh(t *testing.T) {
 	// refreshes (the controller folds them into the access path).
 	c.AdvanceTo(0)
 	for i := 0; i < 3; i++ {
-		c.Access(uint64(i*64), false, 0)
+		c.AccessRanked(0, Coord{Bank: i % 2, Row: i / 2}, false, 0)
 	}
 	before := c.Stats.AutoRefreshes
 	// Advance time by accessing in a tight loop long enough to pass
 	// several tREFI periods: conflicts take ~tRC each.
-	am := c.Map()
 	for i := 0; i < 1000; i++ {
-		c.AccessCoord(Coord{Bank: 0, Row: i % 2 * 50, Col: 0}, false, 0)
+		c.AccessRanked(0, Coord{Bank: 0, Row: i % 2 * 50, Col: 0}, false, 0)
 	}
 	if c.Stats.AutoRefreshes == before {
 		t.Fatal("no refreshes serviced during busy access stream")
 	}
-	_ = am
 }
 
 func TestEnergyMonotone(t *testing.T) {
 	c := newCtrl(Config{})
 	e0 := c.EnergyPJ()
-	c.Access(0, true, 1)
+	c.AccessRanked(0, Coord{}, true, 1)
 	c.AdvanceTo(dram.Millisecond)
 	if c.EnergyPJ() <= e0 {
 		t.Fatal("energy not increasing")

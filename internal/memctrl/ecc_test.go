@@ -49,10 +49,10 @@ func TestECCConfigCheckBits(t *testing.T) {
 // eccDriveWorkload runs an identical mixed write/read/hammer sequence
 // on a controller.
 func eccDriveWorkload(c *Controller) {
-	g := c.Map().Geom
+	g := c.Rank(0).Geom
 	for r := 0; r < g.Rows; r += 3 {
 		for col := 0; col < g.Cols; col++ {
-			c.AccessCoord(Coord{Bank: 0, Row: r, Col: col}, true, uint64(r)*uint64(col+1))
+			c.AccessRanked(0, Coord{Bank: 0, Row: r, Col: col}, true, uint64(r)*uint64(col+1))
 		}
 	}
 	for r := 10; r < g.Rows-10; r += 41 {
@@ -60,7 +60,7 @@ func eccDriveWorkload(c *Controller) {
 	}
 	for r := 0; r < g.Rows; r += 3 {
 		for col := 0; col < g.Cols; col++ {
-			c.AccessCoord(Coord{Bank: 0, Row: r, Col: col}, false, 0)
+			c.AccessRanked(0, Coord{Bank: 0, Row: r, Col: col}, false, 0)
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestECCCleanTrafficTransparent(t *testing.T) {
 	if plain.Now() != secded.Now() {
 		t.Fatalf("clocks diverge: %d vs %d", plain.Now(), secded.Now())
 	}
-	if plain.Device().Stats != secded.Device().Stats {
+	if plain.Rank(0).Stats != secded.Rank(0).Stats {
 		t.Fatal("device stats diverge on clean traffic")
 	}
 	if secded.Stats.ECCCorrected|secded.Stats.ECCDetected|secded.Stats.ECCSilent != 0 {
@@ -96,7 +96,7 @@ func TestECCCleanTrafficTransparent(t *testing.T) {
 // corruptWord flips the given within-word bits of (bank, logical row,
 // col) behind the controller's back, as the disturb model does.
 func corruptWord(c *Controller, bank, row, col int, bits ...int) {
-	dev := c.Device()
+	dev := c.Rank(0)
 	phys := dev.PhysRow(row)
 	for _, b := range bits {
 		cur := dev.PhysBit(bank, phys, col*64+b)
@@ -111,14 +111,14 @@ func corruptWord(c *Controller, bank, row, col int, bits ...int) {
 // chipkill, the four-nibble quad silent past chipkill.
 func TestECCReadClassification(t *testing.T) {
 	read := func(c *Controller, col int) uint64 {
-		got, _ := c.AccessCoord(Coord{Bank: 0, Row: 5, Col: col}, false, 0)
+		got, _ := c.AccessRanked(0, Coord{Bank: 0, Row: 5, Col: col}, false, 0)
 		return got
 	}
 	setup := func(kind ECCKind) *Controller {
 		g := dram.Geometry{Banks: 1, Rows: 64, Cols: 8}
 		c := New(dram.NewDevice(g), Config{ECC: ECCConfig{Kind: kind}})
 		for col := 0; col < g.Cols; col++ {
-			c.AccessCoord(Coord{Bank: 0, Row: 5, Col: col}, true, ^uint64(0))
+			c.AccessRanked(0, Coord{Bank: 0, Row: 5, Col: col}, true, ^uint64(0))
 		}
 		corruptWord(c, 0, 5, 0, 7)             // single
 		corruptWord(c, 0, 5, 1, 3, 40)         // spread double
@@ -203,7 +203,7 @@ func TestECCScrubberRepairs(t *testing.T) {
 	sc := NewScrubber(4)
 	c.Attach(sc)
 	for col := 0; col < g.Cols; col++ {
-		c.AccessCoord(Coord{Bank: 0, Row: 9, Col: col}, true, 0xdeadbeefdeadbeef)
+		c.AccessRanked(0, Coord{Bank: 0, Row: 9, Col: col}, true, 0xdeadbeefdeadbeef)
 	}
 	corruptWord(c, 0, 9, 3, 11)
 	// One full patrol sweep: 64*8 words at 4 words/REF = 128 REFs.
@@ -221,7 +221,7 @@ func TestECCScrubberRepairs(t *testing.T) {
 		t.Fatal("patrol reads cost no time")
 	}
 	before := c.Stats
-	got, _ := c.AccessCoord(Coord{Bank: 0, Row: 9, Col: 3}, false, 0)
+	got, _ := c.AccessRanked(0, Coord{Bank: 0, Row: 9, Col: 3}, false, 0)
 	if got != 0xdeadbeefdeadbeef {
 		t.Fatalf("post-repair read = %#x, want original", got)
 	}
@@ -267,7 +267,7 @@ func newECCRig(seed uint64) *eccRig {
 }
 
 func (rig *eccRig) drive(pairs int) {
-	g := rig.ctrl.Map().Geom
+	g := rig.ctrl.Rank(0).Geom
 	for b := 0; b < g.Banks; b++ {
 		for r := 10; r < g.Rows-10; r += 23 {
 			rig.ctrl.HammerPairsRanked(0, b, r-1, r+1, pairs)
@@ -316,7 +316,7 @@ func TestECCStateRoundTrip(t *testing.T) {
 		if b.ctrl.Now() != ref.ctrl.Now() {
 			t.Fatalf("seed %d: clock diverges", seed)
 		}
-		dev, devRef := b.ctrl.Device(), ref.ctrl.Device()
+		dev, devRef := b.ctrl.Rank(0), ref.ctrl.Rank(0)
 		for bank := 0; bank < dev.Geom.Banks; bank++ {
 			for r := 0; r < dev.Geom.Rows; r++ {
 				w1, w2 := dev.PhysRowWords(bank, r), devRef.PhysRowWords(bank, r)

@@ -44,8 +44,8 @@ func TestGrapheneHoldsAgainstManySided(t *testing.T) {
 	ctrl.Attach(NewGraphene(44, 1500, 1))
 	for i := 0; i < 4000; i++ {
 		for _, v := range victims {
-			ctrl.AccessCoord(Coord{Bank: 0, Row: v - 1, Col: 0}, false, 0)
-			ctrl.AccessCoord(Coord{Bank: 0, Row: v + 1, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: v - 1, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: v + 1, Col: 0}, false, 0)
 		}
 	}
 	for _, v := range victims {
@@ -85,10 +85,10 @@ func TestTWiCePrunesBenignRows(t *testing.T) {
 	// a distinct cold row between bursts.
 	for i := 0; i < 200; i++ {
 		for k := 0; k < 40; k++ {
-			ctrl.AccessCoord(Coord{Bank: 0, Row: 100, Col: 0}, false, 0)
-			ctrl.AccessCoord(Coord{Bank: 0, Row: 102, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: 100, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: 102, Col: 0}, false, 0)
 		}
-		ctrl.AccessCoord(Coord{Bank: 0, Row: (i * 7) % 97, Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: (i * 7) % 97, Col: 0}, false, 0)
 	}
 	if tw.PeakEntries() >= 97 {
 		t.Fatalf("TWiCe never pruned: peak %d entries", tw.PeakEntries())
@@ -131,9 +131,9 @@ func TestRefreshScalingEquivalentToConfigMultiplier(t *testing.T) {
 		src := rng.New(31)
 		for i := 0; i < 5000; i++ {
 			co := Coord{Bank: src.Intn(g.Banks), Row: src.Intn(g.Rows), Col: src.Intn(g.Cols)}
-			c.AccessCoord(co, src.Bool(0.3), src.Uint64())
+			c.AccessRanked(0, co, src.Bool(0.3), src.Uint64())
 		}
-		c.HammerPairs(0, 59, 61, 20000)
+		c.HammerPairsRanked(0, 0, 59, 61, 20000)
 		return c, dev
 	}
 	a, da := run(false)
@@ -156,7 +156,7 @@ func TestRefreshScalingStacksWithConfig(t *testing.T) {
 	if c.RefreshMultiplier() != 4 {
 		t.Fatalf("stacked multiplier = %v, want 4", c.RefreshMultiplier())
 	}
-	want := dram.Time(float64(c.Device().Timing.RetentionWindow()) / 4)
+	want := dram.Time(float64(c.Rank(0).Timing.RetentionWindow()) / 4)
 	if c.RetentionWindow() != want {
 		t.Fatalf("RetentionWindow = %d, want %d", c.RetentionWindow(), want)
 	}

@@ -1,8 +1,8 @@
 package memctrl
 
-// Equivalence tests for Controller.HammerPairs, the two-row call of
-// the hammer kernel: the batched sweep must be bit-identical to the
-// naive AccessCoord loop — same timing, same auto-refresh
+// Equivalence tests for Controller.HammerPairsRanked, the two-row call
+// of the hammer kernel: the batched sweep must be bit-identical to the
+// naive AccessRanked loop — same timing, same auto-refresh
 // interleaving, same stats, same energy, same fault physics. The
 // many-row kernel under every mitigation, ECC and remap is fuzzed in
 // kernel_test.go.
@@ -91,8 +91,8 @@ func naiveHammerPairs(c *Controller, bank, rowA, rowB, pairs int) {
 	coA := Coord{Bank: bank, Row: rowA}
 	coB := Coord{Bank: bank, Row: rowB}
 	for i := 0; i < pairs; i++ {
-		c.AccessCoord(coA, false, 0)
-		c.AccessCoord(coB, false, 0)
+		c.AccessRanked(0, coA, false, 0)
+		c.AccessRanked(0, coB, false, 0)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestHammerPairsMatchesAccessLoop(t *testing.T) {
 			// Sweep several victims with bursts long enough to span
 			// many auto-refresh commands (one REF per ~159 accesses).
 			for v := 1; v < g.Rows-1; v += 9 {
-				fast.ctrl.HammerPairs(0, v-1, v+1, 2000)
+				fast.ctrl.HammerPairsRanked(0, 0, v-1, v+1, 2000)
 				naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 2000)
 			}
 			if fast.ctrl.Stats.AutoRefreshes == 0 {
@@ -136,7 +136,7 @@ func TestHammerPairsWithRemap(t *testing.T) {
 	}
 	fast, slow := build(), build()
 	for v := 1; v < g.Rows-1; v += 17 {
-		fast.ctrl.HammerPairs(0, v-1, v+1, 1500)
+		fast.ctrl.HammerPairsRanked(0, 0, v-1, v+1, 1500)
 		naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 1500)
 	}
 	compareSystems(t, fast, slow, "remapped")
@@ -151,7 +151,7 @@ func TestHammerPairsWithMitigationFallsBack(t *testing.T) {
 	}
 	fast, slow := build(), build()
 	for v := 1; v < g.Rows-1; v += 13 {
-		fast.ctrl.HammerPairs(0, v-1, v+1, 800)
+		fast.ctrl.HammerPairsRanked(0, 0, v-1, v+1, 800)
 		naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 800)
 	}
 	// With PARA attached the kernel runs its quiet stretches in closed
@@ -168,9 +168,9 @@ func TestHammerPairsDegenerateCases(t *testing.T) {
 	fast := newHammerSystem(t, g, 41, false, 1)
 	slow := newHammerSystem(t, g, 41, false, 1)
 	// Same row on both sides: row hits, no conflicts.
-	fast.ctrl.HammerPairs(0, 7, 7, 100)
+	fast.ctrl.HammerPairsRanked(0, 0, 7, 7, 100)
 	naiveHammerPairs(slow.ctrl, 0, 7, 7, 100)
 	// Zero pairs: no-op.
-	fast.ctrl.HammerPairs(0, 1, 3, 0)
+	fast.ctrl.HammerPairsRanked(0, 0, 1, 3, 0)
 	compareSystems(t, fast, slow, "degenerate")
 }

@@ -51,8 +51,8 @@ type MappingPolicy interface {
 // RowInterleaved keeps consecutive cache lines in the same row:
 // the address is channel : rank : row : bank : col : offset from most
 // to least significant. It is the open-page-friendly layout of the
-// original single-device stack; with a 1-channel 1-rank topology it is
-// bit-identical to AddressMap.
+// original single-device stack: on a 1-channel 1-rank topology the
+// address is row : bank : col : offset.
 type RowInterleaved struct {
 	Topo dram.Topology
 }

@@ -104,30 +104,55 @@ func TestMappingAddressWrap(t *testing.T) {
 	}
 }
 
-// TestRowInterleavedMatchesAddressMap pins the bit-identical-default
-// guarantee: over a 1-channel 1-rank topology, RowInterleaved decodes
-// and encodes exactly like the legacy AddressMap for every address —
-// wrapped addresses beyond the device included.
+// TestRowInterleavedMatchesAddressMap pins the single-device layout:
+// over a 1-channel 1-rank topology, RowInterleaved decodes and encodes
+// as row : bank : col : offset, the closed form below, for every
+// address — addresses beyond the device wrap modulo its capacity.
 func TestRowInterleavedMatchesAddressMap(t *testing.T) {
 	g := dram.Geometry{Banks: 8, Rows: 128, Cols: 16}
-	am := AddressMap{Geom: g}
 	p := RowInterleaved{Topo: dram.SingleChannel(g)}
-	src := rng.New(13)
+	want := func(addr uint64) Loc {
+		w := addr >> 3
+		col := int(w % uint64(g.Cols))
+		w /= uint64(g.Cols)
+		bank := int(w % uint64(g.Banks))
+		w /= uint64(g.Banks)
+		return Loc{Bank: bank, Row: int(w % uint64(g.Rows)), Col: col}
+	}
+	bytes := uint64(g.Banks * g.Rows * g.Cols * 8)
+	if p.Bytes() != bytes {
+		t.Fatalf("Bytes() = %d, want %d", p.Bytes(), bytes)
+	}
 	// Exhaustive over the device plus sampled far-out-of-range.
-	for addr := uint64(0); addr < am.Bytes(); addr += 8 {
+	for addr := uint64(0); addr < bytes; addr += 8 {
 		l := p.Decode(addr)
-		co := am.Decode(addr)
-		if l.Channel != 0 || l.Rank != 0 || l.Coord() != co {
-			t.Fatalf("Decode(%#x): policy %+v, AddressMap %+v", addr, l, co)
+		if l != want(addr) {
+			t.Fatalf("Decode(%#x) = %+v, want %+v", addr, l, want(addr))
 		}
-		if p.Encode(l) != am.Encode(co) {
-			t.Fatalf("Encode mismatch at %#x", addr)
+		if p.Encode(l) != addr {
+			t.Fatalf("Encode(Decode(%#x)) = %#x", addr, p.Encode(l))
 		}
 	}
+	// Literal wrap points: one past the last word is address 0 again,
+	// and a far address lands where its remainder does.
+	for _, tc := range []struct {
+		addr uint64
+		want Loc
+	}{
+		{bytes, Loc{}},
+		{bytes + 0x88, Loc{Bank: 1, Col: 1}},
+		{3*bytes + 0x400, Loc{Row: 1}},
+		{bytes - 8, Loc{Bank: 7, Row: 127, Col: 15}},
+	} {
+		if got := p.Decode(tc.addr); got != tc.want {
+			t.Errorf("Decode(%#x) = %+v, want %+v", tc.addr, got, tc.want)
+		}
+	}
+	src := rng.New(13)
 	for i := 0; i < 5000; i++ {
 		addr := src.Uint64()
-		if l, co := p.Decode(addr), am.Decode(addr); l.Coord() != co || l.Channel != 0 || l.Rank != 0 {
-			t.Fatalf("wrapped Decode(%#x): policy %+v, AddressMap %+v", addr, l, co)
+		if l := p.Decode(addr); l != want(addr) || l != p.Decode(addr%bytes) {
+			t.Fatalf("wrapped Decode(%#x) = %+v, want %+v", addr, l, want(addr))
 		}
 	}
 }

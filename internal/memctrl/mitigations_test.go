@@ -52,13 +52,13 @@ func spdSwapTable(rt *dram.RemapTable, a, b int) *dram.RemapTable {
 // 100 and 102.
 func (r *attackRig) hammerPairs(n int) {
 	for i := 0; i < n; i++ {
-		r.ctrl.AccessCoord(Coord{Bank: 0, Row: 100, Col: 0}, false, 0)
-		r.ctrl.AccessCoord(Coord{Bank: 0, Row: 102, Col: 0}, false, 0)
+		r.ctrl.AccessRanked(0, Coord{Bank: 0, Row: 100, Col: 0}, false, 0)
+		r.ctrl.AccessRanked(0, Coord{Bank: 0, Row: 102, Col: 0}, false, 0)
 	}
 }
 
 func (r *attackRig) victimFlipped() bool {
-	return r.ctrl.Device().PhysBit(0, 101, 17) != 1
+	return r.ctrl.Rank(0).PhysBit(0, 101, 17) != 1
 }
 
 func TestHammerThroughControllerFlips(t *testing.T) {
@@ -127,7 +127,7 @@ func TestPARAControllerNoSPDFailsUnderRemap(t *testing.T) {
 
 func TestPARAControllerWithSPDWorksUnderRemap(t *testing.T) {
 	rig := newAttackRig(2000, true, Config{})
-	blob := spd.Encode(rig.ctrl.Device().Remap())
+	blob := spd.Encode(rig.ctrl.Rank(0).Remap())
 	rt, err := spd.Decode(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestCRAThresholdRounding(t *testing.T) {
 		for n := int64(1); n <= tc.fireAt; n++ {
 			// Alternate against a far dummy row so every access to row
 			// 30 is an activation; the dummy must not fire first.
-			ctrl.AccessCoord(Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
 			fired := ctrl.Stats.MitRefreshes > 0
 			if n < tc.fireAt && fired {
 				t.Fatalf("threshold %d: fired after %d activations, want %d",
@@ -180,7 +180,7 @@ func TestCRAThresholdRounding(t *testing.T) {
 			if n == tc.fireAt && !fired {
 				t.Fatalf("threshold %d: no fire after %d activations", tc.threshold, n)
 			}
-			ctrl.AccessCoord(Coord{Bank: 0, Row: 60, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: 60, Col: 0}, false, 0)
 		}
 	}
 }
@@ -206,7 +206,7 @@ func TestCRAWindowDerivedFromRefreshConfig(t *testing.T) {
 		}
 		cra := NewCRA(1000, 1, g.Rows)
 		ctrl.Attach(cra)
-		ctrl.AdvanceTo(ctrl.Device().Timing.TREFI + 1)
+		ctrl.AdvanceTo(ctrl.Rank(0).Timing.TREFI + 1)
 		if cra.WindowREFs != tc.want {
 			t.Fatalf("mult %v: derived WindowREFs = %d, want %d", tc.mult, cra.WindowREFs, tc.want)
 		}
@@ -217,8 +217,8 @@ func TestCRAWindowDerivedFromRefreshConfig(t *testing.T) {
 	cra.WindowREFs = 16 // pinned windows override the derivation
 	ctrl.Attach(cra)
 	for i := 0; i < 400; i++ {
-		ctrl.AccessCoord(Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
-		ctrl.AccessCoord(Coord{Bank: 0, Row: 90, Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: 90, Col: 0}, false, 0)
 	}
 	if ctrl.Stats.MitRefreshes != 0 {
 		t.Fatalf("CRA fired below trigger: %d refreshes", ctrl.Stats.MitRefreshes)
@@ -228,10 +228,10 @@ func TestCRAWindowDerivedFromRefreshConfig(t *testing.T) {
 	}
 	// Idle across the pinned window, then rebuild the same sub-trigger
 	// count: had the 400-count survived, the total (800 >= 500) fires.
-	ctrl.AdvanceTo(ctrl.Now() + 17*ctrl.Device().Timing.TREFI)
+	ctrl.AdvanceTo(ctrl.Now() + 17*ctrl.Rank(0).Timing.TREFI)
 	for i := 0; i < 400; i++ {
-		ctrl.AccessCoord(Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
-		ctrl.AccessCoord(Coord{Bank: 0, Row: 90, Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: 90, Col: 0}, false, 0)
 	}
 	if ctrl.Stats.MitRefreshes != 0 {
 		t.Fatalf("count survived the reset window: %d refreshes", ctrl.Stats.MitRefreshes)
@@ -255,7 +255,7 @@ func TestPARABlastRadiusContract(t *testing.T) {
 		}
 		para.Radius = radius
 		ctrl.Attach(para)
-		ctrl.AccessCoord(Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
 		rows := map[int]bool{}
 		for _, e := range rec.events {
 			rows[e.physRow] = true
@@ -318,9 +318,9 @@ func trrRefreshTrace() ([]refreshEvent, Stats, dram.Time) {
 	// aggressor rows fill all 8 slots before the first REF drains them.
 	ctrl.Attach(NewTRR(8, 1, rng.New(42)))
 	for i := 0; i < 8; i++ {
-		ctrl.AccessCoord(Coord{Bank: 0, Row: 10 + 10*i, Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: 10 + 10*i, Col: 0}, false, 0)
 	}
-	ctrl.AdvanceTo(ctrl.Device().Timing.TREFI + 1)
+	ctrl.AdvanceTo(ctrl.Rank(0).Timing.TREFI + 1)
 	return rec.events, ctrl.Stats, ctrl.Now()
 }
 
@@ -382,8 +382,8 @@ func TestTRRBypassedByManySided(t *testing.T) {
 	ctrl.Attach(NewTRR(2, 0.005, rng.New(10)))
 	for i := 0; i < 4000; i++ {
 		for _, v := range victims {
-			ctrl.AccessCoord(Coord{Bank: 0, Row: v - 1, Col: 0}, false, 0)
-			ctrl.AccessCoord(Coord{Bank: 0, Row: v + 1, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: v - 1, Col: 0}, false, 0)
+			ctrl.AccessRanked(0, Coord{Bank: 0, Row: v + 1, Col: 0}, false, 0)
 		}
 	}
 	flipped := 0
@@ -418,7 +418,7 @@ func TestANVILQuietOnUniformTraffic(t *testing.T) {
 	ctrl.Attach(anvil)
 	src := rng.New(11)
 	for i := 0; i < 50000; i++ {
-		ctrl.AccessCoord(Coord{Bank: 0, Row: src.Intn(256), Col: 0}, false, 0)
+		ctrl.AccessRanked(0, Coord{Bank: 0, Row: src.Intn(256), Col: 0}, false, 0)
 	}
 	if anvil.Detections != 0 {
 		t.Fatalf("ANVIL false-positived %d times on uniform traffic", anvil.Detections)

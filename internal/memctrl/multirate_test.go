@@ -101,7 +101,7 @@ func TestMultiRateExposure(t *testing.T) {
 		dev.SetPhysBit(0, 60, 1, 1)
 		c := New(dev, Config{})
 		c.Attach(NewMultiRate(raidr.NewPlan(g.Rows, nil, mult)))
-		c.HammerPairs(0, 59, 61, 8*pairsPerWindow)
+		c.HammerPairsRanked(0, 0, 59, 61, 8*pairsPerWindow)
 		flips := dm.TotalFlips()
 		if mult == 1 && flips != 0 {
 			t.Fatalf("nominal schedule leaked %d flips", flips)
@@ -128,7 +128,7 @@ func TestMultiRateComposesWithFrontier(t *testing.T) {
 	c := New(dev, Config{})
 	c.Attach(NewMultiRate(raidr.NewPlan(g.Rows, nil, 4)))
 	c.Attach(NewGraphene(8, int64(threshold), 1))
-	c.HammerPairs(0, 59, 61, 8*pairsPerWindow)
+	c.HammerPairsRanked(0, 0, 59, 61, 8*pairsPerWindow)
 	if dm.TotalFlips() != 0 {
 		t.Fatalf("Graphene over multi-rate refresh leaked %d flips", dm.TotalFlips())
 	}

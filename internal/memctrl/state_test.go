@@ -52,7 +52,7 @@ func (rig *stateRig) drive(pairsPerSite int) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		rig.ctrl.Access(uint64(i)*4096+64, i%3 == 0, uint64(i))
+		rig.ctrl.AccessRanked(0, Coord{Bank: 1, Row: i * 32 % 512}, i%3 == 0, uint64(i))
 	}
 }
 
@@ -100,13 +100,13 @@ func TestControllerStateRoundTripBitIdentical(t *testing.T) {
 		if b.ctrl.Now() != ref.ctrl.Now() {
 			t.Fatalf("seed %d: clock %d after resume, want %d", seed, b.ctrl.Now(), ref.ctrl.Now())
 		}
-		if b.ctrl.Device().Stats != ref.ctrl.Device().Stats {
+		if b.ctrl.Rank(0).Stats != ref.ctrl.Rank(0).Stats {
 			t.Fatalf("seed %d: device stats differ after resume", seed)
 		}
 		if got, want := b.model.TotalFlips(), ref.model.TotalFlips(); got != want {
 			t.Fatalf("seed %d: flips %d after resume, want %d", seed, got, want)
 		}
-		dev, devRef := b.ctrl.Device(), ref.ctrl.Device()
+		dev, devRef := b.ctrl.Rank(0), ref.ctrl.Rank(0)
 		for bank := 0; bank < dev.Geom.Banks; bank++ {
 			for r := 0; r < dev.Geom.Rows; r++ {
 				w1, w2 := dev.PhysRowWords(bank, r), devRef.PhysRowWords(bank, r)

@@ -85,24 +85,26 @@ func TestMultiRankRefreshCoversAllRanks(t *testing.T) {
 }
 
 // TestSingleRankMatchesLegacyController proves the multi-rank refactor
-// kept the single-rank path bit-identical: a rank-0 AccessRanked
-// stream equals the AccessCoord stream of a twin controller.
+// kept the single-device path bit-identical: a 1-channel 1-rank
+// MemorySystem driven by flat row-interleaved addresses equals a twin
+// controller driven by the decoded rank-0 coordinates.
 func TestSingleRankMatchesLegacyController(t *testing.T) {
 	g := dram.Geometry{Banks: 2, Rows: 64, Cols: 4}
-	a := New(dram.NewDevice(g), Config{})
+	p := RowInterleaved{Topo: dram.SingleChannel(g)}
+	ms := NewSystem([][]*dram.Device{{dram.NewDevice(g)}}, p, Config{})
 	b := New(dram.NewDevice(g), Config{})
 	src := rng.New(3)
 	for i := 0; i < 20000; i++ {
 		co := Coord{Bank: src.Intn(g.Banks), Row: src.Intn(g.Rows), Col: src.Intn(g.Cols)}
 		write := src.Bool(0.3)
 		data := src.Uint64()
-		va, la := a.AccessCoord(co, write, data)
+		va, la := ms.Access(p.Encode(Loc{Bank: co.Bank, Row: co.Row, Col: co.Col}), write, data)
 		vb, lb := b.AccessRanked(0, co, write, data)
 		if va != vb || la != lb {
 			t.Fatalf("access %d: (%#x,%d) vs (%#x,%d)", i, va, la, vb, lb)
 		}
 	}
-	if a.Stats != b.Stats || a.Now() != b.Now() {
+	if a := ms.Controller(0); a.Stats != b.Stats || a.Now() != b.Now() {
 		t.Fatalf("stats diverged: %+v vs %+v", a.Stats, b.Stats)
 	}
 }

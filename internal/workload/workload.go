@@ -1,261 +1,23 @@
 // Package workload generates memory access streams for the overhead
 // and detection experiments: sequential streaming, uniform random,
-// strided, Zipf-hot row reuse, and composite streams that embed a
-// RowHammer attacker inside benign traffic (the scenario the ANVIL
-// detection experiment needs).
+// strided, Zipf-hot row reuse, the RowHammer attacker stream, and
+// weighted mixes that embed an attacker inside benign traffic (the
+// scenario the ANVIL detection experiment needs).
 //
-// Two generator families exist. The Coord-based Generator family is
-// the original single-device API and addresses rank 0 of one
-// controller. The FlatGenerator family emits flat physical addresses
-// over a whole topology and is decoded by the memory system's active
-// MappingPolicy at access time — so the identical address stream
-// exercises different channel/rank/bank interleavings under different
-// policies, which is what the mapping-sensitivity experiments (E30+)
-// measure.
+// Every generator emits flat physical addresses over a whole topology,
+// decoded by the memory system's active MappingPolicy at access time —
+// so the identical address stream exercises different
+// channel/rank/bank interleavings under different policies, which is
+// what the mapping-sensitivity experiments (E30+) measure. On a
+// single-channel single-rank system under the row-interleaved policy
+// the address is row : bank : col : offset, the original one-device
+// layout.
 package workload
 
 import (
 	"repro/internal/memctrl"
 	"repro/internal/rng"
 )
-
-// Access is one generated request.
-type Access struct {
-	Coord memctrl.Coord
-	Write bool
-	Data  uint64
-}
-
-// Generator produces an access stream.
-type Generator interface {
-	// Name identifies the workload in result tables.
-	Name() string
-	// Next returns the next access.
-	Next() Access
-}
-
-// Sequential streams through the address space in row order,
-// maximizing row-buffer hits (best case for the open-page policy).
-type Sequential struct {
-	geom memctrl.AddressMap
-	pos  uint64
-}
-
-// NewSequential creates a streaming workload over the device.
-func NewSequential(m memctrl.AddressMap) *Sequential { return &Sequential{geom: m} }
-
-// Name implements Generator.
-func (s *Sequential) Name() string { return "sequential" }
-
-// Next implements Generator.
-func (s *Sequential) Next() Access {
-	a := Access{Coord: s.geom.Decode(s.pos)}
-	s.pos += 8
-	if s.pos >= s.geom.Bytes() {
-		s.pos = 0
-	}
-	return a
-}
-
-// Random issues uniformly distributed requests, the worst case for
-// row-buffer locality.
-type Random struct {
-	geom memctrl.AddressMap
-	src  *rng.Stream
-	// WriteFraction of requests are writes.
-	WriteFraction float64
-}
-
-// NewRandom creates a uniform random workload.
-func NewRandom(m memctrl.AddressMap, writeFraction float64, src *rng.Stream) *Random {
-	return &Random{geom: m, src: src, WriteFraction: writeFraction}
-}
-
-// Name implements Generator.
-func (r *Random) Name() string { return "random" }
-
-// Next implements Generator.
-func (r *Random) Next() Access {
-	addr := r.src.Uint64n(r.geom.Bytes()) &^ 7
-	return Access{
-		Coord: r.geom.Decode(addr),
-		Write: r.src.Bool(r.WriteFraction),
-		Data:  r.src.Uint64(),
-	}
-}
-
-// Strided walks the address space with a fixed stride, modelling
-// column-major array traversals.
-type Strided struct {
-	geom   memctrl.AddressMap
-	Stride uint64
-	pos    uint64
-}
-
-// NewStrided creates a strided workload.
-func NewStrided(m memctrl.AddressMap, stride uint64) *Strided {
-	return &Strided{geom: m, Stride: stride}
-}
-
-// Name implements Generator.
-func (s *Strided) Name() string { return "strided" }
-
-// Next implements Generator.
-func (s *Strided) Next() Access {
-	a := Access{Coord: s.geom.Decode(s.pos)}
-	s.pos = (s.pos + s.Stride) % s.geom.Bytes()
-	return a
-}
-
-// ZipfRows concentrates accesses on a hot set of rows with Zipfian
-// popularity, modelling realistic row reuse.
-type ZipfRows struct {
-	geom memctrl.AddressMap
-	zipf *rng.Zipf
-	src  *rng.Stream
-	perm []int
-}
-
-// NewZipfRows creates a Zipf-hot workload with the given skew.
-func NewZipfRows(m memctrl.AddressMap, theta float64, src *rng.Stream) *ZipfRows {
-	rows := m.Geom.Rows * m.Geom.Banks
-	return &ZipfRows{
-		geom: m,
-		zipf: rng.NewZipf(src, rows, theta),
-		src:  src,
-		perm: src.Perm(rows),
-	}
-}
-
-// Name implements Generator.
-func (z *ZipfRows) Name() string { return "zipf-rows" }
-
-// Next implements Generator.
-func (z *ZipfRows) Next() Access {
-	flat := z.perm[z.zipf.Next()]
-	return Access{Coord: memctrl.Coord{
-		Bank: flat % z.geom.Geom.Banks,
-		Row:  flat / z.geom.Geom.Banks,
-		Col:  z.src.Intn(z.geom.Geom.Cols),
-	}}
-}
-
-// Hammer is the attacker stream: it alternates between aggressor rows
-// at the maximum rate (every access conflicts in the open row).
-type Hammer struct {
-	Rows []memctrl.Coord
-	i    int
-}
-
-// NewHammer creates a hammering stream over the given aggressor rows.
-func NewHammer(bank int, rows ...int) *Hammer {
-	h := &Hammer{}
-	for _, r := range rows {
-		h.Rows = append(h.Rows, memctrl.Coord{Bank: bank, Row: r})
-	}
-	return h
-}
-
-// Name implements Generator.
-func (h *Hammer) Name() string { return "hammer" }
-
-// Next implements Generator.
-func (h *Hammer) Next() Access {
-	a := Access{Coord: h.Rows[h.i]}
-	h.i = (h.i + 1) % len(h.Rows)
-	return a
-}
-
-// NSided is the TRRespass-style attacker stream: it cycles N aggressor
-// rows in round-robin and then touches each decoy row once per cycle.
-// Spreading activations over more aggressors than an in-DRAM sampler
-// holds — and burning its remaining slots on decoys that sandwich no
-// victim — is the pattern that defeats capacity-limited defences; the
-// frontier experiments (E41) drive it through Run like any other
-// workload so it can also be mixed into benign traffic.
-type NSided struct {
-	rows []memctrl.Coord
-	i    int
-}
-
-// NewNSided creates the stream over the given aggressor and decoy rows
-// of one bank.
-func NewNSided(bank int, aggressors, decoys []int) *NSided {
-	n := &NSided{}
-	for _, r := range append(append([]int{}, aggressors...), decoys...) {
-		n.rows = append(n.rows, memctrl.Coord{Bank: bank, Row: r})
-	}
-	return n
-}
-
-// Name implements Generator.
-func (n *NSided) Name() string { return "nsided-hammer" }
-
-// Next implements Generator.
-func (n *NSided) Next() Access {
-	a := Access{Coord: n.rows[n.i]}
-	n.i = (n.i + 1) % len(n.rows)
-	return a
-}
-
-// Mix interleaves component generators with the given weights,
-// modelling an attacker sharing the memory system with benign
-// tenants.
-type Mix struct {
-	gens    []Generator
-	weights []float64
-	src     *rng.Stream
-	label   string
-}
-
-// NewMix builds a weighted mix. Weights need not sum to one.
-func NewMix(label string, src *rng.Stream, gens []Generator, weights []float64) *Mix {
-	if len(gens) != len(weights) || len(gens) == 0 {
-		panic("workload: mismatched mix components")
-	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	norm := make([]float64, len(weights))
-	acc := 0.0
-	for i, w := range weights {
-		acc += w / total
-		norm[i] = acc
-	}
-	return &Mix{gens: gens, weights: norm, src: src, label: label}
-}
-
-// Name implements Generator.
-func (m *Mix) Name() string { return m.label }
-
-// Next implements Generator.
-func (m *Mix) Next() Access {
-	u := m.src.Float64()
-	for i, w := range m.weights {
-		if u < w {
-			return m.gens[i].Next()
-		}
-	}
-	return m.gens[len(m.gens)-1].Next()
-}
-
-// Run drives n accesses from a generator through a controller and
-// returns the mean access latency in nanoseconds.
-func Run(c *memctrl.Controller, g Generator, n int) float64 {
-	var total uint64
-	for i := 0; i < n; i++ {
-		a := g.Next()
-		_, lat := c.AccessCoord(a.Coord, a.Write, a.Data)
-		total += uint64(lat)
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
-}
-
-// --- Flat-address generators over a whole topology ---
 
 // FlatAccess is one generated request as a flat physical address; the
 // memory system's mapping policy decides where it lands.

@@ -8,47 +8,45 @@ import (
 	"repro/internal/rng"
 )
 
-func testMap() memctrl.AddressMap {
-	return memctrl.AddressMap{Geom: dram.Geometry{Banks: 2, Rows: 128, Cols: 8}}
-}
-
-func newController() *memctrl.Controller {
-	return memctrl.New(dram.NewDevice(testMap().Geom), memctrl.Config{})
+// testPolicy is the single-device layout: row-interleaved over one
+// channel of one rank.
+func testPolicy() memctrl.RowInterleaved {
+	return memctrl.RowInterleaved{Topo: dram.SingleChannel(dram.Geometry{Banks: 2, Rows: 128, Cols: 8})}
 }
 
 func TestSequentialWrapsAndHitsRows(t *testing.T) {
-	m := testMap()
-	g := NewSequential(m)
-	first := g.Next()
-	var last Access
-	n := int(m.Bytes() / 8)
+	p := testPolicy()
+	g := NewFlatSequential(p)
+	first := g.NextFlat()
+	n := int(p.Bytes() / 8)
 	for i := 1; i < n; i++ {
-		last = g.Next()
+		if a := g.NextFlat(); a.Addr != uint64(i)*8 {
+			t.Fatalf("access %d at %#x", i, a.Addr)
+		}
 	}
-	wrapped := g.Next()
-	if wrapped.Coord != first.Coord {
-		t.Fatalf("did not wrap: %+v vs %+v", wrapped.Coord, first.Coord)
+	if wrapped := g.NextFlat(); wrapped.Addr != first.Addr {
+		t.Fatalf("did not wrap: %#x vs %#x", wrapped.Addr, first.Addr)
 	}
-	_ = last
 }
 
 func TestSequentialRowLocality(t *testing.T) {
-	c := newController()
-	g := NewSequential(c.Map())
-	Run(c, g, 1000)
-	if c.Stats.RowHits < c.Stats.RowConflicts {
+	p := testPolicy()
+	ms := buildFlatSystem(p)
+	RunSystem(ms, NewFlatSequential(p), 1000)
+	if st := ms.AggregateStats(); st.RowHits < st.RowConflicts {
 		t.Fatalf("sequential should be hit-dominated: hits=%d conflicts=%d",
-			c.Stats.RowHits, c.Stats.RowConflicts)
+			st.RowHits, st.RowConflicts)
 	}
 }
 
 func TestRandomCoversSpace(t *testing.T) {
-	g := NewRandom(testMap(), 0.3, rng.New(1))
+	p := testPolicy()
+	g := NewFlatRandom(p, 0.3, rng.New(1))
 	banks := map[int]bool{}
 	writes := 0
 	for i := 0; i < 5000; i++ {
-		a := g.Next()
-		banks[a.Coord.Bank] = true
+		a := g.NextFlat()
+		banks[p.Decode(a.Addr).Bank] = true
 		if a.Write {
 			writes++
 		}
@@ -63,23 +61,28 @@ func TestRandomCoversSpace(t *testing.T) {
 }
 
 func TestStridedPeriodicity(t *testing.T) {
-	m := testMap()
-	g := NewStrided(m, 64)
-	a := g.Next()
-	b := g.Next()
-	if a.Coord == b.Coord {
+	p := testPolicy()
+	g := NewFlatStrided(p, 64)
+	a := g.NextFlat()
+	b := g.NextFlat()
+	if a.Addr == b.Addr || p.Decode(a.Addr) == p.Decode(b.Addr) {
 		t.Fatal("stride did not advance")
+	}
+	for i := 2; uint64(i)*64 < p.Bytes(); i++ {
+		g.NextFlat()
+	}
+	if g.NextFlat() != a {
+		t.Fatal("stride did not wrap to its start")
 	}
 }
 
 func TestZipfConcentration(t *testing.T) {
-	g := NewZipfRows(testMap(), 1.2, rng.New(3))
-	counts := map[memctrl.Coord]int{}
+	p := testPolicy()
+	g := NewFlatZipfRows(p, 1.2, rng.New(3))
 	rowCounts := map[[2]int]int{}
 	for i := 0; i < 20000; i++ {
-		a := g.Next()
-		counts[a.Coord]++
-		rowCounts[[2]int{a.Coord.Bank, a.Coord.Row}]++
+		l := p.Decode(g.NextFlat().Addr)
+		rowCounts[[2]int{l.Bank, l.Row}]++
 	}
 	max := 0
 	for _, n := range rowCounts {
@@ -93,25 +96,25 @@ func TestZipfConcentration(t *testing.T) {
 }
 
 func TestHammerAlternates(t *testing.T) {
-	g := NewHammer(0, 10, 12)
-	a, b, c := g.Next(), g.Next(), g.Next()
-	if a.Coord.Row != 10 || b.Coord.Row != 12 || c.Coord.Row != 10 {
-		t.Fatalf("hammer pattern wrong: %d %d %d", a.Coord.Row, b.Coord.Row, c.Coord.Row)
+	p := testPolicy()
+	g := NewFlatHammer(p, memctrl.Loc{Row: 10}, memctrl.Loc{Row: 12})
+	a, b, c := p.Decode(g.NextFlat().Addr), p.Decode(g.NextFlat().Addr), p.Decode(g.NextFlat().Addr)
+	if a.Row != 10 || b.Row != 12 || c.Row != 10 {
+		t.Fatalf("hammer pattern wrong: %d %d %d", a.Row, b.Row, c.Row)
 	}
 }
 
 func TestMixRespectsWeights(t *testing.T) {
+	p := testPolicy()
 	src := rng.New(5)
-	mix := NewMix("mix", src,
-		[]Generator{NewHammer(0, 1, 3), NewSequential(testMap())},
+	mix := NewFlatMix("mix", src,
+		[]FlatGenerator{NewFlatHammer(p, memctrl.Loc{Row: 1}, memctrl.Loc{Row: 3}), NewFlatSequential(p)},
 		[]float64{0.2, 0.8})
 	hammered := 0
 	for i := 0; i < 10000; i++ {
-		a := mix.Next()
-		if a.Coord.Row == 1 || a.Coord.Row == 3 {
-			if a.Coord.Col == 0 && a.Coord.Bank == 0 {
-				hammered++
-			}
+		l := p.Decode(mix.NextFlat().Addr)
+		if (l.Row == 1 || l.Row == 3) && l.Col == 0 && l.Bank == 0 {
+			hammered++
 		}
 	}
 	frac := float64(hammered) / 10000
@@ -126,30 +129,31 @@ func TestMixPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMix("bad", rng.New(1), []Generator{NewSequential(testMap())}, []float64{1, 2})
+	NewFlatMix("bad", rng.New(1), []FlatGenerator{NewFlatSequential(testPolicy())}, []float64{1, 2})
 }
 
 func TestRunComputesMeanLatency(t *testing.T) {
-	c := newController()
-	mean := Run(c, NewSequential(c.Map()), 500)
+	p := testPolicy()
+	ms := buildFlatSystem(p)
+	mean := RunSystem(ms, NewFlatSequential(p), 500)
 	if mean <= 0 {
 		t.Fatal("mean latency not positive")
 	}
-	if c.Stats.Accesses != 500 {
-		t.Fatalf("accesses = %d", c.Stats.Accesses)
+	if n := ms.Controller(0).Stats.Accesses; n != 500 {
+		t.Fatalf("accesses = %d", n)
 	}
-	if Run(c, NewSequential(c.Map()), 0) != 0 {
+	if RunSystem(ms, NewFlatSequential(p), 0) != 0 {
 		t.Fatal("zero accesses should give zero latency")
 	}
 }
 
 func TestNames(t *testing.T) {
-	m := testMap()
+	p := testPolicy()
 	src := rng.New(9)
-	gens := []Generator{
-		NewSequential(m), NewRandom(m, 0, src), NewStrided(m, 8),
-		NewZipfRows(m, 1, src), NewHammer(0, 1, 2),
-		NewMix("combo", src, []Generator{NewSequential(m)}, []float64{1}),
+	gens := []FlatGenerator{
+		NewFlatSequential(p), NewFlatRandom(p, 0, src), NewFlatStrided(p, 8),
+		NewFlatZipfRows(p, 1, src), NewFlatHammer(p, memctrl.Loc{Row: 1}, memctrl.Loc{Row: 2}),
+		NewFlatMix("combo", src, []FlatGenerator{NewFlatSequential(p)}, []float64{1}),
 	}
 	seen := map[string]bool{}
 	for _, g := range gens {

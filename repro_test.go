@@ -8,7 +8,7 @@ func TestFacade(t *testing.T) {
 		t.Fatalf("population = %d", len(pop))
 	}
 	s := Build(&pop[0], Options{})
-	if s.Ctrl == nil {
+	if s.Mem.Controller(0) == nil {
 		t.Fatal("Build returned incomplete system")
 	}
 	if len(Experiments()) != 55 {
