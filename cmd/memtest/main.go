@@ -25,7 +25,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -148,7 +147,7 @@ func run() (total int, err error) {
 			before := s.TotalFlips()
 			writeAll(s, ^uint64(0))
 			for v := 2; v < g.Rows-1; v += 3 {
-				attack.DoubleSided(ctrl, 0, v, 20000)
+				ctrl.HammerPairsRanked(0, 0, v-1, v+1, 20000)
 			}
 			errs = int(s.TotalFlips() - before)
 		}

@@ -59,7 +59,7 @@ func main() {
 	}{
 		{"double-sided", func(c *memctrl.Controller) {
 			for v := 17; v < g.Rows-33; v += 16 {
-				attack.DoubleSided(c, 0, v, 12000)
+				c.HammerPairsRanked(0, 0, v-1, v+1, 12000)
 			}
 		}},
 		{"8-sided+decoys", func(c *memctrl.Controller) {

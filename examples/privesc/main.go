@@ -4,6 +4,12 @@
 // corrupted page-table entry now points into another page table —
 // which on a real system hands the attacker a writable mapping of a
 // page table, and with it the kernel.
+//
+// It is the fixed single-bank walk-through, with and without PARA, of
+// the same chain (attack.RunPrivEscSystem) that `rowhammer -mode
+// privesc` drives over configurable topologies, mapping policies and
+// ECC. On this one-bank row-interleaved system a physical frame is a
+// row, the setting of the original exploit.
 package main
 
 import (
@@ -40,11 +46,11 @@ func build(withPARA bool) *core.System {
 
 func campaign(label string, withPARA bool) {
 	s := build(withPARA)
-	res := attack.RunPrivEsc(s.Mem.Controller(0), attack.PrivEscConfig{
-		Bank:            0,
+	res := attack.RunPrivEscSystem(s.Mem, attack.SysPrivEscConfig{
 		SprayFraction:   0.4,
 		PairsPerAttempt: 12000,
 		MaxPlacements:   25,
+		Workers:         1,
 	}, rng.New(99))
 	fmt.Printf("-- %s --\n", label)
 	fmt.Printf("  flip templates found:   %d\n", res.TemplatesFound)

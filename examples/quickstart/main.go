@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -41,7 +40,7 @@ func main() {
 		// The attacker repeatedly opens two rows. It never writes.
 		// Reads alone violate memory isolation on vulnerable DRAM.
 		for v := 9; v < 503; v += 16 {
-			attack.DoubleSided(s.Mem.Controller(0), 0, v, 30000)
+			s.Mem.Controller(0).HammerPairsRanked(0, 0, v-1, v+1, 30000)
 		}
 		return s.TotalFlips()
 	}

@@ -84,8 +84,8 @@ func TestIntegrationRetentionFailsWithoutRefresh(t *testing.T) {
 
 func TestIntegrationTemplatingMatchesGroundTruth(t *testing.T) {
 	// Every template the attacker finds must correspond to a real
-	// weak cell (no phantom flips), linking attack.Scan, memctrl and
-	// disturb.
+	// weak cell (no phantom flips), linking attack.ScanSystem, memctrl
+	// and disturb.
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 	dev := dram.NewDevice(g)
 	dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(3))
@@ -95,13 +95,14 @@ func TestIntegrationTemplatingMatchesGroundTruth(t *testing.T) {
 		weak[[2]int{w.row, w.bit}] = true
 	}
 	dev.AttachFault(dm)
-	ctrl := memctrl.New(dev, memctrl.Config{})
-	templates := attack.Scan(ctrl, 0, ^uint64(0), 1500)
+	topo := dram.SingleChannel(g)
+	ms := memctrl.NewSystem([][]*dram.Device{{dev}}, memctrl.RowInterleaved{Topo: topo}, memctrl.Config{})
+	templates := attack.ScanSystem(ms, ^uint64(0), 1500, 1)
 	if len(templates) != len(weak) {
 		t.Fatalf("found %d templates, want %d", len(templates), len(weak))
 	}
 	for _, tm := range templates {
-		if !weak[[2]int{tm.VictimRow, tm.Bit}] {
+		if !weak[[2]int{tm.Victim.Row, tm.Bit}] {
 			t.Fatalf("phantom template %+v", tm)
 		}
 	}
@@ -119,7 +120,7 @@ func TestIntegrationSECDEDStopsSingleBitHammer(t *testing.T) {
 	data := uint64(0xfeedfacecafef00d) | (1 << 7) // charged at the weak bit
 	ctrl.AccessRanked(0, memctrl.Coord{Bank: 0, Row: 30, Col: 0}, true, data)
 	codeword := ecc.Encode(data) // check bits held in a separate device
-	attack.DoubleSided(ctrl, 0, 30, 2000)
+	ctrl.HammerPairsRanked(0, 0, 29, 31, 2000)
 	got, _ := ctrl.AccessRanked(0, memctrl.Coord{Bank: 0, Row: 30, Col: 0}, false, 0)
 	if got == data {
 		t.Fatal("hammer did not flip the stored word")
@@ -163,7 +164,7 @@ func TestIntegrationSoftMCAgreesWithController(t *testing.T) {
 			e.Run(softmc.HammerProgram(0, 29, 31, 1200))
 		} else {
 			ctrl := memctrl.New(dev, memctrl.Config{DisableRefresh: true})
-			attack.DoubleSided(ctrl, 0, 30, 1200)
+			ctrl.HammerPairsRanked(0, 0, 29, 31, 1200)
 		}
 		return dev.PhysBit(0, 30, 9) == 0
 	}

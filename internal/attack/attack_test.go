@@ -31,7 +31,7 @@ func TestDoubleSidedFlipsInjectedCell(t *testing.T) {
 		m.InjectWeakCell(0, 30, 5, 1000, 1, 1, 1, 1)
 	})
 	r.dev.SetPhysBit(0, 30, 5, 1)
-	DoubleSided(r.ctrl, 0, 30, 2000)
+	r.ctrl.HammerPairsRanked(0, 0, 29, 31, 2000)
 	if r.dev.PhysBit(0, 30, 5) != 0 {
 		t.Fatal("double-sided hammer missed the victim")
 	}
@@ -49,12 +49,12 @@ func TestSingleSidedSlowerThanDoubleSided(t *testing.T) {
 		return r
 	}
 	rd := mk()
-	DoubleSided(rd.ctrl, 0, 30, 1000)
+	rd.ctrl.HammerPairsRanked(0, 0, 29, 31, 1000)
 	if rd.dev.PhysBit(0, 30, 5) != 0 {
 		t.Fatal("double-sided should have flipped at 1000 pairs")
 	}
 	rs := mk()
-	SingleSided(rs.ctrl, 0, 29, 60, 1000)
+	rs.ctrl.HammerPairsRanked(0, 0, 29, 60, 1000)
 	if rs.dev.PhysBit(0, 30, 5) != 1 {
 		t.Fatal("single-sided flipped despite sub-threshold pressure")
 	}
@@ -82,37 +82,46 @@ func TestManySidedTouchesAllVictims(t *testing.T) {
 	}
 }
 
+// oneBankSystem is the single-bank setting on the system API: one
+// channel, one rank, one bank of the given rows under row
+// interleaving, where flat frame i is row i.
+func oneBankSystem(rows int, inject func(m *disturb.Model)) *memctrl.MemorySystem {
+	topo := dram.SingleChannel(dram.Geometry{Banks: 1, Rows: rows, Cols: 4})
+	return sysRig(topo, memctrl.RowInterleaved{Topo: topo}, false, func(_ int, m *disturb.Model) { inject(m) })
+}
+
 func TestScanFindsInjectedTemplates(t *testing.T) {
-	r := newRig(32, func(m *disturb.Model) {
+	ms := oneBankSystem(32, func(m *disturb.Model) {
 		m.InjectWeakCell(0, 10, 7, 800, 1, 1, 1, 1)  // true-cell: flips under all-ones
 		m.InjectWeakCell(0, 20, 99, 800, 0, 1, 1, 1) // anti-cell: invisible under all-ones
 	})
-	tmpl := Scan(r.ctrl, 0, ^uint64(0), 1200)
+	tmpl := ScanSystem(ms, ^uint64(0), 1200, 1)
 	if len(tmpl) != 1 {
 		t.Fatalf("found %d templates, want exactly 1 (anti-cell invisible under 0xff)", len(tmpl))
 	}
 	got := tmpl[0]
-	if got.VictimRow != 10 || got.Bit != 7 || got.From != 1 {
+	if got.Victim.Bank != 0 || got.Victim.Row != 10 || got.Bit != 7 || got.From != 1 {
 		t.Fatalf("template = %+v", got)
 	}
-	if got.AggrUp != 9 || got.AggrDown != 11 {
-		t.Fatalf("aggressors = %d/%d", got.AggrUp, got.AggrDown)
+	p := ms.Policy()
+	if below, above := p.Decode(got.AggrBelow), p.Decode(got.AggrAbove); below.Row != 9 || above.Row != 11 {
+		t.Fatalf("aggressors = %d/%d", below.Row, above.Row)
 	}
 }
 
 func TestScanZeroPatternFindsAntiCells(t *testing.T) {
-	r := newRig(32, func(m *disturb.Model) {
+	ms := oneBankSystem(32, func(m *disturb.Model) {
 		m.InjectWeakCell(0, 20, 99, 800, 0, 1, 1, 1)
 	})
-	tmpl := Scan(r.ctrl, 0, 0, 1200)
+	tmpl := ScanSystem(ms, 0, 1200, 1)
 	if len(tmpl) != 1 || tmpl[0].From != 0 {
 		t.Fatalf("anti-cell scan failed: %+v", tmpl)
 	}
 }
 
 func TestScanCleanDeviceFindsNothing(t *testing.T) {
-	r := newRig(32, func(m *disturb.Model) {})
-	if tmpl := Scan(r.ctrl, 0, ^uint64(0), 500); len(tmpl) != 0 {
+	ms := oneBankSystem(32, func(m *disturb.Model) {})
+	if tmpl := ScanSystem(ms, ^uint64(0), 500, 1); len(tmpl) != 0 {
 		t.Fatalf("clean device produced %d templates", len(tmpl))
 	}
 }
@@ -132,14 +141,14 @@ func TestMakePTE(t *testing.T) {
 
 func TestPrivEscSucceedsOnVulnerableDevice(t *testing.T) {
 	// Weak cell in the PFN field (bit 3 of PTE slot 0) of row 15.
-	r := newRig(64, func(m *disturb.Model) {
+	ms := oneBankSystem(64, func(m *disturb.Model) {
 		m.InjectWeakCell(0, 15, 3, 800, 1, 1, 1, 1)
 	})
-	cfg := PrivEscConfig{
-		Bank: 0, SprayFraction: 0.5, PairsPerAttempt: 1200,
-		MaxPlacements: 60,
+	cfg := SysPrivEscConfig{
+		SprayFraction: 0.5, PairsPerAttempt: 1200,
+		MaxPlacements: 60, Workers: 1,
 	}
-	res := RunPrivEsc(r.ctrl, cfg, rng.New(7))
+	res := RunPrivEscSystem(ms, cfg, rng.New(7))
 	if res.TemplatesFound == 0 || !res.UsableTemplate {
 		t.Fatalf("templating failed: %+v", res)
 	}
@@ -156,13 +165,13 @@ func TestPrivEscDeterministicPlacementGuaranteesFlip(t *testing.T) {
 	// placement always lands the page table on the victim frame, so a
 	// flip is always induced; probabilistic spraying at 10% usually
 	// misses the victim frame on one try.
-	mk := func(det bool, seed uint64) PrivEscResult {
-		r := newRig(64, func(m *disturb.Model) {
+	mk := func(det bool, seed uint64) SysPrivEscResult {
+		ms := oneBankSystem(64, func(m *disturb.Model) {
 			m.InjectWeakCell(0, 15, 3, 800, 1, 1, 1, 1)
 		})
-		return RunPrivEsc(r.ctrl, PrivEscConfig{
-			Bank: 0, SprayFraction: 0.1, PairsPerAttempt: 1200,
-			MaxPlacements: 1, Deterministic: det,
+		return RunPrivEscSystem(ms, SysPrivEscConfig{
+			SprayFraction: 0.1, PairsPerAttempt: 1200,
+			MaxPlacements: 1, Deterministic: det, Workers: 1,
 		}, rng.New(seed))
 	}
 	if det := mk(true, 3); !det.FlipInduced {
@@ -180,9 +189,9 @@ func TestPrivEscDeterministicPlacementGuaranteesFlip(t *testing.T) {
 }
 
 func TestPrivEscFailsOnInvulnerableDevice(t *testing.T) {
-	r := newRig(64, func(m *disturb.Model) {})
-	res := RunPrivEsc(r.ctrl, PrivEscConfig{
-		Bank: 0, SprayFraction: 0.5, PairsPerAttempt: 500, MaxPlacements: 5,
+	ms := oneBankSystem(64, func(m *disturb.Model) {})
+	res := RunPrivEscSystem(ms, SysPrivEscConfig{
+		SprayFraction: 0.5, PairsPerAttempt: 500, MaxPlacements: 5, Workers: 1,
 	}, rng.New(9))
 	if res.TemplatesFound != 0 || res.Escalated {
 		t.Fatalf("escalated on invulnerable device: %+v", res)
@@ -190,28 +199,20 @@ func TestPrivEscFailsOnInvulnerableDevice(t *testing.T) {
 }
 
 func TestPrivEscFailsUnderPARA(t *testing.T) {
-	r := newRig(64, func(m *disturb.Model) {
+	ms := oneBankSystem(64, func(m *disturb.Model) {
 		m.InjectWeakCell(0, 15, 3, 800, 1, 1, 1, 1)
 	})
-	r.ctrl.Attach(memctrl.NewPARA(0.05, memctrl.InDRAM, nil, rng.New(11)))
-	res := RunPrivEsc(r.ctrl, PrivEscConfig{
-		Bank: 0, SprayFraction: 0.5, PairsPerAttempt: 1200, MaxPlacements: 20,
+	ms.Controller(0).Attach(memctrl.NewPARA(0.05, memctrl.InDRAM, nil, rng.New(11)))
+	res := RunPrivEscSystem(ms, SysPrivEscConfig{
+		SprayFraction: 0.5, PairsPerAttempt: 1200, MaxPlacements: 20, Workers: 1,
 	}, rng.New(13))
 	if res.Escalated {
 		t.Fatalf("escalated despite PARA: %+v", res)
 	}
 }
 
-// crossVMRig is the single-device cross-VM setting on the system
-// chain: one channel, one rank, one bank of 64 rows, where flat frame
-// i is row i.
-func crossVMRig(inject func(m *disturb.Model)) *memctrl.MemorySystem {
-	topo := dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 64, Cols: 4})
-	return sysRig(topo, memctrl.RowInterleaved{Topo: topo}, false, func(_ int, m *disturb.Model) { inject(m) })
-}
-
 func TestCrossVMBreachesIsolation(t *testing.T) {
-	ms := crossVMRig(func(m *disturb.Model) {
+	ms := oneBankSystem(64, func(m *disturb.Model) {
 		// Victim rows 19 and 40 sit just outside the attacker range
 		// [20, 40); their aggressors include attacker rows 20 and 39.
 		m.InjectWeakCell(0, 19, 8, 1000, 1, 1, 1, 1)
@@ -228,7 +229,7 @@ func TestCrossVMBreachesIsolation(t *testing.T) {
 }
 
 func TestCrossVMCleanDeviceNoFlips(t *testing.T) {
-	ms := crossVMRig(func(m *disturb.Model) {})
+	ms := oneBankSystem(64, func(m *disturb.Model) {})
 	res := RunCrossVMSystem(ms, SysCrossVMConfig{FrameLo: 20, FrameHi: 40, Pairs: 1000, VictimPattern: 0xaaaaaaaaaaaaaaaa})
 	if res.VictimFlips != 0 {
 		t.Fatalf("phantom flips: %d", res.VictimFlips)

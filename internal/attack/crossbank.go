@@ -9,6 +9,8 @@ package attack
 // independent channels across workers.
 
 import (
+	"math/bits"
+
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 )
@@ -144,7 +146,7 @@ func ScanSystem(ms *memctrl.MemorySystem, pattern uint64, pairsPerRow, workers i
 					for col, word := range got {
 						diff := word ^ pattern
 						for diff != 0 {
-							b := trailingZeros(diff)
+							b := bits.TrailingZeros64(diff)
 							out = append(out, SysFlipTemplate{
 								Victim:    memctrl.Loc{Channel: ch, Rank: rank, Bank: bank, Row: v, Col: col},
 								Bit:       col*64 + b,

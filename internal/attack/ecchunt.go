@@ -10,6 +10,8 @@ package attack
 // under each ECC configuration offline.
 
 import (
+	"math/bits"
+
 	"repro/internal/ecc"
 	"repro/internal/memctrl"
 )
@@ -42,11 +44,11 @@ func (f ECCWordFinding) SilentUnderSECDED() bool { return f.SECDED == ecc.Miscor
 // bit positions, ascending — the shared extraction step of every pass
 // that classifies multi-flip words.
 func flipBitsOf(diff uint64) []int {
-	var bits []int
+	var out []int
 	for d := diff; d != 0; d &= d - 1 {
-		bits = append(bits, trailingZeros(d))
+		out = append(out, bits.TrailingZeros64(d))
 	}
-	return bits
+	return out
 }
 
 // classifyWordFlips runs the flip set through the three codes.

@@ -1,20 +1,20 @@
 package attack
 
-// The attacker strategy layer. Every hammer kernel in this package
-// began as a free function against a single controller; the Strategy
-// interface re-expresses them as one four-phase behaviour — probe
-// (reconnaissance under the live defence), plan (commit to a
-// pattern), hammer-round (spend activation budget at a victim), and
-// observe (read the victim back, user-level powers only) — with
-// explicit serializable state, so a half-run attacker checkpoints and
-// resumes exactly like the rest of the simulator. The tournament
-// driver (tournament.go, experiments E80-E84) pits every Strategy
-// against every mitigation and mapping policy from one templated
-// snapshot; the legacy entry points (DoubleSided, SingleSided) are
-// pinned bit-identical against their strategy forms.
+// The attacker strategy layer. The Strategy interface expresses every
+// hammer pattern as one four-phase behaviour — probe (reconnaissance
+// under the live defence), plan (commit to a pattern), hammer-round
+// (spend activation budget at a victim), and observe (read the victim
+// back, user-level powers only) — with explicit serializable state, so
+// a half-run attacker checkpoints and resumes exactly like the rest of
+// the simulator. The tournament driver (tournament.go, experiments
+// E80-E84) pits every Strategy against every mitigation and mapping
+// policy from one templated snapshot; E80 and the strategy tests pin
+// each fixed-pattern strategy's row choice against a literal
+// HammerPairsRanked or NSidedRanked call.
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -91,7 +91,7 @@ func NewStrategy(name string) (Strategy, error) {
 func observeRow(t Target, victimRow int) int {
 	flips := 0
 	for _, w := range readRowRanked(t.Ctrl, t.Rank, t.Bank, victimRow) {
-		flips += popcount(w ^ t.Pattern)
+		flips += bits.OnesCount64(w ^ t.Pattern)
 	}
 	return flips
 }
@@ -115,8 +115,8 @@ func nsidedBaseFor(victimRow, sides, rows int) int {
 
 // DoubleSidedStrategy is the classic pair attack as a Strategy: the
 // two rows sandwiching the victim, no reconnaissance, no decoys. Its
-// HammerRound is bit-identical to the seed-era DoubleSided kernel
-// (pinned by TestDoubleSidedStrategyMatchesLegacy).
+// HammerRound hammers victimRow-1 against victimRow+1 (pinned by
+// TestDoubleSidedStrategyMatchesLegacy).
 type DoubleSidedStrategy struct{}
 
 // Name implements Strategy.
@@ -314,7 +314,7 @@ func (s *AdaptiveStrategy) Probe(t Target) {
 		flips := 0
 		for _, v := range victims {
 			for _, w := range readRowRanked(c, rank, bank, v) {
-				flips += popcount(w ^ pattern)
+				flips += bits.OnesCount64(w ^ pattern)
 			}
 		}
 		probes = append(probes, SidednessProbe{

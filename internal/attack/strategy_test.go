@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // legacyAdaptiveNSided is a verbatim test-only copy of the seed-era
 // AdaptiveNSided body, kept here as the reference AdaptiveStrategy.Probe
 // is pinned bit-identical against. Only its controller accessors
-// moved (c.Rank(0) for the retired rank-0 Map and Device). Do not
+// moved (c.Rank(0) for the retired rank-0 Map and Device) and its
+// popcount became bits.OnesCount64. Do not
 // "fix" or restyle this function: its whole value is that it never
 // changes.
 func legacyAdaptiveNSided(c *memctrl.Controller, rank, bank int, sweep []int, decoys, budget int, pattern uint64) (int, []SidednessProbe) {
@@ -48,7 +50,7 @@ func legacyAdaptiveNSided(c *memctrl.Controller, rank, bank int, sweep []int, de
 		flips := 0
 		for _, v := range victims {
 			for _, w := range readRowRanked(c, rank, bank, v) {
-				flips += popcount(w ^ pattern)
+				flips += bits.OnesCount64(w ^ pattern)
 			}
 		}
 		probes = append(probes, SidednessProbe{
@@ -136,11 +138,12 @@ func TestAdaptiveProbeDeterministicAcrossPolicies(t *testing.T) {
 }
 
 // TestDoubleSidedStrategyMatchesLegacy pins DoubleSidedStrategy's
-// HammerRound bit-identical to the seed-era DoubleSided kernel.
+// HammerRound bit-identical to a literal hammer of the two rows
+// sandwiching the victim.
 func TestDoubleSidedStrategyMatchesLegacy(t *testing.T) {
 	legacyCtrl, _ := nsidedRig(2, 0.1, 300)
 	stratCtrl, _ := nsidedRig(2, 0.1, 300)
-	DoubleSided(legacyCtrl, 0, 60, 5000)
+	legacyCtrl.HammerPairsRanked(0, 0, 59, 61, 5000)
 	s := &DoubleSidedStrategy{}
 	s.HammerRound(Target{Ctrl: stratCtrl, Pattern: 0xaaaaaaaaaaaaaaaa}, 60, 5000)
 	if legacyCtrl.Stats != stratCtrl.Stats || legacyCtrl.Now() != stratCtrl.Now() {
@@ -153,14 +156,15 @@ func TestDoubleSidedStrategyMatchesLegacy(t *testing.T) {
 }
 
 // TestSingleSidedStrategyMatchesLegacy pins SingleSidedStrategy's
-// HammerRound bit-identical to the seed-era SingleSided kernel with
-// its aggressor-above, dummy-half-a-bank-away row choice.
+// HammerRound bit-identical to a literal hammer of the seed-era
+// single-sided row choice: the aggressor above the victim against a
+// dummy half a bank away.
 func TestSingleSidedStrategyMatchesLegacy(t *testing.T) {
 	legacyCtrl, _ := nsidedRig(2, 0.1, 300)
 	stratCtrl, _ := nsidedRig(2, 0.1, 300)
 	rows := legacyCtrl.Rank(0).Geom.Rows
 	victim := 60
-	SingleSided(legacyCtrl, 0, victim+1, (victim+rows/2)%rows, 5000)
+	legacyCtrl.HammerPairsRanked(0, 0, victim+1, (victim+rows/2)%rows, 5000)
 	s := &SingleSidedStrategy{}
 	s.HammerRound(Target{Ctrl: stratCtrl, Pattern: 0xaaaaaaaaaaaaaaaa}, victim, 5000)
 	if legacyCtrl.Stats != stratCtrl.Stats || legacyCtrl.Now() != stratCtrl.Now() {

@@ -1,9 +1,6 @@
 package attack
 
-// The exploit chains rebuilt at topology scale. The seed-era
-// RunPrivEsc/RunCrossVM (privesc.go) target one bank of one
-// controller and equate a physical frame with a row; the System forms
-// here run the same chains against a whole memctrl.MemorySystem: the
+// The exploit chains, run against a whole memctrl.MemorySystem: the
 // physical address space is flat, frames are row-sized pages of that
 // flat space, where a frame's words land depends on the mapping
 // policy (under cache-line interleaving one page spans channels), the
@@ -11,8 +8,12 @@ package attack
 // are derived through AdjacentAddrs/AdjacentLocs rather than assumed
 // from flat adjacency, and the verdict is ECC-aware: a flip SECDED
 // corrects is not an exploit, a silent miscorrection very much is.
+// On a one-bank row-interleaved system a frame is a row, which is the
+// classic single-bank setting of the original exploit.
 
 import (
+	"math/bits"
+
 	"repro/internal/memctrl"
 	"repro/internal/rng"
 )
@@ -139,8 +140,8 @@ func RunPrivEscSystem(ms *memctrl.MemorySystem, cfg SysPrivEscConfig, src *rng.S
 	res.HammerPairs += 2 * int64(cfg.PairsPerAttempt) * int64(interior)
 
 	// A template is usable if its flip lands in the PFN field of an
-	// 8-byte-aligned PTE slot (same criterion as the single-bank
-	// chain, applied to the word the policy maps the flip into).
+	// 8-byte-aligned PTE slot of the word the policy maps the flip
+	// into.
 	var tmpl *SysFlipTemplate
 	for i := range templates {
 		if pfnUsable(templates[i].Bit) {
@@ -353,7 +354,7 @@ func RunCrossVMSystem(ms *memctrl.MemorySystem, cfg SysCrossVMConfig) SysCrossVM
 						continue
 					}
 					for _, w := range readRowRanked(c, rk, bank, row) {
-						flips += popcount(w ^ cfg.VictimPattern)
+						flips += bits.OnesCount64(w ^ cfg.VictimPattern)
 					}
 				}
 			}

@@ -59,9 +59,9 @@ func runE21(seed uint64) *stats.Table {
 			if cfg.para {
 				s.AttachPARA(0.02, memctrl.InDRAM, rng.New(seed+uint64(trial)))
 			}
-			res := attack.RunPrivEsc(s.Mem.Controller(0), attack.PrivEscConfig{
-				Bank: 0, SprayFraction: 0.4, PairsPerAttempt: 12000,
-				MaxPlacements: 25,
+			res := attack.RunPrivEscSystem(s.Mem, attack.SysPrivEscConfig{
+				SprayFraction: 0.4, PairsPerAttempt: 12000,
+				MaxPlacements: 25, Workers: 1,
 			}, rng.New(seed^uint64(trial*7+1)))
 			templates += res.TemplatesFound
 			if res.FlipInduced {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/disturb"
@@ -177,7 +178,7 @@ func runE5(seed uint64) *stats.Table {
 				continue
 			}
 			for _, w := range s.Devices[0][0].PhysRowWords(0, r) {
-				visible += popcount(w ^ 0xaaaaaaaaaaaaaaaa)
+				visible += bits.OnesCount64(w ^ 0xaaaaaaaaaaaaaaaa)
 			}
 		}
 		t.AddRow("retire victim rows",
@@ -227,7 +228,7 @@ func runE7(seed uint64) *stats.Table {
 	for r := 0; r < g.Rows; r++ {
 		words := s.Devices[0][0].PhysRowWords(0, r)
 		for _, w := range words {
-			flips := popcount(w ^ pattern)
+			flips := bits.OnesCount64(w ^ pattern)
 			hist[flips]++
 			if flips == 0 {
 				continue
@@ -292,15 +293,6 @@ func mixParity(orig ecc.Codeword72, corruptedData uint64) ecc.Codeword72 {
 		}
 	}
 	return out
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // runE8 tabulates the counter-table storage the CAL 2015 approach

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dram"
 	"repro/internal/profile"
@@ -152,7 +153,7 @@ func runE12(seed uint64) *stats.Table {
 			for r := 0; r < g.Rows; r++ {
 				words := dev.PhysRowWords(0, r)
 				for wi, w := range words {
-					flips := popcount(^w)
+					flips := bits.OnesCount64(^w)
 					if flips == 0 {
 						continue
 					}

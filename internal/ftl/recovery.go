@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"math/bits"
+
 	"repro/internal/flash"
 )
 
@@ -103,7 +105,7 @@ func RunRFR(b *flash.Block, w int, ecc ECC, cfg RFRConfig) RFRResult {
 		movedL := bestLSB[i] ^ lsbT[i]
 		movedM := bestMSB[i] ^ msbT[i]
 		moved := movedL | movedM
-		res.FastLeakers += popcount(moved)
+		res.FastLeakers += bits.OnesCount64(moved)
 		recLSB[i] = (lsbT[i] &^ moved) | (lsbX[i] & moved)
 		recMSB[i] = (msbT[i] &^ moved) | (msbX[i] & moved)
 	}
@@ -111,15 +113,6 @@ func RunRFR(b *flash.Block, w int, ecc ECC, cfg RFRConfig) RFRResult {
 	res.Recovered = ecc.Evaluate(recLSB, b.TruthLSB(w)).OK() &&
 		ecc.Evaluate(recMSB, b.TruthMSB(w)).OK()
 	return res
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // NACResult reports a neighbor-assisted correction pass.
