@@ -61,6 +61,9 @@
 //     summaries (BENCH_*.json)
 //   - internal/fieldstudy: the DSN'15-class fleet Monte Carlo, with
 //     the block-sharded RunSharded engine scaling it to ~1M DIMMs
+//   - internal/par: the one worker pool (par.Shard) every sharded
+//     sweep fans out through: channels, dies, fleet blocks, arrays,
+//     tournament groups and the experiment Runner
 //
 // This facade re-exports the handful of entry points downstream code
 // needs; everything else is importable within the module from the

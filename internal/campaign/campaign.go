@@ -35,7 +35,8 @@ type Spec struct {
 	Kind string `json:"kind"`
 	// Seed drives the campaign; results are pure functions of it.
 	Seed uint64 `json:"seed"`
-	// Workers is the engine fan-out. <= 0 means 1.
+	// Workers is the engine fan-out. <= 0 means 1; the engine never
+	// starts more workers than it has shard units.
 	Workers int `json:"workers,omitempty"`
 	// CheckpointEvery is how many completed shard units between
 	// checkpoint rewrites. <= 0 means every unit.
@@ -51,14 +52,16 @@ type Spec struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxRetries is how many times a transiently failed attempt is
 	// retried (with exponential backoff) before the campaign fails.
-	// Negative means 0.
+	// Negative means 0; more than maxRetries is rejected.
 	MaxRetries int `json:"max_retries,omitempty"`
 	// RetryBackoffMS is the base backoff; attempt n waits
 	// RetryBackoffMS << n, capped at one minute. <= 0 means 100ms;
 	// more than 60000 is rejected.
 	RetryBackoffMS int64 `json:"retry_backoff_ms,omitempty"`
 	// Fleet configures the fieldstudy kind; nil means
-	// fieldstudy.DefaultConfig.
+	// fieldstudy.DefaultConfig. A fleet needs at least one class,
+	// every class at least one DIMM, at least one month, and at most
+	// maxFleetDIMMs DIMMs in total.
 	Fleet *fieldstudy.Config `json:"fleet,omitempty"`
 	// Experiments restricts the experiments kind to these IDs; empty
 	// means every registered experiment.
@@ -149,6 +152,9 @@ func NewService(dir string) *Service {
 func validateSpec(spec *Spec) error {
 	switch spec.Kind {
 	case "fieldstudy":
+		if err := validateFleet(spec.Fleet); err != nil {
+			return err
+		}
 	case "experiments":
 		for _, id := range spec.Experiments {
 			if _, ok := exp.ByID(id); !ok {
@@ -171,11 +177,48 @@ func validateSpec(spec *Spec) error {
 	if spec.MaxRetries < 0 {
 		spec.MaxRetries = 0
 	}
+	if spec.MaxRetries > maxRetries {
+		return fmt.Errorf("campaign: max_retries %d exceeds the cap of %d", spec.MaxRetries, maxRetries)
+	}
 	if spec.RetryBackoffMS > maxRetryBackoff.Milliseconds() {
 		return fmt.Errorf("campaign: retry_backoff_ms %d exceeds the %v cap", spec.RetryBackoffMS, maxRetryBackoff)
 	}
 	if spec.RetryBackoffMS <= 0 {
 		spec.RetryBackoffMS = 100
+	}
+	return nil
+}
+
+const (
+	// maxRetries caps Spec.MaxRetries.
+	maxRetries = 100
+	// maxFleetDIMMs caps a fieldstudy fleet at 16x E52's million
+	// DIMMs. It bounds the fleet's block count, and with it the
+	// engine's goroutines, since the pool never runs more workers
+	// than blocks.
+	maxFleetDIMMs = 16_000_000
+)
+
+// validateFleet rejects fleets the engine cannot average over: no
+// classes, an empty class or no months would divide by zero in the
+// per-DIMM-month rates. nil (the default fleet) passes.
+func validateFleet(f *fieldstudy.Config) error {
+	if f == nil {
+		return nil
+	}
+	if len(f.Classes) == 0 || f.Months < 1 {
+		return fmt.Errorf("campaign: fleet has %d classes over %d months, want at least one of each",
+			len(f.Classes), f.Months)
+	}
+	total := 0
+	for _, cls := range f.Classes {
+		if cls.DIMMs < 1 {
+			return fmt.Errorf("campaign: fleet class %q has %d DIMMs, want at least 1", cls.Label, cls.DIMMs)
+		}
+		if cls.DIMMs > maxFleetDIMMs-total {
+			return fmt.Errorf("campaign: fleet exceeds the cap of %d DIMMs", maxFleetDIMMs)
+		}
+		total += cls.DIMMs
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -365,12 +366,39 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: "fieldstudy", Seed: 1, Checkpoint: "../escape.ckpt"},
 		{Kind: "fieldstudy", Seed: 1, Checkpoint: ".hidden"},
 		{Kind: "fieldstudy", Seed: 1, RetryBackoffMS: maxRetryBackoff.Milliseconds() + 1},
+		{Kind: "fieldstudy", Seed: 1, MaxRetries: maxRetries + 1},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes = nil })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes[1].DIMMs = 0 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes[0].DIMMs = -5 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Months = 0 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) {
+			c.Classes[0].DIMMs = maxFleetDIMMs
+		})},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) {
+			for i := range c.Classes {
+				c.Classes[i].DIMMs = math.MaxInt
+			}
+		})},
 	}
 	for _, spec := range cases {
 		if _, err := s.Submit(spec); err == nil {
 			t.Fatalf("spec %+v accepted", spec)
 		}
 	}
+	// The caps themselves are inclusive.
+	atCap := Spec{Kind: "fieldstudy", Seed: 1, MaxRetries: maxRetries, Fleet: fleet(func(c *fieldstudy.Config) {
+		c.Classes[0].DIMMs = maxFleetDIMMs - c.Classes[1].DIMMs
+	})}
+	if err := validateSpec(&atCap); err != nil {
+		t.Fatalf("spec at the caps rejected: %v", err)
+	}
+}
+
+// fleet returns testFleet with mutate applied.
+func fleet(mutate func(*fieldstudy.Config)) *fieldstudy.Config {
+	cfg := testFleet()
+	mutate(cfg)
+	return cfg
 }
 
 // TestRetryBackoffBounded pins the retry wait: positive, non-decreasing

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/snapshot"
@@ -134,95 +132,5 @@ func (r *Runner) RunCheckpointed(exps []Experiment) ([]RunResult, error) {
 // recomputing them. progress, if non-nil, is called (serialized) with
 // each result as it completes or is restored.
 func (r *Runner) RunCheckpointedCtx(ctx context.Context, exps []Experiment, progress func(RunResult)) ([]RunResult, error) {
-	if r.CheckpointPath == "" {
-		results := r.Run(exps)
-		if progress != nil {
-			for _, res := range results {
-				progress(res)
-			}
-		}
-		return results, nil
-	}
-	done := make(map[string]RunResult)
-	if _, err := os.Stat(r.CheckpointPath); err == nil {
-		var lerr error
-		done, lerr = loadRunCheckpoint(r.CheckpointPath, r.Seed)
-		if lerr != nil {
-			return nil, lerr
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-
-	if r.ShardWorkers > 0 {
-		prev := shardWorkers.Swap(int64(r.ShardWorkers))
-		defer shardWorkers.Store(prev)
-	}
-	ordered := append([]Experiment(nil), exps...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Num < ordered[j].Num })
-	results := make([]RunResult, len(ordered))
-	var pending []int
-	for i, e := range ordered {
-		if res, ok := done[e.ID]; ok {
-			results[i] = res
-			if progress != nil {
-				progress(res)
-			}
-		} else {
-			pending = append(pending, i)
-		}
-	}
-
-	workers := r.EffectiveWorkers()
-	if workers > len(pending) && len(pending) > 0 {
-		workers = len(pending)
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				res := r.runOne(ordered[i])
-				mu.Lock()
-				results[i] = res
-				done[res.ID] = res
-				if err := saveRunCheckpoint(r.CheckpointPath, r.Seed, done); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if progress != nil {
-					progress(res)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, i := range pending {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return r.run(ctx, exps, r.CheckpointPath, progress)
 }

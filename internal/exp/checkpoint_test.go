@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -189,3 +190,37 @@ func TestInjectedPanicFailsOnlyThatExperiment(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// TestRunCheckpointedCtxWithoutPathMatchesRun pins the shared loop's
+// no-checkpoint case: with an empty CheckpointPath, RunCheckpointedCtx
+// returns what Run returns and reports each experiment to progress
+// exactly once, with that same result.
+func TestRunCheckpointedCtxWithoutPathMatchesRun(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var runs atomic.Int64
+		exps := syntheticExps(&runs)
+		want := (&Runner{Workers: workers, Seed: 5}).Run(exps)
+		reported := make(map[string]string)
+		calls := 0
+		got, err := (&Runner{Workers: workers, Seed: 5}).RunCheckpointedCtx(context.Background(), exps,
+			func(res RunResult) {
+				calls++
+				reported[res.ID] = res.Table.String()
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if fmt.Sprint(tableStrings(got)) != fmt.Sprint(tableStrings(want)) {
+			t.Fatalf("workers=%d: RunCheckpointedCtx tables differ from Run", workers)
+		}
+		if calls != len(exps) || len(reported) != len(exps) {
+			t.Fatalf("workers=%d: progress called %d times for %d distinct IDs, want %d each",
+				workers, calls, len(reported), len(exps))
+		}
+		for _, res := range want {
+			if reported[res.ID] != res.Table.String() {
+				t.Fatalf("workers=%d: progress reported a different result for %s", workers, res.ID)
+			}
+		}
+	}
+}

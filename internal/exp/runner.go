@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -96,6 +99,32 @@ func (r *Runner) EffectiveWorkers() int {
 // experiment, sorted by numeric experiment ID. A panicking experiment
 // is recovered into its result's Err; it does not take down the run.
 func (r *Runner) Run(exps []Experiment) []RunResult {
+	// Without a checkpoint path or a cancellable context the loop
+	// cannot fail.
+	results, _ := r.run(context.Background(), exps, "", nil)
+	return results
+}
+
+// run is the one experiment loop behind Run and RunCheckpointedCtx.
+// With a non-empty path it restores the experiments completed in that
+// checkpoint and persists each newly completed one there; with an
+// empty path it touches no file. Workers observe ctx and the first
+// error before each experiment and skip the rest once either is set.
+// progress, if non-nil, is called (serialized) with each result as it
+// is restored or completes.
+func (r *Runner) run(ctx context.Context, exps []Experiment, path string, progress func(RunResult)) ([]RunResult, error) {
+	done := make(map[string]RunResult)
+	if path != "" {
+		if _, err := os.Stat(path); err == nil {
+			var lerr error
+			if done, lerr = loadRunCheckpoint(path, r.Seed); lerr != nil {
+				return nil, lerr
+			}
+		} else if !os.IsNotExist(err) {
+			return nil, err
+		}
+	}
+
 	if r.ShardWorkers > 0 {
 		prev := shardWorkers.Swap(int64(r.ShardWorkers))
 		defer shardWorkers.Store(prev)
@@ -103,27 +132,51 @@ func (r *Runner) Run(exps []Experiment) []RunResult {
 	ordered := append([]Experiment(nil), exps...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Num < ordered[j].Num })
 	results := make([]RunResult, len(ordered))
-	workers := r.EffectiveWorkers()
-	if workers > len(ordered) && len(ordered) > 0 {
-		workers = len(ordered)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = r.runOne(ordered[i])
+	var pending []int
+	for i, e := range ordered {
+		if res, ok := done[e.ID]; ok {
+			results[i] = res
+			if progress != nil {
+				progress(res)
 			}
-		}()
+		} else {
+			pending = append(pending, i)
+		}
 	}
-	for i := range ordered {
-		jobs <- i
+
+	var (
+		mu       sync.Mutex
+		firstErr error
+	)
+	par.Shard(r.EffectiveWorkers(), len(pending), func(k int) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = ctx.Err()
+		}
+		stop := firstErr != nil
+		mu.Unlock()
+		if stop {
+			return
+		}
+		i := pending[k]
+		res := r.runOne(ordered[i])
+		mu.Lock()
+		defer mu.Unlock()
+		results[i] = res
+		if path != "" {
+			done[res.ID] = res
+			if err := saveRunCheckpoint(path, r.Seed, done); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		if progress != nil {
+			progress(res)
+		}
+	})
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	close(jobs)
-	wg.Wait()
-	return results
+	return results, nil
 }
 
 // RunAll executes every registered experiment.

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/par"
 	"repro/internal/snapshot"
 )
 
@@ -181,12 +182,6 @@ func RunShardedCheckpointedCtx(ctx context.Context, cfg Config, seed uint64, wor
 			pending = append(pending, bi)
 		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pending) && len(pending) > 0 {
-		workers = len(pending)
-	}
 
 	writeCkpt := func() error {
 		return snapshot.WriteFile(ckptPath, campaignSnapshotKind, campaignSnapshotVersion,
@@ -200,13 +195,8 @@ func RunShardedCheckpointedCtx(ctx context.Context, cfg Config, seed uint64, wor
 		mu        sync.Mutex
 		firstErr  error
 		sinceCkpt int
-		doneCount int
+		doneCount = len(blocks) - len(pending)
 	)
-	for _, r := range results {
-		if r.done {
-			doneCount++
-		}
-	}
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -231,57 +221,37 @@ func RunShardedCheckpointedCtx(ctx context.Context, cfg Config, seed uint64, wor
 		mu.Lock()
 		results[bi] = r
 		doneCount++
-		nowDone := doneCount
 		sinceCkpt++
-		flush := sinceCkpt >= every
-		if flush {
-			sinceCkpt = 0
-		}
 		var werr error
-		if flush {
+		if sinceCkpt >= every {
+			sinceCkpt = 0
 			werr = writeCkpt()
 		}
 		if progress != nil {
-			progress(nowDone, len(blocks))
+			progress(doneCount, len(blocks))
 		}
 		mu.Unlock()
 		if werr != nil {
 			fail(werr)
 		}
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range jobs {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					continue // drain remaining jobs without work
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					continue
-				}
-				runBlock(bi)
-			}
-		}()
-	}
-	for _, bi := range pending {
-		jobs <- bi
-	}
-	close(jobs)
-	wg.Wait()
+	par.Shard(workers, len(pending), func(k int) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = ctx.Err()
+		}
+		stop := firstErr != nil
+		mu.Unlock()
+		if stop {
+			return // drain remaining blocks without work
+		}
+		runBlock(pending[k])
+	})
 	if firstErr != nil {
 		// Persist whatever completed before the failure so a retry
 		// resumes rather than recomputes. Best effort: the original
 		// error wins.
-		mu.Lock()
 		_ = writeCkpt()
-		mu.Unlock()
 		return nil, firstErr
 	}
 	if err := writeCkpt(); err != nil {

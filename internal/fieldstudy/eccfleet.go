@@ -13,9 +13,8 @@ package fieldstudy
 // but none of the standard trio eliminates it.
 
 import (
-	"sync"
-
 	"repro/internal/ecc"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -150,28 +149,9 @@ func simulateECCBlock(cfg Config, multiFlipP float64, maxFlips int, seed uint64,
 func RunECCSharded(cfg Config, multiFlipP float64, maxFlips int, seed uint64, workers int) []ECCClassStats {
 	blocks := planBlocks(cfg)
 	results := make([]ECCClassStats, len(blocks))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range jobs {
-				results[bi] = simulateECCBlock(cfg, multiFlipP, maxFlips, seed, blocks[bi])
-			}
-		}()
-	}
-	for bi := range blocks {
-		jobs <- bi
-	}
-	close(jobs)
-	wg.Wait()
+	par.Shard(workers, len(blocks), func(bi int) {
+		results[bi] = simulateECCBlock(cfg, multiFlipP, maxFlips, seed, blocks[bi])
+	})
 	out := make([]ECCClassStats, len(cfg.Classes))
 	for bi, b := range blocks {
 		out[b.class].add(results[bi])

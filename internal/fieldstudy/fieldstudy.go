@@ -26,8 +26,8 @@ package fieldstudy
 import (
 	"math"
 	"sort"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -224,28 +224,9 @@ func simulateDIMM(cfg Config, scale float64, src *rng.Stream) (ce, ue int64) {
 func RunSharded(cfg Config, seed uint64, workers int) []ClassStats {
 	blocks := planBlocks(cfg)
 	results := make([]blockResult, len(blocks))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range jobs {
-				results[bi] = simulateBlock(cfg, seed, blocks[bi])
-			}
-		}()
-	}
-	for bi := range blocks {
-		jobs <- bi
-	}
-	close(jobs)
-	wg.Wait()
+	par.Shard(workers, len(blocks), func(bi int) {
+		results[bi] = simulateBlock(cfg, seed, blocks[bi])
+	})
 	return mergeBlocks(cfg, blocks, results)
 }
 

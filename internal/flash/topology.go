@@ -2,8 +2,8 @@ package flash
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -73,32 +73,5 @@ func (t Topology) DieStream(seed uint64, die int) *rng.Stream {
 // every worker count, because no state is shared between dies and the
 // caller merges slots in die order. workers < 1 means one worker.
 func (t Topology) ShardDies(seed uint64, workers int, fn func(die int, src *rng.Stream)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > t.Dies {
-		workers = t.Dies
-	}
-	if workers == 1 {
-		for die := 0; die < t.Dies; die++ {
-			fn(die, t.DieStream(seed, die))
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for die := range jobs {
-				fn(die, t.DieStream(seed, die))
-			}
-		}()
-	}
-	for die := 0; die < t.Dies; die++ {
-		jobs <- die
-	}
-	close(jobs)
-	wg.Wait()
+	par.Shard(workers, t.Dies, func(die int) { fn(die, t.DieStream(seed, die)) })
 }

@@ -13,13 +13,15 @@ import (
 // counts and runs — the repository's sharded==serial equivalence
 // contract requires index-addressed result writes instead (one slot
 // per channel/die/block, as ShardChannels callers do with
-// `perChan[ch] = ...`), with any ordered merge done after the joint.
+// `perChan[ch] = ...`), with any ordered merge done after the join.
 //
-// A worker body is (a) a function literal launched by a `go`
-// statement, or (b) a function literal passed to one of the
-// repository's sharded executors (an identifier starting with "Shard"
-// or containing "Sharded": ShardChannels, ShardDies, ShardWorkers,
-// RunSharded, ...). Channel sends and index-addressed writes pass;
+// Every fan-out in the tree goes through one executor, par.Shard; the
+// named wrappers (ShardChannels, ShardDies, RunSharded, ...) hand it
+// their worker bodies. A worker body is (a) a function literal
+// launched by a `go` statement, or (b) a function literal passed to a
+// sharded executor: a callee, bare or selector (par.Shard,
+// ms.ShardChannels), whose name starts with "Shard" or contains
+// "Sharded". Channel sends and index-addressed writes pass;
 // `xs = append(xs, ...)` on a captured slice is flagged unless
 // annotated `//repro:unordered <why>`.
 var ShardCollect = &Analyzer{

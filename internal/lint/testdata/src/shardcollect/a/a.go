@@ -40,6 +40,33 @@ func shardBad() []int {
 	return res
 }
 
+// pool mimics internal/par: a selector-form executor, called as
+// p.Shard(...) the way the tree calls par.Shard(...).
+type pool struct{}
+
+func (pool) Shard(workers, n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+func selectorShardBad(p pool, n int) []int {
+	var res []int
+	p.Shard(4, n, func(i int) {
+		res = append(res, i*i) // want "append to shared slice .res. from a Shard worker"
+	})
+	return res
+}
+
+// Index-addressed writes through the selector form pass.
+func selectorShardGood(p pool, n int) []int {
+	res := make([]int, n)
+	p.Shard(4, n, func(i int) {
+		res[i] = i * i
+	})
+	return res
+}
+
 // A justified annotation suppresses the diagnostic (e.g. the caller
 // sorts the collected slice before anything order-sensitive).
 func shardAnnotated() []int {

@@ -2,9 +2,9 @@ package memctrl
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/dram"
+	"repro/internal/par"
 )
 
 // MemorySystem is a topology of channels: one Controller per channel,
@@ -138,29 +138,5 @@ func (ms *MemorySystem) EnergyPJ() float64 {
 // system_test.go proves it. fn must confine itself to its channel's
 // controller and devices.
 func (ms *MemorySystem) ShardChannels(workers int, fn func(ch int, c *Controller)) {
-	if workers > len(ms.chans) {
-		workers = len(ms.chans)
-	}
-	if workers <= 1 {
-		for ch, c := range ms.chans {
-			fn(ch, c)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ch := range jobs {
-				fn(ch, ms.chans[ch])
-			}
-		}()
-	}
-	for ch := range ms.chans {
-		jobs <- ch
-	}
-	close(jobs)
-	wg.Wait()
+	par.Shard(workers, len(ms.chans), func(ch int) { fn(ch, ms.chans[ch]) })
 }

@@ -7,8 +7,7 @@ package pcm
 // bit-identical for every worker count.
 
 import (
-	"sync"
-
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -84,61 +83,26 @@ func fleetSchemes(cfg FleetConfig) []struct {
 // order, so the tournament is bit-identical for every worker count.
 func RunFleetTournament(cfg FleetConfig, seed uint64, workers int) []SchemeStats {
 	schemes := fleetSchemes(cfg)
-	type jobResult struct {
-		writes, ideal uint64
-	}
-	jobsN := len(schemes) * cfg.Arrays
-	results := make([]jobResult, jobsN)
-	runJob := func(j int) {
+	results := make([]AttackResult, len(schemes)*cfg.Arrays)
+	par.Shard(workers, len(results), func(j int) {
 		si, ai := j/cfg.Arrays, j%cfg.Arrays
 		src := rng.New(seed + 0x9e3779b97f4a7c15*(uint64(si)<<40+uint64(ai)+1))
 		a := NewArray(cfg.Lines, cfg.MeanEndurance, cfg.CoV, src)
 		m := schemes[si].mk(src)
-		res := RunWriteAttack(a, m, cfg.Target, cfg.MaxWrites)
-		results[j] = jobResult{writes: res.WritesToFailure, ideal: res.IdealWrites}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > jobsN {
-		workers = jobsN
-	}
-	if workers == 1 {
-		for j := 0; j < jobsN; j++ {
-			runJob(j)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					runJob(j)
-				}
-			}()
-		}
-		for j := 0; j < jobsN; j++ {
-			jobs <- j
-		}
-		close(jobs)
-		wg.Wait()
-	}
+		results[j] = RunWriteAttack(a, m, cfg.Target, cfg.MaxWrites)
+	})
 	out := make([]SchemeStats, len(schemes))
 	for si, sch := range schemes {
 		s := SchemeStats{Scheme: sch.name}
 		var sumW, sumFrac float64
 		for ai := 0; ai < cfg.Arrays; ai++ {
 			r := results[si*cfg.Arrays+ai]
-			if ai == 0 || r.writes < s.MinWrites {
-				s.MinWrites = r.writes
+			if ai == 0 || r.WritesToFailure < s.MinWrites {
+				s.MinWrites = r.WritesToFailure
 			}
-			if r.writes > s.MaxWrites {
-				s.MaxWrites = r.writes
-			}
-			sumW += float64(r.writes)
-			sumFrac += float64(r.writes) / float64(r.ideal)
+			s.MaxWrites = max(s.MaxWrites, r.WritesToFailure)
+			sumW += float64(r.WritesToFailure)
+			sumFrac += float64(r.WritesToFailure) / float64(r.IdealWrites)
 		}
 		s.MeanWrites = sumW / float64(cfg.Arrays)
 		s.MeanFracIdeal = sumFrac / float64(cfg.Arrays)
