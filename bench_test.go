@@ -1,7 +1,7 @@
-// The benchmark harness: one testing.B benchmark per experiment in the
-// per-experiment index of DESIGN.md, plus whole-suite benchmarks over
-// the parallel Runner. Each per-experiment benchmark regenerates its
-// table/figure through the Runner and prints the series once, so
+// The benchmark harness: one sub-benchmark of BenchmarkExperiments per
+// registered experiment, plus whole-suite benchmarks over the parallel
+// Runner. Each per-experiment benchmark regenerates its table/figure
+// through the Runner and prints the series once, so
 //
 //	go test -bench=. -benchmem
 //
@@ -24,21 +24,24 @@ import (
 
 var printOnce sync.Map
 
-func benchExperiment(b *testing.B, id string) {
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	runner := &exp.Runner{Workers: 1, Seed: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := runner.Run([]exp.Experiment{e})
-		if res[0].Err != nil {
-			b.Fatal(res[0].Err)
-		}
-		if _, printed := printOnce.LoadOrStore(id, true); !printed {
-			fmt.Printf("\n%s\n", res[0].Table)
-		}
+// BenchmarkExperiments runs every registered experiment serially at
+// seed 1 as its own sub-benchmark, named by ID: select one with
+// -bench 'Experiments/E3$'.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			runner := &exp.Runner{Workers: 1, Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := runner.Run([]exp.Experiment{e})
+				if res[0].Err != nil {
+					b.Fatal(res[0].Err)
+				}
+				if _, printed := printOnce.LoadOrStore(e.ID, true); !printed {
+					fmt.Printf("\n%s\n", res[0].Table)
+				}
+			}
+		})
 	}
 }
 
@@ -58,53 +61,6 @@ func benchSuite(b *testing.B, workers int) {
 
 func BenchmarkAllExperimentsSerial(b *testing.B)   { benchSuite(b, 1) }
 func BenchmarkAllExperimentsParallel(b *testing.B) { benchSuite(b, 0) }
-
-func BenchmarkE01Figure1(b *testing.B)            { benchExperiment(b, "E1") }
-func BenchmarkE02ModuleCensus(b *testing.B)       { benchExperiment(b, "E2") }
-func BenchmarkE03HammerSweep(b *testing.B)        { benchExperiment(b, "E3") }
-func BenchmarkE04RefreshSweep(b *testing.B)       { benchExperiment(b, "E4") }
-func BenchmarkE05Countermeasures(b *testing.B)    { benchExperiment(b, "E5") }
-func BenchmarkE06PARA(b *testing.B)               { benchExperiment(b, "E6") }
-func BenchmarkE07ECC(b *testing.B)                { benchExperiment(b, "E7") }
-func BenchmarkE08CRA(b *testing.B)                { benchExperiment(b, "E8") }
-func BenchmarkE09ANVIL(b *testing.B)              { benchExperiment(b, "E9") }
-func BenchmarkE10RefreshBurden(b *testing.B)      { benchExperiment(b, "E10") }
-func BenchmarkE11RetentionProfiling(b *testing.B) { benchExperiment(b, "E11") }
-func BenchmarkE12VRTScrubbing(b *testing.B)       { benchExperiment(b, "E12") }
-func BenchmarkE13FlashBER(b *testing.B)           { benchExperiment(b, "E13") }
-func BenchmarkE14FCR(b *testing.B)                { benchExperiment(b, "E14") }
-func BenchmarkE15ReadDisturb(b *testing.B)        { benchExperiment(b, "E15") }
-func BenchmarkE16RFR(b *testing.B)                { benchExperiment(b, "E16") }
-func BenchmarkE17NAC(b *testing.B)                { benchExperiment(b, "E17") }
-func BenchmarkE18TwoStep(b *testing.B)            { benchExperiment(b, "E18") }
-func BenchmarkE19PARAPlacement(b *testing.B)      { benchExperiment(b, "E19") }
-func BenchmarkE20PCMWear(b *testing.B)            { benchExperiment(b, "E20") }
-func BenchmarkE21PrivEsc(b *testing.B)            { benchExperiment(b, "E21") }
-func BenchmarkE22TRRBypass(b *testing.B)          { benchExperiment(b, "E22") }
-func BenchmarkE23OnlineProfiling(b *testing.B)    { benchExperiment(b, "E23") }
-func BenchmarkE24FieldStudy(b *testing.B)         { benchExperiment(b, "E24") }
-func BenchmarkE25RAIDRTradeoff(b *testing.B)      { benchExperiment(b, "E25") }
-func BenchmarkE26PARARadius(b *testing.B)         { benchExperiment(b, "E26") }
-func BenchmarkE27DPDStrength(b *testing.B)        { benchExperiment(b, "E27") }
-func BenchmarkE28TRRSampling(b *testing.B)        { benchExperiment(b, "E28") }
-func BenchmarkE29RFRPhases(b *testing.B)          { benchExperiment(b, "E29") }
-func BenchmarkE30MappingLocality(b *testing.B)    { benchExperiment(b, "E30") }
-func BenchmarkE31TopologyTemplating(b *testing.B) { benchExperiment(b, "E31") }
-func BenchmarkE32PARATopology(b *testing.B)       { benchExperiment(b, "E32") }
-func BenchmarkE33ShardEquivalence(b *testing.B)   { benchExperiment(b, "E33") }
-func BenchmarkE50TopologyProfiling(b *testing.B)  { benchExperiment(b, "E50") }
-func BenchmarkE51ControllerRAIDR(b *testing.B)    { benchExperiment(b, "E51") }
-func BenchmarkE52MillionDIMMFleet(b *testing.B)   { benchExperiment(b, "E52") }
-func BenchmarkE53RetentionHotPath(b *testing.B)   { benchExperiment(b, "E53") }
-func BenchmarkE60SSDFrontier(b *testing.B)        { benchExperiment(b, "E60") }
-func BenchmarkE61FlashEquivalence(b *testing.B)   { benchExperiment(b, "E61") }
-func BenchmarkE62PCMFleet(b *testing.B)           { benchExperiment(b, "E62") }
-func BenchmarkE63FlashFieldStudy(b *testing.B)    { benchExperiment(b, "E63") }
-func BenchmarkE80KernelEquivalence(b *testing.B)  { benchExperiment(b, "E80") }
-func BenchmarkE81PrivEscSystem(b *testing.B)      { benchExperiment(b, "E81") }
-func BenchmarkE82Tournament(b *testing.B)         { benchExperiment(b, "E82") }
-func BenchmarkE83CrossVMSystem(b *testing.B)      { benchExperiment(b, "E83") }
-func BenchmarkE84RefreshSyncAttack(b *testing.B)  { benchExperiment(b, "E84") }
 
 // BenchmarkMultiChannelSweep is the multi-channel hammer hot path in
 // isolation: a cross-bank campaign over a 4-channel 2-rank topology,

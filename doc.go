@@ -24,8 +24,8 @@
 //     Device.HammerCycle) and whole-bank refresh storms
 //     (dram.BankRefreshFaultModel, Device.RefreshBankAll) — with the
 //     seed implementations retained as equivalence oracles
-//     (disturb.Reference, retention.Reference); see README.md for the
-//     batching contracts and measured speedups.
+//     (disturb.Reference, and retention.Reference in test code only);
+//     see README.md for the batching contracts and measured speedups.
 //   - internal/memctrl: the memory-controller stack: pluggable
 //     address-mapping policies (row-interleaved, channel-interleaved,
 //     XOR bank hash), the per-channel multi-rank Controller with the
@@ -53,8 +53,8 @@
 //   - internal/profile, internal/core, internal/exp: profiling over
 //     bank sets, whole devices and whole topologies (CampaignSystem,
 //     channel-sharded), analysis, topology-aware system building
-//     (core.Build), the E1-E53 experiment registry (E40-E44 the
-//     mitigation-frontier Pareto sweeps, E50-E53 the retention /
+//     (core.Build), the E1-E84 experiment registry (E40-E44 the
+//     mitigation-frontier Pareto sweeps, E50-E52 the retention /
 //     profiling / multi-rate-refresh stack at topology scale), and the
 //     parallel experiment Runner (experiment-level pool plus
 //     channel-level sharding) with its machine-readable benchmark
@@ -92,7 +92,7 @@ func Build(m *Module, opt Options) *System { return core.Build(m, opt) }
 // Population returns the 129-module study population.
 func Population(seed uint64) []Module { return modules.Population(seed) }
 
-// Experiments lists the registered experiments (E1..E53).
+// Experiments lists the registered experiments (E1..E84).
 func Experiments() []exp.Experiment { return exp.All() }
 
 // Runner executes experiments on a parallel worker pool; results are

@@ -7,9 +7,9 @@ package attack
 // back, user-level powers only) — with explicit serializable state, so
 // a half-run attacker checkpoints and resumes exactly like the rest of
 // the simulator. The tournament driver (tournament.go, experiments
-// E80-E84) pits every Strategy against every mitigation and mapping
-// policy from one templated snapshot; E80 and the strategy tests pin
-// each fixed-pattern strategy's row choice against a literal
+// E81-E84) pits every Strategy against every mitigation and mapping
+// policy from one templated snapshot; the strategy tests pin each
+// fixed-pattern strategy's row choice against a literal
 // HammerPairsRanked or NSidedRanked call.
 
 import (

@@ -173,6 +173,43 @@ func TestSingleSidedStrategyMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestNSidedDecoyStrategyMatchesLegacy pins NSidedDecoyStrategy's
+// HammerRound bit-identical to a literal N-sided hammer of the
+// seed-era row choice: four aggressors from the row below the victim
+// and two decoys. Both twins are armed with the charged pattern first
+// so the round flips bits, and every row's device words must agree.
+func TestNSidedDecoyStrategyMatchesLegacy(t *testing.T) {
+	const pattern = 0xaaaaaaaaaaaaaaaa
+	legacyCtrl, legacyDev := nsidedRig(2, 0.1, 300)
+	stratCtrl, stratDev := nsidedRig(2, 0.1, 300)
+	rows := legacyCtrl.Rank(0).Geom.Rows
+	for r := 0; r < rows; r++ {
+		writeRowRanked(legacyCtrl, 0, 0, r, pattern)
+		writeRowRanked(stratCtrl, 0, 0, r, pattern)
+	}
+	victim := 60
+	NSidedRanked(legacyCtrl, 0, 0, NSidedAggressors(victim-1, 4), DecoyRows(rows, 2), 5000)
+	s := &NSidedDecoyStrategy{Sides: 4, Decoys: 2}
+	s.HammerRound(Target{Ctrl: stratCtrl, Pattern: pattern}, victim, 5000)
+	if legacyCtrl.Stats != stratCtrl.Stats || legacyCtrl.Now() != stratCtrl.Now() {
+		t.Fatalf("nsided diverged:\nlegacy   %+v t=%d\nstrategy %+v t=%d",
+			legacyCtrl.Stats, legacyCtrl.Now(), stratCtrl.Stats, stratCtrl.Now())
+	}
+	flips := 0
+	for r := 0; r < rows; r++ {
+		lw, sw := legacyDev.PhysRowWords(0, r), stratDev.PhysRowWords(0, r)
+		for i := range lw {
+			if lw[i] != sw[i] {
+				t.Fatalf("row %d word %d: legacy %#x, strategy %#x", r, i, lw[i], sw[i])
+			}
+			flips += bits.OnesCount64(lw[i] ^ pattern)
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no flips; equivalence test is vacuous")
+	}
+}
+
 // TestNewStrategyRoster checks the registry: every listed name builds,
 // reports a Name consistent with its roster entry, and unknown names
 // are rejected.

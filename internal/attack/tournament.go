@@ -7,7 +7,7 @@ package attack
 // LoadState instead of paying the templating pass once per cell) and
 // measures time-to-first-exploitable-flip in simulated time. The
 // round-robin over mitigations, mapping policies and strategies lives
-// in the experiment layer (E80-E84); this file owns what happens
+// in the experiment layer (E81-E84); this file owns what happens
 // inside a cell so the CLI, examples and experiments run the same
 // attack.
 

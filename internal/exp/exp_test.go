@@ -10,10 +10,10 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
 		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20",
 		"E21", "E22", "E23", "E24", "E25", "E26", "E27", "E28", "E29",
-		"E30", "E31", "E32", "E33", "E40", "E41", "E42", "E43", "E44",
-		"E50", "E51", "E52", "E53", "E60", "E61", "E62", "E63",
+		"E30", "E31", "E32", "E40", "E41", "E42", "E43", "E44",
+		"E50", "E51", "E52", "E60", "E62", "E63",
 		"E70", "E71", "E72", "E73",
-		"E80", "E81", "E82", "E83", "E84"}
+		"E81", "E82", "E83", "E84"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))

@@ -54,8 +54,9 @@ func runE25(seed uint64) *stats.Table {
 	// attacker fits into one nominal window, so nominal refresh
 	// protects it and any slow bin exposes it.
 	window := 64 * dram.Millisecond
-	pairsPerWindow := int(uint64(window) / uint64(2*dram.DefaultTiming().TRC)) // ~650k
-	threshold := float64(pairsPerWindow) * 2 * 1.3                             // beyond one window's reach
+	trc := dram.DefaultTiming().TRC
+	pairsPerWindow := int(uint64(window) / uint64(2*trc)) // ~650k
+	threshold := float64(pairsPerWindow) * 2 * 1.3        // beyond one window's reach
 	for _, mult := range []int{1, 2, 4, 8} {
 		g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 		dev := dram.NewDevice(g)
@@ -68,17 +69,22 @@ func runE25(seed uint64) *stats.Table {
 			plan = raidr.NewPlan(g.Rows, nil, 1)
 		}
 		eng := raidr.NewEngine(dev, 0, plan, window)
-		// Attack: hammer at full rate for `mult` windows; RAIDR
-		// refreshes per plan at each nominal-window boundary.
+		// Attack: hammer rows 59 and 61 closed-page at full rate for
+		// eight windows; RAIDR refreshes per plan at each
+		// nominal-window boundary. Activation times only move restore
+		// clocks: the disturb model reads no timestamps and no
+		// retention model is attached.
+		rows := []int{59, 61}
+		acts := 2 * pairsPerWindow
 		now := dram.Time(0)
 		for w := 0; w < 8; w++ {
-			for p := 0; p < pairsPerWindow; p++ {
-				dev.Activate(0, 59, now)
-				dev.Precharge(0)
-				dev.Activate(0, 61, now)
-				dev.Precharge(0)
-				now += 2 * dram.DefaultTiming().TRC
+			for done := 0; done < acts; {
+				done += dev.HammerCycle(dram.Cycle{
+					Rows: rows, Pos: done % 2, N: acts - done,
+					Start: now + dram.Time(done)*trc, Period: trc, ClosedPage: true,
+				})
 			}
+			now += dram.Time(acts) * trc
 			eng.Step(now)
 		}
 		saved := plan.SavedFraction()

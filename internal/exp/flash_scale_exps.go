@@ -1,14 +1,12 @@
 package exp
 
-// Flash/PCM-at-scale experiments (E60-E63): the flash stack promoted
-// from single-block demos to SSD topologies on the word-parallel hot
-// path. E60 maps the RBER/lifetime frontier (ECC strength x FCR
-// period x read disturb) across the dies of a flash.Topology; E61 is
-// the always-on equivalence experiment pinning the word-parallel
-// block against the seed Reference and the die-sharded sweeps against
-// their serial runs; E62 scales the E20 PCM write-attack tournament
+// Flash/PCM-at-scale experiments (E60, E62, E63): the flash stack
+// promoted from single-block demos to SSD topologies on the
+// word-parallel hot path. E60 maps the RBER/lifetime frontier (ECC
+// strength x FCR period x read disturb) across the dies of a
+// flash.Topology; E62 scales the E20 PCM write-attack tournament
 // to a fleet of arrays; E63 runs a flash wear field study across a
-// die fleet alongside E52's DRAM fleet. E60, E62 and E63 shard across
+// die fleet alongside E52's DRAM fleet. All three shard across
 // Shards() workers and their tables are worker-count invariant by
 // construction (per-die substreams, slot-indexed results, fixed-order
 // merges).
@@ -26,8 +24,6 @@ import (
 func init() {
 	register("E60", "SSD-scale RBER/lifetime frontier: ECC strength x FCR period x read disturb (die-sharded)",
 		"Section IV flash scaling: ECC and refresh as the controller levers against retention and disturb errors", runE60)
-	register("E61", "Flash hot path and die sharding: word-parallel block vs seed reference, sharded vs serial",
-		"simulation-scaling extension: the 64-cell sense sweep and die fan-out are bit-identical to the seed path", runE61)
 	register("E62", "Fleet-scale PCM write-attack tournament: start-gap vs randomized across a die fleet",
 		"Section III emerging memories: endurance attacks at fleet scale, beyond E20's single array", runE62)
 	register("E63", "Flash wear field study across a die fleet (die-sharded)",
@@ -83,135 +79,6 @@ func runE60(seed uint64) *stats.Table {
 	}
 	t.AddNote("expected: endurance rises with shorter FCR periods and stronger ECC, falls under read disturb;")
 	t.AddNote("per-die substreams make every row a pure function of the seed for any shard count")
-	return t
-}
-
-// runE61 is the always-on equivalence experiment for this PR's two
-// substitutions: (rows 1-2) the word-parallel Block against the seed
-// Reference under an aged read storm, and (rows 3-5) each die-sharded
-// sweep against its serial (workers=1) run.
-func runE61(seed uint64) *stats.Table {
-	t := stats.NewTable("E61: flash fast-path and die-sharding equivalence",
-		"comparison", "metric", "fast/sharded", "seed/serial", "identical")
-
-	// Word-parallel block vs seed reference: an aged read storm over
-	// every wordline at nominal and shifted references.
-	p := flash.DefaultParams()
-	p.RetCoef, p.RDCoef = 0.01, 2e-5
-	const wls, cells = 4, 2048
-	blk := flash.NewBlock(p, wls, cells, rng.New(seed^0x61))
-	ref := flash.NewReference(p, wls, cells, rng.New(seed^0x61))
-	aux := rng.New(seed*31 + 7)
-	words := cells / 64
-	lsb := make([]uint64, words)
-	msb := make([]uint64, words)
-	for w := 0; w < wls; w++ {
-		for i := range lsb {
-			lsb[i] = aux.Uint64()
-			msb[i] = aux.Uint64()
-		}
-		blk.ProgramFull(w, lsb, msb)
-		ref.ProgramFull(w, lsb, msb)
-	}
-	for _, b := range []interface {
-		CycleWear(int)
-		StressReads(int64)
-		AdvanceHours(float64)
-	}{blk, ref} {
-		b.CycleWear(10000)
-		b.StressReads(80000)
-		b.AdvanceHours(500)
-	}
-	refs := p.NominalRefs()
-	buf := make([]uint64, words)
-	var fastErrs, seedErrs int
-	identical := true
-	for _, rr := range []flash.ReadRefs{refs, refs.Shifted(-0.15, 0.1, -0.1)} {
-		for w := 0; w < wls; w++ {
-			got := blk.ReadLSBInto(w, rr, buf)
-			want := ref.ReadLSB(w, rr)
-			fastErrs += flash.CountBitErrors(got, blk.TruthLSB(w))
-			seedErrs += flash.CountBitErrors(want, ref.TruthLSB(w))
-			if flash.CountBitErrors(got, want) != 0 {
-				identical = false
-			}
-			got = blk.ReadMSBInto(w, rr, buf)
-			want = ref.ReadMSB(w, rr)
-			fastErrs += flash.CountBitErrors(got, blk.TruthMSB(w))
-			seedErrs += flash.CountBitErrors(want, ref.TruthMSB(w))
-			if flash.CountBitErrors(got, want) != 0 {
-				identical = false
-			}
-		}
-	}
-	t.AddRow("word-parallel vs reference", "storm bit errors",
-		fmt.Sprintf("%d", fastErrs), fmt.Sprintf("%d", seedErrs), fmt.Sprintf("%v", identical))
-	rbFast, rbSeed := blk.RBER(0), ref.RBER(0)
-	t.AddRow("word-parallel vs reference", "RBER wl0",
-		fmt.Sprintf("%.6f", rbFast), fmt.Sprintf("%.6f", rbSeed), fmt.Sprintf("%v", rbFast == rbSeed))
-
-	// Die-sharded sweeps vs serial runs of the same seeds. These use
-	// the unmodified calibration: with the storm-boosted retention
-	// above, endurance would be zero everywhere and the comparison
-	// vacuous.
-	sp := flash.DefaultParams()
-	topo := flash.Topology{Dies: 3, Planes: 1, BlocksPerPlane: 64}
-	cfg := e60LifetimeConfig()
-	cfg.ProbeCells = 2048
-	specs := []ftl.FrontierSpec{
-		{ECC: ftl.DefaultECC(), PeriodDays: 30, StressReads: 0},
-		{ECC: ftl.DefaultECC(), PeriodDays: 7, StressReads: 20000},
-	}
-	serialF := ftl.EnduranceFrontier(sp, cfg, topo, specs, seed^0x6161, 1)
-	shardF := ftl.EnduranceFrontier(sp, cfg, topo, specs, seed^0x6161, Shards())
-	same := true
-	var sumSh, sumSe float64
-	for i := range serialF {
-		sumSe += serialF[i].MeanEndurance
-		sumSh += shardF[i].MeanEndurance
-		for d := range serialF[i].PerDie {
-			if serialF[i].PerDie[d] != shardF[i].PerDie[d] {
-				same = false
-			}
-		}
-	}
-	t.AddRow("endurance frontier", "sum mean endurance",
-		fmt.Sprintf("%.0f", sumSh), fmt.Sprintf("%.0f", sumSe), fmt.Sprintf("%v", same))
-
-	serialL := ftl.LifetimeSweep(sp, ftl.DefaultECC(), cfg, topo, 30, seed^0x6162, 1)
-	shardL := ftl.LifetimeSweep(sp, ftl.DefaultECC(), cfg, topo, 30, seed^0x6162, Shards())
-	same = true
-	var daysSh, daysSe float64
-	for i := range serialL {
-		daysSe += serialL[i].FCR.LifetimeDays
-		daysSh += shardL[i].FCR.LifetimeDays
-		if serialL[i] != shardL[i] {
-			same = false
-		}
-	}
-	t.AddRow("FTL lifetime sweep", "sum FCR days",
-		fmt.Sprintf("%.0f", daysSh), fmt.Sprintf("%.0f", daysSe), fmt.Sprintf("%v", same))
-
-	pcfg := pcm.DefaultFleetConfig()
-	pcfg.Arrays = 8
-	pcfg.Lines = 64
-	pcfg.MeanEndurance = 5e3
-	serialP := pcm.RunFleetTournament(pcfg, seed^0x6163, 1)
-	shardP := pcm.RunFleetTournament(pcfg, seed^0x6163, Shards())
-	same = true
-	var wSh, wSe float64
-	for i := range serialP {
-		wSe += serialP[i].MeanWrites
-		wSh += shardP[i].MeanWrites
-		if serialP[i] != shardP[i] {
-			same = false
-		}
-	}
-	t.AddRow("PCM fleet tournament", "sum mean writes",
-		fmt.Sprintf("%.0f", wSh), fmt.Sprintf("%.0f", wSe), fmt.Sprintf("%v", same))
-
-	t.AddNote("expected: identical=true on every row — word-at-a-time sensing preserves the reference's arithmetic")
-	t.AddNote("association exactly, and die substreams make sharded runs pure functions of the seed")
 	return t
 }
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// goldenTables loads the per-experiment table hashes of a suite
-// summary file (BENCH_*.json or a testdata table record).
+// goldenTables loads the per-experiment table hashes of a testdata
+// table record (the suite summary schema, hashes only).
 func goldenTables(t *testing.T, path string) (uint64, map[string]string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -28,14 +28,13 @@ func goldenTables(t *testing.T, path string) (uint64, map[string]string) {
 
 // TestTablesMatchGolden is the behaviour contract of every performance
 // change: all experiment tables, at seeds 1 and 5, hash exactly as
-// recorded. Seed 1 is pinned by the BENCH_6.json suite snapshot, seed
-// 5 by testdata/tables_seed5.json.
+// recorded in testdata/tables_seed1.json and testdata/tables_seed5.json.
 func TestTablesMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole experiment suite twice")
 	}
 	for _, path := range []string{
-		filepath.Join("..", "..", "BENCH_6.json"),
+		filepath.Join("testdata", "tables_seed1.json"),
 		filepath.Join("testdata", "tables_seed5.json"),
 	} {
 		seed, want := goldenTables(t, path)

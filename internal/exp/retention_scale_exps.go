@@ -1,16 +1,14 @@
 package exp
 
-// Retention-at-scale experiments (E50-E53): the profiling /
+// Retention-at-scale experiments (E50-E52): the profiling /
 // variable-rate-refresh stack promoted from the seed's one-bank demos
 // to the full topology engine. E50 profiles whole channel/rank
 // topologies through the sharded campaign; E51 measures the
 // controller-integrated RAIDR policy's refresh savings against the
 // RowHammer exposure a naive flat-address attacker extracts under each
 // mapping policy; E52 scales the fleet Monte Carlo to ~1M DIMMs on the
-// block-sharded engine; E53 pins the flat-slab retention hot path
-// bit-identical to the seed's map-indexed reference under a profiling
-// refresh storm. E50-E52 shard across Shards() workers and their
-// tables are worker-count invariant by construction.
+// block-sharded engine. All three shard across Shards() workers and
+// their tables are worker-count invariant by construction.
 
 import (
 	"fmt"
@@ -33,8 +31,6 @@ func init() {
 		"refresh burden [68] on the real controller + DRAMA: exposure depends on recovering the mapping", runE51)
 	register("E52", "Fleet-scale field study at ~1M DIMMs (block-sharded)",
 		"Section III field studies, three orders of magnitude beyond E24's 16k-DIMM fleet", runE52)
-	register("E53", "Retention decay hot path: flat-slab index vs seed reference",
-		"simulation-scaling extension: the batched decay sweep is bit-identical to the seed model", runE53)
 }
 
 // scaleRetentionParams is the dense E11-class retention population the
@@ -256,81 +252,5 @@ func runE52(seed uint64) *stats.Table {
 	}
 	t.AddNote("fixed 8192-DIMM blocks with per-block substreams: results are a pure function of the seed,")
 	t.AddNote("identical for every worker count; expected: E24's signatures hold at 62x its fleet size")
-	return t
-}
-
-// runE53 drives the identical profiling refresh storm through the
-// production retention model (flat-slab index, batched bank sweeps)
-// and the seed's map-indexed reference, as an always-on equivalence
-// experiment in the spirit of E33: decays and populations must agree
-// exactly at every test interval.
-func runE53(seed uint64) *stats.Table {
-	g := dram.Geometry{Banks: 2, Rows: 512, Cols: 8}
-	p := retention.Params{
-		WeakFraction:    0.01,
-		MedianSec:       1.2,
-		Sigma:           0.6,
-		MinSec:          0.2,
-		DPDFraction:     0.4,
-		DPDReduction:    0.4,
-		VRTFraction:     0.3,
-		VRTRatio:        30,
-		VRTDwellSec:     5,
-		VRTLongDwellSec: 20,
-		TemperatureC:    55,
-	}
-	t := stats.NewTable("E53: flat-slab decay index vs seed reference (profiling storm, 55 C)",
-		"interval", "weak cells", "decays flat", "decays reference", "identical")
-	for _, interval := range []dram.Time{
-		200 * dram.Millisecond, dram.Second, 4 * dram.Second,
-	} {
-		devF := dram.NewDevice(g)
-		flat := retention.NewModel(g, p, rng.New(seed^0x53))
-		devF.AttachFault(flat)
-		devR := dram.NewDevice(g)
-		ref := retention.NewReference(g, p, rng.New(seed^0x53))
-		devR.AttachFault(ref)
-		for _, c := range flat.Cells() {
-			devF.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
-		}
-		for _, c := range ref.Cells() {
-			devR.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
-		}
-		// Eight storms: pause for the interval, then refresh every row
-		// of every bank — batched on the flat model, per-row on the
-		// reference.
-		now := dram.Time(0)
-		for s := 0; s < 8; s++ {
-			now += interval
-			for b := 0; b < g.Banks; b++ {
-				devF.RefreshBankAll(b, now)
-				for r := 0; r < g.Rows; r++ {
-					devR.RefreshPhysRow(b, r, now)
-				}
-			}
-		}
-		identical := flat.Decays() == ref.Decays() &&
-			flat.WeakCellCount() == ref.WeakCellCount()
-		if identical {
-			for b := 0; b < g.Banks && identical; b++ {
-				for r := 0; r < g.Rows && identical; r++ {
-					wf, wr := devF.PhysRowWords(b, r), devR.PhysRowWords(b, r)
-					for w := range wf {
-						if wf[w] != wr[w] {
-							identical = false
-							break
-						}
-					}
-				}
-			}
-		}
-		t.AddRow(fmt.Sprintf("%d ms", uint64(interval)/uint64(dram.Millisecond)),
-			fmt.Sprintf("%d", flat.WeakCellCount()),
-			fmt.Sprintf("%d", flat.Decays()),
-			fmt.Sprintf("%d", ref.Decays()),
-			fmt.Sprintf("%v", identical))
-	}
-	t.AddNote("same stream seeds both models (identical populations incl. collision resampling); expected:")
-	t.AddNote("identical=true at every interval — the flat index and batched sweep change speed, not physics")
 	return t
 }

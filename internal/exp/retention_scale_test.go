@@ -77,26 +77,13 @@ func TestE52FieldSignaturesAtScale(t *testing.T) {
 	}
 }
 
-func TestE53BitIdentical(t *testing.T) {
-	rows := runTable(t, "E53")
-	for _, r := range rows {
-		if r[4] != "true" {
-			t.Fatalf("interval %s: flat index diverged from reference (%s vs %s decays)",
-				r[0], r[2], r[3])
-		}
-		if cellFloat(t, r[2]) == 0 {
-			t.Fatalf("interval %s: no decays; equivalence row is vacuous", r[0])
-		}
-	}
-}
-
-// TestScaleExperimentsShardInvariant: E50-E53 produce bit-identical
+// TestScaleExperimentsShardInvariant: E50-E52 produce bit-identical
 // tables for every channel-shard fan-out, at two seeds.
 func TestScaleExperimentsShardInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed experiment sweep")
 	}
-	for _, id := range []string{"E50", "E51", "E52", "E53"} {
+	for _, id := range []string{"E50", "E51", "E52"} {
 		e, ok := ByID(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)

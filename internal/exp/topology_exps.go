@@ -7,12 +7,10 @@ package exp
 // express. All of them run through core.Build topologies and the
 // memctrl.MemorySystem, and the heavier ones shard their independent
 // channels across Shards() workers (bit-identical to serial execution
-// by construction; system_test.go proves it).
+// by construction; memctrl's TestShardedExecutionBitIdentical proves
+// it).
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 
 	"repro/internal/attack"
@@ -32,8 +30,6 @@ func init() {
 		"DRAMA/Drammer: exploitation hinges on recovering the physical address mapping", runE31)
 	register("E32", "PARA overhead across topologies",
 		"\"low performance overhead\" claim re-examined on multi-channel systems (Section IV-C)", runE32)
-	register("E33", "Channel-sharded simulation equivalence",
-		"simulation-scaling extension: sharded channels are bit-identical to serial", runE33)
 }
 
 // topoGeom is the small multi-bank geometry the topology experiments
@@ -181,72 +177,5 @@ func runE32(seed uint64) *stats.Table {
 	}
 	t.AddNote("per-channel PARA instances with independent random streams; overhead stays")
 	t.AddNote("flat as channels scale because each channel pays only for its own activations")
-	return t
-}
-
-// systemFingerprint hashes every device's cell contents, stats and
-// clock plus the aggregate controller stats — the bit-identical
-// equality E33 and the sharding equivalence test check.
-func systemFingerprint(s *core.System) string {
-	h := sha256.New()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for ch := range s.Devices {
-		c := s.Mem.Controller(ch)
-		word(uint64(c.Now()))
-		word(uint64(c.Stats.Accesses))
-		word(uint64(c.Stats.RowConflicts))
-		word(uint64(c.Stats.AutoRefreshes))
-		for _, dev := range s.Devices[ch] {
-			word(uint64(dev.Stats.Activates))
-			for b := 0; b < dev.Geom.Banks; b++ {
-				for r := 0; r < dev.Geom.Rows; r++ {
-					for _, w := range dev.PhysRowWords(b, r) {
-						word(w)
-					}
-				}
-			}
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
-
-// runE33 proves the channel-sharding contract as an experiment: twin
-// systems, one hammered serially, one with channels sharded across
-// Shards() workers, must end in bit-identical states — same flips,
-// same stats, same cell contents, same clocks.
-func runE33(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
-	m := scaleForTopo(*pickModule(pop, 2013))
-	g := dram.Geometry{Banks: 2, Rows: 96, Cols: 4}
-	t := stats.NewTable("E33: sharded vs serial execution (cross-bank hammer, row-interleaved)",
-		"topology", "flips serial", "flips sharded", "fingerprint", "identical")
-
-	for _, topo := range []dram.Topology{
-		{Channels: 2, Ranks: 1, Geom: g},
-		{Channels: 4, Ranks: 2, Geom: g},
-	} {
-		build := func() *core.System {
-			mm := m
-			mm.Seed = m.Seed + seed
-			return core.Build(&mm, core.Options{Topology: topo})
-		}
-		victims := attack.EnumerateVictims(topo, 9, 8)
-		serial, sharded := build(), build()
-		attack.CrossBankHammer(serial.Mem, victims, 9000, 1)
-		attack.CrossBankHammer(sharded.Mem, victims, 9000, Shards())
-		fpA, fpB := systemFingerprint(serial), systemFingerprint(sharded)
-		identical := fpA == fpB && serial.TotalFlips() == sharded.TotalFlips()
-		t.AddRow(topo.String(),
-			fmt.Sprintf("%d", serial.TotalFlips()),
-			fmt.Sprintf("%d", sharded.TotalFlips()),
-			fpA,
-			fmt.Sprintf("%v", identical))
-	}
-	t.AddNote("fingerprint = SHA-256 over every device's cells, stats and channel clocks;")
-	t.AddNote("expected: identical=true for every topology and worker count")
 	return t
 }

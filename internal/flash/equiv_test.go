@@ -6,7 +6,7 @@ package flash
 // strictly cell-at-a-time, per-cell recomputation) must produce
 // identical page bits, voltages, counters and wordline state under
 // identical command sequences — the same discipline as
-// disturb/equiv_test.go and the retention E53 oracle.
+// disturb/equiv_test.go and retention/equiv_test.go.
 
 import (
 	"testing"

@@ -29,11 +29,11 @@
 // terms (wear factor, read-disturb scale, retention logarithm,
 // programming sigma) are hoisted out of the per-cell loop, and the
 // ReadLSBInto/ReadMSBInto variants plus block-owned scratch make the
-// FTL lifetime loops allocation-free in steady state. Reference is
-// the seed cell-at-a-time implementation kept verbatim as the
-// equivalence oracle; equiv_test.go pins the two bit-identical —
-// same page bits, voltages, counters and RNG consumption — under
-// mixed command sequences at seeds 1 and 5. Every arithmetic hoist
+// FTL lifetime loops allocation-free in steady state. Reference, in
+// reference_test.go, is the seed cell-at-a-time implementation kept
+// verbatim as the test-only equivalence oracle; equiv_test.go pins the
+// two bit-identical — same page bits, voltages, counters and RNG
+// consumption — under mixed command sequences at seeds 1 and 5. Every arithmetic hoist
 // here preserves the Reference's evaluation order exactly (the
 // factors are pre-associated, never re-associated), which is what
 // makes bit-equality achievable in floating point.
@@ -164,8 +164,8 @@ const (
 
 // Block is one NAND block: WLs wordlines of Cells cells each; each
 // wordline exposes an LSB page and an MSB page. This is the
-// word-parallel implementation; Reference is the seed original it is
-// proven bit-identical to.
+// word-parallel implementation; the test-only Reference is the seed
+// original it is proven bit-identical to.
 type Block struct {
 	p     Params
 	WLs   int
@@ -363,17 +363,6 @@ func (b *Block) AdvanceHours(h float64) {
 		panic("flash: negative time advance")
 	}
 	b.clockHours += h
-}
-
-// bitOf extracts bit c from a packed page.
-func bitOf(page []uint64, c int) uint64 { return (page[c>>6] >> uint(c&63)) & 1 }
-
-func setBit(page []uint64, c int, v uint64) {
-	if v&1 == 1 {
-		page[c>>6] |= 1 << uint(c&63)
-	} else {
-		page[c>>6] &^= 1 << uint(c&63)
-	}
 }
 
 // interfere applies program interference from wordline w onto w-1:

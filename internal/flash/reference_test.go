@@ -10,11 +10,11 @@ import (
 // Reference is the seed implementation of the MLC NAND block — the
 // strictly cell-at-a-time code path, with per-cell physics recomputed
 // from scratch (including the retention logarithm) inside every read,
-// and a fresh page slice allocated per read — retained verbatim as the
-// equivalence oracle for the word-parallel hot paths in Block.
-// Experiments never use it; equivalence tests drive a Reference and a
-// Block with identical streams and command sequences and require
-// identical page bits, voltages, counters and wordline state.
+// and a fresh page slice allocated per read — kept verbatim in this
+// test file as the equivalence oracle for the word-parallel hot paths
+// in Block. Equivalence tests drive a Reference and a Block with
+// identical streams and command sequences and require identical page
+// bits, voltages, counters and wordline state.
 type Reference struct {
 	p     Params
 	WLs   int
@@ -72,15 +72,6 @@ func NewReference(p Params, wls, cells int, src *rng.Stream) *Reference {
 	b.Erase()
 	return b
 }
-
-// PE returns the block's program/erase cycle count.
-func (b *Reference) PE() int { return b.pe }
-
-// Reads returns the block's cumulative page read count.
-func (b *Reference) Reads() int64 { return b.reads }
-
-// ClockHours returns the block's elapsed time.
-func (b *Reference) ClockHours() float64 { return b.clockHours }
 
 // sigma returns the current programming noise.
 func (b *Reference) sigma(base float64) float64 {
@@ -290,17 +281,11 @@ func (b *Reference) StressReads(n int64) {
 	b.reads += n
 }
 
-// TruthLSB returns the ground-truth LSB page (experiment use only).
+// TruthLSB returns the ground-truth LSB page.
 func (b *Reference) TruthLSB(w int) []uint64 { return b.truthLSB[w] }
 
 // TruthMSB returns the ground-truth MSB page.
 func (b *Reference) TruthMSB(w int) []uint64 { return b.truthMSB[w] }
-
-// FullyProgrammed reports whether a wordline is fully programmed.
-func (b *Reference) FullyProgrammed(w int) bool { return b.state[w] == wlFull }
-
-// LSBProgrammed reports whether the wordline holds an LSB page.
-func (b *Reference) LSBProgrammed(w int) bool { return b.state[w] != wlErased }
 
 func (b *Reference) checkPages(w int, lsb, msb []uint64) {
 	b.checkPage(w, lsb)
@@ -325,5 +310,13 @@ func (b *Reference) RBER(w int) float64 {
 	return float64(e) / float64(2*b.Cells)
 }
 
-// ParamsRef returns the block's physics calibration.
-func (b *Reference) ParamsRef() Params { return b.p }
+// bitOf extracts bit c from a packed page.
+func bitOf(page []uint64, c int) uint64 { return (page[c>>6] >> uint(c&63)) & 1 }
+
+func setBit(page []uint64, c int, v uint64) {
+	if v&1 == 1 {
+		page[c>>6] |= 1 << uint(c&63)
+	} else {
+		page[c>>6] &^= 1 << uint(c&63)
+	}
+}

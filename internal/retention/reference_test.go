@@ -5,17 +5,17 @@ import (
 	"repro/internal/rng"
 )
 
-// Reference is the seed's map-indexed retention model, retained as the
-// equivalence oracle for the flat-slab hot path: it samples the
-// identical weak-cell population from the same stream (including the
-// collision-resampling fix) and applies decay through the original
-// map[[2]int] per-row lookup with per-row dispatch only. Model must
-// stay bit-identical to it — same decays, same cell bits, same VRT
-// draw sequence — under any interleaving of activations and refreshes
-// (equiv_test.go and experiment E53 prove it). It intentionally
-// implements neither dram.CycleFaultModel nor
-// dram.BankRefreshFaultModel, so devices carrying a Reference always
-// take the exact per-operation dispatch paths.
+// Reference is the seed's map-indexed retention model, kept in this
+// test file as the equivalence oracle for the flat-slab hot path: it
+// samples the identical weak-cell population from the same stream
+// (including the collision-resampling fix) and applies decay through
+// the original map[[2]int] per-row lookup with per-row dispatch only.
+// Model must stay bit-identical to it — same decays, same cell bits,
+// same VRT draw sequence — under any interleaving of activations and
+// refreshes (equiv_test.go proves it). It intentionally implements
+// neither dram.CycleFaultModel nor dram.BankRefreshFaultModel, so
+// devices carrying a Reference always take the exact per-operation
+// dispatch paths.
 type Reference struct {
 	params    Params
 	geom      dram.Geometry
@@ -105,9 +105,6 @@ func (m *Reference) neighborAdversarial(d *dram.Device, wc *weakCell) bool {
 	}
 	return false
 }
-
-// WeakCellCount returns the number of weak cells sampled.
-func (m *Reference) WeakCellCount() int { return len(m.cells) }
 
 // Decays returns the number of decay events applied.
 func (m *Reference) Decays() int64 { return m.decays }

@@ -112,8 +112,8 @@ type weakCell struct {
 
 // samplePopulation draws the weak-cell population for a device of the
 // given geometry and hands each cell to add. The draw sequence is
-// deterministic given the stream and shared between Model and
-// Reference so both see the identical population.
+// deterministic given the stream and shared between Model and the
+// test-only Reference so both see the identical population.
 //
 // A position collision (two draws landing on one (bank,row,bit))
 // resamples the location until it is free, keeping the already sampled

@@ -11,7 +11,7 @@ func TestFacade(t *testing.T) {
 	if s.Mem.Controller(0) == nil {
 		t.Fatal("Build returned incomplete system")
 	}
-	if len(Experiments()) != 55 {
+	if len(Experiments()) != 51 {
 		t.Fatalf("experiments = %d", len(Experiments()))
 	}
 	if _, ok := RunExperiment("E2", 1); !ok {
