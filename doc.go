@@ -23,8 +23,8 @@
 //     cycles up to a fault-model horizon (dram.CycleFaultModel,
 //     Device.HammerCycle) and whole-bank refresh storms
 //     (dram.BankRefreshFaultModel, Device.RefreshBankAll) — with the
-//     seed implementations retained as equivalence oracles
-//     (disturb.Reference, and retention.Reference in test code only);
+//     seed implementations retained as test-only equivalence oracles
+//     (disturb.Reference, retention.Reference);
 //     see README.md for the batching contracts and measured speedups.
 //   - internal/memctrl: the memory-controller stack: pluggable
 //     address-mapping policies (row-interleaved, channel-interleaved,
@@ -38,7 +38,9 @@
 //     closed-form chunks up to the mitigations' activation horizons),
 //     and the multi-channel MemorySystem with channel-sharded
 //     execution; a single device is its 1-channel 1-rank case.
-//   - internal/ecc, internal/spd: SECDED(72,64) and the adjacency ROM
+//   - internal/ecc, internal/spd: SECDED(72,64), the on-die and
+//     chipkill capability models (every code's verdict on an error
+//     pattern lives here), and the adjacency ROM
 //   - internal/modules: the 129-module population behind Figure 1,
 //     with per-device RNG substreams for multi-device topologies
 //   - internal/attack: hammer kernels (including the TRRespass-style

@@ -51,36 +51,6 @@ func flipBitsOf(diff uint64) []int {
 	return out
 }
 
-// classifyWordFlips runs the flip set through the three codes.
-func classifyWordFlips(pattern uint64, bits []int) (secded, indram, chipkill ecc.Outcome) {
-	cw := ecc.Encode(pattern)
-	for _, b := range bits {
-		cw.FlipBit(ecc.DataPosition(b))
-	}
-	secded = ecc.Classify(pattern, cw)
-
-	block := ecc.BlockCode{DataBits: 64, T: 1}
-	switch {
-	case block.Correctable(len(bits)):
-		indram = ecc.Corrected
-	case block.Detectable(len(bits)):
-		indram = ecc.Detected
-	default:
-		indram = ecc.Miscorrect
-	}
-
-	ck := ecc.Chipkill{SymbolBits: 4, WordBits: 64}
-	switch {
-	case ck.Correctable(bits):
-		chipkill = ecc.Corrected
-	case ck.Detectable(bits):
-		chipkill = ecc.Detected
-	default:
-		chipkill = ecc.Miscorrect
-	}
-	return secded, indram, chipkill
-}
-
 // MiscorrectionHunt row-stripes and double-side hammers every interior
 // victim row of every channel, rank and bank (aggressors derived
 // through the mapping policy, like ScanSystem), collects the words
@@ -134,7 +104,9 @@ func MiscorrectionHunt(ms *memctrl.MemorySystem, pattern uint64, pairsPerRow, wo
 							Bits:    flipped,
 							Pattern: pattern,
 						}
-						f.SECDED, f.InDRAM, f.Chipkill = classifyWordFlips(pattern, flipped)
+						_, f.SECDED = ecc.ClassifyData(pattern, word)
+						f.InDRAM = ecc.OnDie.Outcome(len(flipped))
+						f.Chipkill = ecc.Chipkill4.Outcome(ecc.Codeword72{Lo: diff})
 						out = append(out, f)
 					}
 					// Repair the victim for the next iteration.

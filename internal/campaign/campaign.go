@@ -210,8 +210,19 @@ func validateFleet(f *fieldstudy.Config) error {
 		return fmt.Errorf("campaign: fleet has %d classes over %d months, want at least one of each",
 			len(f.Classes), f.Months)
 	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"base_rate", f.BaseRate}, {"tail_sigma", f.TailSigma}, {"ue_per_ce", f.UEPerCE}} {
+		if p.v < 0 {
+			return fmt.Errorf("campaign: fleet %s is %g, want at least 0", p.name, p.v)
+		}
+	}
 	total := 0
 	for _, cls := range f.Classes {
+		if cls.RateScale < 0 {
+			return fmt.Errorf("campaign: fleet class %q has rate_scale %g, want at least 0", cls.Label, cls.RateScale)
+		}
 		if cls.DIMMs < 1 {
 			return fmt.Errorf("campaign: fleet class %q has %d DIMMs, want at least 1", cls.Label, cls.DIMMs)
 		}

@@ -371,6 +371,10 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes[1].DIMMs = 0 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes[0].DIMMs = -5 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Months = 0 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.BaseRate = -1 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.TailSigma = -0.5 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.UEPerCE = -1e-6 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes[1].RateScale = -2 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) {
 			c.Classes[0].DIMMs = maxFleetDIMMs
 		})},
@@ -391,6 +395,16 @@ func TestSpecValidation(t *testing.T) {
 	})}
 	if err := validateSpec(&atCap); err != nil {
 		t.Fatalf("spec at the caps rejected: %v", err)
+	}
+	// Zero rates are a quiet fleet, not an error.
+	zero := Spec{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) {
+		c.BaseRate, c.TailSigma, c.UEPerCE = 0, 0, 0
+		for i := range c.Classes {
+			c.Classes[i].RateScale = 0
+		}
+	})}
+	if err := validateSpec(&zero); err != nil {
+		t.Fatalf("zero-rate fleet rejected: %v", err)
 	}
 }
 

@@ -6,7 +6,9 @@
 // more flips. Stronger codes (t-error-correcting block codes and
 // chipkill-style symbol codes) are modelled at the capability level:
 // what matters to the experiments is which error patterns they
-// correct, not their generator polynomials.
+// correct, not their generator polynomials. Every code's verdict on an
+// error pattern comes from this package: Classify and ClassifyData for
+// SECDED, BlockCode.Outcome and Chipkill.Outcome for the others.
 package ecc
 
 import "math/bits"
@@ -100,8 +102,9 @@ const (
 	// Detected: a double-bit error was detected but not corrected.
 	Detected
 	// Miscorrect is never returned by Decode itself (the decoder
-	// cannot know); it is used by classification helpers comparing
-	// against ground truth.
+	// cannot know). Classify and ClassifyData return it against
+	// ground truth, and the capability models for patterns past
+	// their detection bound.
 	Miscorrect
 )
 
@@ -178,19 +181,35 @@ func extractData(c Codeword72) uint64 {
 // view that hardware does not have.
 func Classify(original uint64, corrupted Codeword72) Outcome {
 	data, outcome := Decode(corrupted)
-	switch outcome {
-	case OK:
-		if data != original {
-			return Miscorrect // silent data corruption
-		}
-		return OK
-	case Corrected:
-		if data != original {
-			return Miscorrect
-		}
-		return Corrected
-	default:
+	return verdict(original, data, outcome)
+}
+
+// ClassifyData models SECDED on a word whose data bits read back as got
+// while its check bits still encode want: the array's flips land in
+// the data bits, and the check bits live in devices that were not
+// struck. It returns the word the requester sees with the true
+// outcome: got when the decoder only detects, the decoder's wrong word
+// on a silent miscorrection, and want otherwise.
+func ClassifyData(want, got uint64) (uint64, Outcome) {
+	cw := Encode(want)
+	for d := want ^ got; d != 0; d &= d - 1 {
+		cw.FlipBit(dataPositions[bits.TrailingZeros64(d)])
+	}
+	data, outcome := Decode(cw)
+	// A detected word is left as read: Decode returns got's data bits.
+	return data, verdict(want, data, outcome)
+}
+
+// verdict turns the decoder's view into the true outcome against the
+// original data.
+func verdict(original, data uint64, outcome Outcome) Outcome {
+	switch {
+	case outcome == Detected:
 		return Detected
+	case data != original:
+		return Miscorrect // silent data corruption
+	default:
+		return outcome
 	}
 }
 
@@ -198,10 +217,10 @@ func Classify(original uint64, corrupted Codeword72) Outcome {
 func CheckBits() int { return 8 }
 
 // DataPosition returns the codeword position (1..71) that carries data
-// bit i (0..63). Callers injecting data-bit errors into a codeword —
-// the controller's ECC layer and the miscorrection hunt — flip these
-// positions; check-bit positions (0 and the powers of two) are reached
-// directly through FlipBit.
+// bit i (0..63). Callers injecting data-bit errors into a codeword flip
+// these positions (ClassifyData does so for every differing bit);
+// check-bit positions (0 and the powers of two) are reached directly
+// through FlipBit.
 func DataPosition(i int) int { return dataPositions[i] }
 
 // --- Capability-level models for stronger codes ---
@@ -216,15 +235,24 @@ type BlockCode struct {
 	T int
 }
 
-// Correctable reports whether an error pattern with the given number
-// of flipped bits is corrected by the code.
-func (b BlockCode) Correctable(flips int) bool { return flips <= b.T }
+// OnDie is the default on-die (in-DRAM) code: single-error-correcting
+// over the 64-bit word.
+var OnDie = BlockCode{DataBits: 64, T: 1}
 
-// Detectable reports whether the pattern is at least detected
-// (corrected or flagged). Patterns beyond T+1 flips may alias; the
-// model follows the bounded-distance convention of detecting up to
-// T+1.
-func (b BlockCode) Detectable(flips int) bool { return flips <= b.T+1 }
+// Outcome reports what the code makes of an error pattern with the
+// given number of flipped bits: Corrected up to T, Detected at T+1,
+// and Miscorrect beyond, following the bounded-distance convention
+// (patterns past T+1 flips may alias to a codeword).
+func (b BlockCode) Outcome(flips int) Outcome {
+	switch {
+	case flips <= b.T:
+		return Corrected
+	case flips == b.T+1:
+		return Detected
+	default:
+		return Miscorrect
+	}
+}
 
 // CheckBitsFor estimates the check bits required: t * ceil(log2(n+1))
 // for a binary BCH code of length n = DataBits + checkbits (fixpoint
@@ -244,31 +272,31 @@ type Chipkill struct {
 	// SymbolBits is the symbol width, matching the DRAM device data
 	// width (4 for x4 devices).
 	SymbolBits int
-	// WordBits is the protected word width.
-	WordBits int
 }
 
-// Correctable reports whether the given error bit positions are
-// corrected: true iff all flipped bits fall inside one symbol.
-func (c Chipkill) Correctable(positions []int) bool {
-	if len(positions) == 0 {
-		return true
-	}
-	sym := positions[0] / c.SymbolBits
-	for _, p := range positions[1:] {
-		if p/c.SymbolBits != sym {
-			return false
+// Chipkill4 is classic x4 chipkill: 4-bit symbols, one per device.
+var Chipkill4 = Chipkill{SymbolBits: 4}
+
+// Outcome reports what the code makes of an error pattern, given as a
+// mask of the flipped word positions (bit p of Lo is position p, bit p
+// of Hi is position 64+p): Corrected when the flips fall inside one
+// symbol, Detected when they span two, and Miscorrect beyond.
+func (c Chipkill) Outcome(errs Codeword72) Outcome {
+	syms, last := 0, -1
+	for i, w := range [2]uint64{errs.Lo, uint64(errs.Hi)} {
+		for ; w != 0; w &= w - 1 {
+			// Positions ascend, so a new symbol index is a new symbol.
+			if s := (64*i + bits.TrailingZeros64(w)) / c.SymbolBits; s != last {
+				syms, last = syms+1, s
+			}
 		}
 	}
-	return true
-}
-
-// Detectable reports whether the pattern is corrected or detected:
-// true iff the flipped bits span at most two symbols.
-func (c Chipkill) Detectable(positions []int) bool {
-	syms := map[int]bool{}
-	for _, p := range positions {
-		syms[p/c.SymbolBits] = true
+	switch {
+	case syms <= 1:
+		return Corrected
+	case syms == 2:
+		return Detected
+	default:
+		return Miscorrect
 	}
-	return len(syms) <= 2
 }

@@ -4,8 +4,8 @@ package ecc
 // read path trusts Decode/Classify verdicts unconditionally, so this
 // file pins the SECDED guarantee exhaustively (every C(72,2) double on
 // random data words, fuzzed flip pairs) and the capability-model
-// containments (Correctable is a subset of Detectable for every flip
-// count and position set the models accept).
+// verdicts (one more flip never improves a verdict, so whatever is
+// corrected is also detected).
 
 import (
 	"math/bits"
@@ -140,55 +140,55 @@ func TestClassifyAgreesWithDecode(t *testing.T) {
 }
 
 // TestBlockCodeCorrectableSubsetOfDetectable sweeps every flip count up
-// to the codeword size for a range of code strengths.
+// to the codeword size for a range of code strengths: the verdict is
+// never OK, and one more flip never improves it, so every correctable
+// count is also detected.
 func TestBlockCodeCorrectableSubsetOfDetectable(t *testing.T) {
 	for _, dataBits := range []int{64, 128, 512} {
 		for tcap := 0; tcap <= 3; tcap++ {
 			code := BlockCode{DataBits: dataBits, T: tcap}
 			size := dataBits + code.CheckBitsFor()
+			prev := Corrected
 			for n := 0; n <= size; n++ {
-				if code.Correctable(n) && !code.Detectable(n) {
-					t.Fatalf("BlockCode{%d,t=%d}: %d flips correctable but not detectable",
-						dataBits, tcap, n)
+				oc := code.Outcome(n)
+				if oc == OK || oc < prev {
+					t.Fatalf("BlockCode{%d,t=%d}: %d flips give %v after %v",
+						dataBits, tcap, n, oc, prev)
 				}
+				prev = oc
 			}
 		}
 	}
 }
 
 // TestChipkillCorrectableSubsetOfDetectable enumerates every position
-// set of size <=3 over the 72-bit codeword — past three strikes the
-// x4 model never claims correction, which random larger sets confirm.
+// set of size <=3 over the 72-bit codeword, and random larger sets:
+// adding a strike to a pattern never improves its verdict, so every
+// correctable pattern is also detected.
 func TestChipkillCorrectableSubsetOfDetectable(t *testing.T) {
-	ck := Chipkill{SymbolBits: 4, WordBits: 72}
-	check := func(ps []int) {
+	outcome := func(ps ...int) Outcome { return Chipkill4.Outcome(maskOf(ps)) }
+	check := func(sub, super Outcome, ps []int) {
 		t.Helper()
-		if ck.Correctable(ps) && !ck.Detectable(ps) {
-			t.Fatalf("chipkill: %v correctable but not detectable", ps)
+		if super == OK || super < sub {
+			t.Fatalf("chipkill: %v gives %v, a subset gives %v", ps, super, sub)
 		}
 	}
 	for a := 0; a < 72; a++ {
-		check([]int{a})
+		one := outcome(a)
+		check(Corrected, one, []int{a})
 		for b := a + 1; b < 72; b++ {
-			check([]int{a, b})
+			two := outcome(a, b)
+			check(one, two, []int{a, b})
+			check(outcome(b), two, []int{a, b})
 			for c := b + 1; c < 72; c++ {
-				check([]int{a, b, c})
+				check(two, outcome(a, b, c), []int{a, b, c})
 			}
 		}
 	}
 	src := rng.New(0xC4117)
 	for trial := 0; trial < 500; trial++ {
-		n := 4 + src.Intn(8)
-		var ps []int
-		seen := map[int]bool{}
-		for len(ps) < n {
-			p := src.Intn(72)
-			if !seen[p] {
-				seen[p] = true
-				ps = append(ps, p)
-			}
-		}
-		check(ps)
+		ps := randomPositions(src, 4+src.Intn(8), 72)
+		check(outcome(ps[:3]...), outcome(ps...), ps)
 	}
 }
 

@@ -131,17 +131,10 @@ func TestOutcomeStrings(t *testing.T) {
 
 func TestBlockCode(t *testing.T) {
 	bch := BlockCode{DataBits: 512, T: 2}
-	if !bch.Correctable(0) || !bch.Correctable(2) {
-		t.Error("within-capability pattern rejected")
-	}
-	if bch.Correctable(3) {
-		t.Error("beyond-capability pattern accepted")
-	}
-	if !bch.Detectable(3) {
-		t.Error("T+1 should be detectable")
-	}
-	if bch.Detectable(4) {
-		t.Error("T+2 should not be guaranteed detectable")
+	for flips, want := range map[int]Outcome{0: Corrected, 2: Corrected, 3: Detected, 4: Miscorrect} {
+		if got := bch.Outcome(flips); got != want {
+			t.Errorf("BCH(512, t=2) with %d flips: %v, want %v", flips, got, want)
+		}
 	}
 	if (BlockCode{DataBits: 512, T: 0}).CheckBitsFor() != 0 {
 		t.Error("zero-strength code has overhead")
@@ -149,24 +142,33 @@ func TestBlockCode(t *testing.T) {
 	if got := bch.CheckBitsFor(); got != 20 {
 		t.Errorf("BCH(512, t=2) check bits = %d, want 20", got)
 	}
+	if OnDie != (BlockCode{DataBits: 64, T: 1}) {
+		t.Errorf("OnDie = %+v, want single-error-correcting over 64 bits", OnDie)
+	}
 }
 
 func TestChipkill(t *testing.T) {
-	ck := Chipkill{SymbolBits: 4, WordBits: 64}
-	if !ck.Correctable(nil) {
-		t.Error("empty pattern must be correctable")
+	for _, tc := range []struct {
+		errs Codeword72
+		want Outcome
+	}{
+		{Codeword72{}, Corrected},         // empty pattern
+		{Codeword72{Lo: 0xf}, Corrected},  // one full symbol
+		{Codeword72{Hi: 0xf0}, Corrected}, // the last symbol
+		{Codeword72{Lo: 0x18}, Detected},  // bits 3,4: two symbols
+		{Codeword72{Lo: 1 << 63, Hi: 1}, Detected},
+		{Codeword72{Lo: 0x111}, Miscorrect}, // bits 0,4,8: three symbols
+	} {
+		if got := Chipkill4.Outcome(tc.errs); got != tc.want {
+			t.Errorf("Chipkill4.Outcome(%+v) = %v, want %v", tc.errs, got, tc.want)
+		}
 	}
-	if !ck.Correctable([]int{0, 1, 2, 3}) {
-		t.Error("one full symbol must be correctable")
+	if Chipkill4.SymbolBits != 4 {
+		t.Errorf("Chipkill4 symbol width %d, want 4", Chipkill4.SymbolBits)
 	}
-	if ck.Correctable([]int{3, 4}) {
-		t.Error("two-symbol pattern corrected")
-	}
-	if !ck.Detectable([]int{3, 4}) {
-		t.Error("two-symbol pattern not detected")
-	}
-	if ck.Detectable([]int{0, 4, 8}) {
-		t.Error("three-symbol pattern claimed detectable")
+	errs := Codeword72{Lo: 0x0123456789abcdef, Hi: 0x5a}
+	if n := testing.AllocsPerRun(100, func() { Chipkill4.Outcome(errs) }); n != 0 {
+		t.Errorf("Chipkill.Outcome allocates %.0f times per call", n)
 	}
 }
 

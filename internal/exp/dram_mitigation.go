@@ -235,14 +235,13 @@ func runE7(seed uint64) *stats.Table {
 			}
 			// The stored codeword has the corrupted data bits but the
 			// original check bits (the check devices were not
-			// hammered here): flip exactly the differing data
-			// positions of the clean encoding.
-			cw := ecc.Encode(pattern)
-			outcomes[ecc.Classify(pattern, mixParity(cw, w))]++
-			if !bch2.Correctable(flips) {
+			// hammered here).
+			_, oc := ecc.ClassifyData(pattern, w)
+			outcomes[oc]++
+			if bch2.Outcome(flips) != ecc.Corrected {
 				stronger["BCH t=2"]++
 			}
-			if !bch4.Correctable(flips) {
+			if bch4.Outcome(flips) != ecc.Corrected {
 				stronger["BCH t=4"]++
 			}
 		}
@@ -266,33 +265,6 @@ func runE7(seed uint64) *stats.Table {
 		stronger["BCH t=2"], stronger["BCH t=4"])
 	t.AddNote("paper claim reproduced iff words with >=2 flips exist and SECDED fails on them")
 	return t
-}
-
-// mixParity builds the codeword as stored: data bits reflect the
-// corrupted word, check bits reflect the original encoding (they live
-// in separate DRAM devices on an ECC DIMM and were not hammered here).
-// It flips, on the clean codeword, every data position whose bit
-// differs between the clean and corrupted encodings.
-func mixParity(orig ecc.Codeword72, corruptedData uint64) ecc.Codeword72 {
-	re := ecc.Encode(corruptedData)
-	out := orig
-	for pos := 1; pos < 72; pos++ {
-		if pos&(pos-1) == 0 {
-			continue // parity position
-		}
-		var ob, rb uint64
-		if pos < 64 {
-			ob = (orig.Lo >> uint(pos)) & 1
-			rb = (re.Lo >> uint(pos)) & 1
-		} else {
-			ob = uint64((orig.Hi >> uint(pos-64)) & 1)
-			rb = uint64((re.Hi >> uint(pos-64)) & 1)
-		}
-		if ob != rb {
-			out.FlipBit(pos)
-		}
-	}
-	return out
 }
 
 // runE8 tabulates the counter-table storage the CAL 2015 approach

@@ -58,66 +58,48 @@ func (s *ECCClassStats) add(o ECCClassStats) {
 
 // classifyEvent triages one error event: n distinct strike positions
 // in the 72-bit ECC word, drawn from the DIMM's substream. SECDED runs
-// the real decoder (the code is linear, so classifying against the
-// all-zero data word loses nothing); the on-die code is count-based;
-// chipkill is symbol-based over 4-bit symbols.
+// the real decoder (the code is linear and Encode(0) is the zero
+// codeword, so the strike mask itself is the corrupted codeword of the
+// all-zero data word); the on-die code is count-based; chipkill is
+// symbol-based over 4-bit symbols.
 func classifyEvent(src *rng.Stream, multiFlipP float64, maxFlips int, st *ECCClassStats) {
 	n := 1
 	for n < maxFlips && src.Bool(multiFlipP) {
 		n++
 	}
-	var positions []int
-	var seen uint64
-	var seenHi uint8
-	for len(positions) < n {
+	var strikes ecc.Codeword72
+	for k := 0; k < n; {
 		p := src.Intn(eccWordBits)
 		if p < 64 {
-			if seen&(1<<uint(p)) != 0 {
+			if strikes.Lo&(1<<uint(p)) != 0 {
 				continue
 			}
-			seen |= 1 << uint(p)
+			strikes.Lo |= 1 << uint(p)
 		} else {
-			if seenHi&(1<<uint(p-64)) != 0 {
+			if strikes.Hi&(1<<uint(p-64)) != 0 {
 				continue
 			}
-			seenHi |= 1 << uint(p-64)
+			strikes.Hi |= 1 << uint(p-64)
 		}
-		positions = append(positions, p)
+		k++
 	}
-
-	cw := ecc.Encode(0)
-	for _, p := range positions {
-		cw.FlipBit(p)
-	}
-	switch ecc.Classify(0, cw) {
-	case ecc.OK, ecc.Corrected:
-		st.SECDEDCorrected++
-	case ecc.Detected:
-		st.SECDEDDetected++
-	default:
-		st.SECDEDSilent++
-	}
-
-	block := ecc.BlockCode{DataBits: 64, T: 1}
-	switch {
-	case block.Correctable(n):
-		st.InDRAMCorrected++
-	case block.Detectable(n):
-		st.InDRAMDetected++
-	default:
-		st.InDRAMSilent++
-	}
-
-	ck := ecc.Chipkill{SymbolBits: 4, WordBits: eccWordBits}
-	switch {
-	case ck.Correctable(positions):
-		st.ChipkillCorrected++
-	case ck.Detectable(positions):
-		st.ChipkillDetected++
-	default:
-		st.ChipkillSilent++
-	}
+	tally(ecc.Classify(0, strikes), &st.SECDEDCorrected, &st.SECDEDDetected, &st.SECDEDSilent)
+	tally(ecc.OnDie.Outcome(n), &st.InDRAMCorrected, &st.InDRAMDetected, &st.InDRAMSilent)
+	tally(ecc.Chipkill4.Outcome(strikes), &st.ChipkillCorrected, &st.ChipkillDetected, &st.ChipkillSilent)
 	st.Events++
+}
+
+// tally bumps the counter of one code's verdict. Every event has at
+// least one strike, so OK (no error seen) never occurs.
+func tally(oc ecc.Outcome, corrected, detected, silent *int64) {
+	switch oc {
+	case ecc.Corrected:
+		*corrected++
+	case ecc.Detected:
+		*detected++
+	default:
+		*silent++
+	}
 }
 
 // simulateECCBlock rolls one block of DIMMs through the ECC-aware

@@ -322,9 +322,6 @@ func (b *Block) PE() int { return b.pe }
 // Reads returns the block's cumulative page read count.
 func (b *Block) Reads() int64 { return b.reads }
 
-// ClockHours returns the block's elapsed time.
-func (b *Block) ClockHours() float64 { return b.clockHours }
-
 // sigma returns the current programming noise.
 func (b *Block) sigma(base float64) float64 {
 	return base * (1 + b.p.WearCoef*math.Pow(float64(b.pe)/b.p.PENorm, 0.6))

@@ -15,8 +15,7 @@ import (
 // and the sharded sweeps fan dies out across workers with
 // bit-identical results for every worker count.
 //
-// The zero value is not valid; use SingleDie for the classic
-// one-block world or fill the fields and Validate.
+// The zero value is not valid; fill the fields and Validate.
 type Topology struct {
 	// Dies is the number of independent flash dies. Each die owns a
 	// seed-derived RNG substream, so per-die simulations are a pure
@@ -28,17 +27,6 @@ type Topology struct {
 	BlocksPerPlane int
 }
 
-// SingleDie returns the degenerate one-die one-plane one-block
-// topology that matches the original single-block experiments.
-func SingleDie() Topology {
-	return Topology{Dies: 1, Planes: 1, BlocksPerPlane: 1}
-}
-
-// IsZero reports whether the topology is unset.
-func (t Topology) IsZero() bool {
-	return t.Dies == 0 && t.Planes == 0 && t.BlocksPerPlane == 0
-}
-
 // Validate reports whether the topology is usable.
 func (t Topology) Validate() error {
 	if t.Dies <= 0 || t.Planes <= 0 || t.BlocksPerPlane <= 0 {
@@ -46,12 +34,6 @@ func (t Topology) Validate() error {
 	}
 	return nil
 }
-
-// BlocksPerDie returns the number of blocks on one die.
-func (t Topology) BlocksPerDie() int { return t.Planes * t.BlocksPerPlane }
-
-// Blocks returns the total number of blocks in the system.
-func (t Topology) Blocks() int { return t.Dies * t.BlocksPerDie() }
 
 // String formats the topology for result tables, e.g. "4d x 2pl x 8blk".
 func (t Topology) String() string {

@@ -39,11 +39,11 @@ const (
 	// ECCSECDED72 is the bit-exact SECDED(72,64) extended Hamming code
 	// of ECC DIMMs; >=3-bit patterns may silently miscorrect.
 	ECCSECDED72
-	// ECCInDRAM is an on-die (in-DRAM) block code modelled at the
-	// capability level (ECCConfig.Block).
+	// ECCInDRAM is the on-die (in-DRAM) block code ecc.OnDie,
+	// modelled at the capability level.
 	ECCInDRAM
-	// ECCChipkill is a symbol-oriented code correcting any pattern
-	// confined to one symbol (ECCConfig.Symbol wide).
+	// ECCChipkill is x4 chipkill (ecc.Chipkill4), correcting any
+	// pattern confined to one 4-bit symbol.
 	ECCChipkill
 )
 
@@ -63,15 +63,9 @@ func (k ECCKind) String() string {
 	}
 }
 
-// ECCConfig selects and parameterizes the controller's ECC layer.
+// ECCConfig selects the controller's ECC layer.
 type ECCConfig struct {
 	Kind ECCKind
-	// Block parameterizes ECCInDRAM. Zero means the default on-die
-	// code: a single-error-correcting block code over the 64-bit word.
-	Block ecc.BlockCode
-	// Symbol is the ECCChipkill symbol width in bits. Zero means 4
-	// (x4 devices), the classic chipkill configuration.
-	Symbol int
 }
 
 // ECCByName parses a CLI ECC name: none, secded, indram or chipkill.
@@ -90,43 +84,22 @@ func ECCByName(name string) (ECCConfig, error) {
 	}
 }
 
-// withDefaults resolves zero sub-parameters to the standard codes.
-func (e ECCConfig) withDefaults() ECCConfig {
-	if e.Kind == ECCInDRAM && e.Block.DataBits == 0 {
-		e.Block = ecc.BlockCode{DataBits: 64, T: 1}
-	}
-	if e.Kind == ECCChipkill && e.Symbol == 0 {
-		e.Symbol = 4
-	}
-	return e
-}
-
 // CheckBits returns the per-64-bit-word check-bit storage overhead of
 // the configuration (the storage axis of the ECC substitution table).
 func (e ECCConfig) CheckBits() int {
-	e = e.withDefaults()
 	switch e.Kind {
 	case ECCSECDED72:
 		return ecc.CheckBits()
 	case ECCInDRAM:
-		return e.Block.CheckBitsFor()
+		return ecc.OnDie.CheckBitsFor()
 	case ECCChipkill:
 		// Two redundant symbols (single-symbol-correct,
 		// double-symbol-detect), as on x4 chipkill DIMMs.
-		return 2 * e.Symbol
+		return 2 * ecc.Chipkill4.SymbolBits
 	default:
 		return 0
 	}
 }
-
-// eccOutcome is the controller-side triage of a corrupted word.
-type eccOutcome int
-
-const (
-	eccCorrected eccOutcome = iota
-	eccDetected
-	eccSilent
-)
 
 // eccLayer classifies every read against the shadow word — the last
 // data the controller wrote to that (rank, bank, physical row, column)
@@ -141,7 +114,7 @@ type eccLayer struct {
 }
 
 func newECCLayer(cfg ECCConfig, g dram.Geometry, ranks int) *eccLayer {
-	l := &eccLayer{cfg: cfg.withDefaults(), rowWords: g.Cols}
+	l := &eccLayer{cfg: cfg, rowWords: g.Cols}
 	l.shadow = make([][][]uint64, ranks)
 	for r := range l.shadow {
 		l.shadow[r] = make([][]uint64, g.Banks)
@@ -185,11 +158,11 @@ func (l *eccLayer) onReads(st *Stats, rank, bank, physRow, col int, got uint64, 
 }
 
 // countECC adds n events of one triage outcome.
-func (s *Stats) countECC(oc eccOutcome, n int64) {
+func (s *Stats) countECC(oc ecc.Outcome, n int64) {
 	switch oc {
-	case eccCorrected:
+	case ecc.Corrected:
 		s.ECCCorrected += n
-	case eccDetected:
+	case ecc.Detected:
 		s.ECCDetected += n
 	default:
 		s.ECCSilent += n
@@ -197,55 +170,25 @@ func (s *Stats) countECC(oc eccOutcome, n int64) {
 }
 
 // classify triages a corrupted word (got != want) under the configured
-// code and returns the post-decode data alongside the verdict.
-func (l *eccLayer) classify(want, got uint64) (uint64, eccOutcome) {
-	diff := want ^ got
+// code and returns the post-decode data alongside the verdict. SECDED
+// sees the array's flips in the data bits only: check bits are struck
+// only in the fleet model (E73).
+func (l *eccLayer) classify(want, got uint64) (uint64, ecc.Outcome) {
+	var oc ecc.Outcome
 	switch l.cfg.Kind {
 	case ECCSECDED72:
-		// Rebuild the codeword the DIMM would present: the stored
-		// word's codeword with the array's data-bit flips applied
-		// (check bits are struck only in the fleet model, E73).
-		cw := ecc.Encode(want)
-		for d := diff; d != 0; d &= d - 1 {
-			cw.FlipBit(ecc.DataPosition(bits.TrailingZeros64(d)))
-		}
-		data, out := ecc.Decode(cw)
-		switch out {
-		case ecc.OK, ecc.Corrected:
-			if data == want {
-				return want, eccCorrected
-			}
-			return data, eccSilent // miscorrection: wrong data, no flag
-		default:
-			return got, eccDetected
-		}
+		return ecc.ClassifyData(want, got)
 	case ECCInDRAM:
-		n := bits.OnesCount64(diff)
-		switch {
-		case l.cfg.Block.Correctable(n):
-			return want, eccCorrected
-		case l.cfg.Block.Detectable(n):
-			return got, eccDetected
-		default:
-			return got, eccSilent
-		}
+		oc = ecc.OnDie.Outcome(bits.OnesCount64(want ^ got))
 	case ECCChipkill:
-		positions := make([]int, 0, bits.OnesCount64(diff))
-		for d := diff; d != 0; d &= d - 1 {
-			positions = append(positions, bits.TrailingZeros64(d))
-		}
-		ck := ecc.Chipkill{SymbolBits: l.cfg.Symbol, WordBits: 64}
-		switch {
-		case ck.Correctable(positions):
-			return want, eccCorrected
-		case ck.Detectable(positions):
-			return got, eccDetected
-		default:
-			return got, eccSilent
-		}
+		oc = ecc.Chipkill4.Outcome(ecc.Codeword72{Lo: want ^ got})
 	default:
 		panic("memctrl: eccLayer constructed with ECCNone")
 	}
+	if oc == ecc.Corrected {
+		return want, oc
+	}
+	return got, oc
 }
 
 // SaveState serializes the shadow array (the layer's only mutable
@@ -403,19 +346,16 @@ func (s *Scrubber) OnAutoRefresh(c *Controller) {
 			continue
 		}
 		val, oc := c.ecc.classify(want, got)
+		c.Stats.countECC(oc, 1)
 		switch oc {
-		case eccCorrected:
+		case ecc.Corrected:
 			words[col] = want
 			s.Repairs++
-			c.Stats.ECCCorrected++
-		case eccDetected:
-			c.Stats.ECCDetected++
-		default:
+		case ecc.Miscorrect:
 			// Scrub-writeback believes the decoder: the wrong word is
 			// written to the array and adopted as the new shadow.
 			words[col] = val
 			c.ecc.shadow[rank][bank][row*rowWords+col] = val
-			c.Stats.ECCSilent++
 		}
 	}
 	c.now += cost

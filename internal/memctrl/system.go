@@ -87,14 +87,6 @@ func (ms *MemorySystem) Now() dram.Time {
 	return max
 }
 
-// AdvanceAllTo moves every channel's idle time forward to at least t,
-// servicing refresh on the way.
-func (ms *MemorySystem) AdvanceAllTo(t dram.Time) {
-	for _, c := range ms.chans {
-		c.AdvanceTo(t)
-	}
-}
-
 // AggregateStats rolls the per-channel controller stats into one total.
 func (ms *MemorySystem) AggregateStats() Stats {
 	var total Stats

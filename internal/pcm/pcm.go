@@ -19,7 +19,6 @@ type Array struct {
 	lines     []uint64 // writes absorbed per physical line
 	endurance []uint64 // per-line write endurance
 	failed    int      // first failed physical line, -1 if none
-	writes    uint64
 }
 
 // NewArray builds an array of n lines whose endurance is normally
@@ -50,7 +49,6 @@ func (a *Array) WritePhys(line int) bool {
 		return false
 	}
 	a.lines[line]++
-	a.writes++
 	if a.lines[line] > a.endurance[line] {
 		a.failed = line
 		return false
@@ -60,9 +58,6 @@ func (a *Array) WritePhys(line int) bool {
 
 // Failed reports whether any line has worn out.
 func (a *Array) Failed() bool { return a.failed >= 0 }
-
-// TotalWrites returns the writes absorbed before failure.
-func (a *Array) TotalWrites() uint64 { return a.writes }
 
 // Mapper translates logical line addresses to physical lines.
 type Mapper interface {
