@@ -121,3 +121,31 @@ func BenchmarkHammerNBatched(b *testing.B) {
 		now += 1000 * 49
 	}
 }
+
+// BenchmarkOnActivateBenign activates uniformly random rows — benign
+// traffic, no hammering — on the 4-bank x 256-row x 16-col geometry of
+// the benign traffic benchmark at a 2e-3 weak-cell fraction and real
+// hammer thresholds. One op is one OnActivate.
+func BenchmarkOnActivateBenign(b *testing.B) {
+	g := dram.Geometry{Banks: 4, Rows: 256, Cols: 16}
+	p := DefaultParams()
+	p.WeakCellFraction = 2e-3
+	d := dram.NewDevice(g)
+	m := NewModel(g, p, rng.New(1))
+	for bank := 0; bank < g.Banks; bank++ {
+		for r := 0; r < g.Rows; r++ {
+			d.FillPhysRow(bank, r, 0xaaaaaaaaaaaaaaaa)
+		}
+	}
+	src := rng.New(2)
+	acts := make([][2]int, 4096)
+	for i := range acts {
+		acts[i] = [2]int{src.Intn(g.Banks), src.Intn(g.Rows)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := acts[i&(len(acts)-1)]
+		m.OnActivate(d, a[0], a[1], dram.Time(i)*49)
+	}
+}

@@ -26,15 +26,16 @@
 //   - Refresh resets: restoring a victim row's charge zeroes the
 //     accumulated pressure on its cells.
 //
-// The hot path is branch-free where it matters: the per-(bank,row)
-// weak-cell and influence indexes are dense flat slices keyed by
-// bank*Rows+physRow, so an activation of a row with no coupled cells —
-// the overwhelmingly common case — costs two slice loads. The model
-// also implements dram.CycleFaultModel, letting the device apply a
-// many-row hammer burst up to the model's horizon in one call; batched
-// application is bit-identical to the per-activation path (see the
-// notes above HammerHorizon). The seed's map-indexed
-// per-activation implementation is retained in reference.go as the
+// The hot path is branch-free where it matters: the weak cells live in
+// one value slice sorted by (bank, physRow), and two offset arrays keyed
+// by bank*Rows+physRow turn a row's resident cells and an aggressor
+// row's influences into contiguous ranges, so an activation of a row
+// with no coupled cells — the overwhelmingly common case — costs four
+// slice loads. The model also implements dram.CycleFaultModel, letting
+// the device apply a many-row hammer burst up to the model's horizon in
+// one call; batched application is bit-identical to the per-activation
+// path (see the notes above HammerHorizon). The seed's map-indexed
+// per-activation implementation is kept in reference_test.go as the
 // equivalence oracle.
 package disturb
 
@@ -95,39 +96,43 @@ func DefaultParams() Params {
 func Invulnerable() Params { return Params{} }
 
 type weakCell struct {
-	bank, physRow, bit int
-	threshold          float64
+	// The fields OnActivate touches for every influence come first.
+	pressure   float64
+	threshold  float64
+	chargedVal uint64 // 1 for true-cell, 0 for anti-cell
+	bit        int
+	flipped    bool // flipped during the current epoch
+	bank       int
+	physRow    int
 	// upWeight couples activations of physRow-dist, downWeight of
 	// physRow+dist.
 	dist                 int
 	upWeight, downWeight float64
-	chargedVal           uint64 // 1 for true-cell, 0 for anti-cell
-	pressure             float64
-	flipped              bool // flipped during the current epoch
 }
 
+// influence is one weak cell an aggressor row disturbs: the cell's
+// slot in Model.cells and the coupling weight of that side.
 type influence struct {
-	cell   *weakCell
+	slot   int32
 	weight float64
 }
 
 // sampleWeakCells draws the weak-cell population for a device of the
-// given geometry and hands each kept cell to add. The expected number
-// of weak cells is WeakCellFraction * TotalCells; the actual count is
-// binomially sampled. The draw sequence is deterministic given the
-// stream and shared between Model and Reference so that both see the
-// identical population. It returns the set of occupied (bank,row,bit)
-// positions for duplicate detection, or nil if the device has no weak
-// cells.
-func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream, add func(*weakCell)) map[[3]int]bool {
+// given geometry, in draw order. The expected number of weak cells is
+// WeakCellFraction * TotalCells; the actual count is binomially
+// sampled. The draw sequence is deterministic given the stream and
+// shared between Model and Reference so that both see the identical
+// population.
+func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 	if p.WeakCellFraction <= 0 {
 		return nil
 	}
 	n := src.Binomial(geom.TotalCells(), p.WeakCellFraction)
 	bitsPerRow := geom.BitsPerRow()
+	cells := make([]weakCell, 0, n)
 	seen := make(map[[3]int]bool, n)
 	for i := int64(0); i < n; i++ {
-		wc := &weakCell{
+		wc := weakCell{
 			bank:      src.Intn(geom.Banks),
 			physRow:   src.Intn(geom.Rows),
 			bit:       src.Intn(bitsPerRow),
@@ -151,28 +156,40 @@ func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream, add func(*we
 		} else {
 			wc.upWeight, wc.downWeight = second, 1
 		}
-		add(wc)
+		cells = append(cells, wc)
 	}
-	return seen
+	return cells
 }
 
 // Model is a dram.FaultModel implementing RowHammer disturbance.
+//
+// The weak cells are stored by value in one slice sorted by (bank,
+// physRow), stable in insertion order (sampling, then InjectWeakCell).
+// For a row index idx = bank*geom.Rows+physRow:
+//
+//   - cells[rowStart[idx]:rowStart[idx+1]] are the cells residing in
+//     the row (restored when it is activated or refreshed);
+//   - aggs[aggStart[idx]:aggStart[idx+1]] are the influences of
+//     activating the row, each naming a cell by its slot in cells.
+//
+// Both ranges keep insertion order, so duplicate cells flip in the
+// order they were added. order maps insertion order to slots: SaveState
+// writes cells in insertion order, and LoadState and InjectWeakCell
+// rebuild the whole store from that order.
 type Model struct {
-	params Params
-	geom   dram.Geometry
-	cells  []*weakCell
-	// victimIdx and aggIdx are dense flat indexes keyed by
-	// bank*geom.Rows+physRow: victimIdx lists the weak cells residing
-	// in a row (for restore resets), aggIdx the influences of
-	// activating a row (for pressure accumulation). They replace the
-	// seed's map[[2]int] indexes, turning the per-activation lookup
-	// into a single slice load.
-	victimIdx [][]*weakCell
-	aggIdx    [][]influence
-	// seen tracks occupied (bank,row,bit) positions; dup is set when
-	// InjectWeakCell stacks two cells on one position, which makes
-	// flip-observability order-dependent and disables batching.
-	seen         map[[3]int]bool
+	params   Params
+	geom     dram.Geometry
+	cells    []weakCell
+	order    []int32
+	rowStart []int32
+	aggStart []int32
+	aggs     []influence
+	// spare is InjectWeakCell's insertion-order buffer, kept between
+	// calls; it holds no state.
+	spare []weakCell `snapshot:"derived"`
+	// dup is set when InjectWeakCell stacks two cells on one
+	// (bank,row,bit) position, which makes flip-observability
+	// order-dependent and disables batching.
 	dup          bool
 	totalFlips   int64
 	epochFlips   int64
@@ -190,32 +207,87 @@ var (
 // geometry. Construction is deterministic given the stream and draws
 // the identical population to NewReference.
 func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
-	m := &Model{
-		params:       p,
-		geom:         geom,
-		victimIdx:    make([][]*weakCell, geom.Banks*geom.Rows),
-		aggIdx:       make([][]influence, geom.Banks*geom.Rows),
-		minThreshold: math.Inf(1),
-	}
-	m.seen = sampleWeakCells(geom, p, src, m.addCell)
+	m := &Model{params: p, geom: geom}
+	m.index(sampleWeakCells(geom, p, src))
 	return m
 }
 
-func (m *Model) addCell(wc *weakCell) {
-	m.cells = append(m.cells, wc)
-	base := wc.bank * m.geom.Rows
-	m.victimIdx[base+wc.physRow] = append(m.victimIdx[base+wc.physRow], wc)
-	up := wc.physRow - wc.dist
-	down := wc.physRow + wc.dist
-	if up >= 0 {
-		m.aggIdx[base+up] = append(m.aggIdx[base+up], influence{wc, wc.upWeight})
+// index rebuilds the row-sorted store from cells given in insertion
+// order, with a stable counting sort over rows. ins must not alias
+// m.cells; the store's slices are reused when large enough.
+func (m *Model) index(ins []weakCell) {
+	rows := m.geom.Rows
+	nrows := m.geom.Banks * rows
+	m.rowStart = resize(m.rowStart, nrows+1)
+	m.aggStart = resize(m.aggStart, nrows+1)
+	m.minThreshold = math.Inf(1)
+	naggs := 0
+	for i := range ins {
+		wc := &ins[i]
+		idx := wc.bank*rows + wc.physRow
+		m.rowStart[idx+1]++
+		if wc.physRow-wc.dist >= 0 {
+			m.aggStart[idx-wc.dist+1]++
+			naggs++
+		}
+		if wc.physRow+wc.dist < rows {
+			m.aggStart[idx+wc.dist+1]++
+			naggs++
+		}
+		if wc.threshold < m.minThreshold {
+			m.minThreshold = wc.threshold
+		}
 	}
-	if down < m.geom.Rows {
-		m.aggIdx[base+down] = append(m.aggIdx[base+down], influence{wc, wc.downWeight})
+	for i := 1; i <= nrows; i++ {
+		m.rowStart[i] += m.rowStart[i-1]
+		m.aggStart[i] += m.aggStart[i-1]
 	}
-	if wc.threshold < m.minThreshold {
-		m.minThreshold = wc.threshold
+	// Place each entry at its range's cursor: rowStart[idx] and
+	// aggStart[idx] advance to the next range's start, and shifting
+	// them up by one afterwards restores the starts.
+	m.cells = resize(m.cells, len(ins))
+	m.order = resize(m.order, len(ins))
+	m.aggs = resize(m.aggs, naggs)
+	for i := range ins {
+		wc := &ins[i]
+		idx := wc.bank*rows + wc.physRow
+		slot := m.rowStart[idx]
+		m.rowStart[idx]++
+		m.cells[slot] = *wc
+		m.order[i] = slot
+		if wc.physRow-wc.dist >= 0 {
+			m.aggs[m.aggStart[idx-wc.dist]] = influence{slot, wc.upWeight}
+			m.aggStart[idx-wc.dist]++
+		}
+		if wc.physRow+wc.dist < rows {
+			m.aggs[m.aggStart[idx+wc.dist]] = influence{slot, wc.downWeight}
+			m.aggStart[idx+wc.dist]++
+		}
 	}
+	copy(m.rowStart[1:], m.rowStart[:nrows])
+	copy(m.aggStart[1:], m.aggStart[:nrows])
+	m.rowStart[0], m.aggStart[0] = 0, 0
+}
+
+// resize returns s with length n and zeroed contents, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// resident returns the cells residing in row idx.
+func (m *Model) resident(idx int) []weakCell {
+	return m.cells[m.rowStart[idx]:m.rowStart[idx+1]]
+}
+
+// influences returns the influences of activating row idx.
+func (m *Model) influences(idx int) []influence {
+	return m.aggs[m.aggStart[idx]:m.aggStart[idx+1]]
 }
 
 // Name implements dram.FaultModel.
@@ -238,21 +310,26 @@ func (m *Model) applyFlip(d *dram.Device, wc *weakCell) {
 // cells coupled to it in neighbouring rows.
 func (m *Model) OnActivate(d *dram.Device, bank, physRow int, now dram.Time) {
 	idx := bank*m.geom.Rows + physRow
-	m.restoreRow(bank, physRow)
-	for _, inf := range m.aggIdx[idx] {
-		wc := inf.cell
+	m.restoreRow(idx)
+	infs := m.influences(idx)
+	if len(infs) == 0 {
+		return
+	}
+	// Flips land in other rows, so the aggressor row's bits hold for
+	// the whole loop.
+	agg := d.PhysRowWords(bank, physRow)
+	dpd := m.params.DPDFactor > 0 && m.params.DPDFactor < 1
+	for _, inf := range infs {
+		wc := &m.cells[inf.slot]
 		if wc.flipped {
 			continue
 		}
 		w := inf.weight
-		if m.params.DPDFactor > 0 && m.params.DPDFactor < 1 {
-			// Data-pattern dependence: coupling is reduced when the
-			// aggressor's bit in the victim's column matches the
-			// victim's charged value.
-			aggBit := d.PhysBit(bank, physRow, wc.bit)
-			if aggBit == wc.chargedVal {
-				w *= m.params.DPDFactor
-			}
+		// Data-pattern dependence: coupling is reduced when the
+		// aggressor's bit in the victim's column matches the victim's
+		// charged value.
+		if dpd && (agg[wc.bit>>6]>>(uint(wc.bit)&63))&1 == wc.chargedVal {
+			w *= m.params.DPDFactor
 		}
 		wc.pressure += w
 		if wc.pressure >= wc.threshold {
@@ -264,7 +341,7 @@ func (m *Model) OnActivate(d *dram.Device, bank, physRow int, now dram.Time) {
 // OnRefresh implements dram.FaultModel: refreshing a row restores its
 // charge and re-arms its weak cells.
 func (m *Model) OnRefresh(d *dram.Device, bank, physRow int, now dram.Time) {
-	m.restoreRow(bank, physRow)
+	m.restoreRow(bank*m.geom.Rows + physRow)
 }
 
 // BatchableBankRefresh implements dram.BankRefreshFaultModel: a refresh
@@ -274,21 +351,19 @@ func (m *Model) OnRefresh(d *dram.Device, bank, physRow int, now dram.Time) {
 func (m *Model) BatchableBankRefresh(bank int) bool { return true }
 
 // OnRefreshBankBatch implements dram.BankRefreshFaultModel: identical
-// to refreshing rows 0..Rows-1 in order, in O(victim rows) instead of
-// Rows dispatches.
+// to refreshing rows 0..Rows-1 in order, in one pass over the bank's
+// cells (a contiguous range) instead of Rows dispatches.
 func (m *Model) OnRefreshBankBatch(d *dram.Device, bank int, now dram.Time) {
 	base := bank * m.geom.Rows
-	for r := 0; r < m.geom.Rows; r++ {
-		if len(m.victimIdx[base+r]) > 0 {
-			m.restoreRow(bank, r)
-		}
-	}
+	restore(m.cells[m.rowStart[base]:m.rowStart[base+m.geom.Rows]])
 }
 
-func (m *Model) restoreRow(bank, physRow int) {
-	for _, wc := range m.victimIdx[bank*m.geom.Rows+physRow] {
-		wc.pressure = 0
-		wc.flipped = false
+func (m *Model) restoreRow(idx int) { restore(m.resident(idx)) }
+
+func restore(cells []weakCell) {
+	for i := range cells {
+		cells[i].pressure = 0
+		cells[i].flipped = false
 	}
 }
 
@@ -370,7 +445,9 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 	h := math.MaxInt
 	base := bank * m.geom.Rows
 	for c, r := range physRows {
-		for _, wc := range m.victimIdx[base+r] {
+		cells := m.resident(base + r)
+		for i := range cells {
+			wc := &cells[i]
 			cs, n := m.residentCouplings(d, wc, physRows)
 			if n == 0 {
 				continue
@@ -412,8 +489,8 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 		if na == 0 {
 			break
 		}
-		for _, inf := range m.aggIdx[base+r] {
-			wc := inf.cell
+		for _, inf := range m.influences(base + r) {
+			wc := &m.cells[inf.slot]
 			if wc.flipped || slices.Index(physRows, wc.physRow) >= 0 {
 				continue // flipped until restored, or resident (below)
 			}
@@ -436,7 +513,9 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 		}
 	}
 	for c, r := range physRows {
-		for _, wc := range m.victimIdx[base+r] {
+		cells := m.resident(base + r)
+		for i := range cells {
+			wc := &cells[i]
 			cs, nc := m.residentCouplings(d, wc, physRows)
 			from := 0
 			if c < n {
@@ -481,13 +560,13 @@ func (m *Model) BatchablePair(bank, rowA, rowB int) bool {
 		return false
 	}
 	base := bank * m.geom.Rows
-	for _, inf := range m.aggIdx[base+rowA] {
-		if r := inf.cell.physRow; r == rowA || r == rowB {
+	for _, inf := range m.influences(base + rowA) {
+		if r := m.cells[inf.slot].physRow; r == rowA || r == rowB {
 			return false
 		}
 	}
-	for _, inf := range m.aggIdx[base+rowB] {
-		if r := inf.cell.physRow; r == rowA || r == rowB {
+	for _, inf := range m.influences(base + rowB) {
+		if r := m.cells[inf.slot].physRow; r == rowA || r == rowB {
 			return false
 		}
 	}
@@ -552,20 +631,28 @@ func (m *Model) InjectWeakCell(bank, physRow, bit int, threshold float64, charge
 		// physics (and the batching contract) exclude.
 		panic(fmt.Sprintf("disturb: InjectWeakCell dist %d out of range (want >= 1)", dist))
 	}
-	wc := &weakCell{
+	for _, wc := range m.resident(bank*m.geom.Rows + physRow) {
+		if wc.bit == bit {
+			m.dup = true
+		}
+	}
+	// Each call rebuilds the store, O(cells + rows). The buffers grow
+	// the way append grows them, so a run of injections allocates
+	// amortised O(1) per cell.
+	ins := slices.Grow(m.spare[:0], len(m.cells)+1)
+	for _, slot := range m.order {
+		ins = append(ins, m.cells[slot])
+	}
+	ins = append(ins, weakCell{
 		bank: bank, physRow: physRow, bit: bit,
 		threshold: threshold, chargedVal: chargedVal & 1,
 		dist: dist, upWeight: upWeight, downWeight: downWeight,
-	}
-	pos := [3]int{bank, physRow, bit}
-	if m.seen == nil {
-		m.seen = map[[3]int]bool{}
-	}
-	if m.seen[pos] {
-		m.dup = true
-	}
-	m.seen[pos] = true
-	m.addCell(wc)
+	})
+	m.cells = slices.Grow(m.cells, 1)
+	m.order = slices.Grow(m.order, 1)
+	m.aggs = slices.Grow(m.aggs, 2)
+	m.index(ins)
+	m.spare = ins
 }
 
 // WeakCellCount returns the number of disturbable cells sampled.
@@ -587,8 +674,8 @@ func (m *Model) MinThreshold() float64 { return m.minThreshold }
 // contain weak cells, for test instrumentation, in (bank, row) order.
 func (m *Model) VictimRows() [][2]int {
 	var out [][2]int
-	for idx, cells := range m.victimIdx {
-		if len(cells) > 0 {
+	for idx := range m.geom.Banks * m.geom.Rows {
+		if m.rowStart[idx+1] > m.rowStart[idx] {
 			out = append(out, [2]int{idx / m.geom.Rows, idx % m.geom.Rows})
 		}
 	}
@@ -597,7 +684,7 @@ func (m *Model) VictimRows() [][2]int {
 
 // CellsInRow returns the number of weak cells in a victim row.
 func (m *Model) CellsInRow(bank, physRow int) int {
-	return len(m.victimIdx[bank*m.geom.Rows+physRow])
+	return len(m.resident(bank*m.geom.Rows + physRow))
 }
 
 // FractionFlippableAt returns the expected fraction of ALL cells that

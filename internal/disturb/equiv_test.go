@@ -26,6 +26,7 @@ func twin(t *testing.T, g dram.Geometry, p Params, seed uint64) (*dram.Device, *
 	if m.WeakCellCount() != r.WeakCellCount() {
 		t.Fatalf("population mismatch: model %d cells, reference %d", m.WeakCellCount(), r.WeakCellCount())
 	}
+	checkStoreMatchesReference(t, m, r, "sampled")
 	dm.AttachFault(m)
 	dr.AttachFault(r)
 	for b := 0; b < g.Banks; b++ {
@@ -61,9 +62,10 @@ func compareState(t *testing.T, dm *dram.Device, m *Model, dr *dram.Device, r *R
 			}
 		}
 	}
-	// Shared sampling guarantees the cell slices are parallel.
-	for i := range m.cells {
-		cm, cr := m.cells[i], r.cells[i]
+	// Shared sampling guarantees the populations are parallel in
+	// insertion order, which is the model's save order.
+	for i, slot := range m.order {
+		cm, cr := &m.cells[slot], r.cells[i]
 		if cm.pressure != cr.pressure || cm.flipped != cr.flipped {
 			t.Fatalf("%s: cell %d (bank %d row %d bit %d): model (p=%v flipped=%v), reference (p=%v flipped=%v)",
 				ctx, i, cm.bank, cm.physRow, cm.bit, cm.pressure, cm.flipped, cr.pressure, cr.flipped)
@@ -381,4 +383,127 @@ func TestHammerNFallbackStillEquivalent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkStoreMatchesReference requires the row-sorted store to hold, for
+// every row, exactly the reference's resident cells and aggressor
+// influences in the reference's (insertion) order, and the cells to be
+// sorted by (bank, row).
+func checkStoreMatchesReference(t *testing.T, m *Model, r *Reference, ctx string) {
+	t.Helper()
+	if len(m.order) != len(r.cells) || len(m.cells) != len(r.cells) {
+		t.Fatalf("%s: model holds %d cells (%d in order), reference %d", ctx, len(m.cells), len(m.order), len(r.cells))
+	}
+	ins := make([]int, len(m.order)) // slot -> insertion index
+	for i, slot := range m.order {
+		ins[slot] = i
+	}
+	refIdx := make(map[*weakCell]int, len(r.cells))
+	for i, wc := range r.cells {
+		refIdx[wc] = i
+	}
+	for s := 1; s < len(m.cells); s++ {
+		a, b := &m.cells[s-1], &m.cells[s]
+		if a.bank > b.bank || a.bank == b.bank && a.physRow > b.physRow {
+			t.Fatalf("%s: slots %d,%d out of (bank,row) order", ctx, s-1, s)
+		}
+	}
+	g := m.geom
+	for b := 0; b < g.Banks; b++ {
+		for row := 0; row < g.Rows; row++ {
+			idx := b*g.Rows + row
+			var got, want []int
+			for s := m.rowStart[idx]; s < m.rowStart[idx+1]; s++ {
+				got = append(got, ins[s])
+			}
+			for _, wc := range r.byVictimRow[[2]int{b, row}] {
+				want = append(want, refIdx[wc])
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: bank %d row %d residents %v, reference %v", ctx, b, row, got, want)
+			}
+			type inf struct {
+				cell int
+				w    float64
+			}
+			var gotI, wantI []inf
+			for _, a := range m.influences(idx) {
+				gotI = append(gotI, inf{ins[a.slot], a.weight})
+			}
+			for _, a := range r.byAggressor[[2]int{b, row}] {
+				wantI = append(wantI, inf{refIdx[a.cell], a.weight})
+			}
+			if !slices.Equal(gotI, wantI) {
+				t.Fatalf("%s: bank %d row %d influences %v, reference %v", ctx, b, row, gotI, wantI)
+			}
+		}
+	}
+	if m.MinThreshold() != r.MinThreshold() {
+		t.Fatalf("%s: min threshold %v, reference %v", ctx, m.MinThreshold(), r.MinThreshold())
+	}
+}
+
+// TestInjectMidRunMatchesReference injects cells into an armed model in
+// the middle of a run — fresh positions, a stacked duplicate of a
+// sampled cell, cells at the bank edges — and requires the store to
+// keep the reference's layout and the run to stay flip-for-flip equal
+// to the reference through per-activation commands, batched cycles and
+// refreshes.
+func TestInjectMidRunMatchesReference(t *testing.T) {
+	g := dram.Geometry{Banks: 2, Rows: 96, Cols: 4}
+	dm, m, dr, r := twin(t, g, denseParams(), 314)
+	src := rng.New(2718)
+	now := dram.Time(0)
+	run := func(iters int) {
+		for iter := 0; iter < iters; iter++ {
+			b := src.Intn(g.Banks)
+			base := 2 + src.Intn(g.Rows-6)
+			cy := dram.Cycle{
+				Bank: b, Rows: []int{base - 1, base + 1}, N: 1 + src.Intn(300),
+				Start: now, Period: 49, ClosedPage: true,
+			}
+			dm.Precharge(b)
+			dr.Precharge(b)
+			hammerCycle(dm, cy)
+			perActivation(dr, cy)
+			now += dram.Time(cy.N)*cy.Period + 49
+			row := src.Intn(g.Rows)
+			dm.Activate(b, row, now)
+			dm.Precharge(b)
+			dr.Activate(b, row, now)
+			dr.Precharge(b)
+			if iter%5 == 0 {
+				dm.RefreshPhysRow(b, base, now)
+				dr.RefreshPhysRow(b, base, now)
+			}
+		}
+	}
+	inject := func(bank, row, bit int, th float64, charged uint64, dist int, up, down float64) {
+		m.InjectWeakCell(bank, row, bit, th, charged, dist, up, down)
+		r.InjectWeakCell(bank, row, bit, th, charged, dist, up, down)
+	}
+	run(150)
+	flipsBefore := m.TotalFlips()
+	compareState(t, dm, m, dr, r, "before injection")
+	inject(0, 40, 7, 60, 1, 1, 1, 0.5)
+	inject(1, 0, 3, 45, 0, 1, 0.8, 1)
+	inject(1, g.Rows-1, 200, 70, 1, 2, 1, 1)
+	inject(0, 41, 9, 30, 1, 2, 0.6, 1)
+	if m.dup {
+		t.Fatal("fresh positions marked duplicate")
+	}
+	// Stack a cell of the opposite charge on a sampled cell's position:
+	// whichever flips first decides what the other can observe.
+	wc := m.cells[m.order[len(m.order)/2]]
+	inject(wc.bank, wc.physRow, wc.bit, wc.threshold/2, 1-wc.chargedVal, 1, 1, 1)
+	if !m.dup {
+		t.Fatal("stacked cell not marked duplicate")
+	}
+	checkStoreMatchesReference(t, m, r, "after injection")
+	compareState(t, dm, m, dr, r, "after injection")
+	run(150)
+	if m.TotalFlips() == flipsBefore {
+		t.Fatal("no flips after injection; test is vacuous")
+	}
+	compareState(t, dm, m, dr, r, "after the rest of the run")
 }

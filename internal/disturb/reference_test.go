@@ -21,13 +21,19 @@ type Reference struct {
 	geom         dram.Geometry
 	cells        []*weakCell
 	byVictimRow  map[[2]int][]*weakCell
-	byAggressor  map[[2]int][]influence
+	byAggressor  map[[2]int][]refInfluence
 	totalFlips   int64
 	epochFlips   int64
 	minThreshold float64
 }
 
 var _ dram.FaultModel = (*Reference)(nil)
+
+// refInfluence is one weak cell an aggressor row disturbs, by pointer.
+type refInfluence struct {
+	cell   *weakCell
+	weight float64
+}
 
 // NewReference samples the weak-cell population exactly as NewModel
 // does: given equal streams, both draw the identical population.
@@ -36,10 +42,13 @@ func NewReference(geom dram.Geometry, p Params, src *rng.Stream) *Reference {
 		params:       p,
 		geom:         geom,
 		byVictimRow:  map[[2]int][]*weakCell{},
-		byAggressor:  map[[2]int][]influence{},
+		byAggressor:  map[[2]int][]refInfluence{},
 		minThreshold: math.Inf(1),
 	}
-	sampleWeakCells(geom, p, src, r.addCell)
+	cells := sampleWeakCells(geom, p, src)
+	for i := range cells {
+		r.addCell(&cells[i])
+	}
 	return r
 }
 
@@ -51,11 +60,11 @@ func (r *Reference) addCell(wc *weakCell) {
 	down := wc.physRow + wc.dist
 	if up >= 0 {
 		k := [2]int{wc.bank, up}
-		r.byAggressor[k] = append(r.byAggressor[k], influence{wc, wc.upWeight})
+		r.byAggressor[k] = append(r.byAggressor[k], refInfluence{wc, wc.upWeight})
 	}
 	if down < r.geom.Rows {
 		k := [2]int{wc.bank, down}
-		r.byAggressor[k] = append(r.byAggressor[k], influence{wc, wc.downWeight})
+		r.byAggressor[k] = append(r.byAggressor[k], refInfluence{wc, wc.downWeight})
 	}
 	if wc.threshold < r.minThreshold {
 		r.minThreshold = wc.threshold

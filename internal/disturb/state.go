@@ -1,18 +1,19 @@
 package disturb
 
-import (
-	"math"
+import "repro/internal/snapshot"
 
-	"repro/internal/snapshot"
-)
+// encodedCellBytes is the size of one weak cell in SaveState's
+// encoding: nine 8-byte fields and a 1-byte flag.
+const encodedCellBytes = 73
 
 // SaveState serializes the model's full mutable state: the weak-cell
 // population with per-cell pressure and flip flags, the duplicate
 // marker, and the flip counters. Params and geometry are written so
 // LoadState can refuse a checkpoint taken under a different
-// calibration. The cell list is written in m.cells order, which is the
-// deterministic sampling/injection order, so a save/load round trip
-// rebuilds identical indexes.
+// calibration. The cell list is written in insertion order (the
+// deterministic sampling/injection order, through m.order), not in the
+// store's row-sorted order, so a save/load round trip rebuilds an
+// identical store.
 func (m *Model) SaveState(w *snapshot.Writer) {
 	w.Tag("disturb.Model")
 	p := m.params
@@ -31,7 +32,8 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 	w.I64(m.totalFlips)
 	w.I64(m.epochFlips)
 	w.U64(uint64(len(m.cells)))
-	for _, wc := range m.cells {
+	for _, slot := range m.order {
+		wc := &m.cells[slot]
 		w.Int(wc.bank)
 		w.Int(wc.physRow)
 		w.Int(wc.bit)
@@ -79,10 +81,13 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	staged := make([]*weakCell, 0, n)
+	if n > uint64(r.Remaining()/encodedCellBytes) {
+		return snapshot.Corruptf("disturb weak-cell count %d exceeds the %d bytes left", n, r.Remaining())
+	}
+	staged := make([]weakCell, 0, n)
 	bitsPerRow := geom.BitsPerRow()
 	for i := uint64(0); i < n; i++ {
-		wc := &weakCell{
+		wc := weakCell{
 			bank:       r.Int(),
 			physRow:    r.Int(),
 			bit:        r.Int(),
@@ -101,20 +106,12 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 			wc.physRow < 0 || wc.physRow >= geom.Rows ||
 			wc.bit < 0 || wc.bit >= bitsPerRow ||
 			wc.dist < 1 || wc.chargedVal > 1 {
-			return snapshot.Corruptf("weak cell %d out of range: %+v", i, *wc)
+			return snapshot.Corruptf("weak cell %d out of range: %+v", i, wc)
 		}
 		staged = append(staged, wc)
 	}
-	// Commit: rebuild the population and indexes from scratch.
-	m.cells = nil
-	m.victimIdx = make([][]*weakCell, geom.Banks*geom.Rows)
-	m.aggIdx = make([][]influence, geom.Banks*geom.Rows)
-	m.minThreshold = math.Inf(1)
-	m.seen = make(map[[3]int]bool, len(staged))
-	for _, wc := range staged {
-		m.seen[[3]int{wc.bank, wc.physRow, wc.bit}] = true
-		m.addCell(wc)
-	}
+	// Commit: rebuild the store, reusing its slices.
+	m.index(staged)
 	m.dup = dup
 	m.totalFlips = totalFlips
 	m.epochFlips = epochFlips

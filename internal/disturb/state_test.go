@@ -1,7 +1,11 @@
 package disturb
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/dram"
@@ -119,5 +123,116 @@ func TestModelLoadStateRejectsParamMismatch(t *testing.T) {
 	}
 	if m2.WeakCellCount() != before {
 		t.Fatal("failed load mutated the model")
+	}
+}
+
+func saveBytes(m *Model) []byte {
+	var w snapshot.Writer
+	m.SaveState(&w)
+	return w.Bytes()
+}
+
+// TestModelLoadStateReusesStoreBitIdentical loads a checkpoint into a
+// model built from another seed — a population of a different size, so
+// the store's slices are both reused and outgrown — and requires the
+// source's SaveState bytes back and an identical rest of the campaign.
+func TestModelLoadStateReusesStoreBitIdentical(t *testing.T) {
+	for _, seeds := range [][2]uint64{{1, 5}, {5, 1}} {
+		dA, mA := buildHammered(seeds[0])
+		dB, mB := buildHammered(seeds[1])
+		if mA.WeakCellCount() == mB.WeakCellCount() {
+			t.Fatalf("seeds %v: equal populations; test needs different sizes", seeds)
+		}
+		var dw snapshot.Writer
+		dA.SaveState(&dw)
+		want := saveBytes(mA)
+		if err := dB.LoadState(snapshot.NewReader(dw.Bytes())); err != nil {
+			t.Fatalf("seeds %v: device LoadState: %v", seeds, err)
+		}
+		if err := mB.LoadState(snapshot.NewReader(want)); err != nil {
+			t.Fatalf("seeds %v: model LoadState: %v", seeds, err)
+		}
+		if got := saveBytes(mB); !bytes.Equal(got, want) {
+			t.Fatalf("seeds %v: SaveState after LoadState differs from the source's", seeds)
+		}
+		hammerRest(dA)
+		hammerRest(dB)
+		if mB.TotalFlips() != mA.TotalFlips() || deviceHash(dB) != deviceHash(dA) {
+			t.Fatalf("seeds %v: resumed run diverged: flips %d vs %d", seeds, mB.TotalFlips(), mA.TotalFlips())
+		}
+		if !bytes.Equal(saveBytes(mB), saveBytes(mA)) {
+			t.Fatalf("seeds %v: final states differ", seeds)
+		}
+	}
+}
+
+// TestModelLoadStateFailureLeavesStateUnchanged feeds LoadState broken
+// checkpoints — a hostile cell count, an out-of-range cell late in the
+// list, a truncation — and requires an error and unchanged SaveState
+// bytes. Hostile counts must be refused before allocating.
+func TestModelLoadStateFailureLeavesStateUnchanged(t *testing.T) {
+	_, src := buildHammered(1)
+	good := saveBytes(src)
+	n := src.WeakCellCount()
+	if n < 2 {
+		t.Fatal("test needs at least two cells")
+	}
+	// The count is the 8-byte word just before the cell records; the
+	// last record starts with its bank.
+	at := len(good) - n*encodedCellBytes - 8
+	if at < 0 || binary.BigEndian.Uint64(good[at:]) != uint64(n) {
+		t.Fatalf("cell count not found at offset %d", at)
+	}
+	withCount := func(c uint64) []byte {
+		b := append([]byte(nil), good...)
+		binary.BigEndian.PutUint64(b[at:], c)
+		return b
+	}
+	lastBank := append([]byte(nil), good...)
+	binary.BigEndian.PutUint64(lastBank[len(good)-encodedCellBytes:], 99)
+	_, m := buildHammered(5)
+	before := saveBytes(m)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"count 2^60", withCount(1 << 60)},
+		{"count 2^64-1", withCount(^uint64(0))},
+		{"count one too many", withCount(uint64(n) + 1)},
+		{"last cell out of range", lastBank},
+		{"truncated", good[:len(good)-1]},
+	} {
+		if err := m.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("%s: want ErrCorrupt, got %v", tc.name, err)
+		}
+		if !bytes.Equal(saveBytes(m), before) {
+			t.Fatalf("%s: failed load mutated the model", tc.name)
+		}
+	}
+}
+
+// TestModelSaveStateBytesPinned pins the checkpoint encoding of a
+// hammered model with injected cells: cells go out in insertion order
+// whatever order the store keeps them in. The digests were recorded
+// from the map-indexed model that wrote cells straight from its
+// insertion-ordered list.
+func TestModelSaveStateBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed  uint64
+		cells int
+		sha   string
+	}{
+		{1, 126, "b8e71916b8b4821c35e55c850b17912bbef792185032540ba3bbba82796dac56"},
+		{5, 91, "1de2461a3bb3bfea448700c72ee315578074136e8c2594b8c21ffb720a35ac43"},
+	} {
+		_, m := buildHammered(tc.seed)
+		m.InjectWeakCell(1, 7, 3, 500, 1, 1, 1, 0.5)
+		m.InjectWeakCell(0, 200, 9, 800, 0, 2, 0.7, 1)
+		if m.WeakCellCount() != tc.cells {
+			t.Fatalf("seed %d: %d cells, want %d", tc.seed, m.WeakCellCount(), tc.cells)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(saveBytes(m))); got != tc.sha {
+			t.Errorf("seed %d: SaveState sha256 %s, want %s", tc.seed, got, tc.sha)
+		}
 	}
 }

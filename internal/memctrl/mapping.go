@@ -46,6 +46,12 @@ type MappingPolicy interface {
 	Bytes() uint64
 }
 
+// split divides w by a field of size n, returning the field value
+// (w mod n) and the rest (w / n).
+func split(w uint64, n int) (int, uint64) {
+	return int(w % uint64(n)), w / uint64(n)
+}
+
 // --- Row-interleaved open-page policy (the default) ---
 
 // RowInterleaved keeps consecutive cache lines in the same row:
@@ -67,18 +73,17 @@ func (p RowInterleaved) Topology() dram.Topology { return p.Topo }
 func (p RowInterleaved) Bytes() uint64 { return p.Topo.Bytes() }
 
 // Decode implements MappingPolicy.
-func (p RowInterleaved) Decode(addr uint64) Loc {
-	g := p.Topo.Geom
+func (p RowInterleaved) Decode(addr uint64) Loc { return decodeRowInterleaved(&p.Topo, addr) }
+
+// decodeRowInterleaved splits the channel : rank : row : bank : col
+// layout, shared with XORBankHash.
+func decodeRowInterleaved(t *dram.Topology, addr uint64) Loc {
 	w := addr >> 3
-	col := int(w % uint64(g.Cols))
-	w /= uint64(g.Cols)
-	bank := int(w % uint64(g.Banks))
-	w /= uint64(g.Banks)
-	row := int(w % uint64(g.Rows))
-	w /= uint64(g.Rows)
-	rank := int(w % uint64(p.Topo.Ranks))
-	w /= uint64(p.Topo.Ranks)
-	ch := int(w % uint64(p.Topo.Channels))
+	col, w := split(w, t.Geom.Cols)
+	bank, w := split(w, t.Geom.Banks)
+	row, w := split(w, t.Geom.Rows)
+	rank, w := split(w, t.Ranks)
+	ch, _ := split(w, t.Channels)
 	return Loc{Channel: ch, Rank: rank, Bank: bank, Row: row, Col: col}
 }
 
@@ -131,17 +136,12 @@ func (p ChannelInterleaved) Decode(addr uint64) Loc {
 	g := p.Topo.Geom
 	lw := lineWords(g.Cols)
 	w := addr >> 3
-	colLo := int(w % uint64(lw))
-	w /= uint64(lw)
-	ch := int(w % uint64(p.Topo.Channels))
-	w /= uint64(p.Topo.Channels)
-	bank := int(w % uint64(g.Banks))
-	w /= uint64(g.Banks)
-	rank := int(w % uint64(p.Topo.Ranks))
-	w /= uint64(p.Topo.Ranks)
-	colHi := int(w % uint64(g.Cols/lw))
-	w /= uint64(g.Cols / lw)
-	row := int(w % uint64(g.Rows))
+	colLo, w := split(w, lw)
+	ch, w := split(w, p.Topo.Channels)
+	bank, w := split(w, g.Banks)
+	rank, w := split(w, p.Topo.Ranks)
+	colHi, w := split(w, g.Cols/lw)
+	row, _ := split(w, g.Rows)
 	return Loc{Channel: ch, Rank: rank, Bank: bank, Row: row, Col: colHi*lw + colLo}
 }
 
@@ -200,7 +200,7 @@ func (p XORBankHash) unhashBank(stored, row int) int {
 
 // Decode implements MappingPolicy.
 func (p XORBankHash) Decode(addr uint64) Loc {
-	l := RowInterleaved{Topo: p.Topo}.Decode(addr)
+	l := decodeRowInterleaved(&p.Topo, addr)
 	l.Bank = p.unhashBank(l.Bank, l.Row)
 	return l
 }

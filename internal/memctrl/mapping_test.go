@@ -225,8 +225,71 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
-// FuzzMappingRoundTrip fuzzes the wrap and round-trip contracts over
-// arbitrary addresses and a topology picked from the seed byte.
+// divisionDecode is the inline decode every policy had before the
+// field splits moved into split and XORBankHash stopped building a
+// RowInterleaved value: the oracle the shared decode must reproduce for
+// every address and topology.
+func divisionDecode(p MappingPolicy, addr uint64) Loc {
+	topo := p.Topology()
+	g := topo.Geom
+	w := addr >> 3
+	if _, ok := p.(ChannelInterleaved); ok {
+		lw := lineWords(g.Cols)
+		colLo := int(w % uint64(lw))
+		w /= uint64(lw)
+		ch := int(w % uint64(topo.Channels))
+		w /= uint64(topo.Channels)
+		bank := int(w % uint64(g.Banks))
+		w /= uint64(g.Banks)
+		rank := int(w % uint64(topo.Ranks))
+		w /= uint64(topo.Ranks)
+		colHi := int(w % uint64(g.Cols/lw))
+		w /= uint64(g.Cols / lw)
+		row := int(w % uint64(g.Rows))
+		return Loc{Channel: ch, Rank: rank, Bank: bank, Row: row, Col: colHi*lw + colLo}
+	}
+	col := int(w % uint64(g.Cols))
+	w /= uint64(g.Cols)
+	bank := int(w % uint64(g.Banks))
+	w /= uint64(g.Banks)
+	row := int(w % uint64(g.Rows))
+	w /= uint64(g.Rows)
+	rank := int(w % uint64(topo.Ranks))
+	w /= uint64(topo.Ranks)
+	ch := int(w % uint64(topo.Channels))
+	if _, ok := p.(XORBankHash); ok {
+		if g.Banks&(g.Banks-1) == 0 {
+			bank ^= row % g.Banks
+		} else {
+			bank = ((bank-row)%g.Banks + g.Banks) % g.Banks
+		}
+	}
+	return Loc{Channel: ch, Rank: rank, Bank: bank, Row: row, Col: col}
+}
+
+// TestPolicyDecodeMatchesDivisionOracle requires every policy's Decode
+// to equal the division oracle over every topology of the sweep, at
+// sampled in-range addresses, field boundaries and far-out addresses.
+func TestPolicyDecodeMatchesDivisionOracle(t *testing.T) {
+	src := rng.New(17)
+	for _, topo := range mappingTopologies() {
+		for _, p := range Policies(topo) {
+			addrs := []uint64{0, 8, p.Bytes() - 8, p.Bytes(), ^uint64(0), ^uint64(0) &^ 7}
+			for i := 0; i < 3000; i++ {
+				addrs = append(addrs, src.Uint64n(p.Bytes()), src.Uint64())
+			}
+			for _, addr := range addrs {
+				if got, want := p.Decode(addr), divisionDecode(p, addr); got != want {
+					t.Fatalf("%s/%s: Decode(%#x) = %+v, oracle %+v", topo, p.Name(), addr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzMappingRoundTrip fuzzes the wrap and round-trip contracts, and
+// Decode against the division oracle, over arbitrary addresses and a
+// topology picked from the seed byte.
 func FuzzMappingRoundTrip(f *testing.F) {
 	f.Add(uint64(0), byte(0))
 	f.Add(uint64(0xdeadbeef), byte(1))
@@ -237,6 +300,9 @@ func FuzzMappingRoundTrip(f *testing.F) {
 		topo := topos[int(pick)%len(topos)]
 		for _, p := range Policies(topo) {
 			l := p.Decode(addr)
+			if want := divisionDecode(p, addr); l != want {
+				t.Fatalf("%s: Decode(%#x) = %+v, oracle %+v", p.Name(), addr, l, want)
+			}
 			topoG := p.Topology().Geom
 			if l.Channel < 0 || l.Channel >= p.Topology().Channels ||
 				l.Rank < 0 || l.Rank >= p.Topology().Ranks ||
@@ -254,3 +320,26 @@ func FuzzMappingRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkPolicyDecode decodes random addresses through each policy,
+// called through the MappingPolicy interface as the memory system does,
+// on the 4ch x 2rk benign traffic topology. One op is one Decode.
+func BenchmarkPolicyDecode(b *testing.B) {
+	topo := dram.Topology{Channels: 4, Ranks: 2, Geom: dram.Geometry{Banks: 4, Rows: 256, Cols: 16}}
+	for _, p := range Policies(topo) {
+		src := rng.New(1)
+		addrs := make([]uint64, 4096)
+		for i := range addrs {
+			addrs[i] = src.Uint64n(p.Bytes())
+		}
+		b.Run(p.Name(), func(b *testing.B) {
+			var sink int
+			for i := 0; i < b.N; i++ {
+				sink += p.Decode(addrs[i&(len(addrs)-1)]).Row
+			}
+			benchSink = sink
+		})
+	}
+}
+
+var benchSink int

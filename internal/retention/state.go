@@ -5,6 +5,10 @@ import (
 	"repro/internal/snapshot"
 )
 
+// encodedCellBytes is the size of one weak cell in SaveState's
+// encoding: six 8-byte fields and three 1-byte flags.
+const encodedCellBytes = 51
+
 // SaveState serializes the model's full mutable state: the weak-cell
 // population with per-cell VRT state, the decay counter, and the
 // position of the VRT draw stream — the retention model is the one
@@ -83,6 +87,9 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	n := r.U64()
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if n > uint64(r.Remaining()/encodedCellBytes) {
+		return snapshot.Corruptf("retention cell count %d exceeds the %d bytes left", n, r.Remaining())
 	}
 	staged := make([]*weakCell, 0, n)
 	bitsPerRow := geom.BitsPerRow()

@@ -1,6 +1,8 @@
 package retention
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -105,5 +107,42 @@ func TestModelLoadStateRejectsParamMismatch(t *testing.T) {
 	err := m2.LoadState(snapshot.NewReader(w.Bytes()))
 	if !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("want ErrMismatch, got %v", err)
+	}
+}
+
+// TestModelLoadStateRejectsHostileCellCount pins that a weak-cell count
+// larger than the bytes left can hold is refused as corrupt before any
+// allocation, and leaves the model unchanged.
+func TestModelLoadStateRejectsHostileCellCount(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 8}
+	m := NewModel(g, retentionParams(), rng.New(1))
+	var w snapshot.Writer
+	m.SaveState(&w)
+	good := w.Bytes()
+	if m.WeakCellCount() == 0 {
+		t.Fatal("test needs a non-empty population")
+	}
+	// The count is the 8-byte word just before the cell records.
+	at := len(good) - m.WeakCellCount()*encodedCellBytes - 8
+	if at < 0 || binary.BigEndian.Uint64(good[at:]) != uint64(m.WeakCellCount()) {
+		t.Fatalf("cell count not found at offset %d", at)
+	}
+	m2 := NewModel(g, retentionParams(), rng.New(2))
+	var before snapshot.Writer
+	m2.SaveState(&before)
+	for _, n := range []uint64{1 << 60, ^uint64(0), uint64(m.WeakCellCount()) + 1} {
+		bad := append([]byte(nil), good...)
+		binary.BigEndian.PutUint64(bad[at:], n)
+		if err := m2.LoadState(snapshot.NewReader(bad)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("count %d: want ErrCorrupt, got %v", n, err)
+		}
+		var after snapshot.Writer
+		m2.SaveState(&after)
+		if !bytes.Equal(after.Bytes(), before.Bytes()) {
+			t.Fatalf("count %d: failed load mutated the model", n)
+		}
+	}
+	if err := m2.LoadState(snapshot.NewReader(good)); err != nil {
+		t.Fatalf("intact snapshot refused: %v", err)
 	}
 }

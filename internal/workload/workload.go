@@ -15,6 +15,7 @@
 package workload
 
 import (
+	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/rng"
 )
@@ -120,6 +121,7 @@ func (s *FlatStrided) NextFlat() FlatAccess {
 // to flat addresses through the policy.
 type FlatZipfRows struct {
 	policy memctrl.MappingPolicy
+	topo   dram.Topology
 	zipf   *rng.Zipf
 	src    *rng.Stream
 	perm   []int
@@ -127,9 +129,11 @@ type FlatZipfRows struct {
 
 // NewFlatZipfRows creates a Zipf-hot workload with the given skew.
 func NewFlatZipfRows(p memctrl.MappingPolicy, theta float64, src *rng.Stream) *FlatZipfRows {
-	rows := p.Topology().TotalRows()
+	topo := p.Topology()
+	rows := topo.TotalRows()
 	return &FlatZipfRows{
 		policy: p,
+		topo:   topo,
 		zipf:   rng.NewZipf(src, rows, theta),
 		src:    src,
 		perm:   src.Perm(rows),
@@ -141,7 +145,7 @@ func (z *FlatZipfRows) Name() string { return "zipf-rows" }
 
 // NextFlat implements FlatGenerator.
 func (z *FlatZipfRows) NextFlat() FlatAccess {
-	t := z.policy.Topology()
+	t := &z.topo
 	flat := z.perm[z.zipf.Next()]
 	l := memctrl.Loc{Col: z.src.Intn(t.Geom.Cols)}
 	l.Channel = flat % t.Channels

@@ -272,3 +272,27 @@ func TestFlatHammerAlternates(t *testing.T) {
 		}
 	}
 }
+
+// TestZipfRowsPinned pins the first 10k FlatZipfRows addresses under
+// every policy as FNV-1a digests, recorded at seed 1 on the 4ch x 2rk
+// benign traffic topology from the generator that read its topology
+// through the policy on every draw.
+func TestZipfRowsPinned(t *testing.T) {
+	const n = 10000
+	traffic := dram.Topology{Channels: 4, Ranks: 2, Geom: dram.Geometry{Banks: 4, Rows: 256, Cols: 16}}
+	digests := map[string]uint64{
+		"row-interleaved":     0xbce65093ee6c8f0d,
+		"channel-interleaved": 0xbc24393e41eca48d,
+		"xor-bank-hash":       0xf5f2b789cc21c60d,
+	}
+	for _, p := range memctrl.Policies(traffic) {
+		z := NewFlatZipfRows(p, 1.1, rng.New(1))
+		h := uint64(14695981039346656037)
+		for i := 0; i < n; i++ {
+			h = (h ^ z.NextFlat().Addr) * 1099511628211
+		}
+		if h != digests[p.Name()] {
+			t.Errorf("%s: digest of the first %d addresses %#x, want %#x", p.Name(), n, h, digests[p.Name()])
+		}
+	}
+}
