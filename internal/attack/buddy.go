@@ -226,12 +226,12 @@ func (a *BuddyAllocator) LoadState(r *snapshot.Reader) error {
 	for o := range free {
 		free[o] = r.Ints()
 	}
-	n := r.U64()
+	n := r.Count(16) // frame, order
 	if err := r.Err(); err != nil {
 		return err
 	}
 	allocated := make(map[int]int, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k := r.Int()
 		allocated[k] = r.Int()
 	}

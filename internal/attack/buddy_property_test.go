@@ -1,6 +1,9 @@
 package attack
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -183,5 +186,38 @@ func TestBuddySnapshotRejectsGeometryMismatch(t *testing.T) {
 	// The failed load must not have touched b.
 	if b.FreeFrames() != 128 || b.Live() != 0 {
 		t.Fatalf("failed load mutated allocator: free %d live %d", b.FreeFrames(), b.Live())
+	}
+}
+
+// TestBuddySnapshotRejectsHostileCount checks that a checkpoint whose
+// allocation-map count claims more entries than the bytes left can
+// hold is refused with ErrCorrupt before anything is allocated or
+// decoded, and that the target allocator is left as it was.
+func TestBuddySnapshotRejectsHostileCount(t *testing.T) {
+	a := NewBuddy(128)
+	buddyStream(a, 7, 200)
+	var w snapshot.Writer
+	a.SaveState(&w)
+	good := w.Bytes()
+	// The count precedes the (frame, order) pairs at the tail.
+	at := len(good) - 16*len(a.allocated) - 8
+	if got := binary.BigEndian.Uint64(good[at:]); got != uint64(len(a.allocated)) {
+		t.Fatalf("allocation count %d at offset %d, want %d", got, at, len(a.allocated))
+	}
+	b := NewBuddy(128)
+	buddyStream(b, 3, 50)
+	var before snapshot.Writer
+	b.SaveState(&before)
+	for _, n := range []uint64{1 << 60, ^uint64(0), uint64(len(a.allocated)) + 1} {
+		bad := append([]byte(nil), good...)
+		binary.BigEndian.PutUint64(bad[at:], n)
+		if err := b.LoadState(snapshot.NewReader(bad)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("count %d: want ErrCorrupt, got %v", n, err)
+		}
+		var after snapshot.Writer
+		b.SaveState(&after)
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("count %d: failed load mutated the allocator", n)
+		}
 	}
 }

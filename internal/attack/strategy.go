@@ -380,7 +380,7 @@ func (s *AdaptiveStrategy) LoadState(r *snapshot.Reader) error {
 	budget := r.Int()
 	probed := r.Bool()
 	best := r.Int()
-	n := r.U64()
+	n := r.Count(24) // sides, flips, activations
 	if err := r.Err(); err != nil {
 		return err
 	}

@@ -1,6 +1,9 @@
 package attack
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -313,5 +316,39 @@ func TestRefreshSyncAlignsToRefresh(t *testing.T) {
 	// an aligned attacker forces at least bursts-1 refreshes.
 	if refs := ctrl.Stats.AutoRefreshes - before.AutoRefreshes; refs < s.Bursts-1 {
 		t.Fatalf("refreshes %d < bursts-1 %d: bursts not REF-aligned", refs, s.Bursts-1)
+	}
+}
+
+// TestAdaptiveLoadRejectsHostileCount checks that a checkpoint whose
+// probe count claims more records than the bytes left can hold is
+// refused with ErrCorrupt before anything is allocated, and that the
+// target strategy is left as it was.
+func TestAdaptiveLoadRejectsHostileCount(t *testing.T) {
+	s := &AdaptiveStrategy{Sweep: []int{2, 4}, Decoys: 1, Budget: 2000}
+	ctrl, _ := nsidedRig(2, 0.1, 300)
+	s.Probe(Target{Ctrl: ctrl, Pattern: 0xaaaaaaaaaaaaaaaa})
+	var w snapshot.Writer
+	s.SaveState(&w)
+	good := w.Bytes()
+	// The count precedes the (sides, flips, activations) records at
+	// the tail.
+	at := len(good) - 24*len(s.probes) - 8
+	if len(s.probes) == 0 || binary.BigEndian.Uint64(good[at:]) != uint64(len(s.probes)) {
+		t.Fatalf("probe count not found at offset %d (%d probes)", at, len(s.probes))
+	}
+	target := &AdaptiveStrategy{Sweep: []int{8}, Decoys: 3, Budget: 99}
+	var before snapshot.Writer
+	target.SaveState(&before)
+	for _, n := range []uint64{1 << 60, ^uint64(0), uint64(len(s.probes)) + 1} {
+		bad := append([]byte(nil), good...)
+		binary.BigEndian.PutUint64(bad[at:], n)
+		if err := target.LoadState(snapshot.NewReader(bad)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("count %d: want ErrCorrupt, got %v", n, err)
+		}
+		var after snapshot.Writer
+		target.SaveState(&after)
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("count %d: failed load mutated the strategy", n)
+		}
 	}
 }

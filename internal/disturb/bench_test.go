@@ -13,10 +13,12 @@ package disturb
 // equiv_test.go for the proof that they produce identical physics.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dram"
 	"repro/internal/rng"
+	"repro/internal/snapshot"
 )
 
 // benchGeom matches the E3 spot-check scale.
@@ -147,5 +149,67 @@ func BenchmarkOnActivateBenign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := acts[i&(len(acts)-1)]
 		m.OnActivate(d, a[0], a[1], dram.Time(i)*49)
+	}
+}
+
+// BenchmarkOnHammerCycle applies one k-row burst the way the device
+// dispatches it, HammerHorizon then OnHammerCycle, over aggressors two
+// rows apart at the 2e-3 weak-cell fraction perfbench's campaign rigs
+// use. A burst is 160 activations, about one refresh interval at tRC;
+// pressure is cleared every 256 bursts, long before any unscaled
+// threshold is reached, so every iteration does the same work.
+func BenchmarkOnHammerCycle(b *testing.B) {
+	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
+	p := DefaultParams()
+	p.WeakCellFraction = 2e-3
+	for _, k := range []int{2, 6, 126} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			d := dram.NewDevice(g)
+			m := NewModel(g, p, rng.New(1))
+			rows := make([]int, k)
+			for i := range rows {
+				rows[i] = 2 + 2*i
+				d.FillPhysRow(0, rows[i], 0x5555555555555555)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%256 == 255 {
+					m.OnRefreshBankBatch(d, 0, 0)
+				}
+				m.HammerHorizon(d, 0, rows, 0, 49)
+				m.OnHammerCycle(d, 0, rows, 160, 0, 49)
+			}
+			if m.TotalFlips() != 0 {
+				b.Fatalf("%d flips: iterations differ in work", m.TotalFlips())
+			}
+		})
+	}
+}
+
+// BenchmarkLoadState restores one disturb model of perfbench
+// hammer-campaign's rig shape (128 rows of 8 words, 2e-3 weak cells,
+// thresholds divided by 100) from a mid-campaign checkpoint.
+func BenchmarkLoadState(b *testing.B) {
+	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
+	p := DefaultParams()
+	p.WeakCellFraction = 2e-3
+	p.ThresholdMedian /= 100
+	p.MinThreshold /= 100
+	d := dram.NewDevice(g)
+	m := NewModel(g, p, rng.New(1))
+	d.AttachFault(m)
+	for r := 1; r+1 < g.Rows; r += 9 {
+		hammerCycle(d, dram.Cycle{Rows: []int{r - 1, r + 1}, N: 2000, Period: 49, ClosedPage: true})
+	}
+	var w snapshot.Writer
+	m.SaveState(&w)
+	payload := w.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.LoadState(snapshot.NewReader(payload)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

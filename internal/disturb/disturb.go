@@ -129,17 +129,20 @@ func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 	}
 	n := src.Binomial(geom.TotalCells(), p.WeakCellFraction)
 	bitsPerRow := geom.BitsPerRow()
+	mu := math.Log(p.ThresholdMedian)
 	cells := make([]weakCell, 0, n)
-	seen := make(map[[3]int]bool, n)
+	// seen holds the flat bit position (bank*Rows+physRow)*bitsPerRow+bit
+	// of every kept cell.
+	seen := make(map[int64]bool, n)
 	for i := int64(0); i < n; i++ {
 		wc := weakCell{
 			bank:      src.Intn(geom.Banks),
 			physRow:   src.Intn(geom.Rows),
 			bit:       src.Intn(bitsPerRow),
-			threshold: math.Max(p.MinThreshold, src.LogNormal(math.Log(p.ThresholdMedian), p.ThresholdSigma)),
+			threshold: math.Max(p.MinThreshold, src.LogNormal(mu, p.ThresholdSigma)),
 			dist:      1,
 		}
-		pos := [3]int{wc.bank, wc.physRow, wc.bit}
+		pos := int64(wc.bank*geom.Rows+wc.physRow)*int64(bitsPerRow) + int64(wc.bit)
 		if seen[pos] {
 			continue // a cell has one set of physics; drop duplicates
 		}
@@ -184,9 +187,19 @@ type Model struct {
 	rowStart []int32
 	aggStart []int32
 	aggs     []influence
-	// spare is InjectWeakCell's insertion-order buffer, kept between
-	// calls; it holds no state.
+	// spare is the insertion-order buffer the store is rebuilt from
+	// (sampling, InjectWeakCell, LoadState), kept between rebuilds; it
+	// holds no state.
 	spare []weakCell `snapshot:"derived"`
+	// pos and words are bound by bindCycle for the duration of one
+	// HammerHorizon or OnHammerCycle call: pos[physRow] is the row's
+	// position in the cycle, -1 for every row not hammered, and
+	// words[c] the cell words of the row at position c. Between calls
+	// pos is all -1 and words has length 0 (its backing array still
+	// references the last cycle's rows of the device the model is
+	// attached to, until the next bind overwrites them).
+	pos   []int32    `snapshot:"derived"`
+	words [][]uint64 `snapshot:"derived"`
 	// dup is set when InjectWeakCell stacks two cells on one
 	// (bank,row,bit) position, which makes flip-observability
 	// order-dependent and disables batching.
@@ -208,7 +221,8 @@ var (
 // the identical population to NewReference.
 func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
 	m := &Model{params: p, geom: geom}
-	m.index(sampleWeakCells(geom, p, src))
+	m.spare = sampleWeakCells(geom, p, src)
+	m.index(m.spare)
 	return m
 }
 
@@ -328,7 +342,7 @@ func (m *Model) OnActivate(d *dram.Device, bank, physRow int, now dram.Time) {
 		// Data-pattern dependence: coupling is reduced when the
 		// aggressor's bit in the victim's column matches the victim's
 		// charged value.
-		if dpd && (agg[wc.bit>>6]>>(uint(wc.bit)&63))&1 == wc.chargedVal {
+		if dpd && bitAt(agg, wc.bit) == wc.chargedVal {
 			w *= m.params.DPDFactor
 		}
 		wc.pressure += w
@@ -359,6 +373,9 @@ func (m *Model) OnRefreshBankBatch(d *dram.Device, bank int, now dram.Time) {
 }
 
 func (m *Model) restoreRow(idx int) { restore(m.resident(idx)) }
+
+// bitAt returns bit i of a row's words.
+func bitAt(words []uint64, i int) uint64 { return words[i>>6] >> (uint(i) & 63) & 1 }
 
 func restore(cells []weakCell) {
 	for i := range cells {
@@ -406,15 +423,47 @@ type coupling struct {
 	w   float64
 }
 
+// bindCycle binds pos and words to the cycle physRows of bank for one
+// call; unbindCycle resets them. Looking a row up is then one load
+// instead of a scan of the cycle.
+func (m *Model) bindCycle(d *dram.Device, bank int, physRows []int) {
+	if m.pos == nil {
+		m.pos = make([]int32, m.geom.Rows)
+		for i := range m.pos {
+			m.pos[i] = -1
+		}
+	}
+	for c, r := range physRows {
+		m.pos[r] = int32(c)
+		m.words = append(m.words, d.PhysRowWords(bank, r))
+	}
+}
+
+func (m *Model) unbindCycle(physRows []int) {
+	for _, r := range physRows {
+		m.pos[r] = -1
+	}
+	m.words = m.words[:0]
+}
+
+// cyclePos returns the bound cycle position of physRow, or -1 when the
+// row is out of range or not hammered.
+func (m *Model) cyclePos(physRow int) int {
+	if uint(physRow) >= uint(len(m.pos)) {
+		return -1
+	}
+	return int(m.pos[physRow])
+}
+
 // residentCouplings returns the hammered rows (at most two) a cell
 // residing in a hammered row is coupled to, in no particular order.
-func (m *Model) residentCouplings(d *dram.Device, wc *weakCell, physRows []int) (cs [2]coupling, n int) {
-	if p := slices.Index(physRows, wc.physRow-wc.dist); p >= 0 {
-		cs[n] = coupling{p, m.effWeight(d, wc.bank, physRows[p], wc, wc.upWeight)}
+func (m *Model) residentCouplings(wc *weakCell) (cs [2]coupling, n int) {
+	if p := m.cyclePos(wc.physRow - wc.dist); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(p, wc, wc.upWeight)}
 		n++
 	}
-	if p := slices.Index(physRows, wc.physRow+wc.dist); p >= 0 {
-		cs[n] = coupling{p, m.effWeight(d, wc.bank, physRows[p], wc, wc.downWeight)}
+	if p := m.cyclePos(wc.physRow + wc.dist); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(p, wc, wc.downWeight)}
 		n++
 	}
 	return cs, n
@@ -444,11 +493,16 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 	k := len(physRows)
 	h := math.MaxInt
 	base := bank * m.geom.Rows
+	bound := false
 	for c, r := range physRows {
 		cells := m.resident(base + r)
+		if len(cells) > 0 && !bound {
+			m.bindCycle(d, bank, physRows)
+			bound = true
+		}
 		for i := range cells {
 			wc := &cells[i]
-			cs, n := m.residentCouplings(d, wc, physRows)
+			cs, n := m.residentCouplings(wc)
 			if n == 0 {
 				continue
 			}
@@ -475,6 +529,9 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 			}
 		}
 	}
+	if bound {
+		m.unbindCycle(physRows)
+	}
 	return h
 }
 
@@ -482,6 +539,7 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 // to n per-activation OnActivate calls over the cycle, in O(coupled
 // cells + pressure additions).
 func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, start, period dram.Time) {
+	m.bindCycle(d, bank, physRows)
 	k := len(physRows)
 	base := bank * m.geom.Rows
 	for c, r := range physRows {
@@ -491,12 +549,12 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 		}
 		for _, inf := range m.influences(base + r) {
 			wc := &m.cells[inf.slot]
-			if wc.flipped || slices.Index(physRows, wc.physRow) >= 0 {
+			if wc.flipped || m.pos[wc.physRow] >= 0 {
 				continue // flipped until restored, or resident (below)
 			}
-			w := m.effWeight(d, bank, r, wc, inf.weight)
+			w := m.effWeight(c, wc, inf.weight)
 			other := 2*wc.physRow - r
-			po := slices.Index(physRows, other)
+			po := m.cyclePos(other)
 			if po < 0 {
 				m.accumulate(d, wc, w, w, na)
 				continue
@@ -508,7 +566,7 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 			if other > wc.physRow {
 				wo = wc.downWeight
 			}
-			wo = m.effWeight(d, bank, other, wc, wo)
+			wo = m.effWeight(po, wc, wo)
 			m.accumulate(d, wc, w, wo, na+activationsAt(po, n, k))
 		}
 	}
@@ -516,7 +574,7 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 		cells := m.resident(base + r)
 		for i := range cells {
 			wc := &cells[i]
-			cs, nc := m.residentCouplings(d, wc, physRows)
+			cs, nc := m.residentCouplings(wc)
 			from := 0
 			if c < n {
 				// Restored at the row's last activation in the burst.
@@ -534,6 +592,7 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 			wc.pressure = p
 		}
 	}
+	m.unbindCycle(physRows)
 }
 
 // --- Legacy batched dispatch (dram.HammerFaultModel) ---
@@ -579,12 +638,12 @@ func (m *Model) OnHammerPairBatch(d *dram.Device, bank, rowA, rowB, n int, start
 	m.OnHammerCycle(d, bank, []int{rowA, rowB}, 2*n, start, period)
 }
 
-// effWeight applies data-pattern dependence for one aggressor row. The
-// result is constant for a whole batched burst of that row: no flip
-// lands in a hammered row within a horizon.
-func (m *Model) effWeight(d *dram.Device, bank, aggRow int, wc *weakCell, w float64) float64 {
+// effWeight applies data-pattern dependence for the aggressor row at
+// bound cycle position c. The result is constant for a whole batched
+// burst of that row: no flip lands in a hammered row within a horizon.
+func (m *Model) effWeight(c int, wc *weakCell, w float64) float64 {
 	if m.params.DPDFactor > 0 && m.params.DPDFactor < 1 {
-		if d.PhysBit(bank, aggRow, wc.bit) == wc.chargedVal {
+		if bitAt(m.words[c], wc.bit) == wc.chargedVal {
 			w *= m.params.DPDFactor
 		}
 	}

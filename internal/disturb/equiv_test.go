@@ -285,6 +285,101 @@ func TestHammerCycleMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	t.Run("126-row cycle", func(t *testing.T) {
+		// The width of rowhammer -mode many: 126 of 320 rows, with
+		// every other row of a band hammered so that cells residing in
+		// hammered rows are coupled to hammered rows on both sides.
+		g := dram.Geometry{Banks: 1, Rows: 320, Cols: 4}
+		dm, m, dr, r := twin(t, g, denseParams(), 9)
+		var rows []int
+		for row := 20; len(rows) < 100; row += 2 {
+			rows = append(rows, row)
+		}
+		src := rng.New(126)
+		for len(rows) < 126 {
+			if row := src.Intn(g.Rows); !slices.Contains(rows, row) {
+				rows = append(rows, row)
+			}
+		}
+		resident, coupled := 0, 0
+		for _, row := range rows {
+			for _, wc := range m.resident(row) {
+				if slices.Contains(rows, wc.physRow-wc.dist) || slices.Contains(rows, wc.physRow+wc.dist) {
+					resident++
+				}
+			}
+			for _, inf := range m.influences(row) {
+				if !slices.Contains(rows, m.cells[inf.slot].physRow) {
+					coupled++
+				}
+			}
+		}
+		if resident == 0 || coupled == 0 {
+			t.Fatalf("resident coupled cells %d, non-resident coupled cells %d; test is vacuous", resident, coupled)
+		}
+		now := dram.Time(0)
+		batched := 0
+		for iter := 0; iter < 12; iter++ {
+			cy := dram.Cycle{Rows: rows, Pos: src.Intn(len(rows)), N: 1 + src.Intn(3000),
+				Start: now, Period: 49, ClosedPage: iter%2 == 0}
+			if cy.ClosedPage {
+				dm.Precharge(0)
+				dr.Precharge(0)
+			}
+			if hammerCycle(dm, cy) < cy.N {
+				batched++
+			}
+			perActivation(dr, cy)
+			now += dram.Time(cy.N)*cy.Period + 49
+		}
+		if m.TotalFlips() == 0 || batched == 0 {
+			t.Fatalf("flips %d, batched bursts %d; test is vacuous", m.TotalFlips(), batched)
+		}
+		compareState(t, dm, m, dr, r, "126-row cycle")
+		checkUnbound(t, m)
+	})
+	t.Run("back-to-back disjoint cycles", func(t *testing.T) {
+		// Alternating bursts over the even and the odd rows of one band:
+		// a position left bound by the previous call would make the next
+		// one treat its neighbours as hammered.
+		g := dram.Geometry{Banks: 1, Rows: 256, Cols: 4}
+		dm, m, dr, r := twin(t, g, denseParams(), 3)
+		var even, odd []int
+		for row := 40; row < 72; row += 2 {
+			even = append(even, row)
+			odd = append(odd, row+1)
+		}
+		now := dram.Time(0)
+		for iter := 0; iter < 40; iter++ {
+			rows := even
+			if iter%2 == 1 {
+				rows = odd
+			}
+			cy := dram.Cycle{Rows: rows, N: 50 + 37*iter, Start: now, Period: 49}
+			hammerCycle(dm, cy)
+			perActivation(dr, cy)
+			checkUnbound(t, m)
+			now += dram.Time(cy.N)*cy.Period + 49
+		}
+		if m.TotalFlips() == 0 {
+			t.Fatal("no flips; test is vacuous")
+		}
+		compareState(t, dm, m, dr, r, "back-to-back disjoint cycles")
+	})
+}
+
+// checkUnbound requires the per-call cycle index to be reset: no row
+// holds a position and no row words are bound.
+func checkUnbound(t *testing.T, m *Model) {
+	t.Helper()
+	for row, p := range m.pos {
+		if p != -1 {
+			t.Fatalf("row %d still bound to cycle position %d", row, p)
+		}
+	}
+	if len(m.words) != 0 {
+		t.Fatalf("%d row word slices still bound", len(m.words))
+	}
 }
 
 // TestHammerHorizonResidentCell pins where the horizon ends for a cell

@@ -1,6 +1,10 @@
 package disturb
 
-import "repro/internal/snapshot"
+import (
+	"slices"
+
+	"repro/internal/snapshot"
+)
 
 // encodedCellBytes is the size of one weak cell in SaveState's
 // encoding: nine 8-byte fields and a 1-byte flag.
@@ -48,8 +52,9 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores state saved by SaveState into a model built with
-// the same params and geometry. The payload is staged and validated
-// before the model is mutated; on error the model is unchanged.
+// the same params and geometry. The cells are staged in the model's
+// reused spare buffer and validated before the store is rebuilt from
+// them; on error the model is unchanged.
 func (m *Model) LoadState(r *snapshot.Reader) error {
 	r.Tag("disturb.Model")
 	var p Params
@@ -77,16 +82,15 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	dup := r.Bool()
 	totalFlips := r.I64()
 	epochFlips := r.I64()
-	n := r.U64()
+	n := r.Count(encodedCellBytes)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n > uint64(r.Remaining()/encodedCellBytes) {
-		return snapshot.Corruptf("disturb weak-cell count %d exceeds the %d bytes left", n, r.Remaining())
-	}
-	staged := make([]weakCell, 0, n)
+	// Stage into spare, which holds no state, so a failed load leaves
+	// the store untouched.
+	staged := slices.Grow(m.spare[:0], n)
 	bitsPerRow := geom.BitsPerRow()
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		wc := weakCell{
 			bank:       r.Int(),
 			physRow:    r.Int(),
@@ -111,6 +115,7 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 		staged = append(staged, wc)
 	}
 	// Commit: rebuild the store, reusing its slices.
+	m.spare = staged
 	m.index(staged)
 	m.dup = dup
 	m.totalFlips = totalFlips

@@ -202,8 +202,10 @@ type Device struct {
 	refreshPtr int // next row group for auto-refresh
 
 	// cycle is HammerCycle's scratch for the physical rows of a burst,
-	// rebuilt on every call.
-	cycle []int `snapshot:"derived"`
+	// rebuilt on every call; inCycle marks them while HammerCycle checks
+	// that they are distinct, and is all false between calls.
+	cycle   []int  `snapshot:"derived"`
+	inCycle []bool `snapshot:"derived"`
 }
 
 type bank struct {
@@ -373,15 +375,24 @@ func (d *Device) HammerCycle(cy Cycle) int {
 		if r < 0 || r >= d.Geom.Rows {
 			panic(fmt.Sprintf("dram: HammerCycle row %d out of range", r))
 		}
-		p := d.remap.Phys(r)
-		for _, q := range phys {
-			if q == p {
-				panic(fmt.Sprintf("dram: HammerCycle rows alias physical row %d", p))
-			}
-		}
-		phys = append(phys, p)
+		phys = append(phys, d.remap.Phys(r))
 	}
 	d.cycle = phys
+	if d.inCycle == nil {
+		d.inCycle = make([]bool, d.Geom.Rows)
+	}
+	for _, p := range phys {
+		if d.inCycle[p] {
+			for _, q := range phys {
+				d.inCycle[q] = false
+			}
+			panic(fmt.Sprintf("dram: HammerCycle rows alias physical row %d", p))
+		}
+		d.inCycle[p] = true
+	}
+	for _, p := range phys {
+		d.inCycle[p] = false
+	}
 	h := cy.N
 	for _, f := range d.faults {
 		cf, ok := f.(CycleFaultModel)

@@ -456,3 +456,21 @@ func TestHammerCycleRejectsBadBursts(t *testing.T) {
 		}()
 	}
 }
+
+// TestHammerCycleAfterRejectedAlias pins that a burst rejected for
+// aliasing rows leaves no stale marks: the same rows, distinct this
+// time, are accepted afterwards.
+func TestHammerCycleAfterRejectedAlias(t *testing.T) {
+	d := NewDevice(smallGeom())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("aliasing burst did not panic")
+			}
+		}()
+		d.HammerCycle(Cycle{Rows: []int{2, 4, 2}, N: 3, Period: 49})
+	}()
+	if n := d.HammerCycle(Cycle{Rows: []int{2, 4}, N: 2, Period: 49}); n != 2 {
+		t.Fatalf("distinct burst applied %d activations, want 2", n)
+	}
+}

@@ -39,8 +39,10 @@ func (d *Device) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores state saved by SaveState into a device of the
-// same geometry. The payload is staged and validated before any device
-// field is mutated; on error the device is unchanged.
+// same geometry. Every bank block has a fixed size, so the payload
+// length and each bank's header (open row, clock count) are validated
+// before anything is written; the clocks and cell words are then
+// decoded straight into the device. On error the device is unchanged.
 func (d *Device) LoadState(r *snapshot.Reader) error {
 	r.Tag("dram.Device")
 	g := Geometry{Banks: r.Int(), Rows: r.Int(), Cols: r.Int()}
@@ -69,44 +71,34 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 	if err != nil {
 		return snapshot.Corruptf("remap table: %v", err)
 	}
-	type bankState struct {
-		open        int
-		lastRestore []Time
-		slab        []uint64
+	// A bank block is the open row, the clock count, Rows clocks and
+	// Rows*Cols cell words.
+	body := 8 * (g.Rows + g.Rows*g.Cols)
+	if want := g.Banks * (16 + body); r.Remaining() < want {
+		return snapshot.Corruptf("%d bytes left for %d bank blocks of %d bytes", r.Remaining(), g.Banks, 16+body)
 	}
-	staged := make([]bankState, g.Banks)
-	for b := range staged {
-		open := r.Int()
-		n := r.U64()
-		if r.Err() == nil && int(n) != g.Rows {
-			return snapshot.Corruptf("bank %d has %d restore clocks, want %d", b, n, g.Rows)
-		}
-		lr := make([]Time, g.Rows)
-		for i := range lr {
-			lr[i] = Time(r.U64())
-		}
-		slab := make([]uint64, g.Rows*g.Cols)
-		for i := range slab {
-			slab[i] = r.U64()
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if open < -1 || open >= g.Rows {
+	probe := *r
+	for b := 0; b < g.Banks; b++ {
+		if open := probe.Int(); open < -1 || open >= g.Rows {
 			return snapshot.Corruptf("bank %d open row %d out of range", b, open)
 		}
-		staged[b] = bankState{open: open, lastRestore: lr, slab: slab}
+		if n := probe.U64(); n != uint64(g.Rows) {
+			return snapshot.Corruptf("bank %d has %d restore clocks, want %d", b, n, g.Rows)
+		}
+		probe.Skip(body)
 	}
-	// Commit.
+	// Commit: nothing below can fail.
 	d.Stats = st
 	d.refreshPtr = refreshPtr
 	d.remap = remap
-	for b, bk := range d.banks {
-		bk.openPhysRow = staged[b].open
-		copy(bk.lastRestore, staged[b].lastRestore)
-		// Copy into the existing slab so row slices keep aliasing it.
-		for rI, row := range bk.rows {
-			copy(row, staged[b].slab[rI*g.Cols:(rI+1)*g.Cols])
+	for _, bk := range d.banks {
+		bk.openPhysRow = r.Int()
+		r.U64()
+		for i := range bk.lastRestore {
+			bk.lastRestore[i] = Time(r.U64())
+		}
+		for _, row := range bk.rows {
+			r.U64sInto(row)
 		}
 	}
 	return nil

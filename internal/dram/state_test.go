@@ -1,7 +1,10 @@
 package dram
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -75,14 +78,79 @@ func TestDeviceLoadStateRejectsGeometryMismatch(t *testing.T) {
 	}
 }
 
+// TestDeviceLoadStateRejectsTruncation pins LoadState's
+// validate-then-decode order on a multi-bank device: payloads cut at
+// every bank boundary and in the middle of every bank's cell words, a
+// bad open row in the last bank and a wrong clock count must each
+// return ErrCorrupt and leave the target's saved bytes unchanged, even
+// though a valid decode writes straight into the device.
 func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
-	d := NewDevice(Geometry{Banks: 1, Rows: 16, Cols: 4})
+	g := Geometry{Banks: 3, Rows: 16, Cols: 4}
+	src := NewDevice(g)
+	for b := 0; b < g.Banks; b++ {
+		for r := 0; r < g.Rows; r++ {
+			src.FillPhysRow(b, r, uint64(b+1)<<40|uint64(r))
+		}
+	}
+	src.Activate(2, 9, 500)
+	src.AutoRefresh(900)
 	var w snapshot.Writer
-	d.SaveState(&w)
+	src.SaveState(&w)
 	full := w.Bytes()
-	d2 := NewDevice(Geometry{Banks: 1, Rows: 16, Cols: 4})
-	err := d2.LoadState(snapshot.NewReader(full[:len(full)/2]))
-	if !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
+
+	// The bank blocks are the payload's fixed-size tail: open row,
+	// clock count, Rows clocks, Rows*Cols cell words.
+	block := 16 + 8*g.Rows + 8*g.Rows*g.Cols
+	first := len(full) - g.Banks*block
+	if got := binary.BigEndian.Uint64(full[first+8:]); got != uint64(g.Rows) {
+		t.Fatalf("bank 0 clock count %d at offset %d, want %d", got, first+8, g.Rows)
+	}
+	patched := func(off int, v uint64) []byte {
+		b := append([]byte(nil), full...)
+		binary.BigEndian.PutUint64(b[off:], v)
+		return b
+	}
+	cases := map[string][]byte{
+		"bad open row in last bank":         patched(first+(g.Banks-1)*block, uint64(g.Rows)),
+		"open row below -1 in first bank":   patched(first, ^uint64(1)),
+		"wrong clock count in middle bank":  patched(first+block+8, uint64(g.Rows-1)),
+		"huge clock count in last bank":     patched(first+(g.Banks-1)*block+8, 1<<62),
+		"one byte short of the last bank":   full[:len(full)-1],
+		"cut inside the first bank's clock": full[:first+16+4],
+	}
+	for b := 0; b < g.Banks; b++ {
+		cases[fmt.Sprintf("cut at the start of bank %d", b)] = full[:first+b*block]
+		cases[fmt.Sprintf("cut mid-slab in bank %d", b)] = full[:first+b*block+16+8*g.Rows+4*g.Rows*g.Cols]
+	}
+
+	dst := NewDevice(g)
+	for b := 0; b < g.Banks; b++ {
+		for r := 0; r < g.Rows; r++ {
+			dst.FillPhysRow(b, r, ^uint64(r))
+		}
+	}
+	dst.Activate(0, 3, 100)
+	dst.Write(0, 1, 0xbeef)
+	var before snapshot.Writer
+	dst.SaveState(&before)
+	for name, payload := range cases {
+		err := dst.LoadState(snapshot.NewReader(payload))
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
+		}
+		var after snapshot.Writer
+		dst.SaveState(&after)
+		if !bytes.Equal(after.Bytes(), before.Bytes()) {
+			t.Fatalf("%s: failed load mutated the device", name)
+		}
+	}
+	// The untouched payload still loads.
+	if err := dst.LoadState(snapshot.NewReader(full)); err != nil {
+		t.Fatalf("full payload: %v", err)
+	}
+	var got snapshot.Writer
+	dst.SaveState(&got)
+	if !bytes.Equal(got.Bytes(), full) {
+		t.Fatal("full payload did not restore the source device")
 	}
 }

@@ -237,9 +237,7 @@ func (l *eccLayer) LoadState(r *snapshot.Reader) error {
 				return snapshot.Mismatchf("ECC shadow rank %d bank %d has %d words, checkpoint holds %d", ri, bi, len(l.shadow[ri][bi]), nw)
 			}
 			words := make([]uint64, nw)
-			for i := range words {
-				words[i] = r.U64()
-			}
+			r.U64sInto(words)
 			staged[ri][bi] = words
 		}
 	}

@@ -78,12 +78,12 @@ func (m *CRA) LoadState(r *snapshot.Reader) error {
 	r.Tag("mit.CRA")
 	refs := r.I64()
 	windowREFs := r.I64()
-	n := r.U64()
+	n := r.Count(24) // bank, row, count
 	if err := r.Err(); err != nil {
 		return err
 	}
 	staged := make(map[[2]int]int64, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k := [2]int{r.Int(), r.Int()}
 		staged[k] = r.I64()
 	}
@@ -175,20 +175,20 @@ func (m *ANVIL) LoadState(r *snapshot.Reader) error {
 	r.Tag("mit.ANVIL")
 	sampleCount := r.I64()
 	detections := r.I64()
-	wn := r.U64()
+	wn := r.Count(16) // bank, row
 	if err := r.Err(); err != nil {
 		return err
 	}
 	window := make([]rowKey, 0, wn)
-	for i := uint64(0); i < wn; i++ {
+	for i := 0; i < wn; i++ {
 		window = append(window, rowKey{bank: r.Int(), logRow: r.Int()})
 	}
-	fn := r.U64()
+	fn := r.Count(16) // bank, row
 	if err := r.Err(); err != nil {
 		return err
 	}
 	flagged := make(map[rowKey]bool, fn)
-	for i := uint64(0); i < fn; i++ {
+	for i := 0; i < fn; i++ {
 		flagged[rowKey{bank: r.Int(), logRow: r.Int()}] = true
 	}
 	if err := r.Err(); err != nil {
@@ -307,7 +307,7 @@ func (m *TWiCe) LoadState(r *snapshot.Reader) error {
 	}
 	staged := make([][]twEntry, nt)
 	for i := range staged {
-		ne := r.U64()
+		ne := r.Count(24) // row, count, life
 		if err := r.Err(); err != nil {
 			return err
 		}

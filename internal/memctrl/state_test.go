@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -208,5 +209,84 @@ func TestSystemStateRoundTrip(t *testing.T) {
 	}
 	if b.AggregateDeviceStats() != ref.AggregateDeviceStats() {
 		t.Fatal("aggregate device stats differ after resume")
+	}
+}
+
+// TestLoadStateRejectsHostileCounts feeds each mitigation decoder that
+// sizes an allocation by a checkpoint count a payload whose count
+// claims more elements than the bytes left can hold. Each must return
+// ErrCorrupt, not panic or allocate, and leave the mitigation's saved
+// state unchanged.
+func TestLoadStateRejectsHostileCounts(t *testing.T) {
+	rig := newStateRig(3, fullRoster)
+	rig.drive(3000)
+	var cra *CRA
+	var anvil *ANVIL
+	var twice *TWiCe
+	for _, m := range rig.ctrl.mitigations {
+		switch m := m.(type) {
+		case *CRA:
+			cra = m
+		case *ANVIL:
+			anvil = m
+		case *TWiCe:
+			twice = m
+		}
+	}
+	if cra == nil || anvil == nil || twice == nil {
+		t.Fatal("roster lacks CRA, ANVIL or TWiCe")
+	}
+	const hostile = 1 << 60
+	for _, tc := range []struct {
+		name  string
+		mit   StatefulMitigation
+		write func(w *snapshot.Writer)
+	}{
+		{"CRA counters", cra, func(w *snapshot.Writer) {
+			w.Tag("mit.CRA")
+			w.I64(0)
+			w.I64(0)
+			w.U64(hostile)
+		}},
+		{"ANVIL window", anvil, func(w *snapshot.Writer) {
+			w.Tag("mit.ANVIL")
+			w.I64(0)
+			w.I64(0)
+			w.U64(hostile)
+		}},
+		{"ANVIL flagged set", anvil, func(w *snapshot.Writer) {
+			w.Tag("mit.ANVIL")
+			w.I64(0)
+			w.I64(0)
+			w.U64(1)
+			w.Int(0)
+			w.Int(7)
+			w.U64(hostile)
+		}},
+		{"TWiCe table entries", twice, func(w *snapshot.Writer) {
+			w.Tag("mit.TWiCe")
+			w.I64(0)
+			w.I64(0)
+			w.Int(0)
+			w.U64(2) // the roster's TWiCe tracks two banks
+			w.U64(hostile)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.mit
+			var before, after, payload snapshot.Writer
+			m.SaveState(&before)
+			tc.write(&payload)
+			// A few spare bytes, so the count, not a plain truncation,
+			// is what the decoder must refuse.
+			payload.U64(0)
+			if err := m.LoadState(snapshot.NewReader(payload.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+			m.SaveState(&after)
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatal("failed load mutated the mitigation")
+			}
+		})
 	}
 }

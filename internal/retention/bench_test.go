@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/rng"
+	"repro/internal/snapshot"
 )
 
 // The decay hot path in isolation: a profiling-shaped refresh storm
@@ -56,3 +57,25 @@ func benchDecayStorm(b *testing.B, kind string) {
 func BenchmarkDecayStormFlat(b *testing.B)       { benchDecayStorm(b, "flat") }
 func BenchmarkDecayStormFlatPerRow(b *testing.B) { benchDecayStorm(b, "flat-per-row") }
 func BenchmarkDecayStormReference(b *testing.B)  { benchDecayStorm(b, "reference") }
+
+// BenchmarkLoadState restores one retention model of perfbench
+// hammer-campaign's rig geometry (128 rows of 8 words) from its
+// checkpoint. The campaign's modules keep DefaultParams' sparse tail;
+// the weak fraction is raised to 2e-3 here so the cell records, not
+// the header, dominate.
+func BenchmarkLoadState(b *testing.B) {
+	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
+	p := DefaultParams()
+	p.WeakFraction = 2e-3
+	m := NewModel(g, p, rng.New(1))
+	var w snapshot.Writer
+	m.SaveState(&w)
+	payload := w.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.LoadState(snapshot.NewReader(payload)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -198,92 +198,133 @@ func TestRefreshBankAllEquivalence(t *testing.T) {
 // holding weak cells through Device.HammerCycle on the flat model and
 // per activation on the reference. Periods up to 10 ms make rounds
 // outlast the shortest retention times and bursts span VRT toggles, so
-// horizons end on decays and on VRT draws as well as running long.
+// horizons end on decays and on VRT draws as well as running long. The
+// 126-row case is the width of rowhammer -mode many.
 func TestHammerCycleMatchesReference(t *testing.T) {
-	g := dram.Geometry{Banks: 2, Rows: 64, Cols: 4}
-	p := vrtParams()
-	p.VRTDwellSec, p.VRTLongDwellSec = 0.2, 0.5 // toggles inside bursts
-	dFlat := dram.NewDevice(g)
-	flat := NewModel(g, p, rng.New(11))
-	dFlat.AttachFault(flat)
-	dRef := dram.NewDevice(g)
-	ref := NewReference(g, p, rng.New(11))
-	dRef.AttachFault(ref)
-	for _, c := range flat.Cells() {
-		dFlat.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
-		dRef.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
-	}
-	periods := []dram.Time{49, dram.Microsecond, dram.Millisecond, 10 * dram.Millisecond}
-	src := rng.New(5)
-	now := dram.Time(0)
-	batched, single := 0, 0
-	for iter := 0; iter < 200; iter++ {
-		b := src.Intn(g.Banks)
-		var rows []int
-		for len(rows) < 2+src.Intn(4) {
-			if r := src.Intn(g.Rows); !slices.Contains(rows, r) {
-				rows = append(rows, r)
+	for _, tc := range []struct {
+		name  string
+		g     dram.Geometry
+		iters int
+		maxN  int
+		// rows picks a cycle's rows.
+		rows func(g dram.Geometry, src *rng.Stream) []int
+	}{
+		{"2-5 rows", dram.Geometry{Banks: 2, Rows: 64, Cols: 4}, 200, 300,
+			func(g dram.Geometry, src *rng.Stream) []int {
+				// The bound is redrawn on every check.
+				var rows []int
+				for len(rows) < 2+src.Intn(4) {
+					if r := src.Intn(g.Rows); !slices.Contains(rows, r) {
+						rows = append(rows, r)
+					}
+				}
+				return rows
+			}},
+		{"126 rows", dram.Geometry{Banks: 1, Rows: 320, Cols: 4}, 30, 1500,
+			func(g dram.Geometry, src *rng.Stream) []int {
+				var rows []int
+				for len(rows) < 126 {
+					if r := src.Intn(g.Rows); !slices.Contains(rows, r) {
+						rows = append(rows, r)
+					}
+				}
+				return rows
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			p := vrtParams()
+			p.VRTDwellSec, p.VRTLongDwellSec = 0.2, 0.5 // toggles inside bursts
+			dFlat := dram.NewDevice(g)
+			flat := NewModel(g, p, rng.New(11))
+			dFlat.AttachFault(flat)
+			dRef := dram.NewDevice(g)
+			ref := NewReference(g, p, rng.New(11))
+			dRef.AttachFault(ref)
+			for _, c := range flat.Cells() {
+				dFlat.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
+				dRef.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
 			}
-		}
-		cy := dram.Cycle{
-			Bank: b, Rows: rows, Pos: src.Intn(len(rows)), N: 1 + src.Intn(300),
-			Start: now, Period: periods[src.Intn(len(periods))], ClosedPage: iter%2 == 1,
-		}
-		if cy.ClosedPage {
-			dFlat.Precharge(b)
-			dRef.Precharge(b)
-		}
-		for done := 0; done < cy.N; {
-			step := cy
-			step.Pos = (cy.Pos + done) % len(rows)
-			step.N = cy.N - done
-			step.Start = cy.Start + dram.Time(done)*cy.Period
-			n := dFlat.HammerCycle(step)
-			if n > 1 {
-				batched++
-			} else {
-				single++
+			periods := []dram.Time{49, dram.Microsecond, dram.Millisecond, 10 * dram.Millisecond}
+			src := rng.New(5)
+			now := dram.Time(0)
+			batched, single, resident, coupled := 0, 0, 0, 0
+			for iter := 0; iter < tc.iters; iter++ {
+				b := src.Intn(g.Banks)
+				rows := tc.rows(g, src)
+				for _, r := range rows {
+					resident += len(flat.byRow[b*g.Rows+r])
+					for _, nr := range []int{r - 1, r + 1} {
+						if nr >= 0 && nr < g.Rows && !slices.Contains(rows, nr) {
+							coupled += len(flat.byRow[b*g.Rows+nr])
+						}
+					}
+				}
+				cy := dram.Cycle{
+					Bank: b, Rows: rows, Pos: src.Intn(len(rows)), N: 1 + src.Intn(tc.maxN),
+					Start: now, Period: periods[src.Intn(len(periods))], ClosedPage: iter%2 == 1,
+				}
+				if cy.ClosedPage {
+					dFlat.Precharge(b)
+					dRef.Precharge(b)
+				}
+				for done := 0; done < cy.N; {
+					step := cy
+					step.Pos = (cy.Pos + done) % len(rows)
+					step.N = cy.N - done
+					step.Start = cy.Start + dram.Time(done)*cy.Period
+					n := dFlat.HammerCycle(step)
+					if n > 1 {
+						batched++
+					} else {
+						single++
+					}
+					done += n
+				}
+				for j := 0; j < cy.N; j++ {
+					if !cy.ClosedPage {
+						dRef.Precharge(b)
+					}
+					dRef.Activate(b, rows[(cy.Pos+j)%len(rows)], cy.Start+dram.Time(j)*cy.Period)
+					if cy.ClosedPage {
+						dRef.Precharge(b)
+					}
+				}
+				now += dram.Time(cy.N)*cy.Period + dram.Time(src.Intn(2000))*dram.Millisecond
 			}
-			done += n
-		}
-		for j := 0; j < cy.N; j++ {
-			if !cy.ClosedPage {
+			// Resident cells sit in hammered rows; coupled cells sit
+			// beside them, where the hammered rows' data sets their
+			// data-pattern-dependent retention.
+			if flat.Decays() == 0 || batched == 0 || single == 0 || resident == 0 || coupled == 0 {
+				t.Fatalf("decays %d, batched chunks %d, single steps %d, resident cells %d, coupled cells %d; test is vacuous",
+					flat.Decays(), batched, single, resident, coupled)
+			}
+			// A closing storm exposes any drift in VRT draw consumption.
+			for b := 0; b < g.Banks; b++ {
+				dFlat.Precharge(b)
 				dRef.Precharge(b)
 			}
-			dRef.Activate(b, rows[(cy.Pos+j)%len(rows)], cy.Start+dram.Time(j)*cy.Period)
-			if cy.ClosedPage {
-				dRef.Precharge(b)
+			storm(dFlat, true)
+			storm(dRef, false)
+			if flat.Decays() != ref.Decays() {
+				t.Fatalf("decays: flat %d vs reference %d", flat.Decays(), ref.Decays())
 			}
-		}
-		now += dram.Time(cy.N)*cy.Period + dram.Time(src.Intn(2000))*dram.Millisecond
-	}
-	if flat.Decays() == 0 || batched == 0 || single == 0 {
-		t.Fatalf("decays %d, batched chunks %d, single steps %d; test is vacuous", flat.Decays(), batched, single)
-	}
-	// A closing storm exposes any drift in VRT draw consumption.
-	for b := 0; b < g.Banks; b++ {
-		dFlat.Precharge(b)
-		dRef.Precharge(b)
-	}
-	storm(dFlat, true)
-	storm(dRef, false)
-	if flat.Decays() != ref.Decays() {
-		t.Fatalf("decays: flat %d vs reference %d", flat.Decays(), ref.Decays())
-	}
-	if dFlat.Stats != dRef.Stats {
-		t.Fatalf("stats: flat %+v vs reference %+v", dFlat.Stats, dRef.Stats)
-	}
-	ff, rf := fingerprint(t, dFlat), fingerprint(t, dRef)
-	for i := range ff {
-		if ff[i] != rf[i] {
-			t.Fatalf("cell contents diverge at word %d", i)
-		}
-	}
-	for b := 0; b < g.Banks; b++ {
-		for r := 0; r < g.Rows; r++ {
-			if dFlat.LastRestore(b, r) != dRef.LastRestore(b, r) {
-				t.Fatalf("bank %d row %d: lastRestore flat %d vs reference %d", b, r, dFlat.LastRestore(b, r), dRef.LastRestore(b, r))
+			if dFlat.Stats != dRef.Stats {
+				t.Fatalf("stats: flat %+v vs reference %+v", dFlat.Stats, dRef.Stats)
 			}
-		}
+			ff, rf := fingerprint(t, dFlat), fingerprint(t, dRef)
+			for i := range ff {
+				if ff[i] != rf[i] {
+					t.Fatalf("cell contents diverge at word %d", i)
+				}
+			}
+			for b := 0; b < g.Banks; b++ {
+				for r := 0; r < g.Rows; r++ {
+					if dFlat.LastRestore(b, r) != dRef.LastRestore(b, r) {
+						t.Fatalf("bank %d row %d: lastRestore flat %d vs reference %d", b, r, dFlat.LastRestore(b, r), dRef.LastRestore(b, r))
+					}
+				}
+			}
+		})
 	}
 }

@@ -38,11 +38,13 @@ func NewReference(geom dram.Geometry, p Params, src *rng.Stream) *Reference {
 		src:       src,
 		tempScale: p.tempScale(),
 	}
-	samplePopulation(geom, p, src, func(wc *weakCell) {
+	cells := samplePopulation(geom, p, src)
+	for i := range cells {
+		wc := &cells[i]
 		m.cells = append(m.cells, wc)
 		k := [2]int{wc.bank, wc.physRow}
 		m.byRow[k] = append(m.byRow[k], wc)
-	})
+	}
 	return m
 }
 

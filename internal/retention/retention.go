@@ -111,9 +111,9 @@ type weakCell struct {
 }
 
 // samplePopulation draws the weak-cell population for a device of the
-// given geometry and hands each cell to add. The draw sequence is
-// deterministic given the stream and shared between Model and the
-// test-only Reference so both see the identical population.
+// given geometry, in draw order. The draw sequence is deterministic
+// given the stream and shared between Model and the test-only
+// Reference so both see the identical population.
 //
 // A position collision (two draws landing on one (bank,row,bit))
 // resamples the location until it is free, keeping the already sampled
@@ -122,28 +122,36 @@ type weakCell struct {
 // population below the Binomial draw n. No-collision draws consume the
 // exact legacy stream, so populations are unchanged wherever
 // collisions cannot occur.
-func samplePopulation(geom dram.Geometry, p Params, src *rng.Stream, add func(*weakCell)) {
+func samplePopulation(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 	if p.WeakFraction <= 0 {
-		return
+		return nil
 	}
 	n := src.Binomial(geom.TotalCells(), p.WeakFraction)
 	bitsPerRow := geom.BitsPerRow()
-	seen := make(map[[3]int]bool, n)
-	for i := int64(0); i < n; i++ {
-		wc := &weakCell{
+	mu := math.Log(p.MedianSec)
+	cells := make([]weakCell, n)
+	// seen holds the flat bit position (bank*Rows+physRow)*bitsPerRow+bit
+	// of every placed cell.
+	seen := make(map[int64]bool, n)
+	flat := func(wc *weakCell) int64 {
+		return int64(wc.bank*geom.Rows+wc.physRow)*int64(bitsPerRow) + int64(wc.bit)
+	}
+	for i := range cells {
+		wc := &cells[i]
+		*wc = weakCell{
 			bank:    src.Intn(geom.Banks),
 			physRow: src.Intn(geom.Rows),
 			bit:     src.Intn(bitsPerRow),
-			baseSec: math.Max(p.MinSec, src.LogNormal(math.Log(p.MedianSec), p.Sigma)),
+			baseSec: math.Max(p.MinSec, src.LogNormal(mu, p.Sigma)),
 			dpd:     src.Bool(p.DPDFraction),
 			vrt:     src.Bool(p.VRTFraction),
 		}
-		pos := [3]int{wc.bank, wc.physRow, wc.bit}
+		pos := flat(wc)
 		for seen[pos] {
 			wc.bank = src.Intn(geom.Banks)
 			wc.physRow = src.Intn(geom.Rows)
 			wc.bit = src.Intn(bitsPerRow)
-			pos = [3]int{wc.bank, wc.physRow, wc.bit}
+			pos = flat(wc)
 		}
 		seen[pos] = true
 		if src.Bool(0.5) {
@@ -159,20 +167,22 @@ func samplePopulation(geom dram.Geometry, p Params, src *rng.Stream, add func(*w
 			wc.vrtLong = src.Bool(long / (long + p.VRTDwellSec))
 			wc.vrtNext = secToTime(src.Exponential(dwellFor(p, wc.vrtLong)))
 		}
-		add(wc)
 	}
+	return cells
 }
 
 // Model is a dram.FaultModel implementing retention decay.
 type Model struct {
 	params Params
 	geom   dram.Geometry
-	// byRow is a dense flat index keyed by bank*geom.Rows+physRow,
-	// listing the weak cells residing in a row. It replaces the seed's
-	// map[[2]int] index, turning the per-restore lookup into a single
-	// slice load.
+	// cells is the population in draw (and save) order, one backing
+	// array. byRow is a dense flat index keyed by bank*geom.Rows+physRow:
+	// byRow[idx] lists the cells residing in the row, in draw order,
+	// and every row's list is a sub-slice of one row-sorted slice of
+	// pointers into cells. It replaces the seed's map[[2]int] index,
+	// turning the per-restore lookup into a single slice load.
 	byRow     [][]*weakCell
-	cells     []*weakCell
+	cells     []weakCell
 	src       *rng.Stream
 	decays    int64
 	tempScale float64 `snapshot:"derived"` // recomputed from Params at construction
@@ -194,12 +204,42 @@ func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
 		src:       src,
 		tempScale: p.tempScale(),
 	}
-	samplePopulation(geom, p, src, func(wc *weakCell) {
-		m.cells = append(m.cells, wc)
-		idx := wc.bank*geom.Rows + wc.physRow
-		m.byRow[idx] = append(m.byRow[idx], wc)
-	})
+	m.index(samplePopulation(geom, p, src))
 	return m
+}
+
+// index installs cells as the population and rebuilds byRow with a
+// stable counting sort over rows, so each row lists its cells in
+// draw order, the order VRT draws follow.
+func (m *Model) index(cells []weakCell) {
+	rows := m.geom.Rows
+	// start[idx+1] counts row idx's cells; the prefix sum turns
+	// start[idx] into the offset of row idx's range in sorted, and
+	// placing each cell at its row's offset advances it, so afterwards
+	// start[idx] is where row idx's range ends.
+	start := make([]int32, len(m.byRow)+1)
+	for i := range cells {
+		start[cells[i].bank*rows+cells[i].physRow+1]++
+	}
+	for idx := 1; idx < len(start); idx++ {
+		start[idx] += start[idx-1]
+	}
+	sorted := make([]*weakCell, len(cells))
+	for i := range cells {
+		idx := cells[i].bank*rows + cells[i].physRow
+		sorted[start[idx]] = &cells[i]
+		start[idx]++
+	}
+	lo := int32(0)
+	for idx := range m.byRow {
+		hi := start[idx]
+		m.byRow[idx] = nil
+		if hi > lo {
+			m.byRow[idx] = sorted[lo:hi:hi]
+		}
+		lo = hi
+	}
+	m.cells = cells
 }
 
 func secToTime(s float64) dram.Time {
@@ -427,7 +467,8 @@ type CellInfo struct {
 // experiments but, by construction, not to the profiling engine).
 func (m *Model) Cells() []CellInfo {
 	out := make([]CellInfo, 0, len(m.cells))
-	for _, wc := range m.cells {
+	for i := range m.cells {
+		wc := &m.cells[i]
 		out = append(out, CellInfo{
 			Bank: wc.bank, PhysRow: wc.physRow, Bit: wc.bit,
 			BaseSec: wc.baseSec, ChargedVal: wc.chargedVal,

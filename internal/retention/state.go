@@ -36,7 +36,8 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 	w.I64(m.decays)
 	m.src.SaveState(w)
 	w.U64(uint64(len(m.cells)))
-	for _, wc := range m.cells {
+	for i := range m.cells {
+		wc := &m.cells[i]
 		w.Int(wc.bank)
 		w.Int(wc.physRow)
 		w.Int(wc.bit)
@@ -84,17 +85,15 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	if err := stagedSrc.LoadState(r); err != nil {
 		return err
 	}
-	n := r.U64()
+	n := r.Count(encodedCellBytes)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n > uint64(r.Remaining()/encodedCellBytes) {
-		return snapshot.Corruptf("retention cell count %d exceeds the %d bytes left", n, r.Remaining())
-	}
-	staged := make([]*weakCell, 0, n)
+	staged := make([]weakCell, n)
 	bitsPerRow := geom.BitsPerRow()
-	for i := uint64(0); i < n; i++ {
-		wc := &weakCell{
+	for i := range staged {
+		wc := &staged[i]
+		*wc = weakCell{
 			bank:       r.Int(),
 			physRow:    r.Int(),
 			bit:        r.Int(),
@@ -113,17 +112,10 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 			wc.bit < 0 || wc.bit >= bitsPerRow || wc.chargedVal > 1 {
 			return snapshot.Corruptf("retention cell %d out of range: %+v", i, *wc)
 		}
-		staged = append(staged, wc)
 	}
-	// Commit: rebuild the population and row index from scratch.
+	// Commit: install the staged population and rebuild the row index.
 	*m.src = stagedSrc
 	m.decays = decays
-	m.cells = nil
-	m.byRow = make([][]*weakCell, geom.Banks*geom.Rows)
-	for _, wc := range staged {
-		m.cells = append(m.cells, wc)
-		idx := wc.bank*geom.Rows + wc.physRow
-		m.byRow[idx] = append(m.byRow[idx], wc)
-	}
+	m.index(staged)
 	return nil
 }

@@ -179,8 +179,18 @@ type Reader struct {
 // NewReader wraps a payload.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
+// errShortU64 marks a U64 that ran past the payload. A failed read
+// does not advance, so Err can still report where it happened.
+var errShortU64 = errors.New("short uint64 read")
+
 // Err returns the sticky decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (r *Reader) Err() error {
+	if r.err == errShortU64 {
+		r.err = nil
+		r.fail("payload truncated at offset %d (want 8 more bytes, have %d)", r.off, r.Remaining())
+	}
+	return r.err
+}
 
 // Remaining returns the number of unread payload bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
@@ -222,13 +232,52 @@ func (r *Reader) U32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
-// U64 reads a uint64.
+// U64 reads a uint64. It is small enough to inline at every call site:
+// a short read records errShortU64, a sentinel that needs no call to
+// build, and Err expands it into the detailed truncation error.
 func (r *Reader) U64() uint64 {
-	b := r.take(8)
+	if r.err == nil && r.off <= len(r.b)-8 {
+		v := binary.BigEndian.Uint64(r.b[r.off:])
+		r.off += 8
+		return v
+	}
+	if r.err == nil {
+		r.err = errShortU64
+	}
+	return 0
+}
+
+// U64sInto decodes len(dst) fixed-width uint64s into dst, checking the
+// length once. On a short payload it fails like any other read and
+// leaves dst untouched.
+func (r *Reader) U64sInto(dst []uint64) {
+	b := r.take(8 * len(dst))
 	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint64(b[8*i:])
+	}
+}
+
+// Skip advances past n bytes, failing like a read if fewer are left.
+func (r *Reader) Skip(n int) { r.take(n) }
+
+// Count reads an element count and fails with ErrCorrupt (returning 0)
+// when that many elements of at least minBytes encoded bytes each
+// cannot fit in the rest of the payload. Decoders size allocations by
+// it, so a hostile count cannot drive an allocation larger than the
+// payload it came in.
+func (r *Reader) Count(minBytes int) int {
+	n := r.U64()
+	if r.err != nil {
 		return 0
 	}
-	return binary.BigEndian.Uint64(b)
+	if n > uint64(r.Remaining()/minBytes) {
+		r.fail("count %d at offset %d exceeds the %d bytes left (%d per element)", n, r.off-8, r.Remaining(), minBytes)
+		return 0
+	}
+	return int(n)
 }
 
 // I64 reads an int64.
@@ -325,10 +374,11 @@ func (r *Reader) Ints() []int {
 }
 
 // Tag consumes a component frame tag and fails with ErrCorrupt if it
-// does not match the expected name.
+// does not match the expected name. The tag is compared in place, not
+// copied out.
 func (r *Reader) Tag(name string) {
-	got := r.String()
-	if r.err == nil && got != name {
+	got := r.take(r.sliceLen())
+	if r.err == nil && string(got) != name {
 		r.fail("component tag %q, want %q", got, name)
 	}
 }

@@ -254,3 +254,88 @@ func TestStickyReaderError(t *testing.T) {
 		t.Fatalf("error not sticky: %v vs %v", r.Err(), first)
 	}
 }
+
+func TestShortU64ReportsOffset(t *testing.T) {
+	r := NewReader(make([]byte, 12))
+	r.U64()
+	if got := r.U64(); got != 0 {
+		t.Fatalf("short read = %d, want 0", got)
+	}
+	err := r.Err()
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "offset 8") {
+		t.Fatalf("want ErrCorrupt naming offset 8, got %v", err)
+	}
+	if r.Remaining() != 4 {
+		t.Fatalf("a failed read advanced the reader: %d bytes left, want 4", r.Remaining())
+	}
+}
+
+func TestReaderCount(t *testing.T) {
+	var w Writer
+	w.U64(2)
+	w.U64(5)
+	w.U64(0)
+	w.U64s([]uint64{1, 2})
+	r := NewReader(w.Bytes())
+	// 2 elements of 16 bytes fit the 40 bytes left after the count.
+	if n := r.Count(16); n != 2 || r.Err() != nil {
+		t.Fatalf("Count = %d, %v; want 2, nil", n, r.Err())
+	}
+	// 5 elements of 8 bytes do not fit the 32 bytes left.
+	if n := r.Count(8); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("hostile Count = %d, %v; want 0, ErrCorrupt", n, r.Err())
+	}
+	if n := r.Count(1); n != 0 {
+		t.Fatalf("Count after an error = %d, want 0", n)
+	}
+	for _, n := range []uint64{1 << 60, ^uint64(0)} {
+		var h Writer
+		h.U64(n)
+		h.U64(0)
+		r := NewReader(h.Bytes())
+		if got := r.Count(1); got != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+			t.Fatalf("count %d: Count = %d, %v; want 0, ErrCorrupt", n, got, r.Err())
+		}
+	}
+}
+
+func TestReaderU64sIntoAndSkip(t *testing.T) {
+	var w Writer
+	for i := uint64(1); i <= 5; i++ {
+		w.U64(i * 11)
+	}
+	r := NewReader(w.Bytes())
+	r.Skip(8)
+	got := make([]uint64, 3)
+	r.U64sInto(got)
+	if r.Err() != nil || got[0] != 22 || got[1] != 33 || got[2] != 44 {
+		t.Fatalf("U64sInto = %v, %v; want [22 33 44]", got, r.Err())
+	}
+	// Two words wanted, one left: the read fails and dst is untouched.
+	dst := []uint64{7, 7}
+	r.U64sInto(dst)
+	if !errors.Is(r.Err(), ErrCorrupt) || dst[0] != 7 || dst[1] != 7 {
+		t.Fatalf("short U64sInto: %v, %v; want ErrCorrupt and [7 7]", dst, r.Err())
+	}
+	r = NewReader(w.Bytes())
+	r.Skip(41)
+	if !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("Skip past the end: want ErrCorrupt, got %v", r.Err())
+	}
+}
+
+func TestTagComparedInPlace(t *testing.T) {
+	var w Writer
+	w.Tag("dram.Device")
+	payload := w.Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		r := NewReader(payload)
+		r.Tag("dram.Device")
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("matching Tag allocates %v times per read, want 0", allocs)
+	}
+}
