@@ -213,3 +213,25 @@ func BenchmarkLoadState(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewModel builds one model at hammer-campaign's rig shape
+// (see campaignParams). miss draws from a stream state never seen
+// before, so it samples, indexes and fills the population memo; hit
+// rebuilds one spec, as a rebuilt rig does, and clones from the memo.
+func BenchmarkNewModel(b *testing.B) {
+	p := campaignParams()
+	seed := uint64(1 << 40)
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			seed++
+			NewModel(campaignGeom, p, rng.New(seed))
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewModel(campaignGeom, p, rng.New(1))
+		}
+	})
+}

@@ -218,12 +218,12 @@ var (
 
 // NewModel samples the weak-cell population for a device of the given
 // geometry. Construction is deterministic given the stream and draws
-// the identical population to NewReference.
+// the identical population to NewReference. A population already drawn
+// in this process from the same geometry, params and stream state is
+// cloned from the population memo (memo.go) instead, and src is left
+// where the draw would have left it.
 func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
-	m := &Model{params: p, geom: geom}
-	m.spare = sampleWeakCells(geom, p, src)
-	m.index(m.spare)
-	return m
+	return populations.newModel(geom, p, src)
 }
 
 // index rebuilds the row-sorted store from cells given in insertion

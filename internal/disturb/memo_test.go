@@ -1,0 +1,239 @@
+package disturb
+
+import (
+	"bytes"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/dram"
+	"repro/internal/rng"
+	"repro/internal/snapshot"
+)
+
+// drawFresh builds a model the way NewModel does on a memo miss,
+// without consulting or filling any memo.
+func drawFresh(geom dram.Geometry, p Params, src *rng.Stream) *Model {
+	m := &Model{params: p, geom: geom}
+	m.spare = sampleWeakCells(geom, p, src)
+	m.index(m.spare)
+	return m
+}
+
+// campaignGeom and campaignParams are perfbench hammer-campaign's rig
+// shape: one bank of 128 rows of 8 words, 2e-3 weak cells, thresholds
+// divided by 100.
+var campaignGeom = dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
+
+func campaignParams() Params {
+	p := DefaultParams()
+	p.WeakCellFraction = 2e-3
+	p.ThresholdMedian /= 100
+	p.MinThreshold /= 100
+	return p
+}
+
+type memoCase struct {
+	name string
+	geom dram.Geometry
+	p    Params
+}
+
+var memoCases = []memoCase{
+	{"default", dram.Geometry{Banks: 2, Rows: 512, Cols: 16}, DefaultParams()},
+	{"invulnerable", dram.Geometry{Banks: 2, Rows: 512, Cols: 16}, Invulnerable()},
+	{"campaign", campaignGeom, campaignParams()},
+}
+
+// checkSameModel requires two models to hold identical stores and save
+// identical bytes.
+func checkSameModel(t *testing.T, ctx string, got, want *Model) {
+	t.Helper()
+	if !slices.Equal(got.cells, want.cells) || !slices.Equal(got.order, want.order) ||
+		!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.aggStart, want.aggStart) ||
+		!slices.Equal(got.aggs, want.aggs) || got.minThreshold != want.minThreshold {
+		t.Fatalf("%s: store differs from a fresh draw", ctx)
+	}
+	if !bytes.Equal(saveBytes(got), saveBytes(want)) {
+		t.Fatalf("%s: SaveState bytes differ from a fresh draw", ctx)
+	}
+}
+
+// drawChecked builds a model through pm from a stream at st and
+// requires it, and the stream it leaves behind, to equal a fresh
+// draw's.
+func drawChecked(t *testing.T, ctx string, pm *popMemo, c memoCase, st rng.State) *Model {
+	t.Helper()
+	fsrc, src := rng.FromState(st), rng.FromState(st)
+	want := drawFresh(c.geom, c.p, fsrc)
+	m := pm.newModel(c.geom, c.p, src)
+	checkSameModel(t, ctx, m, want)
+	if src.State() != fsrc.State() {
+		t.Fatalf("%s: stream state after NewModel differs from a fresh draw", ctx)
+	}
+	if src.Uint64() != fsrc.Uint64() {
+		t.Fatalf("%s: the stream's next draw differs from a fresh draw", ctx)
+	}
+	return m
+}
+
+// TestMemoHitMatchesMiss pins that a memo hit is indistinguishable from
+// a miss: the same store and SaveState bytes, and the stream left at
+// the same state, for a default, an empty and a campaign population.
+// All builds share one memo, so a key that dropped the params or any
+// part of the stream state would hand one of them another's population:
+// the default and empty cases share a geometry, and the streams differ
+// only in their cached spare Gaussian.
+func TestMemoHitMatchesMiss(t *testing.T) {
+	withSpare := rng.New(7)
+	withSpare.Normal(0, 1)
+	noSpare := withSpare.State()
+	noSpare.HaveSpare, noSpare.Spare = false, 0
+	states := []struct {
+		name string
+		st   rng.State
+	}{
+		{"fresh", rng.New(7).State()},
+		{"spare", withSpare.State()},
+		{"no spare", noSpare},
+	}
+	pm := &popMemo{budget: memoBudget}
+	for _, c := range memoCases {
+		for _, s := range states {
+			ctx, st := c.name+"/"+s.name, s.st
+			drawChecked(t, ctx+" miss", pm, c, st)
+			n := len(pm.entries)
+			drawChecked(t, ctx+" hit", pm, c, st)
+			if len(pm.entries) != n || pm.entries[newMemoKey(c.geom, c.p, st)] == nil {
+				t.Fatalf("%s: second build was not a memo hit", ctx)
+			}
+		}
+	}
+	if want := len(memoCases) * len(states); len(pm.entries) != want {
+		t.Fatalf("memo holds %d populations, want %d", len(pm.entries), want)
+	}
+}
+
+// TestMemoSurvivesModelMutation drives a missed and a hit model through
+// flips, InjectWeakCell and LoadState; a later build of the same spec
+// must still equal a fresh draw.
+func TestMemoSurvivesModelMutation(t *testing.T) {
+	c := memoCase{"aggressive", dram.Geometry{Banks: 1, Rows: 256, Cols: 8}, aggressiveParams()}
+	pm := &popMemo{budget: memoBudget}
+	var other snapshot.Writer
+	drawFresh(c.geom, c.p, rng.New(99)).SaveState(&other)
+	for _, ctx := range []string{"miss", "hit"} {
+		m := drawChecked(t, ctx, pm, c, rng.New(3).State())
+		d := dram.NewDevice(c.geom)
+		d.AttachFault(m)
+		for r := 0; r < c.geom.Rows; r++ {
+			d.FillPhysRow(0, r, 0xffffffffffffffff)
+		}
+		hammer(d, []int{99, 101}, 5000)
+		if m.TotalFlips() == 0 {
+			t.Fatalf("%s: hammering produced no flips; test is vacuous", ctx)
+		}
+		m.InjectWeakCell(0, 100, 3, 10, 1, 1, 1, 1)
+		if err := m.LoadState(snapshot.NewReader(other.Bytes())); err != nil {
+			t.Fatalf("%s: LoadState: %v", ctx, err)
+		}
+		m.InjectWeakCell(0, 10, 5, 10, 0, 2, 0.5, 1)
+	}
+	drawChecked(t, "after mutation", pm, c, rng.New(3).State())
+}
+
+// TestMemoConcurrent builds models from eight goroutines at once, over
+// keys that start as misses and turn into hits; run under -race.
+func TestMemoConcurrent(t *testing.T) {
+	c := memoCase{"campaign", campaignGeom, campaignParams()}
+	seeds := []uint64{11, 12, 13, 14}
+	want := make([][]byte, len(seeds))
+	for i, s := range seeds {
+		want[i] = saveBytes(drawFresh(c.geom, c.p, rng.New(s)))
+	}
+	pm := &popMemo{budget: memoBudget}
+	var wg sync.WaitGroup
+	errs := make([]string, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(seeds)
+				m := pm.newModel(c.geom, c.p, rng.New(seeds[k]))
+				if !bytes.Equal(saveBytes(m), want[k]) {
+					errs[g] = "population differs from a fresh draw"
+					return
+				}
+				m.InjectWeakCell(0, 5, 1, 10, 1, 1, 1, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	for g, e := range errs {
+		if e != "" {
+			t.Fatalf("goroutine %d: %s", g, e)
+		}
+	}
+	if len(pm.entries) != len(seeds) || len(pm.fifo) != len(seeds) {
+		t.Fatalf("memo holds %d populations in a fifo of %d, want %d", len(pm.entries), len(pm.fifo), len(seeds))
+	}
+}
+
+// checkMemoAccounts requires the memo's byte count to be the sum of
+// its entries' sizes, within budget, with fifo listing every entry
+// once.
+func checkMemoAccounts(t *testing.T, pm *popMemo) {
+	t.Helper()
+	sum := 0
+	for _, k := range pm.fifo {
+		e := pm.entries[k]
+		if e == nil {
+			t.Fatal("fifo names a population the memo does not hold")
+		}
+		sum += e.bytes
+	}
+	if len(pm.fifo) != len(pm.entries) || sum != pm.bytes || pm.bytes > pm.budget {
+		t.Fatalf("memo accounts: %d entries, fifo %d, %d bytes counted, %d summed, budget %d",
+			len(pm.entries), len(pm.fifo), pm.bytes, sum, pm.budget)
+	}
+}
+
+// TestMemoEvictionBound pins the budget: inserting past it evicts the
+// oldest populations first, and a population larger than the whole
+// budget is drawn fresh every time, correctly, and never cached.
+func TestMemoEvictionBound(t *testing.T) {
+	c := memoCase{"campaign", campaignGeom, campaignParams()}
+	probe := &popMemo{budget: memoBudget}
+	probe.newModel(c.geom, c.p, rng.New(1))
+	size := probe.bytes
+	if size == 0 {
+		t.Fatal("probe population has no size")
+	}
+	// Room for two populations of about this size, not three.
+	pm := &popMemo{budget: 2*size + size/2}
+	seeds := []uint64{1, 2, 3, 4, 5}
+	for i, s := range seeds {
+		drawChecked(t, "fill", pm, c, rng.New(s).State())
+		checkMemoAccounts(t, pm)
+		if pm.fifo[len(pm.fifo)-1] != newMemoKey(c.geom, c.p, rng.New(s).State()) {
+			t.Fatalf("seed %d: newest population is not last in the fifo", s)
+		}
+		if i >= 2 && len(pm.entries) > 2 {
+			t.Fatalf("seed %d: memo holds %d populations within a budget for 2", s, len(pm.entries))
+		}
+	}
+	if pm.entries[newMemoKey(c.geom, c.p, rng.New(1).State())] != nil {
+		t.Fatal("oldest population survived eviction")
+	}
+	// Hits on a full memo still match.
+	drawChecked(t, "hit on a full memo", pm, c, rng.New(5).State())
+
+	tiny := &popMemo{budget: size / 2}
+	for i := 0; i < 3; i++ {
+		drawChecked(t, "over budget", tiny, c, rng.New(1).State())
+		if len(tiny.entries) != 0 || tiny.bytes != 0 {
+			t.Fatalf("memo cached a population over its budget: %d entries, %d bytes", len(tiny.entries), tiny.bytes)
+		}
+	}
+}

@@ -93,7 +93,13 @@ func (rt *RemapTable) PhysSlice() []int {
 // RemapFromPhysSlice reconstructs a table from a logical→physical
 // mapping, validating bijectivity.
 func RemapFromPhysSlice(phys []int) (*RemapTable, error) {
-	rt := &RemapTable{phys: append([]int(nil), phys...), log: make([]int, len(phys))}
+	return remapFromOwnedPhys(append([]int(nil), phys...))
+}
+
+// remapFromOwnedPhys is RemapFromPhysSlice for a slice the table may
+// keep.
+func remapFromOwnedPhys(phys []int) (*RemapTable, error) {
+	rt := &RemapTable{phys: phys, log: make([]int, len(phys))}
 	for i := range rt.log {
 		rt.log[i] = -1
 	}

@@ -1,6 +1,10 @@
 package dram
 
-import "repro/internal/snapshot"
+import (
+	"slices"
+
+	"repro/internal/snapshot"
+)
 
 // SaveState serializes the device's mutable state: stats, the refresh
 // pointer, the remap table, and per bank the open row, charge-restore
@@ -60,16 +64,35 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 	st.RowRefreshes = r.I64()
 	st.OpEnergyPJ = r.F64()
 	refreshPtr := r.Int()
-	physRemap := r.Ints()
+	if n := r.Count(8); r.Err() == nil && n != g.Rows {
+		return snapshot.Corruptf("remap table covers %d rows, device has %d", n, g.Rows)
+	}
+	// Decode the remap table against the installed one, which covers
+	// Rows rows: a restore onto an equal table (every
+	// rebuild-then-overlay restore) keeps it and allocates nothing. The
+	// first differing entry switches to a private copy, so the installed
+	// table, which callers may hold, is never written.
+	remap := d.remap
+	phys := remap.phys
+	for l := range phys {
+		if p := r.Int(); p != phys[l] {
+			if remap != nil {
+				phys, remap = slices.Clone(phys), nil
+			}
+			phys[l] = p
+		}
+	}
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if refreshPtr < 0 || refreshPtr >= g.Rows {
 		return snapshot.Corruptf("refresh pointer %d out of range", refreshPtr)
 	}
-	remap, err := RemapFromPhysSlice(physRemap)
-	if err != nil {
-		return snapshot.Corruptf("remap table: %v", err)
+	if remap == nil {
+		var err error
+		if remap, err = remapFromOwnedPhys(phys); err != nil {
+			return snapshot.Corruptf("remap table: %v", err)
+		}
 	}
 	// A bank block is the open row, the clock count, Rows clocks and
 	// Rows*Cols cell words.

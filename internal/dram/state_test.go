@@ -33,8 +33,22 @@ func TestDeviceStateRoundTrip(t *testing.T) {
 	d.SaveState(&w)
 
 	d2 := NewDevice(g)
+	identity := d2.Remap()
 	if err := d2.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
 		t.Fatalf("LoadState: %v", err)
+	}
+	// A differing table is installed as a new one; the table it
+	// replaces, which callers may still hold, is not written.
+	if d2.Remap() == identity || !identity.IsIdentity() {
+		t.Fatal("restore wrote the replaced remap table")
+	}
+	// Restoring onto an equal table keeps the installed one.
+	restored := d2.Remap()
+	if err := d2.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
+		t.Fatalf("second LoadState: %v", err)
+	}
+	if d2.Remap() != restored {
+		t.Fatal("restore onto an equal remap table replaced it")
 	}
 	if d2.Stats != d.Stats {
 		t.Fatalf("stats mismatch: %+v vs %+v", d2.Stats, d.Stats)
@@ -81,9 +95,11 @@ func TestDeviceLoadStateRejectsGeometryMismatch(t *testing.T) {
 // TestDeviceLoadStateRejectsTruncation pins LoadState's
 // validate-then-decode order on a multi-bank device: payloads cut at
 // every bank boundary and in the middle of every bank's cell words, a
-// bad open row in the last bank and a wrong clock count must each
-// return ErrCorrupt and leave the target's saved bytes unchanged, even
-// though a valid decode writes straight into the device.
+// remap table that maps a physical row twice, names one out of range
+// or covers too few rows, a bad open row in the last bank and a wrong
+// clock count must each return ErrCorrupt and leave the target's saved
+// bytes unchanged, even though a valid decode writes straight into the
+// device.
 func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 	g := Geometry{Banks: 3, Rows: 16, Cols: 4}
 	src := NewDevice(g)
@@ -110,7 +126,13 @@ func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 		binary.BigEndian.PutUint64(b[off:], v)
 		return b
 	}
+	// The remap table's Rows entries sit just before the bank blocks,
+	// after its length.
+	remapAt := first - 8*g.Rows
 	cases := map[string][]byte{
+		"duplicate physical row in remap":   patched(remapAt+8, 0),
+		"remap row out of range":            patched(first-8, uint64(g.Rows)),
+		"remap shorter than the device":     patched(remapAt-8, uint64(g.Rows-1)),
 		"bad open row in last bank":         patched(first+(g.Banks-1)*block, uint64(g.Rows)),
 		"open row below -1 in first bank":   patched(first, ^uint64(1)),
 		"wrong clock count in middle bank":  patched(first+block+8, uint64(g.Rows-1)),

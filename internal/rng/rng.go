@@ -12,7 +12,10 @@
 // cryptographically secure; it is a simulation PRNG.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a deterministic pseudo-random number stream. The zero value
 // is not usable; construct streams with New or Stream.Split.
@@ -303,19 +306,23 @@ func (s *Stream) Binomial(n int64, p float64) int64 {
 }
 
 // Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^theta. It precomputes nothing; for the row-hotness workloads
-// used here n is small enough for inverse-CDF sampling via a cached
-// table to be unnecessary, but a Zipfian helper type is provided for
-// hot loops.
+// 1/(i+1)^theta, by inverting a precomputed CDF. A guide table buckets
+// the unit interval into a power-of-two number of equal cells and
+// records, for each cell boundary, the index the full CDF search would
+// return there; a draw then searches only between its cell's two
+// bounds. The search result is monotone in u, so the narrowed search
+// returns exactly what a binary search over the whole CDF would.
 type Zipf struct {
 	cdf []float64
-	src *Stream
+	// guide[j] is the index for u = j/(len(guide)-1).
+	guide []int32
+	src   *Stream
 }
 
 // NewZipf builds a Zipf sampler over [0, n) with exponent theta > 0.
 func NewZipf(src *Stream, n int, theta float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
+	if n <= 0 || n > math.MaxInt32 {
+		panic("rng: NewZipf with n out of range")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -326,14 +333,35 @@ func NewZipf(src *Stream, n int, theta float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, src: src}
+	return newZipfCDF(src, cdf)
+}
+
+// newZipfCDF builds a sampler over a non-decreasing cdf, with one guide
+// cell per row rounded down to a power of two, so that the cell
+// boundaries j/cells and the cell of a draw, floor(u*cells), are exact.
+func newZipfCDF(src *Stream, cdf []float64) *Zipf {
+	n := len(cdf)
+	cells := 1 << (bits.Len(uint(n)) - 1)
+	guide := make([]int32, cells+1)
+	i := 0
+	for j := range guide {
+		u := float64(j) / float64(cells)
+		for i < n-1 && cdf[i] < u {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide, src: src}
 }
 
 // Next returns the next Zipf-distributed sample.
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Next() int { return z.index(z.src.Float64()) }
+
+// index returns the smallest i with cdf[i] >= u, or n-1 if there is
+// none, for u in [0, 1).
+func (z *Zipf) index(u float64) int {
+	j := int(u * float64(len(z.guide)-1))
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {
