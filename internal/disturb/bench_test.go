@@ -188,30 +188,38 @@ func BenchmarkOnHammerCycle(b *testing.B) {
 }
 
 // BenchmarkLoadState restores one disturb model of perfbench
-// hammer-campaign's rig shape (128 rows of 8 words, 2e-3 weak cells,
-// thresholds divided by 100) from a mid-campaign checkpoint.
+// hammer-campaign's rig shape (see campaignParams) from a mid-campaign
+// checkpoint. in-place restores onto the model's own physics, as a
+// rebuilt rig does, so only pressures and flip flags are written;
+// rebuild alternates between checkpoints of two different populations,
+// so every restore stages and re-indexes the store.
 func BenchmarkLoadState(b *testing.B) {
-	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
-	p := DefaultParams()
-	p.WeakCellFraction = 2e-3
-	p.ThresholdMedian /= 100
-	p.MinThreshold /= 100
-	d := dram.NewDevice(g)
-	m := NewModel(g, p, rng.New(1))
-	d.AttachFault(m)
-	for r := 1; r+1 < g.Rows; r += 9 {
-		hammerCycle(d, dram.Cycle{Rows: []int{r - 1, r + 1}, N: 2000, Period: 49, ClosedPage: true})
+	checkpoint := func(m *Model) []byte {
+		d := dram.NewDevice(campaignGeom)
+		d.AttachFault(m)
+		for r := 1; r+1 < campaignGeom.Rows; r += 9 {
+			hammerCycle(d, dram.Cycle{Rows: []int{r - 1, r + 1}, N: 2000, Period: 49, ClosedPage: true})
+		}
+		return saveBytes(m)
 	}
-	var w snapshot.Writer
-	m.SaveState(&w)
-	payload := w.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.LoadState(snapshot.NewReader(payload)); err != nil {
-			b.Fatal(err)
+	bench := func(b *testing.B, m *Model, payloads ...[]byte) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.LoadState(snapshot.NewReader(payloads[i%len(payloads)])); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("in-place", func(b *testing.B) {
+		m := NewModel(campaignGeom, campaignParams(), rng.New(1))
+		bench(b, m, checkpoint(m))
+	})
+	b.Run("rebuild", func(b *testing.B) {
+		m := NewModel(campaignGeom, campaignParams(), rng.New(1))
+		other := checkpoint(NewModel(campaignGeom, campaignParams(), rng.New(2)))
+		bench(b, m, checkpoint(m), other)
+	})
 }
 
 // BenchmarkNewModel builds one model at hammer-campaign's rig shape

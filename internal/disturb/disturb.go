@@ -26,12 +26,14 @@
 //   - Refresh resets: restoring a victim row's charge zeroes the
 //     accumulated pressure on its cells.
 //
-// The hot path is branch-free where it matters: the weak cells live in
-// one value slice sorted by (bank, physRow), and two offset arrays keyed
-// by bank*Rows+physRow turn a row's resident cells and an aggressor
-// row's influences into contiguous ranges, so an activation of a row
-// with no coupled cells — the overwhelmingly common case — costs four
-// slice loads. The model also implements dram.CycleFaultModel, letting
+// The hot path is branch-free where it matters: the weak cells' 24-byte
+// states live in one value slice sorted by (bank, physRow), and two
+// offset arrays keyed by bank*Rows+physRow turn a row's resident cells
+// and an aggressor row's influences into contiguous ranges, so an
+// activation of a row with no coupled cells — the overwhelmingly common
+// case — costs four slice loads. The cells' physics never change once
+// drawn: models built from one population memo entry share them, and
+// each owns only the states. The model also implements dram.CycleFaultModel, letting
 // the device apply a many-row hammer burst up to the model's horizon in
 // one call; batched application is bit-identical to the per-activation
 // path (see the notes above HammerHorizon). The seed's map-indexed
@@ -40,6 +42,7 @@
 package disturb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -95,8 +98,11 @@ func DefaultParams() Params {
 // Invulnerable returns parameters with no weak cells (pre-2010 module).
 func Invulnerable() Params { return Params{} }
 
+// weakCell is the full description of one weak cell, its physics and
+// its state. Sampling, InjectWeakCell and LoadState produce cells in
+// this form, in insertion order; index splits them into the store's
+// population and per-slot cellStates.
 type weakCell struct {
-	// The fields OnActivate touches for every influence come first.
 	pressure   float64
 	threshold  float64
 	chargedVal uint64 // 1 for true-cell, 0 for anti-cell
@@ -110,11 +116,53 @@ type weakCell struct {
 	upWeight, downWeight float64
 }
 
+// cellState is what OnActivate reads and writes for every influence: a
+// cell's pressure and flip flag, and copies of the threshold, bit and
+// charge the flip decision needs. It is the only per-cell data a model
+// owns; 24 bytes.
+type cellState struct {
+	pressure   float64
+	threshold  float64
+	bit        int32
+	chargedVal uint8 // 1 for true-cell, 0 for anti-cell
+	flipped    bool  // flipped during the current epoch
+}
+
+// site is the rest of a cell's physics: where it sits and how it
+// couples to its aggressor rows. dist stays an int: a checkpoint may
+// carry any distance of at least 1.
+type site struct {
+	bank, physRow        int32
+	dist                 int
+	upWeight, downWeight float64
+}
+
 // influence is one weak cell an aggressor row disturbs: the cell's
-// slot in Model.cells and the coupling weight of that side.
+// slot, its physical row and the coupling weight of that side. row sits
+// in what would be padding, so checks on the victim's row read no
+// other memory.
 type influence struct {
 	slot   int32
+	row    int32
 	weight float64
+}
+
+// physBytes is the size of a cell's physics in SaveState's encoding:
+// the eight 8-byte fields before its pressure and flip flag.
+const physBytes = 64
+
+// putPhys encodes wc's physics into b[:physBytes] as SaveState
+// writes it.
+func putPhys(b []byte, wc *weakCell) {
+	b = b[:physBytes]
+	binary.BigEndian.PutUint64(b[0:], uint64(wc.bank))
+	binary.BigEndian.PutUint64(b[8:], uint64(wc.physRow))
+	binary.BigEndian.PutUint64(b[16:], uint64(wc.bit))
+	binary.BigEndian.PutUint64(b[24:], math.Float64bits(wc.threshold))
+	binary.BigEndian.PutUint64(b[32:], uint64(wc.dist))
+	binary.BigEndian.PutUint64(b[40:], math.Float64bits(wc.upWeight))
+	binary.BigEndian.PutUint64(b[48:], math.Float64bits(wc.downWeight))
+	binary.BigEndian.PutUint64(b[56:], wc.chargedVal)
 }
 
 // sampleWeakCells draws the weak-cell population for a device of the
@@ -164,29 +212,45 @@ func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 	return cells
 }
 
-// Model is a dram.FaultModel implementing RowHammer disturbance.
+// population is the physics half of a model's store: everything about
+// its weak cells except their pressure and flip state. The cells are
+// numbered by slot, sorted by (bank, physRow) and stable in insertion
+// order (sampling, then InjectWeakCell). For a row index
+// idx = bank*geom.Rows+physRow:
 //
-// The weak cells are stored by value in one slice sorted by (bank,
-// physRow), stable in insertion order (sampling, then InjectWeakCell).
-// For a row index idx = bank*geom.Rows+physRow:
-//
-//   - cells[rowStart[idx]:rowStart[idx+1]] are the cells residing in
-//     the row (restored when it is activated or refreshed);
+//   - slots rowStart[idx]:rowStart[idx+1] are the cells residing in the
+//     row (restored when it is activated or refreshed);
 //   - aggs[aggStart[idx]:aggStart[idx+1]] are the influences of
-//     activating the row, each naming a cell by its slot in cells.
+//     activating the row, each naming a cell by its slot.
 //
 // Both ranges keep insertion order, so duplicate cells flip in the
-// order they were added. order maps insertion order to slots: SaveState
-// writes cells in insertion order, and LoadState and InjectWeakCell
-// rebuild the whole store from that order.
+// order they were added. order maps insertion order to slots, and phys
+// holds each cell's physics in insertion order as SaveState encodes it,
+// physBytes per cell.
+//
+// A population the memo hands out is shared by every model built from
+// it and is never written; index builds a private one before the first
+// change (InjectWeakCell, or LoadState of other physics).
+type population struct {
+	sites        []site
+	order        []int32
+	rowStart     []int32
+	aggStart     []int32
+	aggs         []influence
+	phys         []byte
+	minThreshold float64
+}
+
+// Model is a dram.FaultModel implementing RowHammer disturbance. Its
+// weak cells are a population (see above) plus cells, each slot's
+// cellState, which only this model writes.
 type Model struct {
-	params   Params
-	geom     dram.Geometry
-	cells    []weakCell
-	order    []int32
-	rowStart []int32
-	aggStart []int32
-	aggs     []influence
+	params Params
+	geom   dram.Geometry
+	population
+	// shared is set while population is also held by the memo.
+	shared bool `snapshot:"derived"`
+	cells  []cellState
 	// spare is the insertion-order buffer the store is rebuilt from
 	// (sampling, InjectWeakCell, LoadState), kept between rebuilds; it
 	// holds no state.
@@ -203,10 +267,9 @@ type Model struct {
 	// dup is set when InjectWeakCell stacks two cells on one
 	// (bank,row,bit) position, which makes flip-observability
 	// order-dependent and disables batching.
-	dup          bool
-	totalFlips   int64
-	epochFlips   int64
-	minThreshold float64
+	dup        bool
+	totalFlips int64
+	epochFlips int64
 }
 
 var (
@@ -226,10 +289,11 @@ func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
 	return populations.newModel(geom, p, src)
 }
 
-// index rebuilds the row-sorted store from cells given in insertion
-// order, with a stable counting sort over rows. ins must not alias
-// m.cells; the store's slices are reused when large enough.
+// index rebuilds the store from cells given in insertion order, with a
+// stable counting sort over rows. ins must not alias the store; the
+// store's slices are reused when large enough and private.
 func (m *Model) index(ins []weakCell) {
+	m.own()
 	rows := m.geom.Rows
 	nrows := m.geom.Banks * rows
 	m.rowStart = resize(m.rowStart, nrows+1)
@@ -259,28 +323,52 @@ func (m *Model) index(ins []weakCell) {
 	// Place each entry at its range's cursor: rowStart[idx] and
 	// aggStart[idx] advance to the next range's start, and shifting
 	// them up by one afterwards restores the starts.
+	m.sites = resize(m.sites, len(ins))
 	m.cells = resize(m.cells, len(ins))
 	m.order = resize(m.order, len(ins))
 	m.aggs = resize(m.aggs, naggs)
+	m.phys = resize(m.phys, len(ins)*physBytes)
 	for i := range ins {
 		wc := &ins[i]
 		idx := wc.bank*rows + wc.physRow
 		slot := m.rowStart[idx]
 		m.rowStart[idx]++
-		m.cells[slot] = *wc
+		m.sites[slot] = site{int32(wc.bank), int32(wc.physRow), wc.dist, wc.upWeight, wc.downWeight}
+		m.cells[slot] = cellState{wc.pressure, wc.threshold, int32(wc.bit), uint8(wc.chargedVal), wc.flipped}
 		m.order[i] = slot
+		putPhys(m.phys[i*physBytes:], wc)
+		row := int32(wc.physRow)
 		if wc.physRow-wc.dist >= 0 {
-			m.aggs[m.aggStart[idx-wc.dist]] = influence{slot, wc.upWeight}
+			m.aggs[m.aggStart[idx-wc.dist]] = influence{slot, row, wc.upWeight}
 			m.aggStart[idx-wc.dist]++
 		}
 		if wc.physRow+wc.dist < rows {
-			m.aggs[m.aggStart[idx+wc.dist]] = influence{slot, wc.downWeight}
+			m.aggs[m.aggStart[idx+wc.dist]] = influence{slot, row, wc.downWeight}
 			m.aggStart[idx+wc.dist]++
 		}
 	}
 	copy(m.rowStart[1:], m.rowStart[:nrows])
 	copy(m.aggStart[1:], m.aggStart[:nrows])
 	m.rowStart[0], m.aggStart[0] = 0, 0
+}
+
+// own drops a population shared with the memo, so the next index
+// builds a private one instead of writing into the shared slices.
+func (m *Model) own() {
+	if m.shared {
+		m.population, m.shared = population{}, false
+	}
+}
+
+// cell returns the full description of the cell at slot.
+func (m *Model) cell(slot int32) weakCell {
+	st, cs := &m.sites[slot], &m.cells[slot]
+	return weakCell{
+		pressure: cs.pressure, threshold: cs.threshold,
+		chargedVal: uint64(cs.chargedVal), bit: int(cs.bit), flipped: cs.flipped,
+		bank: int(st.bank), physRow: int(st.physRow), dist: st.dist,
+		upWeight: st.upWeight, downWeight: st.downWeight,
+	}
 }
 
 // resize returns s with length n and zeroed contents, reusing its
@@ -294,9 +382,10 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// resident returns the cells residing in row idx.
-func (m *Model) resident(idx int) []weakCell {
-	return m.cells[m.rowStart[idx]:m.rowStart[idx+1]]
+// resident returns the slot range [lo, hi) of the cells residing in
+// row idx.
+func (m *Model) resident(idx int) (lo, hi int32) {
+	return m.rowStart[idx], m.rowStart[idx+1]
 }
 
 // influences returns the influences of activating row idx.
@@ -307,12 +396,13 @@ func (m *Model) influences(idx int) []influence {
 // Name implements dram.FaultModel.
 func (m *Model) Name() string { return "rowhammer" }
 
-// applyFlip discharges a cell whose pressure crossed its threshold. The
-// flip is only observable if the cell currently holds its charged
-// value.
-func (m *Model) applyFlip(d *dram.Device, wc *weakCell) {
-	if d.PhysBit(wc.bank, wc.physRow, wc.bit) == wc.chargedVal {
-		d.SetPhysBit(wc.bank, wc.physRow, wc.bit, 1-wc.chargedVal)
+// applyFlip discharges a cell of bank and physRow whose pressure
+// crossed its threshold. The flip is only observable if the cell
+// currently holds its charged value.
+func (m *Model) applyFlip(d *dram.Device, bank, physRow int, wc *cellState) {
+	charged := uint64(wc.chargedVal)
+	if d.PhysBit(bank, physRow, int(wc.bit)) == charged {
+		d.SetPhysBit(bank, physRow, int(wc.bit), 1-charged)
 		m.totalFlips++
 		m.epochFlips++
 	}
@@ -347,7 +437,7 @@ func (m *Model) OnActivate(d *dram.Device, bank, physRow int, now dram.Time) {
 		}
 		wc.pressure += w
 		if wc.pressure >= wc.threshold {
-			m.applyFlip(d, wc)
+			m.applyFlip(d, bank, int(inf.row), wc)
 		}
 	}
 }
@@ -372,12 +462,15 @@ func (m *Model) OnRefreshBankBatch(d *dram.Device, bank int, now dram.Time) {
 	restore(m.cells[m.rowStart[base]:m.rowStart[base+m.geom.Rows]])
 }
 
-func (m *Model) restoreRow(idx int) { restore(m.resident(idx)) }
+func (m *Model) restoreRow(idx int) {
+	lo, hi := m.resident(idx)
+	restore(m.cells[lo:hi])
+}
 
 // bitAt returns bit i of a row's words.
-func bitAt(words []uint64, i int) uint64 { return words[i>>6] >> (uint(i) & 63) & 1 }
+func bitAt(words []uint64, i int32) uint8 { return uint8(words[i>>6] >> (uint(i) & 63) & 1) }
 
-func restore(cells []weakCell) {
+func restore(cells []cellState) {
 	for i := range cells {
 		cells[i].pressure = 0
 		cells[i].flipped = false
@@ -455,15 +548,17 @@ func (m *Model) cyclePos(physRow int) int {
 	return int(m.pos[physRow])
 }
 
-// residentCouplings returns the hammered rows (at most two) a cell
-// residing in a hammered row is coupled to, in no particular order.
-func (m *Model) residentCouplings(wc *weakCell) (cs [2]coupling, n int) {
-	if p := m.cyclePos(wc.physRow - wc.dist); p >= 0 {
-		cs[n] = coupling{p, m.effWeight(p, wc, wc.upWeight)}
+// residentCouplings returns the hammered rows (at most two) the cell
+// at slot, with state wc and residing in hammered row physRow, is
+// coupled to, in no particular order.
+func (m *Model) residentCouplings(slot int32, wc *cellState, physRow int) (cs [2]coupling, n int) {
+	st := &m.sites[slot]
+	if p := m.cyclePos(physRow - st.dist); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(p, wc, st.upWeight)}
 		n++
 	}
-	if p := m.cyclePos(wc.physRow + wc.dist); p >= 0 {
-		cs[n] = coupling{p, m.effWeight(p, wc, wc.downWeight)}
+	if p := m.cyclePos(physRow + st.dist); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(p, wc, st.downWeight)}
 		n++
 	}
 	return cs, n
@@ -495,14 +590,14 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 	base := bank * m.geom.Rows
 	bound := false
 	for c, r := range physRows {
-		cells := m.resident(base + r)
-		if len(cells) > 0 && !bound {
+		lo, hi := m.resident(base + r)
+		if lo < hi && !bound {
 			m.bindCycle(d, bank, physRows)
 			bound = true
 		}
-		for i := range cells {
-			wc := &cells[i]
-			cs, n := m.residentCouplings(wc)
+		for slot := lo; slot < hi; slot++ {
+			wc := &m.cells[slot]
+			cs, n := m.residentCouplings(slot, wc, r)
 			if n == 0 {
 				continue
 			}
@@ -549,32 +644,38 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 		}
 		for _, inf := range m.influences(base + r) {
 			wc := &m.cells[inf.slot]
-			if wc.flipped || m.pos[wc.physRow] >= 0 {
+			if wc.flipped || m.pos[inf.row] >= 0 {
 				continue // flipped until restored, or resident (below)
 			}
 			w := m.effWeight(c, wc, inf.weight)
-			other := 2*wc.physRow - r
+			row := int(inf.row)
+			other := 2*row - r
 			po := m.cyclePos(other)
 			if po < 0 {
-				m.accumulate(d, wc, w, w, na)
+				if accumulate(wc, w, w, na) {
+					m.applyFlip(d, bank, row, wc)
+				}
 				continue
 			}
 			if po < c {
 				continue // handled from the earlier position
 			}
-			wo := wc.upWeight
-			if other > wc.physRow {
-				wo = wc.downWeight
+			st := &m.sites[inf.slot]
+			wo := st.upWeight
+			if other > row {
+				wo = st.downWeight
 			}
 			wo = m.effWeight(po, wc, wo)
-			m.accumulate(d, wc, w, wo, na+activationsAt(po, n, k))
+			if accumulate(wc, w, wo, na+activationsAt(po, n, k)) {
+				m.applyFlip(d, bank, row, wc)
+			}
 		}
 	}
 	for c, r := range physRows {
-		cells := m.resident(base + r)
-		for i := range cells {
-			wc := &cells[i]
-			cs, nc := m.residentCouplings(wc)
+		lo, hi := m.resident(base + r)
+		for slot := lo; slot < hi; slot++ {
+			wc := &m.cells[slot]
+			cs, nc := m.residentCouplings(slot, wc, r)
 			from := 0
 			if c < n {
 				// Restored at the row's last activation in the burst.
@@ -620,12 +721,12 @@ func (m *Model) BatchablePair(bank, rowA, rowB int) bool {
 	}
 	base := bank * m.geom.Rows
 	for _, inf := range m.influences(base + rowA) {
-		if r := m.cells[inf.slot].physRow; r == rowA || r == rowB {
+		if r := int(inf.row); r == rowA || r == rowB {
 			return false
 		}
 	}
 	for _, inf := range m.influences(base + rowB) {
-		if r := m.cells[inf.slot].physRow; r == rowA || r == rowB {
+		if r := int(inf.row); r == rowA || r == rowB {
 			return false
 		}
 	}
@@ -641,7 +742,7 @@ func (m *Model) OnHammerPairBatch(d *dram.Device, bank, rowA, rowB, n int, start
 // effWeight applies data-pattern dependence for the aggressor row at
 // bound cycle position c. The result is constant for a whole batched
 // burst of that row: no flip lands in a hammered row within a horizon.
-func (m *Model) effWeight(c int, wc *weakCell, w float64) float64 {
+func (m *Model) effWeight(c int, wc *cellState, w float64) float64 {
 	if m.params.DPDFactor > 0 && m.params.DPDFactor < 1 {
 		if bitAt(m.words[c], wc.bit) == wc.chargedVal {
 			w *= m.params.DPDFactor
@@ -652,17 +753,17 @@ func (m *Model) effWeight(c int, wc *weakCell, w float64) float64 {
 
 // accumulate applies n pressure additions alternating between wA and
 // wB, starting with wA (pass the same weight twice for one coupled
-// row). The additions replicate the per-activation float sequence
-// exactly, stopping at the threshold crossing, so batched results stay
+// row), and reports whether the cell reached its threshold. The
+// additions replicate the per-activation float sequence exactly,
+// stopping at the threshold crossing, so batched results stay
 // bit-identical to the naive path.
-func (m *Model) accumulate(d *dram.Device, wc *weakCell, wA, wB float64, n int) {
+func accumulate(wc *cellState, wA, wB float64, n int) bool {
 	p, th := wc.pressure, wc.threshold
 	for ; n > 0; n -= 2 {
 		p += wA
 		if p >= th {
 			wc.pressure = p
-			m.applyFlip(d, wc)
-			return
+			return true
 		}
 		if n == 1 {
 			break
@@ -670,11 +771,11 @@ func (m *Model) accumulate(d *dram.Device, wc *weakCell, wA, wB float64, n int) 
 		p += wB
 		if p >= th {
 			wc.pressure = p
-			m.applyFlip(d, wc)
-			return
+			return true
 		}
 	}
 	wc.pressure = p
+	return false
 }
 
 // InjectWeakCell adds a weak cell with explicit parameters. It is the
@@ -690,8 +791,9 @@ func (m *Model) InjectWeakCell(bank, physRow, bit int, threshold float64, charge
 		// physics (and the batching contract) exclude.
 		panic(fmt.Sprintf("disturb: InjectWeakCell dist %d out of range (want >= 1)", dist))
 	}
-	for _, wc := range m.resident(bank*m.geom.Rows + physRow) {
-		if wc.bit == bit {
+	lo, hi := m.resident(bank*m.geom.Rows + physRow)
+	for _, wc := range m.cells[lo:hi] {
+		if int(wc.bit) == bit {
 			m.dup = true
 		}
 	}
@@ -700,16 +802,19 @@ func (m *Model) InjectWeakCell(bank, physRow, bit int, threshold float64, charge
 	// amortised O(1) per cell.
 	ins := slices.Grow(m.spare[:0], len(m.cells)+1)
 	for _, slot := range m.order {
-		ins = append(ins, m.cells[slot])
+		ins = append(ins, m.cell(slot))
 	}
 	ins = append(ins, weakCell{
 		bank: bank, physRow: physRow, bit: bit,
 		threshold: threshold, chargedVal: chargedVal & 1,
 		dist: dist, upWeight: upWeight, downWeight: downWeight,
 	})
+	m.own()
+	m.sites = slices.Grow(m.sites, 1)
 	m.cells = slices.Grow(m.cells, 1)
 	m.order = slices.Grow(m.order, 1)
 	m.aggs = slices.Grow(m.aggs, 2)
+	m.phys = slices.Grow(m.phys, physBytes)
 	m.index(ins)
 	m.spare = ins
 }
@@ -743,7 +848,8 @@ func (m *Model) VictimRows() [][2]int {
 
 // CellsInRow returns the number of weak cells in a victim row.
 func (m *Model) CellsInRow(bank, physRow int) int {
-	return len(m.resident(bank*m.geom.Rows + physRow))
+	lo, hi := m.resident(bank*m.geom.Rows + physRow)
+	return int(hi - lo)
 }
 
 // FractionFlippableAt returns the expected fraction of ALL cells that

@@ -65,7 +65,7 @@ func compareState(t *testing.T, dm *dram.Device, m *Model, dr *dram.Device, r *R
 	// Shared sampling guarantees the populations are parallel in
 	// insertion order, which is the model's save order.
 	for i, slot := range m.order {
-		cm, cr := &m.cells[slot], r.cells[i]
+		cm, cr := m.cell(slot), r.cells[i]
 		if cm.pressure != cr.pressure || cm.flipped != cr.flipped {
 			t.Fatalf("%s: cell %d (bank %d row %d bit %d): model (p=%v flipped=%v), reference (p=%v flipped=%v)",
 				ctx, i, cm.bank, cm.physRow, cm.bit, cm.pressure, cm.flipped, cr.pressure, cr.flipped)
@@ -303,13 +303,14 @@ func TestHammerCycleMatchesReference(t *testing.T) {
 		}
 		resident, coupled := 0, 0
 		for _, row := range rows {
-			for _, wc := range m.resident(row) {
-				if slices.Contains(rows, wc.physRow-wc.dist) || slices.Contains(rows, wc.physRow+wc.dist) {
+			lo, hi := m.resident(row)
+			for _, st := range m.sites[lo:hi] {
+				if r := int(st.physRow); slices.Contains(rows, r-st.dist) || slices.Contains(rows, r+st.dist) {
 					resident++
 				}
 			}
 			for _, inf := range m.influences(row) {
-				if !slices.Contains(rows, m.cells[inf.slot].physRow) {
+				if !slices.Contains(rows, int(inf.row)) {
 					coupled++
 				}
 			}
@@ -497,8 +498,8 @@ func checkStoreMatchesReference(t *testing.T, m *Model, r *Reference, ctx string
 	for i, wc := range r.cells {
 		refIdx[wc] = i
 	}
-	for s := 1; s < len(m.cells); s++ {
-		a, b := &m.cells[s-1], &m.cells[s]
+	for s := 1; s < len(m.sites); s++ {
+		a, b := &m.sites[s-1], &m.sites[s]
 		if a.bank > b.bank || a.bank == b.bank && a.physRow > b.physRow {
 			t.Fatalf("%s: slots %d,%d out of (bank,row) order", ctx, s-1, s)
 		}
@@ -589,7 +590,7 @@ func TestInjectMidRunMatchesReference(t *testing.T) {
 	}
 	// Stack a cell of the opposite charge on a sampled cell's position:
 	// whichever flips first decides what the other can observe.
-	wc := m.cells[m.order[len(m.order)/2]]
+	wc := m.cell(m.order[len(m.order)/2])
 	inject(wc.bank, wc.physRow, wc.bit, wc.threshold/2, 1-wc.chargedVal, 1, 1, 1)
 	if !m.dup {
 		t.Fatal("stacked cell not marked duplicate")

@@ -15,10 +15,11 @@ import (
 // stream's position after the draw. Sweeps that rebuild a system from
 // its spec and then overlay a snapshot (checkpoint restore, the
 // attack tournament's cloned cells) build the same population over and
-// over, only for LoadState to overwrite it. The population memo keeps
-// each drawn, indexed store once per process and hands later builds a
-// clone of it plus the stream state a fresh draw would have left, so a
-// hit is indistinguishable from a miss to the model and to the caller.
+// over. The population memo keeps each drawn, indexed store once per
+// process. A later build shares its population read-only, copies only
+// the cells' initial states, and gets the stream state a fresh draw
+// would have left, so a hit is indistinguishable from a miss to the
+// model and to the caller.
 
 // memoBudget bounds the memo's footprint, in bytes of store slices.
 // Populations larger than the budget are never cached; inserting one
@@ -58,17 +59,14 @@ func newMemoKey(geom dram.Geometry, p Params, st rng.State) memoKey {
 	}
 }
 
-// population is a freshly indexed store and the stream state after its
-// draw. Entries are immutable once inserted: models get clones.
-type population struct {
-	cells        []weakCell
-	order        []int32
-	rowStart     []int32
-	aggStart     []int32
-	aggs         []influence
-	minThreshold float64
-	after        rng.State
-	bytes        int
+// memoEntry is a freshly indexed store and the stream state after its
+// draw. Entries are immutable once inserted: models share pop and copy
+// cells.
+type memoEntry struct {
+	pop   population
+	cells []cellState
+	after rng.State
+	bytes int
 }
 
 // popMemo is a bounded first-in-first-out memo of populations. The
@@ -78,7 +76,7 @@ type popMemo struct {
 	mu      sync.Mutex
 	budget  int
 	bytes   int
-	entries map[memoKey]*population
+	entries map[memoKey]*memoEntry
 	fifo    []memoKey
 }
 
@@ -92,44 +90,34 @@ func (pm *popMemo) newModel(geom dram.Geometry, p Params, src *rng.Stream) *Mode
 	e := pm.entries[key]
 	pm.mu.Unlock()
 	if e != nil {
+		m.population, m.shared = e.pop, true
 		m.cells = slices.Clone(e.cells)
-		m.order = slices.Clone(e.order)
-		m.rowStart = slices.Clone(e.rowStart)
-		m.aggStart = slices.Clone(e.aggStart)
-		m.aggs = slices.Clone(e.aggs)
-		m.minThreshold = e.minThreshold
 		src.SetState(e.after)
 		return m
 	}
 	m.spare = sampleWeakCells(geom, p, src)
 	m.index(m.spare)
-	pm.insert(key, m, src.State())
+	m.shared = pm.insert(key, m, src.State())
 	return m
 }
 
-// insert stores a private copy of m's freshly indexed store under key,
-// unless it exceeds the budget or the key is already present.
-func (pm *popMemo) insert(key memoKey, m *Model, after rng.State) {
-	bytes := len(m.cells)*int(unsafe.Sizeof(weakCell{})) +
+// insert shares m's freshly indexed population with the memo under
+// key, with a copy of its cells' states, unless it exceeds the budget
+// or the key is already present. It reports whether m's population is
+// now shared.
+func (pm *popMemo) insert(key memoKey, m *Model, after rng.State) bool {
+	bytes := len(m.sites)*int(unsafe.Sizeof(site{})) +
+		len(m.cells)*int(unsafe.Sizeof(cellState{})) +
 		4*(len(m.order)+len(m.rowStart)+len(m.aggStart)) +
-		len(m.aggs)*int(unsafe.Sizeof(influence{}))
+		len(m.aggs)*int(unsafe.Sizeof(influence{})) + len(m.phys)
 	if bytes > pm.budget {
-		return
+		return false
 	}
-	e := &population{
-		cells:        slices.Clone(m.cells),
-		order:        slices.Clone(m.order),
-		rowStart:     slices.Clone(m.rowStart),
-		aggStart:     slices.Clone(m.aggStart),
-		aggs:         slices.Clone(m.aggs),
-		minThreshold: m.minThreshold,
-		after:        after,
-		bytes:        bytes,
-	}
+	e := &memoEntry{pop: m.population, cells: slices.Clone(m.cells), after: after, bytes: bytes}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	if _, ok := pm.entries[key]; ok {
-		return
+		return false
 	}
 	for pm.bytes+e.bytes > pm.budget {
 		oldest := pm.fifo[0]
@@ -138,9 +126,10 @@ func (pm *popMemo) insert(key memoKey, m *Model, after rng.State) {
 		delete(pm.entries, oldest)
 	}
 	if pm.entries == nil {
-		pm.entries = make(map[memoKey]*population)
+		pm.entries = make(map[memoKey]*memoEntry)
 	}
 	pm.entries[key] = e
 	pm.fifo = append(pm.fifo, key)
 	pm.bytes += e.bytes
+	return true
 }

@@ -49,9 +49,11 @@ var memoCases = []memoCase{
 // identical bytes.
 func checkSameModel(t *testing.T, ctx string, got, want *Model) {
 	t.Helper()
-	if !slices.Equal(got.cells, want.cells) || !slices.Equal(got.order, want.order) ||
+	if !slices.Equal(got.cells, want.cells) || !slices.Equal(got.sites, want.sites) ||
+		!slices.Equal(got.order, want.order) ||
 		!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.aggStart, want.aggStart) ||
-		!slices.Equal(got.aggs, want.aggs) || got.minThreshold != want.minThreshold {
+		!slices.Equal(got.aggs, want.aggs) || !bytes.Equal(got.phys, want.phys) ||
+		got.minThreshold != want.minThreshold {
 		t.Fatalf("%s: store differs from a fresh draw", ctx)
 	}
 	if !bytes.Equal(saveBytes(got), saveBytes(want)) {
@@ -114,16 +116,51 @@ func TestMemoHitMatchesMiss(t *testing.T) {
 	}
 }
 
-// TestMemoSurvivesModelMutation drives a missed and a hit model through
-// flips, InjectWeakCell and LoadState; a later build of the same spec
-// must still equal a fresh draw.
+// clonePopulation returns a deep copy of p.
+func clonePopulation(p population) population {
+	return population{
+		sites:        slices.Clone(p.sites),
+		order:        slices.Clone(p.order),
+		rowStart:     slices.Clone(p.rowStart),
+		aggStart:     slices.Clone(p.aggStart),
+		aggs:         slices.Clone(p.aggs),
+		phys:         bytes.Clone(p.phys),
+		minThreshold: p.minThreshold,
+	}
+}
+
+// samePopulation reports whether a and b hold equal contents.
+func samePopulation(a, b population) bool {
+	return slices.Equal(a.sites, b.sites) && slices.Equal(a.order, b.order) &&
+		slices.Equal(a.rowStart, b.rowStart) && slices.Equal(a.aggStart, b.aggStart) &&
+		slices.Equal(a.aggs, b.aggs) && bytes.Equal(a.phys, b.phys) &&
+		a.minThreshold == b.minThreshold
+}
+
+// TestMemoSurvivesModelMutation drives a missed and a hit model, both
+// sharing the memo's population, through flips, an in-place LoadState,
+// InjectWeakCell and a LoadState of other physics. After every step the
+// memo entry must be byte-identical to what it held before, and a later
+// build of the same spec must still equal a fresh draw.
 func TestMemoSurvivesModelMutation(t *testing.T) {
 	c := memoCase{"aggressive", dram.Geometry{Banks: 1, Rows: 256, Cols: 8}, aggressiveParams()}
 	pm := &popMemo{budget: memoBudget}
 	var other snapshot.Writer
 	drawFresh(c.geom, c.p, rng.New(99)).SaveState(&other)
+	key := newMemoKey(c.geom, c.p, rng.New(3).State())
 	for _, ctx := range []string{"miss", "hit"} {
 		m := drawChecked(t, ctx, pm, c, rng.New(3).State())
+		e := pm.entries[key]
+		if e == nil || !m.shared {
+			t.Fatalf("%s: model does not share a memo entry", ctx)
+		}
+		pop, cells := clonePopulation(e.pop), slices.Clone(e.cells)
+		check := func(step string) {
+			t.Helper()
+			if pm.entries[key] != e || !samePopulation(e.pop, pop) || !slices.Equal(e.cells, cells) {
+				t.Fatalf("%s: %s changed the memo's population", ctx, step)
+			}
+		}
 		d := dram.NewDevice(c.geom)
 		d.AttachFault(m)
 		for r := 0; r < c.geom.Rows; r++ {
@@ -133,11 +170,29 @@ func TestMemoSurvivesModelMutation(t *testing.T) {
 		if m.TotalFlips() == 0 {
 			t.Fatalf("%s: hammering produced no flips; test is vacuous", ctx)
 		}
+		check("hammering")
+		if err := m.LoadState(snapshot.NewReader(saveBytes(m))); err != nil || !m.shared {
+			t.Fatalf("%s: in-place LoadState: %v (shared %v)", ctx, err, m.shared)
+		}
+		check("an in-place LoadState")
 		m.InjectWeakCell(0, 100, 3, 10, 1, 1, 1, 1)
+		check("InjectWeakCell")
 		if err := m.LoadState(snapshot.NewReader(other.Bytes())); err != nil {
 			t.Fatalf("%s: LoadState: %v", ctx, err)
 		}
+		check("a LoadState of other physics")
 		m.InjectWeakCell(0, 10, 5, 10, 0, 2, 0.5, 1)
+		check("a second InjectWeakCell")
+	}
+	// A shared model whose first change is a LoadState of other
+	// physics, with no injection before it.
+	m := drawChecked(t, "hit", pm, c, rng.New(3).State())
+	pop := clonePopulation(pm.entries[key].pop)
+	if err := m.LoadState(snapshot.NewReader(other.Bytes())); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	if m.shared || !samePopulation(pm.entries[key].pop, pop) {
+		t.Fatal("a LoadState of other physics wrote into the memo's population")
 	}
 	drawChecked(t, "after mutation", pm, c, rng.New(3).State())
 }

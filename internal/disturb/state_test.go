@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dram"
 	"repro/internal/rng"
@@ -235,4 +237,188 @@ func TestModelSaveStateBytesPinned(t *testing.T) {
 			t.Errorf("seed %d: SaveState sha256 %s, want %s", tc.seed, got, tc.sha)
 		}
 	}
+}
+
+// TestCellRecordSizes pins the per-cell footprint of the hot path: a
+// model owns one 24-byte cellState per cell, and an influence carries
+// its victim's row in what would otherwise be padding.
+func TestCellRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(cellState{}); got != 24 {
+		t.Errorf("cellState is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(influence{}); got != 16 {
+		t.Errorf("influence is %d bytes, want 16", got)
+	}
+}
+
+// TestLoadStateInPlaceMatchesRebuild restores one mid-campaign
+// checkpoint, with partial pressures and flips, onto a memo hit (the
+// installed physics match, so only pressures and flags are written)
+// and onto a model whose physics an injection changed (the store is
+// rebuilt). Both must save the checkpoint's bytes and then run the
+// rest of the campaign, per activation and batched, identically. Broken
+// checkpoints must fail without touching the hit model, and one whose
+// last cell carries other physics must rebuild, not half-apply.
+func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
+	for _, seed := range []uint64{1, 5} {
+		pm := &popMemo{budget: memoBudget}
+		g := dram.Geometry{Banks: 2, Rows: 256, Cols: 16}
+		p := DefaultParams()
+		p.WeakCellFraction = 2e-4
+		p.ThresholdMedian = 60e3
+		p.MinThreshold = 20e3
+		dSrc := dram.NewDevice(g)
+		src := pm.newModel(g, p, rng.New(seed))
+		dSrc.AttachFault(src)
+		hammerHalf(dSrc, src)
+		pressed, flipped := 0, 0
+		for _, c := range src.cells {
+			if c.pressure > 0 {
+				pressed++
+			}
+			if c.flipped {
+				flipped++
+			}
+		}
+		if pressed == 0 || flipped == 0 {
+			t.Fatalf("seed %d: %d cells under pressure, %d flipped at the checkpoint; test is vacuous", seed, pressed, flipped)
+		}
+		var dw snapshot.Writer
+		dSrc.SaveState(&dw)
+		ckpt := saveBytes(src)
+
+		restored := func(ctx string, m *Model) *dram.Device {
+			t.Helper()
+			d := dram.NewDevice(g)
+			d.AttachFault(m)
+			if err := d.LoadState(snapshot.NewReader(dw.Bytes())); err != nil {
+				t.Fatalf("seed %d %s: device LoadState: %v", seed, ctx, err)
+			}
+			if err := m.LoadState(snapshot.NewReader(ckpt)); err != nil {
+				t.Fatalf("seed %d %s: LoadState: %v", seed, ctx, err)
+			}
+			if !bytes.Equal(saveBytes(m), ckpt) {
+				t.Fatalf("seed %d %s: SaveState after LoadState differs from the checkpoint", seed, ctx)
+			}
+			return d
+		}
+		hit := pm.newModel(g, p, rng.New(seed))
+		if !hit.shared {
+			t.Fatalf("seed %d: second build is not a memo hit", seed)
+		}
+		dIn := restored("in place", hit)
+		if !hit.shared {
+			t.Fatalf("seed %d: restoring the installed physics rebuilt the store", seed)
+		}
+		injected := pm.newModel(g, p, rng.New(seed))
+		injected.InjectWeakCell(0, 9, 4, 100, 1, 1, 1, 1)
+		dRe := restored("rebuild", injected)
+		if injected.shared {
+			t.Fatalf("seed %d: rebuilt model still shares the memo's population", seed)
+		}
+
+		for _, d := range []*dram.Device{dIn, dRe} {
+			for r := 0; r < 40; r++ {
+				d.Activate(r%2, 3*r, dram.Time(1<<39)+dram.Time(r)*50)
+				d.Precharge(r % 2)
+			}
+			hammerRest(d)
+		}
+		if hit.TotalFlips() != injected.TotalFlips() || deviceHash(dIn) != deviceHash(dRe) ||
+			!bytes.Equal(saveBytes(hit), saveBytes(injected)) {
+			t.Fatalf("seed %d: runs after an in-place and a rebuilt restore diverged: flips %d vs %d",
+				seed, hit.TotalFlips(), injected.TotalFlips())
+		}
+		if hit.TotalFlips() == src.TotalFlips() {
+			t.Fatalf("seed %d: no flips after the restore; test is vacuous", seed)
+		}
+
+		n := src.WeakCellCount()
+		cells := len(ckpt) - n*encodedCellBytes
+		mutated := func(i, off int, b byte) []byte {
+			c := bytes.Clone(ckpt)
+			c[cells+i*encodedCellBytes+off] = b
+			return c
+		}
+		m := pm.newModel(g, p, rng.New(seed))
+		before := saveBytes(m)
+		for _, tc := range []struct {
+			name    string
+			payload []byte
+		}{
+			{"truncated inside the cells", ckpt[:cells+n/2*encodedCellBytes+5]},
+			{"flip byte 2 in the first cell", mutated(0, encodedCellBytes-1, 2)},
+			{"flip byte 2 in the last cell", mutated(n-1, encodedCellBytes-1, 2)},
+		} {
+			if err := m.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("seed %d %s: want ErrCorrupt, got %v", seed, tc.name, err)
+			}
+			if !bytes.Equal(saveBytes(m), before) || !m.shared {
+				t.Fatalf("seed %d %s: failed load changed the model", seed, tc.name)
+			}
+		}
+		// The last cell's threshold (its fourth field) halved: the
+		// earlier cells match the installed physics, the last does not.
+		other := bytes.Clone(ckpt)
+		th := other[cells+(n-1)*encodedCellBytes+24:]
+		binary.BigEndian.PutUint64(th, math.Float64bits(math.Float64frombits(binary.BigEndian.Uint64(th))/2))
+		if err := m.LoadState(snapshot.NewReader(other)); err != nil {
+			t.Fatalf("seed %d: other physics in the last cell: %v", seed, err)
+		}
+		if m.shared || !bytes.Equal(saveBytes(m), other) {
+			t.Fatalf("seed %d: other physics in the last cell were not rebuilt in full", seed)
+		}
+	}
+}
+
+// FuzzDisturbLoadState feeds LoadState a valid checkpoint whose cell
+// records the fuzzer overwrites with patch from byte at on and cuts to
+// keep bytes, onto a model sharing the memo's population. A load either
+// fails and leaves the model's SaveState bytes unchanged, or succeeds
+// and saves the bytes it read back byte for byte; it never panics. The
+// inputs stay small because the fuzzer minimizes every new one in time
+// quadratic in its length.
+func FuzzDisturbLoadState(f *testing.F) {
+	g := dram.Geometry{Banks: 1, Rows: 16, Cols: 1}
+	p := aggressiveParams()
+	d := dram.NewDevice(g)
+	src := NewModel(g, p, rng.New(3))
+	d.AttachFault(src)
+	for r := 0; r < g.Rows; r++ {
+		d.FillPhysRow(0, r, 0xffffffffffffffff)
+	}
+	for r := 1; r+1 < g.Rows; r += 3 {
+		hammerCycle(d, dram.Cycle{Rows: []int{r - 1, r + 1}, N: 1500, Period: 49, ClosedPage: true})
+	}
+	if src.TotalFlips() == 0 {
+		f.Fatal("no flips in the seed checkpoint")
+	}
+	good := saveBytes(src)
+	n := src.WeakCellCount()
+	head := good[:len(good)-n*encodedCellBytes]
+	cells := good[len(head):]
+	last := uint16(len(cells) - encodedCellBytes)
+	f.Add(uint16(0), []byte(nil), uint16(len(cells)))
+	f.Add(uint16(0), []byte(nil), uint16(len(cells)-3))
+	f.Add(uint16(len(cells)-1), []byte{2}, uint16(len(cells)))
+	f.Add(last+15, []byte{1}, uint16(len(cells)))    // the last cell's row
+	f.Add(last+24, []byte{0x40}, uint16(len(cells))) // the last cell's threshold
+	f.Fuzz(func(t *testing.T, at uint16, patch []byte, keep uint16) {
+		body := bytes.Clone(cells)
+		copy(body[int(at)%len(body):], patch)
+		body = body[:min(int(keep), len(body))]
+		payload := append(bytes.Clone(head), body...)
+		m := NewModel(g, p, rng.New(3))
+		before := saveBytes(m)
+		r := snapshot.NewReader(payload)
+		if err := m.LoadState(r); err != nil {
+			if !bytes.Equal(saveBytes(m), before) {
+				t.Fatalf("failed load (%v) changed the model", err)
+			}
+			return
+		}
+		if !bytes.Equal(saveBytes(m), payload[:len(payload)-r.Remaining()]) {
+			t.Fatal("SaveState after a successful load differs from the bytes it read")
+		}
+	})
 }

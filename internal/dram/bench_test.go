@@ -27,3 +27,13 @@ func BenchmarkLoadState(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewDevice builds one device of perfbench hammer-campaign's
+// rig geometry, as every rebuilt rig does four times.
+func BenchmarkNewDevice(b *testing.B) {
+	g := Geometry{Banks: 1, Rows: 128, Cols: 8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewDevice(g)
+	}
+}

@@ -208,10 +208,21 @@ type Device struct {
 	inCycle []bool `snapshot:"derived"`
 }
 
+// bank holds its cells in one slab, row-major: row r is
+// cells[r*cols:(r+1)*cols]. One allocation per bank, physically
+// consecutive rows stay cache-adjacent, and a row is found without a
+// per-row slice header.
 type bank struct {
-	rows        [][]uint64
+	cells       []uint64
+	cols        int
 	openPhysRow int // -1 when precharged
 	lastRestore []Time
+}
+
+// row returns the words of physical row r, capped at the row's end. The
+// reslice form keeps it cheap enough for PhysRowWords to inline.
+func (bk *bank) row(r int) []uint64 {
+	return bk.cells[r*bk.cols:][:bk.cols:bk.cols]
 }
 
 // NewDevice builds a device with the given geometry and default
@@ -227,18 +238,12 @@ func NewDevice(g Geometry) *Device {
 		remap:  IdentityRemap(g.Rows),
 	}
 	for b := 0; b < g.Banks; b++ {
-		bk := &bank{
-			rows:        make([][]uint64, g.Rows),
+		d.banks = append(d.banks, &bank{
+			cells:       make([]uint64, g.Rows*g.Cols),
+			cols:        g.Cols,
 			openPhysRow: -1,
 			lastRestore: make([]Time, g.Rows),
-		}
-		// One backing slab per bank: a single allocation instead of one
-		// per row, and physically consecutive rows stay cache-adjacent.
-		slab := make([]uint64, g.Rows*g.Cols)
-		for r := range bk.rows {
-			bk.rows[r] = slab[r*g.Cols : (r+1)*g.Cols : (r+1)*g.Cols]
-		}
-		d.banks = append(d.banks, bk)
+		})
 	}
 	return d
 }
@@ -516,7 +521,7 @@ func (d *Device) Read(b, col int) uint64 {
 	}
 	d.Stats.Reads++
 	d.Stats.OpEnergyPJ += d.Energy.RD
-	return bk.rows[bk.openPhysRow][col]
+	return bk.cells[bk.openPhysRow*bk.cols+col]
 }
 
 // Write stores a 64-bit word at the given column of the open row.
@@ -528,7 +533,7 @@ func (d *Device) Write(b, col int, v uint64) {
 	if col < 0 || col >= d.Geom.Cols {
 		panic(fmt.Sprintf("dram: WR col %d out of range", col))
 	}
-	bk.rows[bk.openPhysRow][col] = v
+	bk.cells[bk.openPhysRow*bk.cols+col] = v
 	d.Stats.Writes++
 	d.Stats.OpEnergyPJ += d.Energy.WR
 }
@@ -588,13 +593,13 @@ func (d *Device) LastRestore(b, physRow int) Time {
 
 // PhysBit returns the bit at position bit of a physical row.
 func (d *Device) PhysBit(b, physRow, bit int) uint64 {
-	row := d.bank(b).rows[physRow]
+	row := d.bank(b).row(physRow)
 	return (row[bit>>6] >> (uint(bit) & 63)) & 1
 }
 
 // SetPhysBit forces the bit at position bit of a physical row.
 func (d *Device) SetPhysBit(b, physRow, bit int, v uint64) {
-	row := d.bank(b).rows[physRow]
+	row := d.bank(b).row(physRow)
 	mask := uint64(1) << (uint(bit) & 63)
 	if v&1 == 1 {
 		row[bit>>6] |= mask
@@ -605,20 +610,20 @@ func (d *Device) SetPhysBit(b, physRow, bit int, v uint64) {
 
 // FlipPhysBit inverts the bit at position bit of a physical row.
 func (d *Device) FlipPhysBit(b, physRow, bit int) {
-	row := d.bank(b).rows[physRow]
+	row := d.bank(b).row(physRow)
 	row[bit>>6] ^= uint64(1) << (uint(bit) & 63)
 }
 
 // PhysRowWords returns the backing words of a physical row. The slice
 // aliases device storage; callers must treat it as cell physics.
 func (d *Device) PhysRowWords(b, physRow int) []uint64 {
-	return d.bank(b).rows[physRow]
+	return d.bank(b).row(physRow)
 }
 
 // FillPhysRow sets every word of a physical row to the given pattern
 // without going through the command interface (test instrumentation).
 func (d *Device) FillPhysRow(b, physRow int, pattern uint64) {
-	row := d.bank(b).rows[physRow]
+	row := d.bank(b).row(physRow)
 	for i := range row {
 		row[i] = pattern
 	}

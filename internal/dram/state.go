@@ -32,12 +32,9 @@ func (d *Device) SaveState(w *snapshot.Writer) {
 		for _, t := range bk.lastRestore {
 			w.U64(uint64(t))
 		}
-		// The whole bank slab, row by row (rows alias one slab, so this
-		// is a dense dump of every cell).
-		for _, row := range bk.rows {
-			for _, word := range row {
-				w.U64(word)
-			}
+		// The whole bank slab, row-major: a dense dump of every cell.
+		for _, word := range bk.cells {
+			w.U64(word)
 		}
 	}
 }
@@ -120,9 +117,7 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 		for i := range bk.lastRestore {
 			bk.lastRestore[i] = Time(r.U64())
 		}
-		for _, row := range bk.rows {
-			r.U64sInto(row)
-		}
+		r.U64sInto(bk.cells)
 	}
 	return nil
 }

@@ -134,6 +134,10 @@ func (w *Writer) Bytes8(b []byte) {
 	w.buf.Write(b)
 }
 
+// Raw writes b verbatim, with no length prefix; Reader.Raw takes it
+// back.
+func (w *Writer) Raw(b []byte) { w.buf.Write(b) }
+
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) { w.Bytes8([]byte(s)) }
 
@@ -259,6 +263,11 @@ func (r *Reader) U64sInto(dst []uint64) {
 		dst[i] = binary.BigEndian.Uint64(b[8*i:])
 	}
 }
+
+// Raw returns the next n payload bytes without copying them, failing
+// like any other read if fewer are left. The slice aliases the payload:
+// callers must not modify it.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
 
 // Skip advances past n bytes, failing like a read if fewer are left.
 func (r *Reader) Skip(n int) { r.take(n) }

@@ -339,3 +339,25 @@ func TestTagComparedInPlace(t *testing.T) {
 		t.Fatalf("matching Tag allocates %v times per read, want 0", allocs)
 	}
 }
+
+// TestRawRoundTrip pins the raw-bytes pair: Writer.Raw adds no length
+// prefix, Reader.Raw returns a view of the payload and fails on a short
+// payload like any other read.
+func TestRawRoundTrip(t *testing.T) {
+	var w Writer
+	w.U8(9)
+	w.Raw([]byte("abcdef"))
+	payload := w.Bytes()
+	if len(payload) != 7 {
+		t.Fatalf("payload is %d bytes, want 7", len(payload))
+	}
+	r := NewReader(payload)
+	r.U8()
+	got := r.Raw(4)
+	if r.Err() != nil || string(got) != "abcd" || &got[0] != &payload[1] {
+		t.Fatalf("Raw(4) = %q, %v; want a view of \"abcd\"", got, r.Err())
+	}
+	if got := r.Raw(3); got != nil || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("short Raw = %q, %v; want nil, ErrCorrupt", got, r.Err())
+	}
+}
