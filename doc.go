@@ -105,11 +105,12 @@ type Runner = exp.Runner
 // RunResult is one experiment outcome from a Runner.
 type RunResult = exp.RunResult
 
-// RunExperiment executes one experiment by ID.
+// RunExperiment executes one experiment by ID, its sharded sweeps
+// fanned out to runtime.GOMAXPROCS goroutines.
 func RunExperiment(id string, seed uint64) (*stats.Table, bool) {
 	e, ok := exp.ByID(id)
 	if !ok {
 		return nil, false
 	}
-	return e.Run(seed), true
+	return e.Run(exp.NewEnv(seed, 0)), true
 }

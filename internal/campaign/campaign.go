@@ -60,8 +60,8 @@ type Spec struct {
 	RetryBackoffMS int64 `json:"retry_backoff_ms,omitempty"`
 	// Fleet configures the fieldstudy kind; nil means
 	// fieldstudy.DefaultConfig. A fleet needs at least one class,
-	// every class at least one DIMM, at least one month, and at most
-	// maxFleetDIMMs DIMMs in total.
+	// every class at least one DIMM, one to maxFleetMonths months, and
+	// at most maxFleetDIMMs DIMMs in total.
 	Fleet *fieldstudy.Config `json:"fleet,omitempty"`
 	// Experiments restricts the experiments kind to these IDs; empty
 	// means every registered experiment.
@@ -197,6 +197,11 @@ const (
 	// engine's goroutines, since the pool never runs more workers
 	// than blocks.
 	maxFleetDIMMs = 16_000_000
+	// maxFleetMonths caps a fieldstudy fleet at ten years, past a
+	// DIMM's service life and 10x the default fleet's one-year study.
+	// The engine's work is DIMMs x months, so with maxFleetDIMMs it
+	// bounds a campaign at 160x E52's million-DIMM year.
+	maxFleetMonths = 120
 )
 
 // validateFleet rejects fleets the engine cannot average over: no
@@ -209,6 +214,9 @@ func validateFleet(f *fieldstudy.Config) error {
 	if len(f.Classes) == 0 || f.Months < 1 {
 		return fmt.Errorf("campaign: fleet has %d classes over %d months, want at least one of each",
 			len(f.Classes), f.Months)
+	}
+	if f.Months > maxFleetMonths {
+		return fmt.Errorf("campaign: fleet spans %d months, more than the cap of %d", f.Months, maxFleetMonths)
 	}
 	for _, p := range []struct {
 		name string

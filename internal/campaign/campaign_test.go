@@ -371,6 +371,7 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes[1].DIMMs = 0 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Classes[0].DIMMs = -5 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Months = 0 })},
+		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.Months = maxFleetMonths + 1 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.BaseRate = -1 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.TailSigma = -0.5 })},
 		{Kind: "fieldstudy", Seed: 1, Fleet: fleet(func(c *fieldstudy.Config) { c.UEPerCE = -1e-6 })},
@@ -392,6 +393,7 @@ func TestSpecValidation(t *testing.T) {
 	// The caps themselves are inclusive.
 	atCap := Spec{Kind: "fieldstudy", Seed: 1, MaxRetries: maxRetries, Fleet: fleet(func(c *fieldstudy.Config) {
 		c.Classes[0].DIMMs = maxFleetDIMMs - c.Classes[1].DIMMs
+		c.Months = maxFleetMonths
 	})}
 	if err := validateSpec(&atCap); err != nil {
 		t.Fatalf("spec at the caps rejected: %v", err)

@@ -826,9 +826,6 @@ func (m *Model) WeakCellCount() int { return len(m.cells) }
 // construction (or the last ResetCounters).
 func (m *Model) TotalFlips() int64 { return m.totalFlips }
 
-// ResetCounters zeroes the flip counters without touching cell state.
-func (m *Model) ResetCounters() { m.totalFlips, m.epochFlips = 0, 0 }
-
 // MinThreshold returns the smallest sampled cell threshold, i.e. the
 // minimum single-sided activation count that can flip any bit on this
 // device, or +Inf if the device has no weak cells.
@@ -844,12 +841,6 @@ func (m *Model) VictimRows() [][2]int {
 		}
 	}
 	return out
-}
-
-// CellsInRow returns the number of weak cells in a victim row.
-func (m *Model) CellsInRow(bank, physRow int) int {
-	lo, hi := m.resident(bank*m.geom.Rows + physRow)
-	return int(hi - lo)
 }
 
 // FractionFlippableAt returns the expected fraction of ALL cells that

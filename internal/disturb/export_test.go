@@ -16,3 +16,12 @@ func MemoHolds(geom dram.Geometry, p Params, st rng.State) bool {
 	defer populations.mu.Unlock()
 	return populations.entries[newMemoKey(geom, p, st)] != nil
 }
+
+// ResetCounters zeroes the flip counters without touching cell state.
+func (m *Model) ResetCounters() { m.totalFlips, m.epochFlips = 0, 0 }
+
+// CellsInRow returns the number of weak cells in a victim row.
+func (m *Model) CellsInRow(bank, physRow int) int {
+	lo, hi := m.resident(bank*m.geom.Rows + physRow)
+	return int(hi - lo)
+}

@@ -628,6 +628,3 @@ func (d *Device) FillPhysRow(b, physRow int, pattern uint64) {
 		row[i] = pattern
 	}
 }
-
-// ResetStats zeroes the activity counters.
-func (d *Device) ResetStats() { d.Stats = Stats{} }

@@ -58,16 +58,6 @@ func (rt *RemapTable) Phys(logRow int) int { return rt.phys[logRow] }
 // Log returns the logical row for a physical row.
 func (rt *RemapTable) Log(physRow int) int { return rt.log[physRow] }
 
-// IsIdentity reports whether the mapping is the identity.
-func (rt *RemapTable) IsIdentity() bool {
-	for i, p := range rt.phys {
-		if p != i {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks that the table is a bijection.
 func (rt *RemapTable) Validate() error {
 	if len(rt.phys) != len(rt.log) {

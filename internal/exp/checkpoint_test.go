@@ -27,11 +27,11 @@ func syntheticExps(runs *atomic.Int64) []Experiment {
 			ID: fmt.Sprintf("E%d", i), Num: i,
 			Title:  fmt.Sprintf("synthetic %d", i),
 			Anchor: "test",
-			Run: func(seed uint64) *stats.Table {
+			Run: func(env Env) *stats.Table {
 				runs.Add(1)
 				t := stats.NewTable(fmt.Sprintf("synthetic %d", i), "seed", "value")
-				t.AddRow(fmt.Sprint(seed), fmt.Sprint(seed*uint64(i)+uint64(i*i)))
-				t.AddNote("deterministic row for seed %d", seed)
+				t.AddRow(fmt.Sprint(env.Seed), fmt.Sprint(env.Seed*uint64(i)+uint64(i*i)))
+				t.AddNote("deterministic row for seed %d", env.Seed)
 				return t
 			},
 		})
@@ -136,12 +136,12 @@ func TestRunCheckpointedCorruptionRefused(t *testing.T) {
 // panic message, and Summary.Failed reports it.
 func TestPanickingExperimentSurfacesInSummary(t *testing.T) {
 	exps := []Experiment{
-		{ID: "E1", Num: 1, Title: "ok", Anchor: "t", Run: func(seed uint64) *stats.Table {
+		{ID: "E1", Num: 1, Title: "ok", Anchor: "t", Run: func(Env) *stats.Table {
 			tb := stats.NewTable("ok", "c")
 			tb.AddRow("1")
 			return tb
 		}},
-		{ID: "E2", Num: 2, Title: "boom", Anchor: "t", Run: func(seed uint64) *stats.Table {
+		{ID: "E2", Num: 2, Title: "boom", Anchor: "t", Run: func(Env) *stats.Table {
 			panic("synthetic failure")
 		}},
 	}

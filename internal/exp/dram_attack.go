@@ -20,8 +20,8 @@ func init() {
 // runE21 runs the full exploit chain against module classes of
 // different years, plus one PARA-protected configuration, reporting
 // success rates over repeated trials.
-func runE21(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE21(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	t := stats.NewTable("E21: privilege-escalation campaign outcomes (5 trials each, thresholds scaled /100)",
 		"configuration", "templates found", "flips induced", "escalations")
 	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
@@ -57,12 +57,12 @@ func runE21(seed uint64) *stats.Table {
 			mm.Seed = m.Seed + uint64(trial)
 			s := core.Build(&mm, core.Options{Geom: g})
 			if cfg.para {
-				s.AttachPARA(0.02, memctrl.InDRAM, rng.New(seed+uint64(trial)))
+				s.AttachPARA(0.02, memctrl.InDRAM, rng.New(env.Seed+uint64(trial)))
 			}
 			res := attack.RunPrivEscSystem(s.Mem, attack.SysPrivEscConfig{
 				SprayFraction: 0.4, PairsPerAttempt: 12000,
 				MaxPlacements: 25, Workers: 1,
-			}, rng.New(seed^uint64(trial*7+1)))
+			}, rng.New(env.Seed^uint64(trial*7+1)))
 			templates += res.TemplatesFound
 			if res.FlipInduced {
 				flips++

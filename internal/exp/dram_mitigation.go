@@ -78,8 +78,8 @@ func benignOverhead(pop []modules.Module, setup func(s *core.System), mult float
 // runE5 compares the countermeasures of Section II-C on an identical
 // attack: residual flips, benign-workload latency and energy overhead
 // versus the unprotected baseline, and hardware storage cost.
-func runE5(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE5(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	t := stats.NewTable("E5: countermeasure comparison (2013-class module, scaled thresholds)",
 		"solution", "residual flips", "latency overhead", "energy overhead", "storage bits")
 
@@ -195,11 +195,11 @@ func runE5(seed uint64) *stats.Table {
 
 // runE7 hammers a dense module and pushes every victim word through
 // the real SECDED codec, reproducing the multi-bit-flip argument.
-func runE7(seed uint64) *stats.Table {
+func runE7(env Env) *stats.Table {
 	// Stress-density module so multi-bit words occur at small scale.
 	m := modules.Module{
 		ID: "stress", Vendor: modules.VendorB, Year: 2013,
-		Cells: 1 << 30, Seed: seed ^ 0xe7,
+		Cells: 1 << 30, Seed: env.Seed ^ 0xe7,
 		Vuln: disturb.Params{
 			WeakCellFraction: 3e-3,
 			ThresholdMedian:  9000,
@@ -269,7 +269,7 @@ func runE7(seed uint64) *stats.Table {
 
 // runE8 tabulates the counter-table storage the CAL 2015 approach
 // needs across device sizes, against PARA's zero.
-func runE8(seed uint64) *stats.Table {
+func runE8(env Env) *stats.Table {
 	t := stats.NewTable("E8: counter-based mitigation storage vs device size",
 		"rows/bank", "banks", "CRA storage", "PARA storage")
 	for _, rows := range []int{32768, 65536, 131072, 262144, 524288} {
@@ -284,15 +284,15 @@ func runE8(seed uint64) *stats.Table {
 
 // runE9 embeds an attacker in benign traffic at varying intensity and
 // measures ANVIL's detection latency, protection, and intrusiveness.
-func runE9(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE9(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	t := stats.NewTable("E9: ANVIL-style detection vs attacker intensity",
 		"attacker share", "detected", "accesses to 1st detection", "victim flips", "sw refreshes")
 	for _, share := range []float64{0.05, 0.1, 0.2, 0.4, 0.8} {
 		s := attackRig(pop, 2013, 50, core.Options{})
 		anvil := memctrl.NewANVIL()
 		s.Mem.Controller(0).Attach(anvil)
-		src := rng.New(seed ^ uint64(share*1000))
+		src := rng.New(env.Seed ^ uint64(share*1000))
 		rows := s.Topo.Geom.Rows
 		p := s.Mem.Policy()
 		mix := workload.NewFlatMix("attack-mix", src,
@@ -321,7 +321,7 @@ func runE9(seed uint64) *stats.Table {
 	s := attackRig(pop, 2013, 50, core.Options{})
 	anvil := memctrl.NewANVIL()
 	s.Mem.Controller(0).Attach(anvil)
-	src := rng.New(seed ^ 0x99)
+	src := rng.New(env.Seed ^ 0x99)
 	workload.RunSystem(s.Mem, workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, src), 400000)
 	t.AddNote("false positives on pure Zipf traffic: %d detections", anvil.Detections)
 	t.AddNote("paper verdict: software detection works but is statistical and intrusive")
@@ -330,8 +330,8 @@ func runE9(seed uint64) *stats.Table {
 
 // runE19 measures PARA's escape rate across placements when the
 // device internally remaps rows.
-func runE19(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE19(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	t := stats.NewTable("E19: PARA placement vs internal remapping (20% rows remapped)",
 		"placement", "residual flips", "note")
 	type place struct {
@@ -370,14 +370,14 @@ func runE19(seed uint64) *stats.Table {
 
 // runE22 sweeps many-sided attacks against TRR sampler sizes, the
 // forward-looking bypass the paper's DDR4 warning anticipates.
-func runE22(seed uint64) *stats.Table {
+func runE22(env Env) *stats.Table {
 	t := stats.NewTable("E22: victims flipped vs TRR sampler entries and aggressor count",
 		"sampler entries", "aggressor pairs", "victims flipped (of 19)")
 	for _, entries := range []int{1, 2, 4, 8, 16} {
 		for _, nAggr := range []int{1, 4, 10, 19} {
 			g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
 			dev := dram.NewDevice(g)
-			dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed))
+			dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
 			victims := []int{}
 			for v := 20; v <= 200; v += 10 {
 				dm.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
@@ -388,7 +388,7 @@ func runE22(seed uint64) *stats.Table {
 				dev.SetPhysBit(0, v, 3, 1)
 			}
 			ctrl := memctrl.New(dev, memctrl.Config{})
-			ctrl.Attach(memctrl.NewTRR(entries, 0.005, rng.New(seed^uint64(entries))))
+			ctrl.Attach(memctrl.NewTRR(entries, 0.005, rng.New(env.Seed^uint64(entries))))
 			ctrl.HammerRowsRanked(0, 0, pairRows(victims[:nAggr]), 5000)
 			flipped := 0
 			for _, v := range victims {

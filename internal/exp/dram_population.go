@@ -28,10 +28,10 @@ func init() {
 
 // runE1 regenerates Figure 1: one row per module with its sampled
 // error rate under the standard maximum-rate double-sided test.
-func runE1(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE1(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	test := modules.DefaultStandardTest()
-	src := rng.New(seed ^ 0xf1)
+	src := rng.New(env.Seed ^ 0xf1)
 	t := stats.NewTable("E1: RowHammer errors per 1e9 cells vs manufacture date (Fig. 1)",
 		"year", "vendor", "module", "errors/1e9")
 	type agg struct {
@@ -68,8 +68,8 @@ func runE1(seed uint64) *stats.Table {
 }
 
 // runE2 reproduces the census claims.
-func runE2(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE2(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	c := modules.TakeCensus(pop)
 	t := stats.NewTable("E2: module vulnerability census",
 		"year", "modules", "vulnerable")
@@ -99,8 +99,8 @@ func pickModule(pop []modules.Module, year int) *modules.Module {
 
 // runE3 sweeps hammer count: analytic expected error rate for the
 // three recent module classes plus a simulated spot check.
-func runE3(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE3(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	t := stats.NewTable("E3: errors per 1e9 cells vs hammer count (double-sided pairs/window)",
 		"pairs", "2012-class", "2013-class", "2014-class")
 	m12 := pickModule(pop, 2012)
@@ -145,10 +145,10 @@ func runE3(seed uint64) *stats.Table {
 
 // runE4 sweeps the refresh-rate multiplier, the paper's immediate
 // solution, and finds where the last module goes error-free.
-func runE4(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE4(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	test := modules.DefaultStandardTest()
-	src := rng.New(seed ^ 0xe4)
+	src := rng.New(env.Seed ^ 0xe4)
 	t := stats.NewTable("E4: errors vs refresh-rate multiplier (population of 129)",
 		"multiplier", "clean modules", "total errors/1e9 (sum)")
 	for _, mult := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 10} {
@@ -178,7 +178,7 @@ func runE4(seed uint64) *stats.Table {
 // runE6 tabulates PARA's analytic guarantees and validates the model
 // with a Monte Carlo at toy scale where the escape probability is
 // large enough to measure.
-func runE6(seed uint64) *stats.Table {
+func runE6(env Env) *stats.Table {
 	t := stats.NewTable("E6: PARA failure probability and MTTF vs p",
 		"p", "escape prob/attempt", "MTTF (years)", "FIT")
 	actRate := float64(dram.Second) / float64(dram.DefaultTiming().TRC)
@@ -190,7 +190,7 @@ func runE6(seed uint64) *stats.Table {
 	}
 	// Monte Carlo at toy scale: threshold 500, p=0.004 gives
 	// (1-0.002)^500 ~ 0.3675 escape probability.
-	src := rng.New(seed ^ 0xe6)
+	src := rng.New(env.Seed ^ 0xe6)
 	const trials = 200000
 	toyP, toyThr := 0.004, 500
 	escapes := 0
@@ -215,7 +215,7 @@ func runE6(seed uint64) *stats.Table {
 
 // runE10 computes the refresh burden across densities, the cost
 // context for the refresh-rate solution.
-func runE10(seed uint64) *stats.Table {
+func runE10(env Env) *stats.Table {
 	t := stats.NewTable("E10: refresh burden vs density",
 		"rows/bank", "capacity-class", "loss@1x", "loss@7x", "power@1x (W)", "power@7x (W)")
 	tm := dram.DefaultTiming()

@@ -33,7 +33,7 @@ func retentionTestbed(p retention.Params, seed uint64) (*dram.Device, *retention
 // runE11: profile with different campaigns at a margin interval, then
 // count weak cells the campaign missed that can fail at the target
 // operating interval — the cells that "slip into the field".
-func runE11(seed uint64) *stats.Table {
+func runE11(env Env) *stats.Table {
 	p := retention.Params{
 		WeakFraction: 0.005,
 		MedianSec:    2.0,
@@ -65,7 +65,7 @@ func runE11(seed uint64) *stats.Table {
 		{"full battery x16", profile.StandardPatterns(), 16},
 	}
 	for _, c := range campaigns {
-		dev, m := retentionTestbed(p, seed^0x11)
+		dev, m := retentionTestbed(p, env.Seed^0x11)
 		// Ground truth: cells that can fail at the operating interval
 		// under worst conditions (DPD engaged, VRT short state).
 		atRisk := map[profile.CellKey]bool{}
@@ -98,7 +98,7 @@ func runE11(seed uint64) *stats.Table {
 // runE12 simulates a field deployment with VRT cells and compares
 // failure accumulation without ECC, with SECDED only, and with
 // SECDED plus periodic scrubbing.
-func runE12(seed uint64) *stats.Table {
+func runE12(env Env) *stats.Table {
 	p := retention.Params{
 		WeakFraction: 0.01,
 		MedianSec:    0.4, // short-state retention below the field interval
@@ -131,7 +131,7 @@ func runE12(seed uint64) *stats.Table {
 	t := stats.NewTable("E12: uncorrected word-failures over 400 field epochs (VRT population)",
 		"policy", "failed words", "corrected events")
 	for _, pol := range policies {
-		dev, m := retentionTestbed(p, seed^0x12)
+		dev, m := retentionTestbed(p, env.Seed^0x12)
 		_ = m
 		g := dev.Geom
 		// Reference data: all ones.
@@ -193,7 +193,7 @@ func runE12(seed uint64) *stats.Table {
 // runE23: the co-design payoff experiment — profile, bin rows by
 // retention, refresh strong rows less often, and account both the
 // refresh savings and the escapes that slipped past profiling.
-func runE23(seed uint64) *stats.Table {
+func runE23(env Env) *stats.Table {
 	p := retention.Params{
 		WeakFraction: 0.004,
 		MedianSec:    1.5,
@@ -210,7 +210,7 @@ func runE23(seed uint64) *stats.Table {
 	t := stats.NewTable("E23: multi-rate refresh from online profiling",
 		"profiling", "weak rows", "refresh ops saved", "field escapes")
 	for _, full := range []bool{false, true} {
-		dev, m := retentionTestbed(p, seed^0x23)
+		dev, m := retentionTestbed(p, env.Seed^0x23)
 		pats := profile.SolidOnly()
 		name := "solid x1"
 		if full {

@@ -93,7 +93,7 @@ func readRow(c *memctrl.Controller, bank, row int) {
 // silent on everything past two bits, chipkill converts both
 // intra-nibble clusters into corrections and only the four-nibble quad
 // into silence. Mitigations that stop the flips zero every ECC column.
-func runE70(seed uint64) *stats.Table {
+func runE70(env Env) *stats.Table {
 	t := stats.NewTable("E70: ECC x mitigation Pareto (3 victims x {1,2,3,4}-bit word clusters, threshold 100k)",
 		"ecc", "defence", "flips", "corrected", "detected", "silent", "mit refreshes")
 	victims := []int{101, 301, 501}
@@ -104,7 +104,7 @@ func runE70(seed uint64) *stats.Table {
 		{"none", nil},
 		{"refresh-x2", func(c *memctrl.Controller) { c.Attach(memctrl.NewRefreshScaling(2)) }},
 		{"PARA p=0.01", func(c *memctrl.Controller) {
-			c.Attach(memctrl.NewPARA(0.01, memctrl.InDRAM, nil, rng.New(seed^0xE70)))
+			c.Attach(memctrl.NewPARA(0.01, memctrl.InDRAM, nil, rng.New(env.Seed^0xE70)))
 		}},
 		{"Graphene 8-entry", func(c *memctrl.Controller) { c.Attach(memctrl.NewGraphene(8, 100000, 1)) }},
 	}
@@ -112,7 +112,7 @@ func runE70(seed uint64) *stats.Table {
 		for _, d := range defenses {
 			g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}
 			dev := dram.NewDevice(g)
-			dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed^0x70))
+			dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^0x70))
 			for _, v := range victims {
 				injectE70Clusters(dm, v, 100000)
 			}
@@ -154,13 +154,13 @@ func runE70(seed uint64) *stats.Table {
 // bank inside the window repairs the first wave before the second
 // pairs it into detected (2-bit) or silent (nibble-packed 3-bit)
 // words. The MitTime share is the patrol's bandwidth price.
-func runE71(seed uint64) *stats.Table {
+func runE71(env Env) *stats.Table {
 	t := stats.NewTable("E71: scrub rate vs silent corruption (SECDED, two-wave flips, 2048-REF scrub window)",
 		"scrub words/REF", "repairs", "corrected", "detected", "silent", "scrub time %")
 	for _, rate := range []int{0, 2, 8, 32, 128} {
 		g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed^0x71))
+		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^0x71))
 		var victims []int
 		for v := 101; v <= 901; v += 100 {
 			victims = append(victims, v)
@@ -221,7 +221,7 @@ func runE71(seed uint64) *stats.Table {
 // per-code verdicts; only the flat addresses the attacker would
 // templated-spray differ — the repository's mapping thesis restated
 // for ECC.
-func runE72(seed uint64) *stats.Table {
+func runE72(env Env) *stats.Table {
 	t := stats.NewTable("E72: miscorrection hunt across mapping policies (2ch x 2 banks, injected clusters)",
 		"policy", "multi-flip words", "single-flip words", "secded silent", "indram silent", "chipkill silent", "first silent addr")
 	topo := dram.Topology{Channels: 2, Ranks: 1, Geom: dram.Geometry{Banks: 2, Rows: 96, Cols: 4}}
@@ -229,7 +229,7 @@ func runE72(seed uint64) *stats.Table {
 		devs := make([][]*dram.Device, topo.Channels)
 		for ch := 0; ch < topo.Channels; ch++ {
 			dev := dram.NewDevice(topo.Geom)
-			dm := disturb.NewModel(topo.Geom, disturb.Invulnerable(), rng.New(seed^uint64(0x72+ch)))
+			dm := disturb.NewModel(topo.Geom, disturb.Invulnerable(), rng.New(env.Seed^uint64(0x72+ch)))
 			if ch == 0 {
 				// Bank 0 row 31: a nibble-packed triple (SECDED-silent,
 				// chipkill-corrected) and a same-nibble double
@@ -252,7 +252,7 @@ func runE72(seed uint64) *stats.Table {
 			panic(err)
 		}
 		ms := memctrl.NewSystem(devs, policy, memctrl.Config{})
-		findings, singles := attack.MiscorrectionHunt(ms, ^uint64(0), 2500, Shards())
+		findings, singles := attack.MiscorrectionHunt(ms, ^uint64(0), 2500, env.Shards)
 		var secded, indram, chipkill int
 		firstSilent := "-"
 		for _, f := range findings {
@@ -288,14 +288,14 @@ func runE72(seed uint64) *stats.Table {
 // and positions drawn over the full 72-bit ECC word and classified
 // under SECDED (bit-exact decoder), the default on-die code, and x4
 // chipkill — three different error logs from one fleet.
-func runE73(seed uint64) *stats.Table {
+func runE73(env Env) *stats.Table {
 	cfg := fieldstudy.DefaultConfig()
 	cfg.Classes = []fieldstudy.DensityClass{
 		{Label: "1Gb", RateScale: 1.0, DIMMs: 300_000},
 		{Label: "2Gb", RateScale: 2.2, DIMMs: 350_000},
 		{Label: "4Gb", RateScale: 4.5, DIMMs: 350_000},
 	}
-	classes := fieldstudy.RunECCSharded(cfg, 0.30, 6, seed^0x73, Shards())
+	classes := fieldstudy.RunECCSharded(cfg, 0.30, 6, env.Seed^0x73, env.Shards)
 	t := stats.NewTable("E73: ECC fleet study at 1M DIMMs (per-event classification, block-sharded)",
 		"density", "ecc", "events", "corrected", "detected", "silent", "silent/1M events")
 	for _, c := range classes {

@@ -178,30 +178,3 @@ func TestE73FleetClassification(t *testing.T) {
 		}
 	}
 }
-
-// TestECCExpsShardInvariant pins the E70-E73 acceptance contract at
-// seeds 1 and 5: every table renders bit-identical for any shard
-// fan-out.
-func TestECCExpsShardInvariant(t *testing.T) {
-	for _, id := range []string{"E70", "E71", "E72", "E73"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		for _, seed := range []uint64{1, 5} {
-			render := func(shards int) string {
-				r := Runner{Workers: 1, Seed: seed, ShardWorkers: shards}
-				res := r.Run([]Experiment{e})
-				if res[0].Err != nil {
-					t.Fatal(res[0].Err)
-				}
-				return res[0].Table.String()
-			}
-			serial := render(1)
-			if got := render(3); got != serial {
-				t.Fatalf("%s table differs between 1 and 3 shards at seed %d:\n%s\n---\n%s",
-					id, seed, serial, got)
-			}
-		}
-	}
-}

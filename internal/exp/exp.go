@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/stats"
@@ -24,13 +25,30 @@ type Experiment struct {
 	Title string
 	// Anchor cites the paper claim or figure being reproduced.
 	Anchor string
-	// Run executes the experiment with the given seed.
-	Run func(seed uint64) *stats.Table
+	// Run executes the experiment in the given environment.
+	Run func(env Env) *stats.Table
+}
+
+// Env is everything one experiment run receives. Tables depend on Seed
+// alone; Shards is the fan-out of the run's sharded sweeps (channels,
+// dies, fleet blocks, tournament groups), always positive.
+type Env struct {
+	Seed   uint64
+	Shards int
+}
+
+// NewEnv returns the environment of a run at seed with the given shard
+// fan-out; shards <= 0 means runtime.GOMAXPROCS.
+func NewEnv(seed uint64, shards int) Env {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	return Env{Seed: seed, Shards: shards}
 }
 
 var registry []Experiment
 
-func register(id, title, anchor string, run func(uint64) *stats.Table) {
+func register(id, title, anchor string, run func(Env) *stats.Table) {
 	var num int
 	if _, err := fmt.Sscanf(id, "E%d", &num); err != nil {
 		panic(fmt.Sprintf("exp: experiment ID %q is not of the form E<num>: %v", id, err))

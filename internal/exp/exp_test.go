@@ -37,19 +37,16 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// runTable runs an experiment and applies generic sanity checks.
+// runTable reads an experiment's seed-1 table at the default fan-out
+// (the run TestTablesMatchGolden pins) and applies generic sanity
+// checks.
 func runTable(t *testing.T, id string) [][]string {
 	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("%s not registered", id)
-	}
-	tab := e.Run(1)
-	if tab == nil || len(tab.Rows) == 0 {
+	tab := table(t, id, 1, 0)
+	if len(tab.Rows) == 0 {
 		t.Fatalf("%s produced no rows", id)
 	}
-	out := tab.String()
-	if !strings.Contains(out, tab.Columns[0]) {
+	if !strings.Contains(tab.String(), tab.Columns[0]) {
 		t.Fatalf("%s table does not render", id)
 	}
 	return tab.Rows

@@ -30,8 +30,8 @@ func init() {
 
 // runE24: the fleet Monte Carlo reproducing the field studies'
 // density, concentration and UE findings.
-func runE24(seed uint64) *stats.Table {
-	res := fieldstudy.Run(fieldstudy.DefaultConfig(), rng.New(seed^0x24))
+func runE24(env Env) *stats.Table {
+	res := fieldstudy.Run(fieldstudy.DefaultConfig(), rng.New(env.Seed^0x24))
 	t := stats.NewTable("E24: one-year fleet simulation (16k DIMMs, three density generations)",
 		"density", "DIMMs", "CE/DIMM-month", "DIMMs with CE", "top-1% CE share", "UE/1000 DIMM-months")
 	for _, c := range res.Classes {
@@ -47,7 +47,7 @@ func runE24(seed uint64) *stats.Table {
 
 // runE25: RAIDR saves refresh, but slow bins stretch the RowHammer
 // window — quantify both sides of the co-design trade.
-func runE25(seed uint64) *stats.Table {
+func runE25(env Env) *stats.Table {
 	t := stats.NewTable("E25: RAIDR slow-bin multiple vs refresh savings and RowHammer exposure",
 		"slow multiple", "refresh ops saved", "victim flips")
 	// One injected victim whose threshold is just above what an
@@ -60,7 +60,7 @@ func runE25(seed uint64) *stats.Table {
 	for _, mult := range []int{1, 2, 4, 8} {
 		g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed))
+		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
 		dm.InjectWeakCell(0, 60, 5, threshold, 1, 1, 1, 1)
 		dev.AttachFault(dm)
 		dev.SetPhysBit(0, 60, 5, 1)
@@ -98,13 +98,13 @@ func runE25(seed uint64) *stats.Table {
 }
 
 // runE26: PARA radius 1 leaves distance-2 victims unprotected.
-func runE26(seed uint64) *stats.Table {
+func runE26(env Env) *stats.Table {
 	t := stats.NewTable("E26: PARA refresh radius vs residual flips",
 		"radius", "dist-1 victim flips", "dist-2 victim flips")
 	for _, radius := range []int{1, 2} {
 		g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed))
+		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
 		// Victims at distance 1 and 2 from the hammered pair around 60.
 		dm.InjectWeakCell(0, 60, 3, 2000, 1, 1, 1, 1) // dist-1 victim
 		dm.InjectWeakCell(0, 63, 4, 2000, 1, 2, 1, 1) // dist-2 victim of row 61
@@ -112,7 +112,7 @@ func runE26(seed uint64) *stats.Table {
 		dev.SetPhysBit(0, 60, 3, 1)
 		dev.SetPhysBit(0, 63, 4, 1)
 		ctrl := memctrl.New(dev, memctrl.Config{})
-		para := memctrl.NewPARA(0.03, memctrl.InDRAM, nil, rng.New(seed^uint64(radius)))
+		para := memctrl.NewPARA(0.03, memctrl.InDRAM, nil, rng.New(env.Seed^uint64(radius)))
 		para.Radius = radius
 		ctrl.Attach(para)
 		ctrl.HammerPairsRanked(0, 0, 59, 61, 50000)
@@ -126,7 +126,7 @@ func runE26(seed uint64) *stats.Table {
 
 // runE27: disturbance rate vs aggressor data pattern at several DPD
 // strengths.
-func runE27(seed uint64) *stats.Table {
+func runE27(env Env) *stats.Table {
 	t := stats.NewTable("E27: flips vs aggressor data pattern and DPD factor",
 		"DPD factor", "opposite-pattern flips", "same-pattern flips")
 	for _, dpd := range []float64{1.0, 0.5, 0.25, 0.05} {
@@ -141,7 +141,7 @@ func runE27(seed uint64) *stats.Table {
 			}
 			g := dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
 			dev := dram.NewDevice(g)
-			m := disturb.NewModel(g, p, rng.New(seed^0x27))
+			m := disturb.NewModel(g, p, rng.New(env.Seed^0x27))
 			dev.AttachFault(m)
 			for r := 0; r < g.Rows; r++ {
 				dev.FillPhysRow(0, r, 0xffffffffffffffff)
@@ -164,13 +164,13 @@ func runE27(seed uint64) *stats.Table {
 
 // runE28: TRR capture probability sweep against a fixed double-sided
 // attack.
-func runE28(seed uint64) *stats.Table {
+func runE28(env Env) *stats.Table {
 	t := stats.NewTable("E28: TRR sampling probability vs protection (8-entry sampler, 19 victims)",
 		"sample probability", "victims flipped")
 	for _, p := range []float64{0, 0.0005, 0.002, 0.01, 0.05} {
 		g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed))
+		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
 		victims := []int{}
 		for v := 20; v <= 200; v += 10 {
 			dm.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
@@ -182,7 +182,7 @@ func runE28(seed uint64) *stats.Table {
 		}
 		ctrl := memctrl.New(dev, memctrl.Config{})
 		if p > 0 {
-			ctrl.Attach(memctrl.NewTRR(8, p, rng.New(seed^uint64(p*1e4))))
+			ctrl.Attach(memctrl.NewTRR(8, p, rng.New(env.Seed^uint64(p*1e4))))
 		}
 		ctrl.HammerRowsRanked(0, 0, pairRows(victims), 4000)
 		flipped := 0
@@ -198,21 +198,21 @@ func runE28(seed uint64) *stats.Table {
 }
 
 // runE29: RFR with each phase disabled, isolating their contributions.
-func runE29(seed uint64) *stats.Table {
+func runE29(env Env) *stats.Table {
 	t := stats.NewTable("E29: RFR phase ablation (P/E 12000, 2-year retention)",
 		"configuration", "errors before", "errors after")
 	ecc := ftl.DefaultECC()
 	// Full RFR.
-	full := ftl.RunRFR(agedFlashBlock(seed, 12000, 24*365*2), 0, ecc, ftl.DefaultRFRConfig())
+	full := ftl.RunRFR(agedFlashBlock(env.Seed, 12000, 24*365*2), 0, ecc, ftl.DefaultRFRConfig())
 	// Sweep only: ExtraShift 0 neutralizes phase 2 (both classification
 	// reads use the same references, so no cell is reclassified).
 	sweepCfg := ftl.DefaultRFRConfig()
 	sweepCfg.ExtraShift = 0
-	sweepOnly := ftl.RunRFR(agedFlashBlock(seed, 12000, 24*365*2), 0, ecc, sweepCfg)
+	sweepOnly := ftl.RunRFR(agedFlashBlock(env.Seed, 12000, 24*365*2), 0, ecc, sweepCfg)
 	// Classification only: the sweep is pinned to offset zero.
 	classCfg := ftl.DefaultRFRConfig()
 	classCfg.SweepOffsets = []float64{0}
-	classOnly := ftl.RunRFR(agedFlashBlock(seed, 12000, 24*365*2), 0, ecc, classCfg)
+	classOnly := ftl.RunRFR(agedFlashBlock(env.Seed, 12000, 24*365*2), 0, ecc, classCfg)
 	t.AddRowf("full RFR", full.ErrorsBefore, full.ErrorsAfter)
 	t.AddRowf("sweep only", sweepOnly.ErrorsBefore, sweepOnly.ErrorsAfter)
 	t.AddRowf("classification only", classOnly.ErrorsBefore, classOnly.ErrorsAfter)

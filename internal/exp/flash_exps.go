@@ -52,16 +52,16 @@ func flashPages(src *rng.Stream, words int) ([]uint64, []uint64) {
 // runE13: at each wear level, measure RBER fresh, after a year of
 // retention, after heavy reads, and with an interfering neighbour —
 // showing retention dominating at high P/E.
-func runE13(seed uint64) *stats.Table {
+func runE13(env Env) *stats.Table {
 	t := stats.NewTable("E13: RBER by error source vs P/E cycles",
 		"P/E", "program (fresh)", "+1y retention", "+50k reads", "+interference")
 	p := flash.DefaultParams()
 	for _, pe := range []int{0, 1000, 3000, 6000, 10000} {
 		measure := func(mod func(b *flash.Block)) float64 {
-			b := flash.NewBlock(p, 4, 2048, rng.New(seed^uint64(pe)))
+			b := flash.NewBlock(p, 4, 2048, rng.New(env.Seed^uint64(pe)))
 			b.CycleWear(pe)
 			b.Erase()
-			src := rng.New(seed ^ 0x13)
+			src := rng.New(env.Seed ^ 0x13)
 			lsb, msb := flashPages(src, 32)
 			b.ProgramFull(0, lsb, msb)
 			if mod != nil {
@@ -87,20 +87,20 @@ func runE13(seed uint64) *stats.Table {
 }
 
 // runE14: lifetime comparison between no refresh and FCR variants.
-func runE14(seed uint64) *stats.Table {
+func runE14(env Env) *stats.Table {
 	p := flash.DefaultParams()
 	e := ftl.DefaultECC()
 	cfg := ftl.DefaultLifetimeConfig()
 	t := stats.NewTable("E14: drive lifetime under FCR (5 P/E per day workload, 1y retention spec)",
 		"policy", "tolerated P/E", "lifetime (days)", "vs baseline", "refresh wear")
-	base := ftl.BaselineLifetime(p, e, cfg, rng.New(seed^0x14))
+	base := ftl.BaselineLifetime(p, e, cfg, rng.New(env.Seed^0x14))
 	rows := []ftl.LifetimeResult{base}
 	for _, days := range []float64{90, 30, 7, 1} {
-		r := ftl.FCRLifetime(p, e, cfg, days, rng.New(seed^0x14))
+		r := ftl.FCRLifetime(p, e, cfg, days, rng.New(env.Seed^0x14))
 		r.Policy = fmt.Sprintf("FCR every %.0fd", days)
 		rows = append(rows, r)
 	}
-	rows = append(rows, ftl.AdaptiveFCRLifetime(p, e, cfg, rng.New(seed^0x14)))
+	rows = append(rows, ftl.AdaptiveFCRLifetime(p, e, cfg, rng.New(env.Seed^0x14)))
 	for _, r := range rows {
 		t.AddRow(r.Policy, fmt.Sprintf("%d", r.Endurance),
 			fmt.Sprintf("%.0f", r.LifetimeDays),
@@ -113,14 +113,14 @@ func runE14(seed uint64) *stats.Table {
 
 // runE15: RBER vs read count plus the susceptibility-variation
 // statistics that enable both recovery and attack.
-func runE15(seed uint64) *stats.Table {
+func runE15(env Env) *stats.Table {
 	t := stats.NewTable("E15: read disturb vs read count (P/E 4000)",
 		"reads", "RBER")
 	p := flash.DefaultParams()
-	b := flash.NewBlock(p, 4, 2048, rng.New(seed^0x15))
+	b := flash.NewBlock(p, 4, 2048, rng.New(env.Seed^0x15))
 	b.CycleWear(4000)
 	b.Erase()
-	src := rng.New(seed ^ 0x51)
+	src := rng.New(env.Seed ^ 0x51)
 	lsb, msb := flashPages(src, 32)
 	b.ProgramFull(0, lsb, msb)
 	prevReads := int64(0)
@@ -140,7 +140,7 @@ func runE15(seed uint64) *stats.Table {
 }
 
 // runE16: RFR on pages at several wear/age corners.
-func runE16(seed uint64) *stats.Table {
+func runE16(env Env) *stats.Table {
 	t := stats.NewTable("E16: retention failure recovery (RFR)",
 		"P/E", "age", "errors before", "errors after", "reduction", "ECC-recovered")
 	e := ftl.DefaultECC()
@@ -148,10 +148,10 @@ func runE16(seed uint64) *stats.Table {
 		pe  int
 		yrs float64
 	}{{8000, 1}, {10000, 1}, {12000, 2}, {14000, 2}} {
-		b := flash.NewBlock(flash.DefaultParams(), 4, 2048, rng.New(seed^uint64(corner.pe)))
+		b := flash.NewBlock(flash.DefaultParams(), 4, 2048, rng.New(env.Seed^uint64(corner.pe)))
 		b.CycleWear(corner.pe)
 		b.Erase()
-		src := rng.New(seed ^ 0x16)
+		src := rng.New(env.Seed ^ 0x16)
 		lsb, msb := flashPages(src, 32)
 		b.ProgramFull(0, lsb, msb)
 		b.AdvanceHours(24 * 365 * corner.yrs)
@@ -169,16 +169,16 @@ func runE16(seed uint64) *stats.Table {
 }
 
 // runE17: NAC on interference-dominated pages across wear.
-func runE17(seed uint64) *stats.Table {
+func runE17(env Env) *stats.Table {
 	t := stats.NewTable("E17: neighbor-cell assisted correction (NAC)",
 		"P/E", "errors before", "errors after", "reduction")
 	p := flash.DefaultParams()
 	p.Gamma = 0.08 // interference-dominated regime
 	for _, pe := range []int{4000, 6000, 8000} {
-		b := flash.NewBlock(p, 4, 2048, rng.New(seed^uint64(pe)^0x17))
+		b := flash.NewBlock(p, 4, 2048, rng.New(env.Seed^uint64(pe)^0x17))
 		b.CycleWear(pe)
 		b.Erase()
-		src := rng.New(seed ^ 0x71)
+		src := rng.New(env.Seed ^ 0x71)
 		lsb, msb := flashPages(src, 32)
 		b.ProgramFull(0, lsb, msb)
 		zero := make([]uint64, 32)
@@ -201,17 +201,17 @@ func runE17(seed uint64) *stats.Table {
 
 // runE18: two-step programming exploit severity vs attacker read
 // budget, the buffered-LSB mitigation, and its lifetime payoff.
-func runE18(seed uint64) *stats.Table {
+func runE18(env Env) *stats.Table {
 	t := stats.NewTable("E18: two-step programming corruption vs attacker reads (P/E 3000)",
 		"attacker reads", "corrupted bits (unmitigated)", "corrupted bits (buffered LSB)")
 	p := flash.DefaultParams()
 	refs := p.NominalRefs()
 	for _, reads := range []int64{0, 250000, 500000, 1000000, 2000000} {
 		run := func(buffered bool) int {
-			b := flash.NewBlock(p, 4, 2048, rng.New(seed^uint64(reads)))
+			b := flash.NewBlock(p, 4, 2048, rng.New(env.Seed^uint64(reads)))
 			b.CycleWear(3000)
 			b.Erase()
-			src := rng.New(seed ^ 0x18)
+			src := rng.New(env.Seed ^ 0x18)
 			lsb, msb := flashPages(src, 32)
 			b.ProgramLSB(0, lsb)
 			b.StressReads(reads)
@@ -233,10 +233,10 @@ func runE18(seed uint64) *stats.Table {
 	// effect through the same lifetime probe as E14.
 	e := ftl.DefaultECC()
 	cfg := ftl.DefaultLifetimeConfig()
-	baseEnd := ftl.MaxEnduranceAtAge(p, e, cfg, cfg.RetentionSpecDays*24, rng.New(seed^0x81))
+	baseEnd := ftl.MaxEnduranceAtAge(p, e, cfg, cfg.RetentionSpecDays*24, rng.New(env.Seed^0x81))
 	mit := p
 	mit.Sigma0 *= 0.90
-	mitEnd := ftl.MaxEnduranceAtAge(mit, e, cfg, cfg.RetentionSpecDays*24, rng.New(seed^0x81))
+	mitEnd := ftl.MaxEnduranceAtAge(mit, e, cfg, cfg.RetentionSpecDays*24, rng.New(env.Seed^0x81))
 	t.AddNote("lifetime: baseline endurance %d P/E, mitigated %d P/E (%+.0f%%; paper: +16%%)",
 		baseEnd, mitEnd, 100*(float64(mitEnd)/float64(baseEnd)-1))
 	t.AddNote("expected: corruption grows with attacker reads; buffered-LSB mitigation stays near zero")

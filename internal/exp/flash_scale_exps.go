@@ -7,7 +7,7 @@ package exp
 // flash.Topology; E62 scales the E20 PCM write-attack tournament
 // to a fleet of arrays; E63 runs a flash wear field study across a
 // die fleet alongside E52's DRAM fleet. All three shard across
-// Shards() workers and their tables are worker-count invariant by
+// Env.Shards workers and their tables are worker-count invariant by
 // construction (per-die substreams, slot-indexed results, fixed-order
 // merges).
 
@@ -50,7 +50,7 @@ func e60LifetimeConfig() ftl.LifetimeConfig {
 // turns on — ECC strength, refresh (FCR) period, and read-disturb
 // exposure — and reports the endurance bound and resulting lifetime
 // at every grid point, aggregated across the topology's dies.
-func runE60(seed uint64) *stats.Table {
+func runE60(env Env) *stats.Table {
 	topo := e60Topology()
 	cfg := e60LifetimeConfig()
 	p := flash.DefaultParams()
@@ -66,7 +66,7 @@ func runE60(seed uint64) *stats.Table {
 			}
 		}
 	}
-	points := ftl.EnduranceFrontier(p, cfg, topo, specs, seed^0x60, Shards())
+	points := ftl.EnduranceFrontier(p, cfg, topo, specs, env.Seed^0x60, env.Shards)
 	t := stats.NewTable(fmt.Sprintf("E60: RBER/lifetime frontier on %s (per-die endurance bounds)", topo),
 		"ECC t/1KB", "FCR period", "stress reads", "mean endurance", "die min..max", "lifetime days")
 	for _, pt := range points {
@@ -85,9 +85,9 @@ func runE60(seed uint64) *stats.Table {
 // runE62 is E20 at fleet scale: the single-hot-line write attack runs
 // against a fleet of arrays per scheme, reporting the spread of
 // writes-to-failure that one array cannot show.
-func runE62(seed uint64) *stats.Table {
+func runE62(env Env) *stats.Table {
 	cfg := pcm.DefaultFleetConfig()
-	res := pcm.RunFleetTournament(cfg, seed^0x62, Shards())
+	res := pcm.RunFleetTournament(cfg, env.Seed^0x62, env.Shards)
 	t := stats.NewTable(fmt.Sprintf("E62: PCM write-attack tournament (%d arrays/scheme, %d lines, %.0e endurance)",
 		cfg.Arrays, cfg.Lines, cfg.MeanEndurance),
 		"scheme", "mean writes to failure", "fleet min", "fleet max", "mean fraction of ideal")
@@ -106,7 +106,7 @@ func runE62(seed uint64) *stats.Table {
 // runE63 is the flash counterpart of E52's DRAM fleet study: a fleet
 // of dies in three wear classes, each die probed for post-retention
 // RBER and decodability from its own substream.
-func runE63(seed uint64) *stats.Table {
+func runE63(env Env) *stats.Table {
 	topo := flash.Topology{Dies: 96, Planes: 2, BlocksPerPlane: 128}
 	p := flash.DefaultParams()
 	e := ftl.DefaultECC()
@@ -125,7 +125,7 @@ func runE63(seed uint64) *stats.Table {
 		failed [3]bool
 	}
 	outs := make([]dieOut, topo.Dies)
-	topo.ShardDies(seed^0x63, Shards(), func(die int, src *rng.Stream) {
+	topo.ShardDies(env.Seed^0x63, env.Shards, func(die int, src *rng.Stream) {
 		words := cells / 64
 		lsb := make([]uint64, words)
 		msb := make([]uint64, words)

@@ -63,35 +63,3 @@ func TestE63WearClassesOrdered(t *testing.T) {
 		prev = rber
 	}
 }
-
-// TestFlashScaleExperimentsShardInvariant: E60, E62 and E63 produce
-// bit-identical tables for every die-shard fan-out, at the two
-// acceptance seeds.
-func TestFlashScaleExperimentsShardInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed experiment sweep")
-	}
-	for _, id := range []string{"E60", "E62", "E63"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		for _, seed := range []uint64{1, 5} {
-			var want string
-			for _, shards := range []int{1, 3, 7} {
-				r := (&Runner{Workers: 1, Seed: seed, ShardWorkers: shards}).Run([]Experiment{e})
-				if r[0].Err != nil {
-					t.Fatalf("%s seed %d shards %d: %v", id, seed, shards, r[0].Err)
-				}
-				got := r[0].Table.String()
-				if shards == 1 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s seed %d: table differs between 1 and %d shards", id, seed, shards)
-				}
-			}
-		}
-	}
-}

@@ -8,7 +8,7 @@ package exp
 // energy) under the same attacks, including the adaptive many-sided
 // attacker that defeats sampler-capacity defences. The topology sweep
 // (E42) runs per-channel mitigation instances on the channel-sharded
-// hot path and is bit-identical for every Shards() value.
+// hot path and is bit-identical for every Env.Shards value.
 
 import (
 	"fmt"
@@ -100,8 +100,8 @@ func frontierDefenses(seed uint64, topo dram.Topology, threshold int64, graphene
 // the second generation: Graphene buys TRR's placement with CRA-class
 // guarantees at top-k storage; TWiCe prunes CRA's table; refresh
 // scaling pays in REF energy for every protected row.
-func runE40(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE40(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	topo := dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 1024, Cols: 8})
 	t := stats.NewTable("E40: mitigation frontier (2013-class module, thresholds scaled /50)",
 		"solution", "residual flips", "storage bits", "mit refreshes", "REF commands", "energy overhead")
@@ -117,7 +117,7 @@ func runE40(seed uint64) *stats.Table {
 	base := build()
 	threshold := int64(base.Disturbs[0][0].MinThreshold())
 	var baseEnergy float64
-	for i, d := range frontierDefenses(seed, topo, threshold, 8) {
+	for i, d := range frontierDefenses(env.Seed, topo, threshold, 8) {
 		s := base
 		if i > 0 {
 			s = build()
@@ -129,7 +129,7 @@ func runE40(seed uint64) *stats.Table {
 		for v := 17; v < topo.Geom.Rows-1; v += 16 {
 			attack.NSidedRanked(c, 0, 0, attack.NSidedAggressors(v-1, 2), nil, 12000)
 		}
-		workload.RunSystem(s.Mem, workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, rng.New(seed^0xbe)), 40000)
+		workload.RunSystem(s.Mem, workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, rng.New(env.Seed^0xbe)), 40000)
 		energy := c.EnergyPJ()
 		if i == 0 {
 			baseEnergy = energy
@@ -159,12 +159,12 @@ type nsidedDefense struct {
 // hammer cycle of aggressors then decoys. TRR's sampler dilutes as the pattern widens;
 // Graphene's spillover and TWiCe's exact counts convert the same
 // pressure into refresh overhead instead of flips.
-func runE41(seed uint64) *stats.Table {
+func runE41(env Env) *stats.Table {
 	t := stats.NewTable("E41: victims flipped (of 15) vs sidedness and decoys, fixed 90k-activation budget",
 		"defence", "sides", "decoys", "flips", "mit refreshes")
 	defenses := []nsidedDefense{
 		{"TRR 2-entry", func(c *memctrl.Controller) {
-			c.Attach(memctrl.NewTRR(2, 0.1, rng.New(seed^0xE41)))
+			c.Attach(memctrl.NewTRR(2, 0.1, rng.New(env.Seed^0xE41)))
 		}},
 		{"Graphene 4-entry", func(c *memctrl.Controller) {
 			c.Attach(memctrl.NewGraphene(4, 300, 1))
@@ -181,7 +181,7 @@ func runE41(seed uint64) *stats.Table {
 			for _, decoys := range []int{0, 4} {
 				g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 				dev := dram.NewDevice(g)
-				dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed^uint64(sides*8+decoys)))
+				dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^uint64(sides*8+decoys)))
 				base := 31
 				victims := attack.NSidedVictims(base, 16)
 				for _, v := range victims {
@@ -218,10 +218,10 @@ func runE41(seed uint64) *stats.Table {
 
 // runE42 attaches every frontier defence per channel across topologies
 // and runs the same cross-bank N-sided campaign, sharded across
-// Shards() workers — the table is bit-identical for every worker count
+// Env.Shards workers — the table is bit-identical for every worker count
 // (the acceptance contract of the whole frontier family).
-func runE42(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE42(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	m := scaleForTopo(*pickModule(pop, 2013))
 	g := dram.Geometry{Banks: 2, Rows: 96, Cols: 4}
 	t := stats.NewTable("E42: frontier across topologies (4-sided cross-bank campaign, thresholds scaled /100)",
@@ -235,13 +235,13 @@ func runE42(seed uint64) *stats.Table {
 		{Channels: 2, Ranks: 2, Geom: g},
 	} {
 		scratch := m
-		scratch.Seed = m.Seed + seed
+		scratch.Seed = m.Seed + env.Seed
 		threshold := int64(core.Build(&scratch, core.Options{Topology: topo}).Disturbs[0][0].MinThreshold())
 		// 16 entries cover the campaign's 14 active rows per bank
 		// (3 bases x 4 aggressors + 2 decoys).
-		for _, d := range frontierDefenses(seed, topo, threshold, 16) {
+		for _, d := range frontierDefenses(env.Seed, topo, threshold, 16) {
 			mm := m
-			mm.Seed = m.Seed + seed
+			mm.Seed = m.Seed + env.Seed
 			s := core.Build(&mm, core.Options{Topology: topo})
 			if d.attach != nil {
 				for ch := 0; ch < topo.Channels; ch++ {
@@ -258,7 +258,7 @@ func runE42(seed uint64) *stats.Table {
 					}
 				}
 			}
-			attack.CrossBankNSided(s.Mem, bases, 4, 2, 4000, Shards())
+			attack.CrossBankNSided(s.Mem, bases, 4, 2, 4000, env.Shards)
 			t.AddRow(topo.String(), d.name,
 				fmt.Sprintf("%d", s.TotalFlips()),
 				fmt.Sprintf("%d", s.Mem.AggregateStats().MitRefreshes),
@@ -275,14 +275,14 @@ func runE42(seed uint64) *stats.Table {
 // elimination multiplier, and the REF-command, busy-time and energy
 // columns are its price — the paper's "easiest but costliest" verdict
 // as one table.
-func runE43(seed uint64) *stats.Table {
+func runE43(env Env) *stats.Table {
 	t := stats.NewTable("E43: refresh-rate scaling frontier (9 victims, threshold 150k activations)",
 		"factor", "victims flipped", "REF commands", "refresh time %", "energy overhead")
 	var baseEnergy float64
 	for i, factor := range []float64{1, 1.5, 2, 4, 8} {
 		g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed^uint64(i)))
+		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^uint64(i)))
 		victims := []int{}
 		for v := 101; v <= 901; v += 100 {
 			dm.InjectWeakCell(0, v, 3, 150000, 1, 1, 1, 1)
@@ -327,15 +327,15 @@ func runE43(seed uint64) *stats.Table {
 // twin bank with the winner. The chosen sidedness is itself the
 // result: it reveals each defence's capacity from the outside, the
 // way TRRespass fingerprints TRR implementations.
-func runE44(seed uint64) *stats.Table {
+func runE44(env Env) *stats.Table {
 	t := stats.NewTable("E44: adaptive N-sided attacker vs the frontier (probe budget 120k activations)",
 		"defence", "chosen sides", "probe flips @2", "probe flips @best", "main-attack flips")
 	defenses := []nsidedDefense{
 		{"TRR 2-entry", func(c *memctrl.Controller) {
-			c.Attach(memctrl.NewTRR(2, 0.1, rng.New(seed^0xE44)))
+			c.Attach(memctrl.NewTRR(2, 0.1, rng.New(env.Seed^0xE44)))
 		}},
 		{"TRR 8-entry", func(c *memctrl.Controller) {
-			c.Attach(memctrl.NewTRR(8, 0.1, rng.New(seed^0xF44)))
+			c.Attach(memctrl.NewTRR(8, 0.1, rng.New(env.Seed^0xF44)))
 		}},
 		{"Graphene 2-entry (undersized)", func(c *memctrl.Controller) {
 			c.Attach(memctrl.NewGraphene(2, 300, 2))
@@ -350,7 +350,7 @@ func runE44(seed uint64) *stats.Table {
 	for _, d := range defenses {
 		g := dram.Geometry{Banks: 2, Rows: 256, Cols: 4}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed^0xAD))
+		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^0xAD))
 		// Bank 1 holds the main-attack victims; bank 0 is the probe
 		// scratchpad: the adaptive kernel stripes its own data over
 		// odd-anchored regions there, so every even row it can sandwich

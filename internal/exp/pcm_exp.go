@@ -15,10 +15,10 @@ func init() {
 
 // runE20 hammers one logical PCM line until first cell death under
 // three mapping schemes.
-func runE20(seed uint64) *stats.Table {
+func runE20(env Env) *stats.Table {
 	t := stats.NewTable("E20: PCM write-attack lifetime (256 lines, 1e5 endurance, single hot line)",
 		"scheme", "writes to failure", "fraction of ideal")
-	src := rng.New(seed ^ 0x20)
+	src := rng.New(env.Seed ^ 0x20)
 	schemes := []func() (pcm.Mapper, *pcm.Array){
 		func() (pcm.Mapper, *pcm.Array) {
 			return pcm.Direct{}, pcm.NewArray(256, 1e5, 0.1, src.Split())

@@ -7,7 +7,7 @@ package exp
 // controller-integrated RAIDR policy's refresh savings against the
 // RowHammer exposure a naive flat-address attacker extracts under each
 // mapping policy; E52 scales the fleet Monte Carlo to ~1M DIMMs on the
-// block-sharded engine. All three shard across Shards() workers and
+// block-sharded engine. All three shard across Env.Shards workers and
 // their tables are worker-count invariant by construction.
 
 import (
@@ -81,7 +81,7 @@ func retentionSystem(topo dram.Topology, p retention.Params, seed uint64) (*memc
 // the sharded system campaign, and the at-risk cells the battery
 // missed — on any device of the system — are the cells that would slip
 // into the field.
-func runE50(seed uint64) *stats.Table {
+func runE50(env Env) *stats.Table {
 	p := scaleRetentionParams()
 	operating := dram.Time(512 * float64(dram.Millisecond))
 	margin := 2 * operating
@@ -105,7 +105,7 @@ func runE50(seed uint64) *stats.Table {
 		{Channels: 2, Ranks: 2, Geom: g},
 	} {
 		for _, c := range campaigns {
-			ms, models := retentionSystem(topo, p, seed^0x50)
+			ms, models := retentionSystem(topo, p, env.Seed^0x50)
 			weak := 0
 			atRisk := map[profile.SystemKey]bool{}
 			for ch, rms := range models {
@@ -123,7 +123,7 @@ func runE50(seed uint64) *stats.Table {
 					}
 				}
 			}
-			found := profile.CampaignSystem(ms, c.patterns, margin, c.rounds, 0, Shards())
+			found := profile.CampaignSystem(ms, c.patterns, margin, c.rounds, 0, env.Shards)
 			escapes := 0
 			//repro:unordered commutative membership count over a set; order cannot change the total
 			for k := range atRisk {
@@ -149,7 +149,7 @@ func runE50(seed uint64) *stats.Table {
 // stretched refresh gap is exploitable exactly when the attacker's
 // address guess lands adjacent to the victim, the DRAMA observation on
 // the co-design trade of E25.
-func runE51(seed uint64) *stats.Table {
+func runE51(env Env) *stats.Table {
 	g := dram.Geometry{Banks: 2, Rows: 128, Cols: 4}
 	topo := dram.Topology{Channels: 2, Ranks: 1, Geom: g}
 	rowPolicy, err := memctrl.PolicyByName("row", topo)
@@ -177,7 +177,7 @@ func runE51(seed uint64) *stats.Table {
 			var dms []*disturb.Model
 			for ch := 0; ch < topo.Channels; ch++ {
 				dev := dram.NewDevice(g)
-				dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed^uint64(ch)))
+				dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^uint64(ch)))
 				// One victim per device, bank 0 row 60.
 				dm.InjectWeakCell(0, 60, 1, threshold, 1, 1, 1, 1)
 				dev.AttachFault(dm)
@@ -232,15 +232,15 @@ func runE51(seed uint64) *stats.Table {
 // runE52 scales E24's fleet Monte Carlo to ~1M DIMMs on the
 // block-sharded engine: the field-study signatures must persist at
 // three orders of magnitude more DIMMs, and the table is bit-identical
-// for every Shards() value.
-func runE52(seed uint64) *stats.Table {
+// for every Env.Shards value.
+func runE52(env Env) *stats.Table {
 	cfg := fieldstudy.DefaultConfig()
 	cfg.Classes = []fieldstudy.DensityClass{
 		{Label: "1Gb", RateScale: 1.0, DIMMs: 300_000},
 		{Label: "2Gb", RateScale: 2.2, DIMMs: 350_000},
 		{Label: "4Gb", RateScale: 4.5, DIMMs: 350_000},
 	}
-	classes := fieldstudy.RunSharded(cfg, seed^0x52, Shards())
+	classes := fieldstudy.RunSharded(cfg, env.Seed^0x52, env.Shards)
 	t := stats.NewTable("E52: one-year fleet simulation at 1M DIMMs (block-sharded Monte Carlo)",
 		"density", "DIMMs", "CE/DIMM-month", "DIMMs with CE", "top-1% CE share", "UE/1000 DIMM-months")
 	for _, c := range classes {

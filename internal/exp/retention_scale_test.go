@@ -76,34 +76,3 @@ func TestE52FieldSignaturesAtScale(t *testing.T) {
 		t.Fatalf("fleet has %v DIMMs, want ~1M", total)
 	}
 }
-
-// TestScaleExperimentsShardInvariant: E50-E52 produce bit-identical
-// tables for every channel-shard fan-out, at two seeds.
-func TestScaleExperimentsShardInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed experiment sweep")
-	}
-	for _, id := range []string{"E50", "E51", "E52"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		for _, seed := range []uint64{1, 5} {
-			var want string
-			for _, shards := range []int{1, 3, 7} {
-				r := (&Runner{Workers: 1, Seed: seed, ShardWorkers: shards}).Run([]Experiment{e})
-				if r[0].Err != nil {
-					t.Fatalf("%s seed %d shards %d: %v", id, seed, shards, r[0].Err)
-				}
-				got := r[0].Table.String()
-				if shards == 1 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s seed %d: table differs between 1 and %d shards", id, seed, shards)
-				}
-			}
-		}
-	}
-}

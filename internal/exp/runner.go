@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -41,7 +40,7 @@ type RunResult struct {
 }
 
 // Runner executes registered experiments on a worker pool. Experiments
-// are pure functions of their seed, so any subset can run concurrently;
+// are pure functions of their Env, so any subset can run concurrently;
 // results are collected deterministically in experiment-ID order
 // regardless of worker count or completion order, and each experiment
 // receives the same independent seed it would in a sequential run —
@@ -53,36 +52,17 @@ type Runner struct {
 	// per seed; experiments derive their internal streams from it
 	// independently of each other).
 	Seed uint64
-	// ShardWorkers is the channel-shard fan-out available to each
-	// experiment on top of the experiment-level pool: topology
-	// experiments read it via Shards() and split independent channels
-	// across that many goroutines. <= 0 means runtime.GOMAXPROCS.
-	// Results are bit-identical for every value (sharded channels
-	// share no state; see memctrl.MemorySystem.ShardChannels).
+	// ShardWorkers is the shard fan-out available to each experiment on
+	// top of the experiment-level pool, handed to it as Env.Shards:
+	// sharded experiments split independent channels, dies or fleet
+	// blocks across that many goroutines. <= 0 means
+	// runtime.GOMAXPROCS. Results are bit-identical for every value
+	// (shards share no state; see memctrl.MemorySystem.ShardChannels).
 	ShardWorkers int
 	// CheckpointPath, when set, makes RunCheckpointed persist every
 	// completed experiment there and resume past completed ones on a
 	// later run. Run ignores it.
 	CheckpointPath string
-}
-
-// shardWorkers is the fan-out published by the Runner currently
-// executing. Experiments are plain func(seed) with no way to thread a
-// per-run value, so this is a package global: atomic because Runners
-// may overlap (tests, library users), restored after each Run so the
-// value does not leak past it. Overlapping Runners with different
-// explicit fan-outs see last-writer-wins, which never changes results
-// (tables are shard-count invariant), only intra-experiment wall time.
-var shardWorkers atomic.Int64
-
-// Shards returns the channel-shard fan-out experiments should use for
-// intra-experiment parallelism: the running Runner's ShardWorkers, or
-// GOMAXPROCS when none is set.
-func Shards() int {
-	if n := shardWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // EffectiveWorkers resolves the configured pool size: Workers when
@@ -125,10 +105,6 @@ func (r *Runner) run(ctx context.Context, exps []Experiment, path string, progre
 		}
 	}
 
-	if r.ShardWorkers > 0 {
-		prev := shardWorkers.Swap(int64(r.ShardWorkers))
-		defer shardWorkers.Store(prev)
-	}
 	ordered := append([]Experiment(nil), exps...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Num < ordered[j].Num })
 	results := make([]RunResult, len(ordered))
@@ -208,7 +184,7 @@ func (r *Runner) runOne(e Experiment) (res RunResult) {
 		res.Err = err
 		return res
 	}
-	res.Table = e.Run(r.Seed)
+	res.Table = e.Run(NewEnv(r.Seed, r.ShardWorkers))
 	return res
 }
 

@@ -65,10 +65,10 @@ func TestRunnerOrdersResultsByNum(t *testing.T) {
 }
 
 func TestRunnerRecoversPanic(t *testing.T) {
-	boom := Experiment{ID: "E998", Num: 998, Title: "panics", Run: func(uint64) *stats.Table {
+	boom := Experiment{ID: "E998", Num: 998, Title: "panics", Run: func(Env) *stats.Table {
 		panic("kaboom")
 	}}
-	ok := Experiment{ID: "E999", Num: 999, Title: "fine", Run: func(uint64) *stats.Table {
+	ok := Experiment{ID: "E999", Num: 999, Title: "fine", Run: func(Env) *stats.Table {
 		return stats.NewTable("ok", "col")
 	}}
 	results := (&Runner{Workers: 2, Seed: 1}).Run([]Experiment{ok, boom})

@@ -6,7 +6,7 @@ package exp
 // argument needs and the original single-channel stack could not
 // express. All of them run through core.Build topologies and the
 // memctrl.MemorySystem, and the heavier ones shard their independent
-// channels across Shards() workers (bit-identical to serial execution
+// channels across Env.Shards workers (bit-identical to serial execution
 // by construction; memctrl's TestShardedExecutionBitIdentical proves
 // it).
 
@@ -47,8 +47,8 @@ func scaleForTopo(m modules.Module) modules.Module {
 // mapping policy on a 2-channel 2-rank topology: the policy alone
 // decides which channel, rank and bank each address lands on, so
 // locality (row-hit rate) and mean latency swing between policies.
-func runE30(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE30(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	// Any 2009 module: all are invulnerable, and this is a locality
 	// experiment — physics never fires.
 	var mod *modules.Module
@@ -67,7 +67,7 @@ func runE30(seed uint64) *stats.Table {
 		for pi, pname := range []string{"row", "channel", "xor"} {
 			s := core.Build(mod, core.Options{Topology: topo, Mapping: pname})
 			p := s.Mem.Policy()
-			src := rng.New(seed + uint64(wi*8+pi+1))
+			src := rng.New(env.Seed + uint64(wi*8+pi+1))
 			var gen workload.FlatGenerator
 			switch wname {
 			case "sequential":
@@ -99,8 +99,8 @@ func runE30(seed uint64) *stats.Table {
 // device draws its own RNG substream; what the table shows is that
 // templating keeps working under every mapping once the attacker
 // probes adjacency through the policy.
-func runE31(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE31(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	m := scaleForTopo(*pickModule(pop, 2013))
 	g := dram.Geometry{Banks: 2, Rows: 64, Cols: 4}
 	t := stats.NewTable("E31: templating scan through the mapping policy (2013-class, thresholds scaled /100)",
@@ -114,7 +114,7 @@ func runE31(seed uint64) *stats.Table {
 	for _, topo := range topos {
 		for _, pname := range []string{"row", "channel", "xor"} {
 			mm := m
-			mm.Seed = m.Seed + seed
+			mm.Seed = m.Seed + env.Seed
 			s := core.Build(&mm, core.Options{Topology: topo, Mapping: pname})
 			weak := 0
 			for _, dms := range s.Disturbs {
@@ -122,7 +122,7 @@ func runE31(seed uint64) *stats.Table {
 					weak += dm.WeakCellCount()
 				}
 			}
-			tpl := attack.ScanSystem(s.Mem, 0xaaaaaaaaaaaaaaaa, 9000, Shards())
+			tpl := attack.ScanSystem(s.Mem, 0xaaaaaaaaaaaaaaaa, 9000, env.Shards)
 			victims := map[memctrl.Loc]bool{}
 			for _, f := range tpl {
 				v := f.Victim
@@ -144,8 +144,8 @@ func runE31(seed uint64) *stats.Table {
 // runE32 measures PARA's performance cost as the topology grows: one
 // independent in-DRAM PARA per channel, Zipf-hot traffic spread by the
 // row-interleaved policy, overhead = latency vs the unprotected twin.
-func runE32(seed uint64) *stats.Table {
-	pop := modules.Population(seed)
+func runE32(env Env) *stats.Table {
+	pop := modules.Population(env.Seed)
 	mod := pickModule(pop, 2013)
 	g := topoGeom()
 	t := stats.NewTable("E32: PARA p=0.02 overhead by topology (zipf-rows traffic, row-interleaved)",
@@ -161,9 +161,9 @@ func runE32(seed uint64) *stats.Table {
 		run := func(para bool) (float64, int64) {
 			s := core.Build(mod, core.Options{Topology: topo})
 			if para {
-				s.AttachPARAEachChannel(0.02, rng.New(seed^uint64(ti*2+3)))
+				s.AttachPARAEachChannel(0.02, rng.New(env.Seed^uint64(ti*2+3)))
 			}
-			gen := workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, rng.New(seed+uint64(ti+1)))
+			gen := workload.NewFlatZipfRows(s.Mem.Policy(), 1.1, rng.New(env.Seed+uint64(ti+1)))
 			lat := workload.RunSystem(s.Mem, gen, 60000)
 			return lat, s.Mem.AggregateStats().MitRefreshes
 		}

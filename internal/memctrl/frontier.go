@@ -357,10 +357,6 @@ func (m *TWiCe) StorageBits() int64 {
 	return int64(m.peak) * int64(mitAddrBits+m.CounterBits+lifeBits)
 }
 
-// PeakEntries reports the high-water mark of live counters (the
-// provisioning size StorageBits charges).
-func (m *TWiCe) PeakEntries() int { return m.peak }
-
 // RefreshScaling is the paper's "increase the refresh rate" immediate
 // solution as an attachable Mitigation: Controller.Attach recognizes
 // it and multiplies the controller's REF rate by Factor (stacking with

@@ -546,9 +546,6 @@ func (m *ANVIL) OnAutoRefresh(c *Controller) {}
 // StorageBits implements Mitigation: software tables, no hardware.
 func (m *ANVIL) StorageBits() int64 { return 0 }
 
-// Flagged reports whether ANVIL ever flagged the given row.
-func (m *ANVIL) Flagged(bank, logRow int) bool { return m.flagged[rowKey{bank, logRow}] }
-
 var (
 	_ HorizonMitigation = (*PARA)(nil)
 	_ HorizonMitigation = (*CRA)(nil)

@@ -2,6 +2,7 @@ package modules
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dram"
@@ -162,7 +163,7 @@ func TestDeviceInstantiation(t *testing.T) {
 	if dev == nil || dm == nil || rm == nil {
 		t.Fatal("device instantiation failed")
 	}
-	if dev.Remap().IsIdentity() {
+	if rt := dev.Remap(); slices.Equal(rt.PhysSlice(), dram.IdentityRemap(rt.Rows()).PhysSlice()) {
 		t.Error("remap fraction 0.05 produced identity mapping")
 	}
 	// Same module instantiated twice has identical physics.

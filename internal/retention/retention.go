@@ -451,9 +451,6 @@ func (m *Model) WeakCellCount() int { return len(m.cells) }
 // Decays returns the number of decay events applied.
 func (m *Model) Decays() int64 { return m.decays }
 
-// ResetCounters zeroes the decay counter.
-func (m *Model) ResetCounters() { m.decays = 0 }
-
 // CellInfo describes one weak cell for profiling-coverage experiments.
 type CellInfo struct {
 	Bank, PhysRow, Bit int
@@ -474,20 +471,6 @@ func (m *Model) Cells() []CellInfo {
 			BaseSec: wc.baseSec, ChargedVal: wc.chargedVal,
 			DPD: wc.dpd, VRT: wc.vrt,
 		})
-	}
-	return out
-}
-
-// WeakRows returns, per bank, the sorted physical rows holding at
-// least one weak cell — the oracle binning input of multi-rate refresh
-// experiments.
-func (m *Model) WeakRows(bank int) []int {
-	base := bank * m.geom.Rows
-	var out []int
-	for r := 0; r < m.geom.Rows; r++ {
-		if len(m.byRow[base+r]) > 0 {
-			out = append(out, r)
-		}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package spd
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ func TestRoundTripIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.IsIdentity() || got.Rows() != 1024 {
+	if !slices.Equal(got.PhysSlice(), rt.PhysSlice()) {
 		t.Fatal("identity remap did not round-trip")
 	}
 	// Identity encodes with zero exceptions: 17 bytes.

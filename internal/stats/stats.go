@@ -144,12 +144,6 @@ func (h *Histogram) Add(v float64) {
 // Total returns the number of observations including out-of-range ones.
 func (h *Histogram) Total() int64 { return h.total }
 
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
 // LogHistogram bins positive values into logarithmically spaced buckets
 // of the given number of bins per decade, starting at lo. Zero and
 // negative values are counted in the Zero bin, which the RowHammer

@@ -115,9 +115,6 @@ func TestHistogram(t *testing.T) {
 	if h.Total() != 7 {
 		t.Errorf("Total = %d", h.Total())
 	}
-	if h.BinCenter(0) != 0.5 {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
 }
 
 func TestHistogramCountConservation(t *testing.T) {
