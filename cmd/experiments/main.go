@@ -31,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -95,7 +96,7 @@ func run() (err error) {
 
 	runner := &exp.Runner{Workers: *workers, Seed: *seed, ShardWorkers: *shards, CheckpointPath: *checkpoint}
 	start := time.Now()
-	results, err := runner.RunCheckpointed(selected)
+	results, err := runner.RunCheckpointedCtx(context.Background(), selected, nil)
 	if err != nil {
 		return err
 	}

@@ -26,6 +26,8 @@
 //     seed implementations retained as test-only equivalence oracles
 //     (disturb.Reference, retention.Reference);
 //     see README.md for the batching contracts and measured speedups.
+//     disturb.NewPlanted builds an invulnerable device's model that
+//     draws nothing, for experiments that plant victims at known cells.
 //   - internal/memctrl: the memory-controller stack: pluggable
 //     address-mapping policies (row-interleaved, channel-interleaved,
 //     XOR bank hash), the per-channel multi-rank Controller with the
@@ -55,12 +57,13 @@
 //   - internal/profile, internal/core, internal/exp: profiling over
 //     bank sets, whole devices and whole topologies (CampaignSystem,
 //     channel-sharded), analysis, topology-aware system building
-//     (core.Build), the E1-E84 experiment registry (E40-E44 the
-//     mitigation-frontier Pareto sweeps, E50-E52 the retention /
-//     profiling / multi-rate-refresh stack at topology scale), and the
-//     parallel experiment Runner (experiment-level pool plus
-//     channel-level sharding) with its machine-readable benchmark
-//     summaries (BENCH_*.json)
+//     (core.Build), planted-cell rigs (one constructor for every
+//     experiment whose victims sit at known cells), the E1-E84
+//     experiment registry (E40-E44 the mitigation-frontier Pareto
+//     sweeps, E50-E52 the retention / profiling / multi-rate-refresh
+//     stack at topology scale), and the parallel experiment Runner
+//     (experiment-level pool plus channel-level sharding) with its
+//     machine-readable benchmark summaries (BENCH_*.json)
 //   - internal/fieldstudy: the DSN'15-class fleet Monte Carlo, with
 //     the block-sharded RunSharded engine scaling it to ~1M DIMMs
 //   - internal/par: the one worker pool (par.Shard) every sharded

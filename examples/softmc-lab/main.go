@@ -26,7 +26,7 @@ func main() {
 		VRTRatio: 1, VRTDwellSec: 1, TemperatureC: 45,
 	}, rng.New(1))
 	dev.AttachFault(ret)
-	dist := disturb.NewModel(g, disturb.Invulnerable(), rng.New(2))
+	dist := disturb.NewPlanted(g)
 	dist.InjectWeakCell(0, 64, 13, 50_000, 1, 1, 1, 1)
 	dev.AttachFault(dist)
 	dev.SetPhysBit(0, 64, 13, 1)

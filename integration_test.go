@@ -88,7 +88,7 @@ func TestIntegrationTemplatingMatchesGroundTruth(t *testing.T) {
 	// and disturb.
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 	dev := dram.NewDevice(g)
-	dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(3))
+	dm := disturb.NewPlanted(g)
 	weak := map[[2]int]bool{}
 	for _, w := range []struct{ row, bit int }{{20, 5}, {40, 77}, {60, 130}} {
 		dm.InjectWeakCell(0, w.row, w.bit, 900, 1, 1, 1, 1)
@@ -113,7 +113,7 @@ func TestIntegrationSECDEDStopsSingleBitHammer(t *testing.T) {
 	// the SECDED codec recovers the data on read-out.
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 4}
 	dev := dram.NewDevice(g)
-	dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(5))
+	dm := disturb.NewPlanted(g)
 	dm.InjectWeakCell(0, 30, 7, 800, 1, 1, 1, 1)
 	dev.AttachFault(dm)
 	ctrl := memctrl.New(dev, memctrl.Config{})
@@ -155,7 +155,7 @@ func TestIntegrationSoftMCAgreesWithController(t *testing.T) {
 	run := func(useSoftMC bool) bool {
 		g := dram.Geometry{Banks: 1, Rows: 64, Cols: 4}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(7))
+		dm := disturb.NewPlanted(g)
 		dm.InjectWeakCell(0, 30, 9, 1000, 1, 1, 1, 1)
 		dev.AttachFault(dm)
 		dev.SetPhysBit(0, 30, 9, 1)

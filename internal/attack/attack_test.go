@@ -19,7 +19,7 @@ type rig struct {
 func newRig(rows int, inject func(m *disturb.Model)) *rig {
 	g := dram.Geometry{Banks: 1, Rows: rows, Cols: 4}
 	dev := dram.NewDevice(g)
-	m := disturb.NewModel(g, disturb.Invulnerable(), rng.New(1))
+	m := disturb.NewPlanted(g)
 	inject(m)
 	dev.AttachFault(m)
 	ctrl := memctrl.New(dev, memctrl.Config{})

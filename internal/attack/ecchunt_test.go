@@ -9,7 +9,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/ecc"
 	"repro/internal/memctrl"
-	"repro/internal/rng"
 )
 
 // buildHuntSystem is a 2-channel rig with known clusters: ch0 carries
@@ -21,7 +20,7 @@ func buildHuntSystem(withECC bool) *memctrl.MemorySystem {
 	devs := make([][]*dram.Device, topo.Channels)
 	for ch := 0; ch < topo.Channels; ch++ {
 		dev := dram.NewDevice(topo.Geom)
-		dm := disturb.NewModel(topo.Geom, disturb.Invulnerable(), rng.New(uint64(77+ch)))
+		dm := disturb.NewPlanted(topo.Geom)
 		if ch == 0 {
 			for _, bit := range []int{64 + 0, 64 + 1, 64 + 2} {
 				dm.InjectWeakCell(0, 21, bit, 2000, 1, 1, 1, 1)

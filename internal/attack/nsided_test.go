@@ -37,7 +37,7 @@ func TestNSidedTwoSidedMatchesHammerPairs(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 	build := func() (*memctrl.Controller, *disturb.Model) {
 		dev := dram.NewDevice(g)
-		m := disturb.NewModel(g, disturb.Invulnerable(), rng.New(4))
+		m := disturb.NewPlanted(g)
 		m.InjectWeakCell(0, 61, 7, 2000, 1, 1, 1, 1)
 		dev.AttachFault(m)
 		dev.SetPhysBit(0, 61, 7, 1)
@@ -67,7 +67,7 @@ func TestNSidedTwoSidedMatchesHammerPairs(t *testing.T) {
 func nsidedRig(entries int, sampleP float64, threshold float64) (*memctrl.Controller, *dram.Device) {
 	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 4}
 	dev := dram.NewDevice(g)
-	m := disturb.NewModel(g, disturb.Invulnerable(), rng.New(8))
+	m := disturb.NewPlanted(g)
 	for v := 4; v < g.Rows-8; v += 2 {
 		m.InjectWeakCell(0, v, 1, threshold, 1, 1, 1, 1)
 	}

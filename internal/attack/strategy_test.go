@@ -97,7 +97,7 @@ func TestAdaptiveNSidedMatchesStrategy(t *testing.T) {
 // mapping policy with the nsidedRig fault pattern, seeded by seed.
 func probePolicyRig(policy memctrl.MappingPolicy, topo dram.Topology, seed uint64) *memctrl.MemorySystem {
 	dev := dram.NewDevice(topo.Geom)
-	m := disturb.NewModel(topo.Geom, disturb.Invulnerable(), rng.New(seed))
+	m := disturb.NewPlanted(topo.Geom)
 	for v := 4; v < topo.Geom.Rows-8; v += 2 {
 		m.InjectWeakCell(0, v, 1, 300, 1, 1, 1, 1)
 	}

@@ -18,7 +18,7 @@ func sysRig(topo dram.Topology, policy memctrl.MappingPolicy, withECC bool,
 	for ch := 0; ch < topo.Channels; ch++ {
 		for rk := 0; rk < topo.Ranks; rk++ {
 			dev := dram.NewDevice(topo.Geom)
-			m := disturb.NewModel(topo.Geom, disturb.Invulnerable(), rng.New(uint64(1+ch*topo.Ranks+rk)))
+			m := disturb.NewPlanted(topo.Geom)
 			if inject != nil {
 				inject(ch, m)
 			}

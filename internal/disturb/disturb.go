@@ -95,9 +95,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Invulnerable returns parameters with no weak cells (pre-2010 module).
-func Invulnerable() Params { return Params{} }
-
 // weakCell is the full description of one weak cell, its physics and
 // its state. Sampling, InjectWeakCell and LoadState produce cells in
 // this form, in insertion order; index splits them into the store's
@@ -287,6 +284,18 @@ var (
 // where the draw would have left it.
 func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
 	return populations.newModel(geom, p, src)
+}
+
+// NewPlanted returns a model with no weak cells for a device of the
+// given geometry: an invulnerable device on which an experiment plants
+// its victims at known cells with InjectWeakCell. It takes no stream,
+// draws nothing and leaves the population memo alone; its SaveState
+// bytes equal those of NewModel with zero Params after the same
+// injections.
+func NewPlanted(geom dram.Geometry) *Model {
+	m := &Model{geom: geom}
+	m.index(nil)
+	return m
 }
 
 // index rebuilds the store from cells given in insertion order, with a

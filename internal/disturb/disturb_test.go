@@ -56,7 +56,7 @@ func TestNoFlipsWithoutHammering(t *testing.T) {
 }
 
 func TestInvulnerableModule(t *testing.T) {
-	d, m := testSetup(t, Invulnerable(), 1)
+	d, m := testSetup(t, Params{}, 1)
 	hammer(d, []int{100, 102}, 100000)
 	if m.TotalFlips() != 0 || m.WeakCellCount() != 0 {
 		t.Fatal("invulnerable module flipped bits")
@@ -261,7 +261,7 @@ func TestFractionFlippableAt(t *testing.T) {
 		}
 		prev = f
 	}
-	if Invulnerable().FractionFlippableAt(1e9) != 0 {
+	if (Params{}).FractionFlippableAt(1e9) != 0 {
 		t.Error("invulnerable params must have zero flippable fraction")
 	}
 }

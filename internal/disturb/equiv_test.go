@@ -390,7 +390,7 @@ func checkUnbound(t *testing.T, m *Model) {
 func TestHammerHorizonResidentCell(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
 	d := dram.NewDevice(g)
-	m := NewModel(g, Invulnerable(), rng.New(1))
+	m := NewPlanted(g)
 	d.AttachFault(m)
 	// A dist-2 cell in row 10, coupled to rows 8 and 12 with weight 1
 	// each: one round of the cycle {10, 12, 8} adds 2 after restoring.
@@ -418,7 +418,7 @@ func TestHammerHorizonResidentCell(t *testing.T) {
 
 func TestPairBatchingDeclinesHazards(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
-	m := NewModel(g, Invulnerable(), rng.New(1))
+	m := NewPlanted(g)
 	// A dist-2 cell residing in row 10 is coupled to row 12: hammering
 	// the (10,12) pair interleaves its restore and accumulate, which
 	// batching cannot reproduce.
@@ -447,8 +447,8 @@ func TestHammerNFallbackStillEquivalent(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
 	dm := dram.NewDevice(g)
 	dr := dram.NewDevice(g)
-	m := NewModel(g, Invulnerable(), rng.New(1))
-	r := NewReference(g, Invulnerable(), rng.New(1))
+	m := NewPlanted(g)
+	r := NewReference(g, Params{}, rng.New(1))
 	for _, mod := range []func(bank, physRow, bit int, threshold float64, chargedVal uint64, dist int, up, down float64){
 		m.InjectWeakCell, r.InjectWeakCell,
 	} {

@@ -41,7 +41,7 @@ type memoCase struct {
 
 var memoCases = []memoCase{
 	{"default", dram.Geometry{Banks: 2, Rows: 512, Cols: 16}, DefaultParams()},
-	{"invulnerable", dram.Geometry{Banks: 2, Rows: 512, Cols: 16}, Invulnerable()},
+	{"invulnerable", dram.Geometry{Banks: 2, Rows: 512, Cols: 16}, Params{}},
 	{"campaign", campaignGeom, campaignParams()},
 }
 
@@ -289,6 +289,69 @@ func TestMemoEvictionBound(t *testing.T) {
 		drawChecked(t, "over budget", tiny, c, rng.New(1).State())
 		if len(tiny.entries) != 0 || tiny.bytes != 0 {
 			t.Fatalf("memo cached a population over its budget: %d entries, %d bytes", len(tiny.entries), tiny.bytes)
+		}
+	}
+}
+
+// TestPlantedMatchesEmptyDraw pins NewPlanted to the build it replaces,
+// NewModel with zero Params: after the same injections (a distance-2
+// cell first, an edge-row cell and an anti-cell in every bank, a
+// duplicate between bursts) and the same hammer bursts, both save
+// identical bytes, over several geometries and stream seeds. NewPlanted
+// itself leaves the process-wide memo's entry count unchanged.
+func TestPlantedMatchesEmptyDraw(t *testing.T) {
+	memoEntries := func() int {
+		populations.mu.Lock()
+		defer populations.mu.Unlock()
+		return len(populations.entries)
+	}
+	// run plants the cells of geometry g into m, hammers them on a
+	// fresh device and returns m's saved bytes.
+	run := func(g dram.Geometry, m *Model) []byte {
+		d := dram.NewDevice(g)
+		d.AttachFault(m)
+		plant := func(bank, row, bit int, threshold float64, charged uint64, dist int, up, down float64) {
+			m.InjectWeakCell(bank, row, bit, threshold, charged, dist, up, down)
+			d.SetPhysBit(bank, row, bit, charged)
+		}
+		last := g.Rows - 1
+		for b := 0; b < g.Banks; b++ {
+			plant(b, 10, 5, 300, 1, 2, 1, 0.5)
+			plant(b, 0, 1, 200, 1, 1, 1, 1)
+			plant(b, last, 3, 200, 0, 1, 0.7, 1)
+			plant(b, 20, 7, 150, 1, 1, 1, 0.4)
+		}
+		now := dram.Time(0)
+		burst := func() {
+			for b := 0; b < g.Banks; b++ {
+				cy := dram.Cycle{Bank: b, Rows: []int{9, 11, 12, 8, 19, 21, 1, last - 1},
+					N: 4000, Start: now, Period: 49, ClosedPage: true}
+				hammerCycle(d, cy)
+				now += dram.Time(cy.N) * cy.Period
+			}
+		}
+		burst()
+		plant(0, 20, 7, 250, 0, 1, 1, 1) // duplicate position
+		burst()
+		if m.TotalFlips() == 0 {
+			t.Fatalf("%+v: the bursts flipped nothing; the check is vacuous", g)
+		}
+		return saveBytes(m)
+	}
+	for _, g := range []dram.Geometry{
+		{Banks: 1, Rows: 64, Cols: 2},
+		{Banks: 2, Rows: 512, Cols: 16},
+		{Banks: 4, Rows: 128, Cols: 8},
+	} {
+		n := memoEntries()
+		planted := run(g, NewPlanted(g))
+		if got := memoEntries(); got != n {
+			t.Fatalf("%+v: NewPlanted changed the memo from %d to %d entries", g, n, got)
+		}
+		for _, seed := range []uint64{1, 5, 0x80E0} {
+			if drawn := run(g, NewModel(g, Params{}, rng.New(seed))); !bytes.Equal(planted, drawn) {
+				t.Fatalf("%+v seed %d: NewPlanted saves other bytes than an empty draw", g, seed)
+			}
 		}
 	}
 }

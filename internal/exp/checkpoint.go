@@ -109,7 +109,7 @@ func loadRunCheckpoint(path string, seed uint64) (map[string]RunResult, error) {
 	return done, nil
 }
 
-// RunCheckpointed is Run with crash safety: when the Runner has a
+// RunCheckpointedCtx is Run with crash safety: when the Runner has a
 // CheckpointPath, every completed experiment (including failed ones)
 // is persisted there atomically, and a subsequent call with the same
 // seed and path skips completed experiments, restoring their results
@@ -121,16 +121,12 @@ func loadRunCheckpoint(path string, seed uint64) (map[string]RunResult, error) {
 // snapshot.ErrCorrupt; a checkpoint recorded under a different seed is
 // refused with snapshot.ErrMismatch. Nothing runs in either case.
 // With an empty CheckpointPath this is exactly Run.
-func (r *Runner) RunCheckpointed(exps []Experiment) ([]RunResult, error) {
-	return r.RunCheckpointedCtx(context.Background(), exps, nil)
-}
-
-// RunCheckpointedCtx is RunCheckpointed with cooperative cancellation
-// and progress reporting. Workers observe ctx between experiments: on
-// cancellation the completed experiments stay checkpointed and the
-// call returns ctx.Err(), so a drained campaign resumes later without
-// recomputing them. progress, if non-nil, is called (serialized) with
-// each result as it completes or is restored.
+//
+// Workers observe ctx between experiments: on cancellation the
+// completed experiments stay checkpointed and the call returns
+// ctx.Err(), so a drained campaign resumes later without recomputing
+// them. progress, if non-nil, is called (serialized) with each result
+// as it completes or is restored.
 func (r *Runner) RunCheckpointedCtx(ctx context.Context, exps []Experiment, progress func(RunResult)) ([]RunResult, error) {
 	return r.run(ctx, exps, r.CheckpointPath, progress)
 }

@@ -65,7 +65,7 @@ func TestRunCheckpointedResumeSkipsCompleted(t *testing.T) {
 		exps := syntheticExps(&runs)
 		path := filepath.Join(t.TempDir(), "run.ckpt")
 		partial := &Runner{Workers: 2, Seed: seed, CheckpointPath: path}
-		if _, err := partial.RunCheckpointed(exps[:3]); err != nil {
+		if _, err := partial.RunCheckpointedCtx(context.Background(), exps[:3], nil); err != nil {
 			t.Fatalf("seed %d: partial run: %v", seed, err)
 		}
 		if got := runs.Load(); got != 3 {
@@ -73,7 +73,7 @@ func TestRunCheckpointedResumeSkipsCompleted(t *testing.T) {
 		}
 
 		full := &Runner{Workers: 2, Seed: seed, CheckpointPath: path}
-		results, err := full.RunCheckpointed(exps)
+		results, err := full.RunCheckpointedCtx(context.Background(), exps, nil)
 		if err != nil {
 			t.Fatalf("seed %d: resumed run: %v", seed, err)
 		}
@@ -96,10 +96,10 @@ func TestRunCheckpointedSeedMismatchRefused(t *testing.T) {
 	var runs atomic.Int64
 	exps := syntheticExps(&runs)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, err := (&Runner{Workers: 1, Seed: 1, CheckpointPath: path}).RunCheckpointed(exps); err != nil {
+	if _, err := (&Runner{Workers: 1, Seed: 1, CheckpointPath: path}).RunCheckpointedCtx(context.Background(), exps, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := (&Runner{Workers: 1, Seed: 2, CheckpointPath: path}).RunCheckpointed(exps)
+	_, err := (&Runner{Workers: 1, Seed: 2, CheckpointPath: path}).RunCheckpointedCtx(context.Background(), exps, nil)
 	if !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("want ErrMismatch, got %v", err)
 	}
@@ -111,7 +111,7 @@ func TestRunCheckpointedCorruptionRefused(t *testing.T) {
 	var runs atomic.Int64
 	exps := syntheticExps(&runs)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, err := (&Runner{Workers: 1, Seed: 1, CheckpointPath: path}).RunCheckpointed(exps); err != nil {
+	if _, err := (&Runner{Workers: 1, Seed: 1, CheckpointPath: path}).RunCheckpointedCtx(context.Background(), exps, nil); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)
@@ -122,7 +122,7 @@ func TestRunCheckpointedCorruptionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runs.Load()
-	_, err = (&Runner{Workers: 1, Seed: 1, CheckpointPath: path}).RunCheckpointed(exps)
+	_, err = (&Runner{Workers: 1, Seed: 1, CheckpointPath: path}).RunCheckpointedCtx(context.Background(), exps, nil)
 	if !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}

@@ -40,6 +40,37 @@ func pairRows(victims []int) []int {
 	return rows
 }
 
+// plantedSystem builds a memory system of invulnerable devices under
+// the named mapping policy and cfg, and lets plant put each device's
+// weak cells at known positions (the paper's "consistently predictable
+// bit locations") before it is attached. It draws nothing: a planted
+// rig is the same for every seed.
+func plantedSystem(topo dram.Topology, policyName string, cfg memctrl.Config,
+	plant func(ch, rk int, m *disturb.Model)) *memctrl.MemorySystem {
+	policy, err := memctrl.PolicyByName(policyName, topo)
+	if err != nil {
+		panic(err)
+	}
+	devs := make([][]*dram.Device, topo.Channels)
+	for ch := range devs {
+		for rk := 0; rk < topo.Ranks; rk++ {
+			dev := dram.NewDevice(topo.Geom)
+			m := disturb.NewPlanted(topo.Geom)
+			plant(ch, rk, m)
+			dev.AttachFault(m)
+			devs[ch] = append(devs[ch], dev)
+		}
+	}
+	return memctrl.NewSystem(devs, policy, cfg)
+}
+
+// plantedDevice is plantedSystem for one device behind one controller.
+func plantedDevice(g dram.Geometry, cfg memctrl.Config, plant func(m *disturb.Model)) (*memctrl.Controller, *dram.Device) {
+	ms := plantedSystem(dram.Topology{Channels: 1, Ranks: 1, Geom: g}, "row", cfg,
+		func(_, _ int, m *disturb.Model) { plant(m) })
+	return ms.Controller(0), ms.Device(0, 0)
+}
+
 // attackRig builds a small, threshold-scaled system for mitigation
 // experiments: real module physics with thresholds divided by `scale`
 // so attacks complete in simulation time. The scaling preserves who
@@ -375,19 +406,18 @@ func runE22(env Env) *stats.Table {
 		"sampler entries", "aggressor pairs", "victims flipped (of 19)")
 	for _, entries := range []int{1, 2, 4, 8, 16} {
 		for _, nAggr := range []int{1, 4, 10, 19} {
-			g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
-			dev := dram.NewDevice(g)
-			dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
 			victims := []int{}
 			for v := 20; v <= 200; v += 10 {
-				dm.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
 				victims = append(victims, v)
 			}
-			dev.AttachFault(dm)
+			ctrl, dev := plantedDevice(dram.Geometry{Banks: 1, Rows: 256, Cols: 8}, memctrl.Config{}, func(m *disturb.Model) {
+				for _, v := range victims {
+					m.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
+				}
+			})
 			for _, v := range victims {
 				dev.SetPhysBit(0, v, 3, 1)
 			}
-			ctrl := memctrl.New(dev, memctrl.Config{})
 			ctrl.Attach(memctrl.NewTRR(entries, 0.005, rng.New(env.Seed^uint64(entries))))
 			ctrl.HammerRowsRanked(0, 0, pairRows(victims[:nAggr]), 5000)
 			flipped := 0

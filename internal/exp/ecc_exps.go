@@ -110,14 +110,13 @@ func runE70(env Env) *stats.Table {
 	}
 	for _, ec := range eccConfigs() {
 		for _, d := range defenses {
-			g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}
-			dev := dram.NewDevice(g)
-			dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^0x70))
-			for _, v := range victims {
-				injectE70Clusters(dm, v, 100000)
-			}
-			dev.AttachFault(dm)
-			ctrl := memctrl.New(dev, memctrl.Config{ECC: ec.cfg})
+			var dm *disturb.Model
+			ctrl, _ := plantedDevice(dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}, memctrl.Config{ECC: ec.cfg}, func(m *disturb.Model) {
+				for _, v := range victims {
+					injectE70Clusters(m, v, 100000)
+				}
+				dm = m
+			})
 			if d.attach != nil {
 				d.attach(ctrl)
 			}
@@ -158,23 +157,23 @@ func runE71(env Env) *stats.Table {
 	t := stats.NewTable("E71: scrub rate vs silent corruption (SECDED, two-wave flips, 2048-REF scrub window)",
 		"scrub words/REF", "repairs", "corrected", "detected", "silent", "scrub time %")
 	for _, rate := range []int{0, 2, 8, 32, 128} {
-		g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}
-		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^0x71))
 		var victims []int
 		for v := 101; v <= 901; v += 100 {
 			victims = append(victims, v)
-			// col 0: wave-1 bit 0 (dist 1) + wave-2 bit 1 (dist 2).
-			dm.InjectWeakCell(0, v, 0, 4000, 1, 1, 1, 1)
-			dm.InjectWeakCell(0, v, 1, 4000, 1, 2, 1, 1)
-			// col 1: wave-1 bit 0 + wave-2 bits 1,2 — unrepaired, the
-			// triple at data bits 0,1,2 miscorrects silently.
-			dm.InjectWeakCell(0, v, 64+0, 4000, 1, 1, 1, 1)
-			dm.InjectWeakCell(0, v, 64+1, 4000, 1, 2, 1, 1)
-			dm.InjectWeakCell(0, v, 64+2, 4000, 1, 2, 1, 1)
 		}
-		dev.AttachFault(dm)
-		ctrl := memctrl.New(dev, memctrl.Config{ECC: memctrl.ECCConfig{Kind: memctrl.ECCSECDED72}})
+		ctrl, dev := plantedDevice(dram.Geometry{Banks: 1, Rows: 1024, Cols: 8},
+			memctrl.Config{ECC: memctrl.ECCConfig{Kind: memctrl.ECCSECDED72}}, func(m *disturb.Model) {
+				for _, v := range victims {
+					// col 0: wave-1 bit 0 (dist 1) + wave-2 bit 1 (dist 2).
+					m.InjectWeakCell(0, v, 0, 4000, 1, 1, 1, 1)
+					m.InjectWeakCell(0, v, 1, 4000, 1, 2, 1, 1)
+					// col 1: wave-1 bit 0 + wave-2 bits 1,2 — unrepaired,
+					// the triple at data bits 0,1,2 miscorrects silently.
+					m.InjectWeakCell(0, v, 64+0, 4000, 1, 1, 1, 1)
+					m.InjectWeakCell(0, v, 64+1, 4000, 1, 2, 1, 1)
+					m.InjectWeakCell(0, v, 64+2, 4000, 1, 2, 1, 1)
+				}
+			})
 		var scrub *memctrl.Scrubber
 		if rate > 0 {
 			scrub = memctrl.NewScrubber(rate)
@@ -226,39 +225,29 @@ func runE72(env Env) *stats.Table {
 		"policy", "multi-flip words", "single-flip words", "secded silent", "indram silent", "chipkill silent", "first silent addr")
 	topo := dram.Topology{Channels: 2, Ranks: 1, Geom: dram.Geometry{Banks: 2, Rows: 96, Cols: 4}}
 	for _, polName := range []string{"row", "channel", "xor"} {
-		devs := make([][]*dram.Device, topo.Channels)
-		for ch := 0; ch < topo.Channels; ch++ {
-			dev := dram.NewDevice(topo.Geom)
-			dm := disturb.NewModel(topo.Geom, disturb.Invulnerable(), rng.New(env.Seed^uint64(0x72+ch)))
+		ms := plantedSystem(topo, polName, memctrl.Config{}, func(ch, rk int, m *disturb.Model) {
 			if ch == 0 {
 				// Bank 0 row 31: a nibble-packed triple (SECDED-silent,
 				// chipkill-corrected) and a same-nibble double
 				// (chipkill-corrected, SECDED-detected).
 				for _, bit := range []int{64 + 0, 64 + 1, 64 + 2, 128 + 4, 128 + 5} {
-					dm.InjectWeakCell(0, 31, bit, 3000, 1, 1, 1, 1)
+					m.InjectWeakCell(0, 31, bit, 3000, 1, 1, 1, 1)
 				}
 			} else {
 				// Bank 1 row 63: a four-nibble quad (silent past both
 				// capability models) and a spread double.
 				for _, bit := range []int{0, 17, 33, 50, 192 + 3, 192 + 40} {
-					dm.InjectWeakCell(1, 63, bit, 3000, 1, 1, 1, 1)
+					m.InjectWeakCell(1, 63, bit, 3000, 1, 1, 1, 1)
 				}
 			}
-			dev.AttachFault(dm)
-			devs[ch] = []*dram.Device{dev}
-		}
-		policy, err := memctrl.PolicyByName(polName, topo)
-		if err != nil {
-			panic(err)
-		}
-		ms := memctrl.NewSystem(devs, policy, memctrl.Config{})
+		})
 		findings, singles := attack.MiscorrectionHunt(ms, ^uint64(0), 2500, env.Shards)
 		var secded, indram, chipkill int
 		firstSilent := "-"
 		for _, f := range findings {
 			if f.SilentUnderSECDED() {
 				if firstSilent == "-" {
-					firstSilent = fmt.Sprintf("0x%08x", policy.Encode(f.Victim))
+					firstSilent = fmt.Sprintf("0x%08x", ms.Policy().Encode(f.Victim))
 				}
 				secded++
 			}

@@ -60,24 +60,20 @@ func runE25(env Env) *stats.Table {
 	for _, mult := range []int{1, 2, 4, 8} {
 		g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
+		dm := disturb.NewPlanted(g)
 		dm.InjectWeakCell(0, 60, 5, threshold, 1, 1, 1, 1)
 		dev.AttachFault(dm)
 		dev.SetPhysBit(0, 60, 5, 1)
 		plan := raidr.NewPlan(g.Rows, nil, mult) // victim binned strong (the escape case)
-		if mult == 1 {
-			plan = raidr.NewPlan(g.Rows, nil, 1)
-		}
-		eng := raidr.NewEngine(dev, 0, plan, window)
 		// Attack: hammer rows 59 and 61 closed-page at full rate for
-		// eight windows; RAIDR refreshes per plan at each
-		// nominal-window boundary. Activation times only move restore
-		// clocks: the disturb model reads no timestamps and no
+		// eight windows; at the end of window w RAIDR refreshes every
+		// row whose bin multiple divides w. Activation times only move
+		// restore clocks: the disturb model reads no timestamps and no
 		// retention model is attached.
 		rows := []int{59, 61}
 		acts := 2 * pairsPerWindow
 		now := dram.Time(0)
-		for w := 0; w < 8; w++ {
+		for w := 1; w <= 8; w++ {
 			for done := 0; done < acts; {
 				done += dev.HammerCycle(dram.Cycle{
 					Rows: rows, Pos: done % 2, N: acts - done,
@@ -85,7 +81,11 @@ func runE25(env Env) *stats.Table {
 				})
 			}
 			now += dram.Time(acts) * trc
-			eng.Step(now)
+			for r, b := range plan.BinOf {
+				if w%plan.Bins[b].Multiple == 0 {
+					dev.RefreshPhysRow(0, r, now)
+				}
+			}
 		}
 		saved := plan.SavedFraction()
 		t.AddRow(fmt.Sprintf("%d", mult),
@@ -102,16 +102,13 @@ func runE26(env Env) *stats.Table {
 	t := stats.NewTable("E26: PARA refresh radius vs residual flips",
 		"radius", "dist-1 victim flips", "dist-2 victim flips")
 	for _, radius := range []int{1, 2} {
-		g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
-		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
-		// Victims at distance 1 and 2 from the hammered pair around 60.
-		dm.InjectWeakCell(0, 60, 3, 2000, 1, 1, 1, 1) // dist-1 victim
-		dm.InjectWeakCell(0, 63, 4, 2000, 1, 2, 1, 1) // dist-2 victim of row 61
-		dev.AttachFault(dm)
+		ctrl, dev := plantedDevice(dram.Geometry{Banks: 1, Rows: 128, Cols: 4}, memctrl.Config{}, func(m *disturb.Model) {
+			// Victims at distance 1 and 2 from the hammered pair around 60.
+			m.InjectWeakCell(0, 60, 3, 2000, 1, 1, 1, 1) // dist-1 victim
+			m.InjectWeakCell(0, 63, 4, 2000, 1, 2, 1, 1) // dist-2 victim of row 61
+		})
 		dev.SetPhysBit(0, 60, 3, 1)
 		dev.SetPhysBit(0, 63, 4, 1)
-		ctrl := memctrl.New(dev, memctrl.Config{})
 		para := memctrl.NewPARA(0.03, memctrl.InDRAM, nil, rng.New(env.Seed^uint64(radius)))
 		para.Radius = radius
 		ctrl.Attach(para)
@@ -168,19 +165,18 @@ func runE28(env Env) *stats.Table {
 	t := stats.NewTable("E28: TRR sampling probability vs protection (8-entry sampler, 19 victims)",
 		"sample probability", "victims flipped")
 	for _, p := range []float64{0, 0.0005, 0.002, 0.01, 0.05} {
-		g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
-		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed))
 		victims := []int{}
 		for v := 20; v <= 200; v += 10 {
-			dm.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
 			victims = append(victims, v)
 		}
-		dev.AttachFault(dm)
+		ctrl, dev := plantedDevice(dram.Geometry{Banks: 1, Rows: 256, Cols: 8}, memctrl.Config{}, func(m *disturb.Model) {
+			for _, v := range victims {
+				m.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
+			}
+		})
 		for _, v := range victims {
 			dev.SetPhysBit(0, v, 3, 1)
 		}
-		ctrl := memctrl.New(dev, memctrl.Config{})
 		if p > 0 {
 			ctrl.Attach(memctrl.NewTRR(8, p, rng.New(env.Seed^uint64(p*1e4))))
 		}

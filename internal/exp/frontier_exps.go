@@ -180,18 +180,16 @@ func runE41(env Env) *stats.Table {
 		for _, sides := range []int{2, 4, 8, 16} {
 			for _, decoys := range []int{0, 4} {
 				g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
-				dev := dram.NewDevice(g)
-				dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^uint64(sides*8+decoys)))
 				base := 31
 				victims := attack.NSidedVictims(base, 16)
-				for _, v := range victims {
-					dm.InjectWeakCell(0, v, 1, 300, 1, 1, 1, 1)
-				}
-				dev.AttachFault(dm)
+				ctrl, dev := plantedDevice(g, memctrl.Config{}, func(m *disturb.Model) {
+					for _, v := range victims {
+						m.InjectWeakCell(0, v, 1, 300, 1, 1, 1, 1)
+					}
+				})
 				for _, v := range victims {
 					dev.SetPhysBit(0, v, 1, 1)
 				}
-				ctrl := memctrl.New(dev, memctrl.Config{})
 				d.attach(ctrl)
 				// 90k accesses of the aggressors-then-decoys cycle: whole
 				// rounds, then the leading rows of one more.
@@ -280,19 +278,18 @@ func runE43(env Env) *stats.Table {
 		"factor", "victims flipped", "REF commands", "refresh time %", "energy overhead")
 	var baseEnergy float64
 	for i, factor := range []float64{1, 1.5, 2, 4, 8} {
-		g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}
-		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^uint64(i)))
 		victims := []int{}
 		for v := 101; v <= 901; v += 100 {
-			dm.InjectWeakCell(0, v, 3, 150000, 1, 1, 1, 1)
 			victims = append(victims, v)
 		}
-		dev.AttachFault(dm)
+		ctrl, dev := plantedDevice(dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}, memctrl.Config{}, func(m *disturb.Model) {
+			for _, v := range victims {
+				m.InjectWeakCell(0, v, 3, 150000, 1, 1, 1, 1)
+			}
+		})
 		for _, v := range victims {
 			dev.SetPhysBit(0, v, 3, 1)
 		}
-		ctrl := memctrl.New(dev, memctrl.Config{})
 		if factor != 1 {
 			ctrl.Attach(memctrl.NewRefreshScaling(factor))
 		}
@@ -349,25 +346,23 @@ func runE44(env Env) *stats.Table {
 	}
 	for _, d := range defenses {
 		g := dram.Geometry{Banks: 2, Rows: 256, Cols: 4}
-		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^0xAD))
-		// Bank 1 holds the main-attack victims; bank 0 is the probe
-		// scratchpad: the adaptive kernel stripes its own data over
-		// odd-anchored regions there, so every even row it can sandwich
-		// carries the same weak cell as the main victims.
-		for v := 2; v <= 140; v += 2 {
-			dm.InjectWeakCell(0, v, 1, 300, 1, 1, 1, 1)
-		}
 		base := 31
 		victims := attack.NSidedVictims(base, 16)
-		for _, v := range victims {
-			dm.InjectWeakCell(1, v, 1, 300, 1, 1, 1, 1)
-		}
-		dev.AttachFault(dm)
+		ctrl, dev := plantedDevice(g, memctrl.Config{}, func(m *disturb.Model) {
+			// Bank 1 holds the main-attack victims; bank 0 is the probe
+			// scratchpad: the adaptive kernel stripes its own data over
+			// odd-anchored regions there, so every even row it can
+			// sandwich carries the same weak cell as the main victims.
+			for v := 2; v <= 140; v += 2 {
+				m.InjectWeakCell(0, v, 1, 300, 1, 1, 1, 1)
+			}
+			for _, v := range victims {
+				m.InjectWeakCell(1, v, 1, 300, 1, 1, 1, 1)
+			}
+		})
 		for _, v := range victims {
 			dev.SetPhysBit(1, v, 1, 1)
 		}
-		ctrl := memctrl.New(dev, memctrl.Config{})
 		d.attach(ctrl)
 		adaptive := &attack.AdaptiveStrategy{Sweep: []int{2, 4, 8, 16}, Decoys: 2, Budget: 120000}
 		adaptive.Probe(attack.Target{Ctrl: ctrl, Pattern: 0xaaaaaaaaaaaaaaaa})

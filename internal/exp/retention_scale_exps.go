@@ -168,26 +168,16 @@ func runE51(env Env) *stats.Table {
 	t := stats.NewTable("E51: controller-RAIDR savings vs naive flat-address attacker exposure",
 		"mapping policy", "slow multiple", "refresh rows saved", "victim flips")
 	for _, pname := range []string{"row", "channel", "xor"} {
-		policy, err := memctrl.PolicyByName(pname, topo)
-		if err != nil {
-			panic(err)
-		}
 		for _, mult := range []int{1, 2, 8} {
-			var devs [][]*dram.Device
 			var dms []*disturb.Model
-			for ch := 0; ch < topo.Channels; ch++ {
-				dev := dram.NewDevice(g)
-				dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(env.Seed^uint64(ch)))
+			ms := plantedSystem(topo, pname, memctrl.Config{}, func(ch, rk int, m *disturb.Model) {
 				// One victim per device, bank 0 row 60.
-				dm.InjectWeakCell(0, 60, 1, threshold, 1, 1, 1, 1)
-				dev.AttachFault(dm)
-				dev.SetPhysBit(0, 60, 1, 1)
-				devs = append(devs, []*dram.Device{dev})
-				dms = append(dms, dm)
-			}
-			ms := memctrl.NewSystem(devs, policy, memctrl.Config{})
+				m.InjectWeakCell(0, 60, 1, threshold, 1, 1, 1, 1)
+				dms = append(dms, m)
+			})
 			var vrrs []*memctrl.MultiRateRefresh
 			for ch := 0; ch < topo.Channels; ch++ {
+				ms.Device(ch, 0).SetPhysBit(0, 60, 1, 1)
 				vrr := memctrl.NewMultiRate(raidr.NewPlan(g.Rows, nil, mult))
 				ms.Controller(ch).Attach(vrr)
 				vrrs = append(vrrs, vrr)
@@ -219,7 +209,7 @@ func runE51(env Env) *stats.Table {
 			if refreshed+skipped > 0 {
 				saved = float64(skipped) / float64(refreshed+skipped)
 			}
-			t.AddRow(policy.Name(), fmt.Sprintf("%d", mult),
+			t.AddRow(ms.Policy().Name(), fmt.Sprintf("%d", mult),
 				fmt.Sprintf("%.1f%%", 100*saved), fmt.Sprintf("%d", flips))
 		}
 	}

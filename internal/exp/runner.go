@@ -59,7 +59,7 @@ type Runner struct {
 	// runtime.GOMAXPROCS. Results are bit-identical for every value
 	// (shards share no state; see memctrl.MemorySystem.ShardChannels).
 	ShardWorkers int
-	// CheckpointPath, when set, makes RunCheckpointed persist every
+	// CheckpointPath, when set, makes RunCheckpointedCtx persist every
 	// completed experiment there and resume past completed ones on a
 	// later run. Run ignores it.
 	CheckpointPath string

@@ -17,7 +17,7 @@ const (
 )
 
 // FirePoint is the fault-injection point fired once per simulated
-// block by RunShardedCheckpointed, after the block's result is
+// block by RunShardedCheckpointedCtx, after the block's result is
 // recorded. Tests arm it to kill, panic or transiently fail a worker
 // mid-campaign.
 const FirePoint = "fieldstudy.block"
@@ -129,13 +129,13 @@ func loadCampaign(r *snapshot.Reader, cfg Config, seed uint64, blocks []block, r
 	return nil
 }
 
-// RunShardedCheckpointed is RunSharded with crash safety: completed
-// blocks are checkpointed to ckptPath (atomically, with an integrity
-// footer) every `every` block completions, and a subsequent call with
-// the same config, seed and path resumes from the last checkpoint,
-// re-simulating only the missing blocks. Because blocks share no
-// state, draw from substreams keyed on their position, and merge in
-// block order, the resumed result is bit-identical to an
+// RunShardedCheckpointedCtx is RunSharded with crash safety:
+// completed blocks are checkpointed to ckptPath (atomically, with an
+// integrity footer) every `every` block completions, and a subsequent
+// call with the same config, seed and path resumes from the last
+// checkpoint, re-simulating only the missing blocks. Because blocks
+// share no state, draw from substreams keyed on their position, and
+// merge in block order, the resumed result is bit-identical to an
 // uninterrupted RunSharded at any worker count.
 //
 // A corrupt or truncated checkpoint is refused with an error wrapping
@@ -143,18 +143,13 @@ func loadCampaign(r *snapshot.Reader, cfg Config, seed uint64, blocks []block, r
 // different config or seed is refused with snapshot.ErrMismatch.
 // Delete the file (or pass a fresh path) to restart such a campaign
 // from scratch.
-func RunShardedCheckpointed(cfg Config, seed uint64, workers int, ckptPath string, every int) ([]ClassStats, error) {
-	return RunShardedCheckpointedCtx(context.Background(), cfg, seed, workers, ckptPath, every, nil)
-}
-
-// RunShardedCheckpointedCtx is RunShardedCheckpointed with
-// cooperative cancellation and progress reporting for long-running
-// service campaigns. Workers observe ctx between blocks: on
-// cancellation the run checkpoints what completed and returns
-// ctx.Err(), so a drained or deadline-expired campaign resumes later
-// with nothing lost beyond in-flight blocks. progress, if non-nil, is
-// called after each block completes with the completed and total
-// block counts (serialized; it must not call back into this package).
+//
+// Workers observe ctx between blocks: on cancellation the run
+// checkpoints what completed and returns ctx.Err(), so a drained or
+// deadline-expired campaign resumes later with nothing lost beyond
+// in-flight blocks. progress, if non-nil, is called after each block
+// completes with the completed and total block counts (serialized; it
+// must not call back into this package).
 func RunShardedCheckpointedCtx(ctx context.Context, cfg Config, seed uint64, workers int, ckptPath string, every int, progress func(done, total int)) ([]ClassStats, error) {
 	blocks := planBlocks(cfg)
 	results := make([]blockResult, len(blocks))

@@ -1,6 +1,7 @@
 package fieldstudy
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -41,7 +42,7 @@ func TestCheckpointedResumeBitIdentical(t *testing.T) {
 			// First attempt dies after two blocks complete.
 			faultinject.Reset()
 			faultinject.Arm(FirePoint, faultinject.Plan{After: 2, Times: 1, Kind: faultinject.Error})
-			_, err := RunShardedCheckpointed(cfg, seed, workers, path, 1)
+			_, err := RunShardedCheckpointedCtx(context.Background(), cfg, seed, workers, path, 1, nil)
 			var f *faultinject.Fault
 			if !errors.As(err, &f) {
 				t.Fatalf("seed %d workers %d: want injected fault, got %v", seed, workers, err)
@@ -52,7 +53,7 @@ func TestCheckpointedResumeBitIdentical(t *testing.T) {
 
 			// Resume with injection cleared.
 			faultinject.Reset()
-			got, err := RunShardedCheckpointed(cfg, seed, workers, path, 1)
+			got, err := RunShardedCheckpointedCtx(context.Background(), cfg, seed, workers, path, 1, nil)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: resume: %v", seed, workers, err)
 			}
@@ -74,7 +75,7 @@ func TestCheckpointedResumeBitIdentical(t *testing.T) {
 func TestCheckpointedFreshRunMatchesRunSharded(t *testing.T) {
 	cfg := ckptConfig()
 	want := RunSharded(cfg, 1, 2)
-	got, err := RunShardedCheckpointed(cfg, 1, 2, filepath.Join(t.TempDir(), "f.ckpt"), 2)
+	got, err := RunShardedCheckpointedCtx(context.Background(), cfg, 1, 2, filepath.Join(t.TempDir(), "f.ckpt"), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestCheckpointedFreshRunMatchesRunSharded(t *testing.T) {
 func TestCheckpointCorruptionRefused(t *testing.T) {
 	cfg := ckptConfig()
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if _, err := RunShardedCheckpointed(cfg, 1, 2, path, 1); err != nil {
+	if _, err := RunShardedCheckpointedCtx(context.Background(), cfg, 1, 2, path, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)
@@ -100,7 +101,7 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 	if err := faultinject.FlipBit(path, info.Size()/2, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShardedCheckpointed(cfg, 1, 2, path, 1); !errors.Is(err, snapshot.ErrCorrupt) {
+	if _, err := RunShardedCheckpointedCtx(context.Background(), cfg, 1, 2, path, 1, nil); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }
@@ -109,16 +110,16 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 func TestCheckpointMismatchRefused(t *testing.T) {
 	cfg := ckptConfig()
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if _, err := RunShardedCheckpointed(cfg, 1, 2, path, 1); err != nil {
+	if _, err := RunShardedCheckpointedCtx(context.Background(), cfg, 1, 2, path, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShardedCheckpointed(cfg, 2, 2, path, 1); !errors.Is(err, snapshot.ErrMismatch) {
+	if _, err := RunShardedCheckpointedCtx(context.Background(), cfg, 2, 2, path, 1, nil); !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("different seed: want ErrMismatch, got %v", err)
 	}
 	other := cfg
 	other.Classes = append([]DensityClass(nil), cfg.Classes...)
 	other.Classes[0].DIMMs = 28192
-	if _, err := RunShardedCheckpointed(other, 1, 2, path, 1); !errors.Is(err, snapshot.ErrMismatch) {
+	if _, err := RunShardedCheckpointedCtx(context.Background(), other, 1, 2, path, 1, nil); !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("different fleet: want ErrMismatch, got %v", err)
 	}
 }
@@ -151,7 +152,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: killed campaign left no checkpoint: %v", seed, err)
 		}
 
-		got, err := RunShardedCheckpointed(cfg, seed, 2, path, 1)
+		got, err := RunShardedCheckpointedCtx(context.Background(), cfg, seed, 2, path, 1, nil)
 		if err != nil {
 			t.Fatalf("seed %d: resume after kill: %v", seed, err)
 		}
@@ -176,7 +177,7 @@ func helperCrashCampaign(t *testing.T) {
 	faultinject.Arm(FirePoint, faultinject.Plan{After: 3, Kind: faultinject.Kill})
 	// Single worker so exactly three blocks are checkpointed before the
 	// kill fires.
-	_, _ = RunShardedCheckpointed(ckptConfig(), seed, 1, os.Getenv("FIELDSTUDY_CRASH_CKPT"), 1)
+	_, _ = RunShardedCheckpointedCtx(context.Background(), ckptConfig(), seed, 1, os.Getenv("FIELDSTUDY_CRASH_CKPT"), 1, nil)
 	fmt.Println("campaign survived armed kill")
 	os.Exit(3)
 }

@@ -30,7 +30,7 @@ func TestGraphenePrevents(t *testing.T) {
 func TestGrapheneHoldsAgainstManySided(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
 	dev := dram.NewDevice(g)
-	m := disturb.NewModel(g, disturb.Invulnerable(), rng.New(2))
+	m := disturb.NewPlanted(g)
 	victims := []int{}
 	for v := 20; v <= 210; v += 10 {
 		m.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
@@ -117,7 +117,7 @@ func TestRefreshScalingEquivalentToConfigMultiplier(t *testing.T) {
 	g := dram.Geometry{Banks: 2, Rows: 128, Cols: 4}
 	run := func(attach bool) (*Controller, *dram.Device) {
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(9))
+		dm := disturb.NewPlanted(g)
 		dm.InjectWeakCell(0, 60, 5, 5000, 1, 1, 1, 1)
 		dev.AttachFault(dm)
 		dev.SetPhysBit(0, 60, 5, 1)

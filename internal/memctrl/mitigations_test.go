@@ -28,7 +28,7 @@ func newAttackRig(threshold float64, remapVictim bool, cfg Config) *attackRig {
 		blob := spdSwapTable(rt, 101, 200)
 		dev.SetRemap(blob)
 	}
-	m := disturb.NewModel(g, disturb.Invulnerable(), rng.New(1))
+	m := disturb.NewPlanted(g)
 	// Victim cell in physical row 101, charged value 1, both-side
 	// coupling 1.0 so double-sided hammering counts 2 per pair.
 	m.InjectWeakCell(0, 101, 17, threshold, 1, 1, 1, 1)
@@ -368,7 +368,7 @@ func TestTRRBypassedByManySided(t *testing.T) {
 	// sampler that refreshes only what it caught.
 	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
 	dev := dram.NewDevice(g)
-	m := disturb.NewModel(g, disturb.Invulnerable(), rng.New(2))
+	m := disturb.NewPlanted(g)
 	victims := []int{}
 	for v := 20; v <= 210; v += 10 {
 		m.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)

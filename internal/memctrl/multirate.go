@@ -3,16 +3,14 @@ package memctrl
 // Controller-integrated multi-rate refresh (RAIDR, Liu et al. ISCA
 // 2012, reference [68] of the paper): rows whose weakest cell retains
 // data comfortably beyond the nominal window are refreshed at a
-// multiple of it, eliminating most row refreshes. The seed modelled
-// this as a standalone single-bank engine (internal/raidr.Engine);
-// MultiRateRefresh drives the same raidr.Plan bins through the real
-// controller's refresh engine instead — attachable like any other
-// Mitigation, per channel, across every rank — so both sides of the
-// co-design trade are measured where they occur: the refresh savings
-// in the controller's REF accounting and device energy, and the
-// RowHammer exposure in the stretched charge-restore gaps of
-// slow-binned victim rows, composing with every mitigation of the E40
-// frontier.
+// multiple of it, eliminating most row refreshes. MultiRateRefresh
+// drives raidr.Plan bins through the real controller's refresh engine
+// — attachable like any other Mitigation, per channel, across every
+// rank — so both sides of the co-design trade are measured where they
+// occur: the refresh savings in the controller's REF accounting and
+// device energy, and the RowHammer exposure in the stretched
+// charge-restore gaps of slow-binned victim rows, composing with every
+// mitigation of the E40 frontier.
 
 import (
 	"fmt"
@@ -23,8 +21,8 @@ import (
 // MultiRateRefresh replaces the controller's uniform per-REF row sweep
 // with a raidr.Plan-driven schedule: during retention window w
 // (1-based), a row in a bin with multiple m is refreshed only when
-// w % m == 0 — the same cadence as raidr.Engine, now at REF-command
-// granularity on every rank of the channel.
+// w % m == 0, at REF-command granularity on every rank of the
+// channel.
 //
 // It is a passive mitigation: it observes no activations, so the
 // batched hammer hot path stays enabled and attack sweeps against

@@ -6,6 +6,7 @@ import (
 	"repro/internal/disturb"
 	"repro/internal/dram"
 	"repro/internal/raidr"
+	"repro/internal/retention"
 	"repro/internal/rng"
 )
 
@@ -46,8 +47,7 @@ func TestMultiRateUniformPlanMatchesAutoRefresh(t *testing.T) {
 	}
 }
 
-// TestMultiRateSchedule mirrors raidr's TestEngineRefreshSchedule on
-// the real controller: over 8 retention windows, a weak row refreshes
+// TestMultiRateSchedule: over 8 retention windows, a weak row refreshes
 // every window and slow-binned rows every 4th, with the refresh-time
 // charge scaled to the rows actually refreshed.
 func TestMultiRateSchedule(t *testing.T) {
@@ -80,6 +80,74 @@ func TestMultiRateSchedule(t *testing.T) {
 	}
 }
 
+// retentionRig builds a controller over one bank whose weak retention
+// cells, all holding their charged value, fail after about two of the
+// controller's retention windows (one sweep of every row: g.Rows REFs)
+// and survive one: 0.15 s and 0.08 s on a 64 ms window, scaled to it.
+func retentionRig(g dram.Geometry, weakFraction float64, seed uint64) (*Controller, *retention.Model, dram.Time) {
+	dev := dram.NewDevice(g)
+	window := dram.Time(g.Rows) * dev.Timing.TREFI
+	scale := float64(window) / float64(64*dram.Millisecond)
+	m := retention.NewModel(g, retention.Params{
+		WeakFraction: weakFraction,
+		MedianSec:    0.15 * scale,
+		Sigma:        0.1,
+		MinSec:       0.08 * scale,
+		VRTRatio:     1, VRTDwellSec: 1,
+		TemperatureC: 45,
+	}, rng.New(seed))
+	dev.AttachFault(m)
+	for _, cell := range m.Cells() {
+		dev.SetPhysBit(cell.Bank, cell.PhysRow, cell.Bit, cell.ChargedVal)
+	}
+	return New(dev, Config{}), m, window
+}
+
+// advanceWindows steps c window by window through n retention windows,
+// so each window's REFs restore rows at that window's end.
+func advanceWindows(c *Controller, window dram.Time, n int) {
+	for w := dram.Time(1); w <= dram.Time(n); w++ {
+		c.AdvanceTo(w * window)
+	}
+}
+
+// TestMultiRatePreventsWeakRowDecay: an oracle plan that bins every
+// row holding a weak retention cell at the nominal rate loses no cell
+// over 64 retention windows while refreshing every other row at 8x.
+func TestMultiRatePreventsWeakRowDecay(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 4}
+	c, m, window := retentionRig(g, 0.002, 1)
+	weakRows := map[int]bool{}
+	for _, cell := range m.Cells() {
+		weakRows[cell.PhysRow] = true
+	}
+	vrr := NewMultiRate(raidr.NewPlan(g.Rows, weakRows, 8))
+	c.Attach(vrr)
+	advanceWindows(c, window, 64)
+	if m.Decays() != 0 {
+		t.Fatalf("oracle RAIDR plan decayed %d cells", m.Decays())
+	}
+	if vrr.RowsSkipped == 0 {
+		t.Fatal("no refresh savings over all-nominal")
+	}
+}
+
+// TestMultiRateMisbinnedRowDecays: a plan that knows no weak row bins
+// every row slow — the escape E11 warns about — and the weak cells
+// decay at 8x the window.
+func TestMultiRateMisbinnedRowDecays(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 4}
+	c, m, window := retentionRig(g, 0.05, 2)
+	if m.WeakCellCount() == 0 {
+		t.Fatal("no weak cells drawn; the check is vacuous")
+	}
+	c.Attach(NewMultiRate(raidr.NewPlan(g.Rows, nil, 8)))
+	advanceWindows(c, window, 64)
+	if m.Decays() == 0 {
+		t.Fatal("misbinned weak rows did not decay at 8x window")
+	}
+}
+
 // TestMultiRateExposure is E25's co-design caution on the real
 // controller: a victim whose threshold exceeds one window's hammer
 // budget is safe under the nominal schedule and flips once its row is
@@ -89,7 +157,7 @@ func TestMultiRateExposure(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 2}
 	for _, mult := range []int{1, 4} {
 		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(1))
+		dm := disturb.NewPlanted(g)
 		// One window is 128 REFs = ~1 ms; a hammer pair costs 2*tRC =
 		// 98 ns, so ~10.2k pairs fit per window. Threshold 1.3x above
 		// one window's double-sided pressure.
@@ -118,7 +186,7 @@ func TestMultiRateExposure(t *testing.T) {
 func TestMultiRateComposesWithFrontier(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 2}
 	dev := dram.NewDevice(g)
-	dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(1))
+	dm := disturb.NewPlanted(g)
 	window := dram.Time(g.Rows) * dev.Timing.TREFI
 	pairsPerWindow := int(uint64(window) / uint64(2*dev.Timing.TRC))
 	threshold := float64(pairsPerWindow) * 2 * 1.3

@@ -138,9 +138,10 @@ func (m *Module) DeviceN(g dram.Geometry, remapFraction float64, sub int) (*dram
 // thresholds divided by thresholdDiv and the weak-cell fraction
 // multiplied by weakMult (capped at weakCap when positive) — the
 // standard densification a small simulated array needs so CLI- and
-// experiment-scale hammer budgets reach its cells. Invulnerable
-// modules are returned unchanged. Full-scale numbers come from the
-// analytic model (E3/E4); scaled systems are for end-to-end campaigns.
+// experiment-scale hammer budgets reach its cells. A module that is
+// not Vulnerable is returned unchanged. Full-scale numbers come from
+// the analytic model (E3/E4); scaled systems are for end-to-end
+// campaigns.
 func (m Module) ScaleForSmallArray(thresholdDiv, weakMult, weakCap float64) Module {
 	if !m.Vulnerable() {
 		return m

@@ -12,13 +12,12 @@
 // for "strong" rows proportionally extends the RowHammer window of
 // every victim in those rows, lowering the effective activation count
 // an attacker needs per refresh epoch.
+//
+// memctrl.MultiRateRefresh executes a Plan through the memory
+// controller's refresh engine.
 package raidr
 
-import (
-	"fmt"
-
-	"repro/internal/dram"
-)
+import "fmt"
 
 // Bin is a refresh-rate bin.
 type Bin struct {
@@ -29,8 +28,8 @@ type Bin struct {
 
 // Plan assigns every row of a bank to a bin.
 //
-// Invariants (checked by Validate, enforced by NewPlan, NewEngine and
-// the controller-integrated memctrl.MultiRateRefresh): bin 0 has
+// Invariants (checked by Validate, enforced by NewPlan and the
+// controller-integrated memctrl.MultiRateRefresh): bin 0 has
 // Multiple 1 — it is the safety bin for known-weak rows, and a plan
 // whose safety bin is slower than nominal silently under-refreshes
 // every row binned there; every Multiple is at least 1 (a zero or
@@ -111,56 +110,4 @@ func (p *Plan) SavedFraction() float64 {
 // victims in that row grows.
 func (p *Plan) HammerExposureMultiplier(physRow int) int {
 	return p.Bins[p.BinOf[physRow]].Multiple
-}
-
-// Engine drives one bank's refresh according to a plan, standalone and
-// without a memory controller — the seed-era harness kept for the
-// single-bank retention experiments whose published tables it pins
-// (E25). System-level studies attach memctrl.MultiRateRefresh instead,
-// which drives the same Plan through the real controller's refresh
-// engine across every rank and channel.
-type Engine struct {
-	dev    *dram.Device
-	bank   int
-	plan   *Plan
-	window dram.Time
-	// epoch counts nominal windows completed.
-	epoch int64
-	// Ops counts row refresh operations issued.
-	Ops int64
-}
-
-// NewEngine creates an engine over one bank. It panics when the plan
-// violates its invariants or does not cover the bank's rows.
-func NewEngine(dev *dram.Device, bank int, plan *Plan, window dram.Time) *Engine {
-	if err := plan.Validate(); err != nil {
-		panic(err)
-	}
-	if len(plan.BinOf) != dev.Geom.Rows {
-		panic(fmt.Sprintf("raidr: plan covers %d rows, bank has %d", len(plan.BinOf), dev.Geom.Rows))
-	}
-	return &Engine{dev: dev, bank: bank, plan: plan, window: window}
-}
-
-// Step advances one nominal window ending at time `end`: every row
-// whose bin is due this epoch is refreshed.
-func (e *Engine) Step(end dram.Time) {
-	e.epoch++
-	for r, b := range e.plan.BinOf {
-		if e.epoch%int64(e.plan.Bins[b].Multiple) == 0 {
-			e.dev.RefreshPhysRow(e.bank, r, end)
-			e.Ops++
-		}
-	}
-}
-
-// RunWindows advances n nominal windows starting at time start and
-// returns the end time.
-func (e *Engine) RunWindows(n int, start dram.Time) dram.Time {
-	now := start
-	for i := 0; i < n; i++ {
-		now += e.window
-		e.Step(now)
-	}
-	return now
 }

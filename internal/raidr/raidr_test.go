@@ -1,12 +1,6 @@
 package raidr
 
-import (
-	"testing"
-
-	"repro/internal/dram"
-	"repro/internal/retention"
-	"repro/internal/rng"
-)
+import "testing"
 
 func TestPlanInvariants(t *testing.T) {
 	cases := []struct {
@@ -48,14 +42,6 @@ func TestConstructorsRejectInvalid(t *testing.T) {
 	mustPanic(t, "NewPlan rows=0", func() { NewPlan(0, nil, 4) })
 	mustPanic(t, "NewPlan multiple=0", func() { NewPlan(16, nil, 0) })
 	mustPanic(t, "NewPlan multiple<0", func() { NewPlan(16, nil, -2) })
-	g := dram.Geometry{Banks: 1, Rows: 16, Cols: 2}
-	dev := dram.NewDevice(g)
-	mustPanic(t, "NewEngine invalid plan", func() {
-		NewEngine(dev, 0, &Plan{BinOf: make([]int, 16), Bins: []Bin{{2}}}, 64*dram.Millisecond)
-	})
-	mustPanic(t, "NewEngine row mismatch", func() {
-		NewEngine(dev, 0, NewPlan(8, nil, 4), 64*dram.Millisecond)
-	})
 }
 
 func TestPlanSavings(t *testing.T) {
@@ -82,80 +68,5 @@ func TestExposureMultiplier(t *testing.T) {
 	}
 	if p.HammerExposureMultiplier(5) != 4 {
 		t.Fatal("strong row exposure should equal the slow multiple")
-	}
-}
-
-func TestEngineRefreshSchedule(t *testing.T) {
-	g := dram.Geometry{Banks: 1, Rows: 16, Cols: 2}
-	dev := dram.NewDevice(g)
-	plan := NewPlan(16, map[int]bool{1: true}, 4)
-	window := 64 * dram.Millisecond
-	e := NewEngine(dev, 0, plan, window)
-	e.RunWindows(8, 0)
-	// Weak row 1: refreshed 8 times; strong rows: 2 times (epochs 4, 8).
-	wantOps := int64(8 + 15*2)
-	if e.Ops != wantOps {
-		t.Fatalf("ops = %d, want %d", e.Ops, wantOps)
-	}
-	if dev.LastRestore(0, 1) != 8*window {
-		t.Fatal("weak row not refreshed at final window")
-	}
-}
-
-func TestEnginePreventsWeakRowDecay(t *testing.T) {
-	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 4}
-	dev := dram.NewDevice(g)
-	p := retention.Params{
-		WeakFraction: 0.002,
-		MedianSec:    0.15, // fails beyond ~2 nominal windows
-		Sigma:        0.1,
-		MinSec:       0.08,
-		VRTRatio:     1, VRTDwellSec: 1,
-		TemperatureC: 45,
-	}
-	m := retention.NewModel(g, p, rng.New(1))
-	dev.AttachFault(m)
-	// Oracle plan: rows containing weak cells go to bin 0.
-	weakRows := map[int]bool{}
-	for _, c := range m.Cells() {
-		weakRows[c.PhysRow] = true
-		dev.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
-	}
-	window := 64 * dram.Millisecond
-	e := NewEngine(dev, 0, NewPlan(256, weakRows, 8), window)
-	e.RunWindows(64, 0)
-	if m.Decays() != 0 {
-		t.Fatalf("oracle RAIDR plan decayed %d cells", m.Decays())
-	}
-	if e.Ops >= 64*256 {
-		t.Fatal("no refresh savings over all-nominal")
-	}
-}
-
-func TestEngineMisbinnedRowDecays(t *testing.T) {
-	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 4}
-	dev := dram.NewDevice(g)
-	p := retention.Params{
-		WeakFraction: 0.05,
-		MedianSec:    0.15,
-		Sigma:        0.1,
-		MinSec:       0.08,
-		VRTRatio:     1, VRTDwellSec: 1,
-		TemperatureC: 45,
-	}
-	m := retention.NewModel(g, p, rng.New(2))
-	dev.AttachFault(m)
-	for _, c := range m.Cells() {
-		dev.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
-	}
-	if m.WeakCellCount() == 0 {
-		t.Skip("no weak cells")
-	}
-	// Empty weak set: every row slow — the escape scenario E11 warns
-	// about.
-	e := NewEngine(dev, 0, NewPlan(64, nil, 8), 64*dram.Millisecond)
-	e.RunWindows(64, 0)
-	if m.Decays() == 0 {
-		t.Fatal("misbinned weak rows did not decay at 8x window")
 	}
 }

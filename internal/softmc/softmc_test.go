@@ -66,7 +66,7 @@ func TestTimingEnforcedBetweenActivates(t *testing.T) {
 
 func TestHammerProgramFlipsVictim(t *testing.T) {
 	dev := device()
-	m := disturb.NewModel(dev.Geom, disturb.Invulnerable(), rng.New(1))
+	m := disturb.NewPlanted(dev.Geom)
 	m.InjectWeakCell(0, 50, 7, 1000, 1, 1, 1, 1)
 	dev.AttachFault(m)
 	dev.SetPhysBit(0, 50, 7, 1)

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics and result-formatting
 // toolkit shared by the simulator's experiments: running summaries,
-// histograms (linear and logarithmic), percentiles, and printable
-// tables used to regenerate the paper's figures as text series.
+// percentiles, and printable tables used to regenerate the paper's
+// figures as text series.
 package stats
 
 import (
@@ -103,80 +103,6 @@ func Percentile(sample []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the
-// range are counted in the under/overflow bins.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int64
-	Underflow int64
-	Overflow  int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with the given number of equal-width
-// bins spanning [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	if v < h.Lo {
-		h.Underflow++
-		return
-	}
-	if v >= h.Hi {
-		h.Overflow++
-		return
-	}
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx >= len(h.Counts) { // guard FP edge at Hi
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// LogHistogram bins positive values into logarithmically spaced buckets
-// of the given number of bins per decade, starting at lo. Zero and
-// negative values are counted in the Zero bin, which the RowHammer
-// error-rate figures need (modules with no errors at all).
-type LogHistogram struct {
-	Lo            float64
-	BinsPerDecade int
-	Counts        map[int]int64
-	Zero          int64
-	total         int64
-}
-
-// NewLogHistogram creates a log-spaced histogram starting at lo > 0.
-func NewLogHistogram(lo float64, binsPerDecade int) *LogHistogram {
-	if lo <= 0 || binsPerDecade <= 0 {
-		panic("stats: invalid log histogram parameters")
-	}
-	return &LogHistogram{Lo: lo, BinsPerDecade: binsPerDecade, Counts: map[int]int64{}}
-}
-
-// Add records one observation.
-func (h *LogHistogram) Add(v float64) {
-	h.total++
-	if v <= 0 {
-		h.Zero++
-		return
-	}
-	idx := int(math.Floor(math.Log10(v/h.Lo) * float64(h.BinsPerDecade)))
-	h.Counts[idx]++
-}
-
-// Total returns the total number of observations.
-func (h *LogHistogram) Total() int64 { return h.total }
 
 // Table is a printable experiment result: a header row plus data rows.
 // Cells are pre-formatted strings so that experiments control their own

@@ -95,67 +95,6 @@ func TestPercentilePanicsEmpty(t *testing.T) {
 	Percentile(nil, 50)
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, v := range []float64{-1, 0, 0.5, 5, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("Underflow = %d", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("Overflow = %d", h.Overflow)
-	}
-	if h.Counts[0] != 2 {
-		t.Errorf("Counts[0] = %d, want 2 (0 and 0.5)", h.Counts[0])
-	}
-	if h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Errorf("mid/top bins wrong: %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramCountConservation(t *testing.T) {
-	if err := quick.Check(func(vals []float64) bool {
-		h := NewHistogram(-100, 100, 13)
-		n := int64(0)
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-			n++
-		}
-		var inBins int64
-		for _, c := range h.Counts {
-			inBins += c
-		}
-		return inBins+h.Underflow+h.Overflow == n && h.Total() == n
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h := NewLogHistogram(1, 1)
-	h.Add(0)    // zero bin
-	h.Add(-3)   // zero bin
-	h.Add(5)    // bin 0 (1..10)
-	h.Add(50)   // bin 1
-	h.Add(5000) // bin 3
-	if h.Zero != 2 {
-		t.Errorf("Zero = %d", h.Zero)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[3] != 1 {
-		t.Errorf("Counts = %v", h.Counts)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
 func TestTableFormatting(t *testing.T) {
 	tab := NewTable("demo", "name", "value")
 	tab.AddRow("alpha", "1")
