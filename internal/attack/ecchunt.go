@@ -51,74 +51,43 @@ func flipBitsOf(diff uint64) []int {
 	return out
 }
 
-// MiscorrectionHunt row-stripes and double-side hammers every interior
-// victim row of every channel, rank and bank (aggressors derived
-// through the mapping policy, like ScanSystem), collects the words
-// where the disturb model produced >=2 co-located flips, and
-// classifies each under SECDED(72,64), the default on-die code and x4
-// chipkill. Single-flip words — corrected by every configuration — are
-// only counted. Channels shard across up to workers goroutines;
-// findings come back in deterministic channel-major order regardless
-// of worker count.
+// MiscorrectionHunt runs the ScanSystem templating pass (row-stripe
+// and double-side hammer every interior victim row of every channel,
+// rank and bank, aggressors derived through the mapping policy),
+// gathers its templates into flipped words, and classifies each word
+// with >=2 co-located flips under SECDED(72,64), the default on-die
+// code and x4 chipkill. Single-flip words — corrected by every
+// configuration — are only counted. Channels shard across up to
+// workers goroutines; findings come back in deterministic
+// channel-major order regardless of worker count.
 //
 // The pass requires ECC-off controllers: an ECC layer would correct or
 // rewrite exactly the patterns the hunt is profiling.
 func MiscorrectionHunt(ms *memctrl.MemorySystem, pattern uint64, pairsPerRow, workers int) (findings []ECCWordFinding, singleFlipWords int) {
-	p := ms.Policy()
-	t := ms.Topology()
 	for ch := 0; ch < ms.Channels(); ch++ {
 		if ms.Controller(ch).ECCEnabled() {
 			panic("attack: MiscorrectionHunt requires ECC-off controllers (the hunt profiles raw flips)")
 		}
 	}
-	perChan := make([][]ECCWordFinding, ms.Channels())
-	singles := make([]int, ms.Channels())
-	ms.ShardChannels(workers, func(ch int, c *memctrl.Controller) {
-		var out []ECCWordFinding
-		for rank := 0; rank < t.Ranks; rank++ {
-			for bank := 0; bank < t.Geom.Banks; bank++ {
-				for v := 1; v < t.Geom.Rows-1; v++ {
-					victim := memctrl.Loc{Channel: ch, Rank: rank, Bank: bank, Row: v}
-					below, above, ok := AdjacentAddrs(p, p.Encode(victim))
-					if !ok {
-						continue
-					}
-					lo, hi := p.Decode(below), p.Decode(above)
-					writeRowRanked(c, lo.Rank, lo.Bank, lo.Row, ^pattern)
-					writeRowRanked(c, rank, bank, v, pattern)
-					writeRowRanked(c, hi.Rank, hi.Bank, hi.Row, ^pattern)
-					c.HammerPairsRanked(rank, bank, lo.Row, hi.Row, pairsPerRow)
-					got := readRowRanked(c, rank, bank, v)
-					for col, word := range got {
-						diff := word ^ pattern
-						if diff == 0 {
-							continue
-						}
-						flipped := flipBitsOf(diff)
-						if len(flipped) < 2 {
-							singles[ch]++
-							continue
-						}
-						f := ECCWordFinding{
-							Victim:  memctrl.Loc{Channel: ch, Rank: rank, Bank: bank, Row: v, Col: col},
-							Bits:    flipped,
-							Pattern: pattern,
-						}
-						_, f.SECDED = ecc.ClassifyData(pattern, word)
-						f.InDRAM = ecc.OnDie.Outcome(len(flipped))
-						f.Chipkill = ecc.Chipkill4.Outcome(ecc.Codeword72{Lo: diff})
-						out = append(out, f)
-					}
-					// Repair the victim for the next iteration.
-					writeRowRanked(c, rank, bank, v, pattern)
-				}
-			}
+	// ScanSystem emits one template per flipped bit, a word's bits
+	// consecutive and ascending, so each run of equal Victim is a word.
+	tmpl := ScanSystem(ms, pattern, pairsPerRow, workers)
+	for i := 0; i < len(tmpl); {
+		victim := tmpl[i].Victim
+		var diff uint64
+		for ; i < len(tmpl) && tmpl[i].Victim == victim; i++ {
+			diff |= 1 << uint(tmpl[i].Bit&63)
 		}
-		perChan[ch] = out
-	})
-	for ch, out := range perChan {
-		findings = append(findings, out...)
-		singleFlipWords += singles[ch]
+		flipped := flipBitsOf(diff)
+		if len(flipped) < 2 {
+			singleFlipWords++
+			continue
+		}
+		f := ECCWordFinding{Victim: victim, Bits: flipped, Pattern: pattern}
+		_, f.SECDED = ecc.ClassifyData(pattern, pattern^diff)
+		f.InDRAM = ecc.OnDie.Outcome(len(flipped))
+		f.Chipkill = ecc.Chipkill4.Outcome(ecc.Codeword72{Lo: diff})
+		findings = append(findings, f)
 	}
 	return findings, singleFlipWords
 }

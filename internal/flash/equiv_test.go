@@ -225,3 +225,38 @@ func TestBlockMatchesReferenceAgedReads(t *testing.T) {
 		compareBlocks(t, b, r, "aged reads")
 	}
 }
+
+// TestProgramMSBInternalReadRoundsRInt pins the threshold of
+// ProgramMSB's internal read. The chip compares the sensed float32
+// voltage with float32(RInt), so an intermediate voltage at exactly
+// float32(RInt), which lies below the float64 RInt, is not below the
+// reference: it reads back LSB 0 and the cell lands in P2 or P3, as
+// in the Reference. Comparing with the unrounded RInt would recover
+// LSB 1 and leave it in ER or P1.
+func TestProgramMSBInternalReadRoundsRInt(t *testing.T) {
+	p := agedEquivParams()
+	refs := p.NominalRefs()
+	x := float32(refs.RInt)
+	if float64(x) >= refs.RInt {
+		t.Fatalf("float32(RInt) = %v does not round below RInt = %v", x, refs.RInt)
+	}
+	const wls, cells = 2, 256
+	b, r := twinBlocks(t, p, wls, cells, 1)
+	lsb := make([]uint64, cells/64)
+	b.ProgramLSB(0, lsb)
+	r.ProgramLSB(0, lsb)
+	// With no reads and no elapsed time nothing drifts, so the sensed
+	// voltage is the stored one.
+	for c := 0; c < cells; c++ {
+		b.v[0][c] = x
+		r.v[0][c] = x
+	}
+	b.markDirty(0)
+	msb := randPage(rng.New(7), cells/64)
+	b.ProgramMSB(0, msb, refs, nil)
+	r.ProgramMSB(0, msb, refs, nil)
+	compareBlocks(t, b, r, "internal read at float32(RInt)")
+	if e := CountBitErrors(b.ReadLSB(0, refs), lsb); e != 0 {
+		t.Fatalf("%d cells recovered LSB 1 from an intermediate voltage at float32(RInt)", e)
+	}
+}

@@ -24,19 +24,28 @@
 // injected at construction and programming time from an explicit
 // stream, so experiments replay exactly.
 //
-// Block is the word-parallel production implementation: senses and
-// programs sweep 64 cells per packed word, all per-wordline physics
-// terms (wear factor, read-disturb scale, retention logarithm,
-// programming sigma) are hoisted out of the per-cell loop, and the
-// ReadLSBInto/ReadMSBInto variants plus block-owned scratch make the
-// FTL lifetime loops allocation-free in steady state. Reference, in
-// reference_test.go, is the seed cell-at-a-time implementation kept
-// verbatim as the test-only equivalence oracle; equiv_test.go pins the
-// two bit-identical — same page bits, voltages, counters and RNG
-// consumption — under mixed command sequences at seeds 1 and 5. Every arithmetic hoist
-// here preserves the Reference's evaluation order exactly (the
-// factors are pre-associated, never re-associated), which is what
-// makes bit-equality achievable in floating point.
+// Block is the word-parallel production implementation. Every read is
+// one sense rule: a page bit is set when the cell's sensed voltage,
+// rounded to float32 as the chip stores it, lies outside a reference
+// interval [lo, hi). The LSB page senses [R12, +Inf), the MSB page
+// [R01, R23), and the second step of two-step programming re-reads
+// the intermediate LSB through the same rule against
+// [float32(RInt), +Inf) without counting a page read. Senses and
+// programs sweep 64 cells per packed word, and all per-wordline
+// physics terms (wear factor, read-disturb scale, retention logarithm,
+// programming sigma) are hoisted out of the per-cell loop. When read
+// disturb and retention are both active one kernel senses the
+// wordline: SSE2 assembly on amd64 (sense_amd64.s), a portable scalar
+// loop elsewhere (sense_generic.go). The ReadLSBInto/ReadMSBInto
+// variants plus block-owned scratch make the FTL lifetime loops
+// allocation-free in steady state. Reference, in reference_test.go,
+// is the seed cell-at-a-time implementation kept verbatim as the
+// test-only equivalence oracle; equiv_test.go pins the two
+// bit-identical — same page bits, voltages, counters and RNG
+// consumption — under mixed command sequences at seeds 1 and 5. Every
+// arithmetic hoist here preserves the Reference's evaluation order
+// exactly (the factors are pre-associated, never re-associated), which
+// is what makes bit-equality achievable in floating point.
 package flash
 
 import (
@@ -382,18 +391,27 @@ func (b *Block) interfere(w int, rise []float32) {
 
 // ProgramFull programs both pages of an erased wordline in one step
 // (full-sequence programming; no intermediate-state vulnerability).
-// The sweep walks the packed pages word-at-a-time, drawing programming
-// noise only for cells leaving ER — the same per-cell draw order as
-// the Reference.
 func (b *Block) ProgramFull(w int, lsb, msb []uint64) {
 	b.checkPages(w, lsb, msb)
 	if b.state[w] != wlErased {
 		panic("flash: ProgramFull on non-erased wordline")
 	}
+	b.programStates(w, lsb, msb)
+	copy(b.truthLSB[w], lsb)
+	copy(b.truthMSB[w], msb)
+	b.finishProgram(w, wlFull)
+}
+
+// programStates moves every cell of wordline w to the state its
+// (lsb, msb) bit pair encodes, then couples the voltage rise onto
+// wordline w-1. The sweep walks the packed pages word-at-a-time,
+// drawing programming noise only for cells leaving ER — the same
+// per-cell draw order as the Reference.
+func (b *Block) programStates(w int, lsb, msb []uint64) {
 	rise := b.rise
 	sg := b.sigma(b.p.Sigma0)
 	vw := b.v[w]
-	for wi := range lsb {
+	for wi := range msb {
 		lw, mw := lsb[wi], msb[wi]
 		base := wi * 64
 		for bit := 0; bit < 64; bit++ {
@@ -409,13 +427,17 @@ func (b *Block) ProgramFull(w int, lsb, msb []uint64) {
 			rise[c] = vw[c] - before
 		}
 	}
-	copy(b.truthLSB[w], lsb)
-	copy(b.truthMSB[w], msb)
-	b.state[w] = wlFull
+	b.interfere(w, rise)
+}
+
+// finishProgram moves wordline w to state st after a program step.
+// Each step verifies placement, so the wordline's retention clock and
+// read-disturb count restart.
+func (b *Block) finishProgram(w int, st wlState) {
+	b.state[w] = st
 	b.progHour[w] = b.clockHours
 	b.readBase[w] = b.reads
 	b.markDirty(w)
-	b.interfere(w, rise)
 }
 
 // ProgramLSB performs the first step of two-step programming: cells
@@ -444,10 +466,7 @@ func (b *Block) ProgramLSB(w int, lsb []uint64) {
 		}
 	}
 	copy(b.truthLSB[w], lsb)
-	b.state[w] = wlLSBOnly
-	b.progHour[w] = b.clockHours
-	b.readBase[w] = b.reads
-	b.markDirty(w)
+	b.finishProgram(w, wlLSBOnly)
 	b.interfere(w, rise)
 }
 
@@ -457,148 +476,57 @@ func (b *Block) ProgramLSB(w int, lsb []uint64) {
 // LSB is wrong and the cell lands in the wrong final state — this is
 // the two-step vulnerability. If bufferedLSB is non-nil the controller
 // supplies the true LSB (the HPCA 2017 mitigation) and the internal
-// read is skipped. The internal read uses the same hoisted physics
-// terms as the Into read paths.
+// read is skipped. The internal read is an ordinary sense that counts
+// no page read.
 func (b *Block) ProgramMSB(w int, msb []uint64, refs ReadRefs, bufferedLSB []uint64) {
 	b.checkPage(w, msb)
 	if b.state[w] != wlLSBOnly {
 		panic("flash: ProgramMSB requires an LSB-programmed wordline")
 	}
-	rise := b.rise
-	sg := b.sigma(b.p.Sigma0)
-	vw := b.v[w]
-	span := b.p.Means[3] - b.p.Means[0]
-	m0, m3 := b.p.Means[0], b.p.Means[3]
-	reads := float64(b.reads - b.readBase[w])
-	rdOn := reads > 0 && b.p.RDCoef > 0
-	dt := b.clockHours - b.progHour[w]
-	retOn := dt > 0 && b.p.RetCoef > 0
-	wf := b.wearFactor()
-	var logTerm float64
-	if retOn {
-		logTerm = math.Log(1 + dt/b.p.RetT0Hours)
+	lsb := bufferedLSB
+	if lsb == nil {
+		// The chip compares the sensed float32 voltage with a float32
+		// reference, so RInt rounded to float32 is the exact threshold.
+		lsb = b.pg
+		b.sense(w, float64(float32(refs.RInt)), math.Inf(1), lsb)
 	}
-	rInt := float32(refs.RInt)
-	off := w * b.Cells
-	for wi := range msb {
-		mw := msb[wi]
-		var lw uint64
-		if bufferedLSB != nil {
-			lw = bufferedLSB[wi]
-		}
-		base := wi * 64
-		for bit := 0; bit < 64; bit++ {
-			c := base + bit
-			before := vw[c]
-			var lsbBit uint64
-			if bufferedLSB != nil {
-				lsbBit = (lw >> uint(bit)) & 1
-			} else {
-				// Internal read of the (possibly disturbed) intermediate.
-				v := float64(vw[c])
-				if rdOn {
-					erLevel := (m3 - v) / span
-					if erLevel > 0 {
-						v += b.rdStatic[off+c] * reads * wf * erLevel
-					}
-				}
-				if retOn {
-					level := (v - m0) / span
-					if level > 0 {
-						v -= b.retStatic[off+c] * wf * logTerm * level * span
-					}
-				}
-				if float32(v) < rInt {
-					lsbBit = 1
-				}
-			}
-			s := StateOf(lsbBit, (mw>>uint(bit))&1)
-			if s != ER {
-				target := float32(b.src.Normal(b.p.Means[s], sg))
-				if target > vw[c] {
-					vw[c] = target
-				}
-			}
-			rise[c] = vw[c] - before
-		}
-	}
+	b.programStates(w, lsb, msb)
 	copy(b.truthMSB[w], msb)
-	b.state[w] = wlFull
-	// The MSB step re-verifies placement; retention clock restarts.
-	b.progHour[w] = b.clockHours
-	b.readBase[w] = b.reads
-	b.markDirty(w)
-	b.interfere(w, rise)
+	b.finishProgram(w, wlFull)
 }
 
 // ReadLSBInto reads the LSB page of a wordline into out, which must
 // be a page-sized buffer; it returns out. Under the Gray mapping the
-// LSB is 1 for states below R12. Every read disturbs the block. The
-// sense sweep accumulates 64 page bits in a register and stores one
-// word per iteration; the wear factor, read-disturb scale and
-// retention logarithm are computed once per wordline. It performs no
-// allocation — the zero-alloc building block of the FTL lifetime
-// loops.
+// LSB is 1 for states below R12. Every read disturbs the block. It
+// performs no allocation — the zero-alloc building block of the FTL
+// lifetime loops.
 func (b *Block) ReadLSBInto(w int, refs ReadRefs, out []uint64) []uint64 {
-	b.checkPage(w, out)
-	b.reads++
-	span := b.p.Means[3] - b.p.Means[0]
-	m0 := b.p.Means[0]
-	reads := float64(b.reads - b.readBase[w])
-	rdOn := reads > 0 && b.p.RDCoef > 0
-	dt := b.clockHours - b.progHour[w]
-	retOn := dt > 0 && b.p.RetCoef > 0
-	wf := b.wearFactor()
-	vq, erLvl := b.senseWL(w)
-	var ret []float64
-	if retOn {
-		ret = b.retentionWL(w, wf, math.Log(1+dt/b.p.RetT0Hours))
-	}
-	rdS := b.rdStatic[w*b.Cells : (w+1)*b.Cells]
-	r12 := refs.R12
-	if rdOn && retOn {
-		// Hot path: both drift terms active (any aged, stressed
-		// block). The sense kernel sweeps the cached per-cell terms in
-		// one pass — SSE2 two-lanes-per-step on amd64, the equivalent
-		// branchless scalar loop elsewhere — producing the same bits
-		// as the Reference's guarded per-cell chains.
-		n := len(vq)
-		senseSweepLSB(&vq[0], &erLvl[0], &rdS[0], &ret[0], n, reads, wf, m0, span, r12, &out[0])
-		return out
-	}
-	for wi := range out {
-		var word uint64
-		base := wi * 64
-		vqw, elw, rdw := vq[base:base+64], erLvl[base:base+64], rdS[base:base+64]
-		var retw []float64
-		if retOn {
-			retw = ret[base : base+64]
-		}
-		for bit := 0; bit < 64; bit++ {
-			v := vqw[bit]
-			if rdOn {
-				el := elw[bit]
-				d := rdw[bit] * reads * wf * el
-				v += math.Float64frombits(math.Float64bits(d) &^ uint64(int64(math.Float64bits(el))>>63))
-			}
-			if retOn {
-				level := (v - m0) / span
-				d := retw[bit] * level * span
-				v -= math.Float64frombits(math.Float64bits(d) &^ uint64(int64(math.Float64bits(level))>>63))
-			}
-			word |= (math.Float64bits(float64(float32(v))-r12) >> 63) << uint(bit)
-		}
-		out[wi] = word
-	}
-	return out
+	return b.readInto(w, refs.R12, math.Inf(1), out)
 }
 
 // ReadMSBInto reads the MSB page of a wordline into out: the MSB is 1
 // for the lowest and highest states (below R01 or at/above R23). Same
 // batching contract as ReadLSBInto.
 func (b *Block) ReadMSBInto(w int, refs ReadRefs, out []uint64) []uint64 {
+	return b.readInto(w, refs.R01, refs.R23, out)
+}
+
+// readInto counts one page read of wordline w and senses it into out.
+func (b *Block) readInto(w int, lo, hi float64, out []uint64) []uint64 {
 	b.checkPage(w, out)
 	b.reads++
+	b.sense(w, lo, hi, out)
+	return out
+}
+
+// sense is the one sense rule of every read: it sets page bit c of out
+// when cell c's sensed voltage ve = float64(float32(v)) lies outside
+// [lo, hi), where v is the stored voltage plus read disturb minus
+// retention drift at the block's current read count and clock. It
+// counts no read. The sweep accumulates 64 page bits in a register and
+// stores one word per iteration; the wear factor, read-disturb scale
+// and retention logarithm are computed once per wordline.
+func (b *Block) sense(w int, lo, hi float64, out []uint64) {
 	span := b.p.Means[3] - b.p.Means[0]
 	m0 := b.p.Means[0]
 	reads := float64(b.reads - b.readBase[w])
@@ -612,13 +540,14 @@ func (b *Block) ReadMSBInto(w int, refs ReadRefs, out []uint64) []uint64 {
 		ret = b.retentionWL(w, wf, math.Log(1+dt/b.p.RetT0Hours))
 	}
 	rdS := b.rdStatic[w*b.Cells : (w+1)*b.Cells]
-	r01, r23 := refs.R01, refs.R23
 	if rdOn && retOn {
-		// Hot path — see ReadLSBInto; only the final partition differs
-		// (MSB is set below R01 or at/above R23).
-		n := len(vq)
-		senseSweepMSB(&vq[0], &erLvl[0], &rdS[0], &ret[0], n, reads, wf, m0, span, r01, r23, &out[0])
-		return out
+		// Hot path: both drift terms active (any aged, stressed
+		// block). The sense kernel sweeps the cached per-cell terms in
+		// one pass — SSE2 two-lanes-per-step on amd64, the equivalent
+		// branchless scalar loop elsewhere — producing the same bits
+		// as the Reference's guarded per-cell chains.
+		senseSweep(&vq[0], &erLvl[0], &rdS[0], &ret[0], len(vq), reads, wf, m0, span, lo, hi, &out[0])
+		return
 	}
 	for wi := range out {
 		var word uint64
@@ -631,23 +560,30 @@ func (b *Block) ReadMSBInto(w int, refs ReadRefs, out []uint64) []uint64 {
 		for bit := 0; bit < 64; bit++ {
 			v := vqw[bit]
 			if rdOn {
-				el := elw[bit]
-				d := rdw[bit] * reads * wf * el
-				v += math.Float64frombits(math.Float64bits(d) &^ uint64(int64(math.Float64bits(el))>>63))
+				v += clampPos(rdw[bit] * reads * wf * elw[bit])
 			}
 			if retOn {
-				level := (v - m0) / span
-				d := retw[bit] * level * span
-				v -= math.Float64frombits(math.Float64bits(d) &^ uint64(int64(math.Float64bits(level))>>63))
+				v -= clampPos(retw[bit] * ((v - m0) / span) * span)
 			}
-			ve := float64(float32(v))
-			lo := math.Float64bits(ve-r01) >> 63
-			hi := (math.Float64bits(ve-r23) >> 63) ^ 1
-			word |= (lo | hi) << uint(bit)
+			word |= outside(float64(float32(v)), lo, hi) << uint(bit)
 		}
 		out[wi] = word
 	}
-	return out
+}
+
+// clampPos returns d, or +0 when d's sign bit is set: the branchless
+// form of the Reference's `term > 0` guards. Every drift delta's
+// leading factors are positive, so its sign is its guard term's sign,
+// and a cleared delta adds or subtracts exactly +0.
+func clampPos(d float64) float64 {
+	bd := math.Float64bits(d)
+	return math.Float64frombits(bd &^ uint64(int64(bd)>>63))
+}
+
+// outside returns 1 when the sensed voltage ve lies outside [lo, hi),
+// else 0, by the sign bits of ve-lo and ve-hi.
+func outside(ve, lo, hi float64) uint64 {
+	return math.Float64bits(ve-lo)>>63 | (math.Float64bits(ve-hi)>>63 ^ 1)
 }
 
 // ReadLSB reads the LSB page of a wordline with the given references,
@@ -690,7 +626,7 @@ func (b *Block) TruthLSB(w int) []uint64 { return b.truthLSB[w] }
 // TruthMSB returns the ground-truth MSB page.
 func (b *Block) TruthMSB(w int) []uint64 { return b.truthMSB[w] }
 
-// StateOfWL reports whether a wordline is erased / LSB-only / fully
+// FullyProgrammed reports whether both pages of a wordline are
 // programmed, for FTL bookkeeping.
 func (b *Block) FullyProgrammed(w int) bool { return b.state[w] == wlFull }
 
@@ -733,5 +669,5 @@ func (b *Block) RBER(w int) float64 {
 	return float64(e) / float64(2*b.Cells)
 }
 
-// Params returns the block's physics calibration.
+// ParamsRef returns the block's physics calibration.
 func (b *Block) ParamsRef() Params { return b.p }

@@ -2,23 +2,18 @@
 
 package flash
 
-// The SSE2 sense kernels in sense_amd64.s evaluate the hot read path
+// The SSE2 sense kernel in sense_amd64.s evaluates the hot read path
 // (read disturb and retention both active) two cells per step. Each
 // packed lane performs exactly the scalar operation sequence —
 // multiply chains in the Reference's association order, the same
 // single division, MAXPD against +0 for the `> 0` guards (equal or
-// -0 lanes yield +0, which is what the branchless scalar form adds),
-// and CVTPD2PS/CVTPS2PD for the float32 storage round-trip — so the
-// page bits are bit-identical to the Reference. SSE2 is part of the
-// amd64 baseline, so no feature detection is needed.
+// -0 lanes yield +0, which is what clampPos adds), and
+// CVTPD2PS/CVTPS2PD for the float32 storage round-trip — so the page
+// bits are bit-identical to the Reference. SSE2 is part of the amd64
+// baseline, so no feature detection is needed.
 
-// senseSweepLSB senses n cells (n a multiple of 64) and packs the
-// LSB partition (ve < r12) into out (n/64 words).
+// senseSweep senses n cells (n a multiple of 64) and packs the bits
+// outside(ve, lo, hi) into out (n/64 words).
 //
 //go:noescape
-func senseSweepLSB(vq, el, rd, ret *float64, n int, reads, wf, m0, span, r12 float64, out *uint64)
-
-// senseSweepMSB packs the MSB partition (ve < r01 or ve >= r23).
-//
-//go:noescape
-func senseSweepMSB(vq, el, rd, ret *float64, n int, reads, wf, m0, span, r01, r23 float64, out *uint64)
+func senseSweep(vq, el, rd, ret *float64, n int, reads, wf, m0, span, lo, hi float64, out *uint64)

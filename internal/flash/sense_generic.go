@@ -2,18 +2,11 @@
 
 package flash
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
-// Portable scalar forms of the sense kernels; the amd64 build
-// replaces them with SSE2 assembly producing identical bits. The
-// guarded drift deltas are applied branchlessly: each delta's leading
-// factors are positive, so its sign bit decides the Reference's
-// `> 0` guard, and a cleared delta contributes exactly +0.
-
-func senseSweepLSB(vq, el, rd, ret *float64, n int, reads, wf, m0, span, r12 float64, out *uint64) {
+// senseSweep is the portable scalar form of the sense kernel; the
+// amd64 build replaces it with SSE2 assembly producing identical bits.
+func senseSweep(vq, el, rd, ret *float64, n int, reads, wf, m0, span, lo, hi float64, out *uint64) {
 	vqs := unsafe.Slice(vq, n)
 	els := unsafe.Slice(el, n)
 	rds := unsafe.Slice(rd, n)
@@ -21,40 +14,9 @@ func senseSweepLSB(vq, el, rd, ret *float64, n int, reads, wf, m0, span, r12 flo
 	outs := unsafe.Slice(out, n/64)
 	var word uint64
 	for c := 0; c < n; c++ {
-		d := rds[c] * reads * wf * els[c]
-		bd := math.Float64bits(d)
-		v := vqs[c] + math.Float64frombits(bd&^uint64(int64(bd)>>63))
-		level := (v - m0) / span
-		d2 := rets[c] * level * span
-		bd2 := math.Float64bits(d2)
-		v -= math.Float64frombits(bd2 &^ uint64(int64(bd2)>>63))
-		word |= (math.Float64bits(float64(float32(v))-r12) >> 63) << uint(c&63)
-		if c&63 == 63 {
-			outs[c>>6] = word
-			word = 0
-		}
-	}
-}
-
-func senseSweepMSB(vq, el, rd, ret *float64, n int, reads, wf, m0, span, r01, r23 float64, out *uint64) {
-	vqs := unsafe.Slice(vq, n)
-	els := unsafe.Slice(el, n)
-	rds := unsafe.Slice(rd, n)
-	rets := unsafe.Slice(ret, n)
-	outs := unsafe.Slice(out, n/64)
-	var word uint64
-	for c := 0; c < n; c++ {
-		d := rds[c] * reads * wf * els[c]
-		bd := math.Float64bits(d)
-		v := vqs[c] + math.Float64frombits(bd&^uint64(int64(bd)>>63))
-		level := (v - m0) / span
-		d2 := rets[c] * level * span
-		bd2 := math.Float64bits(d2)
-		v -= math.Float64frombits(bd2 &^ uint64(int64(bd2)>>63))
-		ve := float64(float32(v))
-		lo := math.Float64bits(ve-r01) >> 63
-		hi := (math.Float64bits(ve-r23) >> 63) ^ 1
-		word |= (lo | hi) << uint(c&63)
+		v := vqs[c] + clampPos(rds[c]*reads*wf*els[c])
+		v -= clampPos(rets[c] * ((v - m0) / span) * span)
+		word |= outside(float64(float32(v)), lo, hi) << uint(c&63)
 		if c&63 == 63 {
 			outs[c>>6] = word
 			word = 0

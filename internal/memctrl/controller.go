@@ -33,11 +33,6 @@ type Coord struct {
 
 // Config parameterizes a controller.
 type Config struct {
-	// Geom is derived from the controlled device(s); leave it zero.
-	// A non-zero Geom that disagrees with the device geometry is a
-	// wiring bug and New panics on it rather than silently overwriting
-	// the caller's value.
-	Geom dram.Geometry
 	// RefreshMultiplier scales the refresh rate: 1 is the nominal
 	// 64 ms window, 2 refreshes twice as often (32 ms window), etc.
 	// This is the paper's "increase the refresh rate" solution.
@@ -90,7 +85,8 @@ func (s *Stats) Add(other Stats) {
 // Controller drives one channel: a set of identical ranks sharing the
 // channel's command bus, refresh engine and mitigation registry.
 type Controller struct {
-	cfg   Config `snapshot:"config"`
+	cfg   Config        `snapshot:"config"`
+	geom  dram.Geometry `snapshot:"config"` // every rank's geometry
 	ranks []*dram.Device
 
 	now        dram.Time
@@ -136,14 +132,13 @@ type KernelCounters struct {
 func (c *Controller) KernelCounters() KernelCounters { return c.kernel }
 
 // New creates a controller over one device (a single-rank channel).
-// Config.Geom is derived from the device; see Config.
 func New(dev *dram.Device, cfg Config) *Controller {
 	return NewMultiRank([]*dram.Device{dev}, cfg)
 }
 
 // NewMultiRank creates a controller driving a set of identical ranks.
-// It panics when the rank set is empty, the ranks' geometries disagree,
-// or a non-zero cfg.Geom disagrees with the device geometry.
+// It panics when the rank set is empty or the ranks' geometries
+// disagree.
 func NewMultiRank(devs []*dram.Device, cfg Config) *Controller {
 	if len(devs) == 0 {
 		panic("memctrl: NewMultiRank with no ranks")
@@ -154,15 +149,12 @@ func NewMultiRank(devs []*dram.Device, cfg Config) *Controller {
 			panic(fmt.Sprintf("memctrl: rank %d geometry %+v disagrees with rank 0 %+v", i, d.Geom, g))
 		}
 	}
-	if cfg.Geom != (dram.Geometry{}) && cfg.Geom != g {
-		panic(fmt.Sprintf("memctrl: Config.Geom %+v disagrees with device geometry %+v (leave Geom zero; it is derived)", cfg.Geom, g))
-	}
 	if cfg.RefreshMultiplier <= 0 {
 		cfg.RefreshMultiplier = 1
 	}
-	cfg.Geom = g
 	c := &Controller{
 		cfg:     cfg,
+		geom:    g,
 		ranks:   devs,
 		lastAct: make([]dram.Time, len(devs)*g.Banks),
 	}
@@ -259,7 +251,7 @@ func (c *Controller) Mitigations() []Mitigation { return c.mitigations }
 
 // splitFlatBank decodes a flat rank*Banks+bank index.
 func (c *Controller) splitFlatBank(flat int) (rank, bank int) {
-	return flat / c.cfg.Geom.Banks, flat % c.cfg.Geom.Banks
+	return flat / c.geom.Banks, flat % c.geom.Banks
 }
 
 // PhysRowAt translates a logical row to its physical row on the rank
@@ -281,7 +273,7 @@ func (c *Controller) serviceRefresh() {
 	for c.now >= c.nextRefDue {
 		// REF requires all banks precharged.
 		for _, dev := range c.ranks {
-			for b := 0; b < c.cfg.Geom.Banks; b++ {
+			for b := 0; b < c.geom.Banks; b++ {
 				dev.Precharge(b)
 			}
 			if c.refPolicy == nil {
@@ -327,7 +319,7 @@ func (c *Controller) AccessRanked(rank int, co Coord, write bool, data uint64) (
 	t := dev.Timing
 	open := dev.OpenRow(co.Bank)
 	phys := dev.PhysRow(co.Row)
-	flat := rank*c.cfg.Geom.Banks + co.Bank
+	flat := rank*c.geom.Banks + co.Bank
 	switch {
 	case open == phys:
 		c.Stats.RowHits++
@@ -367,7 +359,7 @@ func (c *Controller) AccessRanked(rank int, co Coord, write bool, data uint64) (
 func (c *Controller) activate(rank, bank, logRow int) {
 	dev := c.ranks[rank]
 	dev.Activate(bank, logRow, c.now)
-	flat := rank*c.cfg.Geom.Banks + bank
+	flat := rank*c.geom.Banks + bank
 	c.lastAct[flat] = c.now
 	for _, m := range c.mitigations {
 		m.OnActivate(c, flat, logRow)
@@ -417,7 +409,7 @@ func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 	r := &c.run
 	r.rank, r.bank = rank, bank
 	dev := c.ranks[rank]
-	flat := rank*c.cfg.Geom.Banks + bank
+	flat := rank*c.geom.Banks + bank
 	t := dev.Timing
 	// In the steady row-conflict state every access activates exactly
 	// max(tRC, tRP+tRCD+tCL+tBURST) after the previous activation and
@@ -530,7 +522,7 @@ func (c *Controller) cycleRows(rank int, rows []int) bool {
 	r.rows = append(r.rows[:0], rows...)
 	r.phys = r.phys[:0]
 	for _, row := range rows {
-		if row < 0 || row >= c.cfg.Geom.Rows {
+		if row < 0 || row >= c.geom.Rows {
 			return false
 		}
 		p := c.ranks[rank].PhysRow(row)
@@ -651,7 +643,7 @@ func (c *Controller) RefreshLogRows(flatBank int, logRows []int) {
 	rank, bank := c.splitFlatBank(flatBank)
 	dev := c.ranks[rank]
 	for _, r := range logRows {
-		if r < 0 || r >= c.cfg.Geom.Rows {
+		if r < 0 || r >= c.geom.Rows {
 			continue
 		}
 		dev.RefreshLogRow(bank, r, c.now)
@@ -667,7 +659,7 @@ func (c *Controller) RefreshPhysRows(flatBank int, physRows []int) {
 	rank, bank := c.splitFlatBank(flatBank)
 	dev := c.ranks[rank]
 	for _, r := range physRows {
-		if r < 0 || r >= c.cfg.Geom.Rows {
+		if r < 0 || r >= c.geom.Rows {
 			continue
 		}
 		dev.RefreshPhysRow(bank, r, c.now)

@@ -319,7 +319,7 @@ func (s *Scrubber) OnAutoRefresh(c *Controller) {
 	if s.WordsPerREF <= 0 {
 		return
 	}
-	g := c.cfg.Geom
+	g := c.geom
 	rowWords := g.Cols
 	total := len(c.ranks) * g.Banks * g.Rows * rowWords
 	var cost dram.Time
@@ -365,7 +365,7 @@ func (s *Scrubber) StorageBits() int64 {
 	if s.ctrl == nil {
 		return 0
 	}
-	g := s.ctrl.cfg.Geom
+	g := s.ctrl.geom
 	total := len(s.ctrl.ranks) * g.Banks * g.Rows * g.Cols
 	return int64(bits.Len(uint(total)))
 }
@@ -397,7 +397,7 @@ func (s *Scrubber) LoadState(r *snapshot.Reader) error {
 		return err
 	}
 	if s.ctrl != nil {
-		g := s.ctrl.cfg.Geom
+		g := s.ctrl.geom
 		if total := len(s.ctrl.ranks) * g.Banks * g.Rows * g.Cols; pos < 0 || pos >= total {
 			return snapshot.Corruptf("Scrubber cursor %d out of range for %d words", pos, total)
 		}

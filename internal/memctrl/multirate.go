@@ -84,7 +84,7 @@ func (m *MultiRateRefresh) bind(c *Controller) {
 		// package panics to prevent everywhere else.
 		panic("memctrl: MultiRateRefresh already attached to a controller; build one instance per channel")
 	}
-	g := c.cfg.Geom
+	g := c.geom
 	m.rows = g.Rows
 	flat := len(c.ranks) * g.Banks
 	m.plans = make([]*raidr.Plan, flat)
@@ -109,7 +109,7 @@ func (m *MultiRateRefresh) bind(c *Controller) {
 // dram.Device.AutoRefresh's group advance so a plan of all-nominal
 // bins refreshes exactly the rows the uniform sweep would.
 func (m *MultiRateRefresh) serviceREF(c *Controller) (refreshed, nominal int64) {
-	g := c.cfg.Geom
+	g := c.geom
 	n := c.ranks[0].AutoRefreshGroupSize()
 	for rk, dev := range c.ranks {
 		for b := 0; b < g.Banks; b++ {

@@ -24,8 +24,7 @@ type MemorySystem struct {
 
 // NewSystem wires per-channel controllers over the given devices.
 // devs is indexed [channel][rank] and must match the policy's topology.
-// Every channel gets its own controller built from cfg (leave cfg.Geom
-// zero; it is derived from the devices).
+// Every channel gets its own controller built from cfg.
 func NewSystem(devs [][]*dram.Device, policy MappingPolicy, cfg Config) *MemorySystem {
 	t := policy.Topology()
 	if err := t.Validate(); err != nil {

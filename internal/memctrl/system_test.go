@@ -19,23 +19,6 @@ func buildTopo(t dram.Topology) [][]*dram.Device {
 	return devs
 }
 
-// TestConfigGeomMismatchPanics pins the derived-Geom contract: a
-// caller-supplied Geom that disagrees with the device is a panic, not
-// a silent overwrite.
-func TestConfigGeomMismatchPanics(t *testing.T) {
-	g := dram.Geometry{Banks: 2, Rows: 32, Cols: 4}
-	dev := dram.NewDevice(g)
-	// Matching and zero Geom are both fine.
-	New(dev, Config{Geom: g})
-	New(dev, Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched Config.Geom did not panic")
-		}
-	}()
-	New(dev, Config{Geom: dram.Geometry{Banks: 4, Rows: 32, Cols: 4}})
-}
-
 func TestMultiRankMismatchedGeomPanics(t *testing.T) {
 	a := dram.NewDevice(dram.Geometry{Banks: 2, Rows: 32, Cols: 4})
 	b := dram.NewDevice(dram.Geometry{Banks: 2, Rows: 64, Cols: 4})
