@@ -12,9 +12,13 @@ var DrawUnmemoized = drawFresh
 // MemoHolds reports whether the process-wide memo holds the population
 // drawn from geom, p and a stream at st.
 func MemoHolds(geom dram.Geometry, p Params, st rng.State) bool {
-	populations.mu.Lock()
-	defer populations.mu.Unlock()
-	return populations.entries[newMemoKey(geom, p, st)] != nil
+	return populations.lookup(geom, p, st) != nil
+}
+
+// lookup returns the memo entry of a draw from a stream at st, or nil.
+func (pm *popMemo) lookup(geom dram.Geometry, p Params, st rng.State) *memoEntry {
+	e, _ := pm.Lookup(newMemoKey(geom, p), st)
+	return e
 }
 
 // ResetCounters zeroes the flip counters without touching cell state.

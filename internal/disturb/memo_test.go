@@ -11,15 +11,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-// drawFresh builds a model the way NewModel does on a memo miss,
-// without consulting or filling any memo.
-func drawFresh(geom dram.Geometry, p Params, src *rng.Stream) *Model {
-	m := &Model{params: p, geom: geom}
-	m.spare = sampleWeakCells(geom, p, src)
-	m.index(m.spare)
-	return m
-}
-
 // campaignGeom and campaignParams are perfbench hammer-campaign's rig
 // shape: one bank of 128 rows of 8 words, 2e-3 weak cells, thresholds
 // divided by 100.
@@ -99,20 +90,20 @@ func TestMemoHitMatchesMiss(t *testing.T) {
 		{"spare", withSpare.State()},
 		{"no spare", noSpare},
 	}
-	pm := &popMemo{budget: memoBudget}
+	pm := newPopMemo(memoBudget)
 	for _, c := range memoCases {
 		for _, s := range states {
 			ctx, st := c.name+"/"+s.name, s.st
 			drawChecked(t, ctx+" miss", pm, c, st)
-			n := len(pm.entries)
+			n := pm.Len()
 			drawChecked(t, ctx+" hit", pm, c, st)
-			if len(pm.entries) != n || pm.entries[newMemoKey(c.geom, c.p, st)] == nil {
+			if pm.Len() != n || pm.lookup(c.geom, c.p, st) == nil {
 				t.Fatalf("%s: second build was not a memo hit", ctx)
 			}
 		}
 	}
-	if want := len(memoCases) * len(states); len(pm.entries) != want {
-		t.Fatalf("memo holds %d populations, want %d", len(pm.entries), want)
+	if want := len(memoCases) * len(states); pm.Len() != want {
+		t.Fatalf("memo holds %d populations, want %d", pm.Len(), want)
 	}
 }
 
@@ -144,20 +135,20 @@ func samePopulation(a, b population) bool {
 // build of the same spec must still equal a fresh draw.
 func TestMemoSurvivesModelMutation(t *testing.T) {
 	c := memoCase{"aggressive", dram.Geometry{Banks: 1, Rows: 256, Cols: 8}, aggressiveParams()}
-	pm := &popMemo{budget: memoBudget}
+	pm := newPopMemo(memoBudget)
 	var other snapshot.Writer
 	drawFresh(c.geom, c.p, rng.New(99)).SaveState(&other)
-	key := newMemoKey(c.geom, c.p, rng.New(3).State())
+	st := rng.New(3).State()
 	for _, ctx := range []string{"miss", "hit"} {
-		m := drawChecked(t, ctx, pm, c, rng.New(3).State())
-		e := pm.entries[key]
+		m := drawChecked(t, ctx, pm, c, st)
+		e := pm.lookup(c.geom, c.p, st)
 		if e == nil || !m.shared {
 			t.Fatalf("%s: model does not share a memo entry", ctx)
 		}
 		pop, cells := clonePopulation(e.pop), slices.Clone(e.cells)
 		check := func(step string) {
 			t.Helper()
-			if pm.entries[key] != e || !samePopulation(e.pop, pop) || !slices.Equal(e.cells, cells) {
+			if pm.lookup(c.geom, c.p, st) != e || !samePopulation(e.pop, pop) || !slices.Equal(e.cells, cells) {
 				t.Fatalf("%s: %s changed the memo's population", ctx, step)
 			}
 		}
@@ -186,12 +177,12 @@ func TestMemoSurvivesModelMutation(t *testing.T) {
 	}
 	// A shared model whose first change is a LoadState of other
 	// physics, with no injection before it.
-	m := drawChecked(t, "hit", pm, c, rng.New(3).State())
-	pop := clonePopulation(pm.entries[key].pop)
+	m := drawChecked(t, "hit", pm, c, st)
+	pop := clonePopulation(pm.lookup(c.geom, c.p, st).pop)
 	if err := m.LoadState(snapshot.NewReader(other.Bytes())); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
-	if m.shared || !samePopulation(pm.entries[key].pop, pop) {
+	if m.shared || !samePopulation(pm.lookup(c.geom, c.p, st).pop, pop) {
 		t.Fatal("a LoadState of other physics wrote into the memo's population")
 	}
 	drawChecked(t, "after mutation", pm, c, rng.New(3).State())
@@ -206,7 +197,7 @@ func TestMemoConcurrent(t *testing.T) {
 	for i, s := range seeds {
 		want[i] = saveBytes(drawFresh(c.geom, c.p, rng.New(s)))
 	}
-	pm := &popMemo{budget: memoBudget}
+	pm := newPopMemo(memoBudget)
 	var wg sync.WaitGroup
 	errs := make([]string, 8)
 	for g := range errs {
@@ -230,65 +221,44 @@ func TestMemoConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d: %s", g, e)
 		}
 	}
-	if len(pm.entries) != len(seeds) || len(pm.fifo) != len(seeds) {
-		t.Fatalf("memo holds %d populations in a fifo of %d, want %d", len(pm.entries), len(pm.fifo), len(seeds))
-	}
-}
-
-// checkMemoAccounts requires the memo's byte count to be the sum of
-// its entries' sizes, within budget, with fifo listing every entry
-// once.
-func checkMemoAccounts(t *testing.T, pm *popMemo) {
-	t.Helper()
-	sum := 0
-	for _, k := range pm.fifo {
-		e := pm.entries[k]
-		if e == nil {
-			t.Fatal("fifo names a population the memo does not hold")
-		}
-		sum += e.bytes
-	}
-	if len(pm.fifo) != len(pm.entries) || sum != pm.bytes || pm.bytes > pm.budget {
-		t.Fatalf("memo accounts: %d entries, fifo %d, %d bytes counted, %d summed, budget %d",
-			len(pm.entries), len(pm.fifo), pm.bytes, sum, pm.budget)
+	if pm.Len() != len(seeds) {
+		t.Fatalf("memo holds %d populations, want %d", pm.Len(), len(seeds))
 	}
 }
 
 // TestMemoEvictionBound pins the budget: inserting past it evicts the
 // oldest populations first, and a population larger than the whole
-// budget is drawn fresh every time, correctly, and never cached.
+// budget is drawn fresh every time, correctly, and never cached. The
+// memo's own accounts are pinned in package popmemo.
 func TestMemoEvictionBound(t *testing.T) {
 	c := memoCase{"campaign", campaignGeom, campaignParams()}
-	probe := &popMemo{budget: memoBudget}
-	probe.newModel(c.geom, c.p, rng.New(1))
-	size := probe.bytes
+	size := drawFresh(c.geom, c.p, rng.New(1)).storeBytes()
 	if size == 0 {
 		t.Fatal("probe population has no size")
 	}
 	// Room for two populations of about this size, not three.
-	pm := &popMemo{budget: 2*size + size/2}
+	pm := newPopMemo(2*size + size/2)
 	seeds := []uint64{1, 2, 3, 4, 5}
 	for i, s := range seeds {
 		drawChecked(t, "fill", pm, c, rng.New(s).State())
-		checkMemoAccounts(t, pm)
-		if pm.fifo[len(pm.fifo)-1] != newMemoKey(c.geom, c.p, rng.New(s).State()) {
-			t.Fatalf("seed %d: newest population is not last in the fifo", s)
+		if pm.lookup(c.geom, c.p, rng.New(s).State()) == nil {
+			t.Fatalf("seed %d: newest population is not memoised", s)
 		}
-		if i >= 2 && len(pm.entries) > 2 {
-			t.Fatalf("seed %d: memo holds %d populations within a budget for 2", s, len(pm.entries))
+		if i >= 2 && pm.Len() > 2 {
+			t.Fatalf("seed %d: memo holds %d populations within a budget for 2", s, pm.Len())
 		}
 	}
-	if pm.entries[newMemoKey(c.geom, c.p, rng.New(1).State())] != nil {
+	if pm.lookup(c.geom, c.p, rng.New(1).State()) != nil {
 		t.Fatal("oldest population survived eviction")
 	}
 	// Hits on a full memo still match.
 	drawChecked(t, "hit on a full memo", pm, c, rng.New(5).State())
 
-	tiny := &popMemo{budget: size / 2}
+	tiny := newPopMemo(size / 2)
 	for i := 0; i < 3; i++ {
 		drawChecked(t, "over budget", tiny, c, rng.New(1).State())
-		if len(tiny.entries) != 0 || tiny.bytes != 0 {
-			t.Fatalf("memo cached a population over its budget: %d entries, %d bytes", len(tiny.entries), tiny.bytes)
+		if tiny.Len() != 0 {
+			t.Fatalf("memo cached a population over its budget: %d entries", tiny.Len())
 		}
 	}
 }
@@ -300,11 +270,7 @@ func TestMemoEvictionBound(t *testing.T) {
 // identical bytes, over several geometries and stream seeds. NewPlanted
 // itself leaves the process-wide memo's entry count unchanged.
 func TestPlantedMatchesEmptyDraw(t *testing.T) {
-	memoEntries := func() int {
-		populations.mu.Lock()
-		defer populations.mu.Unlock()
-		return len(populations.entries)
-	}
+	memoEntries := populations.Len
 	// run plants the cells of geometry g into m, hammers them on a
 	// fresh device and returns m's saved bytes.
 	run := func(g dram.Geometry, m *Model) []byte {

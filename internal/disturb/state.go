@@ -72,7 +72,7 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if p != m.params {
+	if p.bits() != m.params.bits() {
 		return snapshot.Mismatchf("disturb params %+v, have %+v", p, m.params)
 	}
 	if geom != m.geom {

@@ -261,7 +261,7 @@ func TestCellRecordSizes(t *testing.T) {
 // last cell carries other physics must rebuild, not half-apply.
 func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
 	for _, seed := range []uint64{1, 5} {
-		pm := &popMemo{budget: memoBudget}
+		pm := newPopMemo(memoBudget)
 		g := dram.Geometry{Banks: 2, Rows: 256, Cols: 16}
 		p := DefaultParams()
 		p.WeakCellFraction = 2e-4

@@ -226,7 +226,10 @@ func (bk *bank) row(r int) []uint64 {
 }
 
 // NewDevice builds a device with the given geometry and default
-// timing/energy. All cells start at 0 and all rows precharged.
+// timing/energy. All cells start at 0 and all rows precharged. Its
+// remap is the process-wide identity table for its row count, which is
+// read-only: SetRemap and LoadState install other tables rather than
+// write it.
 func NewDevice(g Geometry) *Device {
 	if err := g.Validate(); err != nil {
 		panic(err)
@@ -235,7 +238,8 @@ func NewDevice(g Geometry) *Device {
 		Geom:   g,
 		Timing: DefaultTiming(),
 		Energy: DefaultEnergy(),
-		remap:  IdentityRemap(g.Rows),
+		remap:  sharedIdentity(g.Rows),
+		banks:  make([]*bank, 0, g.Banks),
 	}
 	for b := 0; b < g.Banks; b++ {
 		d.banks = append(d.banks, &bank{

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -25,6 +26,29 @@ func IdentityRemap(n int) *RemapTable {
 	for i := 0; i < n; i++ {
 		rt.phys[i] = i
 		rt.log[i] = i
+	}
+	return rt
+}
+
+// identities holds the read-only identity table of each row count
+// NewDevice has built a device for.
+var identities struct {
+	mu     sync.Mutex
+	byRows map[int]*RemapTable
+}
+
+// sharedIdentity returns the process-wide identity table for n rows.
+// Nothing may write it: every device built with n rows holds it.
+func sharedIdentity(n int) *RemapTable {
+	identities.mu.Lock()
+	defer identities.mu.Unlock()
+	rt := identities.byRows[n]
+	if rt == nil {
+		if identities.byRows == nil {
+			identities.byRows = make(map[int]*RemapTable)
+		}
+		rt = IdentityRemap(n)
+		identities.byRows[n] = rt
 	}
 	return rt
 }

@@ -68,7 +68,8 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 	// Rows rows: a restore onto an equal table (every
 	// rebuild-then-overlay restore) keeps it and allocates nothing. The
 	// first differing entry switches to a private copy, so the installed
-	// table, which callers may hold, is never written.
+	// table, which callers or other devices (NewDevice's shared
+	// identity) may hold, is never written.
 	remap := d.remap
 	phys := remap.phys
 	for l := range phys {

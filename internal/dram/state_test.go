@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
 
@@ -174,5 +175,69 @@ func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 	dst.SaveState(&got)
 	if !bytes.Equal(got.Bytes(), full) {
 		t.Fatal("full payload did not restore the source device")
+	}
+}
+
+// TestNewDeviceSharesIdentityRemap pins that devices of one row count
+// share one read-only identity table, and that building a device
+// allocates nothing for its remap: the device, its bank list and each
+// bank's record, cells and clocks.
+func TestNewDeviceSharesIdentityRemap(t *testing.T) {
+	for _, g := range []Geometry{{Banks: 1, Rows: 128, Cols: 8}, {Banks: 4, Rows: 64, Cols: 2}} {
+		a, b := NewDevice(g), NewDevice(g)
+		if a.Remap() != b.Remap() || !a.Remap().IsIdentity() || a.Remap().Rows() != g.Rows {
+			t.Fatalf("%+v: devices of one row count do not share an identity table", g)
+		}
+		if want := float64(2 + 3*g.Banks); testing.AllocsPerRun(20, func() { NewDevice(g) }) != want {
+			t.Fatalf("%+v: NewDevice allocates other than %v times", g, want)
+		}
+	}
+	if NewDevice(Geometry{Banks: 1, Rows: 32, Cols: 1}).Remap() == NewDevice(Geometry{Banks: 1, Rows: 64, Cols: 1}).Remap() {
+		t.Fatal("devices of different row counts share a remap table")
+	}
+}
+
+// TestSharedIdentityNeverWritten restores a checkpoint whose remap
+// differs from the identity in one entry pair onto a device holding
+// the shared identity table, and installs a RandomRemap on another: each
+// gets a table of its own, and the shared table stays the identity. An
+// identity checkpoint keeps the shared table.
+func TestSharedIdentityNeverWritten(t *testing.T) {
+	g := Geometry{Banks: 1, Rows: 64, Cols: 2}
+	shared := NewDevice(g).Remap()
+	src := NewDevice(g)
+	rt := IdentityRemap(g.Rows)
+	rt.swap(3, 60)
+	src.SetRemap(rt)
+	var w snapshot.Writer
+	src.SaveState(&w)
+
+	dst := NewDevice(g)
+	if err := dst.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Remap() == shared || dst.PhysRow(3) != 60 || dst.PhysRow(60) != 3 || dst.Remap().Validate() != nil {
+		t.Fatal("a restore of another remap did not install a private table")
+	}
+	rnd := NewDevice(g)
+	rnd.SetRemap(RandomRemap(g.Rows, 0.5, rng.New(1)))
+	if rnd.Remap() == shared || rnd.Remap().IsIdentity() {
+		t.Fatal("RandomRemap returned the shared identity table")
+	}
+	if !shared.IsIdentity() || NewDevice(g).Remap() != shared {
+		t.Fatal("the shared identity table was written or replaced")
+	}
+
+	var id snapshot.Writer
+	NewDevice(g).SaveState(&id)
+	if err := dst.LoadState(snapshot.NewReader(id.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Remap().IsIdentity() {
+		t.Fatal("an identity checkpoint did not restore the identity")
+	}
+	keep := NewDevice(g)
+	if err := keep.LoadState(snapshot.NewReader(id.Bytes())); err != nil || keep.Remap() != shared {
+		t.Fatalf("an identity checkpoint replaced the shared table (%v)", err)
 	}
 }

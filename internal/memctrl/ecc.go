@@ -208,48 +208,59 @@ func (l *eccLayer) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores a shadow saved by SaveState into a layer of the
-// same shape.
+// same shape. A probe pass over a copy of r checks every rank, bank and
+// word-count header against the installed shadow and that the payload
+// holds every word; the words are then decoded straight into the
+// shadow. On error the shadow is unchanged.
 func (l *eccLayer) LoadState(r *snapshot.Reader) error {
 	r.Tag("memctrl.eccLayer")
+	probe := *r
+	if err := l.checkShape(&probe); err != nil {
+		return err
+	}
+	// Commit: nothing below can fail.
+	r.U64()
+	for _, banks := range l.shadow {
+		r.U64()
+		for _, words := range banks {
+			r.U64()
+			r.U64sInto(words)
+		}
+	}
+	return nil
+}
+
+// checkShape reads a saved shadow from r, skipping its words, and
+// fails unless it has the installed shadow's shape and r holds all of
+// its words.
+func (l *eccLayer) checkShape(r *snapshot.Reader) error {
 	nr := r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if int(nr) != len(l.shadow) {
+	if nr != uint64(len(l.shadow)) {
 		return snapshot.Mismatchf("ECC shadow has %d ranks, checkpoint holds %d", len(l.shadow), nr)
 	}
-	staged := make([][][]uint64, nr)
-	for ri := range staged {
+	for ri, banks := range l.shadow {
 		nb := r.U64()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if int(nb) != len(l.shadow[ri]) {
-			return snapshot.Mismatchf("ECC shadow rank %d has %d banks, checkpoint holds %d", ri, len(l.shadow[ri]), nb)
+		if nb != uint64(len(banks)) {
+			return snapshot.Mismatchf("ECC shadow rank %d has %d banks, checkpoint holds %d", ri, len(banks), nb)
 		}
-		staged[ri] = make([][]uint64, nb)
-		for bi := range staged[ri] {
+		for bi, words := range banks {
 			nw := r.U64()
 			if err := r.Err(); err != nil {
 				return err
 			}
-			if int(nw) != len(l.shadow[ri][bi]) {
-				return snapshot.Mismatchf("ECC shadow rank %d bank %d has %d words, checkpoint holds %d", ri, bi, len(l.shadow[ri][bi]), nw)
+			if nw != uint64(len(words)) {
+				return snapshot.Mismatchf("ECC shadow rank %d bank %d has %d words, checkpoint holds %d", ri, bi, len(words), nw)
 			}
-			words := make([]uint64, nw)
-			r.U64sInto(words)
-			staged[ri][bi] = words
+			r.Skip(8 * len(words))
 		}
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for ri := range l.shadow {
-		for bi := range l.shadow[ri] {
-			copy(l.shadow[ri][bi], staged[ri][bi])
-		}
-	}
-	return nil
+	return r.Err()
 }
 
 // --- Scrubber ---

@@ -1,6 +1,9 @@
 package memctrl
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/disturb"
@@ -342,5 +345,94 @@ func TestECCLoadStateRejectsMissingLayer(t *testing.T) {
 	ecc := New(dram.NewDevice(g), Config{ECC: ECCConfig{Kind: ECCSECDED72}})
 	if err := ecc.LoadState(snapshot.NewReader(w.Bytes())); err == nil {
 		t.Fatal("ECC controller accepted a snapshot with no ECC payload")
+	}
+}
+
+// eccShadow returns a layer of ranks ranks of g with every shadow word
+// set from seed.
+func eccShadow(g dram.Geometry, ranks int, seed uint64) *eccLayer {
+	l := newECCLayer(ECCConfig{Kind: ECCSECDED72}, g, ranks)
+	src := rng.New(seed)
+	for _, banks := range l.shadow {
+		for _, words := range banks {
+			for i := range words {
+				words[i] = src.Uint64()
+			}
+		}
+	}
+	return l
+}
+
+func eccShadowBytes(l *eccLayer) []byte {
+	var w snapshot.Writer
+	l.SaveState(&w)
+	return w.Bytes()
+}
+
+// TestECCLoadStateInPlace pins that a shadow restore decodes straight
+// into the installed shadow: it restores the saved words exactly and
+// allocates nothing.
+func TestECCLoadStateInPlace(t *testing.T) {
+	g := dram.Geometry{Banks: 4, Rows: 32, Cols: 16}
+	payload := eccShadowBytes(eccShadow(g, 2, 1))
+	l := eccShadow(g, 2, 2)
+	if err := l.LoadState(snapshot.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(eccShadowBytes(l), payload) {
+		t.Fatal("restored shadow saves other bytes than it was restored from")
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := l.LoadState(snapshot.NewReader(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("an ECC shadow restore allocates %v times, want 0", n)
+	}
+}
+
+// TestECCLoadStateFailureLeavesShadowUnchanged feeds a shadow restore
+// payloads cut short or shaped for another layer, in the first and the
+// last bank: each must fail, corrupt or mismatched, and leave every
+// shadow word as it was, although a valid restore writes in place.
+func TestECCLoadStateFailureLeavesShadowUnchanged(t *testing.T) {
+	g := dram.Geometry{Banks: 2, Rows: 16, Cols: 4}
+	full := eccShadowBytes(eccShadow(g, 2, 1))
+	words := g.Rows * g.Cols
+	// The payload is the tag, the rank count, and per rank a bank count
+	// followed by per bank a word count and the words.
+	rankBytes := 8 + g.Banks*(8+8*words)
+	head := len(full) - 2*rankBytes - 8 // the rank count
+	bank := func(rank, b int) int { return head + 8 + rank*rankBytes + 8 + b*(8+8*words) }
+	if got := binary.BigEndian.Uint64(full[bank(1, 1):]); got != uint64(words) {
+		t.Fatalf("last bank's word count %d, want %d", got, words)
+	}
+	patched := func(off int, v uint64) []byte {
+		b := bytes.Clone(full)
+		binary.BigEndian.PutUint64(b[off:], v)
+		return b
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"cut in the last bank's words", full[:len(full)-1], snapshot.ErrCorrupt},
+		{"cut in the first bank's words", full[:bank(0, 0)+8+8*words/2], snapshot.ErrCorrupt},
+		{"cut before the rank count", full[:head+4], snapshot.ErrCorrupt},
+		{"rank count", patched(head, 3), snapshot.ErrMismatch},
+		{"bank count of the last rank", patched(bank(1, 0)-8, 1), snapshot.ErrMismatch},
+		{"word count of the last bank", patched(bank(1, 1), uint64(words-1)), snapshot.ErrMismatch},
+		{"huge word count of the first bank", patched(bank(0, 0), 1<<62), snapshot.ErrMismatch},
+	}
+	l := eccShadow(g, 2, 2)
+	before := eccShadowBytes(l)
+	for _, tc := range cases {
+		if err := l.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: want %v, got %v", tc.name, tc.want, err)
+		}
+		if !bytes.Equal(eccShadowBytes(l), before) {
+			t.Fatalf("%s: failed restore changed the shadow", tc.name)
+		}
 	}
 }

@@ -253,10 +253,10 @@ func TestHammerCycleMatchesReference(t *testing.T) {
 				b := src.Intn(g.Banks)
 				rows := tc.rows(g, src)
 				for _, r := range rows {
-					resident += len(flat.byRow[b*g.Rows+r])
+					resident += flat.cellsIn(b*g.Rows + r)
 					for _, nr := range []int{r - 1, r + 1} {
 						if nr >= 0 && nr < g.Rows && !slices.Contains(rows, nr) {
-							coupled += len(flat.byRow[b*g.Rows+nr])
+							coupled += flat.cellsIn(b*g.Rows + nr)
 						}
 					}
 				}

@@ -9,9 +9,15 @@ func (m *Model) WeakRows(bank int) []int {
 	base := bank * m.geom.Rows
 	var out []int
 	for r := 0; r < m.geom.Rows; r++ {
-		if len(m.byRow[base+r]) > 0 {
+		if lo, hi := m.resident(base + r); lo < hi {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// cellsIn returns the number of weak cells residing in row idx.
+func (m *Model) cellsIn(idx int) int {
+	lo, hi := m.resident(idx)
+	return int(hi - lo)
 }

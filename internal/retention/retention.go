@@ -21,15 +21,18 @@
 // the restore then locks in the wrong value, exactly as a real sense
 // amplifier would.
 //
-// The hot path is the same shape as the disturbance model's: the
-// per-(bank,row) weak-cell index is a dense flat slice keyed by
-// bank*Rows+physRow, so a restore of a row holding no weak cells — the
-// overwhelmingly common case — costs one slice load instead of a map
-// probe. The model also implements dram.BankRefreshFaultModel, letting
+// The hot path is the same shape as the disturbance model's: the weak
+// cells' physics live in one slice sorted by (bank, physRow), and an
+// offset array keyed by bank*Rows+physRow turns a row's cells into a
+// contiguous range, so a restore of a row holding no weak cells — the
+// overwhelmingly common case — costs two slice loads instead of a map
+// probe. The physics never change once drawn: models built from one
+// population memo entry share them, and each owns only its cells' VRT
+// states. The model also implements dram.BankRefreshFaultModel, letting
 // the device apply a whole-bank refresh storm (profiling passes,
 // multi-rate refresh sweeps) in one call that visits only weak rows;
 // batched application is bit-identical to the per-row path. The seed's
-// map-indexed implementation is retained in reference.go as the
+// map-indexed implementation is retained in reference_test.go as the
 // equivalence oracle.
 package retention
 
@@ -171,18 +174,14 @@ func samplePopulation(geom dram.Geometry, p Params, src *rng.Stream) []weakCell 
 	return cells
 }
 
-// Model is a dram.FaultModel implementing retention decay.
+// Model is a dram.FaultModel implementing retention decay. Its weak
+// cells are a population (see population.go) plus vrt, each slot's VRT
+// state, which only this model writes.
 type Model struct {
 	params Params
 	geom   dram.Geometry
-	// cells is the population in draw (and save) order, one backing
-	// array. byRow is a dense flat index keyed by bank*geom.Rows+physRow:
-	// byRow[idx] lists the cells residing in the row, in draw order,
-	// and every row's list is a sub-slice of one row-sorted slice of
-	// pointers into cells. It replaces the seed's map[[2]int] index,
-	// turning the per-restore lookup into a single slice load.
-	byRow     [][]*weakCell
-	cells     []weakCell
+	population
+	vrt       []vrtState
 	src       *rng.Stream
 	decays    int64
 	tempScale float64 `snapshot:"derived"` // recomputed from Params at construction
@@ -195,51 +194,12 @@ var (
 	_ dram.BankRefreshFaultModel = (*Model)(nil)
 )
 
-// NewModel samples the weak-cell population for the given geometry.
+// NewModel samples the weak-cell population for the given geometry. A
+// population already drawn in this process from the same geometry,
+// params and stream state is shared from the population memo instead,
+// and src is left where the draw would have left it.
 func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
-	m := &Model{
-		params:    p,
-		geom:      geom,
-		byRow:     make([][]*weakCell, geom.Banks*geom.Rows),
-		src:       src,
-		tempScale: p.tempScale(),
-	}
-	m.index(samplePopulation(geom, p, src))
-	return m
-}
-
-// index installs cells as the population and rebuilds byRow with a
-// stable counting sort over rows, so each row lists its cells in
-// draw order, the order VRT draws follow.
-func (m *Model) index(cells []weakCell) {
-	rows := m.geom.Rows
-	// start[idx+1] counts row idx's cells; the prefix sum turns
-	// start[idx] into the offset of row idx's range in sorted, and
-	// placing each cell at its row's offset advances it, so afterwards
-	// start[idx] is where row idx's range ends.
-	start := make([]int32, len(m.byRow)+1)
-	for i := range cells {
-		start[cells[i].bank*rows+cells[i].physRow+1]++
-	}
-	for idx := 1; idx < len(start); idx++ {
-		start[idx] += start[idx-1]
-	}
-	sorted := make([]*weakCell, len(cells))
-	for i := range cells {
-		idx := cells[i].bank*rows + cells[i].physRow
-		sorted[start[idx]] = &cells[i]
-		start[idx]++
-	}
-	lo := int32(0)
-	for idx := range m.byRow {
-		hi := start[idx]
-		m.byRow[idx] = nil
-		if hi > lo {
-			m.byRow[idx] = sorted[lo:hi:hi]
-		}
-		lo = hi
-	}
-	m.cells = cells
+	return newModel(populations, geom, p, src)
 }
 
 func secToTime(s float64) dram.Time {
@@ -280,8 +240,8 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 	h := math.MaxInt
 	round := dram.Time(k) * period
 	for i, r := range physRows {
-		cells := m.byRow[bank*m.geom.Rows+r]
-		if len(cells) == 0 {
+		lo, hi := m.resident(bank*m.geom.Rows + r)
+		if lo == hi {
 			continue
 		}
 		// The row's first activation sees the gap since its last
@@ -289,9 +249,10 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 		// sees one round.
 		first := start + dram.Time(i)*period
 		last := d.LastRestore(bank, r)
-		for _, wc := range cells {
-			ret := m.minRetention(wc)
-			if first > last && (timeToSec(first-last) > ret || wc.vrt && wc.vrtNext < first) {
+		for s := lo; s < hi; s++ {
+			c, v := &m.cells[s], &m.vrt[s]
+			ret := m.minRetention(c, v)
+			if first > last && (timeToSec(first-last) > ret || c.vrt && v.next < first) {
 				return min(h, i)
 			}
 			if round == 0 {
@@ -300,10 +261,10 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 			if timeToSec(round) > ret {
 				h = min(h, i+k)
 			}
-			if wc.vrt {
+			if c.vrt {
 				rounds := 1
-				if wc.vrtNext >= first {
-					rounds = int((wc.vrtNext-first)/round) + 1
+				if v.next >= first {
+					rounds = int((v.next-first)/round) + 1
 				}
 				h = min(h, i+k*rounds)
 			}
@@ -315,12 +276,12 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 // minRetention returns a lower bound on the cell's retention time while
 // its VRT state holds: the data-pattern reduction is taken as engaged,
 // whatever the neighbours store.
-func (m *Model) minRetention(wc *weakCell) float64 {
-	ret := wc.baseSec * m.tempScale
-	if wc.vrt && wc.vrtLong {
+func (m *Model) minRetention(c *cell, v *vrtState) float64 {
+	ret := c.baseSec * m.tempScale
+	if c.vrt && v.long {
 		ret *= m.params.VRTRatio
 	}
-	if wc.dpd {
+	if c.dpd {
 		ret = math.Min(ret, ret*m.params.DPDReduction)
 	}
 	return ret
@@ -339,7 +300,8 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 
 // BatchableRow implements dram.HammerFaultModel.
 func (m *Model) BatchableRow(bank, physRow int) bool {
-	return len(m.byRow[bank*m.geom.Rows+physRow]) == 0
+	lo, hi := m.resident(bank*m.geom.Rows + physRow)
+	return lo == hi
 }
 
 // OnActivateBatch implements dram.HammerFaultModel. Only invoked for
@@ -368,45 +330,51 @@ func (m *Model) BatchableBankRefresh(bank int) bool { return true }
 // OnRefreshBankBatch implements dram.BankRefreshFaultModel: identical
 // to refreshing rows 0..Rows-1 in order, in O(weak rows) instead of
 // Rows dispatches — the hot path of profiling passes and refresh
-// storms, where almost every row holds no weak cell.
+// storms, where almost every row holds no weak cell. The bank's cells
+// are sorted by row, so walking its slot range visits each weak row's
+// cells in one step, in ascending row order.
 func (m *Model) OnRefreshBankBatch(d *dram.Device, bank int, now dram.Time) {
 	base := bank * m.geom.Rows
-	for r := 0; r < m.geom.Rows; r++ {
-		if cells := m.byRow[base+r]; len(cells) > 0 {
-			m.decayRow(d, bank, r, cells, now)
-		}
+	for lo, end := m.rowStart[base], m.rowStart[base+m.geom.Rows]; lo < end; {
+		r := int(m.cells[lo].physRow)
+		hi := m.rowStart[base+r+1]
+		m.decayRow(d, bank, r, lo, hi, now)
+		lo = hi
 	}
 }
 
 func (m *Model) applyDecay(d *dram.Device, bank, physRow int, now dram.Time) {
-	cells := m.byRow[bank*m.geom.Rows+physRow]
-	if len(cells) == 0 {
+	lo, hi := m.resident(bank*m.geom.Rows + physRow)
+	if lo == hi {
 		return
 	}
-	m.decayRow(d, bank, physRow, cells, now)
+	m.decayRow(d, bank, physRow, lo, hi, now)
 }
 
 // decayRow applies pending decay to one row's weak cells. The caller
-// guarantees cells is the row's (non-empty) index slice.
-func (m *Model) decayRow(d *dram.Device, bank, physRow int, cells []*weakCell, now dram.Time) {
+// guarantees [lo, hi) is the row's (non-empty) slot range.
+func (m *Model) decayRow(d *dram.Device, bank, physRow int, lo, hi int32, now dram.Time) {
 	last := d.LastRestore(bank, physRow)
 	if now <= last {
 		return
 	}
 	elapsed := timeToSec(now - last)
-	for _, wc := range cells {
-		ret := wc.baseSec * m.tempScale
-		if wc.vrt {
-			m.advanceVRT(wc, now)
-			if wc.vrtLong {
+	for s := lo; s < hi; s++ {
+		c := &m.cells[s]
+		ret := c.baseSec * m.tempScale
+		if c.vrt {
+			v := &m.vrt[s]
+			m.advanceVRT(v, now)
+			if v.long {
 				ret *= m.params.VRTRatio
 			}
 		}
-		if wc.dpd && m.neighborAdversarial(d, wc) {
+		if c.dpd && m.neighborAdversarial(d, c) {
 			ret *= m.params.DPDReduction
 		}
-		if elapsed > ret && d.PhysBit(bank, physRow, wc.bit) == wc.chargedVal {
-			d.SetPhysBit(bank, physRow, wc.bit, 1-wc.chargedVal)
+		charged := uint64(c.chargedVal)
+		if elapsed > ret && d.PhysBit(bank, physRow, int(c.bit)) == charged {
+			d.SetPhysBit(bank, physRow, int(c.bit), 1-charged)
 			m.decays++
 		}
 	}
@@ -423,22 +391,22 @@ func dwellFor(p Params, long bool) float64 {
 // advanceVRT lazily evolves the two-state VRT process up to time now.
 // Dwell times are exponential, so the process is memoryless and the
 // per-toggle sampling order keeps the simulation deterministic.
-func (m *Model) advanceVRT(wc *weakCell, now dram.Time) {
-	for wc.vrtNext < now {
-		wc.vrtLong = !wc.vrtLong
-		wc.vrtNext += secToTime(m.src.Exponential(dwellFor(m.params, wc.vrtLong)))
+func (m *Model) advanceVRT(v *vrtState, now dram.Time) {
+	for v.next < now {
+		v.long = !v.long
+		v.next += secToTime(m.src.Exponential(dwellFor(m.params, v.long)))
 	}
 }
 
 // neighborAdversarial reports whether either physically adjacent row
 // holds the cell's discharged value in the same column, the condition
 // under which coupling shortens retention.
-func (m *Model) neighborAdversarial(d *dram.Device, wc *weakCell) bool {
-	for _, nr := range []int{wc.physRow - 1, wc.physRow + 1} {
+func (m *Model) neighborAdversarial(d *dram.Device, c *cell) bool {
+	for _, nr := range []int{int(c.physRow) - 1, int(c.physRow) + 1} {
 		if nr < 0 || nr >= m.geom.Rows {
 			continue
 		}
-		if d.PhysBit(wc.bank, nr, wc.bit) != wc.chargedVal {
+		if d.PhysBit(int(c.bank), nr, int(c.bit)) != uint64(c.chargedVal) {
 			return true
 		}
 	}
@@ -464,12 +432,12 @@ type CellInfo struct {
 // experiments but, by construction, not to the profiling engine).
 func (m *Model) Cells() []CellInfo {
 	out := make([]CellInfo, 0, len(m.cells))
-	for i := range m.cells {
-		wc := &m.cells[i]
+	for _, slot := range m.order {
+		c := &m.cells[slot]
 		out = append(out, CellInfo{
-			Bank: wc.bank, PhysRow: wc.physRow, Bit: wc.bit,
-			BaseSec: wc.baseSec, ChargedVal: wc.chargedVal,
-			DPD: wc.dpd, VRT: wc.vrt,
+			Bank: int(c.bank), PhysRow: int(c.physRow), Bit: int(c.bit),
+			BaseSec: c.baseSec, ChargedVal: uint64(c.chargedVal),
+			DPD: c.dpd, VRT: c.vrt,
 		})
 	}
 	return out

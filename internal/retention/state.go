@@ -1,13 +1,17 @@
 package retention
 
 import (
+	"bytes"
+	"encoding/binary"
+
 	"repro/internal/dram"
 	"repro/internal/snapshot"
 )
 
 // encodedCellBytes is the size of one weak cell in SaveState's
-// encoding: six 8-byte fields and three 1-byte flags.
-const encodedCellBytes = 51
+// encoding: its physics (physBytes) and its VRT state, a 1-byte flag
+// and the 8-byte next toggle.
+const encodedCellBytes = physBytes + 9
 
 // SaveState serializes the model's full mutable state: the weak-cell
 // population with per-cell VRT state, the decay counter, and the
@@ -36,23 +40,19 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 	w.I64(m.decays)
 	m.src.SaveState(w)
 	w.U64(uint64(len(m.cells)))
-	for i := range m.cells {
-		wc := &m.cells[i]
-		w.Int(wc.bank)
-		w.Int(wc.physRow)
-		w.Int(wc.bit)
-		w.F64(wc.baseSec)
-		w.U64(wc.chargedVal)
-		w.Bool(wc.dpd)
-		w.Bool(wc.vrt)
-		w.Bool(wc.vrtLong)
-		w.U64(uint64(wc.vrtNext))
+	for i, slot := range m.order {
+		w.Raw(m.phys[i*physBytes : (i+1)*physBytes])
+		w.Bool(m.vrt[slot].long)
+		w.U64(uint64(m.vrt[slot].next))
 	}
 }
 
 // LoadState restores state saved by SaveState into a model built with
-// the same params and geometry. The payload is staged and validated
-// before the model is mutated; on error the model is unchanged.
+// the same params and geometry. A checkpoint of the installed physics —
+// every rebuild-then-overlay restore — is checked whole and then writes
+// only the decay counter, the stream and the cells' VRT states. Any
+// other checkpoint is validated in full before a new population is
+// built from it. On error the model is unchanged.
 func (m *Model) LoadState(r *snapshot.Reader) error {
 	r.Tag("retention.Model")
 	var p Params
@@ -74,48 +74,81 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if p != m.params {
+	if p.bits() != m.params.bits() {
 		return snapshot.Mismatchf("retention params %+v, have %+v", p, m.params)
 	}
 	if geom != m.geom {
 		return snapshot.Mismatchf("retention geometry %+v, have %+v", geom, m.geom)
 	}
 	decays := r.I64()
-	stagedSrc := *m.src // copy, so a failed load leaves m.src untouched
-	if err := stagedSrc.LoadState(r); err != nil {
+	src := *m.src // copy, so a failed load leaves m.src untouched
+	if err := src.LoadState(r); err != nil {
 		return err
 	}
 	n := r.Count(encodedCellBytes)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	staged := make([]weakCell, n)
-	bitsPerRow := geom.BitsPerRow()
-	for i := range staged {
-		wc := &staged[i]
-		*wc = weakCell{
-			bank:       r.Int(),
-			physRow:    r.Int(),
-			bit:        r.Int(),
-			baseSec:    r.F64(),
-			chargedVal: r.U64(),
-			dpd:        r.Bool(),
-			vrt:        r.Bool(),
-			vrtLong:    r.Bool(),
-		}
-		wc.vrtNext = dram.Time(r.U64())
-		if err := r.Err(); err != nil {
+	body := r.Raw(n * encodedCellBytes)
+	if !m.installed(body) {
+		if err := m.rebuild(body); err != nil {
 			return err
 		}
-		if wc.bank < 0 || wc.bank >= geom.Banks ||
-			wc.physRow < 0 || wc.physRow >= geom.Rows ||
-			wc.bit < 0 || wc.bit >= bitsPerRow || wc.chargedVal > 1 {
-			return snapshot.Corruptf("retention cell %d out of range: %+v", i, *wc)
+	}
+	for i, slot := range m.order {
+		rec := body[i*encodedCellBytes+physBytes:]
+		m.vrt[slot] = vrtState{next: dram.Time(binary.BigEndian.Uint64(rec[1:])), long: rec[0] == 1}
+	}
+	*m.src = src
+	m.decays = decays
+	return nil
+}
+
+// installed reports whether the encoded cells in body carry exactly the
+// installed population's physics, in draw order, and valid VRT flags,
+// so that restoring them changes only VRT states.
+func (m *Model) installed(body []byte) bool {
+	if len(body) != len(m.order)*encodedCellBytes {
+		return false
+	}
+	for i := range m.order {
+		rec := body[i*encodedCellBytes : (i+1)*encodedCellBytes]
+		if !bytes.Equal(rec[:physBytes], m.phys[i*physBytes:(i+1)*physBytes]) || rec[physBytes] > 1 {
+			return false
 		}
 	}
-	// Commit: install the staged population and rebuild the row index.
-	*m.src = stagedSrc
-	m.decays = decays
-	m.index(staged)
+	return true
+}
+
+// rebuild validates the encoded cells in body and installs a new
+// population of their physics, with VRT states for the caller to fill;
+// on error the model is untouched. The installed population may be
+// shared, so it is never written.
+func (m *Model) rebuild(body []byte) error {
+	n := len(body) / encodedCellBytes
+	dec := snapshot.NewReader(body)
+	bitsPerRow := m.geom.BitsPerRow()
+	for i := 0; i < n; i++ {
+		bank, row, bit := dec.Int(), dec.Int(), dec.Int()
+		dec.F64()
+		charged := dec.U64()
+		dec.Bool() // dpd
+		dec.Bool() // vrt
+		dec.Bool() // VRT state
+		dec.U64()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if bank < 0 || bank >= m.geom.Banks || row < 0 || row >= m.geom.Rows ||
+			bit < 0 || bit >= bitsPerRow || charged > 1 {
+			return snapshot.Corruptf("retention cell %d out of range: bank %d row %d bit %d charge %d", i, bank, row, bit, charged)
+		}
+	}
+	phys := make([]byte, n*physBytes)
+	for i := range n {
+		copy(phys[i*physBytes:(i+1)*physBytes], body[i*encodedCellBytes:])
+	}
+	m.population = newPopulation(m.geom, phys)
+	m.vrt = make([]vrtState, n)
 	return nil
 }

@@ -384,11 +384,13 @@ func (r *Reader) Ints() []int {
 
 // Tag consumes a component frame tag and fails with ErrCorrupt if it
 // does not match the expected name. The tag is compared in place, not
-// copied out.
+// copied out, and the error quotes at most its first 64 bytes, so a
+// corrupt tag length does not copy the rest of the payload into the
+// message.
 func (r *Reader) Tag(name string) {
 	got := r.take(r.sliceLen())
 	if r.err == nil && string(got) != name {
-		r.fail("component tag %q, want %q", got, name)
+		r.fail("component tag %q (%d bytes), want %q", got[:min(len(got), 64)], len(got), name)
 	}
 }
 

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -337,6 +338,21 @@ func TestTagComparedInPlace(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("matching Tag allocates %v times per read, want 0", allocs)
+	}
+}
+
+// TestTagMismatchQuotesPrefix pins that a tag whose corrupt length
+// swallows the rest of the payload is reported by its first 64 bytes
+// and its length, not quoted whole.
+func TestTagMismatchQuotesPrefix(t *testing.T) {
+	var w Writer
+	w.U64(4096)
+	w.Raw(bytes.Repeat([]byte{0xff}, 4096))
+	r := NewReader(w.Bytes())
+	r.Tag("rng")
+	err := r.Err()
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "(4096 bytes)") || len(err.Error()) > 512 {
+		t.Fatalf("want a short ErrCorrupt naming the tag's length, got %d bytes: %.200v", len(err.Error()), err)
 	}
 }
 
