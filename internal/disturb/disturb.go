@@ -26,17 +26,19 @@
 //   - Refresh resets: restoring a victim row's charge zeroes the
 //     accumulated pressure on its cells.
 //
-// The hot path is branch-free where it matters: the weak cells' 24-byte
-// states live in one value slice sorted by (bank, physRow), and two
-// offset arrays keyed by bank*Rows+physRow turn a row's resident cells
-// and an aggressor row's influences into contiguous ranges, so an
-// activation of a row with no coupled cells — the overwhelmingly common
-// case — costs four slice loads. The cells' physics never change once
-// drawn: models built from one population memo entry share them, and
-// each owns only the states. The model also implements dram.CycleFaultModel, letting
-// the device apply a many-row hammer burst up to the model's horizon in
-// one call; batched application is bit-identical to the per-activation
-// path (see the notes above HammerHorizon). The seed's map-indexed
+// The hot path is branch-free where it matters: the weak cells live in
+// slices sorted by (bank, physRow), and two offset arrays keyed by
+// bank*Rows+physRow turn a row's resident cells and an aggressor row's
+// influences into contiguous ranges, so an activation of a row with no
+// coupled cells — the overwhelmingly common case — costs four slice
+// loads. The cells' physics never change once drawn; they form an
+// immutable population that models built from one population memo entry
+// share, and each model owns only a 16-byte hammer state (pressure and
+// flip flag) per cell, the same split the retention model makes. The
+// model also implements dram.CycleFaultModel, letting the device apply
+// a many-row hammer burst up to the model's horizon in one call;
+// batched application is bit-identical to the per-activation path (see
+// the notes above HammerHorizon). The seed's map-indexed
 // per-activation implementation is kept in reference_test.go as the
 // equivalence oracle.
 package disturb
@@ -46,8 +48,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/dram"
+	"repro/internal/popmemo"
 	"repro/internal/rng"
 )
 
@@ -95,16 +99,12 @@ func DefaultParams() Params {
 	}
 }
 
-// weakCell is the full description of one weak cell, its physics and
-// its state. Sampling, InjectWeakCell and LoadState produce cells in
-// this form, in insertion order; index splits them into the store's
-// population and per-slot cellStates.
+// weakCell is one weak cell's physics as sampling and InjectWeakCell
+// produce it and putPhys encodes it.
 type weakCell struct {
-	pressure   float64
 	threshold  float64
 	chargedVal uint64 // 1 for true-cell, 0 for anti-cell
 	bit        int
-	flipped    bool // flipped during the current epoch
 	bank       int
 	physRow    int
 	// upWeight couples activations of physRow-dist, downWeight of
@@ -113,35 +113,35 @@ type weakCell struct {
 	upWeight, downWeight float64
 }
 
-// cellState is what OnActivate reads and writes for every influence: a
-// cell's pressure and flip flag, and copies of the threshold, bit and
-// charge the flip decision needs. It is the only per-cell data a model
-// owns; 24 bytes.
-type cellState struct {
-	pressure   float64
-	threshold  float64
-	bit        int32
-	chargedVal uint8 // 1 for true-cell, 0 for anti-cell
-	flipped    bool  // flipped during the current epoch
+// cell is the physics of one weak cell that the batched hammer path
+// reads by slot. dist is capped at the row count: a cell that far from
+// every row couples to none, as its encoded distance says.
+type cell struct {
+	threshold            float64
+	upWeight, downWeight float64
+	dist, bit            int32
+	chargedVal           uint8 // 1 for true-cell, 0 for anti-cell
 }
 
-// site is the rest of a cell's physics: where it sits and how it
-// couples to its aggressor rows. dist stays an int: a checkpoint may
-// carry any distance of at least 1.
-type site struct {
-	bank, physRow        int32
-	dist                 int
-	upWeight, downWeight float64
+// hammerState is a cell's disturbance state, the only per-cell record a
+// model writes: 16 bytes.
+type hammerState struct {
+	pressure float64
+	flipped  bool // flipped during the current epoch
 }
 
 // influence is one weak cell an aggressor row disturbs: the cell's
-// slot, its physical row and the coupling weight of that side. row sits
-// in what would be padding, so checks on the victim's row read no
-// other memory.
+// slot, its physical row, the coupling weight of that side, and the
+// threshold, bit and charge the flip decision needs, so an activation
+// reads the influences in order and only each cell's hammer state by
+// slot.
 type influence struct {
-	slot   int32
-	row    int32
-	weight float64
+	slot       int32
+	row        int32
+	weight     float64
+	threshold  float64
+	bit        int32
+	chargedVal uint8
 }
 
 // physBytes is the size of a cell's physics in SaveState's encoding:
@@ -160,6 +160,21 @@ func putPhys(b []byte, wc *weakCell) {
 	binary.BigEndian.PutUint64(b[40:], math.Float64bits(wc.upWeight))
 	binary.BigEndian.PutUint64(b[48:], math.Float64bits(wc.downWeight))
 	binary.BigEndian.PutUint64(b[56:], wc.chargedVal)
+}
+
+// getPhys decodes the physics putPhys encoded into b.
+func getPhys(b []byte) weakCell {
+	b = b[:physBytes]
+	return weakCell{
+		bank:       int(binary.BigEndian.Uint64(b[0:])),
+		physRow:    int(binary.BigEndian.Uint64(b[8:])),
+		bit:        int(binary.BigEndian.Uint64(b[16:])),
+		threshold:  math.Float64frombits(binary.BigEndian.Uint64(b[24:])),
+		dist:       int(binary.BigEndian.Uint64(b[32:])),
+		upWeight:   math.Float64frombits(binary.BigEndian.Uint64(b[40:])),
+		downWeight: math.Float64frombits(binary.BigEndian.Uint64(b[48:])),
+		chargedVal: binary.BigEndian.Uint64(b[56:]),
+	}
 }
 
 // sampleWeakCells draws the weak-cell population for a device of the
@@ -209,10 +224,9 @@ func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 	return cells
 }
 
-// population is the physics half of a model's store: everything about
-// its weak cells except their pressure and flip state. The cells are
-// numbered by slot, sorted by (bank, physRow) and stable in insertion
-// order (sampling, then InjectWeakCell). For a row index
+// population is the immutable half of a model's weak cells: their
+// physics, numbered by slot, sorted by (bank, physRow) and stable in
+// insertion order (sampling, then InjectWeakCell). For a row index
 // idx = bank*geom.Rows+physRow:
 //
 //   - slots rowStart[idx]:rowStart[idx+1] are the cells residing in the
@@ -221,37 +235,113 @@ func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 //     activating the row, each naming a cell by its slot.
 //
 // Both ranges keep insertion order, so duplicate cells flip in the
-// order they were added. order maps insertion order to slots, and phys
-// holds each cell's physics in insertion order as SaveState encodes it,
-// physBytes per cell.
+// order they were added. order maps insertion order to slots, and
+// aggOrder[2i] and aggOrder[2i+1] are the positions in aggs of the i-th
+// cell's influences from the rows dist above and below it (-1 past the
+// bank's edge). phys holds each cell's physics in insertion order as
+// SaveState encodes it, physBytes per cell; index builds everything
+// else from phys.
 //
 // A population the memo hands out is shared by every model built from
-// it and is never written; index builds a private one before the first
-// change (InjectWeakCell, or LoadState of other physics).
+// it and is never written: InjectWeakCell and a LoadState of other
+// physics index a private one, which later changes may re-index in
+// place.
 type population struct {
-	sites        []site
+	cells        []cell
 	order        []int32
 	rowStart     []int32
 	aggStart     []int32
 	aggs         []influence
+	aggOrder     []int32
 	phys         []byte
 	minThreshold float64
 }
 
+// index lays out phys, the encoded physics of cells in insertion order
+// with every position inside geom and every distance at least 1, as the
+// population. It keeps phys and reuses the population's other slices,
+// which must not be shared, growing them the way append does.
+func (p *population) index(geom dram.Geometry, phys []byte) {
+	n := len(phys) / physBytes
+	rows, nrows := geom.Rows, geom.Banks*geom.Rows
+	p.phys = phys
+	p.order = resize(p.order, n)
+	p.aggOrder = resize(p.aggOrder, 2*n)
+	for i := range n {
+		idx, physRow, dist := locate(phys[i*physBytes:], rows)
+		up, down := int32(-1), int32(-1)
+		if physRow-dist >= 0 {
+			up = int32(idx - dist)
+		}
+		if physRow+dist < rows {
+			down = int32(idx + dist)
+		}
+		p.order[i], p.aggOrder[2*i], p.aggOrder[2*i+1] = int32(idx), up, down
+	}
+	p.rowStart = popmemo.SortByRow(p.rowStart, nrows, p.order)
+	p.aggStart = popmemo.SortByRow(p.aggStart, nrows, p.aggOrder)
+	p.cells = resize(p.cells, n)
+	p.aggs = resize(p.aggs, int(p.aggStart[nrows]))
+	p.minThreshold = math.Inf(1)
+	for i, slot := range p.order {
+		wc := getPhys(phys[i*physBytes:])
+		p.cells[slot] = cell{wc.threshold, wc.upWeight, wc.downWeight, int32(min(wc.dist, rows)), int32(wc.bit), uint8(wc.chargedVal)}
+		for side, w := range [2]float64{wc.upWeight, wc.downWeight} {
+			if at := p.aggOrder[2*i+side]; at >= 0 {
+				p.aggs[at] = influence{slot, int32(wc.physRow), w, wc.threshold, int32(wc.bit), uint8(wc.chargedVal)}
+			}
+		}
+		if wc.threshold < p.minThreshold {
+			p.minThreshold = wc.threshold
+		}
+	}
+}
+
+// locate returns the row index bank*rows+physRow, the physical row and
+// the distance, capped at rows, of the cell whose physics b encodes.
+func locate(b []byte, rows int) (idx, physRow, dist int) {
+	physRow = int(binary.BigEndian.Uint64(b[8:]))
+	dist = int(min(binary.BigEndian.Uint64(b[32:]), uint64(rows)))
+	return int(binary.BigEndian.Uint64(b))*rows + physRow, physRow, dist
+}
+
+// size is the population's footprint in bytes of slices.
+func (p *population) size() int {
+	return len(p.cells)*int(unsafe.Sizeof(cell{})) +
+		4*(len(p.order)+len(p.rowStart)+len(p.aggStart)+len(p.aggOrder)) +
+		len(p.aggs)*int(unsafe.Sizeof(influence{})) + len(p.phys)
+}
+
+// resident returns the slot range [lo, hi) of the cells residing in
+// row idx.
+func (p *population) resident(idx int) (lo, hi int32) {
+	return p.rowStart[idx], p.rowStart[idx+1]
+}
+
+// influences returns the influences of activating row idx.
+func (p *population) influences(idx int) []influence {
+	return p.aggs[p.aggStart[idx]:p.aggStart[idx+1]]
+}
+
+// resize returns s with length n and zeroed contents, reusing its
+// backing array when it is large enough and growing it the way append
+// does otherwise.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 // Model is a dram.FaultModel implementing RowHammer disturbance. Its
-// weak cells are a population (see above) plus cells, each slot's
-// cellState, which only this model writes.
+// weak cells are a population (see above) plus hammer, each slot's
+// hammer state, which only this model writes.
 type Model struct {
 	params Params
 	geom   dram.Geometry
 	population
 	// shared is set while population is also held by the memo.
 	shared bool `snapshot:"derived"`
-	cells  []cellState
-	// spare is the insertion-order buffer the store is rebuilt from
-	// (sampling, InjectWeakCell, LoadState), kept between rebuilds; it
-	// holds no state.
-	spare []weakCell `snapshot:"derived"`
+	hammer []hammerState
 	// pos and words are bound by bindCycle for the duration of one
 	// HammerHorizon or OnHammerCycle call: pos[physRow] is the row's
 	// position in the cycle, -1 for every row not hammered, and
@@ -280,7 +370,7 @@ var (
 // geometry. Construction is deterministic given the stream and draws
 // the identical population to NewReference. A population already drawn
 // in this process from the same geometry, params and stream state is
-// cloned from the population memo (memo.go) instead, and src is left
+// shared from the population memo (memo.go) instead, and src is left
 // where the draw would have left it.
 func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
 	return populations.newModel(geom, p, src)
@@ -294,128 +384,32 @@ func NewModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
 // injections.
 func NewPlanted(geom dram.Geometry) *Model {
 	m := &Model{geom: geom}
-	m.index(nil)
+	m.index(geom, nil)
 	return m
 }
 
-// index rebuilds the store from cells given in insertion order, with a
-// stable counting sort over rows. ins must not alias the store; the
-// store's slices are reused when large enough and private.
-func (m *Model) index(ins []weakCell) {
-	m.own()
-	rows := m.geom.Rows
-	nrows := m.geom.Banks * rows
-	m.rowStart = resize(m.rowStart, nrows+1)
-	m.aggStart = resize(m.aggStart, nrows+1)
-	m.minThreshold = math.Inf(1)
-	naggs := 0
-	for i := range ins {
-		wc := &ins[i]
-		idx := wc.bank*rows + wc.physRow
-		m.rowStart[idx+1]++
-		if wc.physRow-wc.dist >= 0 {
-			m.aggStart[idx-wc.dist+1]++
-			naggs++
-		}
-		if wc.physRow+wc.dist < rows {
-			m.aggStart[idx+wc.dist+1]++
-			naggs++
-		}
-		if wc.threshold < m.minThreshold {
-			m.minThreshold = wc.threshold
-		}
-	}
-	for i := 1; i <= nrows; i++ {
-		m.rowStart[i] += m.rowStart[i-1]
-		m.aggStart[i] += m.aggStart[i-1]
-	}
-	// Place each entry at its range's cursor: rowStart[idx] and
-	// aggStart[idx] advance to the next range's start, and shifting
-	// them up by one afterwards restores the starts.
-	m.sites = resize(m.sites, len(ins))
-	m.cells = resize(m.cells, len(ins))
-	m.order = resize(m.order, len(ins))
-	m.aggs = resize(m.aggs, naggs)
-	m.phys = resize(m.phys, len(ins)*physBytes)
-	for i := range ins {
-		wc := &ins[i]
-		idx := wc.bank*rows + wc.physRow
-		slot := m.rowStart[idx]
-		m.rowStart[idx]++
-		m.sites[slot] = site{int32(wc.bank), int32(wc.physRow), wc.dist, wc.upWeight, wc.downWeight}
-		m.cells[slot] = cellState{wc.pressure, wc.threshold, int32(wc.bit), uint8(wc.chargedVal), wc.flipped}
-		m.order[i] = slot
-		putPhys(m.phys[i*physBytes:], wc)
-		row := int32(wc.physRow)
-		if wc.physRow-wc.dist >= 0 {
-			m.aggs[m.aggStart[idx-wc.dist]] = influence{slot, row, wc.upWeight}
-			m.aggStart[idx-wc.dist]++
-		}
-		if wc.physRow+wc.dist < rows {
-			m.aggs[m.aggStart[idx+wc.dist]] = influence{slot, row, wc.downWeight}
-			m.aggStart[idx+wc.dist]++
-		}
-	}
-	copy(m.rowStart[1:], m.rowStart[:nrows])
-	copy(m.aggStart[1:], m.aggStart[:nrows])
-	m.rowStart[0], m.aggStart[0] = 0, 0
-}
-
-// own drops a population shared with the memo, so the next index
-// builds a private one instead of writing into the shared slices.
+// own replaces a population the memo shares with an empty private one
+// for the next index to fill.
 func (m *Model) own() {
 	if m.shared {
 		m.population, m.shared = population{}, false
 	}
 }
 
-// cell returns the full description of the cell at slot.
-func (m *Model) cell(slot int32) weakCell {
-	st, cs := &m.sites[slot], &m.cells[slot]
-	return weakCell{
-		pressure: cs.pressure, threshold: cs.threshold,
-		chargedVal: uint64(cs.chargedVal), bit: int(cs.bit), flipped: cs.flipped,
-		bank: int(st.bank), physRow: int(st.physRow), dist: st.dist,
-		upWeight: st.upWeight, downWeight: st.downWeight,
-	}
-}
-
-// resize returns s with length n and zeroed contents, reusing its
-// backing array when it is large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// resident returns the slot range [lo, hi) of the cells residing in
-// row idx.
-func (m *Model) resident(idx int) (lo, hi int32) {
-	return m.rowStart[idx], m.rowStart[idx+1]
-}
-
-// influences returns the influences of activating row idx.
-func (m *Model) influences(idx int) []influence {
-	return m.aggs[m.aggStart[idx]:m.aggStart[idx+1]]
-}
-
 // Name implements dram.FaultModel.
 func (m *Model) Name() string { return "rowhammer" }
 
-// applyFlip discharges a cell of bank and physRow whose pressure
-// crossed its threshold. The flip is only observable if the cell
-// currently holds its charged value.
-func (m *Model) applyFlip(d *dram.Device, bank, physRow int, wc *cellState) {
-	charged := uint64(wc.chargedVal)
-	if d.PhysBit(bank, physRow, int(wc.bit)) == charged {
-		d.SetPhysBit(bank, physRow, int(wc.bit), 1-charged)
+// applyFlip discharges the cell of inf, residing in bank, whose
+// pressure crossed its threshold. The flip is only observable if the
+// cell currently holds its charged value.
+func (m *Model) applyFlip(d *dram.Device, bank int, inf *influence, s *hammerState) {
+	charged := uint64(inf.chargedVal)
+	if d.PhysBit(bank, int(inf.row), int(inf.bit)) == charged {
+		d.SetPhysBit(bank, int(inf.row), int(inf.bit), 1-charged)
 		m.totalFlips++
 		m.epochFlips++
 	}
-	wc.flipped = true
+	s.flipped = true
 }
 
 // OnActivate implements dram.FaultModel: activating a row restores its
@@ -432,21 +426,22 @@ func (m *Model) OnActivate(d *dram.Device, bank, physRow int, now dram.Time) {
 	// the whole loop.
 	agg := d.PhysRowWords(bank, physRow)
 	dpd := m.params.DPDFactor > 0 && m.params.DPDFactor < 1
-	for _, inf := range infs {
-		wc := &m.cells[inf.slot]
-		if wc.flipped {
+	for i := range infs {
+		inf := &infs[i]
+		s := &m.hammer[inf.slot]
+		if s.flipped {
 			continue
 		}
 		w := inf.weight
 		// Data-pattern dependence: coupling is reduced when the
 		// aggressor's bit in the victim's column matches the victim's
 		// charged value.
-		if dpd && bitAt(agg, wc.bit) == wc.chargedVal {
+		if dpd && bitAt(agg, inf.bit) == inf.chargedVal {
 			w *= m.params.DPDFactor
 		}
-		wc.pressure += w
-		if wc.pressure >= wc.threshold {
-			m.applyFlip(d, bank, int(inf.row), wc)
+		s.pressure += w
+		if s.pressure >= inf.threshold {
+			m.applyFlip(d, bank, inf, s)
 		}
 	}
 }
@@ -468,21 +463,22 @@ func (m *Model) BatchableBankRefresh(bank int) bool { return true }
 // cells (a contiguous range) instead of Rows dispatches.
 func (m *Model) OnRefreshBankBatch(d *dram.Device, bank int, now dram.Time) {
 	base := bank * m.geom.Rows
-	restore(m.cells[m.rowStart[base]:m.rowStart[base+m.geom.Rows]])
+	restore(m.hammer[m.rowStart[base]:m.rowStart[base+m.geom.Rows]])
 }
 
 func (m *Model) restoreRow(idx int) {
 	lo, hi := m.resident(idx)
-	restore(m.cells[lo:hi])
+	restore(m.hammer[lo:hi])
 }
 
 // bitAt returns bit i of a row's words.
 func bitAt(words []uint64, i int32) uint8 { return uint8(words[i>>6] >> (uint(i) & 63) & 1) }
 
-func restore(cells []cellState) {
-	for i := range cells {
-		cells[i].pressure = 0
-		cells[i].flipped = false
+// restore zeroes hammer states. An element loop, not clear: a row holds
+// a cell or two, too few to pay for a memclr call.
+func restore(states []hammerState) {
+	for i := range states {
+		states[i].pressure, states[i].flipped = 0, false
 	}
 }
 
@@ -558,16 +554,15 @@ func (m *Model) cyclePos(physRow int) int {
 }
 
 // residentCouplings returns the hammered rows (at most two) the cell
-// at slot, with state wc and residing in hammered row physRow, is
-// coupled to, in no particular order.
-func (m *Model) residentCouplings(slot int32, wc *cellState, physRow int) (cs [2]coupling, n int) {
-	st := &m.sites[slot]
-	if p := m.cyclePos(physRow - st.dist); p >= 0 {
-		cs[n] = coupling{p, m.effWeight(p, wc, st.upWeight)}
+// wc, residing in hammered row physRow, is coupled to, in no particular
+// order.
+func (m *Model) residentCouplings(wc *cell, physRow int) (cs [2]coupling, n int) {
+	if p := m.cyclePos(physRow - int(wc.dist)); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(p, wc.bit, wc.chargedVal, wc.upWeight)}
 		n++
 	}
-	if p := m.cyclePos(physRow + st.dist); p >= 0 {
-		cs[n] = coupling{p, m.effWeight(p, wc, st.downWeight)}
+	if p := m.cyclePos(physRow + int(wc.dist)); p >= 0 {
+		cs[n] = coupling{p, m.effWeight(p, wc.bit, wc.chargedVal, wc.downWeight)}
 		n++
 	}
 	return cs, n
@@ -605,16 +600,16 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 			bound = true
 		}
 		for slot := lo; slot < hi; slot++ {
-			wc := &m.cells[slot]
-			cs, n := m.residentCouplings(slot, wc, r)
+			wc, s := &m.cells[slot], &m.hammer[slot]
+			cs, n := m.residentCouplings(wc, r)
 			if n == 0 {
 				continue
 			}
 			// Before the row's first activation (index c) the cell keeps
 			// accumulating from its current pressure.
-			if !wc.flipped {
+			if !s.flipped {
 				ord, at := inOrder(cs, n, 0, k)
-				p := wc.pressure
+				p := s.pressure
 				for i := 0; i < n && at[i] < c; i++ {
 					if p += ord[i].w; p >= wc.threshold {
 						h = min(h, at[i])
@@ -651,55 +646,57 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 		if na == 0 {
 			break
 		}
-		for _, inf := range m.influences(base + r) {
-			wc := &m.cells[inf.slot]
-			if wc.flipped || m.pos[inf.row] >= 0 {
+		infs := m.influences(base + r)
+		for i := range infs {
+			inf := &infs[i]
+			s := &m.hammer[inf.slot]
+			if s.flipped || m.pos[inf.row] >= 0 {
 				continue // flipped until restored, or resident (below)
 			}
-			w := m.effWeight(c, wc, inf.weight)
+			w := m.effWeight(c, inf.bit, inf.chargedVal, inf.weight)
 			row := int(inf.row)
 			other := 2*row - r
 			po := m.cyclePos(other)
 			if po < 0 {
-				if accumulate(wc, w, w, na) {
-					m.applyFlip(d, bank, row, wc)
+				if accumulate(s, inf.threshold, w, w, na) {
+					m.applyFlip(d, bank, inf, s)
 				}
 				continue
 			}
 			if po < c {
 				continue // handled from the earlier position
 			}
-			st := &m.sites[inf.slot]
-			wo := st.upWeight
+			wc := &m.cells[inf.slot]
+			wo := wc.upWeight
 			if other > row {
-				wo = st.downWeight
+				wo = wc.downWeight
 			}
-			wo = m.effWeight(po, wc, wo)
-			if accumulate(wc, w, wo, na+activationsAt(po, n, k)) {
-				m.applyFlip(d, bank, row, wc)
+			wo = m.effWeight(po, inf.bit, inf.chargedVal, wo)
+			if accumulate(s, inf.threshold, w, wo, na+activationsAt(po, n, k)) {
+				m.applyFlip(d, bank, inf, s)
 			}
 		}
 	}
 	for c, r := range physRows {
 		lo, hi := m.resident(base + r)
 		for slot := lo; slot < hi; slot++ {
-			wc := &m.cells[slot]
-			cs, nc := m.residentCouplings(slot, wc, r)
+			s := &m.hammer[slot]
+			cs, nc := m.residentCouplings(&m.cells[slot], r)
 			from := 0
 			if c < n {
 				// Restored at the row's last activation in the burst.
 				from = c + k*((n-1-c)/k)
-				wc.pressure, wc.flipped = 0, false
+				*s = hammerState{}
 				from++
-			} else if wc.flipped {
+			} else if s.flipped {
 				continue
 			}
 			ord, at := inOrder(cs, nc, from, k)
-			p := wc.pressure
+			p := s.pressure
 			for i := 0; i < nc && at[i] < n; i++ {
 				p += ord[i].w
 			}
-			wc.pressure = p
+			s.pressure = p
 		}
 	}
 	m.unbindCycle(physRows)
@@ -748,12 +745,13 @@ func (m *Model) OnHammerPairBatch(d *dram.Device, bank, rowA, rowB, n int, start
 	m.OnHammerCycle(d, bank, []int{rowA, rowB}, 2*n, start, period)
 }
 
-// effWeight applies data-pattern dependence for the aggressor row at
-// bound cycle position c. The result is constant for a whole batched
-// burst of that row: no flip lands in a hammered row within a horizon.
-func (m *Model) effWeight(c int, wc *cellState, w float64) float64 {
+// effWeight applies data-pattern dependence, for a cell of the given
+// bit and charge, to the aggressor row at bound cycle position c. The
+// result is constant for a whole batched burst of that row: no flip
+// lands in a hammered row within a horizon.
+func (m *Model) effWeight(c int, bit int32, chargedVal uint8, w float64) float64 {
 	if m.params.DPDFactor > 0 && m.params.DPDFactor < 1 {
-		if bitAt(m.words[c], wc.bit) == wc.chargedVal {
+		if bitAt(m.words[c], bit) == chargedVal {
 			w *= m.params.DPDFactor
 		}
 	}
@@ -762,16 +760,16 @@ func (m *Model) effWeight(c int, wc *cellState, w float64) float64 {
 
 // accumulate applies n pressure additions alternating between wA and
 // wB, starting with wA (pass the same weight twice for one coupled
-// row), and reports whether the cell reached its threshold. The
+// row), and reports whether the cell reached its threshold th. The
 // additions replicate the per-activation float sequence exactly,
 // stopping at the threshold crossing, so batched results stay
 // bit-identical to the naive path.
-func accumulate(wc *cellState, wA, wB float64, n int) bool {
-	p, th := wc.pressure, wc.threshold
+func accumulate(s *hammerState, th, wA, wB float64, n int) bool {
+	p := s.pressure
 	for ; n > 0; n -= 2 {
 		p += wA
 		if p >= th {
-			wc.pressure = p
+			s.pressure = p
 			return true
 		}
 		if n == 1 {
@@ -779,11 +777,11 @@ func accumulate(wc *cellState, wA, wB float64, n int) bool {
 		}
 		p += wB
 		if p >= th {
-			wc.pressure = p
+			s.pressure = p
 			return true
 		}
 	}
-	wc.pressure = p
+	s.pressure = p
 	return false
 }
 
@@ -801,31 +799,28 @@ func (m *Model) InjectWeakCell(bank, physRow, bit int, threshold float64, charge
 		panic(fmt.Sprintf("disturb: InjectWeakCell dist %d out of range (want >= 1)", dist))
 	}
 	lo, hi := m.resident(bank*m.geom.Rows + physRow)
-	for _, wc := range m.cells[lo:hi] {
-		if int(wc.bit) == bit {
+	for _, c := range m.cells[lo:hi] {
+		if int(c.bit) == bit {
 			m.dup = true
 		}
 	}
-	// Each call rebuilds the store, O(cells + rows). The buffers grow
-	// the way append grows them, so a run of injections allocates
-	// amortised O(1) per cell.
-	ins := slices.Grow(m.spare[:0], len(m.cells)+1)
-	for _, slot := range m.order {
-		ins = append(ins, m.cell(slot))
-	}
-	ins = append(ins, weakCell{
+	var rec [physBytes]byte
+	putPhys(rec[:], &weakCell{
 		bank: bank, physRow: physRow, bit: bit,
 		threshold: threshold, chargedVal: chargedVal & 1,
 		dist: dist, upWeight: upWeight, downWeight: downWeight,
 	})
+	phys := m.phys
+	if m.shared {
+		phys = slices.Clip(phys) // so append copies the memo's records
+	}
 	m.own()
-	m.sites = slices.Grow(m.sites, 1)
-	m.cells = slices.Grow(m.cells, 1)
-	m.order = slices.Grow(m.order, 1)
-	m.aggs = slices.Grow(m.aggs, 2)
-	m.phys = slices.Grow(m.phys, physBytes)
-	m.index(ins)
-	m.spare = ins
+	// Each call re-indexes the population, O(cells + rows). The buffers
+	// grow the way append grows them, so a run of injections allocates
+	// amortised O(1) per cell.
+	m.index(m.geom, append(phys, rec[:]...))
+	// The new cell is the last of its row: every later slot moves up one.
+	m.hammer = slices.Insert(m.hammer, int(m.order[len(m.order)-1]), hammerState{})
 }
 
 // WeakCellCount returns the number of disturbable cells sampled.

@@ -65,10 +65,10 @@ func compareState(t *testing.T, dm *dram.Device, m *Model, dr *dram.Device, r *R
 	// Shared sampling guarantees the populations are parallel in
 	// insertion order, which is the model's save order.
 	for i, slot := range m.order {
-		cm, cr := m.cell(slot), r.cells[i]
+		cm, cr := m.hammer[slot], r.cells[i]
 		if cm.pressure != cr.pressure || cm.flipped != cr.flipped {
 			t.Fatalf("%s: cell %d (bank %d row %d bit %d): model (p=%v flipped=%v), reference (p=%v flipped=%v)",
-				ctx, i, cm.bank, cm.physRow, cm.bit, cm.pressure, cm.flipped, cr.pressure, cr.flipped)
+				ctx, i, cr.bank, cr.physRow, cr.bit, cm.pressure, cm.flipped, cr.pressure, cr.flipped)
 		}
 	}
 }
@@ -304,8 +304,8 @@ func TestHammerCycleMatchesReference(t *testing.T) {
 		resident, coupled := 0, 0
 		for _, row := range rows {
 			lo, hi := m.resident(row)
-			for _, st := range m.sites[lo:hi] {
-				if r := int(st.physRow); slices.Contains(rows, r-st.dist) || slices.Contains(rows, r+st.dist) {
+			for _, c := range m.cells[lo:hi] {
+				if d := int(c.dist); slices.Contains(rows, row-d) || slices.Contains(rows, row+d) {
 					resident++
 				}
 			}
@@ -494,12 +494,12 @@ func checkStoreMatchesReference(t *testing.T, m *Model, r *Reference, ctx string
 	for i, slot := range m.order {
 		ins[slot] = i
 	}
-	refIdx := make(map[*weakCell]int, len(r.cells))
+	refIdx := make(map[*refCell]int, len(r.cells))
 	for i, wc := range r.cells {
 		refIdx[wc] = i
 	}
-	for s := 1; s < len(m.sites); s++ {
-		a, b := &m.sites[s-1], &m.sites[s]
+	for s := 1; s < len(m.cells); s++ {
+		a, b := getPhys(m.phys[ins[s-1]*physBytes:]), getPhys(m.phys[ins[s]*physBytes:])
 		if a.bank > b.bank || a.bank == b.bank && a.physRow > b.physRow {
 			t.Fatalf("%s: slots %d,%d out of (bank,row) order", ctx, s-1, s)
 		}
@@ -590,7 +590,7 @@ func TestInjectMidRunMatchesReference(t *testing.T) {
 	}
 	// Stack a cell of the opposite charge on a sampled cell's position:
 	// whichever flips first decides what the other can observe.
-	wc := m.cell(m.order[len(m.order)/2])
+	wc := getPhys(m.phys[len(m.order)/2*physBytes:])
 	inject(wc.bank, wc.physRow, wc.bit, wc.threshold/2, 1-wc.chargedVal, 1, 1, 1)
 	if !m.dup {
 		t.Fatal("stacked cell not marked duplicate")

@@ -9,6 +9,10 @@ import (
 // without consulting or filling the memo.
 var DrawUnmemoized = drawFresh
 
+func drawFresh(geom dram.Geometry, p Params, src *rng.Stream) *Model {
+	return newModelOn(geom, p, *drawPopulation(geom, p, src), false)
+}
+
 // MemoHolds reports whether the process-wide memo holds the population
 // drawn from geom, p and a stream at st.
 func MemoHolds(geom dram.Geometry, p Params, st rng.State) bool {
@@ -16,7 +20,7 @@ func MemoHolds(geom dram.Geometry, p Params, st rng.State) bool {
 }
 
 // lookup returns the memo entry of a draw from a stream at st, or nil.
-func (pm *popMemo) lookup(geom dram.Geometry, p Params, st rng.State) *memoEntry {
+func (pm *popMemo) lookup(geom dram.Geometry, p Params, st rng.State) *population {
 	e, _ := pm.Lookup(newMemoKey(geom, p), st)
 	return e
 }

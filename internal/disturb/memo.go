@@ -2,8 +2,6 @@ package disturb
 
 import (
 	"math"
-	"slices"
-	"unsafe"
 
 	"repro/internal/dram"
 	"repro/internal/popmemo"
@@ -12,12 +10,13 @@ import (
 
 // NewModel draws through a process-wide population memo (package
 // popmemo): a later build from the same geometry, Params and stream
-// state shares the drawn, indexed population read-only, copies only
-// the cells' initial states, and gets the stream state a fresh draw
-// would have left, so a hit is indistinguishable from a miss to the
-// model and to the caller.
+// state shares the drawn, indexed population read-only, allocates only
+// the cells' zeroed hammer states, and gets the stream state a fresh
+// draw would have left, so a hit is indistinguishable from a miss to
+// the model and to the caller.
 
-// memoBudget bounds the memo's footprint, in bytes of store slices.
+// memoBudget bounds the memo's footprint, in bytes of population
+// slices.
 const memoBudget = 8 << 20
 
 // populations is the process-wide memo NewModel draws through.
@@ -49,44 +48,38 @@ func (p Params) bits() [8]uint64 {
 	}
 }
 
-// memoEntry is a freshly indexed store. Entries are immutable once
-// memoised: models share pop and copy cells.
-type memoEntry struct {
-	pop   population
-	cells []cellState
-}
-
 // popMemo is the population memo of disturb models.
 type popMemo struct {
-	*popmemo.Memo[memoKey, *memoEntry]
+	*popmemo.Memo[memoKey, *population]
 }
 
 func newPopMemo(budget int) *popMemo {
-	return &popMemo{popmemo.New[memoKey, *memoEntry](budget)}
+	return &popMemo{popmemo.New[memoKey, *population](budget)}
 }
 
 // newModel is NewModel through memo pm.
 func (pm *popMemo) newModel(geom dram.Geometry, p Params, src *rng.Stream) *Model {
-	e, shared := pm.Draw(newMemoKey(geom, p), src, func() (*memoEntry, int) {
-		m := drawFresh(geom, p, src)
-		return &memoEntry{pop: m.population, cells: m.cells}, m.storeBytes()
+	pop, shared := pm.Draw(newMemoKey(geom, p), src, func() (*population, int) {
+		pop := drawPopulation(geom, p, src)
+		return pop, pop.size()
 	})
-	return &Model{params: p, geom: geom, population: e.pop, shared: shared, cells: slices.Clone(e.cells)}
+	return newModelOn(geom, p, *pop, shared)
 }
 
-// drawFresh draws and indexes a model's population without consulting
-// any memo.
-func drawFresh(geom dram.Geometry, p Params, src *rng.Stream) *Model {
-	m := &Model{params: p, geom: geom}
-	m.spare = sampleWeakCells(geom, p, src)
-	m.index(m.spare)
-	return m
+// drawPopulation samples and indexes a population from src.
+func drawPopulation(geom dram.Geometry, p Params, src *rng.Stream) *population {
+	cells := sampleWeakCells(geom, p, src)
+	phys := make([]byte, len(cells)*physBytes)
+	for i := range cells {
+		putPhys(phys[i*physBytes:], &cells[i])
+	}
+	pop := &population{}
+	pop.index(geom, phys)
+	return pop
 }
 
-// storeBytes is the size of the model's store slices.
-func (m *Model) storeBytes() int {
-	return len(m.sites)*int(unsafe.Sizeof(site{})) +
-		len(m.cells)*int(unsafe.Sizeof(cellState{})) +
-		4*(len(m.order)+len(m.rowStart)+len(m.aggStart)) +
-		len(m.aggs)*int(unsafe.Sizeof(influence{})) + len(m.phys)
+// newModelOn returns a model on pop whose cells are all at rest: no
+// pressure, no flips.
+func newModelOn(geom dram.Geometry, p Params, pop population, shared bool) *Model {
+	return &Model{params: p, geom: geom, population: pop, shared: shared, hammer: make([]hammerState, len(pop.cells))}
 }

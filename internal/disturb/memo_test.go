@@ -40,11 +40,7 @@ var memoCases = []memoCase{
 // identical bytes.
 func checkSameModel(t *testing.T, ctx string, got, want *Model) {
 	t.Helper()
-	if !slices.Equal(got.cells, want.cells) || !slices.Equal(got.sites, want.sites) ||
-		!slices.Equal(got.order, want.order) ||
-		!slices.Equal(got.rowStart, want.rowStart) || !slices.Equal(got.aggStart, want.aggStart) ||
-		!slices.Equal(got.aggs, want.aggs) || !bytes.Equal(got.phys, want.phys) ||
-		got.minThreshold != want.minThreshold {
+	if !samePopulation(got.population, want.population) || !slices.Equal(got.hammer, want.hammer) {
 		t.Fatalf("%s: store differs from a fresh draw", ctx)
 	}
 	if !bytes.Equal(saveBytes(got), saveBytes(want)) {
@@ -110,11 +106,12 @@ func TestMemoHitMatchesMiss(t *testing.T) {
 // clonePopulation returns a deep copy of p.
 func clonePopulation(p population) population {
 	return population{
-		sites:        slices.Clone(p.sites),
+		cells:        slices.Clone(p.cells),
 		order:        slices.Clone(p.order),
 		rowStart:     slices.Clone(p.rowStart),
 		aggStart:     slices.Clone(p.aggStart),
 		aggs:         slices.Clone(p.aggs),
+		aggOrder:     slices.Clone(p.aggOrder),
 		phys:         bytes.Clone(p.phys),
 		minThreshold: p.minThreshold,
 	}
@@ -122,10 +119,10 @@ func clonePopulation(p population) population {
 
 // samePopulation reports whether a and b hold equal contents.
 func samePopulation(a, b population) bool {
-	return slices.Equal(a.sites, b.sites) && slices.Equal(a.order, b.order) &&
+	return slices.Equal(a.cells, b.cells) && slices.Equal(a.order, b.order) &&
 		slices.Equal(a.rowStart, b.rowStart) && slices.Equal(a.aggStart, b.aggStart) &&
-		slices.Equal(a.aggs, b.aggs) && bytes.Equal(a.phys, b.phys) &&
-		a.minThreshold == b.minThreshold
+		slices.Equal(a.aggs, b.aggs) && slices.Equal(a.aggOrder, b.aggOrder) &&
+		bytes.Equal(a.phys, b.phys) && a.minThreshold == b.minThreshold
 }
 
 // TestMemoSurvivesModelMutation drives a missed and a hit model, both
@@ -145,10 +142,10 @@ func TestMemoSurvivesModelMutation(t *testing.T) {
 		if e == nil || !m.shared {
 			t.Fatalf("%s: model does not share a memo entry", ctx)
 		}
-		pop, cells := clonePopulation(e.pop), slices.Clone(e.cells)
+		pop := clonePopulation(*e)
 		check := func(step string) {
 			t.Helper()
-			if pm.lookup(c.geom, c.p, st) != e || !samePopulation(e.pop, pop) || !slices.Equal(e.cells, cells) {
+			if pm.lookup(c.geom, c.p, st) != e || !samePopulation(*e, pop) {
 				t.Fatalf("%s: %s changed the memo's population", ctx, step)
 			}
 		}
@@ -178,11 +175,11 @@ func TestMemoSurvivesModelMutation(t *testing.T) {
 	// A shared model whose first change is a LoadState of other
 	// physics, with no injection before it.
 	m := drawChecked(t, "hit", pm, c, st)
-	pop := clonePopulation(pm.lookup(c.geom, c.p, st).pop)
+	pop := clonePopulation(*pm.lookup(c.geom, c.p, st))
 	if err := m.LoadState(snapshot.NewReader(other.Bytes())); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
-	if m.shared || !samePopulation(pm.lookup(c.geom, c.p, st).pop, pop) {
+	if m.shared || !samePopulation(*pm.lookup(c.geom, c.p, st), pop) {
 		t.Fatal("a LoadState of other physics wrote into the memo's population")
 	}
 	drawChecked(t, "after mutation", pm, c, rng.New(3).State())
@@ -232,7 +229,7 @@ func TestMemoConcurrent(t *testing.T) {
 // memo's own accounts are pinned in package popmemo.
 func TestMemoEvictionBound(t *testing.T) {
 	c := memoCase{"campaign", campaignGeom, campaignParams()}
-	size := drawFresh(c.geom, c.p, rng.New(1)).storeBytes()
+	size := drawFresh(c.geom, c.p, rng.New(1)).size()
 	if size == 0 {
 		t.Fatal("probe population has no size")
 	}
@@ -318,6 +315,48 @@ func TestPlantedMatchesEmptyDraw(t *testing.T) {
 			if drawn := run(g, NewModel(g, Params{}, rng.New(seed))); !bytes.Equal(planted, drawn) {
 				t.Fatalf("%+v seed %d: NewPlanted saves other bytes than an empty draw", g, seed)
 			}
+		}
+	}
+}
+
+// TestRestoreAllocs pins what a rebuilt-then-restored disturb model
+// allocates: a memo hit only the model and its hammer states (only the
+// model for an empty population), and a LoadState of the installed
+// physics nothing.
+func TestRestoreAllocs(t *testing.T) {
+	pm := newPopMemo(memoBudget)
+	for _, c := range []memoCase{
+		{"campaign", campaignGeom, campaignParams()},
+		{"empty", campaignGeom, Params{}},
+	} {
+		st := rng.New(1).State()
+		src := rng.FromState(st)
+		m := pm.newModel(c.geom, c.p, src)
+		want := 2.0
+		if m.WeakCellCount() == 0 {
+			want = 1
+		}
+		if got := testing.AllocsPerRun(50, func() {
+			src.SetState(st)
+			pm.newModel(c.geom, c.p, src)
+		}); got != want {
+			t.Errorf("%s: a memo hit allocates %v times, want %v", c.name, got, want)
+		}
+		d := dram.NewDevice(c.geom)
+		d.AttachFault(m)
+		for r := 1; r+1 < c.geom.Rows; r += 9 {
+			hammerCycle(d, dram.Cycle{Rows: []int{r - 1, r + 1}, N: 20_000, Period: 49, ClosedPage: true})
+		}
+		if m.WeakCellCount() > 0 && m.TotalFlips() == 0 {
+			t.Fatalf("%s: hammering flipped nothing; the restore check is vacuous", c.name)
+		}
+		ckpt := saveBytes(m)
+		if got := testing.AllocsPerRun(50, func() {
+			if err := m.LoadState(snapshot.NewReader(ckpt)); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: an in-place LoadState allocates %v times, want 0", c.name, got)
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 type Reference struct {
 	params       Params
 	geom         dram.Geometry
-	cells        []*weakCell
-	byVictimRow  map[[2]int][]*weakCell
+	cells        []*refCell
+	byVictimRow  map[[2]int][]*refCell
 	byAggressor  map[[2]int][]refInfluence
 	totalFlips   int64
 	epochFlips   int64
@@ -29,9 +29,16 @@ type Reference struct {
 
 var _ dram.FaultModel = (*Reference)(nil)
 
+// refCell is a weak cell's physics and its pressure and flip state.
+type refCell struct {
+	weakCell
+	pressure float64
+	flipped  bool // flipped during the current epoch
+}
+
 // refInfluence is one weak cell an aggressor row disturbs, by pointer.
 type refInfluence struct {
-	cell   *weakCell
+	cell   *refCell
 	weight float64
 }
 
@@ -41,18 +48,18 @@ func NewReference(geom dram.Geometry, p Params, src *rng.Stream) *Reference {
 	r := &Reference{
 		params:       p,
 		geom:         geom,
-		byVictimRow:  map[[2]int][]*weakCell{},
+		byVictimRow:  map[[2]int][]*refCell{},
 		byAggressor:  map[[2]int][]refInfluence{},
 		minThreshold: math.Inf(1),
 	}
 	cells := sampleWeakCells(geom, p, src)
-	for i := range cells {
-		r.addCell(&cells[i])
+	for _, wc := range cells {
+		r.addCell(&refCell{weakCell: wc})
 	}
 	return r
 }
 
-func (r *Reference) addCell(wc *weakCell) {
+func (r *Reference) addCell(wc *refCell) {
 	r.cells = append(r.cells, wc)
 	vKey := [2]int{wc.bank, wc.physRow}
 	r.byVictimRow[vKey] = append(r.byVictimRow[vKey], wc)
@@ -119,11 +126,11 @@ func (r *Reference) InjectWeakCell(bank, physRow, bit int, threshold float64, ch
 	if dist < 1 {
 		panic(fmt.Sprintf("disturb: InjectWeakCell dist %d out of range (want >= 1)", dist))
 	}
-	r.addCell(&weakCell{
+	r.addCell(&refCell{weakCell: weakCell{
 		bank: bank, physRow: physRow, bit: bit,
 		threshold: threshold, chargedVal: chargedVal & 1,
 		dist: dist, upWeight: upWeight, downWeight: downWeight,
-	})
+	}})
 }
 
 // WeakCellCount returns the number of disturbable cells sampled.

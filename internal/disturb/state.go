@@ -1,11 +1,10 @@
 package disturb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
-	"slices"
 
+	"repro/internal/popmemo"
 	"repro/internal/snapshot"
 )
 
@@ -43,8 +42,8 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 	w.U64(uint64(len(m.cells)))
 	for i, slot := range m.order {
 		w.Raw(m.phys[i*physBytes : (i+1)*physBytes])
-		w.F64(m.cells[slot].pressure)
-		w.Bool(m.cells[slot].flipped)
+		w.F64(m.hammer[slot].pressure)
+		w.Bool(m.hammer[slot].flipped)
 	}
 }
 
@@ -52,8 +51,8 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 // the same params and geometry. A checkpoint of the installed physics —
 // every rebuild-then-overlay restore — is checked whole and then writes
 // only the cells' pressures and flip flags. Any other checkpoint is
-// staged in the model's reused spare buffer and validated before the
-// store is rebuilt from it. On error the model is unchanged.
+// validated in full before the population is re-indexed from it. On
+// error the model is unchanged.
 func (m *Model) LoadState(r *snapshot.Reader) error {
 	r.Tag("disturb.Model")
 	var p Params
@@ -85,16 +84,16 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	probe := *r
-	if body := probe.Raw(n * encodedCellBytes); m.installed(body) {
-		*r = probe
-		for i, slot := range m.order {
-			rec := body[i*encodedCellBytes+physBytes:]
-			m.cells[slot].pressure = math.Float64frombits(binary.BigEndian.Uint64(rec))
-			m.cells[slot].flipped = rec[8] == 1
+	body := r.Raw(n * encodedCellBytes)
+	// Each record's flip flag follows its physics and its pressure.
+	if !popmemo.Installed(body, m.phys, physBytes, encodedCellBytes, physBytes+8) {
+		if err := m.rebuild(body); err != nil {
+			return err
 		}
-	} else if err := m.rebuild(r, n); err != nil {
-		return err
+	}
+	for i, slot := range m.order {
+		rec := body[i*encodedCellBytes+physBytes:]
+		m.hammer[slot] = hammerState{math.Float64frombits(binary.BigEndian.Uint64(rec)), rec[8] == 1}
 	}
 	m.dup = dup
 	m.totalFlips = totalFlips
@@ -102,53 +101,29 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	return nil
 }
 
-// installed reports whether the encoded cells in body carry exactly the
-// installed population's physics, in insertion order, and valid flip
-// flags, so that restoring them changes only pressures and flags.
-func (m *Model) installed(body []byte) bool {
-	if len(body) != len(m.order)*encodedCellBytes {
-		return false
-	}
-	for i := range m.order {
-		rec := body[i*encodedCellBytes : (i+1)*encodedCellBytes]
-		if !bytes.Equal(rec[:physBytes], m.phys[i*physBytes:(i+1)*physBytes]) || rec[physBytes+8] > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// rebuild decodes n encoded cells from r, staged in spare, which holds
-// no state, and rebuilds the store from them once all are valid; on
-// error the store is untouched.
-func (m *Model) rebuild(r *snapshot.Reader, n int) error {
-	staged := slices.Grow(m.spare[:0], n)
+// rebuild validates the encoded cells in body and re-indexes the
+// population from their physics, with zeroed hammer states for the
+// caller to fill; on error the model is untouched. A population the
+// memo shares is replaced, never written.
+func (m *Model) rebuild(body []byte) error {
+	n := len(body) / encodedCellBytes
 	bitsPerRow := m.geom.BitsPerRow()
-	for i := 0; i < n; i++ {
-		wc := weakCell{
-			bank:       r.Int(),
-			physRow:    r.Int(),
-			bit:        r.Int(),
-			threshold:  r.F64(),
-			dist:       r.Int(),
-			upWeight:   r.F64(),
-			downWeight: r.F64(),
-			chargedVal: r.U64(),
-			pressure:   r.F64(),
-			flipped:    r.Bool(),
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
+	for i := range n {
+		rec := body[i*encodedCellBytes : (i+1)*encodedCellBytes]
+		wc := getPhys(rec)
 		if wc.bank < 0 || wc.bank >= m.geom.Banks ||
 			wc.physRow < 0 || wc.physRow >= m.geom.Rows ||
 			wc.bit < 0 || wc.bit >= bitsPerRow ||
-			wc.dist < 1 || wc.chargedVal > 1 {
-			return snapshot.Corruptf("weak cell %d out of range: %+v", i, wc)
+			wc.dist < 1 || wc.chargedVal > 1 || rec[encodedCellBytes-1] > 1 {
+			return snapshot.Corruptf("weak cell %d out of range: %+v, flip flag %d", i, wc, rec[encodedCellBytes-1])
 		}
-		staged = append(staged, wc)
 	}
-	m.spare = staged
-	m.index(staged)
+	m.own()
+	phys := resize(m.phys, n*physBytes)
+	for i := range n {
+		copy(phys[i*physBytes:(i+1)*physBytes], body[i*encodedCellBytes:])
+	}
+	m.index(m.geom, phys)
+	m.hammer = resize(m.hammer, n)
 	return nil
 }

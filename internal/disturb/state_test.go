@@ -240,14 +240,15 @@ func TestModelSaveStateBytesPinned(t *testing.T) {
 }
 
 // TestCellRecordSizes pins the per-cell footprint of the hot path: a
-// model owns one 24-byte cellState per cell, and an influence carries
-// its victim's row in what would otherwise be padding.
+// model owns one 16-byte hammerState per cell, and an influence carries
+// its victim's row, threshold, bit and charge in 32 bytes, so an
+// activation reads only the state by slot.
 func TestCellRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(cellState{}); got != 24 {
-		t.Errorf("cellState is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(hammerState{}); got != 16 {
+		t.Errorf("hammerState is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(influence{}); got != 16 {
-		t.Errorf("influence is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(influence{}); got != 32 {
+		t.Errorf("influence is %d bytes, want 32", got)
 	}
 }
 
@@ -272,7 +273,7 @@ func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
 		dSrc.AttachFault(src)
 		hammerHalf(dSrc, src)
 		pressed, flipped := 0, 0
-		for _, c := range src.cells {
+		for _, c := range src.hammer {
 			if c.pressure > 0 {
 				pressed++
 			}
@@ -403,6 +404,8 @@ func FuzzDisturbLoadState(f *testing.F) {
 	f.Add(uint16(len(cells)-1), []byte{2}, uint16(len(cells)))
 	f.Add(last+15, []byte{1}, uint16(len(cells)))    // the last cell's row
 	f.Add(last+24, []byte{0x40}, uint16(len(cells))) // the last cell's threshold
+	// The last cell's distance at the largest int: it couples to no row.
+	f.Add(last+32, []byte{0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(len(cells)))
 	f.Fuzz(func(t *testing.T, at uint16, patch []byte, keep uint16) {
 		body := bytes.Clone(cells)
 		copy(body[int(at)%len(body):], patch)

@@ -16,7 +16,8 @@ import (
 
 // Experiment is one registered experiment.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E29).
+	// ID is the experiment identifier (E1..E84; retired numbers are
+	// never reused).
 	ID string
 	// Num is the numeric part of ID, parsed once at registration so
 	// sorting does not re-parse IDs (E2 < E10 requires numeric order).

@@ -3,23 +3,45 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/par"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
-// cheapSubset returns fast experiments for runner tests, with enough of
-// them to keep a small worker pool busy.
-func cheapSubset(t *testing.T) []Experiment {
-	t.Helper()
-	var out []Experiment
-	for _, id := range []string{"E2", "E10", "E25", "E26", "E29"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %s not registered", id)
+// synthetic returns n cheap in-test experiments for the runner tests,
+// enough to keep a small worker pool busy. Each draws its table from
+// Env.Seed and fans its rows out over Env.Shards through par.Shard, as
+// the sharded experiments do, so a runner that dropped either would
+// change or race on the tables.
+func synthetic(n int) []Experiment {
+	out := make([]Experiment, n)
+	for i := range out {
+		num := 900 + i
+		out[i] = Experiment{
+			ID: fmt.Sprintf("E%d", num), Num: num, Title: "synthetic", Anchor: "runner tests",
+			Run: func(env Env) *stats.Table {
+				src := rng.New(env.Seed + uint64(num))
+				streams := make([]*rng.Stream, 16)
+				for r := range streams {
+					streams[r] = src.Split()
+				}
+				sums := make([]uint64, len(streams))
+				par.Shard(env.Shards, len(streams), func(r int) {
+					for k := 0; k < 2000; k++ {
+						sums[r] += streams[r].Uint64n(1000)
+					}
+				})
+				tab := stats.NewTable(fmt.Sprintf("E%d synthetic", num), "row", "sum")
+				for r, v := range sums {
+					tab.AddRowf(r, v)
+				}
+				return tab
+			},
 		}
-		out = append(out, e)
 	}
 	return out
 }
@@ -28,9 +50,9 @@ func cheapSubset(t *testing.T) []Experiment {
 // are bit-identical for every worker count. It is also the concurrency
 // exercise that `go test -race` leans on.
 func TestRunnerParallelMatchesSerial(t *testing.T) {
-	exps := cheapSubset(t)
-	serial := (&Runner{Workers: 1, Seed: 3}).Run(exps)
-	parallel := (&Runner{Workers: 4, Seed: 3}).Run(exps)
+	exps := synthetic(5)
+	serial := (&Runner{Workers: 1, ShardWorkers: 1, Seed: 3}).Run(exps)
+	parallel := (&Runner{Workers: 4, ShardWorkers: 3, Seed: 3}).Run(exps)
 	if len(serial) != len(parallel) {
 		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
 	}
@@ -48,7 +70,7 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRunnerOrdersResultsByNum(t *testing.T) {
-	exps := cheapSubset(t)
+	exps := synthetic(5)
 	// Present them shuffled; results must come back in ID order.
 	shuffled := []Experiment{exps[3], exps[0], exps[4], exps[2], exps[1]}
 	results := (&Runner{Workers: 2, Seed: 1}).Run(shuffled)
@@ -84,7 +106,7 @@ func TestRunnerRecoversPanic(t *testing.T) {
 }
 
 func TestSummaryJSON(t *testing.T) {
-	results := (&Runner{Workers: 2, Seed: 9}).Run(cheapSubset(t)[:2])
+	results := (&Runner{Workers: 2, Seed: 9}).Run(synthetic(2))
 	s := NewSummary(results, 9, 2, 1500*time.Millisecond)
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
@@ -104,7 +126,7 @@ func TestSummaryJSON(t *testing.T) {
 	}
 	// The table hash is the cross-version equivalence anchor: same
 	// seed, same code => same hash.
-	again := NewSummary((&Runner{Workers: 1, Seed: 9}).Run(cheapSubset(t)[:2]), 9, 1, time.Second)
+	again := NewSummary((&Runner{Workers: 1, Seed: 9}).Run(synthetic(2)), 9, 1, time.Second)
 	for i := range again.Experiments {
 		if again.Experiments[i].TableSHA256 != back.Experiments[i].TableSHA256 {
 			t.Errorf("%s: table hash differs across runs", again.Experiments[i].ID)

@@ -28,12 +28,10 @@ import (
 // batched hammer hot path stays enabled and attack sweeps against
 // multi-rate systems run at full speed.
 type MultiRateRefresh struct {
-	// DefaultPlan is applied to every flat bank without an explicit
-	// override.
+	// DefaultPlan bins the rows of every bank of every rank.
 	DefaultPlan *raidr.Plan `snapshot:"config"`
 
-	plans []*raidr.Plan       `snapshot:"config"` // per flat bank, resolved at attach
-	over  map[int]*raidr.Plan `snapshot:"config"` // explicit SetBankPlan overrides
+	banks int `snapshot:"config"` // flat banks (ranks x banks), set at attach
 	ptr   int
 	sweep int64 // current retention window, 1-based
 	rows  int
@@ -48,9 +46,9 @@ var (
 	_ autoRefreshPolicy = (*MultiRateRefresh)(nil)
 )
 
-// NewMultiRate builds the policy with one plan shared by every flat
-// bank. It panics on an invalid plan (raidr.Plan.Validate); the row
-// count is checked against the controller geometry at attach.
+// NewMultiRate builds the policy with one plan shared by every bank of
+// every rank. It panics on an invalid plan (raidr.Plan.Validate); the
+// row count is checked against the controller geometry at attach.
 func NewMultiRate(plan *raidr.Plan) *MultiRateRefresh {
 	if err := plan.Validate(); err != nil {
 		panic(err)
@@ -58,26 +56,10 @@ func NewMultiRate(plan *raidr.Plan) *MultiRateRefresh {
 	return &MultiRateRefresh{DefaultPlan: plan, sweep: 1}
 }
 
-// SetBankPlan overrides the plan of one flat bank (rank*Banks+bank) —
-// per-bank profiling results bin each bank's rows independently. It
-// must be called before Attach and panics on an invalid plan.
-func (m *MultiRateRefresh) SetBankPlan(flatBank int, plan *raidr.Plan) {
-	if err := plan.Validate(); err != nil {
-		panic(err)
-	}
-	if m.plans != nil {
-		panic("memctrl: SetBankPlan after Attach")
-	}
-	if m.over == nil {
-		m.over = map[int]*raidr.Plan{}
-	}
-	m.over[flatBank] = plan
-}
-
-// bind implements autoRefreshPolicy: resolve and validate the per-bank
-// plan table against the controller's topology.
+// bind implements autoRefreshPolicy: check the plan against the
+// controller's geometry.
 func (m *MultiRateRefresh) bind(c *Controller) {
-	if m.plans != nil {
+	if m.banks != 0 {
 		// One instance per controller: a shared instance would advance
 		// its group pointer once per controller per REF, silently
 		// skipping row groups on every device — the under-refresh this
@@ -85,22 +67,14 @@ func (m *MultiRateRefresh) bind(c *Controller) {
 		panic("memctrl: MultiRateRefresh already attached to a controller; build one instance per channel")
 	}
 	g := c.geom
-	m.rows = g.Rows
-	flat := len(c.ranks) * g.Banks
-	m.plans = make([]*raidr.Plan, flat)
-	for b := 0; b < flat; b++ {
-		plan := m.DefaultPlan
-		if p, ok := m.over[b]; ok {
-			plan = p
-		}
-		if plan == nil {
-			panic(fmt.Sprintf("memctrl: no refresh plan for flat bank %d", b))
-		}
-		if len(plan.BinOf) != g.Rows {
-			panic(fmt.Sprintf("memctrl: flat bank %d plan covers %d rows, geometry has %d", b, len(plan.BinOf), g.Rows))
-		}
-		m.plans[b] = plan
+	if m.DefaultPlan == nil {
+		panic("memctrl: MultiRateRefresh has no refresh plan")
 	}
+	if len(m.DefaultPlan.BinOf) != g.Rows {
+		panic(fmt.Sprintf("memctrl: refresh plan covers %d rows, geometry has %d", len(m.DefaultPlan.BinOf), g.Rows))
+	}
+	m.rows = g.Rows
+	m.banks = len(c.ranks) * g.Banks
 }
 
 // serviceREF implements autoRefreshPolicy: refresh this REF command's
@@ -111,9 +85,9 @@ func (m *MultiRateRefresh) bind(c *Controller) {
 func (m *MultiRateRefresh) serviceREF(c *Controller) (refreshed, nominal int64) {
 	g := c.geom
 	n := c.ranks[0].AutoRefreshGroupSize()
-	for rk, dev := range c.ranks {
+	plan := m.DefaultPlan
+	for _, dev := range c.ranks {
 		for b := 0; b < g.Banks; b++ {
-			plan := m.plans[rk*g.Banks+b]
 			for i := 0; i < n; i++ {
 				r := (m.ptr + i) % m.rows
 				nominal++
@@ -148,18 +122,17 @@ func (m *MultiRateRefresh) OnActivate(c *Controller, bank, logRow int) {}
 func (m *MultiRateRefresh) OnAutoRefresh(c *Controller) {}
 
 // StorageBits implements Mitigation: the per-row bin table, charged at
-// ceil(log2(bins)) bits per row per flat bank — an upper bound; the
-// ISCA 2012 design compresses the table into Bloom filters.
+// ceil(log2(bins)) bits per row per flat bank once attached — an upper
+// bound; the ISCA 2012 design compresses the table into Bloom filters.
 func (m *MultiRateRefresh) StorageBits() int64 {
-	var total int64
-	for _, plan := range m.plans {
-		bits := 0
-		for 1<<bits < len(plan.Bins) {
-			bits++
-		}
-		total += int64(len(plan.BinOf)) * int64(bits)
+	if m.banks == 0 {
+		return 0
 	}
-	return total
+	bits := 0
+	for 1<<bits < len(m.DefaultPlan.Bins) {
+		bits++
+	}
+	return int64(m.banks) * int64(len(m.DefaultPlan.BinOf)) * int64(bits)
 }
 
 // ActivateHorizon implements HorizonMitigation: the policy observes no

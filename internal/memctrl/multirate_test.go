@@ -235,37 +235,4 @@ func TestMultiRateRejectsMisconfiguration(t *testing.T) {
 		New(dram.NewDevice(g), Config{}).Attach(vrr)
 		New(dram.NewDevice(g), Config{}).Attach(vrr)
 	})
-	mustPanic("SetBankPlan after attach", func() {
-		c := New(dram.NewDevice(g), Config{})
-		vrr := NewMultiRate(raidr.NewPlan(g.Rows, nil, 4))
-		c.Attach(vrr)
-		vrr.SetBankPlan(0, raidr.NewPlan(g.Rows, nil, 2))
-	})
-}
-
-// TestMultiRatePerBankPlans: bank-plan overrides schedule each flat
-// bank independently.
-func TestMultiRatePerBankPlans(t *testing.T) {
-	g := dram.Geometry{Banks: 2, Rows: 16, Cols: 2}
-	dev := dram.NewDevice(g)
-	c := New(dev, Config{})
-	vrr := NewMultiRate(raidr.NewPlan(g.Rows, nil, 4))
-	// Bank 1 runs all-nominal.
-	uniform := &raidr.Plan{BinOf: make([]int, g.Rows), Bins: []raidr.Bin{{Multiple: 1}}}
-	vrr.SetBankPlan(1, uniform)
-	c.Attach(vrr)
-	window := dram.Time(g.Rows) * dev.Timing.TREFI
-	// Advance window by window: catch-up REFs all stamp the current
-	// clock, so per-window stepping keeps restore times distinguishable.
-	for w := dram.Time(1); w <= 5; w++ {
-		c.AdvanceTo(w * window)
-	}
-	// Bank 0 (all slow x4): one refresh per row (window 4). Bank 1:
-	// five per row (every window).
-	if got, want := dev.Stats.RowRefreshes, int64(g.Rows*1+g.Rows*5); got != want {
-		t.Fatalf("row refreshes = %d, want %d", got, want)
-	}
-	if dev.LastRestore(1, 3) <= dev.LastRestore(0, 3) {
-		t.Fatal("nominal bank restored no later than slow bank")
-	}
 }

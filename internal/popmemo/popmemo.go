@@ -1,5 +1,7 @@
 // Package popmemo is the bounded memo the fault models draw their
-// weak-cell populations through.
+// weak-cell populations through, and the two layout steps both models
+// share: the stable by-row sort that indexes a population (SortByRow)
+// and the check that lets a restore keep it (Installed).
 //
 // A population is a pure function of the device geometry, the model's
 // Params and the drawing stream's position, and so is the stream's

@@ -69,34 +69,17 @@ func boolByte(v bool) byte {
 
 // newPopulation indexes phys, the encoded physics of cells in draw
 // order with every position inside geom and every flag 0 or 1, into a
-// population that keeps phys. A stable counting sort over rows keeps
-// each row's cells in draw order.
+// population that keeps phys. The by-row sort is stable, so each row's
+// cells stay in draw order.
 func newPopulation(geom dram.Geometry, phys []byte) population {
 	n := len(phys) / physBytes
-	nrows := geom.Banks * geom.Rows
-	pop := population{
-		cells:    make([]cell, n),
-		rowStart: make([]int32, nrows+1),
-		order:    make([]int32, n),
-		phys:     phys,
-	}
-	row := func(i int) int {
+	pop := population{cells: make([]cell, n), order: make([]int32, n), phys: phys}
+	for i := range n {
 		b := phys[i*physBytes:]
-		return int(binary.BigEndian.Uint64(b))*geom.Rows + int(binary.BigEndian.Uint64(b[8:]))
+		pop.order[i] = int32(int(binary.BigEndian.Uint64(b))*geom.Rows + int(binary.BigEndian.Uint64(b[8:])))
 	}
-	for i := range n {
-		pop.rowStart[row(i)+1]++
-	}
-	for idx := 1; idx <= nrows; idx++ {
-		pop.rowStart[idx] += pop.rowStart[idx-1]
-	}
-	// Place each cell at its row's cursor: rowStart[idx] advances to
-	// the next row's start, and shifting the starts up by one
-	// afterwards restores them.
-	for i := range n {
-		idx := row(i)
-		slot := pop.rowStart[idx]
-		pop.rowStart[idx]++
+	pop.rowStart = popmemo.SortByRow(nil, geom.Banks*geom.Rows, pop.order)
+	for i, slot := range pop.order {
 		b := phys[i*physBytes:]
 		pop.cells[slot] = cell{
 			bank:       int32(binary.BigEndian.Uint64(b[0:])),
@@ -107,10 +90,7 @@ func newPopulation(geom dram.Geometry, phys []byte) population {
 			dpd:        b[40] == 1,
 			vrt:        b[41] == 1,
 		}
-		pop.order[i] = slot
 	}
-	copy(pop.rowStart[1:], pop.rowStart[:nrows])
-	pop.rowStart[0] = 0
 	return pop
 }
 

@@ -1,10 +1,10 @@
 package retention
 
 import (
-	"bytes"
 	"encoding/binary"
 
 	"repro/internal/dram"
+	"repro/internal/popmemo"
 	"repro/internal/snapshot"
 )
 
@@ -90,7 +90,8 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 		return err
 	}
 	body := r.Raw(n * encodedCellBytes)
-	if !m.installed(body) {
+	// Each record's VRT flag directly follows its physics.
+	if !popmemo.Installed(body, m.phys, physBytes, encodedCellBytes, physBytes) {
 		if err := m.rebuild(body); err != nil {
 			return err
 		}
@@ -102,22 +103,6 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	*m.src = src
 	m.decays = decays
 	return nil
-}
-
-// installed reports whether the encoded cells in body carry exactly the
-// installed population's physics, in draw order, and valid VRT flags,
-// so that restoring them changes only VRT states.
-func (m *Model) installed(body []byte) bool {
-	if len(body) != len(m.order)*encodedCellBytes {
-		return false
-	}
-	for i := range m.order {
-		rec := body[i*encodedCellBytes : (i+1)*encodedCellBytes]
-		if !bytes.Equal(rec[:physBytes], m.phys[i*physBytes:(i+1)*physBytes]) || rec[physBytes] > 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // rebuild validates the encoded cells in body and installs a new
