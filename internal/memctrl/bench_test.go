@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
 
@@ -31,5 +32,52 @@ func BenchmarkECCLoadState(b *testing.B) {
 		if err := l.LoadState(snapshot.NewReader(payload)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSystemAccess drives a fixed, pre-drawn benign mix through
+// MemorySystem.Access under each policy, on perfbench traffic-mixed's
+// shape: a 4ch x 2rk SECDED system with refresh on, and 40% Zipf-hot
+// rows, 40% uniform random words (a quarter of them writes) and 20% a
+// sequential stream. One op is one Access, decode included.
+func BenchmarkSystemAccess(b *testing.B) {
+	topo := dram.Topology{Channels: 4, Ranks: 2, Geom: dram.Geometry{Banks: 4, Rows: 256, Cols: 16}}
+	type req struct {
+		addr  uint64
+		write bool
+	}
+	for _, p := range Policies(topo) {
+		src := rng.New(1)
+		zipf := rng.NewZipf(src, topo.TotalRows(), 1.1)
+		reqs := make([]req, 4096)
+		seq := uint64(0)
+		for i := range reqs {
+			switch u := src.Float64(); {
+			case u < 0.4:
+				flat := zipf.Next()
+				l := Loc{Col: src.Intn(topo.Geom.Cols), Channel: flat % topo.Channels}
+				flat /= topo.Channels
+				l.Rank, flat = flat%topo.Ranks, flat/topo.Ranks
+				l.Bank, l.Row = flat%topo.Geom.Banks, flat/topo.Geom.Banks
+				reqs[i] = req{addr: p.Encode(l)}
+			case u < 0.8:
+				reqs[i] = req{addr: src.Uint64n(p.Bytes()) &^ 7, write: src.Bool(0.25)}
+			default:
+				reqs[i] = req{addr: seq}
+				seq = (seq + 8) % p.Bytes()
+			}
+		}
+		b.Run(p.Name(), func(b *testing.B) {
+			ms := NewSystem(buildTopo(topo), p, Config{ECC: ECCConfig{Kind: ECCSECDED72}})
+			var sink uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := reqs[i&(len(reqs)-1)]
+				v, _ := ms.Access(r.addr, r.write, uint64(i))
+				sink += v
+			}
+			benchSink = int(sink)
+		})
 	}
 }

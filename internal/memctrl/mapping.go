@@ -73,11 +73,8 @@ func (p RowInterleaved) Topology() dram.Topology { return p.Topo }
 func (p RowInterleaved) Bytes() uint64 { return p.Topo.Bytes() }
 
 // Decode implements MappingPolicy.
-func (p RowInterleaved) Decode(addr uint64) Loc { return decodeRowInterleaved(&p.Topo, addr) }
-
-// decodeRowInterleaved splits the channel : rank : row : bank : col
-// layout, shared with XORBankHash.
-func decodeRowInterleaved(t *dram.Topology, addr uint64) Loc {
+func (p RowInterleaved) Decode(addr uint64) Loc {
+	t := &p.Topo
 	w := addr >> 3
 	col, w := split(w, t.Geom.Cols)
 	bank, w := split(w, t.Geom.Banks)
@@ -198,11 +195,17 @@ func (p XORBankHash) unhashBank(stored, row int) int {
 	return ((stored-row)%banks + banks) % banks
 }
 
-// Decode implements MappingPolicy.
+// Decode implements MappingPolicy. It splits RowInterleaved's layout
+// and unhashes the stored bank in one pass.
 func (p XORBankHash) Decode(addr uint64) Loc {
-	l := decodeRowInterleaved(&p.Topo, addr)
-	l.Bank = p.unhashBank(l.Bank, l.Row)
-	return l
+	t := &p.Topo
+	w := addr >> 3
+	col, w := split(w, t.Geom.Cols)
+	stored, w := split(w, t.Geom.Banks)
+	row, w := split(w, t.Geom.Rows)
+	rank, w := split(w, t.Ranks)
+	ch, _ := split(w, t.Channels)
+	return Loc{Channel: ch, Rank: rank, Bank: p.unhashBank(stored, row), Row: row, Col: col}
 }
 
 // Encode implements MappingPolicy.

@@ -354,6 +354,13 @@ func newZipfCDF(src *Stream, cdf []float64) *Zipf {
 	return &Zipf{cdf: cdf, guide: guide, src: src}
 }
 
+// WithSource returns a sampler that draws from src over z's CDF and
+// guide table, which the two share read-only: it draws exactly what
+// NewZipf(src, n, theta) would, without rebuilding the tables.
+func (z *Zipf) WithSource(src *Stream) *Zipf {
+	return &Zipf{cdf: z.cdf, guide: z.guide, src: src}
+}
+
 // Next returns the next Zipf-distributed sample.
 func (z *Zipf) Next() int { return z.index(z.src.Float64()) }
 

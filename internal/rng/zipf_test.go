@@ -106,3 +106,28 @@ func BenchmarkZipfNext(b *testing.B) {
 		_ = z.Next()
 	}
 }
+
+// TestZipfWithSourceMatchesNewZipf pins a sampler on shared tables to
+// a freshly built one: over several sizes and exponents, WithSource
+// draws exactly what NewZipf draws from the same stream state, and
+// shares the tables it was built from.
+func TestZipfWithSourceMatchesNewZipf(t *testing.T) {
+	for _, n := range []int{1, 3, 100, 8192} {
+		for _, theta := range []float64{0.5, 1.1, 4} {
+			tables := NewZipf(New(1), n, theta)
+			shared := tables.WithSource(New(2))
+			fresh := NewZipf(New(2), n, theta)
+			if &shared.cdf[0] != &tables.cdf[0] || &shared.guide[0] != &tables.guide[0] {
+				t.Fatalf("n=%d theta=%v: WithSource copied the tables", n, theta)
+			}
+			for i := 0; i < 10000; i++ {
+				if got, want := shared.Next(), fresh.Next(); got != want {
+					t.Fatalf("n=%d theta=%v: draw %d is %d on shared tables, %d from NewZipf", n, theta, i, got, want)
+				}
+			}
+			if shared.src.State() != fresh.src.State() {
+				t.Fatalf("n=%d theta=%v: stream states part after the draws", n, theta)
+			}
+		}
+	}
+}

@@ -12,6 +12,13 @@
 // single-channel single-rank system under the row-interleaved policy
 // the address is row : bank : col : offset, the original one-device
 // layout.
+//
+// FlatZipfRows' immutable half (the Zipf CDF, its guide table and the
+// row permutation) is a pure function of the total row count, theta
+// and the stream's position, so NewFlatZipfRows draws it through a
+// process-wide popmemo.Memo keyed by those, bounded at 8 MiB with
+// oldest-first eviction: a rebuilt generator shares the tables
+// read-only and leaves its stream where a fresh build would.
 package workload
 
 import (
@@ -124,19 +131,24 @@ type FlatZipfRows struct {
 	topo   dram.Topology
 	zipf   *rng.Zipf
 	src    *rng.Stream
-	perm   []int
+	perm   []int32 // shared read-only through the memo
 }
 
 // NewFlatZipfRows creates a Zipf-hot workload with the given skew.
 func NewFlatZipfRows(p memctrl.MappingPolicy, theta float64, src *rng.Stream) *FlatZipfRows {
+	return newFlatZipfRows(sharedZipfTables, p, theta, src)
+}
+
+// newFlatZipfRows is NewFlatZipfRows through memo m.
+func newFlatZipfRows(m *zipfMemo, p memctrl.MappingPolicy, theta float64, src *rng.Stream) *FlatZipfRows {
 	topo := p.Topology()
-	rows := topo.TotalRows()
+	t := zipfTablesOf(m, topo.TotalRows(), theta, src)
 	return &FlatZipfRows{
 		policy: p,
 		topo:   topo,
-		zipf:   rng.NewZipf(src, rows, theta),
+		zipf:   t.zipf.WithSource(src),
 		src:    src,
-		perm:   src.Perm(rows),
+		perm:   t.perm,
 	}
 }
 
@@ -146,7 +158,7 @@ func (z *FlatZipfRows) Name() string { return "zipf-rows" }
 // NextFlat implements FlatGenerator.
 func (z *FlatZipfRows) NextFlat() FlatAccess {
 	t := &z.topo
-	flat := z.perm[z.zipf.Next()]
+	flat := int(z.perm[z.zipf.Next()])
 	l := memctrl.Loc{Col: z.src.Intn(t.Geom.Cols)}
 	l.Channel = flat % t.Channels
 	flat /= t.Channels
