@@ -1,25 +1,31 @@
 // Package ecc implements the error-correcting codes the paper's
-// mitigation analysis refers to. The centerpiece is a real, bit-exact
+// mitigation analysis refers to. The centerpiece is a bit-exact
 // SECDED(72,64) extended Hamming code — the code used on ECC DIMMs —
 // with which the experiments show the paper's claim that SECDED is
 // insufficient against RowHammer because some words collect two or
-// more flips. Stronger codes (t-error-correcting block codes and
-// chipkill-style symbol codes) are modelled at the capability level:
-// what matters to the experiments is which error patterns they
-// correct, not their generator polynomials. Every code's verdict on an
-// error pattern comes from this package: Classify and ClassifyData for
-// SECDED, BlockCode.Outcome and Chipkill.Outcome for the others.
+// more flips. The code is linear, so the decoder's verdict on a word
+// depends only on the error pattern it collected: SECDED is one
+// syndrome-and-parity rule over that pattern, and the package never
+// encodes or decodes a data word (its tests hold the rule to a
+// bit-serial encoder and decoder). Stronger codes (t-error-correcting
+// block codes and chipkill-style symbol codes) are modelled at the
+// capability level: what matters to the experiments is which error
+// patterns they correct, not their generator polynomials. Every code's
+// verdict on an error pattern comes from this package: Classify and
+// ClassifyData for SECDED, BlockCode.Outcome and Chipkill.Outcome for
+// the others.
 package ecc
 
 import "math/bits"
 
-// Codeword72 is a 72-bit SECDED codeword: 64 data bits and 8 check
-// bits. Bit 0 of Parity is the overall parity bit; the remaining seven
-// cover Hamming positions 1,2,4,8,16,32,64.
+// Codeword72 holds one bit per position of a 72-bit SECDED codeword:
+// 64 data bits and 8 check bits. Position 0 is the overall parity bit;
+// the check bits at Hamming positions 1,2,4,8,16,32,64 cover the
+// positions with that bit set, and the rest carry data. Classify and
+// Chipkill.Outcome take it as an error mask, the positions a strike
+// flipped.
 type Codeword72 struct {
-	// Bits holds codeword positions 0..71; position 0 is the overall
-	// parity bit, positions 1..71 are Hamming positions. Packed as
-	// two words: Lo holds positions 0..63, Hi positions 64..71.
+	// Lo holds positions 0..63, Hi positions 64..71.
 	Lo uint64
 	Hi uint8
 }
@@ -38,57 +44,13 @@ var dataPositions = func() [64]int {
 	return pos
 }()
 
-func (c Codeword72) bit(pos int) uint64 {
+// flip inverts codeword position pos (0..71).
+func (c *Codeword72) flip(pos int) {
 	if pos < 64 {
-		return (c.Lo >> uint(pos)) & 1
-	}
-	return uint64((c.Hi >> uint(pos-64)) & 1)
-}
-
-func (c *Codeword72) setBit(pos int, v uint64) {
-	if pos < 64 {
-		if v&1 == 1 {
-			c.Lo |= 1 << uint(pos)
-		} else {
-			c.Lo &^= 1 << uint(pos)
-		}
-		return
-	}
-	if v&1 == 1 {
-		c.Hi |= 1 << uint(pos-64)
+		c.Lo ^= 1 << uint(pos)
 	} else {
-		c.Hi &^= 1 << uint(pos-64)
+		c.Hi ^= 1 << uint(pos-64)
 	}
-}
-
-// FlipBit inverts one codeword position (0..71), injecting an error.
-func (c *Codeword72) FlipBit(pos int) {
-	c.setBit(pos, c.bit(pos)^1)
-}
-
-// Encode produces the SECDED codeword for a 64-bit data word.
-func Encode(data uint64) Codeword72 {
-	var c Codeword72
-	for i, pos := range dataPositions {
-		c.setBit(pos, (data>>uint(i))&1)
-	}
-	// Hamming parity bits: parity p covers positions with bit p set.
-	for p := 1; p <= 64; p <<= 1 {
-		var par uint64
-		for pos := 1; pos <= 71; pos++ {
-			if pos&p != 0 && pos != p {
-				par ^= c.bit(pos)
-			}
-		}
-		c.setBit(p, par)
-	}
-	// Overall parity: make the XOR of all 72 positions even.
-	var all uint64
-	for pos := 1; pos <= 71; pos++ {
-		all ^= c.bit(pos)
-	}
-	c.setBit(0, all)
-	return c
 }
 
 // Outcome classifies what the SECDED decoder did with a codeword.
@@ -101,7 +63,7 @@ const (
 	Corrected
 	// Detected: a double-bit error was detected but not corrected.
 	Detected
-	// Miscorrect is never returned by Decode itself (the decoder
+	// Miscorrect is never the decoder's own verdict (the decoder
 	// cannot know). Classify and ClassifyData return it against
 	// ground truth, and the capability models for patterns past
 	// their detection bound.
@@ -124,64 +86,47 @@ func (o Outcome) String() string {
 	}
 }
 
-// Decode runs the SECDED decoder: it returns the decoded data word and
-// the decoder's verdict. Error patterns of three or more bits may be
-// silently miscorrected, exactly as on real hardware; use Classify to
-// compare against ground truth in experiments.
-func Decode(c Codeword72) (data uint64, outcome Outcome) {
-	// Recompute syndrome over Hamming positions.
-	syndrome := 0
-	for p := 1; p <= 64; p <<= 1 {
-		var par uint64
-		for pos := 1; pos <= 71; pos++ {
-			if pos&p != 0 {
-				par ^= c.bit(pos)
-			}
+// triage is the SECDED decoder's verdict on a stored word that differs
+// from a clean codeword by the error mask errs. The code is linear, so
+// the verdict depends on errs alone: its syndrome (the XOR of the set
+// Hamming positions) and its overall parity. An odd mask whose syndrome
+// names a position is Corrected by flipping position fix (syndrome 0
+// names the overall parity bit); an even mask with syndrome 0 reads OK;
+// anything else is Detected.
+func triage(errs Codeword72) (oc Outcome, fix int) {
+	syndrome, parity := 0, 0
+	for i, w := range [2]uint64{errs.Lo, uint64(errs.Hi)} {
+		parity ^= bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			syndrome ^= 64*i + bits.TrailingZeros64(w)
 		}
-		if par != 0 {
-			syndrome |= p
-		}
-	}
-	var overall uint64
-	for pos := 0; pos <= 71; pos++ {
-		overall ^= c.bit(pos)
 	}
 	switch {
-	case syndrome == 0 && overall == 0:
-		outcome = OK
-	case syndrome == 0 && overall == 1:
-		// The overall parity bit itself flipped.
-		c.setBit(0, c.bit(0)^1)
-		outcome = Corrected
-	case syndrome != 0 && overall == 1:
-		// Single-bit error at the syndrome position.
-		if syndrome <= 71 {
-			c.setBit(syndrome, c.bit(syndrome)^1)
-			outcome = Corrected
-		} else {
-			outcome = Detected
-		}
-	default: // syndrome != 0 && overall == 0
-		outcome = Detected
+	case parity&1 == 0 && syndrome == 0:
+		return OK, 0
+	case parity&1 == 1 && syndrome <= 71:
+		return Corrected, syndrome
+	default:
+		return Detected, 0
 	}
-	return extractData(c), outcome
 }
 
-func extractData(c Codeword72) uint64 {
-	var data uint64
-	for i, pos := range dataPositions {
-		data |= c.bit(pos) << uint(i)
+// Classify reports the true outcome of SECDED on a word whose stored
+// codeword positions were flipped by the error mask errs (bit p of Lo
+// is position p, bit p of Hi is position 64+p, as in Chipkill.Outcome),
+// whatever the data: Miscorrect when the decoder's word differs from
+// the original, which hardware cannot tell from a genuine correction.
+func Classify(errs Codeword72) Outcome {
+	oc, fix := triage(errs)
+	if oc == Corrected {
+		errs.flip(fix)
 	}
-	return data
-}
-
-// Classify decodes a (possibly corrupted) codeword and, comparing with
-// the original data, reports the true outcome, distinguishing silent
-// miscorrections from genuine corrections. This is the experiment-side
-// view that hardware does not have.
-func Classify(original uint64, corrupted Codeword72) Outcome {
-	data, outcome := Decode(corrupted)
-	return verdict(original, data, outcome)
+	// Past an OK or a fix the residual has syndrome 0 and even parity:
+	// it is a codeword, and every nonzero codeword carries data bits.
+	if oc != Detected && errs != (Codeword72{}) {
+		return Miscorrect // silent data corruption
+	}
+	return oc
 }
 
 // ClassifyData models SECDED on a word whose data bits read back as got
@@ -191,37 +136,28 @@ func Classify(original uint64, corrupted Codeword72) Outcome {
 // outcome: got when the decoder only detects, the decoder's wrong word
 // on a silent miscorrection, and want otherwise.
 func ClassifyData(want, got uint64) (uint64, Outcome) {
-	cw := Encode(want)
+	var errs Codeword72
 	for d := want ^ got; d != 0; d &= d - 1 {
-		cw.FlipBit(dataPositions[bits.TrailingZeros64(d)])
+		errs.flip(dataPositions[bits.TrailingZeros64(d)])
 	}
-	data, outcome := Decode(cw)
-	// A detected word is left as read: Decode returns got's data bits.
-	return data, verdict(want, data, outcome)
-}
-
-// verdict turns the decoder's view into the true outcome against the
-// original data.
-func verdict(original, data uint64, outcome Outcome) Outcome {
-	switch {
-	case outcome == Detected:
-		return Detected
-	case data != original:
-		return Miscorrect // silent data corruption
-	default:
-		return outcome
+	oc, fix := triage(errs)
+	if oc == Detected {
+		return got, Detected // a detected word is left as read
 	}
+	word := got
+	if fix&(fix-1) != 0 {
+		// The fix lands on a data position: data bit fix-1-bits.Len(fix),
+		// since bits.Len(fix) check positions 1, 2, 4, ... precede it.
+		word ^= 1 << uint(fix-1-bits.Len(uint(fix)))
+	}
+	if word != want {
+		return word, Miscorrect // silent data corruption
+	}
+	return want, oc
 }
 
 // CheckBits returns the number of check bits SECDED(72,64) adds.
 func CheckBits() int { return 8 }
-
-// DataPosition returns the codeword position (1..71) that carries data
-// bit i (0..63). Callers injecting data-bit errors into a codeword flip
-// these positions (ClassifyData does so for every differing bit);
-// check-bit positions (0 and the powers of two) are reached directly
-// through FlipBit.
-func DataPosition(i int) int { return dataPositions[i] }
 
 // --- Capability-level models for stronger codes ---
 

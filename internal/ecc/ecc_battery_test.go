@@ -1,9 +1,10 @@
 package ecc
 
 // The exhaustive ECC battery behind the controller's eccLayer: the
-// read path trusts Decode/Classify verdicts unconditionally, so this
-// file pins the SECDED guarantee exhaustively (every C(72,2) double on
-// random data words, fuzzed flip pairs) and the capability-model
+// read path trusts Classify/ClassifyData verdicts unconditionally, so
+// this file pins the SECDED guarantee exhaustively on the oracle codec
+// and the production rule (every C(72,2) double on random data words,
+// fuzzed flip pairs) and the capability-model
 // verdicts (one more flip never improves a verdict, so whatever is
 // corrected is also detected).
 
@@ -91,7 +92,7 @@ func TestExhaustiveDoubleFlips(t *testing.T) {
 				if out != Detected {
 					t.Fatalf("word %#x flips {%d,%d}: outcome %v, want Detected", data, a, b, out)
 				}
-				if cl := Classify(data, c); cl != Detected {
+				if cl := Classify(errMask(data, c)); cl != Detected {
 					t.Fatalf("word %#x flips {%d,%d}: Classify %v disagrees with Decode", data, a, b, cl)
 				}
 			}
@@ -121,7 +122,7 @@ func TestClassifyAgreesWithDecode(t *testing.T) {
 			}
 		}
 		decoded, out := Decode(c)
-		cl := Classify(data, c)
+		cl := Classify(errMask(data, c))
 		switch len(positions) {
 		case 0:
 			if out != OK || cl != OK || decoded != data {
@@ -197,15 +198,18 @@ func TestChipkillCorrectableSubsetOfDetectable(t *testing.T) {
 // whole SECDED contract the controller's silent-corruption accounting
 // rests on. The corpus seeds the parity-bit-involved pairs: position 0
 // participates in the overall parity only, which is where a sloppy
-// decoder would confuse a double with a corrected single.
+// decoder would confuse a double with a corrected single. Every input
+// also holds the production rule to the codec on arbitrary patterns:
+// Classify on the 72-bit mask {Lo: readBack, Hi: rawA} over data, and
+// ClassifyData on the arbitrary read-back word readBack for data.
 func FuzzSECDEDDecode(f *testing.F) {
-	f.Add(uint64(0), uint8(0), uint8(0))                   // a==b: single flip on the parity bit
-	f.Add(uint64(0xffffffffffffffff), uint8(0), uint8(1))  // parity + first check bit
-	f.Add(uint64(0x0123456789abcdef), uint8(0), uint8(3))  // parity + first data slot
-	f.Add(uint64(0xaaaaaaaaaaaaaaaa), uint8(0), uint8(71)) // parity + last slot
-	f.Add(uint64(0x5555555555555555), uint8(64), uint8(0)) // high check + parity
-	f.Add(uint64(1)<<63, uint8(70), uint8(71))             // top-of-word pair
-	f.Fuzz(func(t *testing.T, data uint64, rawA, rawB uint8) {
+	f.Add(uint64(0), uint8(0), uint8(0), uint64(0))                                    // a==b: single flip on the parity bit
+	f.Add(uint64(0xffffffffffffffff), uint8(0), uint8(1), uint64(0x7))                 // parity + first check bit
+	f.Add(uint64(0x0123456789abcdef), uint8(0), uint8(3), uint64(0x0123456789abcdee))  // parity + first data slot
+	f.Add(uint64(0xaaaaaaaaaaaaaaaa), uint8(0), uint8(71), uint64(0x5555555555555555)) // parity + last slot
+	f.Add(uint64(0x5555555555555555), uint8(64), uint8(0), uint64(0x5555555555555556)) // high check + parity
+	f.Add(uint64(1)<<63, uint8(70), uint8(71), uint64(1)<<63|1<<62|1<<61)              // top-of-word pair
+	f.Fuzz(func(t *testing.T, data uint64, rawA, rawB uint8, readBack uint64) {
 		a, b := int(rawA)%72, int(rawB)%72
 		c := Encode(data)
 		c.FlipBit(a)
@@ -223,16 +227,25 @@ func FuzzSECDEDDecode(f *testing.F) {
 			if out != Corrected || got != data {
 				t.Fatalf("single flip %d: (%v, %#x), want exact correction", a, out, got)
 			}
-			if cl := Classify(data, c); cl != Corrected {
+			if cl := Classify(errMask(data, c)); cl != Corrected {
 				t.Fatalf("single flip %d: Classify %v", a, cl)
 			}
 		case 2:
 			if out != Detected {
 				t.Fatalf("double flip {%d,%d}: %v, want Detected", a, b, out)
 			}
-			if cl := Classify(data, c); cl != Detected {
+			if cl := Classify(errMask(data, c)); cl != Detected {
 				t.Fatalf("double flip {%d,%d}: Classify %v", a, b, cl)
 			}
+		}
+
+		mask := Codeword72{Lo: readBack, Hi: rawA}
+		if cl, want := Classify(mask), classifyCodeword(data, Encode(data).xor(mask)); cl != want {
+			t.Fatalf("Classify(%+v) = %v, codec on %#x says %v", mask, cl, data, want)
+		}
+		v, o := ClassifyData(data, readBack)
+		if wv, wo := oracleClassifyData(data, readBack); v != wv || o != wo {
+			t.Fatalf("ClassifyData(%#x, %#x) = (%#x, %v), oracle (%#x, %v)", data, readBack, v, o, wv, wo)
 		}
 	})
 }

@@ -59,7 +59,7 @@ func TestTripleBitErrorsMayMiscorrect(t *testing.T) {
 				c.FlipBit(a)
 				c.FlipBit(b)
 				c.FlipBit(c2)
-				if Classify(data, c) == Miscorrect {
+				if Classify(errMask(data, c)) == Miscorrect {
 					mis++
 				}
 			}
@@ -72,18 +72,18 @@ func TestTripleBitErrorsMayMiscorrect(t *testing.T) {
 
 func TestClassifyMatchesDecodeForCleanPatterns(t *testing.T) {
 	data := uint64(0x5555aaaa0f0ff00f)
-	if got := Classify(data, Encode(data)); got != OK {
+	if got := Classify(errMask(data, Encode(data))); got != OK {
 		t.Errorf("clean codeword classified %v", got)
 	}
 	c := Encode(data)
 	c.FlipBit(10)
-	if got := Classify(data, c); got != Corrected {
+	if got := Classify(errMask(data, c)); got != Corrected {
 		t.Errorf("single flip classified %v", got)
 	}
 	c = Encode(data)
 	c.FlipBit(10)
 	c.FlipBit(20)
-	if got := Classify(data, c); got != Detected {
+	if got := Classify(errMask(data, c)); got != Detected {
 		t.Errorf("double flip classified %v", got)
 	}
 }
@@ -182,30 +182,33 @@ func TestRandomErrorStatistics(t *testing.T) {
 		c := Encode(data)
 		p1 := src.Intn(72)
 		c.FlipBit(p1)
-		if Classify(data, c) != Corrected {
+		if Classify(errMask(data, c)) != Corrected {
 			t.Fatal("random single flip not corrected")
 		}
 		c = Encode(data)
 		p2 := (p1 + 1 + src.Intn(71)) % 72
 		c.FlipBit(p1)
 		c.FlipBit(p2)
-		if Classify(data, c) != Detected {
+		if Classify(errMask(data, c)) != Detected {
 			t.Fatal("random double flip not detected")
 		}
 	}
 }
 
-func BenchmarkEncode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = Encode(uint64(i))
+// BenchmarkClassify times the mask entry point on a three-strike
+// pattern, one of the E73 fleet's multi-flip events.
+func BenchmarkClassify(b *testing.B) {
+	errs := Codeword72{Lo: 1<<5 | 1<<17 | 1<<40}
+	for b.Loop() {
+		Classify(errs)
 	}
 }
 
-func BenchmarkDecode(b *testing.B) {
-	c := Encode(0xdeadbeefcafebabe)
-	c.FlipBit(17)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = Decode(c)
+// BenchmarkClassifyData times the read-path entry point on a word with
+// one flipped data bit, the read triage's common non-clean case.
+func BenchmarkClassifyData(b *testing.B) {
+	want := uint64(0xdeadbeefcafebabe)
+	for b.Loop() {
+		ClassifyData(want, want^1<<17)
 	}
 }

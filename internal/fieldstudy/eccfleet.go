@@ -7,10 +7,10 @@ package fieldstudy
 // per-DIMM error process as RunSharded, but draws each error event's
 // bit multiplicity and strike positions over the full 72-bit ECC word
 // (check bits are hit like data bits) and classifies the event under
-// SECDED(72,64) — bit-exact, via the real decoder — the default
-// on-die block code, and x4 chipkill over the 18-device codeword. The
-// silent column is the EIN/ECCploit point: stronger codes shrink it
-// but none of the standard trio eliminates it.
+// SECDED(72,64) — bit-exact, from the strike mask's syndrome — the
+// default on-die block code, and x4 chipkill over the 18-device
+// codeword. The silent column is the EIN/ECCploit point: stronger
+// codes shrink it but none of the standard trio eliminates it.
 
 import (
 	"repro/internal/ecc"
@@ -57,11 +57,11 @@ func (s *ECCClassStats) add(o ECCClassStats) {
 }
 
 // classifyEvent triages one error event: n distinct strike positions
-// in the 72-bit ECC word, drawn from the DIMM's substream. SECDED runs
-// the real decoder (the code is linear and Encode(0) is the zero
-// codeword, so the strike mask itself is the corrupted codeword of the
-// all-zero data word); the on-die code is count-based; chipkill is
-// symbol-based over 4-bit symbols.
+// in the 72-bit ECC word, drawn from the DIMM's substream. SECDED
+// classifies the strike mask itself (the code is linear, so its verdict
+// depends on the flipped positions alone, not on the stored data); the
+// on-die code is count-based; chipkill is symbol-based over 4-bit
+// symbols.
 func classifyEvent(src *rng.Stream, multiFlipP float64, maxFlips int, st *ECCClassStats) {
 	n := 1
 	for n < maxFlips && src.Bool(multiFlipP) {
@@ -83,7 +83,7 @@ func classifyEvent(src *rng.Stream, multiFlipP float64, maxFlips int, st *ECCCla
 		}
 		k++
 	}
-	tally(ecc.Classify(0, strikes), &st.SECDEDCorrected, &st.SECDEDDetected, &st.SECDEDSilent)
+	tally(ecc.Classify(strikes), &st.SECDEDCorrected, &st.SECDEDDetected, &st.SECDEDSilent)
 	tally(ecc.OnDie.Outcome(n), &st.InDRAMCorrected, &st.InDRAMDetected, &st.InDRAMSilent)
 	tally(ecc.Chipkill4.Outcome(strikes), &st.ChipkillCorrected, &st.ChipkillDetected, &st.ChipkillSilent)
 	st.Events++

@@ -148,16 +148,21 @@ func simulateBlock(cfg Config, seed uint64, b block) blockResult {
 	src := rng.New(seed + 0x9e3779b97f4a7c15*(uint64(b.class)<<40+uint64(b.start)+1))
 	r := blockResult{done: true, ce: make([]int64, b.count)}
 	scale := cfg.Classes[b.class].RateScale
-	for i := 0; i < b.count; i++ {
-		ce, ue := simulateDIMM(cfg, scale, src)
-		r.ce[i] = ce
-		r.ceSum += ce
-		r.ueSum += ue
-		if ce > 0 {
-			r.withCE++
-		}
+	for i := range r.ce {
+		ce, ue, _ := simulateDIMM(cfg, scale, src)
+		r.add(i, ce, ue)
 	}
 	return r
+}
+
+// add records DIMM i's service counts.
+func (r *blockResult) add(i int, ce, ue int64) {
+	r.ce[i] = ce
+	r.ceSum += ce
+	r.ueSum += ue
+	if ce > 0 {
+		r.withCE++
+	}
 }
 
 // mergeBlocks folds per-block results into per-class statistics,
@@ -196,9 +201,10 @@ func mergeBlocks(cfg Config, blocks []block, results []blockResult) []ClassStats
 	return out
 }
 
-// simulateDIMM rolls one DIMM's service history from the stream.
-func simulateDIMM(cfg Config, scale float64, src *rng.Stream) (ce, ue int64) {
-	lambda := cfg.BaseRate * scale * src.LogNormal(0, cfg.TailSigma)
+// simulateDIMM rolls one DIMM's service history from the stream and
+// returns it with the DIMM's latent monthly error rate.
+func simulateDIMM(cfg Config, scale float64, src *rng.Stream) (ce, ue int64, lambda float64) {
+	lambda = cfg.BaseRate * scale * src.LogNormal(0, cfg.TailSigma)
 	for m := 0; m < cfg.Months; m++ {
 		ce += src.Poisson(lambda)
 		pUE := cfg.UEPerCE * lambda
@@ -209,7 +215,7 @@ func simulateDIMM(cfg Config, scale float64, src *rng.Stream) (ce, ue int64) {
 			ue++
 		}
 	}
-	return ce, ue
+	return ce, ue, lambda
 }
 
 // RunSharded simulates the fleet like Run but scales to millions of
@@ -230,58 +236,25 @@ func RunSharded(cfg Config, seed uint64, workers int) []ClassStats {
 	return mergeBlocks(cfg, blocks, results)
 }
 
-// Run simulates the fleet. Deterministic given the stream.
+// Run simulates the fleet from one stream, keeping every DIMM's record.
+// Deterministic given the stream. Each class is one block of
+// mergeBlocks, RunSharded's merge; its integer sums stay far below
+// 2^53, so they are exact in float64.
 func Run(cfg Config, src *rng.Stream) Result {
 	var res Result
-	for _, cls := range cfg.Classes {
-		var records []DIMMRecord
-		var totalCE, totalUE int64
-		withCE := 0
-		for i := 0; i < cls.DIMMs; i++ {
-			lambda := cfg.BaseRate * cls.RateScale *
-				src.LogNormal(0, cfg.TailSigma)
-			rec := DIMMRecord{Class: cls.Label, LatentRate: lambda}
-			for m := 0; m < cfg.Months; m++ {
-				rec.Correctable += src.Poisson(lambda)
-				pUE := cfg.UEPerCE * lambda
-				if pUE > 1 {
-					pUE = 1
-				}
-				if src.Bool(pUE) {
-					rec.Uncorrectable++
-				}
-			}
-			totalCE += rec.Correctable
-			totalUE += rec.Uncorrectable
-			if rec.Correctable > 0 {
-				withCE++
-			}
-			records = append(records, rec)
+	blocks := make([]block, len(cfg.Classes))
+	results := make([]blockResult, len(cfg.Classes))
+	for ci, cls := range cfg.Classes {
+		blocks[ci] = block{class: ci, count: cls.DIMMs}
+		results[ci].ce = make([]int64, cls.DIMMs)
+		for i := range results[ci].ce {
+			ce, ue, lambda := simulateDIMM(cfg, cls.RateScale, src)
+			results[ci].add(i, ce, ue)
+			res.Records = append(res.Records, DIMMRecord{
+				Class: cls.Label, LatentRate: lambda, Correctable: ce, Uncorrectable: ue,
+			})
 		}
-		// Concentration: sort by CE count descending.
-		sorted := append([]DIMMRecord(nil), records...)
-		sort.Slice(sorted, func(i, j int) bool {
-			return sorted[i].Correctable > sorted[j].Correctable
-		})
-		top := int(math.Ceil(float64(len(sorted)) * 0.01))
-		var topCE int64
-		for i := 0; i < top; i++ {
-			topCE += sorted[i].Correctable
-		}
-		share := 0.0
-		if totalCE > 0 {
-			share = float64(topCE) / float64(totalCE)
-		}
-		dimmMonths := float64(cls.DIMMs * cfg.Months)
-		res.Classes = append(res.Classes, ClassStats{
-			Label:                  cls.Label,
-			DIMMs:                  cls.DIMMs,
-			CEPerDIMMMonth:         float64(totalCE) / dimmMonths,
-			FracDIMMsWithCE:        float64(withCE) / float64(cls.DIMMs),
-			UEPerThousandDIMMMonth: float64(totalUE) / dimmMonths * 1000,
-			Top1PctShare:           share,
-		})
-		res.Records = append(res.Records, records...)
 	}
+	res.Classes = mergeBlocks(cfg, blocks, results)
 	return res
 }
