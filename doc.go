@@ -63,7 +63,11 @@
 //     sweeps, E50-E52 the retention / profiling / multi-rate-refresh
 //     stack at topology scale), and the parallel experiment Runner
 //     (experiment-level pool plus channel-level sharding) with its
-//     machine-readable benchmark summaries (BENCH_*.json)
+//     machine-readable benchmark summaries (BENCH_*.json); every
+//     experiment returns an internal/stats result table
+//   - internal/snapshot: the checkpoint codec and container. Fleet
+//     campaigns and experiment runs checkpoint to files; a whole
+//     core.System saves and restores in memory (SaveState/LoadState)
 //   - internal/fieldstudy: the DSN'15-class fleet Monte Carlo, with
 //     the block-sharded RunSharded engine scaling it to ~1M DIMMs
 //   - internal/par: the one worker pool (par.Shard) every sharded

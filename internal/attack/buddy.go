@@ -1,11 +1,6 @@
 package attack
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/snapshot"
-)
+import "fmt"
 
 // This file models the OS physical-page allocator surface that the
 // Drammer attack (van der Veen et al., CCS 2016 — reference [98] of
@@ -181,66 +176,6 @@ func DrammerPlacement(a *BuddyAllocator, targetFrame, chunkOrder int) (frame int
 		return next, false
 	}
 	return next, true
-}
-
-// SaveState serializes the allocator with the snapshot codec: the
-// free lists in their in-memory order (which Alloc/Free evolve
-// deterministically, so a restored allocator makes identical
-// choices) and the live-block map in sorted key order — the map is
-// never range-iterated by the allocator itself, but serialization
-// must not leak Go's randomized map order into checkpoint bytes (the
-// determinism-audit finding of the exploit-chain refactor).
-func (a *BuddyAllocator) SaveState(w *snapshot.Writer) {
-	w.Tag("attack.Buddy")
-	w.Int(a.frames)
-	w.Int(a.maxOrder)
-	for _, blocks := range a.free {
-		w.Ints(blocks)
-	}
-	keys := make([]int, 0, len(a.allocated))
-	for k := range a.allocated {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		w.Int(k)
-		w.Int(a.allocated[k])
-	}
-}
-
-// LoadState restores state saved by SaveState into an allocator built
-// over the same frame count.
-func (a *BuddyAllocator) LoadState(r *snapshot.Reader) error {
-	r.Tag("attack.Buddy")
-	frames := r.Int()
-	maxOrder := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if frames != a.frames || maxOrder != a.maxOrder {
-		return snapshot.Mismatchf("buddy allocator over %d frames (max order %d), checkpoint holds %d (max order %d)",
-			a.frames, a.maxOrder, frames, maxOrder)
-	}
-	free := make([][]int, a.maxOrder+1)
-	for o := range free {
-		free[o] = r.Ints()
-	}
-	n := r.Count(16) // frame, order
-	if err := r.Err(); err != nil {
-		return err
-	}
-	allocated := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		k := r.Int()
-		allocated[k] = r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	a.free = free
-	a.allocated = allocated
-	return nil
 }
 
 // peekNext0 predicts which frame the next Alloc(0) returns, mirroring

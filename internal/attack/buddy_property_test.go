@@ -1,14 +1,10 @@
 package attack
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/snapshot"
 )
 
 // coverage maps every frame of the allocator to its owner: each frame
@@ -141,83 +137,6 @@ func TestBuddyDeterministicOrder(t *testing.T) {
 		b := buddyStream(NewBuddy(128), seed, 400)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: allocation transcripts diverged", seed)
-		}
-	}
-}
-
-// TestBuddySnapshotRoundTrip checkpoints a mid-stream allocator,
-// restores it into a fresh one, and checks (a) the restored allocator
-// re-serializes to identical bytes and (b) both make identical
-// decisions on the continuation stream — the property the tournament's
-// clone-instead-of-rebuild path depends on.
-func TestBuddySnapshotRoundTrip(t *testing.T) {
-	a := NewBuddy(128)
-	buddyStream(a, 7, 200)
-	var w snapshot.Writer
-	a.SaveState(&w)
-
-	b := NewBuddy(128)
-	if err := b.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
-		t.Fatalf("LoadState: %v", err)
-	}
-	var w2 snapshot.Writer
-	b.SaveState(&w2)
-	if !reflect.DeepEqual(w.Bytes(), w2.Bytes()) {
-		t.Fatalf("save/load/save not idempotent (%d vs %d bytes)", len(w.Bytes()), len(w2.Bytes()))
-	}
-	buddyCoverage(t, b)
-	ta := buddyStream(a, 11, 200)
-	tb := buddyStream(b, 11, 200)
-	if !reflect.DeepEqual(ta, tb) {
-		t.Fatal("restored allocator diverged from original on continuation stream")
-	}
-}
-
-// TestBuddySnapshotRejectsGeometryMismatch checks LoadState refuses a
-// checkpoint from a different frame count instead of corrupting state.
-func TestBuddySnapshotRejectsGeometryMismatch(t *testing.T) {
-	a := NewBuddy(64)
-	var w snapshot.Writer
-	a.SaveState(&w)
-	b := NewBuddy(128)
-	if err := b.LoadState(snapshot.NewReader(w.Bytes())); err == nil {
-		t.Fatal("128-frame allocator accepted a 64-frame checkpoint")
-	}
-	// The failed load must not have touched b.
-	if b.FreeFrames() != 128 || b.Live() != 0 {
-		t.Fatalf("failed load mutated allocator: free %d live %d", b.FreeFrames(), b.Live())
-	}
-}
-
-// TestBuddySnapshotRejectsHostileCount checks that a checkpoint whose
-// allocation-map count claims more entries than the bytes left can
-// hold is refused with ErrCorrupt before anything is allocated or
-// decoded, and that the target allocator is left as it was.
-func TestBuddySnapshotRejectsHostileCount(t *testing.T) {
-	a := NewBuddy(128)
-	buddyStream(a, 7, 200)
-	var w snapshot.Writer
-	a.SaveState(&w)
-	good := w.Bytes()
-	// The count precedes the (frame, order) pairs at the tail.
-	at := len(good) - 16*len(a.allocated) - 8
-	if got := binary.BigEndian.Uint64(good[at:]); got != uint64(len(a.allocated)) {
-		t.Fatalf("allocation count %d at offset %d, want %d", got, at, len(a.allocated))
-	}
-	b := NewBuddy(128)
-	buddyStream(b, 3, 50)
-	var before snapshot.Writer
-	b.SaveState(&before)
-	for _, n := range []uint64{1 << 60, ^uint64(0), uint64(len(a.allocated)) + 1} {
-		bad := append([]byte(nil), good...)
-		binary.BigEndian.PutUint64(bad[at:], n)
-		if err := b.LoadState(snapshot.NewReader(bad)); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("count %d: want ErrCorrupt, got %v", n, err)
-		}
-		var after snapshot.Writer
-		b.SaveState(&after)
-		if !bytes.Equal(before.Bytes(), after.Bytes()) {
-			t.Fatalf("count %d: failed load mutated the allocator", n)
 		}
 	}
 }

@@ -4,12 +4,10 @@ package attack
 // hammer pattern as one four-phase behaviour — probe (reconnaissance
 // under the live defence), plan (commit to a pattern), hammer-round
 // (spend activation budget at a victim), and observe (read the victim
-// back, user-level powers only) — with explicit serializable state, so
-// a half-run attacker checkpoints and resumes exactly like the rest of
-// the simulator. The tournament driver (tournament.go, experiments
-// E81-E84) pits every Strategy against every mitigation and mapping
-// policy from one templated snapshot; the strategy tests pin each
-// fixed-pattern strategy's row choice against a literal
+// back, user-level powers only). The tournament driver (tournament.go,
+// experiments E81-E84) pits every Strategy against every mitigation
+// and mapping policy from one templated snapshot; the strategy tests
+// pin each fixed-pattern strategy's row choice against a literal
 // HammerPairsRanked or NSidedRanked call.
 
 import (
@@ -18,7 +16,6 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
-	"repro/internal/snapshot"
 )
 
 // Target names where a strategy aims: one bank of one rank behind one
@@ -45,18 +42,13 @@ type Plan struct {
 // commits the plan (a no-op for fixed-pattern strategies). Plan
 // reports the committed pattern. HammerRound spends `rounds` rounds
 // of the pattern on a victim row; Observe reads the victim back and
-// returns how many bits differ from the target pattern. SaveState and
-// LoadState serialize the strategy's mutable state with the snapshot
-// codec, so an in-flight attacker rides a checkpoint like every other
-// stateful component.
+// returns how many bits differ from the target pattern.
 type Strategy interface {
 	Name() string
 	Probe(t Target)
 	Plan() Plan
 	HammerRound(t Target, victimRow, rounds int)
 	Observe(t Target, victimRow int) int
-	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader) error
 }
 
 // StrategyNames lists the registered strategy names in rank order of
@@ -136,16 +128,6 @@ func (*DoubleSidedStrategy) HammerRound(t Target, victimRow, rounds int) {
 // Observe implements Strategy.
 func (*DoubleSidedStrategy) Observe(t Target, victimRow int) int { return observeRow(t, victimRow) }
 
-// SaveState implements Strategy (stateless; the tag alone keeps the
-// codec framed).
-func (*DoubleSidedStrategy) SaveState(w *snapshot.Writer) { w.Tag("strat.double") }
-
-// LoadState implements Strategy.
-func (*DoubleSidedStrategy) LoadState(r *snapshot.Reader) error {
-	r.Tag("strat.double")
-	return r.Err()
-}
-
 // --- Single-sided ---
 
 // SingleSidedStrategy is the original test program's pattern as a
@@ -173,15 +155,6 @@ func (*SingleSidedStrategy) HammerRound(t Target, victimRow, rounds int) {
 
 // Observe implements Strategy.
 func (*SingleSidedStrategy) Observe(t Target, victimRow int) int { return observeRow(t, victimRow) }
-
-// SaveState implements Strategy (stateless).
-func (*SingleSidedStrategy) SaveState(w *snapshot.Writer) { w.Tag("strat.single") }
-
-// LoadState implements Strategy.
-func (*SingleSidedStrategy) LoadState(r *snapshot.Reader) error {
-	r.Tag("strat.single")
-	return r.Err()
-}
 
 // --- N-sided with decoy scheduling ---
 
@@ -212,26 +185,6 @@ func (s *NSidedDecoyStrategy) HammerRound(t Target, victimRow, rounds int) {
 
 // Observe implements Strategy.
 func (s *NSidedDecoyStrategy) Observe(t Target, victimRow int) int { return observeRow(t, victimRow) }
-
-// SaveState implements Strategy.
-func (s *NSidedDecoyStrategy) SaveState(w *snapshot.Writer) {
-	w.Tag("strat.nsided")
-	w.Int(s.Sides)
-	w.Int(s.Decoys)
-}
-
-// LoadState implements Strategy.
-func (s *NSidedDecoyStrategy) LoadState(r *snapshot.Reader) error {
-	r.Tag("strat.nsided")
-	sides := r.Int()
-	decoys := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.Sides = sides
-	s.Decoys = decoys
-	return nil
-}
 
 // --- Adaptive (TRRespass probe-and-commit) ---
 
@@ -354,52 +307,6 @@ func (s *AdaptiveStrategy) HammerRound(t Target, victimRow, rounds int) {
 // Observe implements Strategy.
 func (s *AdaptiveStrategy) Observe(t Target, victimRow int) int { return observeRow(t, victimRow) }
 
-// SaveState implements Strategy: configuration and the committed
-// probe record both persist, so a restored attacker resumes with the
-// sidedness it already paid the probe budget for.
-func (s *AdaptiveStrategy) SaveState(w *snapshot.Writer) {
-	w.Tag("strat.adaptive")
-	w.Ints(s.Sweep)
-	w.Int(s.Decoys)
-	w.Int(s.Budget)
-	w.Bool(s.probed)
-	w.Int(s.best)
-	w.U64(uint64(len(s.probes)))
-	for _, p := range s.probes {
-		w.Int(p.Sides)
-		w.Int(p.Flips)
-		w.I64(p.Activations)
-	}
-}
-
-// LoadState implements Strategy.
-func (s *AdaptiveStrategy) LoadState(r *snapshot.Reader) error {
-	r.Tag("strat.adaptive")
-	sweep := r.Ints()
-	decoys := r.Int()
-	budget := r.Int()
-	probed := r.Bool()
-	best := r.Int()
-	n := r.Count(24) // sides, flips, activations
-	if err := r.Err(); err != nil {
-		return err
-	}
-	probes := make([]SidednessProbe, n)
-	for i := range probes {
-		probes[i] = SidednessProbe{Sides: r.Int(), Flips: r.Int(), Activations: r.I64()}
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.Sweep = sweep
-	s.Decoys = decoys
-	s.Budget = budget
-	s.probed = probed
-	s.best = best
-	s.probes = probes
-	return nil
-}
-
 // --- Refresh-synchronized ---
 
 // RefreshSyncStrategy is the SMASH/Blacksmith-style timing attacker
@@ -412,8 +319,7 @@ func (s *AdaptiveStrategy) LoadState(r *snapshot.Reader) error {
 type RefreshSyncStrategy struct {
 	// Sides is the aggressor count of the burst pattern.
 	Sides int
-	// Bursts counts REF-aligned bursts issued (mutable state; it
-	// persists so a resumed attacker reports a faithful total).
+	// Bursts counts REF-aligned bursts issued.
 	Bursts int64
 }
 
@@ -457,23 +363,3 @@ func (s *RefreshSyncStrategy) HammerRound(t Target, victimRow, rounds int) {
 
 // Observe implements Strategy.
 func (s *RefreshSyncStrategy) Observe(t Target, victimRow int) int { return observeRow(t, victimRow) }
-
-// SaveState implements Strategy.
-func (s *RefreshSyncStrategy) SaveState(w *snapshot.Writer) {
-	w.Tag("strat.refsync")
-	w.Int(s.Sides)
-	w.I64(s.Bursts)
-}
-
-// LoadState implements Strategy.
-func (s *RefreshSyncStrategy) LoadState(r *snapshot.Reader) error {
-	r.Tag("strat.refsync")
-	sides := r.Int()
-	bursts := r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.Sides = sides
-	s.Bursts = bursts
-	return nil
-}

@@ -1,9 +1,6 @@
 package attack
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -13,7 +10,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/rng"
-	"repro/internal/snapshot"
 )
 
 // legacyAdaptiveNSided is a verbatim test-only copy of the seed-era
@@ -237,66 +233,6 @@ func TestNewStrategyRoster(t *testing.T) {
 	}
 }
 
-// TestStrategyStateRoundTrip drives every strategy mid-attack, saves
-// it, loads into a fresh instance, and checks the restored attacker
-// serializes to identical bytes (the snapshot-codec idempotence
-// contract) — and, for the adaptive attacker, that the committed
-// sidedness survives the trip.
-func TestStrategyStateRoundTrip(t *testing.T) {
-	for _, name := range StrategyNames() {
-		s, err := NewStrategy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl, _ := nsidedRig(2, 0.1, 300)
-		tgt := Target{Ctrl: ctrl, Pattern: 0xaaaaaaaaaaaaaaaa}
-		if a, ok := s.(*AdaptiveStrategy); ok {
-			a.Probe(tgt)
-		}
-		s.HammerRound(tgt, 60, 200)
-		var w snapshot.Writer
-		s.SaveState(&w)
-		fresh, err := NewStrategy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
-			t.Fatalf("%s: LoadState: %v", name, err)
-		}
-		var w2 snapshot.Writer
-		fresh.SaveState(&w2)
-		if !reflect.DeepEqual(w.Bytes(), w2.Bytes()) {
-			t.Fatalf("%s: save/load/save not idempotent (%d vs %d bytes)",
-				name, len(w.Bytes()), len(w2.Bytes()))
-		}
-		if a, ok := s.(*AdaptiveStrategy); ok {
-			restored := fresh.(*AdaptiveStrategy)
-			if restored.BestSides() != a.BestSides() || !reflect.DeepEqual(restored.Probes(), a.Probes()) {
-				t.Fatalf("adaptive restore lost the probe: %d/%+v vs %d/%+v",
-					a.BestSides(), a.Probes(), restored.BestSides(), restored.Probes())
-			}
-		}
-		if rs, ok := s.(*RefreshSyncStrategy); ok {
-			if rs.Bursts == 0 {
-				t.Fatal("refsync issued no bursts; round-trip test is vacuous")
-			}
-			if got := fresh.(*RefreshSyncStrategy).Bursts; got != rs.Bursts {
-				t.Fatalf("refsync burst count lost: %d vs %d", rs.Bursts, got)
-			}
-		}
-	}
-}
-
-// TestStrategyLoadRejectsWrongTag checks the codec framing: a
-// strategy must refuse a checkpoint written by a different strategy.
-func TestStrategyLoadRejectsWrongTag(t *testing.T) {
-	var w snapshot.Writer
-	(&DoubleSidedStrategy{}).SaveState(&w)
-	if err := (&RefreshSyncStrategy{Sides: 2}).LoadState(snapshot.NewReader(w.Bytes())); err == nil {
-		t.Fatal("refsync loaded a double-sided checkpoint")
-	}
-}
-
 // TestRefreshSyncAlignsToRefresh checks the timing attacker's core
 // behaviour: every burst begins exactly at a refresh boundary, and the
 // requested round budget is spent in full.
@@ -316,39 +252,5 @@ func TestRefreshSyncAlignsToRefresh(t *testing.T) {
 	// an aligned attacker forces at least bursts-1 refreshes.
 	if refs := ctrl.Stats.AutoRefreshes - before.AutoRefreshes; refs < s.Bursts-1 {
 		t.Fatalf("refreshes %d < bursts-1 %d: bursts not REF-aligned", refs, s.Bursts-1)
-	}
-}
-
-// TestAdaptiveLoadRejectsHostileCount checks that a checkpoint whose
-// probe count claims more records than the bytes left can hold is
-// refused with ErrCorrupt before anything is allocated, and that the
-// target strategy is left as it was.
-func TestAdaptiveLoadRejectsHostileCount(t *testing.T) {
-	s := &AdaptiveStrategy{Sweep: []int{2, 4}, Decoys: 1, Budget: 2000}
-	ctrl, _ := nsidedRig(2, 0.1, 300)
-	s.Probe(Target{Ctrl: ctrl, Pattern: 0xaaaaaaaaaaaaaaaa})
-	var w snapshot.Writer
-	s.SaveState(&w)
-	good := w.Bytes()
-	// The count precedes the (sides, flips, activations) records at
-	// the tail.
-	at := len(good) - 24*len(s.probes) - 8
-	if len(s.probes) == 0 || binary.BigEndian.Uint64(good[at:]) != uint64(len(s.probes)) {
-		t.Fatalf("probe count not found at offset %d (%d probes)", at, len(s.probes))
-	}
-	target := &AdaptiveStrategy{Sweep: []int{8}, Decoys: 3, Budget: 99}
-	var before snapshot.Writer
-	target.SaveState(&before)
-	for _, n := range []uint64{1 << 60, ^uint64(0), uint64(len(s.probes)) + 1} {
-		bad := append([]byte(nil), good...)
-		binary.BigEndian.PutUint64(bad[at:], n)
-		if err := target.LoadState(snapshot.NewReader(bad)); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("count %d: want ErrCorrupt, got %v", n, err)
-		}
-		var after snapshot.Writer
-		target.SaveState(&after)
-		if !bytes.Equal(before.Bytes(), after.Bytes()) {
-			t.Fatalf("count %d: failed load mutated the strategy", n)
-		}
 	}
 }

@@ -3,8 +3,9 @@ package attack
 // The attacker-vs-mitigation tournament's per-cell machinery. One
 // tournament cell is one Strategy turned loose on one restored memory
 // system (same templated snapshot for every strategy in the group —
-// the experiments clone controller+mitigation state via SaveState/
-// LoadState instead of paying the templating pass once per cell) and
+// the experiments restore the memory system's controller, mitigation
+// and device state instead of paying the templating pass once per
+// cell) and
 // measures time-to-first-exploitable-flip in simulated time. The
 // round-robin over mitigations, mapping policies and strategies lives
 // in the experiment layer (E81-E84); this file owns what happens

@@ -191,20 +191,6 @@ func PARAExpectedYearsToFailure(p, threshold, actRate float64) float64 {
 // today"): on the order of a century.
 const HardDiskMTTFYears = 114 // 1e6 hours
 
-// RefreshEliminationMultiplier returns the refresh-rate multiplier
-// needed so the maximum per-window hammer count falls below the
-// threshold: the paper's 7x claim computed from first principles.
-func RefreshEliminationMultiplier(maxHammerPerWindow, minThreshold float64) float64 {
-	if minThreshold <= 0 || math.IsInf(minThreshold, 1) {
-		return 1
-	}
-	m := maxHammerPerWindow / minThreshold
-	if m < 1 {
-		return 1
-	}
-	return m
-}
-
 // RefreshBurden quantifies the cost of refreshing a device of the
 // given row count per bank: the fraction of time a bank is unavailable
 // (tRFC per tREFI) and the refresh energy per second.

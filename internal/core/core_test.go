@@ -93,21 +93,6 @@ func TestPARAInfiniteWhenImpossible(t *testing.T) {
 	}
 }
 
-func TestRefreshEliminationMultiplier(t *testing.T) {
-	test := modules.DefaultStandardTest()
-	eff := test.PairsPerWindow * 1.65
-	m := RefreshEliminationMultiplier(eff, 139e3)
-	if m < 5 || m > 10 {
-		t.Fatalf("elimination multiplier = %v, want ~7", m)
-	}
-	if RefreshEliminationMultiplier(1e6, math.Inf(1)) != 1 {
-		t.Fatal("invulnerable threshold needs multiplier 1")
-	}
-	if RefreshEliminationMultiplier(100, 1000) != 1 {
-		t.Fatal("sub-threshold hammering needs multiplier 1")
-	}
-}
-
 func TestRefreshBurdenGrowsWithDensity(t *testing.T) {
 	tm := dram.DefaultTiming()
 	en := dram.DefaultEnergy()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dram"
@@ -68,10 +67,10 @@ func scrubCounters(s *System) (scanned, repairs int64) {
 
 // TestECCCheckpointResumeBitIdentical extends the end-to-end
 // checkpoint guarantee to the ECC threat model: a SECDED+scrub
-// campaign interrupted halfway, written with WriteCheckpoint, restored
-// into a freshly built system and run to completion matches the
-// uninterrupted run bit for bit — cells, ECC triage counters and the
-// patrol scrubber's cursor-dependent repair trajectory.
+// campaign interrupted halfway, saved with SaveState, restored with
+// LoadState into a freshly built system and run to completion matches
+// the uninterrupted run bit for bit — cells, ECC triage counters and
+// the patrol scrubber's cursor-dependent repair trajectory.
 func TestECCCheckpointResumeBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 5} {
 		ref := buildECCSystem(seed)
@@ -90,16 +89,13 @@ func TestECCCheckpointResumeBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: scrubber repaired nothing; test is vacuous", seed)
 		}
 
-		path := filepath.Join(t.TempDir(), "sys.ckpt")
 		a := buildECCSystem(seed)
 		eccCampaign(a, 0)
-		if err := a.WriteCheckpoint(path); err != nil {
-			t.Fatalf("seed %d: WriteCheckpoint: %v", seed, err)
-		}
+		saved := saveState(a)
 
 		b := buildECCSystem(seed)
-		if err := b.LoadCheckpoint(path); err != nil {
-			t.Fatalf("seed %d: LoadCheckpoint: %v", seed, err)
+		if err := loadState(b, saved); err != nil {
+			t.Fatalf("seed %d: LoadState: %v", seed, err)
 		}
 		eccCampaign(b, 1)
 

@@ -1,15 +1,6 @@
 package core
 
-import (
-	"repro/internal/snapshot"
-)
-
-// systemSnapshotKind names System checkpoints in the snapshot
-// container; systemSnapshotVersion gates their payload format.
-const (
-	systemSnapshotKind    = "repro/system"
-	systemSnapshotVersion = 1
-)
+import "repro/internal/snapshot"
 
 // SaveState serializes the system's full mutable state into a snapshot
 // payload: module identity and topology (for restore validation), the
@@ -72,25 +63,4 @@ func (s *System) LoadState(r *snapshot.Reader) error {
 		}
 	}
 	return nil
-}
-
-// WriteCheckpoint atomically writes the system's state to path in the
-// snapshot container format (versioned, SHA-256 integrity footer).
-func (s *System) WriteCheckpoint(path string) error {
-	return snapshot.WriteFile(path, systemSnapshotKind, systemSnapshotVersion, func(w *snapshot.Writer) error {
-		s.SaveState(w)
-		return nil
-	})
-}
-
-// LoadCheckpoint verifies and loads a checkpoint written by
-// WriteCheckpoint. A truncated or bit-flipped file is refused with
-// snapshot.ErrCorrupt before any state is touched; a checkpoint from a
-// different module, seed or topology is refused with
-// snapshot.ErrMismatch.
-func (s *System) LoadCheckpoint(path string) error {
-	return snapshot.ReadFile(path, systemSnapshotKind, systemSnapshotVersion,
-		func(r *snapshot.Reader, version uint32) error {
-			return s.LoadState(r)
-		})
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dram"
@@ -73,10 +71,30 @@ func systemFingerprint(s *System) (flips int64, cells uint64) {
 	return flips, cells
 }
 
+// saveState returns the system's SaveState payload.
+func saveState(s *System) []byte {
+	var w snapshot.Writer
+	s.SaveState(&w)
+	return w.Bytes()
+}
+
+// loadState restores a SaveState payload into s and requires the
+// decoder to consume it exactly.
+func loadState(s *System, b []byte) error {
+	r := snapshot.NewReader(b)
+	if err := s.LoadState(r); err != nil {
+		return err
+	}
+	if n := r.Remaining(); n != 0 {
+		return snapshot.Corruptf("%d trailing payload bytes", n)
+	}
+	return nil
+}
+
 // TestCheckpointResumeBitIdentical pins the end-to-end guarantee: a
-// multi-channel mitigated hammer campaign checkpointed to disk halfway
-// through, restored into a freshly built system, and run to completion
-// is bit-identical to the uninterrupted run — at seeds 1 and 5, with
+// multi-channel mitigated hammer campaign saved halfway through,
+// restored into a freshly built system, and run to completion is
+// bit-identical to the uninterrupted run — at seeds 1 and 5, with
 // PARA consuming random draws across the checkpoint boundary.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 5} {
@@ -91,20 +109,17 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: no flips in reference run; test is vacuous", seed)
 		}
 
-		// First process: run half, checkpoint, "crash".
-		path := filepath.Join(t.TempDir(), "sys.ckpt")
+		// First run: half the campaign, then save.
 		a := buildSystem(seed)
 		a.AttachPARAEachChannel(0.0005, rng.New(seed))
 		hammerCampaign(a, 0)
-		if err := a.WriteCheckpoint(path); err != nil {
-			t.Fatalf("seed %d: WriteCheckpoint: %v", seed, err)
-		}
+		saved := saveState(a)
 
-		// Second process: rebuild from spec, load, finish.
+		// Second run: rebuild from spec, load, finish.
 		b := buildSystem(seed)
 		b.AttachPARAEachChannel(0.0005, rng.New(seed))
-		if err := b.LoadCheckpoint(path); err != nil {
-			t.Fatalf("seed %d: LoadCheckpoint: %v", seed, err)
+		if err := loadState(b, saved); err != nil {
+			t.Fatalf("seed %d: LoadState: %v", seed, err)
 		}
 		hammerCampaign(b, 1)
 
@@ -119,77 +134,24 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptionRefused pins the no-partial-load guarantee:
-// a bit-flipped or truncated checkpoint is refused with a typed error
-// and the target system is left exactly as built.
-func TestCheckpointCorruptionRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sys.ckpt")
-	a := buildSystem(1)
-	a.AttachPARAEachChannel(0.001, rng.New(1))
-	hammerCampaign(a, 0)
-	if err := a.WriteCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := func() (*System, int64, uint64) {
-		s := buildSystem(1)
-		s.AttachPARAEachChannel(0.001, rng.New(1))
-		f, c := systemFingerprint(s)
-		return s, f, c
-	}
-
-	// Bit flip deep in the payload (device cell region).
-	mut := append([]byte(nil), data...)
-	mut[len(mut)/2] ^= 0x04
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, f0, c0 := fresh()
-	if err := s.LoadCheckpoint(path); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("bit-flipped checkpoint: want ErrCorrupt, got %v", err)
-	}
-	if f, c := systemFingerprint(s); f != f0 || c != c0 {
-		t.Fatal("refused load mutated the system (partial load)")
-	}
-
-	// Truncation.
-	if err := os.WriteFile(path, data[:len(data)*2/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, f0, c0 = fresh()
-	if err := s.LoadCheckpoint(path); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("truncated checkpoint: want ErrCorrupt, got %v", err)
-	}
-	if f, c := systemFingerprint(s); f != f0 || c != c0 {
-		t.Fatal("refused load mutated the system (partial load)")
-	}
-}
-
 // TestCheckpointWrongSystemRefused pins the configuration-mismatch
 // guard: a checkpoint loads only into a system built from the same
 // module, seed and topology.
 func TestCheckpointWrongSystemRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sys.ckpt")
 	a := buildSystem(1)
 	a.AttachPARAEachChannel(0.001, rng.New(1))
-	if err := a.WriteCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
+	saved := saveState(a)
 	// Different module seed → different population physics.
 	b := buildSystem(2)
 	b.AttachPARAEachChannel(0.001, rng.New(2))
-	if err := b.LoadCheckpoint(path); !errors.Is(err, snapshot.ErrMismatch) {
+	if err := loadState(b, saved); !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("wrong module: want ErrMismatch, got %v", err)
 	}
 	// Different topology.
 	c := Build(testModule(1), Options{
 		Topology: dram.Topology{Channels: 1, Ranks: 1, Geom: dram.Geometry{Banks: 1, Rows: 512, Cols: 8}},
 	})
-	if err := c.LoadCheckpoint(path); !errors.Is(err, snapshot.ErrMismatch) {
+	if err := loadState(c, saved); !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("wrong topology: want ErrMismatch, got %v", err)
 	}
 }

@@ -91,6 +91,16 @@ func loadRunCheckpoint(path string, seed uint64) (map[string]RunResult, error) {
 				return snapshot.Mismatchf("checkpoint is for seed %d, runner uses seed %d", ck.Seed, seed)
 			}
 			for _, sr := range ck.Results {
+				// A row wider than its columns is one Table.AddRow
+				// refuses to build and Table.String cannot render.
+				if sr.Table != nil {
+					for i, row := range sr.Table.Rows {
+						if len(row) > len(sr.Table.Columns) {
+							return snapshot.Corruptf("checkpointed %s: table row %d has %d cells for %d columns",
+								sr.ID, i, len(row), len(sr.Table.Columns))
+						}
+					}
+				}
 				res := RunResult{
 					ID: sr.ID, Num: sr.Num, Title: sr.Title, Anchor: sr.Anchor,
 					Wall: time.Duration(sr.WallNS), Allocs: sr.Allocs, AllocBytes: sr.AllocBytes,

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -223,4 +224,85 @@ func TestRunCheckpointedCtxWithoutPathMatchesRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunCheckpointWideRowRefused pins that a footer-valid checkpoint
+// holding a table with a row wider than its columns, which
+// Table.AddRow refuses to build and Table.String cannot render, is
+// refused with ErrCorrupt and nothing runs.
+func TestRunCheckpointWideRowRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	wide := &stats.Table{Title: "wide", Columns: []string{"a"}, Rows: [][]string{{"x", "y"}}}
+	if err := saveRunCheckpoint(path, 1, map[string]RunResult{"E1": {ID: "E1", Num: 1, Table: wide}}); err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	_, err := (&Runner{Workers: 1, Seed: 1, CheckpointPath: path}).RunCheckpointedCtx(context.Background(), syntheticExps(&runs), nil)
+	if !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt, got %v", err)
+	}
+	if runs.Load() != 0 {
+		t.Fatal("experiments executed despite a corrupt checkpoint")
+	}
+}
+
+// FuzzLoadRunCheckpoint feeds loadRunCheckpoint a checkpoint of a
+// finished synthetic run that the fuzzer overwrites with patch from
+// byte at on and cuts to keep bytes. Each mutated payload is sealed in
+// a container with a fresh footer, so the decoder, not the integrity
+// check, sees the hostile bytes. A load either fails with ErrCorrupt
+// or ErrMismatch, or returns results whose tables render and
+// summarize; it never panics.
+func FuzzLoadRunCheckpoint(f *testing.F) {
+	var runs atomic.Int64
+	src := filepath.Join(f.TempDir(), "run.ckpt")
+	if _, err := (&Runner{Workers: 1, Seed: 1, CheckpointPath: src}).RunCheckpointedCtx(context.Background(), syntheticExps(&runs), nil); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	r, _, err := snapshot.Decode(data, runSnapshotKind, runSnapshotVersion)
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := r.Raw(r.Remaining())
+	cols := bytes.Index(good, []byte(`,"value"`))
+	seed := bytes.Index(good, []byte(`"seed":1`))
+	if cols < 0 || seed < 0 {
+		f.Fatal("the seed checkpoint lacks the fields the corpus patches")
+	}
+	f.Add(uint16(0), []byte(nil), uint16(len(good)))
+	f.Add(uint16(0), []byte(nil), uint16(len(good)-3))
+	f.Add(uint16(cols), []byte("        "), uint16(len(good))) // one column, two-cell rows
+	f.Add(uint16(seed+7), []byte("2"), uint16(len(good)))      // another seed
+	f.Add(uint16(0), []byte{0xff}, uint16(len(good)))          // the tag length
+	f.Fuzz(func(t *testing.T, at uint16, patch []byte, keep uint16) {
+		payload := bytes.Clone(good)
+		copy(payload[int(at)%len(payload):], patch)
+		payload = payload[:min(int(keep), len(payload))]
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := snapshot.WriteFile(path, runSnapshotKind, runSnapshotVersion, func(w *snapshot.Writer) error {
+			w.Raw(payload)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		done, err := loadRunCheckpoint(path, 1)
+		if err != nil {
+			if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrMismatch) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			return
+		}
+		results := make([]RunResult, 0, len(done))
+		for _, res := range done {
+			if res.Table != nil {
+				_ = res.Table.String()
+			}
+			results = append(results, res)
+		}
+		NewSummary(results, 1, 1, 0)
+	})
 }

@@ -1,6 +1,6 @@
 package ftl
 
-// SSD-scale sharded sweeps: the FTL lifetime searches promoted from
+// SSD-scale sharded sweeps: the FTL endurance searches promoted from
 // one probe block to whole flash.Topology fleets. Every die draws its
 // own substream of the fleet seed and writes only its own result
 // slot, so — exactly like fieldstudy.RunSharded and the DRAM
@@ -11,32 +11,6 @@ import (
 	"repro/internal/flash"
 	"repro/internal/rng"
 )
-
-// DieLifetime is one die's lifetime outcomes under the three refresh
-// policies.
-type DieLifetime struct {
-	Die      int
-	Baseline LifetimeResult
-	FCR      LifetimeResult
-	Adaptive LifetimeResult
-}
-
-// LifetimeSweep runs the baseline / fixed-period FCR / adaptive FCR
-// lifetime comparison on every die of the topology, sharded over up
-// to workers goroutines. Results are indexed by die and each die
-// consumes only its own substream, so the sweep is a pure function of
-// (cfg, topo, periodDays, seed) regardless of worker count.
-func LifetimeSweep(p flash.Params, e ECC, cfg LifetimeConfig, topo flash.Topology, periodDays float64, seed uint64, workers int) []DieLifetime {
-	out := make([]DieLifetime, topo.Dies)
-	topo.ShardDies(seed, workers, func(die int, src *rng.Stream) {
-		r := DieLifetime{Die: die}
-		r.Baseline = BaselineLifetime(p, e, cfg, src)
-		r.FCR = FCRLifetime(p, e, cfg, periodDays, src)
-		r.Adaptive = AdaptiveFCRLifetime(p, e, cfg, src)
-		out[die] = r
-	})
-	return out
-}
 
 // FrontierSpec selects one point of the RBER/lifetime frontier: an
 // ECC strength, an FCR refresh period, and a read-disturb stress

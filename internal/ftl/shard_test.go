@@ -13,25 +13,6 @@ func smallProbe() LifetimeConfig {
 	return LifetimeConfig{PEPerDay: 5, RetentionSpecDays: 90, ProbeWLs: 1, ProbeCells: 1024}
 }
 
-func TestLifetimeSweepShardInvariant(t *testing.T) {
-	p := flash.DefaultParams()
-	e := DefaultECC()
-	cfg := smallProbe()
-	topo := flash.Topology{Dies: 5, Planes: 2, BlocksPerPlane: 4}
-	serial := LifetimeSweep(p, e, cfg, topo, 30, 42, 1)
-	for _, workers := range []int{2, 3, 8} {
-		sharded := LifetimeSweep(p, e, cfg, topo, 30, 42, workers)
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("sweep diverges at workers=%d", workers)
-		}
-	}
-	for i, r := range serial {
-		if r.Die != i {
-			t.Fatalf("result %d carries die %d", i, r.Die)
-		}
-	}
-}
-
 func TestEnduranceFrontierShardInvariant(t *testing.T) {
 	p := flash.DefaultParams()
 	cfg := smallProbe()

@@ -103,11 +103,3 @@ func (p *Plan) SavedFraction() float64 {
 	planned, baseline := p.RefreshOpsPerWindow()
 	return 1 - planned/baseline
 }
-
-// HammerExposureMultiplier returns, for a physical row, how much
-// longer its refresh period is than nominal — which is exactly the
-// factor by which an attacker's per-epoch activation budget against
-// victims in that row grows.
-func (p *Plan) HammerExposureMultiplier(physRow int) int {
-	return p.Bins[p.BinOf[physRow]].Multiple
-}

@@ -60,13 +60,3 @@ func TestPlanSavings(t *testing.T) {
 		t.Fatalf("saved = %v", s)
 	}
 }
-
-func TestExposureMultiplier(t *testing.T) {
-	p := NewPlan(10, map[int]bool{0: true}, 4)
-	if p.HammerExposureMultiplier(0) != 1 {
-		t.Fatal("weak row exposure should be nominal")
-	}
-	if p.HammerExposureMultiplier(5) != 4 {
-		t.Fatal("strong row exposure should equal the slow multiple")
-	}
-}

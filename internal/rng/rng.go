@@ -85,9 +85,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Stream) Int63() int64 { return int64(s.Uint64() >> 1) }
-
 // Uint64n returns a uniform integer in [0, n) using Lemire's
 // multiply-shift rejection method. It panics if n == 0.
 func (s *Stream) Uint64n(n uint64) uint64 {
@@ -389,12 +386,4 @@ func (s *Stream) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }

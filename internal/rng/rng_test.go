@@ -355,23 +355,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(37)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	s.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

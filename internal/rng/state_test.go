@@ -16,7 +16,6 @@ var drainers = []struct {
 }{
 	{"Uint64", func(s *Stream) uint64 { return s.Uint64() }},
 	{"Intn", func(s *Stream) uint64 { return uint64(s.Intn(1000003)) }},
-	{"Int63", func(s *Stream) uint64 { return uint64(s.Int63()) }},
 	{"Uint64n", func(s *Stream) uint64 { return s.Uint64n(0xfffffffb) }},
 	{"Uint64nPow2", func(s *Stream) uint64 { return s.Uint64n(1 << 20) }},
 	{"Float64", func(s *Stream) uint64 { return uint64(s.Float64() * (1 << 53)) }},
@@ -38,15 +37,6 @@ var drainers = []struct {
 		p := s.Perm(17)
 		var h uint64
 		for _, v := range p {
-			h = h*31 + uint64(v)
-		}
-		return h
-	}},
-	{"Shuffle", func(s *Stream) uint64 {
-		a := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		s.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-		var h uint64
-		for _, v := range a {
 			h = h*31 + uint64(v)
 		}
 		return h

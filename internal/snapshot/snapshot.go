@@ -7,7 +7,7 @@
 //	offset  size  field
 //	0       8     magic "RHSNAP\x01\n"
 //	8       2     kind length K (big-endian uint16)
-//	10      K     kind string (e.g. "repro/system")
+//	10      K     kind string (e.g. "repro/expruns")
 //	10+K    4     payload format version (big-endian uint32)
 //	14+K    8     payload length P (big-endian uint64)
 //	22+K    P     payload (component-framed binary state)
@@ -23,10 +23,10 @@
 // checkpoint or none — never a torn one.
 //
 // Compatibility policy: the kind string namespaces checkpoint types
-// (a system checkpoint is never confused with a fleet-campaign
-// checkpoint), and the version gates decoding — readers accept only
-// versions they know, refusing newer ones with ErrVersion rather than
-// misinterpreting the payload. Payload components additionally frame
+// (an experiment-run checkpoint is never confused with a
+// fleet-campaign checkpoint), and the version gates decoding — readers
+// accept only versions they know, refusing newer ones with ErrVersion
+// rather than misinterpreting the payload. Payload components additionally frame
 // themselves with short tags (Writer.Tag/Reader.Tag), so a decoder
 // that drifts out of sync fails loudly at the next tag instead of
 // silently reading garbage.
@@ -96,13 +96,6 @@ func (w *Writer) Bytes() []byte { return w.buf.Bytes() }
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) { w.buf.WriteByte(v) }
 
-// U32 writes a fixed-width uint32.
-func (w *Writer) U32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
-}
-
 // U64 writes a fixed-width uint64.
 func (w *Writer) U64(v uint64) {
 	var b [8]byte
@@ -140,14 +133,6 @@ func (w *Writer) Raw(b []byte) { w.buf.Write(b) }
 
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) { w.Bytes8([]byte(s)) }
-
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(v []uint64) {
-	w.U64(uint64(len(v)))
-	for _, x := range v {
-		w.U64(x)
-	}
-}
 
 // I64s writes a length-prefixed []int64.
 func (w *Writer) I64s(v []int64) {
@@ -225,15 +210,6 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// U32 reads a uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
 }
 
 // U64 reads a uint64. It is small enough to inline at every call site:

@@ -1,108 +1,14 @@
-// Package stats provides the small statistics and result-formatting
-// toolkit shared by the simulator's experiments: running summaries,
-// percentiles, and printable tables used to regenerate the paper's
-// figures as text series.
+// Package stats provides the result tables shared by the simulator's
+// experiments: printable tables of pre-formatted cells, used to
+// regenerate the paper's figures as text series, and the compact
+// number formatting their cells use.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Summary accumulates running moments and extrema of a series of
-// float64 observations. The zero value is ready to use.
-type Summary struct {
-	n          int64
-	sum, sumSq float64
-	min, max   float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	s.n++
-	s.sum += v
-	s.sumSq += v * v
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Sum returns the sum of observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Variance returns the population variance, or 0 for fewer than two
-// observations. Negative rounding artifacts are clamped to zero.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
-
-// String formats the summary compactly for logs.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
-
-// Percentile returns the p-th percentile (0..100) of the given sample
-// using linear interpolation between closest ranks. The input slice is
-// not modified. It panics on an empty sample.
-func Percentile(sample []float64, p float64) float64 {
-	if len(sample) == 0 {
-		panic("stats: Percentile of empty sample")
-	}
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
 
 // Table is a printable experiment result: a header row plus data rows.
 // Cells are pre-formatted strings so that experiments control their own
@@ -222,43 +128,4 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-// GeoMean returns the geometric mean of positive values; zero or
-// negative inputs panic since they indicate an experiment bug.
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		panic("stats: GeoMean of empty slice")
-	}
-	sum := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals)))
-}
-
-// LinearFit returns the least-squares slope and intercept of y on x.
-// It panics if the lengths differ or fewer than two points are given.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		panic("stats: LinearFit needs two equal-length series")
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, sy / n
-	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
-	return slope, intercept
 }
