@@ -116,7 +116,7 @@ func run() (total int, err error) {
 		m.Vuln.ThresholdMedian /= 50
 	}
 	g := dram.Geometry{Banks: 1, Rows: 512, Cols: 8}
-	s := core.Build(&m, core.Options{Geom: g, ECC: eccCfg})
+	s := core.Build(&m, core.Options{Topology: dram.SingleChannel(g), ECC: eccCfg})
 	ctrl := s.Mem.Controller(0)
 	if *scrub > 0 {
 		ctrl.Attach(memctrl.NewScrubber(*scrub))

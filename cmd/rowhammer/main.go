@@ -150,11 +150,7 @@ func run() (err error) {
 	if _, err := memctrl.PolicyByName(*mapping, topo); err != nil {
 		return fmt.Errorf("-mapping %q: %w", *mapping, err)
 	}
-	cfg := core.Options{Topology: topo, Mapping: *mapping, ECC: eccCfg}
-	if *mitigation == "refresh7" {
-		cfg.RefreshMultiplier = 7
-	}
-	s := core.Build(&m, cfg)
+	s := core.Build(&m, core.Options{Topology: topo, Mapping: *mapping, ECC: eccCfg})
 	g := topo.Geom
 	threshold := int64(s.Disturbs[0][0].MinThreshold())
 	attachEach := func(build func(ch int) memctrl.Mitigation) {
@@ -163,9 +159,13 @@ func run() (err error) {
 		}
 	}
 	switch *mitigation {
-	case "none", "refresh7":
-	case "refresh2":
-		attachEach(func(int) memctrl.Mitigation { return memctrl.NewRefreshScaling(2) })
+	case "none":
+	case "refresh2", "refresh7":
+		factor := 2.0
+		if *mitigation == "refresh7" {
+			factor = 7
+		}
+		attachEach(func(int) memctrl.Mitigation { return memctrl.NewRefreshScaling(factor) })
 	case "para":
 		s.AttachPARAEachChannel(0.01, rng.New(*seed^2))
 	case "cra":

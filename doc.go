@@ -33,18 +33,21 @@
 //     XOR bank hash), the per-channel multi-rank Controller with the
 //     pluggable mitigation registry — first generation (PARA, CRA,
 //     TRR, ANVIL) and the second-generation frontier (Graphene top-k
-//     tracking, TWiCe pruned counters, attachable RefreshScaling) —
+//     tracking, TWiCe pruned counters, attachable RefreshScaling, the
+//     one refresh-rate knob) —
 //     the controller-integrated RAIDR multi-rate refresh policy
 //     (MultiRateRefresh driving raidr.Plan bins through the refresh
 //     engine), the one hammer kernel (Controller.HammerRowsRanked,
 //     closed-form chunks up to the mitigations' activation horizons),
 //     and the multi-channel MemorySystem with channel-sharded
-//     execution; a single device is its 1-channel 1-rank case.
+//     execution, built by memctrl.Assemble (the one topology builder);
+//     a single device is its 1-channel 1-rank case.
 //   - internal/ecc, internal/spd: SECDED(72,64), the on-die and
 //     chipkill capability models (every code's verdict on an error
 //     pattern lives here), and the adjacency ROM
-//   - internal/modules: the 129-module population behind Figure 1,
-//     with per-device RNG substreams for multi-device topologies
+//   - internal/modules: the 129-module population behind Figure 1;
+//     Module.Attach installs a module's physics on each device of a
+//     topology from its own RNG substream (rng.Sub)
 //   - internal/attack: hammer kernels (including the TRRespass-style
 //     adaptive N-sided family with decoy rows), mapping-aware
 //     adjacency probing, topology-wide templating, cross-bank parallel

@@ -75,12 +75,12 @@ func main() {
 		"defence", "attack", "flips", "storage bits", "mit.refresh", "REF commands")
 	for _, d := range defences {
 		for _, a := range attacks {
-			s := core.Build(&m, core.Options{Geom: g})
+			s := core.Build(&m, core.Options{Topology: dram.SingleChannel(g)})
 			if d.attach != nil {
 				d.attach(s)
 			}
 			for r := 0; r < g.Rows; r++ {
-				s.Devices[0][0].FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
+				s.Mem.Device(0, 0).FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
 			}
 			c := s.Mem.Controller(0)
 			a.run(c)

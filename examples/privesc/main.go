@@ -37,7 +37,7 @@ func build(withPARA bool) *core.System {
 	m.Vuln.MinThreshold /= 100
 	m.Vuln.ThresholdMedian /= 100
 	m.Vuln.WeakCellFraction *= 30
-	s := core.Build(&m, core.Options{Geom: dram.Geometry{Banks: 1, Rows: 256, Cols: 8}})
+	s := core.Build(&m, core.Options{Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 256, Cols: 8})})
 	if withPARA {
 		s.AttachPARA(0.02, memctrl.InDRAM, rng.New(7))
 	}

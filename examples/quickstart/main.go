@@ -29,7 +29,7 @@ func main() {
 	m.Vuln.ThresholdMedian /= 50
 
 	run := func(withPARA bool) int64 {
-		s := core.Build(&m, core.Options{Geom: dram.Geometry{Banks: 1, Rows: 512, Cols: 8}})
+		s := core.Build(&m, core.Options{Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 512, Cols: 8})})
 		if withPARA {
 			s.AttachPARA(0.01, memctrl.InDRAM, rng.New(42))
 		}

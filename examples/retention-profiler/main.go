@@ -73,24 +73,15 @@ func main() {
 
 	// --- The same campaign at topology scale ---
 	topo := dram.Topology{Channels: 4, Ranks: 2, Geom: g}
-	policy, err := memctrl.PolicyByName("row", topo)
+	total := 0
+	ms, err := memctrl.Assemble(topo, "row", memctrl.Config{DisableRefresh: true}, func(ch, rk int, d *dram.Device) {
+		m := retention.NewModel(g, p, rng.Sub(3, uint64(ch*topo.Ranks+rk)))
+		d.AttachFault(m)
+		total += m.WeakCellCount()
+	})
 	if err != nil {
 		panic(err)
 	}
-	var devs [][]*dram.Device
-	total := 0
-	for ch := 0; ch < topo.Channels; ch++ {
-		var ranks []*dram.Device
-		for rk := 0; rk < topo.Ranks; rk++ {
-			d := dram.NewDevice(g)
-			m := retention.NewModel(g, p, rng.New(3+0x9e3779b97f4a7c15*uint64(ch*topo.Ranks+rk)))
-			d.AttachFault(m)
-			total += m.WeakCellCount()
-			ranks = append(ranks, d)
-		}
-		devs = append(devs, ranks)
-	}
-	ms := memctrl.NewSystem(devs, policy, memctrl.Config{DisableRefresh: true})
 	workers := runtime.GOMAXPROCS(0)
 	fmt.Printf("\n== the same campaign across a %s topology (%d weak cells, %d workers) ==\n",
 		topo, total, workers)

@@ -61,8 +61,9 @@ func main() {
 	// 3. Cross-bank hammering with channel-sharded simulation.
 	fmt.Println("\n== cross-bank hammer, channels sharded across workers ==")
 	s := core.Build(&m, core.Options{Topology: topo})
-	for _, devs := range s.Devices {
-		for _, dev := range devs {
+	for ch := 0; ch < topo.Channels; ch++ {
+		for rk := 0; rk < topo.Ranks; rk++ {
+			dev := s.Mem.Device(ch, rk)
 			for b := 0; b < g.Banks; b++ {
 				for r := 0; r < g.Rows; r++ {
 					pat := uint64(0xaaaaaaaaaaaaaaaa)

@@ -42,8 +42,8 @@ func TestIntegrationRetentionSafeUnderAutoRefresh(t *testing.T) {
 	// paper's screening-escape phenomenon (E11), not a refresh bug —
 	// so the assertion covers the non-DPD population.
 	m := pick2013(t, 1)
-	s := core.Build(&m, core.Options{Geom: dram.Geometry{Banks: 1, Rows: 512, Cols: 8}})
-	dev, rm := s.Devices[0][0], s.Retentions[0][0]
+	s := core.Build(&m, core.Options{Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 512, Cols: 8})})
+	dev, rm := s.Mem.Device(0, 0), s.Retentions[0][0]
 	for _, c := range rm.Cells() {
 		dev.SetPhysBit(c.Bank, c.PhysRow, c.Bit, c.ChargedVal)
 	}
@@ -61,10 +61,10 @@ func TestIntegrationRetentionSafeUnderAutoRefresh(t *testing.T) {
 func TestIntegrationRetentionFailsWithoutRefresh(t *testing.T) {
 	m := pick2013(t, 1)
 	s := core.Build(&m, core.Options{
-		Geom:           dram.Geometry{Banks: 1, Rows: 512, Cols: 8},
+		Topology:       dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 512, Cols: 8}),
 		DisableRefresh: true,
 	})
-	dev, ctrl, rm := s.Devices[0][0], s.Mem.Controller(0), s.Retentions[0][0]
+	dev, ctrl, rm := s.Mem.Device(0, 0), s.Mem.Controller(0), s.Retentions[0][0]
 	cells := rm.Cells()
 	if len(cells) == 0 {
 		t.Skip("no weak retention cells in this instantiation")
@@ -167,7 +167,7 @@ func TestIntegrationWorkloadsLeaveDataIntactOnCleanModule(t *testing.T) {
 			break
 		}
 	}
-	s := core.Build(&clean, core.Options{Geom: dram.Geometry{Banks: 2, Rows: 128, Cols: 8}})
+	s := core.Build(&clean, core.Options{Topology: dram.SingleChannel(dram.Geometry{Banks: 2, Rows: 128, Cols: 8})})
 	src := rng.New(11)
 	shadow := map[uint64]uint64{}
 	gen := workload.NewFlatRandom(s.Mem.Policy(), 0.5, src)
@@ -188,7 +188,7 @@ func TestIntegrationWorkloadsLeaveDataIntactOnCleanModule(t *testing.T) {
 func TestIntegrationCrossVMThenMitigated(t *testing.T) {
 	m := pick2013(t, 50)
 	run := func(para bool) int {
-		s := core.Build(&m, core.Options{Geom: dram.Geometry{Banks: 1, Rows: 256, Cols: 8}})
+		s := core.Build(&m, core.Options{Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 256, Cols: 8})})
 		if para {
 			s.AttachPARA(0.02, memctrl.InDRAM, rng.New(13))
 		}

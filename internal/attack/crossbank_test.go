@@ -109,8 +109,9 @@ func TestCrossBankHammerMatchesSequential(t *testing.T) {
 	topo := dram.Topology{Channels: 2, Ranks: 2, Geom: dram.Geometry{Banks: 2, Rows: 64, Cols: 4}}
 	victims := EnumerateVictims(topo, 9, 16)
 	fill := func(s *core.System) {
-		for _, devs := range s.Devices {
-			for _, dev := range devs {
+		for ch := 0; ch < topo.Channels; ch++ {
+			for rk := 0; rk < topo.Ranks; rk++ {
+				dev := s.Mem.Device(ch, rk)
 				for b := 0; b < topo.Geom.Banks; b++ {
 					for r := 0; r < topo.Geom.Rows; r++ {
 						pat := uint64(0xaaaaaaaaaaaaaaaa)

@@ -5,8 +5,7 @@ package attack
 // system (same templated snapshot for every strategy in the group —
 // the experiments restore the memory system's controller, mitigation
 // and device state instead of paying the templating pass once per
-// cell) and
-// measures time-to-first-exploitable-flip in simulated time. The
+// cell) and measures time-to-first-exploitable-flip in simulated time. The
 // round-robin over mitigations, mapping policies and strategies lives
 // in the experiment layer (E81-E84); this file owns what happens
 // inside a cell so the CLI, examples and experiments run the same
@@ -21,8 +20,10 @@ import (
 // the distinct victim rows it found flips in, in deterministic
 // channel-major template order, capped at max (0 = no cap). This is
 // the shared reconnaissance step tournament groups snapshot after:
-// every strategy cell restarts from the same templated state and aims
-// at the same victims.
+// every strategy cell restores the same templated memory system
+// (controllers, mitigations, ECC shadows, device cells and clocks; the
+// fault models' disturbance pressure restarts at rest) and aims at the
+// same victims.
 func TemplateVictims(ms *memctrl.MemorySystem, pattern uint64, pairsPerRow, workers, max int) []memctrl.Loc {
 	templates := ScanSystem(ms, pattern, pairsPerRow, workers)
 	seen := make(map[memctrl.Loc]bool, len(templates))

@@ -38,8 +38,10 @@ type Spec struct {
 	// Workers is the engine fan-out. <= 0 means 1; the engine never
 	// starts more workers than it has shard units.
 	Workers int `json:"workers,omitempty"`
-	// CheckpointEvery is how many completed shard units between
-	// checkpoint rewrites. <= 0 means every unit.
+	// CheckpointEvery is how many completed fleet blocks between
+	// checkpoint rewrites of a fieldstudy campaign. <= 0 means every
+	// block. It paces only the fieldstudy engine: the experiments
+	// engine checkpoints after every completed experiment.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Checkpoint names the checkpoint file inside the service's state
 	// directory. Empty means one derived from the campaign ID (no

@@ -20,21 +20,13 @@ import (
 
 // Options configures how a module is instantiated as a system.
 type Options struct {
-	// Geom is the simulated device geometry (smaller than the real
-	// module; physics scale by cell count). Ignored when Topology is
-	// set.
-	Geom dram.Geometry
 	// Topology is the channel/rank shape of the system. Zero means a
-	// single channel with a single rank of Geom — the original
-	// one-device stack, bit for bit.
+	// single channel with a single rank of DefaultGeom.
 	Topology dram.Topology
 	// Mapping selects the address-mapping policy by name ("row",
 	// "channel", "xor"); empty means row-interleaved, the original
 	// layout.
 	Mapping string
-	// RefreshMultiplier scales the refresh rate (the paper's
-	// "immediate solution"). Zero means nominal.
-	RefreshMultiplier float64
 	// RemapFraction is the fraction of internally remapped rows.
 	RemapFraction float64
 	// DisableRefresh turns off auto refresh (retention experiments).
@@ -53,60 +45,44 @@ func DefaultGeom() dram.Geometry {
 // built from one module's physics, per-channel controllers behind a
 // mapping policy, and the ground-truth fault models. A single-device
 // system is the 1-channel 1-rank case: Mem.Controller(0),
-// Devices[0][0], Disturbs[0][0] and Retentions[0][0].
+// Mem.Device(0, 0), Disturbs[0][0] and Retentions[0][0].
 type System struct {
 	Module *modules.Module
 	Topo   dram.Topology
-	// Mem routes flat addresses through the active mapping policy.
+	// Mem routes flat addresses through the active mapping policy and
+	// owns the devices, so every device's cells, clocks and stats are
+	// serialized through it.
 	Mem *memctrl.MemorySystem
-	// Devices, Disturbs and Retentions are indexed [channel][rank].
-	// Devices aliases the controllers' rank sets, so every device's
-	// cells, clocks and stats are serialized through Mem.
-	Devices    [][]*dram.Device `snapshot:"derived"`
+	// Disturbs and Retentions are indexed [channel][rank].
 	Disturbs   [][]*disturb.Model
 	Retentions [][]*retention.Model
 }
 
-// Build instantiates a module as a simulated system. Each device of a
-// multi-device topology draws its physics from its own RNG substream
-// of the module seed (modules.Module.DeviceN), so channel 0 / rank 0
-// is bit-identical to the device the single-channel stack builds.
+// Build instantiates a module as a simulated system through
+// memctrl.Assemble. Each device draws its physics from its own RNG
+// substream of the module seed (modules.Module.Attach), so channel 0 /
+// rank 0 draws what a single-device system of the same geometry draws.
+// It panics on a bad topology or mapping name.
 func Build(m *modules.Module, opt Options) *System {
-	if opt.Topology.IsZero() {
-		g := opt.Geom
-		if g.Banks == 0 {
-			g = DefaultGeom()
+	t := opt.Topology
+	if t.IsZero() {
+		t = dram.SingleChannel(DefaultGeom())
+	}
+	s := &System{Module: m, Topo: t}
+	cfg := memctrl.Config{DisableRefresh: opt.DisableRefresh, ECC: opt.ECC}
+	mem, err := memctrl.Assemble(t, opt.Mapping, cfg, func(ch, rk int, dev *dram.Device) {
+		if rk == 0 {
+			s.Disturbs = append(s.Disturbs, nil)
+			s.Retentions = append(s.Retentions, nil)
 		}
-		opt.Topology = dram.SingleChannel(g)
-	}
-	if err := opt.Topology.Validate(); err != nil {
-		panic(err)
-	}
-	policy, err := memctrl.PolicyByName(opt.Mapping, opt.Topology)
+		dm, rm := m.Attach(dev, opt.RemapFraction, ch*t.Ranks+rk)
+		s.Disturbs[ch] = append(s.Disturbs[ch], dm)
+		s.Retentions[ch] = append(s.Retentions[ch], rm)
+	})
 	if err != nil {
 		panic(err)
 	}
-	t := opt.Topology
-	s := &System{Module: m, Topo: t}
-	for ch := 0; ch < t.Channels; ch++ {
-		var devs []*dram.Device
-		var dms []*disturb.Model
-		var rms []*retention.Model
-		for rk := 0; rk < t.Ranks; rk++ {
-			dev, dm, rm := m.DeviceN(t.Geom, opt.RemapFraction, ch*t.Ranks+rk)
-			devs = append(devs, dev)
-			dms = append(dms, dm)
-			rms = append(rms, rm)
-		}
-		s.Devices = append(s.Devices, devs)
-		s.Disturbs = append(s.Disturbs, dms)
-		s.Retentions = append(s.Retentions, rms)
-	}
-	s.Mem = memctrl.NewSystem(s.Devices, policy, memctrl.Config{
-		RefreshMultiplier: opt.RefreshMultiplier,
-		DisableRefresh:    opt.DisableRefresh,
-		ECC:               opt.ECC,
-	})
+	s.Mem = mem
 	return s
 }
 
@@ -126,7 +102,7 @@ func (s *System) TotalFlips() int64 {
 func (s *System) AttachPARA(p float64, where memctrl.Placement, src *rng.Stream) *memctrl.PARA {
 	var oracle *spd.AdjacencyOracle
 	if where == memctrl.InControllerWithSPD {
-		rt, err := spd.Decode(spd.Encode(s.Devices[0][0].Remap()))
+		rt, err := spd.Decode(spd.Encode(s.Mem.Device(0, 0).Remap()))
 		if err != nil {
 			panic(err) // encoding our own table cannot fail
 		}

@@ -25,7 +25,7 @@ func vulnerableModule(t *testing.T) *modules.Module {
 
 func TestBuildDefaults(t *testing.T) {
 	s := Build(vulnerableModule(t), Options{})
-	if s.Topo != dram.SingleChannel(DefaultGeom()) || s.Devices[0][0].Geom != DefaultGeom() {
+	if s.Topo != dram.SingleChannel(DefaultGeom()) || s.Mem.Device(0, 0).Geom != DefaultGeom() {
 		t.Fatal("default geometry not applied")
 	}
 	if s.Mem.Controller(0) == nil || s.Disturbs[0][0] == nil || s.Retentions[0][0] == nil {
@@ -35,7 +35,7 @@ func TestBuildDefaults(t *testing.T) {
 
 func TestBuildWithRemap(t *testing.T) {
 	s := Build(vulnerableModule(t), Options{RemapFraction: 0.1})
-	rt := s.Devices[0][0].Remap()
+	rt := s.Mem.Device(0, 0).Remap()
 	if slices.Equal(rt.PhysSlice(), dram.IdentityRemap(rt.Rows()).PhysSlice()) {
 		t.Fatal("remap fraction ignored")
 	}
@@ -140,20 +140,14 @@ func TestFITConversion(t *testing.T) {
 	}
 }
 
-// TestBuildTopologyAliases checks the shape of a multi-channel build
-// and that Devices aliases the controllers' rank sets.
-func TestBuildTopologyAliases(t *testing.T) {
+// TestBuildTopologyShape checks the shape of a multi-channel build
+// (one controller per channel, one fault-model pair per device) and
+// that its devices draw independent physics substreams.
+func TestBuildTopologyShape(t *testing.T) {
 	topo := dram.Topology{Channels: 2, Ranks: 2, Geom: dram.Geometry{Banks: 2, Rows: 64, Cols: 4}}
 	s := Build(vulnerableModule(t), Options{Topology: topo, Mapping: "xor"})
-	if s.Mem.Channels() != 2 || len(s.Devices) != 2 || len(s.Devices[0]) != 2 {
-		t.Fatalf("topology shape wrong: %d channels, %v devices", s.Mem.Channels(), len(s.Devices))
-	}
-	for ch := range s.Devices {
-		for rk, dev := range s.Devices[ch] {
-			if dev != s.Mem.Device(ch, rk) {
-				t.Fatalf("Devices[%d][%d] is not the controller's rank", ch, rk)
-			}
-		}
+	if s.Mem.Channels() != 2 || len(s.Disturbs) != 2 || len(s.Disturbs[0]) != 2 || len(s.Retentions[1]) != 2 {
+		t.Fatalf("topology shape wrong: %d channels, %d disturb channels", s.Mem.Channels(), len(s.Disturbs))
 	}
 	if s.Mem.Policy().Name() != "xor-bank-hash" {
 		t.Fatalf("mapping not applied: %s", s.Mem.Policy().Name())
@@ -163,8 +157,8 @@ func TestBuildTopologyAliases(t *testing.T) {
 		t.Fatal("no weak cells on device 0; substream test is vacuous")
 	}
 	same := true
-	for ch := range s.Devices {
-		for rk := range s.Devices[ch] {
+	for ch := range s.Disturbs {
+		for rk := range s.Disturbs[ch] {
 			if ch == 0 && rk == 0 {
 				continue
 			}
@@ -175,36 +169,5 @@ func TestBuildTopologyAliases(t *testing.T) {
 	}
 	if same {
 		t.Fatal("all devices have identical weak-cell counts; substreams look cloned")
-	}
-}
-
-// TestBuildSingleChannelBitIdentical proves that an explicit 1x1
-// topology builds the exact device the legacy single-device path
-// builds: same weak cells, same remap, same cell physics stream.
-func TestBuildSingleChannelBitIdentical(t *testing.T) {
-	m := vulnerableModule(t)
-	g := dram.Geometry{Banks: 2, Rows: 128, Cols: 4}
-	legacy := Build(m, Options{Geom: g, RemapFraction: 0.2})
-	topo := Build(m, Options{Topology: dram.SingleChannel(g), RemapFraction: 0.2, Mapping: "row"})
-	if legacy.Disturbs[0][0].WeakCellCount() != topo.Disturbs[0][0].WeakCellCount() {
-		t.Fatalf("weak cells differ: %d vs %d",
-			legacy.Disturbs[0][0].WeakCellCount(), topo.Disturbs[0][0].WeakCellCount())
-	}
-	for r := 0; r < g.Rows; r++ {
-		if legacy.Devices[0][0].PhysRow(r) != topo.Devices[0][0].PhysRow(r) {
-			t.Fatalf("remap differs at row %d", r)
-		}
-	}
-	// Same hammer campaign, bit-identical flips.
-	lc, tc := legacy.Mem.Controller(0), topo.Mem.Controller(0)
-	for v := 3; v < g.Rows-1; v += 11 {
-		lc.HammerPairsRanked(0, 0, v-1, v+1, 2000)
-		tc.HammerPairsRanked(0, 0, v-1, v+1, 2000)
-	}
-	if a, b := legacy.Disturbs[0][0].TotalFlips(), topo.Disturbs[0][0].TotalFlips(); a != b {
-		t.Fatalf("flips differ: %d vs %d", a, b)
-	}
-	if lc.Stats != tc.Stats {
-		t.Fatal("controller stats differ")
 	}
 }

@@ -36,11 +36,7 @@ func TestMemoCampaignModule(t *testing.T) {
 			t.Fatalf("seed %d: no vulnerable 2013 module", seed)
 		}
 		for sub := 0; sub < 4; sub++ {
-			s := mod.Seed
-			if sub > 0 {
-				s = mod.Seed + 0x9e3779b97f4a7c15*uint64(sub)
-			}
-			st := rng.New(s).Split().State()
+			st := rng.Sub(mod.Seed, uint64(sub)).Split().State()
 			fsrc := rng.FromState(st)
 			want := disturb.DrawUnmemoized(g, mod.Vuln, fsrc)
 			if want.WeakCellCount() == 0 {

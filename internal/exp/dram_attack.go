@@ -55,7 +55,7 @@ func runE21(env Env) *stats.Table {
 		for trial := 0; trial < 5; trial++ {
 			mm := m
 			mm.Seed = m.Seed + uint64(trial)
-			s := core.Build(&mm, core.Options{Geom: g})
+			s := core.Build(&mm, core.Options{Topology: dram.SingleChannel(g)})
 			if cfg.para {
 				s.AttachPARA(0.02, memctrl.InDRAM, rng.New(env.Seed+uint64(trial)))
 			}

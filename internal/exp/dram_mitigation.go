@@ -47,21 +47,15 @@ func pairRows(victims []int) []int {
 // rig is the same for every seed.
 func plantedSystem(topo dram.Topology, policyName string, cfg memctrl.Config,
 	plant func(ch, rk int, m *disturb.Model)) *memctrl.MemorySystem {
-	policy, err := memctrl.PolicyByName(policyName, topo)
+	ms, err := memctrl.Assemble(topo, policyName, cfg, func(ch, rk int, dev *dram.Device) {
+		m := disturb.NewPlanted(topo.Geom)
+		plant(ch, rk, m)
+		dev.AttachFault(m)
+	})
 	if err != nil {
 		panic(err)
 	}
-	devs := make([][]*dram.Device, topo.Channels)
-	for ch := range devs {
-		for rk := 0; rk < topo.Ranks; rk++ {
-			dev := dram.NewDevice(topo.Geom)
-			m := disturb.NewPlanted(topo.Geom)
-			plant(ch, rk, m)
-			dev.AttachFault(m)
-			devs[ch] = append(devs[ch], dev)
-		}
-	}
-	return memctrl.NewSystem(devs, policy, cfg)
+	return ms
 }
 
 // plantedDevice is plantedSystem for one device behind one controller.
@@ -80,8 +74,8 @@ func attackRig(pop []modules.Module, year int, scale float64, opt core.Options) 
 	m := *pickModule(pop, year)
 	m.Vuln.MinThreshold /= scale
 	m.Vuln.ThresholdMedian /= scale
-	if opt.Geom.Banks == 0 {
-		opt.Geom = dram.Geometry{Banks: 1, Rows: 1024, Cols: 8}
+	if opt.Topology.IsZero() {
+		opt.Topology = dram.SingleChannel(dram.Geometry{Banks: 1, Rows: 1024, Cols: 8})
 	}
 	return core.Build(&m, opt)
 }
@@ -96,8 +90,8 @@ func standardAttack(s *core.System, pairs int) {
 
 // benignOverhead measures mean access latency and energy of a Zipf
 // workload on a fresh copy of the rig with the given setup applied.
-func benignOverhead(pop []modules.Module, setup func(s *core.System), mult float64) (latency, energyPJ float64) {
-	s := attackRig(pop, 2013, 50, core.Options{RefreshMultiplier: mult})
+func benignOverhead(pop []modules.Module, setup func(s *core.System)) (latency, energyPJ float64) {
+	s := attackRig(pop, 2013, 50, core.Options{})
 	if setup != nil {
 		setup(s)
 	}
@@ -116,42 +110,44 @@ func runE5(env Env) *stats.Table {
 
 	type cm struct {
 		name  string
-		mult  float64
 		setup func(s *core.System)
 		bits  func(s *core.System) int64
 	}
 	rows := 1024
+	refresh := func(factor float64) func(s *core.System) {
+		return func(s *core.System) { s.Mem.Controller(0).Attach(memctrl.NewRefreshScaling(factor)) }
+	}
 	cms := []cm{
-		{"none (baseline)", 1, nil, func(*core.System) int64 { return 0 }},
-		{"refresh x2", 2, nil, func(*core.System) int64 { return 0 }},
-		{"refresh x7", 7, nil, func(*core.System) int64 { return 0 }},
-		{"PARA p=0.001 (in-DRAM)", 1, func(s *core.System) {
+		{"none (baseline)", nil, func(*core.System) int64 { return 0 }},
+		{"refresh x2", refresh(2), func(*core.System) int64 { return 0 }},
+		{"refresh x7", refresh(7), func(*core.System) int64 { return 0 }},
+		{"PARA p=0.001 (in-DRAM)", func(s *core.System) {
 			s.AttachPARA(0.001, memctrl.InDRAM, rng.New(5))
 		}, func(*core.System) int64 { return 0 }},
-		{"PARA p=0.01 (in-DRAM)", 1, func(s *core.System) {
+		{"PARA p=0.01 (in-DRAM)", func(s *core.System) {
 			s.AttachPARA(0.01, memctrl.InDRAM, rng.New(6))
 		}, func(*core.System) int64 { return 0 }},
-		{"CRA counters", 1, func(s *core.System) {
+		{"CRA counters", func(s *core.System) {
 			s.Mem.Controller(0).Attach(memctrl.NewCRA(int64(s.Disturbs[0][0].MinThreshold()), 1, rows))
 		}, func(s *core.System) int64 {
 			return memctrl.NewCRA(1000, 1, rows).StorageBits()
 		}},
-		{"TRR 8-entry sampler", 1, func(s *core.System) {
+		{"TRR 8-entry sampler", func(s *core.System) {
 			s.Mem.Controller(0).Attach(memctrl.NewTRR(8, 0.01, rng.New(7)))
 		}, func(*core.System) int64 { return memctrl.NewTRR(8, 0.01, rng.New(0)).StorageBits() }},
-		{"ANVIL (software)", 1, func(s *core.System) {
+		{"ANVIL (software)", func(s *core.System) {
 			s.Mem.Controller(0).Attach(memctrl.NewANVIL())
 		}, func(*core.System) int64 { return 0 }},
 	}
-	baseLat, baseEn := benignOverhead(pop, nil, 1)
+	baseLat, baseEn := benignOverhead(pop, nil)
 	for _, c := range cms {
-		s := attackRig(pop, 2013, 50, core.Options{RefreshMultiplier: c.mult,
-			Geom: dram.Geometry{Banks: 1, Rows: rows, Cols: 8}})
+		s := attackRig(pop, 2013, 50, core.Options{
+			Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: rows, Cols: 8})})
 		if c.setup != nil {
 			c.setup(s)
 		}
 		standardAttack(s, 30000)
-		lat, en := benignOverhead(pop, c.setup, c.mult)
+		lat, en := benignOverhead(pop, c.setup)
 		t.AddRow(c.name,
 			fmt.Sprintf("%d", s.TotalFlips()),
 			fmt.Sprintf("%+.2f%%", 100*(lat/baseLat-1)),
@@ -171,7 +167,7 @@ func runE5(env Env) *stats.Table {
 			}
 		}
 		s := core.Build(&clean, core.Options{
-			Geom: dram.Geometry{Banks: 1, Rows: rows, Cols: 8}})
+			Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: rows, Cols: 8})})
 		standardAttack(s, 30000)
 		t.AddRow("better chips (invulnerable)",
 			fmt.Sprintf("%d", s.TotalFlips()), "+0.00%", "+0.00%", "0")
@@ -183,14 +179,14 @@ func runE5(env Env) *stats.Table {
 	// counted only over usable rows. The cost axis is capacity.
 	{
 		scratch := attackRig(pop, 2013, 50, core.Options{
-			Geom: dram.Geometry{Banks: 1, Rows: rows, Cols: 8}})
+			Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: rows, Cols: 8})})
 		for r := 0; r < rows; r++ {
-			scratch.Devices[0][0].FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
+			scratch.Mem.Device(0, 0).FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
 		}
 		standardAttack(scratch, 30000)
 		retired := map[int]bool{}
 		for r := 0; r < rows; r++ {
-			for _, w := range scratch.Devices[0][0].PhysRowWords(0, r) {
+			for _, w := range scratch.Mem.Device(0, 0).PhysRowWords(0, r) {
 				if w != 0xaaaaaaaaaaaaaaaa {
 					retired[r] = true
 					break
@@ -198,9 +194,9 @@ func runE5(env Env) *stats.Table {
 			}
 		}
 		s := attackRig(pop, 2013, 50, core.Options{
-			Geom: dram.Geometry{Banks: 1, Rows: rows, Cols: 8}})
+			Topology: dram.SingleChannel(dram.Geometry{Banks: 1, Rows: rows, Cols: 8})})
 		for r := 0; r < rows; r++ {
-			s.Devices[0][0].FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
+			s.Mem.Device(0, 0).FillPhysRow(0, r, 0xaaaaaaaaaaaaaaaa)
 		}
 		standardAttack(s, 30000)
 		visible := 0
@@ -208,7 +204,7 @@ func runE5(env Env) *stats.Table {
 			if retired[r] {
 				continue
 			}
-			for _, w := range s.Devices[0][0].PhysRowWords(0, r) {
+			for _, w := range s.Mem.Device(0, 0).PhysRowWords(0, r) {
 				visible += bits.OnesCount64(w ^ 0xaaaaaaaaaaaaaaaa)
 			}
 		}
@@ -242,10 +238,10 @@ func runE7(env Env) *stats.Table {
 		},
 	}
 	g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 16}
-	s := core.Build(&m, core.Options{Geom: g})
+	s := core.Build(&m, core.Options{Topology: dram.SingleChannel(g)})
 	pattern := ^uint64(0)
 	for r := 0; r < g.Rows; r++ {
-		s.Devices[0][0].FillPhysRow(0, r, pattern)
+		s.Mem.Device(0, 0).FillPhysRow(0, r, pattern)
 	}
 	for v := 1; v < g.Rows-1; v += 2 {
 		s.Mem.Controller(0).HammerPairsRanked(0, 0, v-1, v+1, 15000)
@@ -257,7 +253,7 @@ func runE7(env Env) *stats.Table {
 	bch2 := ecc.BlockCode{DataBits: 64, T: 2}
 	bch4 := ecc.BlockCode{DataBits: 64, T: 4}
 	for r := 0; r < g.Rows; r++ {
-		words := s.Devices[0][0].PhysRowWords(0, r)
+		words := s.Mem.Device(0, 0).PhysRowWords(0, r)
 		for _, w := range words {
 			flips := bits.OnesCount64(w ^ pattern)
 			hist[flips]++

@@ -121,13 +121,13 @@ func runE3(env Env) *stats.Table {
 	g := dram.Geometry{Banks: 1, Rows: 512, Cols: 8}
 	low, high := int64(0), int64(0)
 	for i, pairs := range []int{8000, 80000} {
-		sys := core.Build(&scaled, core.Options{Geom: g})
+		sys := core.Build(&scaled, core.Options{Topology: dram.SingleChannel(g)})
 		for r := 0; r < g.Rows; r++ {
 			pat := uint64(0xaaaaaaaaaaaaaaaa)
 			if r%2 == 1 {
 				pat = 0x5555555555555555
 			}
-			sys.Devices[0][0].FillPhysRow(0, r, pat)
+			sys.Mem.Device(0, 0).FillPhysRow(0, r, pat)
 		}
 		for v := 1; v < g.Rows-1; v += 8 {
 			sys.Mem.Controller(0).HammerPairsRanked(0, 0, v-1, v+1, pairs)

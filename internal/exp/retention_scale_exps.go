@@ -53,27 +53,16 @@ func scaleRetentionParams() retention.Params {
 // retentionSystem builds a topology of devices carrying independent
 // retention populations (per-device substreams) and no disturbance.
 func retentionSystem(topo dram.Topology, p retention.Params, seed uint64) (*memctrl.MemorySystem, [][]*retention.Model) {
-	policy, err := memctrl.PolicyByName("row", topo)
+	models := make([][]*retention.Model, topo.Channels)
+	ms, err := memctrl.Assemble(topo, "row", memctrl.Config{DisableRefresh: true}, func(ch, rk int, dev *dram.Device) {
+		m := retention.NewModel(topo.Geom, p, rng.Sub(seed, uint64(ch*topo.Ranks+rk)))
+		dev.AttachFault(m)
+		models[ch] = append(models[ch], m)
+	})
 	if err != nil {
 		panic(err)
 	}
-	var devs [][]*dram.Device
-	var models [][]*retention.Model
-	for ch := 0; ch < topo.Channels; ch++ {
-		var ranks []*dram.Device
-		var rms []*retention.Model
-		for rk := 0; rk < topo.Ranks; rk++ {
-			dev := dram.NewDevice(topo.Geom)
-			m := retention.NewModel(topo.Geom, p,
-				rng.New(seed+0x9e3779b97f4a7c15*uint64(ch*topo.Ranks+rk)))
-			dev.AttachFault(m)
-			ranks = append(ranks, dev)
-			rms = append(rms, m)
-		}
-		devs = append(devs, ranks)
-		models = append(models, rms)
-	}
-	return memctrl.NewSystem(devs, policy, memctrl.Config{DisableRefresh: true}), models
+	return ms, models
 }
 
 // runE50 is E11 promoted to whole topologies: the same campaign

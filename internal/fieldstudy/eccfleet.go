@@ -107,7 +107,7 @@ func tally(oc ecc.Outcome, corrected, detected, silent *int64) {
 // formula as simulateBlock, so the result is a pure function of the
 // seed for any worker count.
 func simulateECCBlock(cfg Config, multiFlipP float64, maxFlips int, seed uint64, b block) ECCClassStats {
-	src := rng.New(seed + 0x9e3779b97f4a7c15*(uint64(b.class)<<40+uint64(b.start)+1))
+	src := rng.Sub(seed, uint64(b.class)<<40+uint64(b.start)+1)
 	var st ECCClassStats
 	scale := cfg.Classes[b.class].RateScale
 	for i := 0; i < b.count; i++ {

@@ -145,7 +145,7 @@ func planBlocks(cfg Config) []block {
 // sits above bit 40 so the key cannot collide until a class holds 2^40
 // DIMMs.
 func simulateBlock(cfg Config, seed uint64, b block) blockResult {
-	src := rng.New(seed + 0x9e3779b97f4a7c15*(uint64(b.class)<<40+uint64(b.start)+1))
+	src := rng.Sub(seed, uint64(b.class)<<40+uint64(b.start)+1)
 	r := blockResult{done: true, ce: make([]int64, b.count)}
 	scale := cfg.Classes[b.class].RateScale
 	for i := range r.ce {

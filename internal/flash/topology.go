@@ -41,11 +41,10 @@ func (t Topology) String() string {
 }
 
 // DieStream derives die's independent RNG substream of the fleet
-// seed. The golden-ratio stride is the same substream discipline the
-// DRAM topology and fieldstudy engines use; the +1 keeps die 0 off
-// the raw fleet seed.
+// seed (rng.Sub, the substream discipline the DRAM topology and
+// fieldstudy engines use); the +1 keeps die 0 off the raw fleet seed.
 func (t Topology) DieStream(seed uint64, die int) *rng.Stream {
-	return rng.New(seed + 0x9e3779b97f4a7c15*(uint64(die)+1))
+	return rng.Sub(seed, uint64(die)+1)
 }
 
 // ShardDies runs fn once per die on up to workers goroutines, handing

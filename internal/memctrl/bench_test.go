@@ -15,10 +15,11 @@ import (
 func BenchmarkECCLoadState(b *testing.B) {
 	g := dram.Geometry{Banks: 4, Rows: 256, Cols: 16}
 	l := newECCLayer(ECCConfig{Kind: ECCSECDED72}, g, 2)
-	for ri, banks := range l.shadow {
-		for bi, words := range banks {
+	src := rng.New(1)
+	for _, banks := range l.shadow {
+		for _, words := range banks {
 			for i := range words {
-				words[i] = uint64(ri<<40|bi<<32|i) * 0x9e3779b97f4a7c15
+				words[i] = src.Uint64()
 			}
 		}
 	}

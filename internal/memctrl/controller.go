@@ -2,9 +2,9 @@
 // address mapping (MappingPolicy: row-interleaved open-page,
 // cache-line channel/bank-interleaved, DRAMA-style XOR bank hash), the
 // per-channel Controller with its open-page access path, DDR3-class
-// latency and energy accounting and periodic auto-refresh engine (with
-// the configurable refresh-rate multiplier that is the paper's
-// "immediate solution"), the multi-channel MemorySystem that routes
+// latency and energy accounting and periodic auto-refresh engine (whose
+// rate the attachable RefreshScaling raises: the paper's "immediate
+// solution"), the multi-channel MemorySystem (built by Assemble) that routes
 // flat physical addresses through the active policy and rolls
 // per-channel stats into aggregate accounting, and a registry of
 // pluggable RowHammer mitigations — PARA in its three placements,
@@ -33,10 +33,6 @@ type Coord struct {
 
 // Config parameterizes a controller.
 type Config struct {
-	// RefreshMultiplier scales the refresh rate: 1 is the nominal
-	// 64 ms window, 2 refreshes twice as often (32 ms window), etc.
-	// This is the paper's "increase the refresh rate" solution.
-	RefreshMultiplier float64
 	// DisableRefresh turns auto-refresh off entirely (used by
 	// retention experiments that control refresh manually).
 	DisableRefresh bool
@@ -92,7 +88,7 @@ type Controller struct {
 	now        dram.Time
 	nextRefDue dram.Time
 	refPeriod  dram.Time
-	refMult    float64     // effective refresh multiplier (config × attached scaling)
+	refMult    float64     // effective refresh multiplier (product of attached scalings)
 	lastAct    []dram.Time // per flat bank (rank*Banks+bank), for tRC enforcement
 
 	// ecc classifies every read against the controller's shadow words
@@ -149,9 +145,6 @@ func NewMultiRank(devs []*dram.Device, cfg Config) *Controller {
 			panic(fmt.Sprintf("memctrl: rank %d geometry %+v disagrees with rank 0 %+v", i, d.Geom, g))
 		}
 	}
-	if cfg.RefreshMultiplier <= 0 {
-		cfg.RefreshMultiplier = 1
-	}
 	c := &Controller{
 		cfg:     cfg,
 		geom:    g,
@@ -161,11 +154,8 @@ func NewMultiRank(devs []*dram.Device, cfg Config) *Controller {
 	if cfg.ECC.Kind != ECCNone {
 		c.ecc = newECCLayer(cfg.ECC, g, len(devs))
 	}
-	c.refMult = cfg.RefreshMultiplier
-	c.refPeriod = dram.Time(float64(devs[0].Timing.TREFI) / cfg.RefreshMultiplier)
-	if c.refPeriod < 1 {
-		c.refPeriod = 1
-	}
+	c.refMult = 1
+	c.refPeriod = devs[0].Timing.TREFI
 	c.nextRefDue = c.refPeriod
 	return c
 }
@@ -180,7 +170,7 @@ func (c *Controller) NumRanks() int { return len(c.ranks) }
 func (c *Controller) Now() dram.Time { return c.now }
 
 // RefreshPeriod returns the effective tREFI: the nominal interval
-// scaled by the configured and attached refresh multipliers. An
+// scaled by every attached RefreshScaling. An
 // attacker can measure it from outside through REF-induced latency
 // spikes (the SMASH/Blacksmith synchronization primitive), so exposing
 // it grants no power a user-level program lacks.
@@ -218,10 +208,10 @@ type autoRefreshPolicy interface {
 // which equals the plain bank index on single-rank channels.
 //
 // A mitigation exposing a RefreshFactor (RefreshScaling) multiplies
-// the refresh rate on attach, stacking with Config.RefreshMultiplier;
-// the next REF comes due one new period from the current time, so
-// attaching before any traffic is bit-identical to configuring the
-// multiplier up front.
+// the refresh rate on attach, stacking with any scaling already
+// attached; the next REF comes due one new period from the current
+// time, so attach it before any traffic to run the whole simulation at
+// the scaled rate.
 func (c *Controller) Attach(m Mitigation) {
 	c.mitigations = append(c.mitigations, m)
 	if sc, ok := m.(*Scrubber); ok {
@@ -674,7 +664,7 @@ func (c *Controller) chargeMitRefresh() {
 }
 
 // RefsPerRetentionWindow returns how many REF commands the controller
-// issues per nominal retention window (tREFW) under its configured
+// issues per nominal retention window (tREFW) under its effective
 // refresh rate: 8192 at the nominal rate, scaled up by the refresh
 // multiplier. Window-based mitigations that count REF commands derive
 // their reset cadence from it rather than hardcoding 8192, which would
@@ -684,14 +674,14 @@ func (c *Controller) RefsPerRetentionWindow() int64 {
 }
 
 // RetentionWindow returns the effective per-row refresh period under
-// the effective refresh multiplier (Config.RefreshMultiplier times any
-// attached RefreshScaling factors).
+// the effective refresh multiplier (see RefreshMultiplier).
 func (c *Controller) RetentionWindow() dram.Time {
 	return dram.Time(float64(c.ranks[0].Timing.RetentionWindow()) / c.refMult)
 }
 
-// RefreshMultiplier returns the effective refresh-rate multiplier:
-// Config.RefreshMultiplier times every attached RefreshScaling factor.
+// RefreshMultiplier returns the effective refresh-rate multiplier: the
+// product of every attached RefreshScaling factor, 1 when none is
+// attached.
 func (c *Controller) RefreshMultiplier() float64 { return c.refMult }
 
 // EnergyPJ returns total energy consumed so far: operation energy of

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dram"
-	"repro/internal/rng"
 )
 
 func testGeom() dram.Geometry { return dram.Geometry{Banks: 2, Rows: 256, Cols: 8} }
@@ -112,7 +111,8 @@ func TestAutoRefreshRate(t *testing.T) {
 
 func TestRefreshMultiplierDoublesRate(t *testing.T) {
 	c1 := newCtrl(Config{})
-	c2 := newCtrl(Config{RefreshMultiplier: 2})
+	c2 := newCtrl(Config{})
+	c2.Attach(NewRefreshScaling(2))
 	c1.AdvanceTo(10 * dram.Millisecond)
 	c2.AdvanceTo(10 * dram.Millisecond)
 	ratio := float64(c2.Stats.AutoRefreshes) / float64(c1.Stats.AutoRefreshes)
@@ -188,12 +188,4 @@ func TestRefreshLogRowsIgnoresOutOfRange(t *testing.T) {
 	if c.Stats.MitRefreshes != 1 {
 		t.Fatalf("MitRefreshes = %d, want 1", c.Stats.MitRefreshes)
 	}
-}
-
-func TestRNGDefaultMultiplier(t *testing.T) {
-	c := New(dram.NewDevice(testGeom()), Config{RefreshMultiplier: 0})
-	if c.RetentionWindow() != dram.DefaultTiming().RetentionWindow() {
-		t.Fatal("zero multiplier should default to 1")
-	}
-	_ = rng.New(0) // keep import for symmetry with other test files
 }

@@ -16,7 +16,8 @@ package memctrl
 //     table from every-row to only-plausibly-hot rows.
 //   - RefreshScaling: the paper's "increase the refresh rate"
 //     immediate solution, expressed as an attachable Mitigation so the
-//     sweeps treat it as one more point on the frontier. It keeps no
+//     sweeps treat it as one more point on the frontier (and the only
+//     way to change the controller's refresh rate). It keeps no
 //     state and observes nothing; attaching it multiplies the
 //     controller's REF rate.
 //
@@ -358,9 +359,10 @@ func (m *TWiCe) StorageBits() int64 {
 }
 
 // RefreshScaling is the paper's "increase the refresh rate" immediate
-// solution as an attachable Mitigation: Controller.Attach recognizes
-// it and multiplies the controller's REF rate by Factor (stacking with
-// Config.RefreshMultiplier). It keeps no state and observes no
+// solution as an attachable Mitigation, and the only refresh-rate knob:
+// Controller.Attach recognizes it and multiplies the controller's REF
+// rate by Factor (several attached scalings stack). Attach it before
+// any traffic to run at the scaled rate from time zero. It keeps no state and observes no
 // activations — its activation horizon is unbounded, so the hammer
 // kernel stays in closed form and the sweeps pay only the simulated
 // refresh cost, not a simulation slowdown.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/disturb"
 	"repro/internal/dram"
-	"repro/internal/rng"
 )
 
 func TestGraphenePrevents(t *testing.T) {
@@ -108,50 +107,15 @@ func TestTWiCePrunesBenignRows(t *testing.T) {
 	}
 }
 
-// TestRefreshScalingEquivalentToConfigMultiplier proves the attachable
-// policy is bit-identical to configuring the multiplier up front: same
-// stats, same clock, same device activity — including through the
-// batched hammer path, which RefreshScaling (a passive mitigation)
-// must not disable.
-func TestRefreshScalingEquivalentToConfigMultiplier(t *testing.T) {
-	g := dram.Geometry{Banks: 2, Rows: 128, Cols: 4}
-	run := func(attach bool) (*Controller, *dram.Device) {
-		dev := dram.NewDevice(g)
-		dm := disturb.NewPlanted(g)
-		dm.InjectWeakCell(0, 60, 5, 5000, 1, 1, 1, 1)
-		dev.AttachFault(dm)
-		dev.SetPhysBit(0, 60, 5, 1)
-		var c *Controller
-		if attach {
-			c = New(dev, Config{})
-			c.Attach(NewRefreshScaling(4))
-		} else {
-			c = New(dev, Config{RefreshMultiplier: 4})
-		}
-		src := rng.New(31)
-		for i := 0; i < 5000; i++ {
-			co := Coord{Bank: src.Intn(g.Banks), Row: src.Intn(g.Rows), Col: src.Intn(g.Cols)}
-			c.AccessRanked(0, co, src.Bool(0.3), src.Uint64())
-		}
-		c.HammerPairsRanked(0, 0, 59, 61, 20000)
-		return c, dev
-	}
-	a, da := run(false)
-	b, db := run(true)
-	if a.Stats != b.Stats || a.Now() != b.Now() {
-		t.Fatalf("stats diverged:\nconfig %+v t=%d\nattach %+v t=%d", a.Stats, a.Now(), b.Stats, b.Now())
-	}
-	if da.Stats != db.Stats {
-		t.Fatalf("device stats diverged: %+v vs %+v", da.Stats, db.Stats)
-	}
-	if b.RefreshMultiplier() != 4 {
-		t.Fatalf("effective multiplier = %v, want 4", b.RefreshMultiplier())
-	}
-}
-
-func TestRefreshScalingStacksWithConfig(t *testing.T) {
+// TestRefreshScalingStacks: two attached scalings multiply, and a
+// controller with none runs at the nominal rate.
+func TestRefreshScalingStacks(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
-	c := New(dram.NewDevice(g), Config{RefreshMultiplier: 2})
+	c := New(dram.NewDevice(g), Config{})
+	if c.RefreshMultiplier() != 1 || c.RefreshPeriod() != c.Rank(0).Timing.TREFI {
+		t.Fatalf("bare controller: multiplier %v period %d, want 1 and tREFI", c.RefreshMultiplier(), c.RefreshPeriod())
+	}
+	c.Attach(NewRefreshScaling(2))
 	c.Attach(NewRefreshScaling(2))
 	if c.RefreshMultiplier() != 4 {
 		t.Fatalf("stacked multiplier = %v, want 4", c.RefreshMultiplier())

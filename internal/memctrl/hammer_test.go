@@ -40,7 +40,10 @@ func newHammerSystem(t *testing.T, g dram.Geometry, seed uint64, withRetention b
 		rm := retention.NewModel(g, rp, rng.New(seed^0x9e3779b9))
 		dev.AttachFault(rm)
 	}
-	ctrl := New(dev, Config{RefreshMultiplier: mult})
+	ctrl := New(dev, Config{})
+	if mult != 1 {
+		ctrl.Attach(NewRefreshScaling(mult))
+	}
 	for r := 0; r < g.Rows; r++ {
 		pat := uint64(0xaaaaaaaaaaaaaaaa)
 		if r%2 == 1 {
@@ -121,6 +124,11 @@ func TestHammerPairsMatchesAccessLoop(t *testing.T) {
 			}
 			if fast.dm.TotalFlips() == 0 {
 				t.Fatal("no flips during sweep; test is vacuous")
+			}
+			// An attached RefreshScaling is passive: it must not push
+			// the kernel off its closed-form path.
+			if fast.ctrl.KernelCounters().Batched == 0 {
+				t.Fatal("no batched accesses; the kernel stepped the whole sweep")
 			}
 			compareSystems(t, fast, slow, tc.name)
 		})

@@ -102,7 +102,10 @@ func newKernelRig(s kernelSpec, edges kernelEdges) *kernelRig {
 		rig.disturb = append(rig.disturb, dm)
 		rig.ret = append(rig.ret, rm)
 	}
-	rig.ctrl = NewMultiRank(devs, Config{RefreshMultiplier: s.mult, ECC: ECCConfig{Kind: s.ecc}})
+	rig.ctrl = NewMultiRank(devs, Config{ECC: ECCConfig{Kind: s.ecc}})
+	if s.mult != 1 {
+		rig.ctrl.Attach(NewRefreshScaling(s.mult))
+	}
 	for i, m := range kernelRoster {
 		if s.roster&(1<<i) == 0 || m.name == "scrub" && s.ecc == ECCNone {
 			continue

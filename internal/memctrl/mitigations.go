@@ -272,7 +272,7 @@ type CRA struct {
 	// WindowREFs is the counter-reset window in REF commands. Zero
 	// derives it from the controller the mitigation is attached to at
 	// the first REF: the REF commands issued per nominal retention
-	// window under the configured refresh rate
+	// window under the effective refresh rate
 	// (Controller.RefsPerRetentionWindow).
 	WindowREFs int64
 

@@ -72,7 +72,7 @@ func TestHammerThroughControllerFlips(t *testing.T) {
 func TestAutoRefreshAloneInsufficient(t *testing.T) {
 	// The nominal refresh rate cannot stop a fast hammer: threshold
 	// 2000 pairs is reached in ~2000*2*~50ns = 200 us << 64 ms window.
-	rig := newAttackRig(2000, false, Config{RefreshMultiplier: 1})
+	rig := newAttackRig(2000, false, Config{})
 	rig.hammerPairs(3000)
 	if !rig.victimFlipped() {
 		t.Fatal("expected flip under nominal refresh")
@@ -84,7 +84,8 @@ func TestHighRefreshMultiplierPrevents(t *testing.T) {
 	// rate resets pressure in time. Window/multiplier must sweep the
 	// victim before ~threshold pairs complete. With threshold 500k
 	// pairs (~50 ms of hammering) a 4x refresh (16 ms window) wins.
-	rig := newAttackRig(1e6, false, Config{RefreshMultiplier: 4})
+	rig := newAttackRig(1e6, false, Config{})
+	rig.ctrl.Attach(NewRefreshScaling(4))
 	rig.hammerPairs(600000)
 	if rig.victimFlipped() {
 		t.Fatal("4x refresh did not prevent a 1M-threshold flip")
@@ -187,7 +188,7 @@ func TestCRAThresholdRounding(t *testing.T) {
 
 // TestCRAWindowDerivedFromRefreshConfig pins the counter-reset window:
 // the REF commands per retention window under the controller's
-// configured refresh rate, derived from the controller rather than the
+// effective refresh rate, derived from the controller rather than the
 // old hardcoded 8192 that silently shrank the window m-fold whenever
 // CRA was combined with an m× refresh multiplier.
 func TestCRAWindowDerivedFromRefreshConfig(t *testing.T) {
@@ -200,7 +201,8 @@ func TestCRAWindowDerivedFromRefreshConfig(t *testing.T) {
 		{mult: 2, want: 16384},
 		{mult: 4, want: 32768},
 	} {
-		ctrl := New(dram.NewDevice(g), Config{RefreshMultiplier: tc.mult})
+		ctrl := New(dram.NewDevice(g), Config{})
+		ctrl.Attach(NewRefreshScaling(tc.mult))
 		if got := ctrl.RefsPerRetentionWindow(); got != tc.want {
 			t.Fatalf("mult %v: RefsPerRetentionWindow = %d, want %d", tc.mult, got, tc.want)
 		}

@@ -22,6 +22,31 @@ type MemorySystem struct {
 	chans  []*Controller
 }
 
+// Assemble builds a memory system of topo under the named mapping
+// policy. It builds one device per channel and rank, channel-major,
+// and hands each to attach, which installs that device's remap and
+// fault models, before wiring the controllers through NewSystem. It is
+// the one topology builder: a bad topology or an unknown mapping is an
+// error, not a panic.
+func Assemble(topo dram.Topology, mapping string, cfg Config, attach func(ch, rk int, dev *dram.Device)) (*MemorySystem, error) {
+	if err := topo.Validate(); err != nil {
+		return nil, err
+	}
+	policy, err := PolicyByName(mapping, topo)
+	if err != nil {
+		return nil, err
+	}
+	devs := make([][]*dram.Device, topo.Channels)
+	for ch := range devs {
+		devs[ch] = make([]*dram.Device, topo.Ranks)
+		for rk := range devs[ch] {
+			devs[ch][rk] = dram.NewDevice(topo.Geom)
+			attach(ch, rk, devs[ch][rk])
+		}
+	}
+	return NewSystem(devs, policy, cfg), nil
+}
+
 // NewSystem wires per-channel controllers over the given devices.
 // devs is indexed [channel][rank] and must match the policy's topology.
 // Every channel gets its own controller built from cfg.

@@ -19,6 +19,58 @@ func buildTopo(t dram.Topology) [][]*dram.Device {
 	return devs
 }
 
+// TestAssemble: a bad topology or an unknown mapping is an error, not
+// a panic, and attach sees each device once, channel-major, and that
+// device is the one the system serves.
+func TestAssemble(t *testing.T) {
+	g := dram.Geometry{Banks: 2, Rows: 32, Cols: 4}
+	never := func(ch, rk int, dev *dram.Device) { t.Fatalf("attach called for ch%d/rk%d of a refused build", ch, rk) }
+	for _, tc := range []struct {
+		name    string
+		topo    dram.Topology
+		mapping string
+	}{
+		{"zero channels", dram.Topology{Channels: 0, Ranks: 1, Geom: g}, "row"},
+		{"negative ranks", dram.Topology{Channels: 1, Ranks: -2, Geom: g}, "row"},
+		{"zero geometry", dram.Topology{Channels: 1, Ranks: 1}, "row"},
+		{"unknown mapping", dram.Topology{Channels: 2, Ranks: 1, Geom: g}, "diagonal"},
+	} {
+		if ms, err := Assemble(tc.topo, tc.mapping, Config{}, never); err == nil || ms != nil {
+			t.Fatalf("%s: Assemble = (%v, %v), want an error", tc.name, ms, err)
+		}
+	}
+
+	topo := dram.Topology{Channels: 3, Ranks: 2, Geom: g}
+	type seen struct {
+		ch, rk int
+		dev    *dram.Device
+	}
+	var order []seen
+	ms, err := Assemble(topo, "xor", Config{}, func(ch, rk int, dev *dram.Device) {
+		if dev.Geom != g {
+			t.Fatalf("ch%d/rk%d: device geometry %+v, want %+v", ch, rk, dev.Geom, g)
+		}
+		order = append(order, seen{ch, rk, dev})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.Policy().Name() != "xor-bank-hash" || ms.Channels() != topo.Channels {
+		t.Fatalf("built %d channels under %s", ms.Channels(), ms.Policy().Name())
+	}
+	if len(order) != topo.Devices() {
+		t.Fatalf("attach called %d times, want %d", len(order), topo.Devices())
+	}
+	for i, s := range order {
+		if s.ch != i/topo.Ranks || s.rk != i%topo.Ranks {
+			t.Fatalf("call %d saw ch%d/rk%d, want channel-major ch%d/rk%d", i, s.ch, s.rk, i/topo.Ranks, i%topo.Ranks)
+		}
+		if ms.Device(s.ch, s.rk) != s.dev {
+			t.Fatalf("ch%d/rk%d: the attached device is not the one the system serves", s.ch, s.rk)
+		}
+	}
+}
+
 func TestMultiRankMismatchedGeomPanics(t *testing.T) {
 	a := dram.NewDevice(dram.Geometry{Banks: 2, Rows: 32, Cols: 4})
 	b := dram.NewDevice(dram.Geometry{Banks: 2, Rows: 64, Cols: 4})

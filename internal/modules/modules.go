@@ -101,29 +101,15 @@ func (m *Module) RefreshMultiplierToEliminate(test StandardTest) float64 {
 	return mult
 }
 
-// Device instantiates the module as a concrete simulated device of the
-// given (smaller) geometry, with disturbance and retention fault
-// models attached and an optional internal remap. The returned models
-// allow experiments to inspect ground truth.
-func (m *Module) Device(g dram.Geometry, remapFraction float64) (*dram.Device, *disturb.Model, *retention.Model) {
-	return m.DeviceN(g, remapFraction, 0)
-}
-
-// DeviceN instantiates device sub of a multi-device (multi-channel or
-// multi-rank) system built from this one module's physics. Each sub
-// index draws from its own RNG substream, so devices of one system
-// have independent weak-cell populations and remaps; sub 0 consumes
-// exactly the stream Device does, keeping single-device systems
-// bit-identical to the original stack.
-func (m *Module) DeviceN(g dram.Geometry, remapFraction float64, sub int) (*dram.Device, *disturb.Model, *retention.Model) {
-	seed := m.Seed
-	if sub > 0 {
-		// Golden-ratio stepping decorrelates substreams without
-		// touching the sub-0 seed.
-		seed = m.Seed + 0x9e3779b97f4a7c15*uint64(sub)
-	}
-	src := rng.New(seed)
-	dev := dram.NewDevice(g)
+// Attach installs device sub of a system built from this module's
+// physics on dev: an optional internal remap and the disturbance and
+// retention fault models, drawn from substream sub of the module seed
+// (rng.Sub). Devices of one system get independent weak-cell
+// populations and remaps; device 0 draws from rng.New(Seed). The
+// returned models let experiments inspect ground truth.
+func (m *Module) Attach(dev *dram.Device, remapFraction float64, sub int) (*disturb.Model, *retention.Model) {
+	src := rng.Sub(m.Seed, uint64(sub))
+	g := dev.Geom
 	if remapFraction > 0 {
 		dev.SetRemap(dram.RandomRemap(g.Rows, remapFraction, src.Split()))
 	}
@@ -131,7 +117,7 @@ func (m *Module) DeviceN(g dram.Geometry, remapFraction float64, sub int) (*dram
 	rm := retention.NewModel(g, m.Ret, src.Split())
 	dev.AttachFault(dm)
 	dev.AttachFault(rm)
-	return dev, dm, rm
+	return dm, rm
 }
 
 // ScaleForSmallArray returns a copy of the module with hammer

@@ -159,15 +159,16 @@ func TestDeviceInstantiation(t *testing.T) {
 		t.Fatal("no 2013 module")
 	}
 	g := dram.Geometry{Banks: 1, Rows: 1024, Cols: 16}
-	dev, dm, rm := vuln.Device(g, 0.05)
-	if dev == nil || dm == nil || rm == nil {
+	dev := dram.NewDevice(g)
+	dm, rm := vuln.Attach(dev, 0.05, 0)
+	if dm == nil || rm == nil {
 		t.Fatal("device instantiation failed")
 	}
 	if rt := dev.Remap(); slices.Equal(rt.PhysSlice(), dram.IdentityRemap(rt.Rows()).PhysSlice()) {
 		t.Error("remap fraction 0.05 produced identity mapping")
 	}
 	// Same module instantiated twice has identical physics.
-	_, dm2, _ := vuln.Device(g, 0.05)
+	dm2, _ := vuln.Attach(dram.NewDevice(g), 0.05, 0)
 	if dm.WeakCellCount() != dm2.WeakCellCount() {
 		t.Error("module physics not reproducible")
 	}

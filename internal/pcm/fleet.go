@@ -86,7 +86,7 @@ func RunFleetTournament(cfg FleetConfig, seed uint64, workers int) []SchemeStats
 	results := make([]AttackResult, len(schemes)*cfg.Arrays)
 	par.Shard(workers, len(results), func(j int) {
 		si, ai := j/cfg.Arrays, j%cfg.Arrays
-		src := rng.New(seed + 0x9e3779b97f4a7c15*(uint64(si)<<40+uint64(ai)+1))
+		src := rng.Sub(seed, uint64(si)<<40+uint64(ai)+1)
 		a := NewArray(cfg.Lines, cfg.MeanEndurance, cfg.CoV, src)
 		m := schemes[si].mk(src)
 		results[j] = RunWriteAttack(a, m, cfg.Target, cfg.MaxWrites)

@@ -32,7 +32,7 @@ type Stream struct {
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // It is used only for seeding, as recommended by the xoshiro authors.
 func splitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
+	*state += golden
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -54,6 +54,15 @@ func New(seed uint64) *Stream {
 	}
 	return s
 }
+
+// golden is 2^64/φ, SplitMix64's increment and Sub's key step.
+const golden = 0x9e3779b97f4a7c15
+
+// Sub returns substream key of seed: New(seed + golden·key). It is how
+// one seed fans out over indexed parts (the devices of a topology, the
+// shards of a fleet); Sub(seed, 0) is New(seed), so part 0 draws
+// exactly what an unkeyed build of the same seed draws.
+func Sub(seed, key uint64) *Stream { return New(seed + golden*key) }
 
 // Split derives a new independent stream from s. The parent stream is
 // advanced, so repeated Splits yield distinct children. Children with

@@ -16,6 +16,32 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSub: key 0 is the unkeyed stream, and key k steps the seed by
+// k golden-ratio increments.
+func TestSub(t *testing.T) {
+	same := func(a, b *Stream) bool {
+		for i := 0; i < 16; i++ {
+			if a.Uint64() != b.Uint64() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, seed := range []uint64{0, 1, 5, 0xdeadbeef, ^uint64(0)} {
+		if !same(Sub(seed, 0), New(seed)) {
+			t.Fatalf("Sub(%#x, 0) differs from New(%#x)", seed, seed)
+		}
+		for _, key := range []uint64{1, 2, 7, 1<<40 + 3} {
+			if !same(Sub(seed, key), New(seed+golden*key)) {
+				t.Fatalf("Sub(%#x, %d) differs from New(seed + golden·key)", seed, key)
+			}
+			if same(Sub(seed, key), New(seed)) {
+				t.Fatalf("Sub(%#x, %d) repeats the unkeyed stream", seed, key)
+			}
+		}
+	}
+}
+
 func TestDistinctSeedsDiverge(t *testing.T) {
 	a := New(1)
 	b := New(2)
