@@ -190,35 +190,23 @@ func BenchmarkOnHammerCycle(b *testing.B) {
 // BenchmarkLoadState restores one disturb model of perfbench
 // hammer-campaign's rig shape (see campaignParams) from a mid-campaign
 // checkpoint. in-place restores onto the model's own physics, as a
-// rebuilt rig does, so only pressures and flip flags are written;
-// rebuild alternates between checkpoints of two different populations,
-// so every restore stages and re-indexes the store.
+// rebuilt rig does, so only pressures and flip flags are written.
 func BenchmarkLoadState(b *testing.B) {
-	checkpoint := func(m *Model) []byte {
+	b.Run("in-place", func(b *testing.B) {
+		m := NewModel(campaignGeom, campaignParams(), rng.New(1))
 		d := dram.NewDevice(campaignGeom)
 		d.AttachFault(m)
 		for r := 1; r+1 < campaignGeom.Rows; r += 9 {
 			hammerCycle(d, dram.Cycle{Rows: []int{r - 1, r + 1}, N: 2000, Period: 49, ClosedPage: true})
 		}
-		return saveBytes(m)
-	}
-	bench := func(b *testing.B, m *Model, payloads ...[]byte) {
+		payload := saveBytes(m)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := m.LoadState(snapshot.NewReader(payloads[i%len(payloads)])); err != nil {
+			if err := m.LoadState(snapshot.NewReader(payload)); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("in-place", func(b *testing.B) {
-		m := NewModel(campaignGeom, campaignParams(), rng.New(1))
-		bench(b, m, checkpoint(m))
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		m := NewModel(campaignGeom, campaignParams(), rng.New(1))
-		other := checkpoint(NewModel(campaignGeom, campaignParams(), rng.New(2)))
-		bench(b, m, checkpoint(m), other)
 	})
 }
 

@@ -243,9 +243,8 @@ func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 // else from phys.
 //
 // A population the memo hands out is shared by every model built from
-// it and is never written: InjectWeakCell and a LoadState of other
-// physics index a private one, which later changes may re-index in
-// place.
+// it and is never written: InjectWeakCell indexes a private one, which
+// later injections may re-index in place.
 type population struct {
 	cells        []cell
 	order        []int32
@@ -338,7 +337,8 @@ func resize[T any](s []T, n int) []T {
 type Model struct {
 	params Params
 	geom   dram.Geometry
-	population
+	// population is rebuilt from the spec; LoadState checks it.
+	population `snapshot:"config"`
 	// shared is set while population is also held by the memo.
 	shared bool `snapshot:"derived"`
 	hammer []hammerState
@@ -386,14 +386,6 @@ func NewPlanted(geom dram.Geometry) *Model {
 	m := &Model{geom: geom}
 	m.index(geom, nil)
 	return m
-}
-
-// own replaces a population the memo shares with an empty private one
-// for the next index to fill.
-func (m *Model) own() {
-	if m.shared {
-		m.population, m.shared = population{}, false
-	}
 }
 
 // Name implements dram.FaultModel.
@@ -812,9 +804,11 @@ func (m *Model) InjectWeakCell(bank, physRow, bit int, threshold float64, charge
 	})
 	phys := m.phys
 	if m.shared {
-		phys = slices.Clip(phys) // so append copies the memo's records
+		// The memo's population is never written: index a private one,
+		// and clip phys so append copies the memo's records.
+		phys = slices.Clip(phys)
+		m.population, m.shared = population{}, false
 	}
-	m.own()
 	// Each call re-indexes the population, O(cells + rows). The buffers
 	// grow the way append grows them, so a run of injections allocates
 	// amortised O(1) per cell.

@@ -2,6 +2,7 @@ package disturb
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -127,9 +128,9 @@ func samePopulation(a, b population) bool {
 
 // TestMemoSurvivesModelMutation drives a missed and a hit model, both
 // sharing the memo's population, through flips, an in-place LoadState,
-// InjectWeakCell and a LoadState of other physics. After every step the
-// memo entry must be byte-identical to what it held before, and a later
-// build of the same spec must still equal a fresh draw.
+// InjectWeakCell and a refused LoadState of other physics. After every
+// step the memo entry must be byte-identical to what it held before,
+// and a later build of the same spec must still equal a fresh draw.
 func TestMemoSurvivesModelMutation(t *testing.T) {
 	c := memoCase{"aggressive", dram.Geometry{Banks: 1, Rows: 256, Cols: 8}, aggressiveParams()}
 	pm := newPopMemo(memoBudget)
@@ -149,6 +150,17 @@ func TestMemoSurvivesModelMutation(t *testing.T) {
 				t.Fatalf("%s: %s changed the memo's population", ctx, step)
 			}
 		}
+		refused := func(step string) {
+			t.Helper()
+			before := saveBytes(m)
+			if err := m.LoadState(snapshot.NewReader(other.Bytes())); !errors.Is(err, snapshot.ErrMismatch) {
+				t.Fatalf("%s: %s: want ErrMismatch, got %v", ctx, step, err)
+			}
+			if !bytes.Equal(saveBytes(m), before) {
+				t.Fatalf("%s: %s changed the model", ctx, step)
+			}
+			check(step)
+		}
 		d := dram.NewDevice(c.geom)
 		d.AttachFault(m)
 		for r := 0; r < c.geom.Rows; r++ {
@@ -159,28 +171,16 @@ func TestMemoSurvivesModelMutation(t *testing.T) {
 			t.Fatalf("%s: hammering produced no flips; test is vacuous", ctx)
 		}
 		check("hammering")
+		refused("a LoadState of other physics onto the shared population")
 		if err := m.LoadState(snapshot.NewReader(saveBytes(m))); err != nil || !m.shared {
 			t.Fatalf("%s: in-place LoadState: %v (shared %v)", ctx, err, m.shared)
 		}
 		check("an in-place LoadState")
 		m.InjectWeakCell(0, 100, 3, 10, 1, 1, 1, 1)
 		check("InjectWeakCell")
-		if err := m.LoadState(snapshot.NewReader(other.Bytes())); err != nil {
-			t.Fatalf("%s: LoadState: %v", ctx, err)
-		}
-		check("a LoadState of other physics")
+		refused("a LoadState of other physics onto an injected population")
 		m.InjectWeakCell(0, 10, 5, 10, 0, 2, 0.5, 1)
 		check("a second InjectWeakCell")
-	}
-	// A shared model whose first change is a LoadState of other
-	// physics, with no injection before it.
-	m := drawChecked(t, "hit", pm, c, st)
-	pop := clonePopulation(*pm.lookup(c.geom, c.p, st))
-	if err := m.LoadState(snapshot.NewReader(other.Bytes())); err != nil {
-		t.Fatalf("LoadState: %v", err)
-	}
-	if m.shared || !samePopulation(*pm.lookup(c.geom, c.p, st), pop) {
-		t.Fatal("a LoadState of other physics wrote into the memo's population")
 	}
 	drawChecked(t, "after mutation", pm, c, rng.New(3).State())
 }

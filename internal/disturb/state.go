@@ -19,9 +19,8 @@ const encodedCellBytes = physBytes + 9
 // LoadState can refuse a checkpoint taken under a different
 // calibration. The cell list is written in insertion order (the
 // deterministic sampling/injection order, through m.order), not in the
-// store's row-sorted order, so a save/load round trip rebuilds an
-// identical store. Each cell's physics comes from the population's
-// encoded copy.
+// store's row-sorted order, and each cell's physics comes from the
+// population's encoded copy, which LoadState compares them against.
 func (m *Model) SaveState(w *snapshot.Writer) {
 	w.Tag("disturb.Model")
 	p := m.params
@@ -47,12 +46,13 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 	}
 }
 
-// LoadState restores state saved by SaveState into a model built with
-// the same params and geometry. A checkpoint of the installed physics —
-// every rebuild-then-overlay restore — is checked whole and then writes
-// only the cells' pressures and flip flags. Any other checkpoint is
-// validated in full before the population is re-indexed from it. On
-// error the model is unchanged.
+// LoadState restores state saved by SaveState into a model rebuilt
+// from the same spec: same params and geometry, the same weak-cell
+// population (the physics NewModel drew plus any InjectWeakCell) and
+// the same duplicate marker. It writes only the cells' pressures and
+// flip flags and the flip counters; a checkpoint of other cells is
+// refused with ErrMismatch, never installed. On error the model is
+// unchanged.
 func (m *Model) LoadState(r *snapshot.Reader) error {
 	r.Tag("disturb.Model")
 	var p Params
@@ -86,44 +86,17 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	}
 	body := r.Raw(n * encodedCellBytes)
 	// Each record's flip flag follows its physics and its pressure.
-	if !popmemo.Installed(body, m.phys, physBytes, encodedCellBytes, physBytes+8) {
-		if err := m.rebuild(body); err != nil {
-			return err
-		}
+	if err := popmemo.Installed(body, m.phys, physBytes, encodedCellBytes, physBytes+8); err != nil {
+		return err
+	}
+	if dup != m.dup {
+		return snapshot.Mismatchf("disturb duplicate-cell marker %v, have %v", dup, m.dup)
 	}
 	for i, slot := range m.order {
 		rec := body[i*encodedCellBytes+physBytes:]
 		m.hammer[slot] = hammerState{math.Float64frombits(binary.BigEndian.Uint64(rec)), rec[8] == 1}
 	}
-	m.dup = dup
 	m.totalFlips = totalFlips
 	m.epochFlips = epochFlips
-	return nil
-}
-
-// rebuild validates the encoded cells in body and re-indexes the
-// population from their physics, with zeroed hammer states for the
-// caller to fill; on error the model is untouched. A population the
-// memo shares is replaced, never written.
-func (m *Model) rebuild(body []byte) error {
-	n := len(body) / encodedCellBytes
-	bitsPerRow := m.geom.BitsPerRow()
-	for i := range n {
-		rec := body[i*encodedCellBytes : (i+1)*encodedCellBytes]
-		wc := getPhys(rec)
-		if wc.bank < 0 || wc.bank >= m.geom.Banks ||
-			wc.physRow < 0 || wc.physRow >= m.geom.Rows ||
-			wc.bit < 0 || wc.bit >= bitsPerRow ||
-			wc.dist < 1 || wc.chargedVal > 1 || rec[encodedCellBytes-1] > 1 {
-			return snapshot.Corruptf("weak cell %d out of range: %+v, flip flag %d", i, wc, rec[encodedCellBytes-1])
-		}
-	}
-	m.own()
-	phys := resize(m.phys, n*physBytes)
-	for i := range n {
-		copy(phys[i*physBytes:(i+1)*physBytes], body[i*encodedCellBytes:])
-	}
-	m.index(m.geom, phys)
-	m.hammer = resize(m.hammer, n)
 	return nil
 }

@@ -134,44 +134,13 @@ func saveBytes(m *Model) []byte {
 	return w.Bytes()
 }
 
-// TestModelLoadStateReusesStoreBitIdentical loads a checkpoint into a
-// model built from another seed — a population of a different size, so
-// the store's slices are both reused and outgrown — and requires the
-// source's SaveState bytes back and an identical rest of the campaign.
-func TestModelLoadStateReusesStoreBitIdentical(t *testing.T) {
-	for _, seeds := range [][2]uint64{{1, 5}, {5, 1}} {
-		dA, mA := buildHammered(seeds[0])
-		dB, mB := buildHammered(seeds[1])
-		if mA.WeakCellCount() == mB.WeakCellCount() {
-			t.Fatalf("seeds %v: equal populations; test needs different sizes", seeds)
-		}
-		var dw snapshot.Writer
-		dA.SaveState(&dw)
-		want := saveBytes(mA)
-		if err := dB.LoadState(snapshot.NewReader(dw.Bytes())); err != nil {
-			t.Fatalf("seeds %v: device LoadState: %v", seeds, err)
-		}
-		if err := mB.LoadState(snapshot.NewReader(want)); err != nil {
-			t.Fatalf("seeds %v: model LoadState: %v", seeds, err)
-		}
-		if got := saveBytes(mB); !bytes.Equal(got, want) {
-			t.Fatalf("seeds %v: SaveState after LoadState differs from the source's", seeds)
-		}
-		hammerRest(dA)
-		hammerRest(dB)
-		if mB.TotalFlips() != mA.TotalFlips() || deviceHash(dB) != deviceHash(dA) {
-			t.Fatalf("seeds %v: resumed run diverged: flips %d vs %d", seeds, mB.TotalFlips(), mA.TotalFlips())
-		}
-		if !bytes.Equal(saveBytes(mB), saveBytes(mA)) {
-			t.Fatalf("seeds %v: final states differ", seeds)
-		}
-	}
-}
-
 // TestModelLoadStateFailureLeavesStateUnchanged feeds LoadState broken
-// checkpoints — a hostile cell count, an out-of-range cell late in the
-// list, a truncation — and requires an error and unchanged SaveState
-// bytes. Hostile counts must be refused before allocating.
+// checkpoints — hostile cell counts, a truncation, a flip flag that is
+// not a boolean — and one whose last cell lies in another bank, onto a
+// model of the checkpoint's physics and onto one of other physics. The
+// broken ones must fail as corrupt on both, before any allocation for
+// the counts; the other cell, like any other population, as a mismatch.
+// Every failure leaves the SaveState bytes unchanged.
 func TestModelLoadStateFailureLeavesStateUnchanged(t *testing.T) {
 	_, src := buildHammered(1)
 	good := saveBytes(src)
@@ -180,7 +149,7 @@ func TestModelLoadStateFailureLeavesStateUnchanged(t *testing.T) {
 		t.Fatal("test needs at least two cells")
 	}
 	// The count is the 8-byte word just before the cell records; the
-	// last record starts with its bank.
+	// last record starts with its bank and ends with its flip flag.
 	at := len(good) - n*encodedCellBytes - 8
 	if at < 0 || binary.BigEndian.Uint64(good[at:]) != uint64(n) {
 		t.Fatalf("cell count not found at offset %d", at)
@@ -192,24 +161,38 @@ func TestModelLoadStateFailureLeavesStateUnchanged(t *testing.T) {
 	}
 	lastBank := append([]byte(nil), good...)
 	binary.BigEndian.PutUint64(lastBank[len(good)-encodedCellBytes:], 99)
-	_, m := buildHammered(5)
-	before := saveBytes(m)
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-	}{
-		{"count 2^60", withCount(1 << 60)},
-		{"count 2^64-1", withCount(^uint64(0))},
-		{"count one too many", withCount(uint64(n) + 1)},
-		{"last cell out of range", lastBank},
-		{"truncated", good[:len(good)-1]},
-	} {
-		if err := m.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("%s: want ErrCorrupt, got %v", tc.name, err)
+	lastFlag := append([]byte(nil), good...)
+	lastFlag[len(good)-1] = 2
+	dSame, same := buildHammered(1)
+	hammerRest(dSame) // the checkpoint's physics in another state
+	_, other := buildHammered(5)
+	for _, m := range []*Model{same, other} {
+		before := saveBytes(m)
+		for _, tc := range []struct {
+			name    string
+			payload []byte
+			want    error
+		}{
+			{"count 2^60", withCount(1 << 60), snapshot.ErrCorrupt},
+			{"count 2^64-1", withCount(^uint64(0)), snapshot.ErrCorrupt},
+			{"count one too many", withCount(uint64(n) + 1), snapshot.ErrCorrupt},
+			{"truncated", good[:len(good)-1], snapshot.ErrCorrupt},
+			{"last flip flag 2", lastFlag, snapshot.ErrCorrupt},
+			{"last cell in another bank", lastBank, snapshot.ErrMismatch},
+		} {
+			if err := m.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, tc.want) {
+				t.Fatalf("%d cells, %s: want %v, got %v", m.WeakCellCount(), tc.name, tc.want, err)
+			}
+			if !bytes.Equal(saveBytes(m), before) {
+				t.Fatalf("%d cells, %s: failed load mutated the model", m.WeakCellCount(), tc.name)
+			}
 		}
-		if !bytes.Equal(saveBytes(m), before) {
-			t.Fatalf("%s: failed load mutated the model", tc.name)
-		}
+	}
+	if err := other.LoadState(snapshot.NewReader(good)); !errors.Is(err, snapshot.ErrMismatch) {
+		t.Fatalf("other physics: want ErrMismatch, got %v", err)
+	}
+	if err := same.LoadState(snapshot.NewReader(good)); err != nil || !bytes.Equal(saveBytes(same), good) {
+		t.Fatalf("the intact checkpoint did not restore onto its own physics (%v)", err)
 	}
 }
 
@@ -252,15 +235,17 @@ func TestCellRecordSizes(t *testing.T) {
 	}
 }
 
-// TestLoadStateInPlaceMatchesRebuild restores one mid-campaign
-// checkpoint, with partial pressures and flips, onto a memo hit (the
-// installed physics match, so only pressures and flags are written)
-// and onto a model whose physics an injection changed (the store is
-// rebuilt). Both must save the checkpoint's bytes and then run the
-// rest of the campaign, per activation and batched, identically. Broken
-// checkpoints must fail without touching the hit model, and one whose
-// last cell carries other physics must rebuild, not half-apply.
-func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
+// TestLoadStateOverlaysInstalledPhysics restores one mid-campaign
+// checkpoint, with partial pressures and flips, onto a memo hit: the
+// installed physics match, so only pressures and flags are written and
+// the population stays shared. The restored model must save the
+// checkpoint's bytes and then run the rest of the campaign, per
+// activation and batched, exactly like the uninterrupted source.
+// Broken checkpoints must fail as corrupt, and checkpoints of other
+// cells (an injection on the target, a last cell of another threshold,
+// another duplicate marker) as mismatches; every failure leaves the
+// model's bytes and the memo's population untouched.
+func TestLoadStateOverlaysInstalledPhysics(t *testing.T) {
 	for _, seed := range []uint64{1, 5} {
 		pm := newPopMemo(memoBudget)
 		g := dram.Geometry{Banks: 2, Rows: 256, Cols: 16}
@@ -287,87 +272,85 @@ func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
 		var dw snapshot.Writer
 		dSrc.SaveState(&dw)
 		ckpt := saveBytes(src)
+		e := pm.lookup(g, p, rng.New(seed).State())
+		pop := clonePopulation(*e)
 
-		restored := func(ctx string, m *Model) *dram.Device {
-			t.Helper()
-			d := dram.NewDevice(g)
-			d.AttachFault(m)
-			if err := d.LoadState(snapshot.NewReader(dw.Bytes())); err != nil {
-				t.Fatalf("seed %d %s: device LoadState: %v", seed, ctx, err)
-			}
-			if err := m.LoadState(snapshot.NewReader(ckpt)); err != nil {
-				t.Fatalf("seed %d %s: LoadState: %v", seed, ctx, err)
-			}
-			if !bytes.Equal(saveBytes(m), ckpt) {
-				t.Fatalf("seed %d %s: SaveState after LoadState differs from the checkpoint", seed, ctx)
-			}
-			return d
-		}
 		hit := pm.newModel(g, p, rng.New(seed))
 		if !hit.shared {
 			t.Fatalf("seed %d: second build is not a memo hit", seed)
 		}
-		dIn := restored("in place", hit)
-		if !hit.shared {
-			t.Fatalf("seed %d: restoring the installed physics rebuilt the store", seed)
+		dIn := dram.NewDevice(g)
+		dIn.AttachFault(hit)
+		if err := dIn.LoadState(snapshot.NewReader(dw.Bytes())); err != nil {
+			t.Fatalf("seed %d: device LoadState: %v", seed, err)
 		}
-		injected := pm.newModel(g, p, rng.New(seed))
-		injected.InjectWeakCell(0, 9, 4, 100, 1, 1, 1, 1)
-		dRe := restored("rebuild", injected)
-		if injected.shared {
-			t.Fatalf("seed %d: rebuilt model still shares the memo's population", seed)
+		if err := hit.LoadState(snapshot.NewReader(ckpt)); err != nil {
+			t.Fatalf("seed %d: LoadState: %v", seed, err)
 		}
-
-		for _, d := range []*dram.Device{dIn, dRe} {
+		if !hit.shared || !bytes.Equal(saveBytes(hit), ckpt) {
+			t.Fatalf("seed %d: the restore did not overlay the shared population with the checkpoint's state", seed)
+		}
+		flipsAt := src.TotalFlips()
+		for _, d := range []*dram.Device{dIn, dSrc} {
 			for r := 0; r < 40; r++ {
 				d.Activate(r%2, 3*r, dram.Time(1<<39)+dram.Time(r)*50)
 				d.Precharge(r % 2)
 			}
 			hammerRest(d)
 		}
-		if hit.TotalFlips() != injected.TotalFlips() || deviceHash(dIn) != deviceHash(dRe) ||
-			!bytes.Equal(saveBytes(hit), saveBytes(injected)) {
-			t.Fatalf("seed %d: runs after an in-place and a rebuilt restore diverged: flips %d vs %d",
-				seed, hit.TotalFlips(), injected.TotalFlips())
+		if hit.TotalFlips() != src.TotalFlips() || deviceHash(dIn) != deviceHash(dSrc) ||
+			!bytes.Equal(saveBytes(hit), saveBytes(src)) {
+			t.Fatalf("seed %d: the restored run diverged from the uninterrupted one: flips %d vs %d",
+				seed, hit.TotalFlips(), src.TotalFlips())
 		}
-		if hit.TotalFlips() == src.TotalFlips() {
+		if hit.TotalFlips() == flipsAt {
 			t.Fatalf("seed %d: no flips after the restore; test is vacuous", seed)
 		}
 
 		n := src.WeakCellCount()
 		cells := len(ckpt) - n*encodedCellBytes
-		mutated := func(i, off int, b byte) []byte {
+		patched := func(at int, b byte) []byte {
 			c := bytes.Clone(ckpt)
-			c[cells+i*encodedCellBytes+off] = b
+			c[at] = b
 			return c
 		}
-		m := pm.newModel(g, p, rng.New(seed))
-		before := saveBytes(m)
-		for _, tc := range []struct {
-			name    string
-			payload []byte
-		}{
-			{"truncated inside the cells", ckpt[:cells+n/2*encodedCellBytes+5]},
-			{"flip byte 2 in the first cell", mutated(0, encodedCellBytes-1, 2)},
-			{"flip byte 2 in the last cell", mutated(n-1, encodedCellBytes-1, 2)},
-		} {
-			if err := m.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, snapshot.ErrCorrupt) {
-				t.Fatalf("seed %d %s: want ErrCorrupt, got %v", seed, tc.name, err)
-			}
-			if !bytes.Equal(saveBytes(m), before) || !m.shared {
-				t.Fatalf("seed %d %s: failed load changed the model", seed, tc.name)
-			}
-		}
+		lastFlag := cells + n*encodedCellBytes - 1
+		// The duplicate marker precedes the two flip counters and the
+		// cell count.
+		dupAt := cells - 25
 		// The last cell's threshold (its fourth field) halved: the
 		// earlier cells match the installed physics, the last does not.
-		other := bytes.Clone(ckpt)
-		th := other[cells+(n-1)*encodedCellBytes+24:]
+		otherThreshold := bytes.Clone(ckpt)
+		th := otherThreshold[cells+(n-1)*encodedCellBytes+24:]
 		binary.BigEndian.PutUint64(th, math.Float64bits(math.Float64frombits(binary.BigEndian.Uint64(th))/2))
-		if err := m.LoadState(snapshot.NewReader(other)); err != nil {
-			t.Fatalf("seed %d: other physics in the last cell: %v", seed, err)
-		}
-		if m.shared || !bytes.Equal(saveBytes(m), other) {
-			t.Fatalf("seed %d: other physics in the last cell were not rebuilt in full", seed)
+		injected := pm.newModel(g, p, rng.New(seed))
+		injected.InjectWeakCell(0, 9, 4, 100, 1, 1, 1, 1)
+		m := pm.newModel(g, p, rng.New(seed))
+		for _, tc := range []struct {
+			name    string
+			m       *Model
+			payload []byte
+			want    error
+		}{
+			{"truncated inside the cells", m, ckpt[:cells+n/2*encodedCellBytes+5], snapshot.ErrCorrupt},
+			{"flip byte 2 in the first cell", m, patched(cells+encodedCellBytes-1, 2), snapshot.ErrCorrupt},
+			{"flip byte 2 in the last cell", m, patched(lastFlag, 2), snapshot.ErrCorrupt},
+			{"duplicate marker 2", m, patched(dupAt, 2), snapshot.ErrCorrupt},
+			{"flip byte 2 onto an injected population", injected, patched(lastFlag, 2), snapshot.ErrCorrupt},
+			{"other physics in the last cell", m, otherThreshold, snapshot.ErrMismatch},
+			{"another duplicate marker", m, patched(dupAt, 1), snapshot.ErrMismatch},
+			{"an injected population", injected, ckpt, snapshot.ErrMismatch},
+		} {
+			before := saveBytes(tc.m)
+			if err := tc.m.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, tc.want) {
+				t.Fatalf("seed %d %s: want %v, got %v", seed, tc.name, tc.want, err)
+			}
+			if !bytes.Equal(saveBytes(tc.m), before) || tc.m.shared != (tc.m == m) {
+				t.Fatalf("seed %d %s: failed load changed the model", seed, tc.name)
+			}
+			if pm.lookup(g, p, rng.New(seed).State()) != e || !samePopulation(*e, pop) {
+				t.Fatalf("seed %d %s: failed load changed the memo's population", seed, tc.name)
+			}
 		}
 	}
 }
@@ -376,7 +359,9 @@ func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
 // records the fuzzer overwrites with patch from byte at on and cuts to
 // keep bytes, onto a model sharing the memo's population. A load either
 // fails and leaves the model's SaveState bytes unchanged, or succeeds
-// and saves the bytes it read back byte for byte; it never panics. The
+// and saves the bytes it read back byte for byte; it never panics.
+// Patched physics stop at the population check; patched pressures and
+// flip flags reach the commit. The
 // inputs stay small because the fuzzer minimizes every new one in time
 // quadratic in its length.
 func FuzzDisturbLoadState(f *testing.F) {
@@ -402,10 +387,16 @@ func FuzzDisturbLoadState(f *testing.F) {
 	f.Add(uint16(0), []byte(nil), uint16(len(cells)))
 	f.Add(uint16(0), []byte(nil), uint16(len(cells)-3))
 	f.Add(uint16(len(cells)-1), []byte{2}, uint16(len(cells)))
-	f.Add(last+15, []byte{1}, uint16(len(cells)))    // the last cell's row
-	f.Add(last+24, []byte{0x40}, uint16(len(cells))) // the last cell's threshold
-	// The last cell's distance at the largest int: it couples to no row.
+	// Other physics, refused as a mismatch: the last cell's row,
+	// threshold, and distance at the largest int.
+	f.Add(last+15, []byte{1}, uint16(len(cells)))
+	f.Add(last+24, []byte{0x41}, uint16(len(cells)))
 	f.Add(last+32, []byte{0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(len(cells)))
+	// Other state, committed: the first cell's pressure and the last
+	// cell's pressure and flip flag.
+	f.Add(uint16(physBytes), []byte{0x41, 0x20}, uint16(len(cells)))
+	f.Add(last+physBytes, []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0}, uint16(len(cells)))
+	f.Add(last+physBytes+8, []byte{1}, uint16(len(cells)))
 	f.Fuzz(func(t *testing.T, at uint16, patch []byte, keep uint16) {
 		body := bytes.Clone(cells)
 		copy(body[int(at)%len(body):], patch)

@@ -228,8 +228,7 @@ func (bk *bank) row(r int) []uint64 {
 // NewDevice builds a device with the given geometry and default
 // timing/energy. All cells start at 0 and all rows precharged. Its
 // remap is the process-wide identity table for its row count, which is
-// read-only: SetRemap and LoadState install other tables rather than
-// write it.
+// read-only: SetRemap installs other tables rather than write it.
 func NewDevice(g Geometry) *Device {
 	if err := g.Validate(); err != nil {
 		panic(err)

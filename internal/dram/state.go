@@ -1,10 +1,6 @@
 package dram
 
-import (
-	"slices"
-
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // SaveState serializes the device's mutable state: stats, the refresh
 // pointer, the remap table, and per bank the open row, charge-restore
@@ -39,11 +35,14 @@ func (d *Device) SaveState(w *snapshot.Writer) {
 	}
 }
 
-// LoadState restores state saved by SaveState into a device of the
-// same geometry. Every bank block has a fixed size, so the payload
-// length and each bank's header (open row, clock count) are validated
-// before anything is written; the clocks and cell words are then
-// decoded straight into the device. On error the device is unchanged.
+// LoadState restores state saved by SaveState into a device rebuilt
+// from the same spec: same geometry and the same remap table, which is
+// configuration (NewDevice's shared identity, or what SetRemap
+// installed) and is only compared, never installed from a checkpoint.
+// Every bank block has a fixed size, so the payload length and each
+// bank's header (open row, clock count) are validated before anything
+// is written; the clocks and cell words are then decoded straight into
+// the device. On error the device is unchanged.
 func (d *Device) LoadState(r *snapshot.Reader) error {
 	r.Tag("dram.Device")
 	g := Geometry{Banks: r.Int(), Rows: r.Int(), Cols: r.Int()}
@@ -64,20 +63,9 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 	if n := r.Count(8); r.Err() == nil && n != g.Rows {
 		return snapshot.Corruptf("remap table covers %d rows, device has %d", n, g.Rows)
 	}
-	// Decode the remap table against the installed one, which covers
-	// Rows rows: a restore onto an equal table (every
-	// rebuild-then-overlay restore) keeps it and allocates nothing. The
-	// first differing entry switches to a private copy, so the installed
-	// table, which callers or other devices (NewDevice's shared
-	// identity) may hold, is never written.
-	remap := d.remap
-	phys := remap.phys
-	for l := range phys {
-		if p := r.Int(); p != phys[l] {
-			if remap != nil {
-				phys, remap = slices.Clone(phys), nil
-			}
-			phys[l] = p
+	for l, p := range d.remap.phys {
+		if q := r.Int(); q != p && r.Err() == nil {
+			return snapshot.Mismatchf("checkpoint remaps logical row %d to %d, device to %d", l, q, p)
 		}
 	}
 	if err := r.Err(); err != nil {
@@ -85,12 +73,6 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 	}
 	if refreshPtr < 0 || refreshPtr >= g.Rows {
 		return snapshot.Corruptf("refresh pointer %d out of range", refreshPtr)
-	}
-	if remap == nil {
-		var err error
-		if remap, err = remapFromOwnedPhys(phys); err != nil {
-			return snapshot.Corruptf("remap table: %v", err)
-		}
 	}
 	// A bank block is the open row, the clock count, Rows clocks and
 	// Rows*Cols cell words.
@@ -111,7 +93,6 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 	// Commit: nothing below can fail.
 	d.Stats = st
 	d.refreshPtr = refreshPtr
-	d.remap = remap
 	for _, bk := range d.banks {
 		bk.openPhysRow = r.Int()
 		r.U64()

@@ -11,6 +11,10 @@ import (
 	"repro/internal/snapshot"
 )
 
+// TestDeviceStateRoundTrip restores a device with a non-trivial remap,
+// cells, clocks, stats and an open row onto one rebuilt with the same
+// remap, which the restore keeps. A device of another remap refuses the
+// checkpoint as a mismatch and keeps its table and its bytes.
 func TestDeviceStateRoundTrip(t *testing.T) {
 	g := Geometry{Banks: 2, Rows: 64, Cols: 8}
 	d := NewDevice(g)
@@ -33,22 +37,29 @@ func TestDeviceStateRoundTrip(t *testing.T) {
 	var w snapshot.Writer
 	d.SaveState(&w)
 
+	other := NewDevice(g)
+	identity := other.Remap()
+	var before snapshot.Writer
+	other.SaveState(&before)
+	if err := other.LoadState(snapshot.NewReader(w.Bytes())); !errors.Is(err, snapshot.ErrMismatch) {
+		t.Fatalf("LoadState onto another remap: want ErrMismatch, got %v", err)
+	}
+	var after snapshot.Writer
+	other.SaveState(&after)
+	if other.Remap() != identity || !identity.IsIdentity() || !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Fatal("a refused restore changed the device or its remap table")
+	}
+
 	d2 := NewDevice(g)
-	identity := d2.Remap()
+	same, err := RemapFromPhysSlice(rt.PhysSlice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2.SetRemap(same)
 	if err := d2.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
-	// A differing table is installed as a new one; the table it
-	// replaces, which callers may still hold, is not written.
-	if d2.Remap() == identity || !identity.IsIdentity() {
-		t.Fatal("restore wrote the replaced remap table")
-	}
-	// Restoring onto an equal table keeps the installed one.
-	restored := d2.Remap()
-	if err := d2.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
-		t.Fatalf("second LoadState: %v", err)
-	}
-	if d2.Remap() != restored {
+	if d2.Remap() != same {
 		t.Fatal("restore onto an equal remap table replaced it")
 	}
 	if d2.Stats != d.Stats {
@@ -59,9 +70,6 @@ func TestDeviceStateRoundTrip(t *testing.T) {
 	}
 	if d2.refreshPtr != d.refreshPtr {
 		t.Fatalf("refreshPtr %d vs %d", d2.refreshPtr, d.refreshPtr)
-	}
-	if d2.PhysRow(3) != d.PhysRow(3) || d2.PhysRow(60) != d.PhysRow(60) {
-		t.Fatal("remap table not restored")
 	}
 	for b := 0; b < g.Banks; b++ {
 		for r := 0; r < g.Rows; r++ {
@@ -96,11 +104,12 @@ func TestDeviceLoadStateRejectsGeometryMismatch(t *testing.T) {
 // TestDeviceLoadStateRejectsTruncation pins LoadState's
 // validate-then-decode order on a multi-bank device: payloads cut at
 // every bank boundary and in the middle of every bank's cell words, a
-// remap table that maps a physical row twice, names one out of range
-// or covers too few rows, a bad open row in the last bank and a wrong
-// clock count must each return ErrCorrupt and leave the target's saved
-// bytes unchanged, even though a valid decode writes straight into the
-// device.
+// remap table that covers too few rows, a bad open row in the last bank
+// and a wrong clock count must each return ErrCorrupt, and a remap
+// table that maps a physical row twice or names one out of range, like
+// any table other than the device's, ErrMismatch. Each must leave the
+// target's saved bytes unchanged, even though a valid decode writes
+// straight into the device.
 func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 	g := Geometry{Banks: 3, Rows: 16, Cols: 4}
 	src := NewDevice(g)
@@ -130,20 +139,25 @@ func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 	// The remap table's Rows entries sit just before the bank blocks,
 	// after its length.
 	remapAt := first - 8*g.Rows
-	cases := map[string][]byte{
-		"duplicate physical row in remap":   patched(remapAt+8, 0),
-		"remap row out of range":            patched(first-8, uint64(g.Rows)),
-		"remap shorter than the device":     patched(remapAt-8, uint64(g.Rows-1)),
-		"bad open row in last bank":         patched(first+(g.Banks-1)*block, uint64(g.Rows)),
-		"open row below -1 in first bank":   patched(first, ^uint64(1)),
-		"wrong clock count in middle bank":  patched(first+block+8, uint64(g.Rows-1)),
-		"huge clock count in last bank":     patched(first+(g.Banks-1)*block+8, 1<<62),
-		"one byte short of the last bank":   full[:len(full)-1],
-		"cut inside the first bank's clock": full[:first+16+4],
+	type load struct {
+		payload []byte
+		want    error
+	}
+	cases := map[string]load{
+		"duplicate physical row in remap":   {patched(remapAt+8, 0), snapshot.ErrMismatch},
+		"remap row out of range":            {patched(first-8, uint64(g.Rows)), snapshot.ErrMismatch},
+		"remap shorter than the device":     {patched(remapAt-8, uint64(g.Rows-1)), snapshot.ErrCorrupt},
+		"bad open row in last bank":         {patched(first+(g.Banks-1)*block, uint64(g.Rows)), snapshot.ErrCorrupt},
+		"open row below -1 in first bank":   {patched(first, ^uint64(1)), snapshot.ErrCorrupt},
+		"wrong clock count in middle bank":  {patched(first+block+8, uint64(g.Rows-1)), snapshot.ErrCorrupt},
+		"huge clock count in last bank":     {patched(first+(g.Banks-1)*block+8, 1<<62), snapshot.ErrCorrupt},
+		"one byte short of the last bank":   {full[:len(full)-1], snapshot.ErrCorrupt},
+		"cut inside the first bank's clock": {full[:first+16+4], snapshot.ErrCorrupt},
+		"cut inside the remap table":        {full[:remapAt+4], snapshot.ErrCorrupt},
 	}
 	for b := 0; b < g.Banks; b++ {
-		cases[fmt.Sprintf("cut at the start of bank %d", b)] = full[:first+b*block]
-		cases[fmt.Sprintf("cut mid-slab in bank %d", b)] = full[:first+b*block+16+8*g.Rows+4*g.Rows*g.Cols]
+		cases[fmt.Sprintf("cut at the start of bank %d", b)] = load{full[:first+b*block], snapshot.ErrCorrupt}
+		cases[fmt.Sprintf("cut mid-slab in bank %d", b)] = load{full[:first+b*block+16+8*g.Rows+4*g.Rows*g.Cols], snapshot.ErrCorrupt}
 	}
 
 	dst := NewDevice(g)
@@ -156,10 +170,10 @@ func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 	dst.Write(0, 1, 0xbeef)
 	var before snapshot.Writer
 	dst.SaveState(&before)
-	for name, payload := range cases {
-		err := dst.LoadState(snapshot.NewReader(payload))
-		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
+	for name, tc := range cases {
+		err := dst.LoadState(snapshot.NewReader(tc.payload))
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: want %v, got %v", name, tc.want, err)
 		}
 		var after snapshot.Writer
 		dst.SaveState(&after)
@@ -197,11 +211,12 @@ func TestNewDeviceSharesIdentityRemap(t *testing.T) {
 	}
 }
 
-// TestSharedIdentityNeverWritten restores a checkpoint whose remap
-// differs from the identity in one entry pair onto a device holding
-// the shared identity table, and installs a RandomRemap on another: each
-// gets a table of its own, and the shared table stays the identity. An
-// identity checkpoint keeps the shared table.
+// TestSharedIdentityNeverWritten offers a checkpoint whose remap
+// differs from the identity in one entry pair to a device holding the
+// shared identity table, and installs a RandomRemap on another: the
+// restore is refused as a mismatch and keeps the shared table, the
+// RandomRemap is a table of its own, and the shared table stays the
+// identity. An identity checkpoint keeps the shared table.
 func TestSharedIdentityNeverWritten(t *testing.T) {
 	g := Geometry{Banks: 1, Rows: 64, Cols: 2}
 	shared := NewDevice(g).Remap()
@@ -213,11 +228,11 @@ func TestSharedIdentityNeverWritten(t *testing.T) {
 	src.SaveState(&w)
 
 	dst := NewDevice(g)
-	if err := dst.LoadState(snapshot.NewReader(w.Bytes())); err != nil {
-		t.Fatal(err)
+	if err := dst.LoadState(snapshot.NewReader(w.Bytes())); !errors.Is(err, snapshot.ErrMismatch) {
+		t.Fatalf("a restore of another remap: want ErrMismatch, got %v", err)
 	}
-	if dst.Remap() == shared || dst.PhysRow(3) != 60 || dst.PhysRow(60) != 3 || dst.Remap().Validate() != nil {
-		t.Fatal("a restore of another remap did not install a private table")
+	if dst.Remap() != shared || dst.PhysRow(3) != 3 {
+		t.Fatal("a refused restore of another remap replaced the shared table")
 	}
 	rnd := NewDevice(g)
 	rnd.SetRemap(RandomRemap(g.Rows, 0.5, rng.New(1)))
@@ -230,14 +245,7 @@ func TestSharedIdentityNeverWritten(t *testing.T) {
 
 	var id snapshot.Writer
 	NewDevice(g).SaveState(&id)
-	if err := dst.LoadState(snapshot.NewReader(id.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.Remap().IsIdentity() {
-		t.Fatal("an identity checkpoint did not restore the identity")
-	}
-	keep := NewDevice(g)
-	if err := keep.LoadState(snapshot.NewReader(id.Bytes())); err != nil || keep.Remap() != shared {
+	if err := dst.LoadState(snapshot.NewReader(id.Bytes())); err != nil || dst.Remap() != shared {
 		t.Fatalf("an identity checkpoint replaced the shared table (%v)", err)
 	}
 }

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/dram"
@@ -410,12 +411,14 @@ func (c *Controller) SaveState(w *snapshot.Writer) {
 }
 
 // LoadState restores state saved by SaveState into a controller built
-// with the same configuration: same rank geometry and count, and the
-// same mitigation roster (matched by Name, in attach order). Scalar
-// controller fields are staged before any rank or mitigation is
-// touched; a failure inside a rank or mitigation load reports an error
-// without completing the overlay (callers rebuild from spec on error,
-// so no partially-loaded state is ever used).
+// with the same configuration: same rank geometry and count, the same
+// mitigation roster (matched by Name, in attach order), and so the same
+// refresh period and multiplier, which the roster's RefreshScalings fix
+// and LoadState only compares. Scalar controller fields are staged
+// before any rank or mitigation is touched; a failure inside a rank or
+// mitigation load reports an error without completing the overlay
+// (callers rebuild from spec on error, so no partially-loaded state is
+// ever used).
 func (c *Controller) LoadState(r *snapshot.Reader) error {
 	r.Tag("memctrl.Controller")
 	now := dram.Time(r.U64())
@@ -425,6 +428,9 @@ func (c *Controller) LoadState(r *snapshot.Reader) error {
 	nla := r.U64()
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if refPeriod != c.refPeriod || math.Float64bits(refMult) != math.Float64bits(c.refMult) {
+		return snapshot.Mismatchf("checkpoint refreshes every %d at multiplier %g, controller every %d at %g", refPeriod, refMult, c.refPeriod, c.refMult)
 	}
 	if int(nla) != len(c.lastAct) {
 		return snapshot.Mismatchf("controller has %d flat banks, checkpoint holds %d", len(c.lastAct), nla)
@@ -457,8 +463,6 @@ func (c *Controller) LoadState(r *snapshot.Reader) error {
 	// any error as fatal for the whole restore target.
 	c.now = now
 	c.nextRefDue = nextRefDue
-	c.refPeriod = refPeriod
-	c.refMult = refMult
 	copy(c.lastAct, lastAct)
 	c.Stats = st
 	for _, dev := range c.ranks {

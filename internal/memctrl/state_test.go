@@ -2,7 +2,9 @@ package memctrl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/disturb"
@@ -168,6 +170,65 @@ func TestControllerLoadStateRejectsRosterMismatch(t *testing.T) {
 	err := b.ctrl.LoadState(snapshot.NewReader(cw.Bytes()))
 	if !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("want ErrMismatch, got %v", err)
+	}
+}
+
+// TestControllerLoadStateRejectsRefreshMismatch pins that the refresh
+// period and multiplier are configuration, fixed by the attached
+// RefreshScaling roster: a checkpoint of another scaling, or one whose
+// period or multiplier bytes differ from the target's, is refused with
+// ErrMismatch before anything is written, and the target's SaveState
+// bytes stay unchanged. The same roster restores.
+func TestControllerLoadStateRejectsRefreshMismatch(t *testing.T) {
+	scaled := func(f float64) func(*rng.Stream) []Mitigation {
+		return func(*rng.Stream) []Mitigation { return []Mitigation{NewRefreshScaling(f)} }
+	}
+	a := newStateRig(1, scaled(2))
+	a.drive(100)
+	var cw snapshot.Writer
+	a.ctrl.SaveState(&cw)
+	ckpt := cw.Bytes()
+	// The period and the multiplier follow the tag and two clocks.
+	var head snapshot.Writer
+	head.Tag("memctrl.Controller")
+	at := len(head.Bytes()) + 16
+	patched := func(off int, v uint64) []byte {
+		b := bytes.Clone(ckpt)
+		binary.BigEndian.PutUint64(b[off:], v)
+		return b
+	}
+	period := binary.BigEndian.Uint64(ckpt[at:])
+	if period != uint64(a.ctrl.RefreshPeriod()) {
+		t.Fatalf("refresh period %d not found at offset %d", a.ctrl.RefreshPeriod(), at)
+	}
+	for _, tc := range []struct {
+		name    string
+		target  *stateRig
+		payload []byte
+	}{
+		{"another scaling", newStateRig(1, scaled(4)), ckpt},
+		{"no scaling", newStateRig(1, func(*rng.Stream) []Mitigation { return nil }), ckpt},
+		{"another period", newStateRig(1, scaled(2)), patched(at, period+1)},
+		{"another multiplier", newStateRig(1, scaled(2)), patched(at+8, math.Float64bits(3))},
+	} {
+		var before, after snapshot.Writer
+		tc.target.ctrl.SaveState(&before)
+		if err := tc.target.ctrl.LoadState(snapshot.NewReader(tc.payload)); !errors.Is(err, snapshot.ErrMismatch) {
+			t.Fatalf("%s: want ErrMismatch, got %v", tc.name, err)
+		}
+		tc.target.ctrl.SaveState(&after)
+		if !bytes.Equal(after.Bytes(), before.Bytes()) {
+			t.Fatalf("%s: a refused restore changed the controller", tc.name)
+		}
+	}
+	b := newStateRig(1, scaled(2))
+	if err := b.ctrl.LoadState(snapshot.NewReader(ckpt)); err != nil {
+		t.Fatalf("same scaling: %v", err)
+	}
+	var got snapshot.Writer
+	b.ctrl.SaveState(&got)
+	if !bytes.Equal(got.Bytes(), ckpt) {
+		t.Fatal("same scaling: SaveState after LoadState differs from the checkpoint")
 	}
 }
 

@@ -3,6 +3,8 @@ package popmemo
 import (
 	"bytes"
 	"slices"
+
+	"repro/internal/snapshot"
 )
 
 // SortByRow is the stable counting sort that lays a population out by
@@ -40,22 +42,31 @@ func SortByRow(start []int32, rows int, at []int32) []int32 {
 	return start
 }
 
-// Installed reports whether body, a checkpoint's encoded cells of
-// recBytes each, carries exactly the cells whose physics phys encodes,
-// physBytes per cell, in the same order, each record starting with its
-// cell's physics, and whether the byte at offset flag of every record
-// is a valid boolean. A restore of such a body changes only the cells'
-// mutable state.
-func Installed(body, phys []byte, physBytes, recBytes, flag int) bool {
+// Installed checks that body, a checkpoint's encoded cells of recBytes
+// each, carries exactly the cells whose physics phys encodes, physBytes
+// per cell, in the same order, each record starting with its cell's
+// physics, and that the byte at offset flag of every record is a valid
+// boolean. A restore overlays only such a body, changing nothing but
+// the cells' mutable state: populations are configuration, rebuilt from
+// the spec, and never installed from a checkpoint. It returns
+// snapshot.ErrCorrupt if a flag byte is not a boolean, and
+// snapshot.ErrMismatch if the body carries other cells. The flags are
+// scanned on their own only after the compare has failed, so an
+// accepted body costs one pass.
+func Installed(body, phys []byte, physBytes, recBytes, flag int) error {
 	n := len(phys) / physBytes
-	if len(body) != n*recBytes {
-		return false
-	}
-	for i := range n {
+	same := len(body) == n*recBytes
+	for i := 0; same && i < n; i++ {
 		rec := body[i*recBytes : (i+1)*recBytes]
-		if !bytes.Equal(rec[:physBytes], phys[i*physBytes:(i+1)*physBytes]) || rec[flag] > 1 {
-			return false
+		same = bytes.Equal(rec[:physBytes], phys[i*physBytes:(i+1)*physBytes]) && rec[flag] <= 1
+	}
+	if same {
+		return nil
+	}
+	for i := flag; i < len(body); i += recBytes {
+		if body[i] > 1 {
+			return snapshot.Corruptf("weak cell %d: flag byte %d is not a boolean", i/recBytes, body[i])
 		}
 	}
-	return true
+	return snapshot.Mismatchf("checkpoint's %d weak cells differ from the %d installed", len(body)/recBytes, n)
 }

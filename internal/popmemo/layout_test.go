@@ -2,10 +2,12 @@ package popmemo
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/snapshot"
 )
 
 // TestSortByRowStable checks SortByRow against a stable comparison sort
@@ -48,31 +50,36 @@ func TestSortByRowStable(t *testing.T) {
 	}
 }
 
-// TestInstalled pins the in-place restore check: a body matches only
-// when it has one record per installed cell, each beginning with that
-// cell's physics, and every flag byte is 0 or 1.
+// TestInstalled pins the restore check: a body overlays the population
+// only when it has one record per installed cell, each beginning with
+// that cell's physics, and every flag byte is 0 or 1. A flag byte
+// outside {0, 1} is corrupt wherever it sits; any other difference is a
+// mismatch.
 func TestInstalled(t *testing.T) {
 	const physBytes, recBytes, flag = 3, 5, 4
 	phys := []byte{1, 2, 3, 4, 5, 6}
 	body := []byte{1, 2, 3, 9, 1, 4, 5, 6, 9, 0}
-	if !Installed(body, phys, physBytes, recBytes, flag) {
-		t.Fatal("matching body not installed")
+	if err := Installed(body, phys, physBytes, recBytes, flag); err != nil {
+		t.Fatalf("matching body refused: %v", err)
 	}
-	if !Installed(nil, nil, physBytes, recBytes, flag) {
-		t.Fatal("empty body does not match an empty population")
+	if err := Installed(nil, nil, physBytes, recBytes, flag); err != nil {
+		t.Fatalf("empty body refused on an empty population: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
 		body []byte
+		want error
 	}{
-		{"other physics", []byte{1, 2, 3, 9, 1, 4, 5, 7, 9, 0}},
-		{"flag 2", []byte{1, 2, 3, 9, 2, 4, 5, 6, 9, 0}},
-		{"one record", body[:recBytes]},
-		{"one record more", append(bytes.Clone(body), 1, 2, 3, 9, 0)},
-		{"cut inside a record", body[:len(body)-1]},
+		{"other physics", []byte{1, 2, 3, 9, 1, 4, 5, 7, 9, 0}, snapshot.ErrMismatch},
+		{"flag 2", []byte{1, 2, 3, 9, 2, 4, 5, 6, 9, 0}, snapshot.ErrCorrupt},
+		{"other physics and a later flag 2", []byte{1, 2, 7, 9, 1, 4, 5, 6, 9, 2}, snapshot.ErrCorrupt},
+		{"one record", body[:recBytes], snapshot.ErrMismatch},
+		{"one record more", append(bytes.Clone(body), 1, 2, 3, 9, 0), snapshot.ErrMismatch},
+		{"one record more with flag 2", append(bytes.Clone(body), 1, 2, 3, 9, 2), snapshot.ErrCorrupt},
+		{"cut inside a record", body[:len(body)-1], snapshot.ErrMismatch},
 	} {
-		if Installed(tc.body, phys, physBytes, recBytes, flag) {
-			t.Errorf("%s: reported installed", tc.name)
+		if err := Installed(tc.body, phys, physBytes, recBytes, flag); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

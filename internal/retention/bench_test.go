@@ -80,29 +80,6 @@ func BenchmarkLoadState(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadStateRebuild restores BenchmarkLoadState's model from
-// two checkpoints of different physics in turn, so every restore
-// validates the cells and builds a new population.
-func BenchmarkLoadStateRebuild(b *testing.B) {
-	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
-	p := DefaultParams()
-	p.WeakFraction = 2e-3
-	var payloads [2][]byte
-	for i := range payloads {
-		var w snapshot.Writer
-		NewModel(g, p, rng.New(uint64(i+1))).SaveState(&w)
-		payloads[i] = w.Bytes()
-	}
-	m := NewModel(g, p, rng.New(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.LoadState(snapshot.NewReader(payloads[i%2])); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNewModel builds one model of perfbench hammer-campaign's rig
 // shape: 128 rows of 8 words under DefaultParams, a population of a
 // cell or two. miss draws from a stream state never seen before, so it

@@ -170,10 +170,10 @@ func attached(m *Model) *dram.Device {
 
 // TestMemoSurvivesModelMutation drives a missed and a hit model, both
 // sharing the memo's population, through refresh storms (decays and
-// VRT toggles), an in-place LoadState and a LoadState of other physics.
-// After every step the memo entry must be byte-identical to what it
-// held before, and a later build of the same spec must still equal a
-// fresh draw. The same holds for models built and stormed from eight
+// VRT toggles), an in-place LoadState and a refused LoadState of other
+// physics. After every step the memo entry must be byte-identical to
+// what it held before, and a later build of the same spec must still
+// equal a fresh draw. The same holds for models built and stormed from eight
 // goroutines at once; run under -race.
 func TestMemoSurvivesModelMutation(t *testing.T) {
 	c := memoCase{"dense", campaignGeom, denseVRTParams()}
@@ -205,12 +205,16 @@ func TestMemoSurvivesModelMutation(t *testing.T) {
 			t.Fatalf("%s: in-place LoadState: %v (shared %v)", ctx, err, sharesPopulation(m, e))
 		}
 		check("an in-place LoadState")
-		if err := m.LoadState(snapshot.NewReader(otherBytes)); err != nil || sharesPopulation(m, e) {
-			t.Fatalf("%s: LoadState of other physics: %v (shared %v)", ctx, err, sharesPopulation(m, e))
+		before := saveBytes(m)
+		if err := m.LoadState(snapshot.NewReader(otherBytes)); !errors.Is(err, snapshot.ErrMismatch) || !sharesPopulation(m, e) {
+			t.Fatalf("%s: LoadState of other physics: want ErrMismatch, got %v (shared %v)", ctx, err, sharesPopulation(m, e))
+		}
+		if !bytes.Equal(saveBytes(m), before) {
+			t.Fatalf("%s: a refused LoadState changed the model", ctx)
 		}
 		check("a LoadState of other physics")
 		refreshStorms(d, now, 4)
-		check("storms on other physics")
+		check("storms after a refused LoadState")
 	}
 	drawChecked(t, "after mutation", pm, c, st)
 
@@ -261,13 +265,14 @@ func campaignCheckpoint(pm *popMemo, seed uint64) (m *Model, dev, model []byte, 
 	return m, w.Bytes(), saveBytes(m), now
 }
 
-// TestLoadStateInPlaceMatchesRebuild restores one mid-campaign
-// checkpoint, with decays and toggled VRT states, onto a memo hit (the
+// TestLoadStateOverlaysInstalledPhysics restores one mid-campaign
+// checkpoint, with decays and toggled VRT states, onto a memo hit: the
 // installed physics match, so only the counter, the stream and VRT
-// states are written) and onto a model of other physics (a new
-// population is built). Both must save the checkpoint's bytes and then
-// run the rest of the campaign exactly like the uninterrupted model.
-func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
+// states are written and the population stays shared. The restored
+// model must save the checkpoint's bytes and then run the rest of the
+// campaign exactly like the uninterrupted model. A model of other
+// physics must refuse the checkpoint as a mismatch and keep its bytes.
+func TestLoadStateOverlaysInstalledPhysics(t *testing.T) {
 	for _, seed := range []uint64{1, 5} {
 		pm := newTestMemo()
 		ref, devBytes, ckpt, mid := campaignCheckpoint(pm, seed)
@@ -278,44 +283,44 @@ func TestLoadStateInPlaceMatchesRebuild(t *testing.T) {
 		dRef.AttachFault(ref)
 		refreshStorms(dRef, mid, 5)
 		e := memoState(pm, memoCase{"dense", campaignGeom, denseVRTParams()}, rng.New(seed).State())
-		for _, tc := range []struct {
-			name   string
-			seed   uint64
-			shared bool
-		}{
-			{"in-place", seed, true},
-			{"rebuild", seed + 100, false},
-		} {
-			m := newModel(pm, campaignGeom, denseVRTParams(), rng.New(tc.seed))
-			d := dram.NewDevice(campaignGeom)
-			if err := d.LoadState(snapshot.NewReader(devBytes)); err != nil {
-				t.Fatal(err)
-			}
-			d.AttachFault(m)
-			if err := m.LoadState(snapshot.NewReader(ckpt)); err != nil {
-				t.Fatalf("seed %d %s: LoadState: %v", seed, tc.name, err)
-			}
-			if sharesPopulation(m, e) != tc.shared {
-				t.Fatalf("seed %d %s: shares the memo's population %v, want %v", seed, tc.name, !tc.shared, tc.shared)
-			}
-			if !bytes.Equal(saveBytes(m), ckpt) {
-				t.Fatalf("seed %d %s: SaveState after LoadState differs from the checkpoint", seed, tc.name)
-			}
-			refreshStorms(d, mid, 5)
-			if m.Decays() != ref.Decays() || cellHash(d) != cellHash(dRef) ||
-				!bytes.Equal(saveBytes(m), saveBytes(ref)) {
-				t.Fatalf("seed %d %s: the restored run diverges from the uninterrupted one", seed, tc.name)
-			}
+		was := cloneEntry(e)
+
+		m := newModel(pm, campaignGeom, denseVRTParams(), rng.New(seed))
+		d := dram.NewDevice(campaignGeom)
+		if err := d.LoadState(snapshot.NewReader(devBytes)); err != nil {
+			t.Fatal(err)
+		}
+		d.AttachFault(m)
+		if err := m.LoadState(snapshot.NewReader(ckpt)); err != nil {
+			t.Fatalf("seed %d: LoadState: %v", seed, err)
+		}
+		if !sharesPopulation(m, e) || !bytes.Equal(saveBytes(m), ckpt) {
+			t.Fatalf("seed %d: the restore did not overlay the shared population with the checkpoint's state", seed)
+		}
+		refreshStorms(d, mid, 5)
+		if m.Decays() != ref.Decays() || cellHash(d) != cellHash(dRef) ||
+			!bytes.Equal(saveBytes(m), saveBytes(ref)) {
+			t.Fatalf("seed %d: the restored run diverges from the uninterrupted one", seed)
+		}
+
+		other := newModel(pm, campaignGeom, denseVRTParams(), rng.New(seed+100))
+		before := saveBytes(other)
+		if err := other.LoadState(snapshot.NewReader(ckpt)); !errors.Is(err, snapshot.ErrMismatch) {
+			t.Fatalf("seed %d: other physics: want ErrMismatch, got %v", seed, err)
+		}
+		if !bytes.Equal(saveBytes(other), before) || !sameEntry(*e, was) {
+			t.Fatalf("seed %d: a refused restore changed the model or the memo's population", seed)
 		}
 	}
 }
 
 // TestLoadStateFailureLeavesStateUnchanged feeds broken copies of a
 // mid-campaign checkpoint to a model holding the checkpoint's physics
-// (the in-place path) and to one holding other physics (the rebuild
-// path). Every load must fail as corrupt and leave the model saving the
-// bytes it saved before, and the memo's population untouched. A broken
-// last cell must fail the whole restore, not half-apply it.
+// and to one holding other physics. Truncations and a VRT state flag
+// that is not a boolean must fail as corrupt; a patched physics field
+// (a flag, bank, row or charge) as a mismatch, since it names other
+// cells. Every load must leave the model saving the bytes it saved
+// before, and the memo's population untouched.
 func TestLoadStateFailureLeavesStateUnchanged(t *testing.T) {
 	pm := newTestMemo()
 	_, _, ckpt, _ := campaignCheckpoint(pm, 1)
@@ -333,14 +338,15 @@ func TestLoadStateFailureLeavesStateUnchanged(t *testing.T) {
 	cases := []struct {
 		name    string
 		payload []byte
+		want    error
 	}{
-		{"truncated cells", ckpt[:len(ckpt)-3]},
-		{"truncated stream", ckpt[:cells-20]},
-		{"last VRT state flag", patch(last+physBytes, 2)},
-		{"first DPD flag", patch(cells+40, 2)},
-		{"last bank", patch(last+7, 1)},
-		{"last row", patch(last+8, 0x80)},
-		{"last charge", patch(last+39, 2)},
+		{"truncated cells", ckpt[:len(ckpt)-3], snapshot.ErrCorrupt},
+		{"truncated stream", ckpt[:cells-20], snapshot.ErrCorrupt},
+		{"last VRT state flag", patch(last+physBytes, 2), snapshot.ErrCorrupt},
+		{"first DPD flag", patch(cells+40, 2), snapshot.ErrMismatch},
+		{"last bank", patch(last+7, 1), snapshot.ErrMismatch},
+		{"last row", patch(last+8, 0x80), snapshot.ErrMismatch},
+		{"last charge", patch(last+39, 2), snapshot.ErrMismatch},
 	}
 	for _, seed := range []uint64{1, 2} {
 		m := newModel(pm, c.geom, c.p, rng.New(seed))
@@ -348,8 +354,8 @@ func TestLoadStateFailureLeavesStateUnchanged(t *testing.T) {
 		before := saveBytes(m)
 		for _, tc := range cases {
 			err := m.LoadState(snapshot.NewReader(tc.payload))
-			if !errors.Is(err, snapshot.ErrCorrupt) {
-				t.Fatalf("seed %d %s: want ErrCorrupt, got %v", seed, tc.name, err)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("seed %d %s: want %v, got %v", seed, tc.name, tc.want, err)
 			}
 			if !bytes.Equal(saveBytes(m), before) {
 				t.Fatalf("seed %d %s: failed load changed the model", seed, tc.name)

@@ -35,7 +35,7 @@ type vrtState struct {
 // encodes it, physBytes per cell.
 //
 // A population is shared by every model built from one memo entry and
-// is never written: a LoadState of other physics installs a new one.
+// is never written: LoadState only checks a checkpoint against it.
 type population struct {
 	cells    []cell
 	rowStart []int32

@@ -180,11 +180,12 @@ func samplePopulation(geom dram.Geometry, p Params, src *rng.Stream) []weakCell 
 type Model struct {
 	params Params
 	geom   dram.Geometry
-	population
-	vrt       []vrtState
-	src       *rng.Stream
-	decays    int64
-	tempScale float64 `snapshot:"derived"` // recomputed from Params at construction
+	// population is rebuilt from the spec; LoadState checks it.
+	population `snapshot:"config"`
+	vrt        []vrtState
+	src        *rng.Stream
+	decays     int64
+	tempScale  float64 `snapshot:"derived"` // recomputed from Params at construction
 }
 
 var (
@@ -262,11 +263,13 @@ func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, p
 				h = min(h, i+k)
 			}
 			if c.vrt {
-				rounds := 1
+				// Rounds until the activation past the toggle, clamped
+				// so that i+k*rounds fits an int on 32-bit targets.
+				rounds := dram.Time(1)
 				if v.next >= first {
-					rounds = int((v.next-first)/round) + 1
+					rounds = min((v.next-first)/round, dram.Time(math.MaxInt-i)/dram.Time(k)-1) + 1
 				}
-				h = min(h, i+k*rounds)
+				h = min(h, i+k*int(rounds))
 			}
 		}
 	}

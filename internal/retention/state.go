@@ -47,12 +47,11 @@ func (m *Model) SaveState(w *snapshot.Writer) {
 	}
 }
 
-// LoadState restores state saved by SaveState into a model built with
-// the same params and geometry. A checkpoint of the installed physics —
-// every rebuild-then-overlay restore — is checked whole and then writes
-// only the decay counter, the stream and the cells' VRT states. Any
-// other checkpoint is validated in full before a new population is
-// built from it. On error the model is unchanged.
+// LoadState restores state saved by SaveState into a model rebuilt
+// from the same spec: same params and geometry and the same weak-cell
+// population. It writes only the decay counter, the stream and the
+// cells' VRT states; a checkpoint of other cells is refused with
+// ErrMismatch, never installed. On error the model is unchanged.
 func (m *Model) LoadState(r *snapshot.Reader) error {
 	r.Tag("retention.Model")
 	var p Params
@@ -91,10 +90,8 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	}
 	body := r.Raw(n * encodedCellBytes)
 	// Each record's VRT flag directly follows its physics.
-	if !popmemo.Installed(body, m.phys, physBytes, encodedCellBytes, physBytes) {
-		if err := m.rebuild(body); err != nil {
-			return err
-		}
+	if err := popmemo.Installed(body, m.phys, physBytes, encodedCellBytes, physBytes); err != nil {
+		return err
 	}
 	for i, slot := range m.order {
 		rec := body[i*encodedCellBytes+physBytes:]
@@ -102,38 +99,5 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	}
 	*m.src = src
 	m.decays = decays
-	return nil
-}
-
-// rebuild validates the encoded cells in body and installs a new
-// population of their physics, with VRT states for the caller to fill;
-// on error the model is untouched. The installed population may be
-// shared, so it is never written.
-func (m *Model) rebuild(body []byte) error {
-	n := len(body) / encodedCellBytes
-	dec := snapshot.NewReader(body)
-	bitsPerRow := m.geom.BitsPerRow()
-	for i := 0; i < n; i++ {
-		bank, row, bit := dec.Int(), dec.Int(), dec.Int()
-		dec.F64()
-		charged := dec.U64()
-		dec.Bool() // dpd
-		dec.Bool() // vrt
-		dec.Bool() // VRT state
-		dec.U64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if bank < 0 || bank >= m.geom.Banks || row < 0 || row >= m.geom.Rows ||
-			bit < 0 || bit >= bitsPerRow || charged > 1 {
-			return snapshot.Corruptf("retention cell %d out of range: bank %d row %d bit %d charge %d", i, bank, row, bit, charged)
-		}
-	}
-	phys := make([]byte, n*physBytes)
-	for i := range n {
-		copy(phys[i*physBytes:(i+1)*physBytes], body[i*encodedCellBytes:])
-	}
-	m.population = newPopulation(m.geom, phys)
-	m.vrt = make([]vrtState, n)
 	return nil
 }

@@ -115,7 +115,9 @@ func TestModelLoadStateRejectsParamMismatch(t *testing.T) {
 
 // TestModelLoadStateRejectsHostileCellCount pins that a weak-cell count
 // larger than the bytes left can hold is refused as corrupt before any
-// allocation, and leaves the model unchanged.
+// allocation, and leaves the model unchanged, even on a model whose
+// physics differ from the checkpoint's; the intact checkpoint is
+// refused there as a mismatch and restores onto its own physics.
 func TestModelLoadStateRejectsHostileCellCount(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 8}
 	m := NewModel(g, retentionParams(), rng.New(1))
@@ -145,8 +147,11 @@ func TestModelLoadStateRejectsHostileCellCount(t *testing.T) {
 			t.Fatalf("count %d: failed load mutated the model", n)
 		}
 	}
-	if err := m2.LoadState(snapshot.NewReader(good)); err != nil {
-		t.Fatalf("intact snapshot refused: %v", err)
+	if err := m2.LoadState(snapshot.NewReader(good)); !errors.Is(err, snapshot.ErrMismatch) {
+		t.Fatalf("intact snapshot of other physics: want ErrMismatch, got %v", err)
+	}
+	if err := NewModel(g, retentionParams(), rng.New(1)).LoadState(snapshot.NewReader(good)); err != nil {
+		t.Fatalf("intact snapshot refused by its own physics: %v", err)
 	}
 }
 
@@ -224,9 +229,16 @@ func FuzzRetentionLoadState(f *testing.F) {
 	f.Add(uint16(0), []byte(nil), uint16(len(good)-3))
 	f.Add(uint16(cells-8), []byte{0, 0, 0, 0, 0, 0, 0, 0xff}, uint16(len(good))) // the cell count
 	f.Add(uint16(last+physBytes), []byte{2}, uint16(len(good)))                  // the last VRT state flag
-	f.Add(uint16(last+15), []byte{1}, uint16(len(good)))                         // the last cell's row
-	f.Add(uint16(last+24), []byte{0x40}, uint16(len(good)))                      // the last cell's retention
 	f.Add(uint16(cells-60), []byte{0}, uint16(len(good)))                        // the stream state
+	// Other physics, refused as a mismatch: the last cell's row and
+	// retention.
+	f.Add(uint16(last+15), []byte{1}, uint16(len(good)))
+	f.Add(uint16(last+24), []byte{0x40}, uint16(len(good)))
+	// Other state, committed: the first cell's VRT state flag and the
+	// last cell's next toggle.
+	f.Add(uint16(cells+physBytes), []byte{1}, uint16(len(good)))
+	f.Add(uint16(cells+physBytes), []byte{0}, uint16(len(good)))
+	f.Add(uint16(last+physBytes+1), []byte{0, 0, 0, 0x10}, uint16(len(good)))
 	f.Fuzz(func(t *testing.T, at uint16, patch []byte, keep uint16) {
 		payload := bytes.Clone(good)
 		copy(payload[int(at)%len(payload):], patch)
