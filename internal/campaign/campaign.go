@@ -28,7 +28,10 @@ import (
 // campaign fails alone.
 const RunFirePoint = "campaign.run"
 
-// Spec is the JSON body submitted to start a campaign.
+// Spec is the JSON body submitted to start a campaign. Unknown fields
+// are refused. The checkpoint cadence is not a field: the experiments
+// engine checkpoints after every experiment, and the fieldstudy engine
+// derives its cadence from the fleet's block plan.
 type Spec struct {
 	// Kind selects the engine: "fieldstudy" (sharded fleet
 	// simulation) or "experiments" (registered experiment suite).
@@ -38,11 +41,6 @@ type Spec struct {
 	// Workers is the engine fan-out. <= 0 means 1; the engine never
 	// starts more workers than it has shard units.
 	Workers int `json:"workers,omitempty"`
-	// CheckpointEvery is how many completed fleet blocks between
-	// checkpoint rewrites of a fieldstudy campaign. <= 0 means every
-	// block. It paces only the fieldstudy engine: the experiments
-	// engine checkpoints after every completed experiment.
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Checkpoint names the checkpoint file inside the service's state
 	// directory. Empty means one derived from the campaign ID (no
 	// resume across submissions); submitting with the name of an
@@ -172,9 +170,6 @@ func validateSpec(spec *Spec) error {
 	}
 	if spec.Workers < 1 {
 		spec.Workers = 1
-	}
-	if spec.CheckpointEvery < 1 {
-		spec.CheckpointEvery = 1
 	}
 	if spec.MaxRetries < 0 {
 		spec.MaxRetries = 0
@@ -362,7 +357,7 @@ func (s *Service) attempt(ctx context.Context, c *Campaign) (json.RawMessage, er
 			cfg = *c.Spec.Fleet
 		}
 		stats, err := fieldstudy.RunShardedCheckpointedCtx(ctx, cfg, c.Spec.Seed,
-			c.Spec.Workers, c.ckptPath, c.Spec.CheckpointEvery, progress)
+			c.Spec.Workers, c.ckptPath, progress)
 		if err != nil {
 			return nil, err
 		}

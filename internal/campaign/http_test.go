@@ -228,19 +228,24 @@ func TestHTTPEventStreamEndsWhenClientLeaves(t *testing.T) {
 }
 
 // TestHTTPSubmitRejectsUnknownFields pins strict decoding: a misspelt
-// key is a 400, not a silently defaulted field.
+// key, or checkpoint_every (the fieldstudy engine derives its
+// checkpoint cadence), is a 400, not a silently defaulted field.
 func TestHTTPSubmitRejectsUnknownFields(t *testing.T) {
 	s := NewService(t.TempDir())
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/campaigns", "application/json",
-		strings.NewReader(`{"kind":"fieldstudy","seed":1,"max_retry":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"kind":"fieldstudy","seed":1,"max_retry":3}`,
+		`{"kind":"fieldstudy","seed":1,"checkpoint_every":4}`,
+	} {
+		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	if n := len(s.List()); n != 0 {
 		t.Fatalf("%d campaigns started from a rejected spec", n)

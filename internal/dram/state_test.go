@@ -104,8 +104,10 @@ func TestDeviceLoadStateRejectsGeometryMismatch(t *testing.T) {
 // TestDeviceLoadStateRejectsTruncation pins LoadState's
 // validate-then-decode order on a multi-bank device: payloads cut at
 // every bank boundary and in the middle of every bank's cell words, a
-// remap table that covers too few rows, a bad open row in the last bank
-// and a wrong clock count must each return ErrCorrupt, and a remap
+// remap table that covers too few rows, a refresh pointer that only a
+// truncation to 32 bits would bring into range, a bad open row in the
+// last bank and a wrong clock count must each return ErrCorrupt on
+// every target, and a remap
 // table that maps a physical row twice or names one out of range, like
 // any table other than the device's, ErrMismatch. Each must leave the
 // target's saved bytes unchanged, even though a valid decode writes
@@ -147,6 +149,7 @@ func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 		"duplicate physical row in remap":   {patched(remapAt+8, 0), snapshot.ErrMismatch},
 		"remap row out of range":            {patched(first-8, uint64(g.Rows)), snapshot.ErrMismatch},
 		"remap shorter than the device":     {patched(remapAt-8, uint64(g.Rows-1)), snapshot.ErrCorrupt},
+		"refresh pointer beyond 32 bits":    {patched(remapAt-16, 1<<32|3), snapshot.ErrCorrupt},
 		"bad open row in last bank":         {patched(first+(g.Banks-1)*block, uint64(g.Rows)), snapshot.ErrCorrupt},
 		"open row below -1 in first bank":   {patched(first, ^uint64(1)), snapshot.ErrCorrupt},
 		"wrong clock count in middle bank":  {patched(first+block+8, uint64(g.Rows-1)), snapshot.ErrCorrupt},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"sort"
 	"time"
 
@@ -74,6 +75,8 @@ func saveRunCheckpoint(path string, seed uint64, done map[string]RunResult) erro
 	})
 }
 
+// loadRunCheckpoint restores the results a run checkpoint holds. A
+// missing file is a fresh run: no results and no error.
 func loadRunCheckpoint(path string, seed uint64) (map[string]RunResult, error) {
 	done := make(map[string]RunResult)
 	err := snapshot.ReadFile(path, runSnapshotKind, runSnapshotVersion,
@@ -113,7 +116,7 @@ func loadRunCheckpoint(path string, seed uint64) (map[string]RunResult, error) {
 			}
 			return nil
 		})
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 	return done, nil

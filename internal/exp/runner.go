@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -88,19 +87,15 @@ func (r *Runner) Run(exps []Experiment) []RunResult {
 // run is the one experiment loop behind Run and RunCheckpointedCtx.
 // With a non-empty path it restores the experiments completed in that
 // checkpoint and persists each newly completed one there; with an
-// empty path it touches no file. Workers observe ctx and the first
-// error before each experiment and skip the rest once either is set.
-// progress, if non-nil, is called (serialized) with each result as it
-// is restored or completes.
+// empty path it touches no file. par.ShardUntil starts no experiment
+// once ctx is done or a checkpoint write has failed. progress, if
+// non-nil, is called (serialized) with each result as it is restored
+// or completes.
 func (r *Runner) run(ctx context.Context, exps []Experiment, path string, progress func(RunResult)) ([]RunResult, error) {
 	done := make(map[string]RunResult)
 	if path != "" {
-		if _, err := os.Stat(path); err == nil {
-			var lerr error
-			if done, lerr = loadRunCheckpoint(path, r.Seed); lerr != nil {
-				return nil, lerr
-			}
-		} else if !os.IsNotExist(err) {
+		var err error
+		if done, err = loadRunCheckpoint(path, r.Seed); err != nil {
 			return nil, err
 		}
 	}
@@ -120,37 +115,24 @@ func (r *Runner) run(ctx context.Context, exps []Experiment, path string, progre
 		}
 	}
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	par.Shard(r.EffectiveWorkers(), len(pending), func(k int) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			return
-		}
-		i := pending[k]
+	var mu sync.Mutex
+	err := par.ShardUntil(ctx, r.EffectiveWorkers(), pending, func(i int) error {
 		res := r.runOne(ordered[i])
 		mu.Lock()
 		defer mu.Unlock()
 		results[i] = res
+		var err error
 		if path != "" {
 			done[res.ID] = res
-			if err := saveRunCheckpoint(path, r.Seed, done); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			err = saveRunCheckpoint(path, r.Seed, done)
 		}
 		if progress != nil {
 			progress(res)
 		}
+		return err
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -1,9 +1,10 @@
 package fieldstudy
 
 import (
+	"bytes"
 	"context"
-	"fmt"
-	"os"
+	"errors"
+	"io/fs"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -22,10 +23,12 @@ const (
 // mid-campaign.
 const FirePoint = "fieldstudy.block"
 
-// saveCampaign serializes the campaign's identity (config fingerprint
-// and seed) plus every completed block's result. Called with the
-// result slice quiescent or under the caller's lock.
-func saveCampaign(w *snapshot.Writer, cfg Config, seed uint64, blocks []block, results []blockResult) {
+// identity encodes what a checkpoint shares with the campaign that
+// restores it: the tag, seed, density classes, fleet parameters and
+// block count. It is configuration, so a restore compares it as bytes
+// and never decodes it.
+func identity(cfg Config, seed uint64, blocks []block) []byte {
+	var w snapshot.Writer
 	w.Tag("fieldstudy.Campaign")
 	w.U64(seed)
 	w.Int(len(cfg.Classes))
@@ -39,6 +42,14 @@ func saveCampaign(w *snapshot.Writer, cfg Config, seed uint64, blocks []block, r
 	w.F64(cfg.UEPerCE)
 	w.Int(cfg.Months)
 	w.Int(len(blocks))
+	return w.Bytes()
+}
+
+// saveCampaign serializes the campaign's identity plus every completed
+// block's result, in block order. Called with the result slice
+// quiescent or under the caller's lock.
+func saveCampaign(w *snapshot.Writer, cfg Config, seed uint64, blocks []block, results []blockResult) {
+	w.Raw(identity(cfg, seed, blocks))
 	done := 0
 	for _, r := range results {
 		if r.done {
@@ -58,43 +69,15 @@ func saveCampaign(w *snapshot.Writer, cfg Config, seed uint64, blocks []block, r
 	}
 }
 
-// loadCampaign restores completed block results into results,
-// verifying the checkpoint belongs to this (config, seed) campaign
-// and that every restored block is structurally consistent with the
-// block plan.
+// loadCampaign restores completed block results into results. It
+// refuses a checkpoint of another (config, seed) campaign as a
+// mismatch, and as corrupt one whose blocks do not fit the block plan
+// or are out of order, or whose CE sums disagree with its per-DIMM
+// counts, so a restore saves back exactly the bytes it read.
 func loadCampaign(r *snapshot.Reader, cfg Config, seed uint64, blocks []block, results []blockResult) error {
-	r.Tag("fieldstudy.Campaign")
-	gotSeed := r.U64()
-	nClasses := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if gotSeed != seed {
-		return snapshot.Mismatchf("checkpoint is for seed %d, campaign runs seed %d", gotSeed, seed)
-	}
-	if nClasses != len(cfg.Classes) {
-		return snapshot.Mismatchf("checkpoint has %d density classes, config has %d", nClasses, len(cfg.Classes))
-	}
-	for ci, cls := range cfg.Classes {
-		label := r.String()
-		scale := r.F64()
-		dimms := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if label != cls.Label || scale != cls.RateScale || dimms != cls.DIMMs {
-			return snapshot.Mismatchf("checkpoint class %d is %s/%g/%d, config has %s/%g/%d",
-				ci, label, scale, dimms, cls.Label, cls.RateScale, cls.DIMMs)
-		}
-	}
-	if r.F64() != cfg.BaseRate || r.F64() != cfg.TailSigma || r.F64() != cfg.UEPerCE || r.Int() != cfg.Months {
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return snapshot.Mismatchf("checkpoint fleet parameters disagree with config")
-	}
-	if n := r.Int(); r.Err() == nil && n != len(blocks) {
-		return snapshot.Mismatchf("checkpoint plans %d blocks, config plans %d", n, len(blocks))
+	want := identity(cfg, seed, blocks)
+	if got := r.Raw(len(want)); r.Err() == nil && !bytes.Equal(got, want) {
+		return snapshot.Mismatchf("checkpoint is for another campaign (seed, density classes, fleet parameters or block count differ)")
 	}
 	done := r.Int()
 	if err := r.Err(); err != nil {
@@ -103,26 +86,28 @@ func loadCampaign(r *snapshot.Reader, cfg Config, seed uint64, blocks []block, r
 	if done < 0 || done > len(blocks) {
 		return snapshot.Corruptf("implausible completed-block count %d", done)
 	}
+	prev := -1
 	for i := 0; i < done; i++ {
 		bi := r.Int()
-		br := blockResult{
-			done:   true,
-			ce:     r.I64s(),
-			ceSum:  r.I64(),
-			ueSum:  r.I64(),
-			withCE: r.Int(),
-		}
+		ce := r.I64s()
+		ceSum, ueSum, withCE := r.I64(), r.I64(), r.Int()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if bi < 0 || bi >= len(blocks) {
-			return snapshot.Corruptf("completed block index %d out of range", bi)
+		if bi <= prev || bi >= len(blocks) {
+			return snapshot.Corruptf("completed block index %d after %d (plan has %d blocks)", bi, prev, len(blocks))
 		}
-		if len(br.ce) != blocks[bi].count {
-			return snapshot.Corruptf("block %d has %d DIMM counts, plan says %d", bi, len(br.ce), blocks[bi].count)
+		prev = bi
+		if len(ce) != blocks[bi].count {
+			return snapshot.Corruptf("block %d has %d DIMM counts, plan says %d", bi, len(ce), blocks[bi].count)
 		}
-		if br.withCE < 0 || br.withCE > blocks[bi].count {
-			return snapshot.Corruptf("block %d withCE %d out of range", bi, br.withCE)
+		br := blockResult{done: true, ce: ce, ueSum: ueSum}
+		for j, c := range ce {
+			br.add(j, c, 0)
+		}
+		if br.ceSum != ceSum || br.withCE != withCE {
+			return snapshot.Corruptf("block %d records CE sum %d over %d DIMMs, its counts give %d over %d",
+				bi, ceSum, withCE, br.ceSum, br.withCE)
 		}
 		results[bi] = br
 	}
@@ -131,12 +116,17 @@ func loadCampaign(r *snapshot.Reader, cfg Config, seed uint64, blocks []block, r
 
 // RunShardedCheckpointedCtx is RunSharded with crash safety:
 // completed blocks are checkpointed to ckptPath (atomically, with an
-// integrity footer) every `every` block completions, and a subsequent
-// call with the same config, seed and path resumes from the last
-// checkpoint, re-simulating only the missing blocks. Because blocks
-// share no state, draw from substreams keyed on their position, and
-// merge in block order, the resumed result is bit-identical to an
-// uninterrupted RunSharded at any worker count.
+// integrity footer), and a subsequent call with the same config, seed
+// and path resumes from the last checkpoint, re-simulating only the
+// missing blocks. Because blocks share no state, draw from substreams
+// keyed on their position, and merge in block order, the resumed
+// result is bit-identical to an uninterrupted RunSharded at any worker
+// count.
+//
+// The checkpoint is rewritten every ceil(blocks/64) completed blocks
+// and once more when the run stops, so a campaign writes it at most
+// about 65 times however large its fleet: each write carries every
+// completed DIMM's count.
 //
 // A corrupt or truncated checkpoint is refused with an error wrapping
 // snapshot.ErrCorrupt and nothing is simulated; a checkpoint from a
@@ -144,30 +134,24 @@ func loadCampaign(r *snapshot.Reader, cfg Config, seed uint64, blocks []block, r
 // Delete the file (or pass a fresh path) to restart such a campaign
 // from scratch.
 //
-// Workers observe ctx between blocks: on cancellation the run
-// checkpoints what completed and returns ctx.Err(), so a drained or
-// deadline-expired campaign resumes later with nothing lost beyond
-// in-flight blocks. progress, if non-nil, is called after each block
-// completes with the completed and total block counts (serialized; it
-// must not call back into this package).
-func RunShardedCheckpointedCtx(ctx context.Context, cfg Config, seed uint64, workers int, ckptPath string, every int, progress func(done, total int)) ([]ClassStats, error) {
-	blocks := planBlocks(cfg)
-	results := make([]blockResult, len(blocks))
+// Blocks run on par.ShardUntil: once ctx is done or a block fails
+// (including a panic) no further block starts, the run checkpoints what
+// completed and returns the error, so a drained, deadline-expired or
+// failed campaign resumes later with nothing lost beyond in-flight
+// blocks. progress, if non-nil, is called after each block completes
+// with the completed and total block counts (serialized; it must not
+// call back into this package).
+func RunShardedCheckpointedCtx(ctx context.Context, cfg Config, seed uint64, workers int, ckptPath string, progress func(done, total int)) ([]ClassStats, error) {
 	if ckptPath == "" {
 		return nil, snapshot.Corruptf("empty checkpoint path")
 	}
-	if every < 1 {
-		every = 1
-	}
-	if _, err := os.Stat(ckptPath); err == nil {
-		err := snapshot.ReadFile(ckptPath, campaignSnapshotKind, campaignSnapshotVersion,
-			func(r *snapshot.Reader, version uint32) error {
-				return loadCampaign(r, cfg, seed, blocks, results)
-			})
-		if err != nil {
-			return nil, err
-		}
-	} else if !os.IsNotExist(err) {
+	blocks := planBlocks(cfg)
+	results := make([]blockResult, len(blocks))
+	err := snapshot.ReadFile(ckptPath, campaignSnapshotKind, campaignSnapshotVersion,
+		func(r *snapshot.Reader, version uint32) error {
+			return loadCampaign(r, cfg, seed, blocks, results)
+		})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 
@@ -188,66 +172,33 @@ func RunShardedCheckpointedCtx(ctx context.Context, cfg Config, seed uint64, wor
 
 	var (
 		mu        sync.Mutex
-		firstErr  error
-		sinceCkpt int
+		every     = max(1, (len(blocks)+63)/64)
 		doneCount = len(blocks) - len(pending)
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// runBlock recovers worker panics into the run's error so a
-	// panicking block (or injected panic) fails this campaign, never
-	// the process hosting it.
-	runBlock := func(bi int) {
-		defer func() {
-			if p := recover(); p != nil {
-				fail(fmt.Errorf("fieldstudy: worker panic on block %d: %v", bi, p))
-			}
-		}()
+	err = par.ShardUntil(ctx, workers, pending, func(bi int) error {
 		r := simulateBlock(cfg, seed, blocks[bi])
 		if err := faultinject.Fire(FirePoint); err != nil {
-			fail(err)
-			return
+			return err
 		}
 		mu.Lock()
+		defer mu.Unlock()
 		results[bi] = r
 		doneCount++
-		sinceCkpt++
-		var werr error
-		if sinceCkpt >= every {
-			sinceCkpt = 0
-			werr = writeCkpt()
+		var err error
+		if doneCount%every == 0 {
+			err = writeCkpt()
 		}
 		if progress != nil {
 			progress(doneCount, len(blocks))
 		}
-		mu.Unlock()
-		if werr != nil {
-			fail(werr)
-		}
-	}
-	par.Shard(workers, len(pending), func(k int) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			return // drain remaining blocks without work
-		}
-		runBlock(pending[k])
+		return err
 	})
-	if firstErr != nil {
+	if err != nil {
 		// Persist whatever completed before the failure so a retry
 		// resumes rather than recomputes. Best effort: the original
 		// error wins.
 		_ = writeCkpt()
-		return nil, firstErr
+		return nil, err
 	}
 	if err := writeCkpt(); err != nil {
 		return nil, err

@@ -1,10 +1,14 @@
 // Package par is the repository's one worker pool. Every sharded sweep
 // (memory channels, flash dies, fleet blocks, wear-leveling arrays,
 // exploit-tournament groups, experiments) fans out through Shard, so
-// the work-distribution policy lives here and nowhere else.
+// the work-distribution policy lives here and nowhere else. Runs that
+// must stop early (the checkpointed experiment runner and fleet study)
+// fan out through ShardUntil, which keeps that rule in one place too.
 package par
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -39,4 +43,40 @@ func Shard(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// ShardUntil is Shard over todo for runs that stop early: it calls
+// fn(i) for each i in todo, handed out in todo order, until ctx is done
+// or a call fails, and then hands out no further index. A call that
+// panics fails with the panic as its error, so a panic fails the run,
+// not the process. ShardUntil returns after every started call has
+// returned, with the first failure, or with ctx.Err() if the context
+// stopped a hand-out; nil when every call ran and succeeded.
+func ShardUntil(ctx context.Context, workers int, todo []int, fn func(i int) error) error {
+	var (
+		mu  sync.Mutex
+		err error
+	)
+	// stop records e if it is the run's first failure and reports
+	// whether the run has failed.
+	stop := func(e error) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil {
+			err = e
+		}
+		return err != nil
+	}
+	Shard(workers, len(todo), func(k int) {
+		if stop(ctx.Err()) {
+			return
+		}
+		defer func() {
+			if p := recover(); p != nil {
+				stop(fmt.Errorf("par: call on index %d panicked: %v", todo[k], p))
+			}
+		}()
+		stop(fn(todo[k]))
+	})
+	return err
 }

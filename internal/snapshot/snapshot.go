@@ -268,8 +268,20 @@ func (r *Reader) Count(minBytes int) int {
 // I64 reads an int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// Int reads an int.
-func (r *Reader) Int() int { return int(r.I64()) }
+// Int reads an int. A value this target's int cannot hold (beyond 32
+// bits under GOARCH=386) fails with ErrCorrupt and reads as 0, so a
+// decoder never range-checks a truncated value. On a 64-bit target the
+// check compiles away.
+func (r *Reader) Int() int {
+	v := r.I64()
+	if math.MaxInt < math.MaxInt64 {
+		if v < math.MinInt || v > math.MaxInt {
+			r.fail("int %d at offset %d does not fit this target's int", v, r.off-8)
+			return 0
+		}
+	}
+	return int(v)
+}
 
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }

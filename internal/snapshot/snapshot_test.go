@@ -3,8 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -259,6 +261,46 @@ func TestShortU64ReportsOffset(t *testing.T) {
 	}
 	if r.Remaining() != 4 {
 		t.Fatalf("a failed read advanced the reader: %d bytes left, want 4", r.Remaining())
+	}
+}
+
+// TestReaderIntRange pins Int's range: a value the target's int holds
+// reads back exactly, and one it cannot hold (beyond 32 bits under
+// GOARCH=386) fails with ErrCorrupt and reads as 0 instead of
+// truncating. The 64-bit cases succeed on a 64-bit target.
+func TestReaderIntRange(t *testing.T) {
+	wide := strconv.IntSize == 64
+	for _, tc := range []struct {
+		v    int64
+		fits bool
+	}{
+		{0, true},
+		{-1, true},
+		{math.MaxInt32, true},
+		{math.MinInt32, true},
+		{math.MaxInt32 + 1, wide},
+		{math.MinInt32 - 1, wide},
+		{1<<32 | 3, wide},
+		{math.MaxInt64, wide},
+		{math.MinInt64, wide},
+	} {
+		var w Writer
+		w.I64(tc.v)
+		w.I64(5)
+		r := NewReader(w.Bytes())
+		got := r.Int()
+		if tc.fits {
+			if int64(got) != tc.v || r.Err() != nil {
+				t.Fatalf("Int(%d) = %d, %v; want %d, nil", tc.v, got, r.Err(), tc.v)
+			}
+			continue
+		}
+		if got != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+			t.Fatalf("Int(%d) = %d, %v; want 0, ErrCorrupt", tc.v, got, r.Err())
+		}
+		if next := r.Int(); next != 0 {
+			t.Fatalf("Int after an overflow = %d, want 0 (sticky error)", next)
+		}
 	}
 }
 
