@@ -10,7 +10,7 @@ import (
 	"repro/internal/modules"
 )
 
-func crossbankModule(t *testing.T) modules.Module {
+func crossbankModule(t testing.TB) modules.Module {
 	t.Helper()
 	pop := modules.Population(1)
 	for i := range pop {
@@ -135,5 +135,27 @@ func TestCrossBankHammerMatchesSequential(t *testing.T) {
 	}
 	if a, b := parallel.TotalFlips(), serial.TotalFlips(); a != b || a == 0 {
 		t.Fatalf("flips: cross-bank %d, sequential %d", a, b)
+	}
+}
+
+// BenchmarkScanSystem templates one system of perfbench hammer-campaign
+// set-up's shape: a densified 2013-class module on 2 channels x 2
+// ranks of 1 bank x 128 rows x 8 words, 2,500 pairs per victim row, on
+// one worker. One op is one ScanSystem call on a freshly built system
+// (the build is not timed).
+func BenchmarkScanSystem(b *testing.B) {
+	mod := crossbankModule(b)
+	topo := dram.Topology{Channels: 2, Ranks: 2, Geom: dram.Geometry{Banks: 1, Rows: 128, Cols: 8}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ms, err := memctrl.Assemble(topo, "row", memctrl.Config{}, func(ch, rk int, dev *dram.Device) {
+			mod.Attach(dev, 0, ch*topo.Ranks+rk)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ScanSystem(ms, 0x5555555555555555, 2500, 1)
 	}
 }

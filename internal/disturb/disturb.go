@@ -239,8 +239,9 @@ func sampleWeakCells(geom dram.Geometry, p Params, src *rng.Stream) []weakCell {
 // aggOrder[2i] and aggOrder[2i+1] are the positions in aggs of the i-th
 // cell's influences from the rows dist above and below it (-1 past the
 // bank's edge). phys holds each cell's physics in insertion order as
-// SaveState encodes it, physBytes per cell; index builds everything
-// else from phys.
+// SaveState encodes it, physBytes per cell, and reach[b] is the largest
+// capped distance of a cell in bank b; index builds everything else
+// from phys.
 //
 // A population the memo hands out is shared by every model built from
 // it and is never written: InjectWeakCell indexes a private one, which
@@ -252,6 +253,7 @@ type population struct {
 	aggStart     []int32
 	aggs         []influence
 	aggOrder     []int32
+	reach        []int32
 	phys         []byte
 	minThreshold float64
 }
@@ -266,8 +268,10 @@ func (p *population) index(geom dram.Geometry, phys []byte) {
 	p.phys = phys
 	p.order = resize(p.order, n)
 	p.aggOrder = resize(p.aggOrder, 2*n)
+	p.reach = resize(p.reach, geom.Banks)
 	for i := range n {
 		idx, physRow, dist := locate(phys[i*physBytes:], rows)
+		p.reach[idx/rows] = max(p.reach[idx/rows], int32(dist))
 		up, down := int32(-1), int32(-1)
 		if physRow-dist >= 0 {
 			up = int32(idx - dist)
@@ -307,7 +311,7 @@ func locate(b []byte, rows int) (idx, physRow, dist int) {
 // size is the population's footprint in bytes of slices.
 func (p *population) size() int {
 	return len(p.cells)*int(unsafe.Sizeof(cell{})) +
-		4*(len(p.order)+len(p.rowStart)+len(p.aggStart)+len(p.aggOrder)) +
+		4*(len(p.order)+len(p.rowStart)+len(p.aggStart)+len(p.aggOrder)+len(p.reach)) +
 		len(p.aggs)*int(unsafe.Sizeof(influence{})) + len(p.phys)
 }
 
@@ -692,6 +696,14 @@ func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, s
 		}
 	}
 	m.unbindCycle(physRows)
+}
+
+// RefreshReach implements dram.CycleFaultModel: a refresh restores the
+// cells residing in its row, and an activation disturbs cells at most
+// the bank's largest cell distance away, so the reach is that distance
+// whatever the row and time.
+func (m *Model) RefreshReach(d *dram.Device, bank, physRow int, now dram.Time) int {
+	return int(m.reach[bank])
 }
 
 // --- Legacy batched dispatch (dram.HammerFaultModel) ---

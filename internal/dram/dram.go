@@ -161,7 +161,10 @@ type HammerFaultModel interface {
 // CycleFaultModel is the optional batched-dispatch extension of
 // FaultModel used by HammerCycle. A hammer cycle activates a list of
 // distinct physical rows in cyclic order: activation i hits
-// physRows[i%len(physRows)] at time start+i*period.
+// physRows[i%len(physRows)], at time start+i*period or earlier. A REF
+// inside the burst (a Cycle gap) only brings the activations after it
+// forward, so no activation runs later than that schedule, and no two
+// activations of one row are more than len(physRows)*period apart.
 //
 // Horizon contract: HammerHorizon returns how many leading activations
 // of the cycle the model can apply in one OnHammerCycle call (any
@@ -175,7 +178,20 @@ type HammerFaultModel interface {
 // let no bit it reads outside them change its decisions. A horizon of
 // 0 makes the device apply the next activation through plain
 // per-model OnActivate dispatch and ask again; a model must report a
-// positive horizon again within one round of the cycle.
+// positive horizon again within one round of the cycle. Its horizon
+// must hold for any activation times within the schedule above.
+//
+// Reach contract: RefreshReach bounds how far, in physical rows of
+// bank, the model's hook for a refresh of physRow at now and its hooks
+// for activations of other rows see or change each other's effects. A
+// refresh of a row further than the attached models' summed reach from
+// every row a burst activates commutes with the burst, so
+// AutoRefreshTouches lets a controller apply the burst after it. A
+// negative reach means the refresh may reach any activation (it draws
+// from a random stream activations also draw from, say). RefreshReach
+// must be side-effect free. A model must touch only the device it is
+// attached to and draw from no stream another device's models draw
+// from, since REFs on other ranks are not checked against the burst.
 type CycleFaultModel interface {
 	FaultModel
 	// HammerHorizon returns how many leading activations of the cycle
@@ -183,6 +199,8 @@ type CycleFaultModel interface {
 	HammerHorizon(d *Device, bank int, physRows []int, start, period Time) int
 	// OnHammerCycle applies the first n activations of the cycle.
 	OnHammerCycle(d *Device, bank int, physRows []int, n int, start, period Time)
+	// RefreshReach returns the reach of a refresh of physRow at now.
+	RefreshReach(d *Device, bank, physRow int, now Time) int
 }
 
 // Device is one DRAM rank: banks of rows of real bits plus fault
@@ -331,7 +349,8 @@ func (d *Device) OpenRow(b int) int { return d.bank(b).openPhysRow }
 
 // Cycle describes a hammer burst for HammerCycle: N activations of the
 // distinct logical rows Rows in cyclic order, starting with Rows[Pos]
-// at time Start, each Period after the previous one.
+// at time Start, each Period after the previous one unless a gap
+// starts it.
 type Cycle struct {
 	Bank  int
 	Rows  []int
@@ -351,15 +370,67 @@ type Cycle struct {
 	// Read accounts one column-read burst after every activation. The
 	// data is not transferred; callers that need it read the row words.
 	Read bool
+	// Gaps are the REFs that landed inside the burst, in ascending At
+	// order, each At in 1..N.
+	Gaps []Gap
+}
+
+// Gap is a REF inside a hammer burst: it precharged the bank after
+// activation At-1, so activation At is a row miss at time Start, and
+// the activations after it follow Period apart. A REF precharge and a
+// row miss cost the device what one row-conflict precharge does. At ==
+// N means the REF came after the burst's last activation: the bank is
+// left precharged, and Start is unused.
+type Gap struct {
+	At    int
+	Start Time
+}
+
+// at returns the time of activation j < N.
+func (cy *Cycle) at(j int) Time {
+	t, from := cy.Start, 0
+	for _, g := range cy.Gaps {
+		if g.At > j {
+			break
+		}
+		t, from = g.Start, g.At
+	}
+	return t + Time(j-from)*cy.Period
+}
+
+// endsOnGap reports whether a REF came after the burst's last
+// activation.
+func (cy *Cycle) endsOnGap() bool {
+	return len(cy.Gaps) > 0 && cy.Gaps[len(cy.Gaps)-1].At == cy.N
+}
+
+// Advance drops the first m activations, the ones HammerCycle reported
+// applied, so the cycle describes the rest of the burst. It rewrites
+// Gaps in place.
+func (cy *Cycle) Advance(m int) {
+	if m < cy.N {
+		cy.Start = cy.at(m)
+	}
+	cy.Pos = (cy.Pos + m) % len(cy.Rows)
+	cy.N -= m
+	i := 0
+	for i < len(cy.Gaps) && cy.Gaps[i].At <= m {
+		i++
+	}
+	cy.Gaps = cy.Gaps[i:]
+	for j := range cy.Gaps {
+		cy.Gaps[j].At -= m
+	}
 }
 
 // HammerCycle applies the leading activations of a hammer burst and
 // returns how many it applied: at least one when cy.N > 0, so callers
-// loop until the burst is consumed. The result is behaviourally
-// identical to issuing each activation through Precharge/Activate (and
-// Read) in order — bits, fault-model state, restore clocks, stats and
-// energy. Batched energy accounting adds n*cost in one operation, which
-// is bit-identical to n separate additions as long as the Energy
+// loop, advancing the cycle, until the burst is consumed. The result is
+// behaviourally identical to issuing each activation through
+// Precharge/Activate (and Read) in order, with a Precharge for each gap
+// — bits, fault-model state, restore clocks, stats and energy. Batched
+// energy accounting adds n*cost in one operation, which is
+// bit-identical to n separate additions as long as the Energy
 // constants are integral picojoules (the defaults are) and the running
 // total stays below 2^53.
 //
@@ -367,7 +438,9 @@ type Cycle struct {
 // applies as many activations as the smallest horizon allows in one
 // dispatch per model. A horizon of 0, or a model without the
 // extension, makes it apply exactly one activation through the
-// per-activation path.
+// per-activation path. A gap that starts later than one Period after
+// the activation before it ends the call's chunk, so that the models'
+// schedule bounds every activation time they see.
 func (d *Device) HammerCycle(cy Cycle) int {
 	if cy.N <= 0 {
 		return 0
@@ -402,6 +475,14 @@ func (d *Device) HammerCycle(cy Cycle) int {
 		d.inCycle[p] = false
 	}
 	h := cy.N
+	for i, g := range cy.Gaps {
+		if g.At < 1 || g.At > cy.N || i > 0 && g.At <= cy.Gaps[i-1].At {
+			panic(fmt.Sprintf("dram: HammerCycle gap at activation %d of %d out of order", g.At, cy.N))
+		}
+		if g.At < h && g.Start > cy.at(g.At-1)+cy.Period {
+			h = g.At
+		}
+	}
 	for _, f := range d.faults {
 		cf, ok := f.(CycleFaultModel)
 		if !ok {
@@ -424,7 +505,7 @@ func (d *Device) HammerCycle(cy Cycle) int {
 			d.Stats.Reads++
 			d.Stats.OpEnergyPJ += d.Energy.RD
 		}
-		if cy.ClosedPage {
+		if cy.ClosedPage || cy.N == 1 && cy.endsOnGap() {
 			d.Precharge(cy.Bank)
 		}
 		return 1
@@ -432,16 +513,33 @@ func (d *Device) HammerCycle(cy Cycle) int {
 	for _, f := range d.faults {
 		f.(CycleFaultModel).OnHammerCycle(d, cy.Bank, phys, h, cy.Start, cy.Period)
 	}
-	for i := 0; i < k && i < h; i++ {
-		last := i + k*((h-1-i)/k)
-		bk.lastRestore[phys[i]] = cy.Start + Time(last)*cy.Period
+	// Restore clocks: each row's last activation is among the last k.
+	j := max(0, h-k)
+	t, g := cy.at(j), 0
+	for g < len(cy.Gaps) && cy.Gaps[g].At <= j {
+		g++
 	}
+	for ; j < h; j++ {
+		if g < len(cy.Gaps) && cy.Gaps[g].At == j {
+			t = cy.Gaps[g].Start
+			g++
+		}
+		bk.lastRestore[phys[j%k]] = t
+		t += cy.Period
+	}
+	// A gap's REF precharge stands in for the row-conflict precharge of
+	// the miss after it, so only a REF after the last activation adds
+	// one.
 	precharges := h
 	if !cy.ClosedPage {
 		if bk.openPhysRow == -1 {
 			precharges--
 		}
 		bk.openPhysRow = phys[(h-1)%k]
+		if h == cy.N && cy.endsOnGap() {
+			bk.openPhysRow = -1
+			precharges++
+		}
 	}
 	d.Stats.Activates += int64(h)
 	d.Stats.Precharges += int64(precharges)
@@ -451,6 +549,43 @@ func (d *Device) HammerCycle(cy Cycle) int {
 		d.Stats.OpEnergyPJ += d.Energy.RD * float64(h)
 	}
 	return h
+}
+
+// AutoRefreshTouches reports whether the next AutoRefresh, at time now,
+// could see or change what activations of physRows in bank do, or be
+// changed by them: whether it must be ordered after them. It is false
+// only when every attached fault model implements CycleFaultModel, no
+// model reports a negative reach for a row the REF refreshes in any
+// bank, and every row it refreshes in bank lies further than the
+// models' summed reach from each of physRows.
+func (d *Device) AutoRefreshTouches(bank int, physRows []int, now Time) bool {
+	n := d.AutoRefreshGroupSize()
+	for b := range d.banks {
+		for i := 0; i < n; i++ {
+			row := (d.refreshPtr + i) % d.Geom.Rows
+			reach := 0
+			for _, f := range d.faults {
+				cf, ok := f.(CycleFaultModel)
+				if !ok {
+					return true
+				}
+				r := cf.RefreshReach(d, b, row, now)
+				if r < 0 {
+					return true
+				}
+				reach += r
+			}
+			if b != bank {
+				continue
+			}
+			for _, p := range physRows {
+				if p-reach <= row && row <= p+reach {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // --- Batched refresh path ---

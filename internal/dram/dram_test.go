@@ -312,6 +312,7 @@ func TestSetRemapWrongSizePanics(t *testing.T) {
 type horizonFault struct {
 	recordingFault
 	horizon int
+	reach   int
 	chunks  []int // n of every OnHammerCycle call
 	firsts  []int // physRows[0] of every OnHammerCycle call
 }
@@ -325,19 +326,34 @@ func (h *horizonFault) OnHammerCycle(d *Device, b int, physRows []int, n int, st
 	h.firsts = append(h.firsts, physRows[0])
 }
 
-// commandLoop issues a burst as explicit commands.
+func (h *horizonFault) RefreshReach(d *Device, b, physRow int, now Time) int { return h.reach }
+
+// commandLoop issues a burst as explicit commands, a gap as the REF's
+// precharge before the activation it starts.
 func commandLoop(d *Device, cy Cycle) {
+	t, g := cy.Start, 0
 	for j := 0; j < cy.N; j++ {
+		if j > 0 {
+			t += cy.Period
+		}
+		if g < len(cy.Gaps) && cy.Gaps[g].At == j {
+			d.Precharge(cy.Bank)
+			t = cy.Gaps[g].Start
+			g++
+		}
 		if !cy.ClosedPage {
 			d.Precharge(cy.Bank)
 		}
-		d.Activate(cy.Bank, cy.Rows[(cy.Pos+j)%len(cy.Rows)], cy.Start+Time(j)*cy.Period)
+		d.Activate(cy.Bank, cy.Rows[(cy.Pos+j)%len(cy.Rows)], t)
 		if cy.Read {
 			d.Read(cy.Bank, 0)
 		}
 		if cy.ClosedPage {
 			d.Precharge(cy.Bank)
 		}
+	}
+	if g < len(cy.Gaps) {
+		d.Precharge(cy.Bank)
 	}
 }
 
@@ -386,11 +402,8 @@ func TestHammerCycleMatchesCommandLoop(t *testing.T) {
 				slow.Activate(cy.Bank, 20, 0)
 			}
 			calls := 0
-			for done := 0; done < cy.N; calls++ {
-				step := cy
-				step.Pos = (cy.Pos + done) % len(cy.Rows)
-				step.N, step.Start = cy.N-done, cy.Start+Time(done)*cy.Period
-				done += fast.HammerCycle(step)
+			for step := cy; step.N > 0; calls++ {
+				step.Advance(fast.HammerCycle(step))
 			}
 			commandLoop(slow, cy)
 			compareDevices(t, fast, slow)
@@ -414,6 +427,114 @@ func TestHammerCycleMatchesCommandLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHammerCycleGapsMatchCommandLoop applies bursts with REFs inside
+// (gaps) under fault-model horizons that cut them before, at and after
+// each gap, and requires the command loop's stats, open row and restore
+// clocks. A gap that starts later than one period after the activation
+// before it must end the chunk; earlier ones must not.
+func TestHammerCycleGapsMatchCommandLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cy    Cycle
+		calls int // HammerCycle calls with an unbounded horizon
+	}{
+		{"early gaps", Cycle{Bank: 1, Rows: []int{3, 5, 9}, Pos: 1, N: 12, Start: 100, Period: 49, Read: true,
+			Gaps: []Gap{{At: 3, Start: 100 + 2*49 + 47}, {At: 8, Start: 100 + 7*49 + 45}}}, 1},
+		{"trailing gap", Cycle{Bank: 0, Rows: []int{7, 3}, N: 9, Start: 7, Period: 50,
+			Gaps: []Gap{{At: 4, Start: 7 + 3*50 + 33}, {At: 9}}}, 1},
+		{"late gap", Cycle{Bank: 0, Rows: []int{7, 3, 11}, N: 10, Start: 7, Period: 50, Read: true,
+			Gaps: []Gap{{At: 6, Start: 7 + 5*50 + 51}}}, 2},
+		{"gap after one activation", Cycle{Bank: 0, Rows: []int{2, 4}, N: 2, Start: 7, Period: 49,
+			Gaps: []Gap{{At: 1, Start: 40}, {At: 2}}}, 1},
+		{"closed page", Cycle{Bank: 0, Rows: []int{2, 4}, N: 6, Start: 7, Period: 60, ClosedPage: true,
+			Gaps: []Gap{{At: 3, Start: 7 + 2*60 + 20}, {At: 6}}}, 1},
+	} {
+		for _, horizon := range []int{1000, 4, 1, 0} {
+			fast, slow := NewDevice(smallGeom()), NewDevice(smallGeom())
+			model := &horizonFault{horizon: horizon}
+			fast.AttachFault(model)
+			slow.AttachFault(&horizonFault{})
+			if !tc.cy.ClosedPage {
+				fast.Activate(tc.cy.Bank, 20, 0)
+				slow.Activate(tc.cy.Bank, 20, 0)
+			}
+			cy := tc.cy
+			cy.Gaps = slices.Clone(tc.cy.Gaps)
+			calls := 0
+			for cy.N > 0 {
+				m := fast.HammerCycle(cy)
+				if m < 1 || m > cy.N {
+					t.Fatalf("%s horizon %d: applied %d of %d", tc.name, horizon, m, cy.N)
+				}
+				cy.Advance(m)
+				calls++
+			}
+			commandLoop(slow, tc.cy)
+			compareDevices(t, fast, slow)
+			if horizon == 1000 && calls != tc.calls {
+				t.Errorf("%s: %d HammerCycle calls, want %d (chunks %v)", tc.name, calls, tc.calls, model.chunks)
+			}
+		}
+	}
+}
+
+func TestHammerCycleRejectsBadGaps(t *testing.T) {
+	for name, gaps := range map[string][]Gap{
+		"gap at 0":        {{At: 0, Start: 9}},
+		"gap beyond N":    {{At: 5}},
+		"gaps unordered":  {{At: 3, Start: 200}, {At: 2, Start: 150}},
+		"gaps duplicated": {{At: 2, Start: 150}, {At: 2, Start: 150}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			NewDevice(smallGeom()).HammerCycle(Cycle{Rows: []int{2, 4}, N: 4, Period: 49, Gaps: gaps})
+		}()
+	}
+}
+
+// TestAutoRefreshTouchesUsesSummedReach pins the REF predicate: a
+// refreshed row touches a burst within the summed reach of the models,
+// a negative reach touches every burst, and a model without the cycle
+// extension makes every REF touch.
+func TestAutoRefreshTouchesUsesSummedReach(t *testing.T) {
+	d := NewDevice(smallGeom())
+	a, b := &horizonFault{reach: 2}, &horizonFault{reach: 1}
+	d.AttachFault(a)
+	d.AttachFault(b)
+	// The first REF refreshes row 0 of every bank.
+	for _, tc := range []struct {
+		bank int
+		rows []int
+		want bool
+	}{
+		{0, []int{3, 9}, true},
+		{0, []int{4, 9}, false},
+		{1, []int{3, 9}, true},
+		{0, []int{0}, true},
+	} {
+		if got := d.AutoRefreshTouches(tc.bank, tc.rows, 100); got != tc.want {
+			t.Errorf("reach 2+1, REF row 0, bank %d rows %v: touches %v, want %v", tc.bank, tc.rows, got, tc.want)
+		}
+	}
+	d.AutoRefresh(100)
+	if d.AutoRefreshTouches(0, []int{5}, 200) {
+		t.Error("REF row 1 touches row 5 at reach 3")
+	}
+	b.reach = -1
+	if !d.AutoRefreshTouches(0, []int{40}, 200) {
+		t.Error("a negative reach must touch every burst")
+	}
+	b.reach = 1
+	d.AttachFault(&recordingFault{})
+	if !d.AutoRefreshTouches(0, []int{40}, 200) {
+		t.Error("a model without the cycle extension must make every REF touch")
 	}
 }
 

@@ -1,9 +1,12 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/disturb"
 	"repro/internal/dram"
+	"repro/internal/retention"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
@@ -80,5 +83,51 @@ func BenchmarkSystemAccess(b *testing.B) {
 			}
 			benchSink = int(sink)
 		})
+	}
+}
+
+// BenchmarkHammerRowsRanked times the hammer kernel under no
+// mitigation, PARA and TRR (perfbench hammer-campaign's settings) on a
+// 1-bank, 128-row rank with densified disturbance and default
+// retention physics. One op is one call that spans ~30 REFs: 2,500
+// rounds of a double-sided pair, or 1,000 rounds of four aggressors
+// and two decoys.
+func BenchmarkHammerRowsRanked(b *testing.B) {
+	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
+	for _, mit := range []struct {
+		name string
+		make func() Mitigation
+	}{
+		{"none", nil},
+		{"para", func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(11)) }},
+		{"trr", func() Mitigation { return NewTRR(4, 0.05, rng.New(12)) }},
+	} {
+		for _, shape := range []struct {
+			rows   []int
+			rounds int
+		}{
+			{[]int{40, 42}, 2500},
+			{[]int{40, 42, 44, 46, 100, 102}, 1000},
+		} {
+			b.Run(fmt.Sprintf("%s/%d-rows", mit.name, len(shape.rows)), func(b *testing.B) {
+				dev := dram.NewDevice(g)
+				dp := disturb.DefaultParams()
+				dp.WeakCellFraction, dp.ThresholdMedian, dp.MinThreshold = 2e-3, 3000, 400
+				dev.AttachFault(disturb.NewModel(g, dp, rng.New(1)))
+				dev.AttachFault(retention.NewModel(g, retention.DefaultParams(), rng.New(2)))
+				for r := 0; r < g.Rows; r++ {
+					dev.FillPhysRow(0, r, 0x5555555555555555<<(r%2))
+				}
+				c := New(dev, Config{})
+				if mit.make != nil {
+					c.Attach(mit.make())
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.HammerRowsRanked(0, 0, shape.rows, shape.rounds)
+				}
+			})
+		}
 	}
 }

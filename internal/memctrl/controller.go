@@ -112,9 +112,9 @@ type Controller struct {
 }
 
 // KernelCounters count how the hammer kernel (HammerRowsRanked) served
-// its accesses. They are deterministic, like Stats, but describe the
-// simulator rather than the simulated system, so they stay out of
-// Stats and out of snapshots.
+// its accesses and why it applied its pending device run. They are
+// deterministic, like Stats, but describe the simulator rather than the
+// simulated system, so they stay out of Stats and out of snapshots.
 type KernelCounters struct {
 	// Batched accesses were served in closed-form chunks.
 	Batched int64
@@ -122,6 +122,19 @@ type KernelCounters struct {
 	// activations a mitigation acts on or that a mitigation without a
 	// horizon observes, and row lists the kernel does not batch.
 	Stepped int64
+	// RefsRidden counts REFs that landed on a pending run and left it
+	// pending: the run carries their precharge as a gap.
+	RefsRidden int64
+	// RefFlushes counts pending runs a REF flushed: its rows touch the
+	// run, the run's gap list is full, a multi-rate policy drives the
+	// refresh, or a REF hook reads cells.
+	RefFlushes int64
+	// MitFlushes counts pending runs a mitigation's targeted refresh
+	// flushed, at an activation or at a REF.
+	MitFlushes int64
+	// OtherFlushes counts the rest: the kernel's return, a row hit, and
+	// an activation that does not continue the run.
+	OtherFlushes int64
 }
 
 // KernelCounters returns the hammer kernel's counters.
@@ -255,16 +268,25 @@ func (c *Controller) PhysRowAt(flatBank, logRow int) int {
 // stalls the channel for tRFC each, which is how the refresh-rate
 // solution's performance overhead arises. Ranks refresh in lockstep:
 // one REF event services every rank.
+//
+// A REF that lands on the hammer kernel's pending run leaves it pending
+// when nothing the REF does can see or change what the run does (see
+// rideREF): the run then owes the REF's precharge of its bank.
 func (c *Controller) serviceRefresh() {
 	if c.cfg.DisableRefresh || c.now < c.nextRefDue {
 		return
 	}
-	c.flushHammer()
+	r := &c.run
 	for c.now >= c.nextRefDue {
+		if r.n > 0 && !c.rideREF() {
+			c.flushHammer(&c.kernel.RefFlushes)
+		}
 		// REF requires all banks precharged.
-		for _, dev := range c.ranks {
+		for rank, dev := range c.ranks {
 			for b := 0; b < c.geom.Banks; b++ {
-				dev.Precharge(b)
+				if r.n == 0 || rank != r.rank || b != r.bank {
+					dev.Precharge(b)
+				}
 			}
 			if c.refPolicy == nil {
 				dev.AutoRefresh(c.now)
@@ -289,7 +311,29 @@ func (c *Controller) serviceRefresh() {
 		for _, m := range c.mitigations {
 			m.OnAutoRefresh(c)
 		}
+		if r.n > 0 {
+			c.kernel.RefsRidden++
+		}
 	}
+}
+
+// rideREF decides whether the REF about to issue leaves the pending run
+// pending, and if so records the REF as the run's trailing gap. It
+// refuses when a multi-rate policy drives the refresh, when the gap
+// list is full, or when the run's device reports that the REF's rows
+// touch the run. A REF hook that reads cells flushes the run itself.
+func (c *Controller) rideREF() bool {
+	r := &c.run
+	if c.refPolicy != nil || !r.owed && r.ngaps == len(r.gaps) ||
+		c.ranks[r.rank].AutoRefreshTouches(r.bank, r.phys, c.now) {
+		return false
+	}
+	if !r.owed {
+		r.gaps[r.ngaps] = dram.Gap{At: r.n}
+		r.ngaps++
+		r.owed = true
+	}
+	return true
 }
 
 // AccessLoc routes a system-level location to its rank. The location's
@@ -382,10 +426,12 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 // activation a mitigation acts on — steps through the access path,
 // with every mitigation's OnActivate at the exact c.now. The pending
 // run is applied by Device.HammerCycle, one call per fault-model
-// horizon, when something needs the device state: a REF, a
-// mitigation's targeted refresh, or the kernel's return. Inputs the
-// kernel does not batch — fewer than two rows, a repeated row,
-// out-of-range rows — run the plain AccessRanked loop.
+// horizon, when something needs the device state: a REF whose rows
+// touch the run, a mitigation's targeted refresh, or the kernel's
+// return. A REF that touches nothing the run touches leaves it pending
+// (serviceRefresh), and the row miss after it joins the run as a gap.
+// Inputs the kernel does not batch — fewer than two rows, a repeated
+// row, out-of-range rows — run the plain AccessRanked loop.
 func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 	if !c.cycleRows(rank, rows) {
 		c.kernel.Stepped += int64(len(rows) * max(rounds, 0))
@@ -414,8 +460,10 @@ func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 	lastAct := c.lastAct[flat]
 	for i, left := 0, k*rounds; left > 0; {
 		if !c.cfg.DisableRefresh && c.now >= c.nextRefDue {
+			// The REF closed the bank, on the device or as a precharge
+			// the pending run owes.
 			c.serviceRefresh()
-			open = dev.OpenRow(bank)
+			open = -1
 		}
 		if open != -1 && open != r.phys[i] {
 			// Closed form up to the access whose REF-due check fires
@@ -452,7 +500,7 @@ func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 		if open == r.phys[i] {
 			// Only the first access can hit; the hit path has no device
 			// work to defer.
-			c.flushHammer()
+			c.flushHammer(&c.kernel.OtherFlushes)
 			c.lastAct[flat] = lastAct
 			c.AccessRanked(rank, Coord{Bank: bank, Row: r.rows[i]}, false, 0)
 			lastAct = c.lastAct[flat]
@@ -481,7 +529,7 @@ func (c *Controller) HammerRowsRanked(rank, bank int, rows []int, rounds int) {
 		left--
 	}
 	c.lastAct[flat] = lastAct
-	c.flushHammer()
+	c.flushHammer(&c.kernel.OtherFlushes)
 }
 
 // quietHorizon returns how many of the kernel's next activations, at
@@ -543,23 +591,26 @@ func (c *Controller) hammerActivate(dev *dram.Device, flat, i int) {
 	}
 }
 
-// flushHammer applies the pending run to the device and classifies its
-// reads through the ECC layer. Within each HammerCycle chunk the
-// hammered rows' words cannot change, so each row's col-0 word is
-// classified once per chunk and counted once per read.
-func (c *Controller) flushHammer() {
+// flushHammer applies the pending run to the device, classifies its
+// reads through the ECC layer and counts the flush in cause. Within
+// each HammerCycle chunk the hammered rows' words cannot change, so
+// each row's col-0 word is classified once per chunk and counted once
+// per read.
+func (c *Controller) flushHammer(cause *int64) {
 	r := &c.run
 	if r.n == 0 {
 		return
 	}
+	*cause++
 	dev := c.ranks[r.rank]
 	k := len(r.rows)
+	cy := dram.Cycle{
+		Bank: r.bank, Rows: r.rows, Pos: r.pos, N: r.n,
+		Start: r.start, Period: r.period, Read: true, Gaps: r.gaps[:r.ngaps],
+	}
 	for done := 0; done < r.n; {
-		pos := (r.pos + done) % k
-		m := dev.HammerCycle(dram.Cycle{
-			Bank: r.bank, Rows: r.rows, Pos: pos, N: r.n - done,
-			Start: r.start + dram.Time(done)*r.period, Period: r.period, Read: true,
-		})
+		pos := cy.Pos
+		m := dev.HammerCycle(cy)
 		if c.ecc != nil {
 			reads := min(m, r.reads-done)
 			for j := 0; j < k && j < reads; j++ {
@@ -569,48 +620,76 @@ func (c *Controller) flushHammer() {
 			}
 		}
 		done += m
+		cy.Advance(m)
 	}
-	r.n, r.reads = 0, 0
+	r.n, r.reads, r.ngaps, r.owed = 0, 0, 0, false
 }
+
+// maxGaps bounds how many REFs one pending run rides; a REF that finds
+// the gap list full flushes the run.
+const maxGaps = 16
 
 // hammerRun is the hammer kernel's pending device work: n activations
 // of rows in cyclic order, the first at cycle position pos at time
-// start, each period after the previous; next is the cycle position
-// that continues it. The first `reads` of them have had their col-0
-// read issued.
+// start, each period after the previous unless a gap starts it; last
+// is the time of the latest and next the cycle position that continues
+// it. The first `reads` of them have had their col-0 read issued. Each
+// gap is a REF the run rode; owed says the latest one came after the
+// last activation, whose bank the REF precharged on the run's account.
 type hammerRun struct {
 	rank, bank    int
 	rows, phys    []int // logical and physical rows of the cycle
 	pos, n, next  int
 	reads         int
 	start, period dram.Time
+	last          dram.Time
+	gaps          [maxGaps]dram.Gap
+	ngaps         int
+	owed          bool
 }
 
 // addToRun appends m activations to the pending run, the first of
 // cycle position i at time at and the rest period apart. A run holds
-// one period, set by its second activation; activations that do not
-// continue it flush it and start a new one.
+// one period, set by its first two consecutive activations; the
+// activation after a REF the run rode fills that gap, and other
+// activations that do not continue the run flush it and start a new
+// one.
 func (c *Controller) addToRun(i int, at, period dram.Time, m int) {
 	r := &c.run
-	if r.n > 0 {
-		step := r.period
-		if r.n == 1 {
-			step = at - r.start
+	if r.n > 0 && i == r.next {
+		if r.owed {
+			if m == 1 {
+				r.gaps[r.ngaps-1].Start = at
+				r.owed = false
+				r.extend(at, 1)
+				return
+			}
+		} else {
+			step := r.period
+			if step == 0 {
+				step = at - r.last
+			}
+			if step > 0 && at == r.last+step && (m == 1 || period == step) {
+				r.period = step
+				r.extend(at+dram.Time(m-1)*step, m)
+				return
+			}
 		}
-		if i == r.next && step > 0 && at == r.start+dram.Time(r.n)*step && (m == 1 || period == step) {
-			r.period = step
-			r.n += m
-			r.advance(m)
-			return
-		}
-		c.flushHammer()
 	}
-	r.pos, r.start, r.period, r.n, r.next = i, at, period, m, i
-	r.advance(m)
+	c.flushHammer(&c.kernel.OtherFlushes)
+	r.pos, r.start, r.n, r.next, r.last = i, at, 0, i, at
+	r.period = 0
+	if m > 1 {
+		r.period = period
+	}
+	r.extend(at+dram.Time(m-1)*period, m)
 }
 
-// advance moves the continuing cycle position m activations on.
-func (r *hammerRun) advance(m int) {
+// extend counts m more activations, the last at time last, and moves
+// the continuing cycle position on.
+func (r *hammerRun) extend(last dram.Time, m int) {
+	r.n += m
+	r.last = last
 	if r.next += m; r.next >= len(r.rows) {
 		r.next %= len(r.rows)
 	}
@@ -629,7 +708,7 @@ func (c *Controller) AdvanceTo(t dram.Time) {
 // mitigation, charging the targeted-refresh time cost. flatBank is the
 // flat rank*Banks+bank index mitigations observe.
 func (c *Controller) RefreshLogRows(flatBank int, logRows []int) {
-	c.flushHammer()
+	c.flushHammer(&c.kernel.MitFlushes)
 	rank, bank := c.splitFlatBank(flatBank)
 	dev := c.ranks[rank]
 	for _, r := range logRows {
@@ -645,7 +724,7 @@ func (c *Controller) RefreshLogRows(flatBank int, logRows []int) {
 // DRAM-side mitigation that knows true adjacency. flatBank is the flat
 // rank*Banks+bank index mitigations observe.
 func (c *Controller) RefreshPhysRows(flatBank int, physRows []int) {
-	c.flushHammer()
+	c.flushHammer(&c.kernel.MitFlushes)
 	rank, bank := c.splitFlatBank(flatBank)
 	dev := c.ranks[rank]
 	for _, r := range physRows {

@@ -326,10 +326,13 @@ func (s *Scrubber) Name() string { return fmt.Sprintf("scrub-x%d", s.WordsPerREF
 func (s *Scrubber) OnActivate(c *Controller, bank, logRow int) {}
 
 // OnAutoRefresh implements Mitigation: each REF advances the patrol.
+// The patrol reads and writes cells directly, so it first applies the
+// hammer kernel's pending run.
 func (s *Scrubber) OnAutoRefresh(c *Controller) {
 	if s.WordsPerREF <= 0 {
 		return
 	}
+	c.flushHammer(&c.kernel.RefFlushes)
 	g := c.geom
 	rowWords := g.Cols
 	total := len(c.ranks) * g.Banks * g.Rows * rowWords

@@ -131,31 +131,75 @@ func (tb *mgTable) find(phys int) int {
 	return -1
 }
 
-// ActivateHorizon implements HorizonMitigation: once every cycle row
-// is tracked, a row's activations are quiet until its estimate reaches
-// its next trigger. An untracked row is inserted, or spills and may
-// evict, on the access path, so it ends the horizon at once.
+// ActivateHorizon implements HorizonMitigation: a tracked row's
+// activations are quiet until its estimate reaches its next trigger.
+// While the table has a free slot an untracked row is inserted on the
+// access path, so it ends the horizon at once. Once the table is full
+// an untracked activation only raises the spillover until the
+// spillover reaches the smallest tracked count M: counts only rise
+// during a quiet stretch, so the first M-1-spill untracked activations
+// of the stretch are quiet.
 func (m *Graphene) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
 	tb := &m.tables[flat]
+	k := len(rows)
+	untracked := 0
 	for idx, row := range rows {
 		i := tb.find(c.PhysRowAt(flat, row))
 		if i < 0 {
-			return 0
+			if tb.used < len(tb.entries) {
+				return 0
+			}
+			untracked++
+			continue
 		}
 		e := tb.entries[i]
-		if max = counterHorizon(len(rows), pos, idx, e.next-e.count-1, max); max == 0 {
-			break
+		if max = counterHorizon(k, pos, idx, e.next-e.count-1, max); max == 0 {
+			return 0
 		}
+	}
+	if untracked == 0 {
+		return max
+	}
+	if tb.used == 0 {
+		return 0
+	}
+	low := tb.entries[0].count
+	for _, e := range tb.entries[1:tb.used] {
+		low = min(low, e.count)
+	}
+	q := low - 1 - tb.spill
+	if q < 0 {
+		q = 0
+	}
+	if q >= int64(max) {
+		return max
+	}
+	// The untracked activation after the quiet ones acts: the (q%u)-th
+	// untracked row from pos, q/u rounds on.
+	nth := int(q % int64(untracked))
+	for j := 0; j < k; j++ {
+		if tb.find(c.PhysRowAt(flat, rows[(pos+j)%k])) >= 0 {
+			continue
+		}
+		if nth == 0 {
+			return min(max, j+int(q/int64(untracked))*k)
+		}
+		nth--
 	}
 	return max
 }
 
-// OnActivateCycle implements HorizonMitigation.
+// OnActivateCycle implements HorizonMitigation: tracked rows count
+// their hits, and an untracked row's hits raise the spillover.
 func (m *Graphene) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
 	tb := &m.tables[flat]
 	for idx, row := range rows {
 		if hits := cycleHits(len(rows), pos, idx, n); hits > 0 {
-			tb.entries[tb.find(c.PhysRowAt(flat, row))].count += int64(hits)
+			if i := tb.find(c.PhysRowAt(flat, row)); i >= 0 {
+				tb.entries[i].count += int64(hits)
+			} else {
+				tb.spill += int64(hits)
+			}
 		}
 	}
 }

@@ -36,10 +36,16 @@ type kernelSpec struct {
 	ecc    ECCKind
 	mult   float64
 	remap  bool
+	// steady slows VRT toggles from 100 us to 1 s dwells, so few REFs
+	// draw from retention's stream and most may ride a run; retOnly
+	// leaves the disturbance model off the devices, so a REF's reach
+	// is retention's alone.
+	steady, retOnly bool
 }
 
 func (s kernelSpec) String() string {
-	return fmt.Sprintf("seed %d roster %#x ecc %v mult %g remap %v", s.seed, s.roster, s.ecc, s.mult, s.remap)
+	return fmt.Sprintf("seed %d roster %#x ecc %v mult %g remap %v steady %v retOnly %v",
+		s.seed, s.roster, s.ecc, s.mult, s.remap, s.steady, s.retOnly)
 }
 
 // kernelRoster lists the mitigations a spec can attach, in attach
@@ -81,6 +87,9 @@ func newKernelRig(s kernelSpec, edges kernelEdges) *kernelRig {
 		DPDFraction: 0.3, DPDReduction: 0.5,
 		VRTFraction: 0.4, VRTRatio: 4, VRTDwellSec: 1e-4, TemperatureC: 45,
 	}
+	if s.steady {
+		rp.VRTDwellSec = 1
+	}
 	src := rng.New(s.seed)
 	rig := &kernelRig{}
 	var devs []*dram.Device
@@ -91,7 +100,9 @@ func newKernelRig(s kernelSpec, edges kernelEdges) *kernelRig {
 		}
 		dm := disturb.NewModel(g, dp, src.Split())
 		rm := retention.NewModel(g, rp, src.Split())
-		dev.AttachFault(dm)
+		if !s.retOnly {
+			dev.AttachFault(dm)
+		}
 		dev.AttachFault(rm)
 		for b := 0; b < g.Banks; b++ {
 			for r := 0; r < g.Rows; r++ {
@@ -216,7 +227,9 @@ func (p *horizonProbe) LoadState(r *snapshot.Reader) error {
 
 // runKernelTwins drives a kernel twin and an access-loop twin through
 // the same phases and fails on the first divergence. It returns the
-// horizon edges the kernel twin reached.
+// horizon edges the kernel twin reached, and two REF edges: ref@ridden
+// (a REF left a pending run pending) and ref@flushed (a REF flushed
+// one, its rows inside the run's reach or its hooks reading cells).
 func runKernelTwins(t *testing.T, s kernelSpec, phases int) kernelEdges {
 	t.Helper()
 	edges := kernelEdges{}
@@ -249,8 +262,15 @@ func runKernelTwins(t *testing.T, s kernelSpec, phases int) kernelEdges {
 		kern.ctrl.AccessRanked(rank, co, false, 0)
 		loop.ctrl.AccessRanked(rank, co, false, 0)
 	}
-	if kern.ctrl.KernelCounters().Batched > 0 {
+	kc := kern.ctrl.KernelCounters()
+	if kc.Batched > 0 {
 		edges["kernel@batched"] = true
+	}
+	if kc.RefsRidden > 0 {
+		edges["ref@ridden"] = true
+	}
+	if kc.RefFlushes > 0 {
+		edges["ref@flushed"] = true
 	}
 	return edges
 }
@@ -272,11 +292,13 @@ func FuzzHammerRowsMatchesAccessLoop(f *testing.F) {
 
 func fuzzKernelSpec(seed uint64, roster uint16, flags uint8) kernelSpec {
 	return kernelSpec{
-		seed:   seed,
-		roster: roster,
-		ecc:    ECCKind(flags & 3),
-		mult:   []float64{1, 2, 4, 1.5}[flags>>2&3],
-		remap:  flags&0x10 != 0,
+		seed:    seed,
+		roster:  roster,
+		ecc:     ECCKind(flags & 3),
+		mult:    []float64{1, 2, 4, 1.5}[flags>>2&3],
+		remap:   flags&0x10 != 0,
+		steady:  flags&0x20 != 0,
+		retOnly: flags&0x40 != 0,
 	}
 }
 
@@ -303,6 +325,12 @@ var kernelEdgeSeeds = []struct {
 	// All six observers together, under SECDED and remap.
 	{1222, 1<<0 | 1<<2 | 1<<3 | 1<<4 | 1<<5 | 1<<6, 0x11,
 		[]string{"kernel@batched", "para@first", "graphene@mid", "twice@mid", "anvil@mid", "cra@mid"}},
+	// REFs that ride a pending run and REFs that flush it: under the
+	// default physics, with retention alone (a reach of 1) and steady
+	// VRT, and under two observers with SECDED and remap.
+	{1370, 0, 0x00, []string{"ref@ridden", "ref@flushed"}},
+	{1259, 0, 0x60, []string{"ref@ridden", "ref@flushed"}},
+	{1333, 1<<3 | 1<<4, 0x31, []string{"ref@ridden", "graphene@mid", "twice@mid"}},
 }
 
 func TestKernelEdgeSeedsReachEdges(t *testing.T) {
@@ -353,6 +381,17 @@ func TestKernelBatchesUnderEachDefence(t *testing.T) {
 		{"para", func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(11)) }},
 		{"trr", func() Mitigation { return NewTRR(4, 0.05, rng.New(12)) }},
 		{"graphene", func() Mitigation { return NewGraphene(8, 1000, 4) }},
+		// A table already full of other rows: the cycle's rows stay
+		// untracked until the spillover reaches the smallest count.
+		{"graphene-full", func() Mitigation {
+			g := NewGraphene(8, 1000, 4)
+			tb := &g.tables[1*2+1]
+			for i := range tb.entries {
+				tb.entries[i] = g.newEntry(30+2*i, 5000)
+			}
+			tb.used = len(tb.entries)
+			return g
+		}},
 		{"twice", func() Mitigation { return NewTWiCe(1000, 4) }},
 		{"anvil", func() Mitigation { return NewANVIL() }},
 		{"cra", func() Mitigation { return NewCRA(1000, 4, 64) }},
@@ -372,5 +411,25 @@ func TestKernelBatchesUnderEachDefence(t *testing.T) {
 				t.Errorf("%s %d rows: %.1f%% of accesses in closed form (%+v), want >= 90%%", d.name, len(rows), 100*share, kc)
 			}
 		}
+	}
+}
+
+// TestKernelRidesREFs guards the REF ride against vacuity: a REF whose
+// rows lie outside the reach of a 2-row hammer call must leave its run
+// pending, so one 2,500-pair call in a 128-row bank with no mitigation
+// rides most of the REFs that land on it, and still matches the access
+// loop.
+func TestKernelRidesREFs(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
+	fast := newHammerSystem(t, g, 51, true, 1)
+	slow := newHammerSystem(t, g, 51, true, 1)
+	fast.ctrl.HammerPairsRanked(0, 0, 40, 42, 2500)
+	naiveHammerPairs(slow.ctrl, 0, 40, 42, 2500)
+	compareSystems(t, fast, slow, "2,500 pairs")
+	kc := fast.ctrl.KernelCounters()
+	landed := kc.RefsRidden + kc.RefFlushes
+	t.Logf("%+v", kc)
+	if landed < 20 || float64(kc.RefsRidden) < 0.8*float64(landed) {
+		t.Fatalf("rode %d of %d REFs that landed on the run (%+v), want >= 80%%", kc.RefsRidden, landed, kc)
 	}
 }

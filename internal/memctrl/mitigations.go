@@ -24,7 +24,10 @@ import (
 // methods; it must not read cell contents or device stats. During a
 // kernel call the device lags the controller by the pending run of
 // activations, which those methods flush before they touch the
-// device.
+// device. The run can outlive a REF, so the same holds for
+// OnAutoRefresh: a hook that reads or writes cells or device state
+// other than through those methods must flush the run first, as the
+// Scrubber's patrol does.
 //
 // The horizon contract (HorizonMitigation), for mitigations that let
 // the kernel run their quiet stretches in closed form: an activation is
@@ -39,7 +42,8 @@ type Mitigation interface {
 	Name() string
 	// OnActivate observes an activation of a logical row.
 	OnActivate(c *Controller, bank, logRow int)
-	// OnAutoRefresh observes one REF command.
+	// OnAutoRefresh observes one REF command, under the same contract
+	// as OnActivate (see above).
 	OnAutoRefresh(c *Controller)
 	// StorageBits returns the mitigation's hardware state cost,
 	// the axis on which the paper rejects the counter-based solution.

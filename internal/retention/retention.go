@@ -235,7 +235,11 @@ func (m *Model) OnRefresh(d *dram.Device, bank, physRow int, now dram.Time) {
 // HammerHorizon implements dram.CycleFaultModel: 0 while a hammered
 // row with weak cells could decay at its next activation, otherwise the
 // number of activations until the first one that could decay a cell or
-// passes a VRT cell's next toggle.
+// passes a VRT cell's next toggle. It reasons on the schedule
+// start+i*period; a cycle that spans a REF (a dram.Gap) runs its later
+// activations earlier, never later, and keeps a row's activations at
+// most one round apart, so elapsed times only shrink and toggles are
+// passed no sooner, and the horizon stays a lower bound.
 func (m *Model) HammerHorizon(d *dram.Device, bank int, physRows []int, start, period dram.Time) int {
 	k := len(physRows)
 	h := math.MaxInt
@@ -293,6 +297,24 @@ func (m *Model) minRetention(c *cell, v *vrtState) float64 {
 // OnHammerCycle implements dram.CycleFaultModel. Only invoked within
 // the horizon, where the activations decay nothing and draw nothing.
 func (m *Model) OnHammerCycle(d *dram.Device, bank int, physRows []int, n int, start, period dram.Time) {
+}
+
+// RefreshReach implements dram.CycleFaultModel. A refresh decays cells
+// of its own row by the data of the rows next to it, and an activation
+// those of the activated row by its neighbours' data, so the reach is 1
+// — unless the refresh advances a VRT cell's state, which draws from
+// the model's stream that activations of any row may draw from too.
+func (m *Model) RefreshReach(d *dram.Device, bank, physRow int, now dram.Time) int {
+	lo, hi := m.resident(bank*m.geom.Rows + physRow)
+	if lo == hi || now <= d.LastRestore(bank, physRow) {
+		return 1
+	}
+	for s := lo; s < hi; s++ {
+		if m.cells[s].vrt && m.vrt[s].next < now {
+			return -1
+		}
+	}
+	return 1
 }
 
 // --- Legacy batched dispatch (dram.HammerFaultModel) ---

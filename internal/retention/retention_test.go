@@ -1,11 +1,14 @@
 package retention
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dram"
 	"repro/internal/rng"
+	"repro/internal/snapshot"
 )
 
 func denseParams() Params {
@@ -474,5 +477,97 @@ func TestResetCounters(t *testing.T) {
 	m.ResetCounters()
 	if m.Decays() != 0 {
 		t.Fatal("ResetCounters failed")
+	}
+}
+
+// TestRefreshReachBoundsOrder checks the reach contract on the physics:
+// an activation of row r at t1 and a refresh of row f at a later t2,
+// applied in either order, may leave different bits or model state only
+// when f lies within RefreshReach of r. Every cell is DPD-sensitive and
+// decays within the tested times, so a row's decay reads bits its
+// neighbours' decays flip; VRT is off, so nothing draws.
+func TestRefreshReachBoundsOrder(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 12, Cols: 1}
+	p := Params{WeakFraction: 0.25, MedianSec: 1e-4, Sigma: 0.5, MinSec: 1e-5,
+		DPDFraction: 1, DPDReduction: 0.5, TemperatureC: 45}
+	src := rng.New(4)
+	fill := make([]uint64, g.Rows)
+	seen := map[int]bool{}
+	for trial := 0; trial < 2000; trial++ {
+		r, f := src.Intn(g.Rows), src.Intn(g.Rows)
+		if r == f {
+			continue
+		}
+		t1 := dram.Time(1+src.Intn(150)) * dram.Microsecond
+		t2 := t1 + dram.Time(1+src.Intn(50))*dram.Microsecond
+		for i := range fill {
+			fill[i] = src.Uint64()
+		}
+		apply := func(activateFirst bool) ([]byte, *Model, *dram.Device) {
+			d := dram.NewDevice(g)
+			m := NewModel(g, p, rng.New(3))
+			d.AttachFault(m)
+			for row, w := range fill {
+				d.FillPhysRow(0, row, w)
+			}
+			if activateFirst {
+				d.Activate(0, r, t1)
+				d.RefreshPhysRow(0, f, t2)
+			} else {
+				d.RefreshPhysRow(0, f, t2)
+				d.Activate(0, r, t1)
+			}
+			var w snapshot.Writer
+			m.SaveState(&w)
+			for row := 0; row < g.Rows; row++ {
+				w.U64(d.PhysRowWords(0, row)[0])
+			}
+			return w.Bytes(), m, d
+		}
+		a, m, d := apply(true)
+		b, _, _ := apply(false)
+		if bytes.Equal(a, b) {
+			continue
+		}
+		dist := max(r-f, f-r)
+		seen[dist] = true
+		if reach := m.RefreshReach(d, 0, f, t2); dist > reach {
+			t.Fatalf("activation of row %d at %d and refresh of row %d at %d do not commute, but the refresh's reach is %d",
+				r, t1, f, t2, reach)
+		}
+	}
+	if !seen[1] {
+		t.Fatalf("no non-commuting pair at distance 1 (saw %v); the test is vacuous", seen)
+	}
+}
+
+// TestRefreshReachNegativeWhenRefreshDraws pins the draw rule: a refresh
+// that would advance a VRT cell draws from the stream activations draw
+// from, so its reach is negative; a row without due VRT cells reaches 1.
+func TestRefreshReachNegativeWhenRefreshDraws(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
+	p := denseParams()
+	p.VRTFraction, p.VRTDwellSec = 1, 1e-3
+	m := NewModel(g, p, rng.New(8))
+	d := dram.NewDevice(g)
+	d.AttachFault(m)
+	rows := m.WeakRows(0)
+	if len(rows) == 0 || len(rows) == g.Rows {
+		t.Fatalf("%d weak rows of %d; the test needs both kinds", len(rows), g.Rows)
+	}
+	late := 10 * dram.Second
+	if got := m.RefreshReach(d, 0, rows[0], late); got >= 0 {
+		t.Errorf("refresh of VRT row %d long after its toggle: reach %d, want negative", rows[0], got)
+	}
+	if got := m.RefreshReach(d, 0, rows[0], 0); got != 1 {
+		t.Errorf("refresh of VRT row %d at its last restore: reach %d, want 1", rows[0], got)
+	}
+	for r := 0; r < g.Rows; r++ {
+		if !slices.Contains(rows, r) {
+			if got := m.RefreshReach(d, 0, r, late); got != 1 {
+				t.Errorf("refresh of row %d without weak cells: reach %d, want 1", r, got)
+			}
+			break
+		}
 	}
 }

@@ -357,19 +357,6 @@ func (r *Reader) I64s() []int64 {
 	return out
 }
 
-// Ints reads a length-prefixed []int.
-func (r *Reader) Ints() []int {
-	u := r.U64s()
-	if u == nil {
-		return nil
-	}
-	out := make([]int, len(u))
-	for i, x := range u {
-		out[i] = int(int64(x))
-	}
-	return out
-}
-
 // Tag consumes a component frame tag and fails with ErrCorrupt if it
 // does not match the expected name. The tag is compared in place, not
 // copied out, and the error quotes at most its first 64 bytes, so a

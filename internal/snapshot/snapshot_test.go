@@ -72,9 +72,13 @@ func readSample(path string) error {
 		if r.Err() == nil && (len(i) != 3 || i[0] != -1 || i[2] != 1) {
 			return Corruptf("i64s = %v", i)
 		}
-		n := r.Ints()
-		if r.Err() == nil && (len(n) != 2 || n[0] != 5 || n[1] != -5) {
-			return Corruptf("ints = %v", n)
+		// An []int reads back as its count and elements, each through
+		// Int, which refuses a value its int cannot hold.
+		if n := r.Count(8); n != 2 && r.Err() == nil {
+			return Corruptf("ints count = %d", n)
+		}
+		if a, b := r.Int(), r.Int(); (a != 5 || b != -5) && r.Err() == nil {
+			return Corruptf("ints = %d, %d", a, b)
 		}
 		return nil
 	})

@@ -223,11 +223,9 @@ func (e *Engine) Run(p *Program) Result {
 					act0 := max(e.now, e.lastPRE[bank]+t.TRP, e.lastACT[bank]+t.TRC)
 					rows := [2]int{rowA, rowB}
 					acts := 2 * int(n)
-					for done := 0; done < acts; {
-						done += e.dev.HammerCycle(dram.Cycle{
-							Bank: bank, Rows: rows[:], Pos: done % 2, N: acts - done,
-							Start: act0 + dram.Time(done)*period, Period: period, ClosedPage: true,
-						})
+					cy := dram.Cycle{Bank: bank, Rows: rows[:], N: acts, Start: act0, Period: period, ClosedPage: true}
+					for cy.N > 0 {
+						cy.Advance(e.dev.HammerCycle(cy))
 					}
 					last := act0 + dram.Time(acts-1)*period
 					e.lastACT[bank] = last
