@@ -37,9 +37,11 @@ type kernelSpec struct {
 	mult   float64
 	remap  bool
 	// steady slows VRT toggles from 100 us to 1 s dwells, so few REFs
-	// draw from retention's stream and most may ride a run; retOnly
-	// leaves the disturbance model off the devices, so a REF's reach
-	// is retention's alone.
+	// draw from retention's stream and most may ride a run. retOnly
+	// leaves the disturbance model off the devices, so a REF's reach is
+	// retention's alone, makes retention cells dense and all
+	// DPD-sensitive, and refills every row with random data each phase,
+	// so a decay's reads of its neighbours decide often.
 	steady, retOnly bool
 }
 
@@ -90,6 +92,9 @@ func newKernelRig(s kernelSpec, edges kernelEdges) *kernelRig {
 	if s.steady {
 		rp.VRTDwellSec = 1
 	}
+	if s.retOnly {
+		rp.WeakFraction, rp.DPDFraction = 0.25, 1
+	}
 	src := rng.New(s.seed)
 	rig := &kernelRig{}
 	var devs []*dram.Device
@@ -138,6 +143,20 @@ func newKernelRig(s kernelSpec, edges kernelEdges) *kernelRig {
 		}
 	}
 	return rig
+}
+
+// fill overwrites every row of every rank with words drawn from src.
+func (rig *kernelRig) fill(src *rng.Stream) {
+	for rank := 0; rank < rig.ctrl.NumRanks(); rank++ {
+		dev := rig.ctrl.Rank(rank)
+		for b := 0; b < dev.Geom.Banks; b++ {
+			for r := 0; r < dev.Geom.Rows; r++ {
+				for i := range dev.PhysRowWords(b, r) {
+					dev.PhysRowWords(b, r)[i] = src.Uint64()
+				}
+			}
+		}
+	}
 }
 
 // state is the twin's full snapshot: controller (clocks, stats, every
@@ -236,6 +255,10 @@ func runKernelTwins(t *testing.T, s kernelSpec, phases int) kernelEdges {
 	kern, loop := newKernelRig(s, edges), newKernelRig(s, nil)
 	src := rng.New(s.seed ^ 0x6b65726e656c)
 	for ph := 0; ph < phases; ph++ {
+		if s.retOnly {
+			kern.fill(rng.Sub(s.seed, uint64(ph)))
+			loop.fill(rng.Sub(s.seed, uint64(ph)))
+		}
 		rank, bank := src.Intn(2), src.Intn(2)
 		rows := kernelRows(src, 64)
 		rounds := src.Intn(300)
@@ -330,6 +353,9 @@ var kernelEdgeSeeds = []struct {
 	// VRT, and under two observers with SECDED and remap.
 	{1370, 0, 0x00, []string{"ref@ridden", "ref@flushed"}},
 	{1259, 0, 0x60, []string{"ref@ridden", "ref@flushed"}},
+	// Retention alone, where REFs next to a hammered row must flush: a
+	// reach of 0 instead of 1 makes this seed's twins diverge.
+	{47, 0, 0x69, []string{"ref@ridden", "ref@flushed"}},
 	{1333, 1<<3 | 1<<4, 0x31, []string{"ref@ridden", "graphene@mid", "twice@mid"}},
 }
 
