@@ -87,20 +87,25 @@ func BenchmarkSystemAccess(b *testing.B) {
 }
 
 // BenchmarkHammerRowsRanked times the hammer kernel under no
-// mitigation, PARA and TRR (perfbench hammer-campaign's settings) on a
-// 1-bank, 128-row rank with densified disturbance and default
-// retention physics. One op is one call that spans ~30 REFs: 2,500
-// rounds of a double-sided pair, or 1,000 rounds of four aggressors
-// and two decoys.
+// mitigation, PARA, TRR and Graphene (perfbench hammer-campaign's
+// settings) on a 1-bank, 128-row rank with densified disturbance and
+// default retention physics. One op is one call that spans ~30 REFs:
+// 2,500 rounds of a double-sided pair, or 1,000 rounds of four
+// aggressors and two decoys. graphene-storm refills its table before
+// each call with five rows far hotter than the cycle's, so the six
+// cycle rows churn through three free slots: an exchange storm.
 func BenchmarkHammerRowsRanked(b *testing.B) {
 	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 8}
 	for _, mit := range []struct {
-		name string
-		make func() Mitigation
+		name  string
+		make  func() Mitigation
+		storm bool
 	}{
-		{"none", nil},
-		{"para", func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(11)) }},
-		{"trr", func() Mitigation { return NewTRR(4, 0.05, rng.New(12)) }},
+		{"none", nil, false},
+		{"para", func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(11)) }, false},
+		{"trr", func() Mitigation { return NewTRR(4, 0.05, rng.New(12)) }, false},
+		{"graphene", func() Mitigation { return NewGraphene(8, 1000, 1) }, false},
+		{"graphene-storm", func() Mitigation { return NewGraphene(8, 1000, 1) }, true},
 	} {
 		for _, shape := range []struct {
 			rows   []int
@@ -109,6 +114,9 @@ func BenchmarkHammerRowsRanked(b *testing.B) {
 			{[]int{40, 42}, 2500},
 			{[]int{40, 42, 44, 46, 100, 102}, 1000},
 		} {
+			if mit.storm && len(shape.rows) < 6 {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/%d-rows", mit.name, len(shape.rows)), func(b *testing.B) {
 				dev := dram.NewDevice(g)
 				dp := disturb.DefaultParams()
@@ -119,12 +127,17 @@ func BenchmarkHammerRowsRanked(b *testing.B) {
 					dev.FillPhysRow(0, r, 0x5555555555555555<<(r%2))
 				}
 				c := New(dev, Config{})
+				var m Mitigation
 				if mit.make != nil {
-					c.Attach(mit.make())
+					m = mit.make()
+					c.Attach(m)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if mit.storm {
+						fillGrapheneStorm(m.(*Graphene), 0)
+					}
 					c.HammerRowsRanked(0, 0, shape.rows, shape.rounds)
 				}
 			})

@@ -120,7 +120,9 @@ type KernelCounters struct {
 	Batched int64
 	// Stepped accesses were served one at a time: row hits and misses,
 	// activations a mitigation acts on or that a mitigation without a
-	// horizon observes, and row lists the kernel does not batch.
+	// horizon observes, and row lists the kernel does not batch. An
+	// activation that only changes the mitigation's own state, such as
+	// a Graphene insertion or exchange, is quiet and not stepped.
 	Stepped int64
 	// RefsRidden counts REFs that landed on a pending run and left it
 	// pending: the run carries their precharge as a gap.

@@ -25,7 +25,10 @@ package memctrl
 // instance per channel keeps channel-sharded execution bit-identical
 // to serial execution (TestMitigatedShardedExecutionBitIdentical).
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // mitAddrBits is the row-address width charged per tracked entry in
 // storage estimates, matching TRR's 32-bit bank+row entries.
@@ -54,6 +57,10 @@ type Graphene struct {
 
 	tables []mgTable
 	refs   int64
+	// dry is the last horizon's working set and dry run. The dry run
+	// is a pure function of the table it started from, so it is never
+	// saved; a stale one simply fails to match.
+	dry mgDryRun `snapshot:"derived"`
 }
 
 // mgEntry is one Misra-Gries slot: a tracked physical row, its
@@ -71,13 +78,30 @@ type mgTable struct {
 	spill   int64
 }
 
+// mgDryRun is the working set of the last horizon: the cycle's
+// logical rows at position pos of bank flat, their physical rows and
+// their slots in the bank's table (-1 when untracked), resolved once.
+// When ran is set it also holds a dry run: from table `from`, n
+// activations leave table `to`. Every slice and table is reused across
+// calls.
+type mgDryRun struct {
+	rows, phys, slot []int
+	untracked        int
+	flat, pos        int
+	ran              bool
+	n                int
+	from, to         mgTable
+}
+
 // NewGraphene builds per-bank Misra-Gries tables. banks is the flat
 // rank*Banks+bank count of the channel the mitigation will observe.
+// A tracker with no entries sends every activation to the spillover
+// and never refreshes.
 func NewGraphene(entries int, threshold int64, banks int) *Graphene {
 	g := &Graphene{Entries: entries, Threshold: threshold, CounterBits: 20,
 		tables: make([]mgTable, banks)}
 	for b := range g.tables {
-		g.tables[b].entries = make([]mgEntry, entries)
+		g.tables[b].entries = make([]mgEntry, max(entries, 0))
 	}
 	return g
 }
@@ -85,21 +109,30 @@ func NewGraphene(entries int, threshold int64, banks int) *Graphene {
 // Name implements Mitigation.
 func (m *Graphene) Name() string { return "Graphene(top-k)" }
 
-// OnActivate implements Mitigation: Misra-Gries update with spillover
-// exchange. All scans walk slots in index order, so the tracker is
-// deterministic.
+// OnActivate implements Mitigation: the Misra-Gries update, then a
+// refresh if the row's tracked estimate reached its trigger.
 func (m *Graphene) OnActivate(c *Controller, bank, logRow int) {
 	tb := &m.tables[bank]
-	phys := c.PhysRowAt(bank, logRow)
+	if i := m.observe(tb, c.PhysRowAt(bank, logRow)); i >= 0 {
+		m.fire(c, bank, tb, i)
+	}
+}
+
+// observe applies one activation of physical row phys to a table: the
+// Misra-Gries update with spillover exchange. It returns the slot that
+// tracks the row afterwards, or -1 when the activation only raised the
+// spillover. Only a slot whose count it raised can have reached its
+// trigger: a new entry is armed above its count. All scans walk slots
+// in index order, so the tracker is deterministic.
+func (m *Graphene) observe(tb *mgTable, phys int) int {
 	if i := tb.find(phys); i >= 0 {
 		tb.entries[i].count++
-		m.fire(c, bank, tb, i)
-		return
+		return i
 	}
 	if tb.used < len(tb.entries) {
 		tb.entries[tb.used] = m.newEntry(phys, tb.spill+1)
 		tb.used++
-		return
+		return tb.used - 1
 	}
 	// Table full: the untracked activation raises the spillover; once
 	// the spillover reaches the smallest tracked count, the new row is
@@ -108,17 +141,22 @@ func (m *Graphene) OnActivate(c *Controller, bank, logRow int) {
 	// the inherited estimate, whose refreshes the evicted row already
 	// spent.
 	tb.spill++
+	if tb.used == 0 {
+		return -1
+	}
 	min := 0
 	for i := 1; i < tb.used; i++ {
 		if tb.entries[i].count < tb.entries[min].count {
 			min = i
 		}
 	}
-	if tb.spill >= tb.entries[min].count {
-		evicted := tb.entries[min].count
-		tb.entries[min] = m.newEntry(phys, tb.spill+1)
-		tb.spill = evicted
+	if tb.spill < tb.entries[min].count {
+		return -1
 	}
+	evicted := tb.entries[min].count
+	tb.entries[min] = m.newEntry(phys, tb.spill+1)
+	tb.spill = evicted
+	return min
 }
 
 // find returns the slot tracking physical row phys, or -1.
@@ -131,75 +169,216 @@ func (tb *mgTable) find(phys int) int {
 	return -1
 }
 
-// ActivateHorizon implements HorizonMitigation: a tracked row's
-// activations are quiet until its estimate reaches its next trigger.
-// While the table has a free slot an untracked row is inserted on the
-// access path, so it ends the horizon at once. Once the table is full
-// an untracked activation only raises the spillover until the
-// spillover reaches the smallest tracked count M: counts only rise
-// during a quiet stretch, so the first M-1-spill untracked activations
-// of the stretch are quiet.
+// copyFrom makes tb a copy of src's live slots, reusing tb's storage.
+func (tb *mgTable) copyFrom(src *mgTable) {
+	if len(tb.entries) < src.used {
+		tb.entries = make([]mgEntry, len(src.entries))
+	}
+	copy(tb.entries, src.entries[:src.used])
+	tb.used, tb.spill = src.used, src.spill
+}
+
+// equal reports whether two tables hold the same live slots and
+// spillover.
+func (tb *mgTable) equal(o *mgTable) bool {
+	return tb.used == o.used && tb.spill == o.spill &&
+		slices.Equal(tb.entries[:tb.used], o.entries[:o.used])
+}
+
+// ActivateHorizon implements HorizonMitigation: an activation is quiet
+// unless it raises a tracked count to its next trigger; insertions and
+// exchanges are quiet too. While no insertion or exchange can happen,
+// a tracked row's activations are quiet until its estimate reaches its
+// next trigger and the horizon is closed form. Otherwise the stretch is
+// dry-run on a scratch copy of the table up to the first activation
+// that fires, and the run is kept for OnActivateCycle.
 func (m *Graphene) ActivateHorizon(c *Controller, flat int, rows []int, pos, max int) int {
 	tb := &m.tables[flat]
-	k := len(rows)
-	untracked := 0
-	for idx, row := range rows {
-		i := tb.find(c.PhysRowAt(flat, row))
-		if i < 0 {
-			if tb.used < len(tb.entries) {
-				return 0
+	d := &m.dry
+	d.load(c, tb, flat, rows, pos)
+	h := d.fireHorizon(tb, pos, max)
+	if h == 0 || d.untracked == 0 {
+		return h
+	}
+	steady := d.churnFree(tb, pos, max)
+	if steady >= h {
+		return h
+	}
+	d.from.copyFrom(tb)
+	d.to.copyFrom(tb)
+	d.ran, d.n = true, m.replay(&d.to, pos, steady, max)
+	return d.n
+}
+
+// OnActivateCycle implements HorizonMitigation. The stretch the last
+// horizon dry-ran takes the table that run left; a stretch of rows the
+// horizon found all tracked, and still tracked in the same slots, adds
+// their hits in closed form; any other stretch is resolved afresh and
+// replayed on the table.
+func (m *Graphene) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	tb := &m.tables[flat]
+	d := &m.dry
+	same := d.flat == flat && slices.Equal(d.rows, rows)
+	switch {
+	case same && d.ran && d.pos == pos && d.n == n && tb.equal(&d.from):
+		tb.copyFrom(&d.to)
+	case same && d.untracked == 0 && d.holds(tb):
+		d.bulk(tb, pos, n)
+	default:
+		d.load(c, tb, flat, rows, pos)
+		steady := n
+		if d.untracked > 0 {
+			steady = d.churnFree(tb, pos, n)
+		}
+		m.replay(tb, pos, steady, n)
+	}
+}
+
+// replay applies up to max activations of the cycle from pos to tb,
+// the first steady ones (which can neither insert nor exchange) in
+// closed form and the rest one by one, keeping the slots load found
+// current, until every cycle row is tracked: from there on the rest is
+// closed form again. It stops before the first activation that fires
+// and returns how many it applied.
+func (m *Graphene) replay(tb *mgTable, pos, steady, max int) int {
+	d := &m.dry
+	d.bulk(tb, pos, steady)
+	k := len(d.phys)
+	n, idx := steady, (pos+steady)%k
+	for ; n < max; n++ {
+		if d.untracked == 0 {
+			h := d.fireHorizon(tb, idx, max-n)
+			d.bulk(tb, idx, h)
+			return n + h
+		}
+		i := m.observe(tb, d.phys[idx])
+		if i >= 0 && tb.entries[i].count >= tb.entries[i].next {
+			tb.entries[i].count-- // the firing activation is not applied
+			break
+		}
+		if i >= 0 && d.slot[idx] < 0 {
+			// Inserted, or exchanged in for whichever cycle row held
+			// the slot.
+			for j := range d.slot {
+				if d.slot[j] == i {
+					d.slot[j] = -1
+					d.untracked++
+				}
 			}
-			untracked++
+			d.slot[idx] = i
+			d.untracked--
+		}
+		if idx++; idx == k {
+			idx = 0
+		}
+	}
+	return n
+}
+
+// load resolves the cycle's physical rows and finds their slots in tb,
+// dropping any dry run.
+func (d *mgDryRun) load(c *Controller, tb *mgTable, flat int, rows []int, pos int) {
+	k := len(rows)
+	if cap(d.rows) < k {
+		d.rows, d.phys, d.slot = make([]int, k), make([]int, k), make([]int, k)
+	}
+	d.rows, d.phys, d.slot = d.rows[:k], d.phys[:k], d.slot[:k]
+	d.untracked, d.flat, d.pos, d.ran = 0, flat, pos, false
+	for idx, row := range rows {
+		p := c.PhysRowAt(flat, row)
+		i := tb.find(p)
+		d.rows[idx], d.phys[idx], d.slot[idx] = row, p, i
+		if i < 0 {
+			d.untracked++
+		}
+	}
+}
+
+// fireHorizon returns how many activations of the cycle from pos, at
+// most max, pass before one raises a tracked row's count to its next
+// trigger, while no row is inserted or exchanged.
+func (d *mgDryRun) fireHorizon(tb *mgTable, pos, max int) int {
+	for idx, i := range d.slot {
+		if i < 0 {
 			continue
 		}
-		e := tb.entries[i]
-		if max = counterHorizon(k, pos, idx, e.next-e.count-1, max); max == 0 {
+		e := &tb.entries[i]
+		if max = counterHorizon(len(d.slot), pos, idx, e.next-e.count-1, max); max == 0 {
 			return 0
 		}
 	}
-	if untracked == 0 {
-		return max
+	return max
+}
+
+// holds reports whether every slot load found, none of them empty,
+// still tracks its row.
+func (d *mgDryRun) holds(tb *mgTable) bool {
+	for idx, i := range d.slot {
+		if i >= tb.used || tb.entries[i].row != d.phys[idx] {
+			return false
+		}
 	}
-	if tb.used == 0 {
-		return 0
+	return true
+}
+
+// churnFree returns how many leading activations of the cycle from pos,
+// at most max, can neither insert nor exchange a row, given the slots
+// load found in tb (at least one of them empty). While the table has a
+// free slot the first untracked activation inserts. Once it is full an
+// untracked activation only raises the spillover until the spillover
+// reaches the smallest tracked count M: counts only rise meanwhile, so
+// the first M-1-spill untracked activations cannot exchange. A table
+// with no slots never exchanges.
+func (d *mgDryRun) churnFree(tb *mgTable, pos, max int) int {
+	var q int64
+	if tb.used == len(tb.entries) {
+		if tb.used == 0 {
+			return max
+		}
+		low := tb.entries[0].count
+		for _, e := range tb.entries[1:tb.used] {
+			low = min(low, e.count)
+		}
+		if q = low - 1 - tb.spill; q < 0 {
+			q = 0
+		}
+		if q >= int64(max) {
+			return max
+		}
 	}
-	low := tb.entries[0].count
-	for _, e := range tb.entries[1:tb.used] {
-		low = min(low, e.count)
-	}
-	q := low - 1 - tb.spill
-	if q < 0 {
-		q = 0
-	}
-	if q >= int64(max) {
-		return max
-	}
-	// The untracked activation after the quiet ones acts: the (q%u)-th
-	// untracked row from pos, q/u rounds on.
-	nth := int(q % int64(untracked))
+	// The untracked activation after the churn-free ones is the
+	// (q%u)-th untracked row from pos, q/u rounds on.
+	u := int64(d.untracked)
+	nth, k := int(q%u), len(d.slot)
 	for j := 0; j < k; j++ {
-		if tb.find(c.PhysRowAt(flat, rows[(pos+j)%k])) >= 0 {
+		if d.slot[(pos+j)%k] >= 0 {
 			continue
 		}
 		if nth == 0 {
-			return min(max, j+int(q/int64(untracked))*k)
+			return min(max, j+int(q/u)*k)
 		}
 		nth--
 	}
 	return max
 }
 
-// OnActivateCycle implements HorizonMitigation: tracked rows count
-// their hits, and an untracked row's hits raise the spillover.
-func (m *Graphene) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
-	tb := &m.tables[flat]
-	for idx, row := range rows {
-		if hits := cycleHits(len(rows), pos, idx, n); hits > 0 {
-			if i := tb.find(c.PhysRowAt(flat, row)); i >= 0 {
-				tb.entries[i].count += int64(hits)
-			} else {
-				tb.spill += int64(hits)
-			}
+// bulk applies n churn-free activations of the cycle from pos to tb in
+// closed form, through the slots load found: tracked rows count their
+// hits, and an untracked row's hits raise the spillover. Each row gets
+// n/k hits, and one more if it lies within the first n%k positions from
+// pos.
+func (d *mgDryRun) bulk(tb *mgTable, pos, n int) {
+	k := len(d.slot)
+	rounds, rest := int64(n/k), n%k
+	for idx, i := range d.slot {
+		hits := rounds
+		if o := idx - pos; o >= 0 && o < rest || o < 0 && o+k < rest {
+			hits++
+		}
+		if i >= 0 {
+			tb.entries[i].count += hits
+		} else {
+			tb.spill += hits
 		}
 	}
 }

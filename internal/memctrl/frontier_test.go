@@ -1,10 +1,12 @@
 package memctrl
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/disturb"
 	"repro/internal/dram"
+	"repro/internal/snapshot"
 )
 
 func TestGraphenePrevents(t *testing.T) {
@@ -54,6 +56,41 @@ func TestGrapheneHoldsAgainstManySided(t *testing.T) {
 	}
 	if ctrl.Stats.MitRefreshes == 0 {
 		t.Fatal("Graphene never fired under the many-sided pattern")
+	}
+}
+
+// TestGrapheneZeroEntries: a tracker with no slots sends every
+// activation to the spillover and never refreshes, on the access path
+// and in the hammer kernel alike, and its horizon is unbounded.
+func TestGrapheneZeroEntries(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
+	fast := newHammerSystem(t, g, 61, true, 1)
+	slow := newHammerSystem(t, g, 61, true, 1)
+	gf, gs := NewGraphene(0, 1000, 1), NewGraphene(0, 1000, 1)
+	fast.ctrl.Attach(gf)
+	slow.ctrl.Attach(gs)
+	for _, s := range []*hammerSystem{fast, slow} {
+		s.ctrl.AccessRanked(0, Coord{Bank: 0, Row: 7}, false, 0)
+	}
+	fast.ctrl.HammerPairsRanked(0, 0, 40, 42, 2500)
+	naiveHammerPairs(slow.ctrl, 0, 40, 42, 2500)
+	compareSystems(t, fast, slow, "2,500 pairs")
+	save := func(m *Graphene) []byte {
+		var w snapshot.Writer
+		m.SaveState(&w)
+		return w.Bytes()
+	}
+	if !bytes.Equal(save(gf), save(gs)) {
+		t.Fatal("kernel and access loop leave different Graphene state")
+	}
+	if spill := gf.tables[0].spill; spill != 5001 {
+		t.Fatalf("spillover %d, want 5001", spill)
+	}
+	if fast.ctrl.Stats.MitRefreshes != 0 {
+		t.Fatalf("%d mitigation refreshes, want 0", fast.ctrl.Stats.MitRefreshes)
+	}
+	if kc := fast.ctrl.KernelCounters(); kc.Batched < 4500 {
+		t.Fatalf("only %d of 5,000 accesses in closed form (%+v)", kc.Batched, kc)
 	}
 }
 

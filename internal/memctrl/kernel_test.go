@@ -203,6 +203,8 @@ type kernelEdges map[string]bool
 //   - last: the last activation the chunk could hold acts
 //   - mid: the horizon cuts the chunk short
 //   - overfull: the cycle has more rows than the Graphene table
+//   - exchange: a Graphene stretch applied in bulk inserts or
+//     exchanges a row
 //   - before-ref: the mitigation acts on the access just before a REF
 type horizonProbe struct {
 	HorizonMitigation
@@ -225,6 +227,28 @@ func (p *horizonProbe) ActivateHorizon(c *Controller, flat int, rows []int, pos,
 		p.edges[p.name+"@overfull"] = true
 	}
 	return h
+}
+
+func (p *horizonProbe) OnActivateCycle(c *Controller, flat int, rows []int, pos, n int) {
+	if g, ok := p.HorizonMitigation.(*Graphene); ok && grapheneChurns(g, c, flat, rows, pos, n) {
+		p.edges[p.name+"@exchange"] = true
+	}
+	p.HorizonMitigation.OnActivateCycle(c, flat, rows, pos, n)
+}
+
+// grapheneChurns reports whether n activations of the cycle from pos
+// insert or exchange a row in bank flat's table, by replaying them on a
+// copy.
+func grapheneChurns(g *Graphene, c *Controller, flat int, rows []int, pos, n int) bool {
+	tb := g.tables[flat]
+	tb.entries = slices.Clone(tb.entries)
+	for j := 0; j < n; j++ {
+		phys := c.PhysRowAt(flat, rows[(pos+j)%len(rows)])
+		if tb.find(phys) < 0 && g.observe(&tb, phys) >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *horizonProbe) OnActivate(c *Controller, bank, logRow int) {
@@ -357,6 +381,8 @@ var kernelEdgeSeeds = []struct {
 	// reach of 0 instead of 1 makes this seed's twins diverge.
 	{47, 0, 0x69, []string{"ref@ridden", "ref@flushed"}},
 	{1333, 1<<3 | 1<<4, 0x31, []string{"ref@ridden", "graphene@mid", "twice@mid"}},
+	// Graphene stretches that insert and exchange rows in bulk.
+	{1078, 1 << 3, 0x01, []string{"graphene@exchange", "graphene@overfull"}},
 }
 
 func TestKernelEdgeSeedsReachEdges(t *testing.T) {
@@ -418,6 +444,15 @@ func TestKernelBatchesUnderEachDefence(t *testing.T) {
 			tb.used = len(tb.entries)
 			return g
 		}},
+		// A table with fewer free slots than the 6-row cycle has rows,
+		// the rest held by rows at nearby counts far above the cycle's:
+		// the cycle churns through the free slots, so nearly every
+		// activation of an untracked row exchanges.
+		{"graphene-storm", func() Mitigation {
+			g := NewGraphene(8, 1000, 4)
+			fillGrapheneStorm(g, 1*2+1)
+			return g
+		}},
 		{"twice", func() Mitigation { return NewTWiCe(1000, 4) }},
 		{"anvil", func() Mitigation { return NewANVIL() }},
 		{"cra", func() Mitigation { return NewCRA(1000, 4, 64) }},
@@ -438,6 +473,17 @@ func TestKernelBatchesUnderEachDefence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fillGrapheneStorm pre-fills five of bank flat's eight slots with odd
+// rows at nearby counts of about 20,000, leaving three free slots and
+// a spillover of 0.
+func fillGrapheneStorm(g *Graphene, flat int) {
+	tb := &g.tables[flat]
+	for i := 0; i < 5; i++ {
+		tb.entries[i] = g.newEntry(21+2*i, 20000+int64(i))
+	}
+	tb.used, tb.spill = 5, 0
 }
 
 // TestKernelRidesREFs guards the REF ride against vacuity: a REF whose

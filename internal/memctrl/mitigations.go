@@ -32,11 +32,12 @@ import (
 // The horizon contract (HorizonMitigation), for mitigations that let
 // the kernel run their quiet stretches in closed form: an activation is
 // quiet when OnActivate calls no Controller method other than PhysRowAt
-// and does not depend on c.Now; ActivateHorizon is pure, advancing no
-// random stream and changing no table; OnActivateCycle leaves the
-// mitigation exactly as that many OnActivate calls would. Without the
-// interface, every activation the kernel issues steps one at a time
-// through OnActivate.
+// and does not depend on c.Now, so it touches only the mitigation's own
+// state, which it may change freely; ActivateHorizon is pure,
+// advancing no random stream and changing no table; OnActivateCycle
+// leaves the mitigation exactly as that many OnActivate calls would.
+// Without the interface, every activation the kernel issues steps one
+// at a time through OnActivate.
 type Mitigation interface {
 	// Name identifies the mitigation in result tables.
 	Name() string
@@ -57,12 +58,13 @@ type Mitigation interface {
 //
 // An activation is quiet when the mitigation's OnActivate for it calls
 // no Controller method other than PhysRowAt and does not depend on
-// c.Now. The kernel asks every attached mitigation for its horizon,
-// takes the minimum, applies that many activations to each mitigation
-// in turn through OnActivateCycle and steps the next one through
-// OnActivate. Because quiet activations touch only the mitigation's
-// own state, applying one mitigation's stretch before another's equals
-// interleaving them. That holds while each instance is attached once
+// c.Now: it touches only the mitigation's own state, whatever it does
+// to it (a Graphene insertion or exchange is quiet). The kernel asks
+// every attached mitigation for its horizon, takes the minimum, applies
+// that many activations to each mitigation in turn through
+// OnActivateCycle and steps the next one through OnActivate. Because
+// quiet activations touch only the mitigation's own state, applying
+// one mitigation's stretch before another's equals interleaving them. That holds while each instance is attached once
 // and no two attached mitigations share a random stream. A horizon
 // smaller than the true one is always correct; 0 makes the kernel step
 // the next activation.
